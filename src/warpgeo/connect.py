@@ -61,25 +61,30 @@ R_GRID_SAMPLES = 64
 
 def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
            v_init=None, tol: float = 1e-10, max_iter: int = 60):
-    """Damped Newton on the endpoint map; returns (velocity, iterations)."""
+    """Damped Newton on the endpoint map.
+
+    Returns ``(velocity, curve, iterations)``, with ``curve`` the geodesic
+    already integrated from the converged velocity.
+    """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     v = np.array(x1 - x0, dtype=float) if v_init is None else np.array(v_init, dtype=float)
 
-    def endpoint_gap(vel):
-        return integrate_geodesic(chart, x0, vel, cfg).endpoint() - x1
+    def shot(vel):
+        curve = integrate_geodesic(chart, x0, vel, cfg)
+        return curve, curve.endpoint() - x1
 
-    gap = endpoint_gap(v)
+    curve, gap = shot(v)
     best = float(np.max(np.abs(gap)))
     for it in range(1, max_iter + 1):
         if best <= tol:
-            return v, it - 1
+            return v, curve, it - 1
         h = 1e-6 * max(1.0, float(np.max(np.abs(v))))
         jac = np.empty((chart.dim, chart.dim))
         for j in range(chart.dim):
             dv = np.zeros(chart.dim)
             dv[j] = h
-            jac[:, j] = (endpoint_gap(v + dv) - endpoint_gap(v - dv)) / (2.0 * h)
+            jac[:, j] = (shot(v + dv)[1] - shot(v - dv)[1]) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -gap)
         except np.linalg.LinAlgError as exc:
@@ -89,7 +94,7 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
         lam = 1.0
         while True:
             trial = v + lam * step
-            trial_gap = endpoint_gap(trial)
+            trial_curve, trial_gap = shot(trial)
             trial_res = float(np.max(np.abs(trial_gap)))
             if trial_res < best or lam < 1.0 / 64.0:
                 break
@@ -98,9 +103,9 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
             raise ShootingError(
                 f"shooting stalled on {chart.name} at residual {best:.3e}", best, it
             )
-        v, gap, best = trial, trial_gap, trial_res
+        v, curve, gap, best = trial, trial_curve, trial_gap, trial_res
     if best <= tol:
-        return v, max_iter
+        return v, curve, max_iter
     raise ShootingError(
         f"shooting failed to converge on {chart.name}; residual {best:.3e}",
         best, max_iter,
@@ -111,7 +116,7 @@ def shoot_boundary(chart: MetricChart, x0, x1,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    v_init=None, tol: float = 1e-10) -> TangentVector:
     """Initial velocity whose chart geodesic reaches ``x1`` at parameter 1."""
-    v, _ = _shoot(chart, x0, x1, cfg, v_init=v_init, tol=tol)
+    v, _, _ = _shoot(chart, x0, x1, cfg, v_init=v_init, tol=tol)
     return TangentVector(np.asarray(x0, dtype=float), v)
 
 
@@ -159,8 +164,7 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     """
     admissible_range(w).require(r)
     chart = conformal_metric(g1, w, r)
-    X, iters = _shoot(chart, x0, x1, cfg, v_init=v_init)
-    mu = integrate_geodesic(chart, np.asarray(x0, dtype=float), X, cfg)
+    X, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init)
     return _beta_from_mu(mu, w, r, g1, X, iters)
 
 
@@ -262,12 +266,12 @@ class ShootingReport:
 
 
 def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
-                     beta0: float, w, g1, g2, iterations: int,
+                     beta0: float, w, g1, g2, iterations: int, x1, y1,
                      first_integral_residual=None) -> ShootingReport:
+    """Rebuild the solved pair; ``x1``/``y1`` are the requested end points
+    that ``endpoint_error`` measures the rebuilt legs against."""
     geo = riemannize(solver_result.mu, nu, w, r, g1, g2, compat_tol=1e-6,
                      residual_tol=None)
-    x1 = solver_result.mu.points[-1]
-    y1 = nu.points[-1]
     endpoint_error = max(
         float(np.max(np.abs(geo.gamma.points[-1] - x1))),
         float(np.max(np.abs(geo.tau.points[-1] - y1))),
@@ -281,8 +285,7 @@ def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
 
 def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
     """Coinciding fiber endpoints: constant fiber leg, base-metric geodesic."""
-    X, iters = _shoot(g1, x0, x1, cfg)
-    mu = integrate_geodesic(g1, np.asarray(x0, dtype=float), X, cfg)
+    X, mu, iters = _shoot(g1, x0, x1, cfg)
     t = mu.params.copy()
     y0 = np.asarray(y0, dtype=float)
     nu = Curve(t, np.tile(y0, (t.shape[0], 1)), np.zeros((t.shape[0], y0.shape[0])))
@@ -326,13 +329,13 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
             "coinciding base endpoints admit no rebuilt geodesic with a "
             "moving fiber leg: the dial is identically zero"
         )
-    V2 = shoot_boundary(g2, y0, y1, cfg)
+    V2, nu, _ = _shoot(g2, y0, y1, cfg)
     beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
     solver = _NewtonBetaSolver(g1, g2, w, x0, x1, cfg)
     r0 = _solve_r(solver, beta0, admissible_range(w).lower, r_max, samples)
     res = solver(r0)
-    nu = integrate_geodesic(g2, y0, V2.components, cfg)
-    return _assemble_report(res, r0, nu, beta0, w, g1, g2, solver.evaluations)
+    return _assemble_report(res, r0, nu, beta0, w, g1, g2, solver.evaluations,
+                            x1, y1)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +595,7 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
             "coinciding base endpoints admit no rebuilt geodesic with a "
             "moving fiber leg: the dial is identically zero"
         )
-    V2 = shoot_boundary(g2, y0, y1, cfg)
+    V2, nu, _ = _shoot(g2, y0, y1, cfg)
     beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
     solver = _FlrwBetaSolver(w, t0, t1, cfg, weight)
     r0 = _solve_r(solver, beta0, admissible_range(w).lower, r_max, samples)
@@ -610,9 +613,8 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
         for i in range(mu_geo.steps + 1)
     ))
     res_geo = _beta_from_mu(mu_geo, w, r0, base_chart, res.X_r.components, 0)
-    nu = integrate_geodesic(g2, y0, V2.components, cfg)
     return _assemble_report(res_geo, r0, nu, beta0, w, base_chart, g2,
-                            solver.evaluations,
+                            solver.evaluations, np.array([t1]), y1,
                             first_integral_residual=fi_residual)
 
 
@@ -634,8 +636,7 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     """
     admissible_range(w).require(r)
     x0 = np.asarray(x0, dtype=float)
-    X = shoot_boundary(g1, x0, x1, cfg)
-    gamma = integrate_geodesic(g1, x0, X.components, cfg)
+    X, gamma, _ = _shoot(g1, x0, x1, cfg)
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r

@@ -4,6 +4,9 @@ All curves are integrated with the classical fourth-order Runge-Kutta
 scheme on a uniform grid over ``[0, 1]``; problems posed on ``[0, T]`` are
 folded into the initial velocity, with ``T`` recorded on the curve.  The
 fixed step keeps runs deterministic and the convergence order measurable.
+Plain geodesics take their acceleration from
+:func:`~warpgeo.manifold.geodesic_rhs`, the closed-form spray on
+conformally flat charts.
 
 Besides the plain geodesic integrator for a single chart, this module
 integrates the coupled mixed-signature system directly:
@@ -12,7 +15,8 @@ integrates the coupled mixed-signature system directly:
     fiber:  (d/dt) velocity = -G2(v, v) - (dk(base vel) / k) * fiber vel
 
 which serves as the independent oracle the reparametrization pipeline is
-tested against, and measures the max-norm residuals of that system along
+tested against (it contracts Christoffel symbols, never the spray), and
+measures the max-norm residuals of that system along
 any stored pair of curves.
 """
 
@@ -27,7 +31,7 @@ from scipy.interpolate import BPoly
 
 from ._num import derivative_on_grid
 from .errors import ChartDomainError, InputError
-from .manifold import MetricChart, _metric, christoffel
+from .manifold import MetricChart, _metric, christoffel, geodesic_rhs
 from .warp import WarpField, value_and_grad
 
 __all__ = [
@@ -219,8 +223,7 @@ def integrate_geodesic(chart: MetricChart, p0, v0,
 
     def rhs(state):
         p, v = state[:d], state[d:]
-        G = christoffel(chart, p)
-        return np.concatenate((v, -(G @ v) @ v))
+        return np.concatenate((v, geodesic_rhs(chart, p, v)))
 
     states = _rk4(rhs, np.concatenate((p0, v0)), cfg.steps)
     _check_domain(chart, states)

@@ -9,7 +9,11 @@ index raising, the geodesic right-hand side, and sectional curvature.
 Charts are plain data: a dimension plus callables.  Analytic metric
 derivatives, Christoffel symbols, and sectional curvature may be supplied
 where known (all built-in charts do), with central finite differences as
-the fallback for user-defined metrics.
+the fallback for user-defined metrics.  A conformally flat chart, metric
+``exp(2 phi)`` times the identity, may also supply ``grad phi``; its
+geodesic acceleration (the spray) then has a closed form that needs no
+Christoffel tensor.  The flat, hyperbolic, weighted-line and circle charts
+supply it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ class MetricChart:
         plane spanned by an orthonormal pair.
     in_domain : callable, optional
         Point -> bool chart-domain predicate; default accepts everything.
+    conformal_gradient_at : callable, optional
+        Point -> ``grad phi`` for a chart whose metric is ``exp(2 phi)``
+        times the identity; :func:`geodesic_rhs` then uses the closed-form
+        spray instead of the Christoffel symbols.
     """
 
     dim: int
@@ -63,6 +71,7 @@ class MetricChart:
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
     name: str = "chart"
     fd_step: float = DEFAULT_FD_STEP
+    conformal_gradient_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -171,9 +180,17 @@ def sharp(chart: MetricChart, p, covector) -> TangentVector:
 
 
 def geodesic_rhs(chart: MetricChart, p, v) -> np.ndarray:
-    """Acceleration ``a^k = -G^k_ij v^i v^j`` of the geodesic equation."""
-    G = christoffel(chart, p)
+    """Acceleration ``a^k = -G^k_ij v^i v^j`` of the geodesic equation.
+
+    On a conformally flat chart, metric ``exp(2 phi) I``, this is the spray
+    ``|v|^2 grad phi - 2 (grad phi . v) v`` in closed form; otherwise the
+    Christoffel symbols are contracted.
+    """
     v = _components(v)
+    if chart.conformal_gradient_at is not None:
+        s = chart.conformal_gradient_at(np.asarray(p, dtype=float))
+        return (v @ v) * s - (2.0 * (s @ v)) * v
+    G = christoffel(chart, p)
     return -(G @ v) @ v
 
 
@@ -233,6 +250,7 @@ def euclidean(dim: int) -> MetricChart:
     """Flat space R^n with the identity metric."""
     eye = np.eye(dim)
     zeros3 = np.zeros((dim, dim, dim))
+    zero = np.zeros(dim)
     return MetricChart(
         dim=dim,
         metric_at=lambda p: eye,
@@ -240,6 +258,7 @@ def euclidean(dim: int) -> MetricChart:
         christoffel_at=lambda p: zeros3,
         sectional_at=(lambda p, e1, e2: 0.0) if dim >= 2 else None,
         name=f"euclidean{dim}",
+        conformal_gradient_at=lambda p: zero,
     )
 
 
@@ -263,17 +282,18 @@ def poincare_half_plane() -> MetricChart:
         d[0, 0, 1] = d[1, 1, 1] = -2.0 / p[1] ** 3
         return d
 
-    def gamma(p):
-        return _conformal_flat_christoffel(np.array([0.0, -1.0 / p[1]]))
+    def grad_phi(p):
+        return np.array([0.0, -1.0 / p[1]])
 
     return MetricChart(
         dim=2,
         metric_at=metric,
         metric_derivative_at=dmetric,
-        christoffel_at=gamma,
+        christoffel_at=lambda p: _conformal_flat_christoffel(grad_phi(p)),
         sectional_at=lambda p, e1, e2: -1.0,
         in_domain=lambda p: p[1] > 0.0,
         name="poincare_half_plane",
+        conformal_gradient_at=grad_phi,
     )
 
 
@@ -296,17 +316,18 @@ def poincare_ball(dim: int = 2) -> MetricChart:
             d[:, :, k] = (16.0 * p[k] / s ** 3) * eye
         return d
 
-    def gamma(p):
-        return _conformal_flat_christoffel(2.0 * p / (1.0 - p @ p))
+    def grad_phi(p):
+        return 2.0 * p / (1.0 - p @ p)
 
     return MetricChart(
         dim=dim,
         metric_at=metric,
         metric_derivative_at=dmetric,
-        christoffel_at=gamma,
+        christoffel_at=lambda p: _conformal_flat_christoffel(grad_phi(p)),
         sectional_at=lambda p, e1, e2: -1.0,
         in_domain=lambda p: float(p @ p) < 1.0,
         name=f"poincare_ball{dim}",
+        conformal_gradient_at=grad_phi,
     )
 
 
@@ -346,6 +367,8 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
         # interior angles must avoid the coordinate poles
         return all(0.0 < p[j] < np.pi for j in range(dim - 1)) if dim > 1 else True
 
+    # one angle: the constant metric R^2 is exp(2 phi) with phi constant
+    zero = np.zeros(1)
     return MetricChart(
         dim=dim,
         metric_at=metric,
@@ -353,6 +376,7 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
         sectional_at=(lambda p, e1, e2: 1.0 / R2) if dim >= 2 else None,
         in_domain=in_domain,
         name=f"sphere{dim}",
+        conformal_gradient_at=(lambda p: zero) if dim == 1 else None,
     )
 
 
@@ -381,14 +405,16 @@ def weighted_line(weight, dim_hint: int = 1) -> MetricChart:
     def dmetric(p):
         return np.array([[[f_df(p)[1]]]])
 
-    def gamma(p):
+    def grad_phi(p):
+        # f = exp(2 phi), so phi' = f' / (2 f)
         v, dv = f_df(p)
-        return np.array([[[0.5 * dv / v]]])
+        return np.array([0.5 * dv / v])
 
     return MetricChart(
         dim=1,
         metric_at=metric,
         metric_derivative_at=dmetric,
-        christoffel_at=gamma,
+        christoffel_at=lambda p: grad_phi(p)[:, None, None],
         name="weighted_line",
+        conformal_gradient_at=grad_phi,
     )

@@ -155,7 +155,10 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
 
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
-    with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.
+    with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.  A conformally flat
+    base, ``g1 = exp(2 phi) I``, stays conformally flat with
+    ``grad psi = grad phi + u / 2``, so its geodesics keep the closed-form
+    spray.
     """
     admissible_range(w).require(r)
     dim = g1.dim
@@ -192,6 +195,13 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
             )
             return G
 
+    conformal_gradient = None
+    if g1.conformal_gradient_at is not None:
+
+        def conformal_gradient(p):
+            v, dk = value_and_grad(w, p)
+            return g1.conformal_gradient_at(p) - dk / (2.0 * v * (1.0 + r * v))
+
     def sectional(p, e1, e2):
         # callers hand a pair orthonormal for the rescaled metric; scale it
         # back to a base-orthonormal pair before applying the formula
@@ -211,6 +221,7 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         in_domain=g1.in_domain,
         name=f"conformal({g1.name}, r={r:g})",
         fd_step=g1.fd_step,
+        conformal_gradient_at=conformal_gradient,
     )
 
 

@@ -6,14 +6,18 @@ minus, ``*`` ``/``, ``+`` ``-``; parentheses; function application for
 n-dimensional chart, with ``t`` accepted as an alias for ``x1`` when the
 chart is one-dimensional.
 
-Evaluation is exact forward-mode differentiation: a single pass propagates
-value, gradient, and Hessian together, so no truncation error enters the
-derivatives.
+Evaluation is exact forward-mode differentiation, so no truncation error
+enters the derivatives.  On its first evaluation in a given form, a tree is
+compiled into one straight-line Python function that propagates the value,
+and as asked the gradient and Hessian, through every node; the scalar forms
+use ``math`` and the batch form of :func:`evaluate_many` uses ``numpy``.
+All four entry points apply the same domain checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -262,201 +266,244 @@ def format_expression(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_DERIVS = {
-    "sin": (math.sin, math.cos, lambda u: -math.sin(u)),
-    "cos": (math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u)),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda u: 1.0 / u, lambda u: -1.0 / (u * u)),
-    "sqrt": (math.sqrt, lambda u: 0.5 / math.sqrt(u), lambda u: -0.25 / math.sqrt(u) ** 3),
-}
+# Each tree is compiled once per form into straight-line forward-mode code
+# (Griewank & Walther, *Evaluating Derivatives*, ch. 3 and 13): one local
+# per value, gradient entry and upper-triangle Hessian entry, with entries
+# that are structurally zero left out.  Only node kinds, variable indices,
+# function names and generated temporaries appear in the source; constants,
+# exponents and the subexpressions named by domain errors are bound by name.
+# The compiled functions are cached on the root node itself, by identity.
+
+_VALUE, _GRADIENT, _HESSIAN, _ARRAY = range(4)
+_ONE = "1.0"
+
+# derivative of each function in terms of its argument ``u`` and value ``f``
+_D1 = {"sin": "cos({u})", "cos": "-sin({u})", "exp": "{f}",
+       "log": "1.0 / {u}", "sqrt": "0.5 / {f}"}
+_D2 = {"sin": "-{f}", "cos": "-{f}", "exp": "{f}",
+       "log": "-1.0 / ({u} * {u})", "sqrt": "-0.25 / {f} ** 3"}
+
+# domain checks per node kind: (condition on the checked operand, message)
+_CHECKS = {"log": (("{u} <= 0.0", "log of non-positive value"),),
+           "sqrt": (("{u} < 0.0", "square root of negative value"),
+                    ("{u} == 0.0", "square root derivative undefined at zero")),
+           "/": (("{u} == 0.0", "division by zero"),),
+           "^": (("{u} == 0.0", "division by zero"),)}
 
 
-def _check_domain(e: Expr, name: str, u: float):
-    if name == "log" and u <= 0.0:
-        raise DslEvaluationError("log of non-positive value", str(e))
-    if name == "sqrt" and u < 0.0:
-        raise DslEvaluationError("square root of negative value", str(e))
-    if name == "sqrt" and u == 0.0:
-        raise DslEvaluationError("square root derivative undefined at zero", str(e))
+def _product(*factors):
+    """Source of a product, or None when a factor is structurally zero."""
+    if any(f is None for f in factors):
+        return None
+    return " * ".join(f for f in factors if f != _ONE) or _ONE
 
 
-def _ev0(e: Expr, x: tuple) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x[e.index]
-    if isinstance(e, Neg):
-        return -_ev0(e.arg, x)
-    if isinstance(e, Binary):
-        a, b = _ev0(e.left, x), _ev0(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
+def _over(src, inv):
+    """Source of ``(src) * inv``, or None when ``src`` is structurally zero."""
+    if src is None or src == _ONE:
+        return _product(src, inv)
+    return f"({src}) * {inv}"
+
+
+def _combine(plus, minus=()):
+    """Source of ``sum(plus) - sum(minus)`` over the non-zero terms."""
+    plus = [t for t in plus if t is not None]
+    minus = [t for t in minus if t is not None]
+    if not plus and not minus:
+        return None
+    src = " + ".join(plus) if plus else "-" + minus.pop(0)
+    return "".join([src, *(f" - {t}" for t in minus)])
+
+
+class _Emitter:
+    """Writes one tree as the body of a function of the point ``x``."""
+
+    def __init__(self, form: int, dim: int):
+        self.order = form if form != _ARRAY else 0
+        self.array = form == _ARRAY
+        self.dim = dim
+        self.lines: list[str] = []
+        self.bound: dict[str, object] = {}
+        self.failures: list[tuple[str, Expr]] = []
+        self.loaded: dict[int, str] = {}
+
+    def let(self, src):
+        """A name (or literal) holding ``src``; None stays structurally zero."""
+        if src is None or src.isidentifier() or src == _ONE:
+            return src
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {src}")
+        return name
+
+    def bind(self, obj, prefix: str) -> str:
+        name = f"{prefix}{len(self.bound)}"
+        self.bound[name] = obj
+        return name
+
+    def check(self, e: Expr, kind: str, u: str):
+        for cond, message in _CHECKS[kind]:
+            cond = cond.format(u=u)
+            if self.array:
+                cond = f"_any({cond})"
+            self.lines.append(f"if {cond}: _fail({len(self.failures)})")
+            self.failures.append((message, e))
+
+    def emit(self, e: Expr):
+        """``(value, gradient entries, non-zero Hessian entries by (i, j))``."""
+        if isinstance(e, Const):
+            return self.bind(e.value, "c"), [None] * self.dim, {}
+        if isinstance(e, Var):
+            if e.index not in self.loaded:
+                self.loaded[e.index] = self.let(f"x[{operator.index(e.index)}]")
+            g = [None] * self.dim
+            if self.order:
+                g[e.index] = _ONE
+            return self.loaded[e.index], g, {}
+        if isinstance(e, Neg):
+            v, g, H = self.emit(e.arg)
+            return (self.let(f"-{v}"), [self.let(_combine((), [p])) for p in g],
+                    {ij: self.let(f"-{h}") for ij, h in H.items()})
+        if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
+            return self.binary(e)
+        if isinstance(e, Power):
+            return self.chain(e, "^", self.emit(e.base))
+        if isinstance(e, Call) and e.name in FUNCTIONS:
+            return self.chain(e, e.name, self.emit(e.arg))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def hessian(self, entry) -> dict:
+        """Upper-triangle entries ``entry(i, j)``, structural zeros dropped."""
+        if self.order < 2:
+            return {}
+        H = {(i, j): self.let(entry(i, j))
+             for i in range(self.dim) for j in range(i, self.dim)}
+        return {ij: h for ij, h in H.items() if h is not None}
+
+    def binary(self, e: Binary):
+        a, ag, aH = self.emit(e.left)
+        b, bg, bH = self.emit(e.right)
+        if e.op in ("+", "-"):
+            def join(p, q):
+                return _combine([p, q]) if e.op == "+" else _combine([p], [q])
+            return (self.let(f"{a} {e.op} {b}"),
+                    [self.let(join(p, q)) for p, q in zip(ag, bg)],
+                    self.hessian(lambda i, j: join(aH.get((i, j)), bH.get((i, j)))))
         if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DslEvaluationError("division by zero", str(e))
-        return a / b
-    if isinstance(e, Power):
-        u = _ev0(e.base, x)
-        if e.exponent < 0 and u == 0.0:
-            raise DslEvaluationError("division by zero", str(e))
-        return u ** e.exponent
-    if isinstance(e, Call):
-        u = _ev0(e.arg, x)
-        _check_domain(e, e.name, u)
-        return _DERIVS[e.name][0](u)
-    raise TypeError(f"not an expression node: {e!r}")
+            return (self.let(f"{a} * {b}"),
+                    [self.let(_combine([_product(p, b), _product(a, q)]))
+                     for p, q in zip(ag, bg)],
+                    self.hessian(lambda i, j: _combine([
+                        _product(a, bH.get((i, j))), _product(b, aH.get((i, j))),
+                        _product(ag[i], bg[j]), _product(ag[j], bg[i])])))
+        self.check(e, "/", b)
+        if self.order == 0:
+            return self.let(f"{a} / {b}"), ag, {}
+        inv = self.let(f"1.0 / {b}")
+        v = self.let(f"{a} * {inv}")
+        g = [self.let(_over(_combine([p], [_product(v, q)]), inv))
+             for p, q in zip(ag, bg)]
+        return v, g, self.hessian(lambda i, j: _over(_combine([aH.get((i, j))], [
+            _product(v, bH.get((i, j))), _product(g[i], bg[j]),
+            _product(bg[i], g[j])]), inv))
+
+    def chain(self, e: Expr, kind: str, arg):
+        """``f(u)`` for a function or an integer power, by the chain rule."""
+        u, ug, uH = arg
+        d1 = d2 = None
+        if kind == "^":
+            m = e.exponent
+            if m < 0:
+                self.check(e, kind, u)
+            v = self.let(f"{u} ** {self.bind(m, 'm')}")
+            if self.order and m != 0:
+                d1 = self.let(f"{self.bind(m, 'm')} * {u} ** {self.bind(m - 1, 'm')}")
+            if self.order > 1 and m not in (0, 1):
+                d2 = self.let(f"{self.bind(m * (m - 1), 'm')} * {u} ** "
+                              f"{self.bind(m - 2, 'm')}")
+        else:
+            if kind in _CHECKS:
+                self.check(e, kind, u)
+            v = self.let(f"{kind}({u})")
+            if self.order:
+                d1 = self.let(_D1[kind].format(u=u, f=v))
+            if self.order > 1:
+                d2 = self.let(_D2[kind].format(u=u, f=v))
+        return v, [self.let(_product(d1, p)) for p in ug], self.hessian(
+            lambda i, j: _combine([_product(d1, uH.get((i, j))),
+                                   _product(d2, ug[i], ug[j])]))
+
+    def source(self, e: Expr) -> str:
+        v, g, H = self.emit(e)
+        grad = ", ".join(p or "0.0" for p in g)
+        if self.array:
+            # an expression of no variable still gives one value per row
+            result = v if self.loaded else f"_full(x[0].shape, {v})"
+        elif self.order == 0:
+            result = v
+        elif self.order == 1:
+            result = f"{v}, _array(({grad},))"
+        else:
+            rows = ", ".join(
+                "({},)".format(", ".join(H.get((min(i, j), max(i, j)), "0.0")
+                                         for j in range(self.dim)))
+                for i in range(self.dim))
+            result = f"{v}, _array(({grad},)), _array(({rows},))"
+        params = ", ".join([*self.bound, "_fail", "_array", "_any", "_full",
+                            *FUNCTIONS])
+        body = "".join(f"        {line}\n" for line in self.lines)
+        return (f"def _build({params}):\n    def _f(x):\n{body}"
+                f"        return {result}\n    return _f\n")
+
+
+def _compile(e: Expr, form: int, dim: int):
+    emitter = _Emitter(form, dim)
+    namespace: dict = {}
+    exec(compile(emitter.source(e), "<warpfn>", "exec"), namespace)
+    failures = emitter.failures
+
+    def fail(k: int):
+        message, node = failures[k]
+        raise DslEvaluationError(message, str(node))
+
+    functions = np if emitter.array else math
+    fn = namespace["_build"](
+        **emitter.bound, _fail=fail, _array=np.array, _any=np.any,
+        _full=np.full, **{name: getattr(functions, name) for name in FUNCTIONS})
+    e.__dict__.setdefault("_compiled", {})[form, dim] = fn
+    return fn
+
+
+def _compiled(e: Expr, form: int, dim: int):
+    """The function for ``form`` on ``dim``-point arguments, compiled once."""
+    try:
+        return e.__dict__["_compiled"][form, dim]
+    except KeyError:
+        return _compile(e, form, dim)
 
 
 def evaluate(e: Expr, point) -> float:
     """Value of the expression at a point (sequence of coordinates)."""
-    return _ev0(e, tuple(map(float, point)))
-
-
-_ARRAY_FUNCTIONS = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-    "sqrt": np.sqrt,
-}
-
-
-def _ev0_array(e: Expr, cols: tuple) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full(cols[0].shape, e.value)
-    if isinstance(e, Var):
-        return cols[e.index]
-    if isinstance(e, Neg):
-        return -_ev0_array(e.arg, cols)
-    if isinstance(e, Binary):
-        a, b = _ev0_array(e.left, cols), _ev0_array(e.right, cols)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if np.any(b == 0.0):
-            raise DslEvaluationError("division by zero", str(e))
-        return a / b
-    if isinstance(e, Power):
-        u = _ev0_array(e.base, cols)
-        if e.exponent < 0 and np.any(u == 0.0):
-            raise DslEvaluationError("division by zero", str(e))
-        return u ** e.exponent
-    if isinstance(e, Call):
-        u = _ev0_array(e.arg, cols)
-        if e.name == "log" and np.any(u <= 0.0):
-            raise DslEvaluationError("log of non-positive value", str(e))
-        if e.name == "sqrt" and np.any(u < 0.0):
-            raise DslEvaluationError("square root of negative value", str(e))
-        return _ARRAY_FUNCTIONS[e.name](u)
-    raise TypeError(f"not an expression node: {e!r}")
+    x = np.asarray(point, dtype=float).tolist()
+    return _compiled(e, _VALUE, len(x))(x)
 
 
 def evaluate_many(e: Expr, points) -> np.ndarray:
     """Values at many points at once; ``points`` has one row per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _ev0_array(e, tuple(pts.T))
-
-
-def _ev1(e: Expr, x: tuple) -> tuple:
-    """Value and gradient as (float, tuple of floats); tuple-based for speed."""
-    n = len(x)
-    if isinstance(e, Const):
-        return e.value, (0.0,) * n
-    if isinstance(e, Var):
-        g = [0.0] * n
-        g[e.index] = 1.0
-        return x[e.index], tuple(g)
-    if isinstance(e, Neg):
-        v, g = _ev1(e.arg, x)
-        return -v, tuple(-gi for gi in g)
-    if isinstance(e, Binary):
-        av, ag = _ev1(e.left, x)
-        bv, bg = _ev1(e.right, x)
-        if e.op == "+":
-            return av + bv, tuple(p + q for p, q in zip(ag, bg))
-        if e.op == "-":
-            return av - bv, tuple(p - q for p, q in zip(ag, bg))
-        if e.op == "*":
-            return av * bv, tuple(p * bv + av * q for p, q in zip(ag, bg))
-        if bv == 0.0:
-            raise DslEvaluationError("division by zero", str(e))
-        inv = 1.0 / bv
-        v = av * inv
-        return v, tuple((p - v * q) * inv for p, q in zip(ag, bg))
-    if isinstance(e, Power):
-        uv, ug = _ev1(e.base, x)
-        m = e.exponent
-        if m < 0 and uv == 0.0:
-            raise DslEvaluationError("division by zero", str(e))
-        dv = m * uv ** (m - 1) if m != 0 else 0.0
-        return uv ** m, tuple(dv * gi for gi in ug)
-    if isinstance(e, Call):
-        uv, ug = _ev1(e.arg, x)
-        _check_domain(e, e.name, uv)
-        f, fp, _ = _DERIVS[e.name]
-        dv = fp(uv)
-        return f(uv), tuple(dv * gi for gi in ug)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _compiled(e, _ARRAY, pts.shape[1])(tuple(pts.T))
 
 
 def value_and_gradient(e: Expr, point) -> tuple[float, np.ndarray]:
     """Value and gradient at a point, both exact to roundoff."""
-    v, g = _ev1(e, tuple(map(float, point)))
-    return v, np.array(g)
-
-
-def _ev2(e: Expr, x: tuple, n: int):
-    """Value, gradient, Hessian via second-order forward propagation."""
-    if isinstance(e, Const):
-        return e.value, np.zeros(n), np.zeros((n, n))
-    if isinstance(e, Var):
-        g = np.zeros(n)
-        g[e.index] = 1.0
-        return x[e.index], g, np.zeros((n, n))
-    if isinstance(e, Neg):
-        v, g, H = _ev2(e.arg, x, n)
-        return -v, -g, -H
-    if isinstance(e, Binary):
-        av, ag, aH = _ev2(e.left, x, n)
-        bv, bg, bH = _ev2(e.right, x, n)
-        if e.op == "+":
-            return av + bv, ag + bg, aH + bH
-        if e.op == "-":
-            return av - bv, ag - bg, aH - bH
-        cross = np.outer(ag, bg)
-        if e.op == "*":
-            return av * bv, av * bg + bv * ag, av * bH + bv * aH + cross + cross.T
-        if bv == 0.0:
-            raise DslEvaluationError("division by zero", str(e))
-        # a/b = a * (1/b)
-        iv = 1.0 / bv
-        ig = -bg * iv * iv
-        iH = -bH * iv * iv + 2.0 * np.outer(bg, bg) * iv ** 3
-        cross = np.outer(ag, ig)
-        return av * iv, av * ig + iv * ag, av * iH + iv * aH + cross + cross.T
-    if isinstance(e, Power):
-        uv, ug, uH = _ev2(e.base, x, n)
-        m = e.exponent
-        if m < 0 and uv == 0.0:
-            raise DslEvaluationError("division by zero", str(e))
-        if m == 0:
-            return 1.0, np.zeros(n), np.zeros((n, n))
-        d1 = m * uv ** (m - 1)
-        d2 = m * (m - 1) * uv ** (m - 2) if m != 1 else 0.0
-        return uv ** m, d1 * ug, d1 * uH + d2 * np.outer(ug, ug)
-    if isinstance(e, Call):
-        uv, ug, uH = _ev2(e.arg, x, n)
-        _check_domain(e, e.name, uv)
-        f, fp, fpp = _DERIVS[e.name]
-        d1, d2 = fp(uv), fpp(uv)
-        return f(uv), d1 * ug, d1 * uH + d2 * np.outer(ug, ug)
-    raise TypeError(f"not an expression node: {e!r}")
+    x = np.asarray(point, dtype=float).tolist()
+    return _compiled(e, _GRADIENT, len(x))(x)
 
 
 def eval2(e: Expr, point) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient, and Hessian of the expression at a point."""
-    x = tuple(map(float, point))
-    return _ev2(e, x, len(x))
+    """Value, gradient, and Hessian of the expression at a point.
+
+    The Hessian is assembled from its upper triangle, so it is exactly
+    symmetric.
+    """
+    x = np.asarray(point, dtype=float).tolist()
+    return _compiled(e, _HESSIAN, len(x))(x)

@@ -353,6 +353,19 @@ def test_weighted_line_base_closed_form():
     assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_endpoint_error_measures_the_requested_end_points():
+    # At 512 steps the rebuilt base leg of this weighted problem stops short
+    # of t1 = 7 by a few 1e-6; the report must show that miss, not compare
+    # the leg with its own end point.
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    rep = wg.flrw_connect(w, 0.0, 7.0, np.zeros(1), np.array([0.9]), wg.euclidean(1),
+                          wg.IntegratorConfig(steps=512), weight="(1 + t)^2")
+    geo = rep.geodesic
+    miss = max(abs(geo.gamma.points[-1, 0] - 7.0), abs(geo.tau.points[-1, 0] - 0.9))
+    assert rep.endpoint_error == miss
+    assert rep.endpoint_error == pytest.approx(2.67e-6, rel=0.01)
+
+
 def test_line_base_solver_object_delegates():
     g2 = wg.euclidean(1)
     one = wg.WarpField.constant(1.0, 1)

@@ -262,3 +262,68 @@ def test_domain_error_names_the_offending_subexpression():
     with pytest.raises(DslEvaluationError) as err:
         warpfn.evaluate(expr, np.array([1.0]))
     assert "x1 - 1" in str(err.value)
+
+
+# The same domain rules hold for every way of evaluating an expression;
+# ``evaluate_many`` is handed a batch in which only the last row offends.
+ENTRY_POINTS = {
+    "evaluate": warpfn.evaluate,
+    "value_and_gradient": warpfn.value_and_gradient,
+    "eval2": warpfn.eval2,
+    "evaluate_many": lambda expr, p: warpfn.evaluate_many(expr, [p + 3.0, p]),
+}
+
+DOMAIN_CASES = {
+    "division": ("1 + 2/(x1 - 1)", 1.0, "division by zero", "2.0 / (x1 - 1.0)"),
+    "log-zero": ("log(x1)", 0.0, "log of non-positive value", "log(x1)"),
+    "log-negative": ("log(x1)", -2.0, "log of non-positive value", "log(x1)"),
+    "sqrt-negative": ("sqrt(x1)", -1.0, "square root of negative value", "sqrt(x1)"),
+    "sqrt-zero": ("sqrt(x1)", 0.0, "square root derivative undefined at zero",
+                  "sqrt(x1)"),
+    "negative-power": ("3 + x1^-2", 0.0, "division by zero", "x1^-2"),
+    "nested": ("exp(x1) * log(x1 - 2)", 2.0, "log of non-positive value",
+               "log(x1 - 2.0)"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("text,x,message,subexpression", DOMAIN_CASES.values(),
+                         ids=DOMAIN_CASES)
+def test_domain_errors_at_every_entry_point(entry, text, x, message, subexpression):
+    expr = warpfn.parse(text, 1)
+    with pytest.raises(DslEvaluationError) as err:
+        ENTRY_POINTS[entry](expr, np.array([x]))
+    assert err.value.subexpression == subexpression
+    assert str(err.value) == f"{message} in {subexpression!r}"
+
+
+def test_an_infinite_constant_is_evaluated_not_spelled_out():
+    expr = warpfn.parse("1e999 + x1", 1)
+    p = np.array([2.0])
+    assert warpfn.evaluate(expr, p) == math.inf
+    value, grad = warpfn.value_and_gradient(expr, p)
+    assert value == math.inf and np.array_equal(grad, [1.0])
+    value, grad, hess = warpfn.eval2(expr, p)
+    assert value == math.inf and np.array_equal(grad, [1.0])
+    assert np.array_equal(hess, [[0.0]])
+    assert np.array_equal(warpfn.evaluate_many(expr, [[2.0], [-1.0]]),
+                          [math.inf, math.inf])
+
+
+def test_evaluate_many_gives_a_constant_one_value_per_row():
+    for text in ("2.5", "2 + 3*4", "-sin(1)"):
+        expr = warpfn.parse(text, 2)
+        got = warpfn.evaluate_many(expr, np.zeros((5, 2)))
+        assert got.shape == (5,)
+        assert np.array_equal(got, np.full(5, warpfn.evaluate(expr, [0.0, 0.0])))
+
+
+def test_malformed_hand_built_nodes_are_rejected():
+    # Node fields never reach the compiled source as text: an operator,
+    # function name or index that the parser cannot produce is refused.
+    for node in (warpfn.Binary("+ 1 +", warpfn.Var(0), warpfn.Var(0)),
+                 warpfn.Call("__import__", warpfn.Var(0)),
+                 warpfn.Var("0] + x[0")):
+        for entry in ENTRY_POINTS.values():
+            with pytest.raises(TypeError):
+                entry(node, np.array([1.0]))

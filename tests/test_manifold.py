@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
 from warpgeo.manifold import (
@@ -142,6 +143,53 @@ def test_analytic_derivatives_match_finite_differences():
             assert err <= 10.0 * chart.fd_step**2
             err_g = norm_rel(christoffel(chart, p), christoffel(bare, p))
             assert err_g <= 10.0 * chart.fd_step**2
+
+
+# Conformally flat built-in charts, each with a sampler of in-domain points
+# (inside the region where central differences of the metric stay accurate)
+# and a warp for its rescaled family.
+WARPS = {
+    1: ("2 + sin(x1)", 1.0, 3.0),
+    2: ("2 + 0.5*sin(2*x1)*cos(2*x2)", 1.5, 2.5),
+    3: ("2 + 0.5*sin(x1 + x2*x3)", 1.5, 2.5),
+}
+CONFORMAL_CHARTS = [
+    ("euclidean1", wg.euclidean(1), lambda u: 4.0 * u - 2.0),
+    ("euclidean2", wg.euclidean(2), lambda u: 4.0 * u - 2.0),
+    ("euclidean3", wg.euclidean(3), lambda u: 4.0 * u - 2.0),
+    ("half_plane", wg.poincare_half_plane(),
+     lambda u: np.array([4.0 * u[0] - 2.0, 0.5 + 2.5 * u[1]])),
+    ("ball2", wg.poincare_ball(2), lambda u: u - 0.5),
+    ("ball3", wg.poincare_ball(3), lambda u: u - 0.5),
+    ("weighted_line", wg.weighted_line("1 + t^2"), lambda u: 4.0 * u - 2.0),
+    ("circle", wg.circle(2.0), lambda u: 8.0 * u - 4.0),
+]
+
+
+@pytest.mark.parametrize("label,base,draw", CONFORMAL_CHARTS,
+                         ids=[c[0] for c in CONFORMAL_CHARTS])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_spray_matches_the_christoffel_contraction(label, base, draw, data):
+    """On every conformally flat chart and its rescaled family, the spray
+    equals ``-(G v) v`` from the chart's own Christoffel symbols to
+    roundoff, and from central differences of the bare metric to 1e-6."""
+    n = base.dim
+    unit = st.floats(0.0, 1.0)
+    text, k0, K0 = WARPS[n]
+    w = wg.WarpField.from_expression(text, n, k0, K0)
+    lower = wg.admissible_range(w).lower
+    r = data.draw(st.floats(lower + 0.05, 5.0))
+    for chart in (base, wg.conformal_metric(base, w, r)):
+        assert chart.conformal_gradient_at is not None
+        p = np.asarray(draw(np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))))
+        v = 4.0 * np.array(data.draw(st.lists(unit, min_size=n, max_size=n))) - 2.0
+        got = geodesic_rhs(chart, p, v)
+        G = christoffel(chart, p)
+        scale = max(1.0, np.max(np.abs(G)) * np.max(np.abs(v)) ** 2)
+        assert np.max(np.abs(got - -(G @ v) @ v)) <= 1e-12 * scale
+        bare = MetricChart(n, chart.metric_at)
+        assert np.max(np.abs(got - geodesic_rhs(bare, p, v))) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ from .reparam import (
     phi_constant_from_trace, reparametrize, riemannize, tangent_transform,
 )
 from .connect import (
-    FlrwProblem, ShootingReport, beta_bounds, beta_of_r, connect_points,
-    flrw_beta, flrw_connect, partial_connect, shoot_boundary, theta_consistency,
-    theta_map,
+    ShootingReport, beta_bounds, beta_of_r, connect_points, flrw_beta,
+    flrw_connect, partial_connect, shoot_boundary, theta_consistency,
 )
 from . import warpfn
 

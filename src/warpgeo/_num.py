@@ -7,8 +7,9 @@ keeps the higher-level outputs byte-reproducible.
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -89,3 +90,39 @@ def solve_monotone(fn, targets: np.ndarray, lo: float, hi: float,
         if np.max(b - a) <= tol:
             break
     return 0.5 * (a + b)
+
+
+def invert_running_integral(integrand, grid: np.ndarray,
+                            accum: np.ndarray) -> np.ndarray:
+    """Nodes ``u`` with ``F(u_i) = F(1) * grid_i``, ``F`` a running integral.
+
+    ``grid`` is uniform over ``[0, 1]``, ``accum`` holds ``F`` at its nodes
+    and ``integrand`` evaluates ``F'`` (positive) on a 1-d array.  Bisection
+    against a monotone interpolant of the normalised table gives a first
+    guess; its between-node error oscillates at the grid scale, and
+    differentiating anything downstream would amplify it by a grid factor.
+    Two Newton steps against the locally re-integrated forward map (``F`` at
+    the nearest node plus a Gauss panel to the query point) leave only the
+    smooth quadrature error of the table itself.
+    """
+    n = grid.shape[0] - 1
+    normalised = accum / accum[-1]
+    normalised[0], normalised[-1] = 0.0, 1.0
+    u = solve_monotone(PchipInterpolator(grid, normalised), grid, 0.0, 1.0)
+    goal = accum[-1] * grid
+    for _ in range(2):
+        idx = np.clip(np.searchsorted(grid, u[1:-1], side="right") - 1, 0, n - 1)
+        left = grid[idx]
+        halfw = 0.5 * (u[1:-1] - left)
+        sigma = (0.5 * (u[1:-1] + left))[:, None] + halfw[:, None] * GAUSS5_NODES
+        panel = halfw * (integrand(sigma.ravel()).reshape(sigma.shape) @ GAUSS5_WEIGHTS)
+        step = -(accum[idx] + panel - goal[1:-1]) / integrand(u[1:-1])
+        # Near a pole of the integrand the interpolant can be off by more
+        # than a node spacing; cap each move at just under half the gap to
+        # either neighbour so the polished nodes stay strictly ordered.
+        gaps = np.diff(u)
+        u[1:-1] += np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
+    u[0], u[-1] = 0.0, 1.0
+    if np.any(np.diff(u) <= 0.0):
+        raise NumericalError("inverse of a running integral lost monotonicity")
+    return u

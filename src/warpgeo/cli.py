@@ -22,8 +22,8 @@ import yaml
 
 from . import __version__
 from .connect import (
-    beta_of_r, connect_points, flrw_beta, flrw_connect, partial_connect,
-    theta_consistency,
+    _beta_from_mu, _line_weight, beta_of_r, connect_points, flrw_beta,
+    flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, WarpGeoError
 from .integrate import (
@@ -31,8 +31,8 @@ from .integrate import (
     integrate_coupled_oracle, integrate_geodesic, speed_drift,
 )
 from .manifold import (
-    MetricChart, circle, euclidean, poincare_ball, poincare_half_plane,
-    sphere, weighted_line,
+    MetricChart, _metric, circle, euclidean, metric_eval, poincare_ball,
+    poincare_half_plane, sectional_curvature, sphere, weighted_line,
 )
 from .reparam import norm_identity_errors, riemannize, tangent_transform
 from .warp import (
@@ -215,11 +215,7 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
     w, g2, r, mu, nu = _integrate_pair(tc, p, "riemannize")
     if p.get("fit_fiber_speed"):
         # rescale the fiber velocity so the coupling identity holds exactly
-        from .connect import _beta_from_mu  # shared dial computation
-
         res = _beta_from_mu(mu, w, r, tc.base, mu.velocities[0], 0)
-        from .manifold import metric_eval
-
         speed = math.sqrt(metric_eval(g2, nu.points[0], nu.velocities[0],
                                       nu.velocities[0]))
         if speed == 0.0:
@@ -380,12 +376,11 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
             for _ in range(planes):
                 e1, e2 = _random_orthonormal_plane(g1, point, rng)
                 K = sectional_curvature_conformal(g1, w, float(r), point, e1, e2)
+                base_K = sectional_curvature(g1, point, e1, e2)
                 ok = negativity_check(
-                    g1, w, float(r), point, e1,
-                    plane_curvature=_plane_curvature(g1, point, e1, e2),
+                    g1, w, float(r), point, e1, plane_curvature=base_K,
                 ) and negativity_check(
-                    g1, w, float(r), point, e2,
-                    plane_curvature=_plane_curvature(g1, point, e1, e2),
+                    g1, w, float(r), point, e2, plane_curvature=base_K,
                 )
                 all_negative &= K < 0.0
                 bid_all &= ok
@@ -412,16 +407,8 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
     return {"report": report, "summary": lines}
 
 
-def _plane_curvature(g1, point, e1, e2):
-    from .manifold import sectional_curvature
-
-    return sectional_curvature(g1, point, e1, e2)
-
-
 def _random_orthonormal_plane(chart, point, rng):
     """Two random vectors made orthonormal for the chart metric at a point."""
-    from .manifold import _metric
-
     g = _metric(chart, np.asarray(point, dtype=float))
     for _ in range(64):
         raw = rng.standard_normal((2, chart.dim))
@@ -450,16 +437,19 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
         ratio = ((r_max - lower) / (start - lower)) ** (1.0 / (count - 1))
         r_values = [lower + (start - lower) * ratio ** i for i in range(count)]
     use_first_integral = bool(p.get("first_integral", tc.base.dim == 1))
+    if use_first_integral:
+        t0 = _number(p, "x0", "beta_scan")
+        t1 = _number(p, "x1", "beta_scan")
+        weight = _line_weight(p.get("weight"))
+    else:
+        x0 = _vector(p, "x0", "beta_scan", dim=tc.base.dim)
+        x1 = _vector(p, "x1", "beta_scan", dim=tc.base.dim)
     rows = []
     warm = None
     for r in r_values:
         if use_first_integral:
-            t0 = _number(p, "x0", "beta_scan")
-            t1 = _number(p, "x1", "beta_scan")
-            res = flrw_beta(w, t0, t1, r, tc.cfg, weight=p.get("weight"))
+            res = flrw_beta(w, t0, t1, r, tc.cfg, weight=weight)
         else:
-            x0 = _vector(p, "x0", "beta_scan", dim=tc.base.dim)
-            x1 = _vector(p, "x1", "beta_scan", dim=tc.base.dim)
             res = beta_of_r(tc.base, g2, w, x0, x1, r, tc.cfg, v_init=warm)
             warm = res.X_r.components
         rows.append([r, res.beta, res.a_r, res.b_r, res.iterations])

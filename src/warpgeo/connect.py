@@ -10,9 +10,12 @@ fiber distance is a bracketed scalar root-find.
 Shooting itself is a damped Newton iteration on the endpoint map with a
 finite-difference Jacobian, warm-started as ``r`` sweeps the grid.  The
 translation-invariant base case (the real line with a time-dependent warp,
-as in homogeneous cosmological metrics) gets a dedicated solver that
-replaces shooting with the explicit first integral of the base equation,
-which separates and reduces to a monotone inversion.
+as in homogeneous cosmological metrics) evaluates the dial from the
+explicit first integral of the base equation instead, which separates and
+reduces to the same monotone inversion as the base reparametrization.
+Both kinds of dial evaluation go through one root-find, and both
+connections raise :class:`~warpgeo.errors.ShootingError` when the rebuilt
+legs end farther than the integrator tolerance from the requested points.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from typing import Optional
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
+from . import warpfn
 from ._num import (
-    GAUSS5_NODES as _GL_NODES, GAUSS5_WEIGHTS as _GL_WEIGHTS,
-    composite_simpson, cumulative_simpson, solve_monotone,
+    composite_simpson, cumulative_simpson, invert_running_integral,
 )
 from .errors import (
     BracketingError, InputError, NumericalError, ShootingError,
@@ -46,9 +48,9 @@ from .reparam import (
 from .warp import WarpField, admissible_range, conformal_metric, values_along
 
 __all__ = [
-    "ShootingReport", "FlrwProblem", "shoot_boundary", "beta_of_r",
-    "connect_points", "partial_connect", "flrw_connect", "flrw_beta",
-    "theta_map", "theta_consistency", "beta_bounds",
+    "ShootingReport", "shoot_boundary", "beta_of_r", "connect_points",
+    "partial_connect", "flrw_connect", "flrw_beta", "theta_consistency",
+    "beta_bounds",
 ]
 
 R_MAX_DEFAULT = 1e6
@@ -168,31 +170,14 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     return _beta_from_mu(mu, w, r, g1, X, iters)
 
 
-class _NewtonBetaSolver:
-    """Memoized beta evaluations with warm-started shooting across r."""
-
-    def __init__(self, g1, g2, w, x0, x1, cfg):
-        self.g1, self.g2, self.w = g1, g2, w
-        self.x0, self.x1, self.cfg = x0, x1, cfg
-        self.memo: dict[float, BetaResult] = {}
-        self.last_velocity = None
-        self.evaluations = 0
-
-    def __call__(self, r: float) -> BetaResult:
-        hit = self.memo.get(r)
-        if hit is not None:
-            return hit
-        res = beta_of_r(self.g1, self.g2, self.w, self.x0, self.x1, r,
-                        self.cfg, v_init=self.last_velocity)
-        self.last_velocity = res.X_r.components
-        self.memo[r] = res
-        self.evaluations += 1
-        return res
-
-
-def _solve_r(beta_at, beta0: float, lower: float, r_max: float,
-             samples: int) -> float:
+def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
+             samples: int) -> tuple[float, BetaResult, int]:
     """Bracket ``beta(r) = beta0`` on a geometric r grid, then refine.
+
+    ``evaluate(r, v_init)`` is one dial evaluation; each distinct ``r`` is
+    evaluated once, warm-started from the velocity of the previous one.
+    Returns the root, its dial evaluation and the number of distinct ``r``
+    evaluated.
 
     The grid is geometric in the offset above the admissibility threshold,
     which resolves the blow-up end.  The walk starts a moderate distance
@@ -201,35 +186,54 @@ def _solve_r(beta_at, beta0: float, lower: float, r_max: float,
     undershoots the target, so the stiff near-threshold regime is entered
     only when the target actually lives there.
     """
-    start = lower + 0.25 * (1.0 + abs(lower))
-    floor = lower + 1e-12 * (1.0 + abs(lower))
-    r_lo = start
-    f_lo = beta_at(r_lo).beta - beta0
-    while f_lo <= 0.0:
-        nxt = lower + (r_lo - lower) / 4.0
-        if nxt <= floor:
+    memo: dict[float, BetaResult] = {}
+    warm = None
+
+    def beta_at(r: float) -> BetaResult:
+        nonlocal warm
+        hit = memo.get(r)
+        if hit is None:
+            hit = memo[r] = evaluate(r, warm)
+            warm = hit.X_r.components
+        return hit
+
+    def gap(r: float) -> float:
+        return beta_at(r).beta - beta0
+
+    try:
+        start = lower + 0.25 * (1.0 + abs(lower))
+        floor = lower + 1e-12 * (1.0 + abs(lower))
+        r_lo = start
+        f_lo = gap(r_lo)
+        while f_lo <= 0.0:
+            nxt = lower + (r_lo - lower) / 4.0
+            if nxt <= floor:
+                raise BracketingError(
+                    f"target fiber distance {beta0:.6g} not reached even at "
+                    f"r = {r_lo:.6g} next to the admissibility threshold"
+                )
+            r_lo = nxt
+            f_lo = gap(r_lo)
+        ratio = ((r_max - lower) / (r_lo - lower)) ** (1.0 / (samples - 1))
+        r_hi = None
+        prev = r_lo
+        for i in range(1, samples):
+            r = lower + (r_lo - lower) * ratio ** i
+            if gap(r) <= 0.0:
+                r_hi = r
+                break
+            prev = r
+        if r_hi is None:
             raise BracketingError(
-                f"target fiber distance {beta0:.6g} not reached even at "
-                f"r = {r_lo:.6g} next to the admissibility threshold"
+                f"no sign change: beta stayed above {beta0:.6g} up to "
+                f"r = {r_max:.6g}"
             )
-        r_lo = nxt
-        f_lo = beta_at(r_lo).beta - beta0
-    ratio = ((r_max - lower) / (r_lo - lower)) ** (1.0 / (samples - 1))
-    r_hi = None
-    prev = r_lo
-    for i in range(1, samples):
-        r = lower + (r_lo - lower) * ratio ** i
-        f = beta_at(r).beta - beta0
-        if f <= 0.0:
-            r_hi = r
-            break
-        prev = r
-    if r_hi is None:
-        raise BracketingError(
-            f"no sign change: beta stayed above {beta0:.6g} up to r = {r_max:.6g}"
-        )
-    return float(brentq(lambda r: beta_at(r).beta - beta0, prev, r_hi,
-                        xtol=1e-12, maxiter=200))
+        root = float(brentq(gap, prev, r_hi, xtol=1e-12, maxiter=200))
+        return root, beta_at(root), len(memo)
+    finally:
+        # brentq wraps ``gap`` in a self-referencing closure, so the memo
+        # would otherwise live, with every curve it holds, until a full GC.
+        memo.clear()
 
 
 @dataclass
@@ -265,8 +269,22 @@ class ShootingReport:
         return doc
 
 
+def _within_tolerance(report: ShootingReport,
+                      cfg: IntegratorConfig) -> ShootingReport:
+    """The report, if its rebuilt legs end within ``cfg.tolerance`` of the
+    requested end points; a :class:`ShootingError` otherwise."""
+    if report.endpoint_error > cfg.tolerance:
+        raise ShootingError(
+            f"rebuilt geodesic misses the requested end points by "
+            f"{report.endpoint_error:.3e} > tolerance {cfg.tolerance:g}",
+            residual=report.endpoint_error, iterations=report.iterations,
+        )
+    return report
+
+
 def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
                      beta0: float, w, g1, g2, iterations: int, x1, y1,
+                     cfg: IntegratorConfig,
                      first_integral_residual=None) -> ShootingReport:
     """Rebuild the solved pair; ``x1``/``y1`` are the requested end points
     that ``endpoint_error`` measures the rebuilt legs against."""
@@ -276,11 +294,11 @@ def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
         float(np.max(np.abs(geo.gamma.points[-1] - x1))),
         float(np.max(np.abs(geo.tau.points[-1] - y1))),
     )
-    return ShootingReport(
+    return _within_tolerance(ShootingReport(
         r=r, X_r=solver_result.X_r, beta=solver_result.beta,
         target_beta=beta0, geodesic=geo, endpoint_error=endpoint_error,
         iterations=iterations, first_integral_residual=first_integral_residual,
-    )
+    ), cfg)
 
 
 def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
@@ -300,10 +318,10 @@ def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
         residuals=residuals, phi=identity, psi=identity,
     )
     endpoint_error = float(np.max(np.abs(mu.points[-1] - np.asarray(x1, dtype=float))))
-    return ShootingReport(
+    return _within_tolerance(ShootingReport(
         r=None, X_r=TangentVector(mu.points[0], X), beta=0.0, target_beta=0.0,
         geodesic=geo, endpoint_error=endpoint_error, iterations=iters,
-    )
+    ), cfg)
 
 
 def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
@@ -331,11 +349,12 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
         )
     V2, nu, _ = _shoot(g2, y0, y1, cfg)
     beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
-    solver = _NewtonBetaSolver(g1, g2, w, x0, x1, cfg)
-    r0 = _solve_r(solver, beta0, admissible_range(w).lower, r_max, samples)
-    res = solver(r0)
-    return _assemble_report(res, r0, nu, beta0, w, g1, g2, solver.evaluations,
-                            x1, y1)
+    r0, res, evaluations = _solve_r(
+        lambda r, v_init: beta_of_r(g1, g2, w, x0, x1, r, cfg, v_init=v_init),
+        beta0, admissible_range(w).lower, r_max, samples,
+    )
+    return _assemble_report(res, r0, nu, beta0, w, g1, g2, evaluations,
+                            x1, y1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +418,6 @@ def _self_intersection_check(curve: Curve, samples: int = 192):
         )
 
 
-def theta_map(mu: Curve, nu: Curve, w: WarpField, r: float, t: float) -> np.ndarray:
-    """Fiber point reached above base parameter ``t`` along a rebuilt pair.
-
-    Uses the linear dial ``beta(t) = (a_t/b_t) (1+r k(x0))/k(x0) * t`` with
-    the constants recomputed over the restriction to ``[0, t]``; see
-    :func:`theta_consistency` for the companion value implied by the
-    compatibility identity, which differs by a square root whenever
-    ``(1 + r k(x0))/k(x0) != 1``.
-    """
-    report = theta_consistency(mu, nu, w, r, t)
-    return report["point_displayed"]
-
-
 def theta_consistency(mu: Curve, nu: Curve, w: WarpField, r: float,
                       t: float) -> dict:
     """Both readings of the fiber-reaching dial at one base parameter.
@@ -453,139 +459,87 @@ def theta_consistency(mu: Curve, nu: Curve, w: WarpField, r: float,
 # translation-invariant base: first-integral solver
 
 
-@dataclass(frozen=True)
-class FlrwProblem:
-    """Boundary data on a line-based warped product.
+def _line_weight(weight):
+    """A line weight given as text in ``t``, parsed; nodes pass through."""
+    return warpfn.parse(weight, 1) if isinstance(weight, str) else weight
 
-    ``weight`` optionally rescales the line metric to ``f(t) dt^2``; the
-    default is the flat line.
+
+def _slowness(w: WarpField, r: float, weight, xs) -> np.ndarray:
+    """The first-integral slowness ``sqrt((1 + r k) f / k)`` at line points.
+
+    ``weight`` is the parsed line weight ``f`` (``None`` for the flat line);
+    both fields are evaluated in one batch over ``xs``, of any shape.
     """
-
-    w: WarpField
-    t0: float
-    t1: float
-    y0: np.ndarray
-    y1: np.ndarray
-    weight: Optional[str] = None
-
-    def solve(self, g2: MetricChart,
-              cfg: IntegratorConfig = IntegratorConfig()) -> "ShootingReport":
-        return flrw_connect(self.w, self.t0, self.t1, self.y0, self.y1, g2,
-                            cfg, weight=self.weight)
-
-
-def _flrw_speed_field(w: WarpField, r: float, weight_chart):
-    """The first-integral speed profile ``sqrt(k / ((1 + r k) f))``."""
-
-    def speed(x):
-        p = np.array([x])
-        k = w.value_at(p)
-        f = float(weight_chart.metric_at(p)[0, 0]) if weight_chart is not None else 1.0
-        return math.sqrt(k / ((1.0 + r * k) * f))
-
-    return speed
+    xs = np.asarray(xs, dtype=float)
+    column = xs.reshape(-1, 1)
+    k = values_along(w, column)
+    f = 1.0
+    if weight is not None:
+        f = warpfn.evaluate_many(weight, column)
+        if np.any(f <= 0.0):
+            bad = int(np.argmax(f <= 0.0))
+            raise NumericalError(
+                f"line weight must stay positive, got {f[bad]} at {column[bad]}"
+            )
+    return np.sqrt((1.0 + r * k) * f / k).reshape(xs.shape)
 
 
 def _flrw_mu(w: WarpField, t0: float, t1: float, r: float,
-             cfg: IntegratorConfig, weight_chart=None) -> tuple[Curve, float]:
+             cfg: IntegratorConfig, weight=None) -> tuple[Curve, float]:
     """Solve the base leg from its first integral by separation.
 
-    ``mu' = c * speed(mu)`` separates: with ``A(x)`` the running integral
-    of ``1/speed`` from ``t0``, the solution is ``mu(s) = A^{-1}(c s)``
+    ``mu' = c / slowness(mu)`` separates: with ``A(x)`` the running integral
+    of the slowness from ``t0``, the solution is ``mu(s) = A^{-1}(c s)``
     and the endpoint condition pins ``c = A(t1)``.  Everything reduces to
     one cumulative quadrature on a uniform coordinate grid plus a monotone
-    inversion (bisection initialization, Newton polish against locally
-    re-integrated panels of the analytic integrand); no iteration on the
-    trajectory is needed.
+    inversion; no iteration on the trajectory is needed.  ``weight`` is
+    the parsed line weight, or ``None`` for the flat line.
     """
     if t1 == t0:
         raise InputError("base endpoints coincide; the first integral degenerates")
     span = t1 - t0
-    n = cfg.steps
-    h = 1.0 / n
-    grid = np.linspace(0.0, 1.0, n + 1)
+    grid = np.linspace(0.0, 1.0, cfg.steps + 1)
 
-    def slowness(xi_arr):
-        xs = np.asarray(t0 + span * xi_arr, dtype=float)
-        k = values_along(w, xs.reshape(-1, 1))
-        if weight_chart is not None:
-            f = np.array([float(weight_chart.metric_at(np.array([x]))[0, 0])
-                          for x in xs.ravel()])
-        else:
-            f = 1.0
-        return np.sqrt((1.0 + r * k) * f / k).reshape(np.shape(xi_arr))
+    def slowness(xi):
+        return _slowness(w, r, weight, t0 + span * xi)
 
-    table = slowness(grid)
-    accum = cumulative_simpson(table, h)
-    targets = accum[-1] * grid
-    interp = PchipInterpolator(grid, accum)
-    xi = solve_monotone(interp, targets, 0.0, 1.0)
-    for _ in range(2):
-        idx = np.clip(np.searchsorted(grid, xi[1:-1], side="right") - 1,
-                      0, n - 1)
-        left = grid[idx]
-        halfw = 0.5 * (xi[1:-1] - left)
-        nodes = (0.5 * (xi[1:-1] + left))[:, None] + halfw[:, None] * _GL_NODES
-        defect = accum[idx] + halfw * (slowness(nodes) @ _GL_WEIGHTS) - targets[1:-1]
-        step = -defect / slowness(xi[1:-1])
-        # Cap each move at just under half the gap to either neighbour so a
-        # sharply-peaked slowness near the admissibility threshold cannot
-        # push the polished nodes out of order.
-        gaps = np.diff(xi)
-        xi[1:-1] += np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
-    xi[0], xi[-1] = 0.0, 1.0
-    if np.any(np.diff(xi) <= 0.0):
-        raise NumericalError("first-integral base leg lost monotonicity")
+    accum = cumulative_simpson(slowness(grid), 1.0 / cfg.steps)
+    xi = invert_running_integral(slowness, grid, accum)
     c = span * accum[-1]
-    velocities = c / slowness(xi)
     mu = t0 + span * xi
-    return Curve(grid, mu[:, None], velocities[:, None]), c
+    return Curve(grid, mu[:, None], (c / slowness(xi))[:, None]), c
 
 
 def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
               cfg: IntegratorConfig = IntegratorConfig(),
-              weight: Optional[str] = None) -> BetaResult:
-    """Dial evaluation on the line base via the first integral (no shooting)."""
+              weight=None) -> BetaResult:
+    """Dial evaluation on the line base via the first integral (no shooting).
+
+    ``weight`` is the line weight as text in ``t`` or as a parsed node.
+    """
     admissible_range(w).require(r)
-    weight_chart = weighted_line(weight) if weight is not None else None
-    g1 = weight_chart if weight_chart is not None else euclidean(1)
-    mu, c = _flrw_mu(w, t0, t1, r, cfg, weight_chart)
-    X = mu.velocities[0]
-    return _beta_from_mu(mu, w, r, g1, X, 0)
-
-
-class _FlrwBetaSolver:
-    def __init__(self, w, t0, t1, cfg, weight):
-        self.w, self.t0, self.t1 = w, t0, t1
-        self.cfg, self.weight = cfg, weight
-        self.memo: dict[float, BetaResult] = {}
-        self.evaluations = 0
-
-    def __call__(self, r: float) -> BetaResult:
-        hit = self.memo.get(r)
-        if hit is not None:
-            return hit
-        res = flrw_beta(self.w, self.t0, self.t1, r, self.cfg, self.weight)
-        self.memo[r] = res
-        self.evaluations += 1
-        return res
+    weight = _line_weight(weight)
+    g1 = weighted_line(weight) if weight is not None else euclidean(1)
+    mu, _ = _flrw_mu(w, t0, t1, r, cfg, weight)
+    return _beta_from_mu(mu, w, r, g1, mu.velocities[0], 0)
 
 
 def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
                  g2: MetricChart, cfg: IntegratorConfig = IntegratorConfig(),
-                 *, weight: Optional[str] = None,
+                 *, weight=None,
                  r_max: float = R_MAX_DEFAULT,
                  samples: int = R_GRID_SAMPLES) -> ShootingReport:
     """Boundary connection on a line base, using the first integral.
 
     Same contract as :func:`connect_points` for a one-dimensional base
-    chart (optionally weighted), but each dial evaluation integrates the
-    explicit first-order base equation instead of shooting.  The report
-    carries the residual of the first integral measured along an
-    independently integrated rescaled-metric geodesic.
+    chart (optionally weighted, as in :func:`flrw_beta`), but each dial
+    evaluation integrates the explicit first-order base equation instead
+    of shooting.  The report carries the residual of the first integral
+    measured along an independently integrated rescaled-metric geodesic.
     """
     y0 = np.asarray(y0, dtype=float)
     y1 = np.asarray(y1, dtype=float)
+    weight = _line_weight(weight)
     base_chart = weighted_line(weight) if weight is not None else euclidean(1)
     if np.allclose(y0, y1, atol=1e-12):
         return _trivial_connection(base_chart, g2, w, np.array([t0]),
@@ -597,24 +551,23 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
         )
     V2, nu, _ = _shoot(g2, y0, y1, cfg)
     beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
-    solver = _FlrwBetaSolver(w, t0, t1, cfg, weight)
-    r0 = _solve_r(solver, beta0, admissible_range(w).lower, r_max, samples)
-    res = solver(r0)
+    r0, res, evaluations = _solve_r(
+        lambda r, _: flrw_beta(w, t0, t1, r, cfg, weight),
+        beta0, admissible_range(w).lower, r_max, samples,
+    )
 
     # re-integrate the base leg as a plain rescaled-metric geodesic and
-    # measure how well it honors the first integral
+    # measure how well it honors the first integral v * slowness = const
+    X = res.X_r.components
     chart = conformal_metric(base_chart, w, r0)
-    mu_geo = integrate_geodesic(chart, np.array([t0]), res.X_r.components, cfg)
-    speed = _flrw_speed_field(w, r0, weight_chart=(
-        base_chart if weight is not None else None))
-    c = res.X_r.components[0] / speed(t0)
-    fi_residual = float(max(
-        abs(mu_geo.velocities[i, 0] - c * speed(mu_geo.points[i, 0]))
-        for i in range(mu_geo.steps + 1)
-    ))
-    res_geo = _beta_from_mu(mu_geo, w, r0, base_chart, res.X_r.components, 0)
+    mu_geo = integrate_geodesic(chart, np.array([t0]), X, cfg)
+    slow = _slowness(w, r0, weight, mu_geo.points[:, 0])
+    fi_residual = float(np.max(np.abs(
+        mu_geo.velocities[:, 0] - X[0] * slow[0] / slow
+    )))
+    res_geo = _beta_from_mu(mu_geo, w, r0, base_chart, X, 0)
     return _assemble_report(res_geo, r0, nu, beta0, w, base_chart, g2,
-                            solver.evaluations, np.array([t1]), y1,
+                            evaluations, np.array([t1]), y1, cfg,
                             first_integral_residual=fi_residual)
 
 

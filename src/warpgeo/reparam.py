@@ -27,8 +27,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from ._num import (
-    GAUSS5_NODES as _GL_NODES, GAUSS5_WEIGHTS as _GL_WEIGHTS,
-    composite_simpson, cumulative_simpson, solve_monotone,
+    composite_simpson, cumulative_simpson, invert_running_integral,
 )
 from .errors import CompatibilityError, InputError, NumericalError
 from .integrate import Curve, coupled_residual
@@ -88,48 +87,6 @@ def _uniform_grid_step(curve: Curve) -> float:
     return float(h[0])
 
 
-def _warp_along(w: WarpField, points: np.ndarray) -> np.ndarray:
-    return values_along(w, points)
-
-
-def _refine_inverse(mu: Curve, w: WarpField, r: float, accum: np.ndarray,
-                    targets: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Newton-polish bisection output for the inverse reparametrization map.
-
-    The bisection solves against a monotone interpolant of the node table,
-    whose between-node error oscillates at the grid scale; differentiating
-    anything downstream of that amplifies it by a grid factor.  Re-solving
-    each node against the locally re-integrated forward map (running
-    integral up to the nearest node plus a Gauss panel to the query point)
-    leaves only the smooth quadrature error of the table itself.
-    """
-    u = values.copy()
-    n = mu.params.shape[0] - 1
-    goal = accum[-1] * targets
-
-    def integrand_at(pos):
-        k = _warp_along(w, np.atleast_2d(mu.point_at(pos)))
-        return k / (1.0 + r * k)
-
-    for _ in range(2):
-        idx = np.clip(np.searchsorted(mu.params, u[1:-1], side="right") - 1,
-                      0, n - 1)
-        left = mu.params[idx]
-        halfw = 0.5 * (u[1:-1] - left)
-        sigma = (0.5 * (u[1:-1] + left))[:, None] + halfw[:, None] * _GL_NODES
-        panel = halfw * (
-            integrand_at(sigma.ravel()).reshape(sigma.shape) @ _GL_WEIGHTS
-        )
-        defect = accum[idx] + panel - goal[1:-1]
-        step = -defect / integrand_at(u[1:-1])
-        # Near a pole of the integrand the interpolant can be off by more
-        # than a node spacing; cap each move at just under half the gap to
-        # either neighbour so the polished nodes stay strictly ordered.
-        gaps = np.diff(u)
-        u[1:-1] += np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
-    return u
-
-
 def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     """Base-leg reparametrization along a rescaled-metric geodesic.
 
@@ -141,20 +98,18 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     """
     admissible_range(w).require(r)
     h = _uniform_grid_step(mu)
-    k = _warp_along(w, mu.points)
-    integrand = k / (1.0 + r * k)
-    accum = cumulative_simpson(integrand, h)
+    k = values_along(w, mu.points)
+    accum = cumulative_simpson(k / (1.0 + r * k), h)
     a = accum[-1]
-    inverse_values = accum / a
-    inverse_values[0], inverse_values[-1] = 0.0, 1.0
-    interp = PchipInterpolator(mu.params, inverse_values)
-    targets = mu.params
-    values = solve_monotone(interp, targets, 0.0, 1.0)
-    values = _refine_inverse(mu, w, r, accum, targets, values)
-    values[0], values[-1] = 0.0, 1.0
-    k_at_phi = _warp_along(w, np.atleast_2d(mu.point_at(values)))
+
+    def integrand_at(pos):
+        k = values_along(w, np.atleast_2d(mu.point_at(pos)))
+        return k / (1.0 + r * k)
+
+    values = invert_running_integral(integrand_at, mu.params, accum)
+    k_at_phi = values_along(w, np.atleast_2d(mu.point_at(values)))
     derivative = a * (1.0 + r * k_at_phi) / k_at_phi
-    return MonotoneMap(targets, values, a, derivative)
+    return MonotoneMap(mu.params, values, a, derivative)
 
 
 def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
@@ -165,7 +120,7 @@ def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
     is the map.
     """
     h = _uniform_grid_step(gamma)
-    k = _warp_along(w, gamma.points)
+    k = values_along(w, gamma.points)
     accum = cumulative_simpson(1.0 / k, h)
     b = 1.0 / accum[-1]
     values = b * accum
@@ -183,7 +138,7 @@ def phi_constant_from_trace(gamma: Curve, w: WarpField, r: float) -> float:
     """
     admissible_range(w).require(r)
     h = _uniform_grid_step(gamma)
-    k = _warp_along(w, gamma.points)
+    k = values_along(w, gamma.points)
     return 1.0 / composite_simpson((1.0 + r * k) / k, h)
 
 

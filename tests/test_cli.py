@@ -215,6 +215,25 @@ def test_domain_exit_is_a_numerical_failure(tmp_path):
     assert 0.5 < payload["t_exit"] <= 1.0
 
 
+def test_missed_end_point_is_a_numerical_failure(tmp_path):
+    doc = {
+        "task": "flrw",
+        "base_chart": {"name": "weighted_line", "weight": "(1 + t)^2"},
+        "fiber_chart": {"name": "euclidean", "dim": 1},
+        "warp": {"expression": "2 + sin(x1)", "k0": 1.0, "K0": 3.0},
+        "integrator": {"steps": 256, "tolerance": 1.0e-6},
+        "flrw": {"t0": 0.0, "t1": 6.0, "y0": [0.0], "y1": [0.9],
+                 "weight": "(1 + t)^2"},
+    }
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    assert not (out / "report.json").exists()
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "ShootingError"
+    assert payload["residual"] == pytest.approx(1.3268e-5, rel=1e-4)
+
+
 def test_missing_required_key_fails_cleanly(tmp_path):
     doc = {
         "task": "integrate",

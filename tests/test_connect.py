@@ -1,13 +1,18 @@
 """Boundary connection: shooting, the fiber-distance dial, line-base solver."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
 import warpgeo as wg
-from warpgeo.connect import _beta_from_mu, _flrw_mu, _restricted, _shoot
-from warpgeo.errors import BracketingError, InputError, ShootingError
+from warpgeo.connect import (
+    BetaResult, _beta_from_mu, _flrw_mu, _restricted, _shoot,
+)
+from warpgeo.errors import (
+    BracketingError, InputError, NumericalError, ShootingError,
+)
 from warpgeo.manifold import metric_eval
 
 CFG = wg.IntegratorConfig(steps=256)
@@ -223,11 +228,13 @@ def test_fiber_dial_map_for_trivial_warp_is_uniform():
     for r in (0.0, 3.0):
         mu, nu, one = _unit_speed_pair(r)
         np.testing.assert_allclose(
-            wg.theta_map(mu, nu, one, r, 0.0), nu.points[0], atol=1e-12
+            wg.theta_consistency(mu, nu, one, r, 0.0)["point_displayed"],
+            nu.points[0], atol=1e-12,
         )
         for t in (0.25, 0.6, 1.0):
             np.testing.assert_allclose(
-                wg.theta_map(mu, nu, one, r, t), nu.point_at(t), atol=1e-9
+                wg.theta_consistency(mu, nu, one, r, t)["point_displayed"],
+                nu.point_at(t), atol=1e-9,
             )
 
 
@@ -347,7 +354,7 @@ def test_weighted_line_base_closed_form():
     # k = 1 with weight (1+t)^2: the slowness is sqrt(1+r)(1+t), so the
     # cumulative integral inverts to mu(s) = sqrt(1 + s (2 t1 + t1^2)) - 1.
     one = wg.WarpField.constant(1.0, 1)
-    mu, c = _flrw_mu(one, 0.0, 2.0, 3.0, CFG, weight_chart=wg.weighted_line("(1 + t)^2"))
+    mu, c = _flrw_mu(one, 0.0, 2.0, 3.0, CFG, weight=wg.warpfn.parse("(1 + t)^2", 1))
     assert c == pytest.approx(8.0, rel=1e-12)
     assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-9)
     assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
@@ -359,19 +366,51 @@ def test_endpoint_error_measures_the_requested_end_points():
     # the leg with its own end point.
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     rep = wg.flrw_connect(w, 0.0, 7.0, np.zeros(1), np.array([0.9]), wg.euclidean(1),
-                          wg.IntegratorConfig(steps=512), weight="(1 + t)^2")
+                          wg.IntegratorConfig(steps=512, tolerance=1e-5),
+                          weight="(1 + t)^2")
     geo = rep.geodesic
     miss = max(abs(geo.gamma.points[-1, 0] - 7.0), abs(geo.tau.points[-1, 0] - 0.9))
     assert rep.endpoint_error == miss
     assert rep.endpoint_error == pytest.approx(2.67e-6, rel=0.01)
 
 
-def test_line_base_solver_object_delegates():
-    g2 = wg.euclidean(1)
+def test_missing_the_end_point_beyond_the_tolerance_raises():
+    # At 256 steps the rebuilt base leg of this weighted problem stops short
+    # of t1 = 6 by 1.33e-5, above the default tolerance of 1e-6.
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    with pytest.raises(ShootingError) as info:
+        wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]),
+                        wg.euclidean(1), CFG, weight="(1 + t)^2")
+    assert info.value.residual == pytest.approx(1.3268e-5, rel=1e-4)
+    assert info.value.iterations > 0
+
+
+def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
+    # brentq keeps its objective in a reference cycle; the dial memo, with
+    # two curves per evaluation, must not ride along until a full GC.
+    def held():
+        return sum(isinstance(o, BetaResult) for o in gc.get_objects())
+
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    line = wg.euclidean(1)
+    gc.collect()
+    gc.disable()
+    try:
+        before = held()
+        wg.flrw_connect(w, 0.0, 2.0, np.zeros(1), np.array([0.5]), line, CFG)
+        wg.connect_points(line, line, w, (np.zeros(1), np.zeros(1)),
+                          (np.array([2.0]), np.array([0.5])), FAST)
+        after = held()
+    finally:
+        gc.enable()
+    assert after == before
+
+
+def test_a_non_positive_line_weight_is_a_numerical_failure():
     one = wg.WarpField.constant(1.0, 1)
-    problem = wg.FlrwProblem(one, 0.0, 2.0, np.zeros(1), np.ones(1))
-    report = problem.solve(g2, CFG)
-    assert report.r == pytest.approx(3.0, abs=1e-9)
+    with pytest.raises(NumericalError, match="line weight must stay positive"):
+        wg.flrw_connect(one, 0.0, 1.0, np.zeros(1), np.array([0.5]),
+                        wg.euclidean(1), CFG, weight="t - 0.5")
 
 
 def test_line_base_rejects_an_empty_interval():

@@ -445,13 +445,13 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
         x0 = _vector(p, "x0", "beta_scan", dim=tc.base.dim)
         x1 = _vector(p, "x1", "beta_scan", dim=tc.base.dim)
     rows = []
-    warm = None
+    warm = (None, None)
     for r in r_values:
         if use_first_integral:
             res = flrw_beta(w, t0, t1, r, tc.cfg, weight=weight)
         else:
-            res = beta_of_r(tc.base, g2, w, x0, x1, r, tc.cfg, v_init=warm)
-            warm = res.X_r.components
+            res = beta_of_r(tc.base, g2, w, x0, x1, r, tc.cfg, *warm)
+            warm = res.X_r.components, res.jacobian
         rows.append([r, res.beta, res.a_r, res.b_r, res.iterations])
     table = np.array(rows)
     np.savetxt(out / "beta.csv", table, fmt="%.17g", delimiter=",",

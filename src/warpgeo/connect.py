@@ -7,12 +7,14 @@ geodesic would traverse.  ``beta`` blows up at the admissibility threshold
 and decays to zero for large ``r``, so matching it against the actual
 fiber distance is a bracketed scalar root-find.
 
-Shooting itself is a damped Newton iteration on the endpoint map with a
-finite-difference Jacobian, warm-started as ``r`` sweeps the grid.  The
-translation-invariant base case (the real line with a time-dependent warp,
-as in homogeneous cosmological metrics) evaluates the dial from the
-explicit first integral of the base equation instead, which separates and
-reduces to the same monotone inversion as the base reparametrization.
+Shooting itself is a damped quasi-Newton iteration on the endpoint map
+with Broyden updates, its velocity and Jacobian warm-started across ``r``;
+finite differences build the Jacobian only to start cold or to refresh a
+stale one.  The translation-invariant base case (the real line with a
+time-dependent warp, as in homogeneous cosmological metrics) evaluates the
+dial from the explicit first integral of the base equation instead, which
+separates and reduces to the same monotone inversion as the base
+reparametrization.
 Both kinds of dial evaluation go through one root-find, and both
 connections raise :class:`~warpgeo.errors.ShootingError` when the rebuilt
 legs end farther than the integrator tolerance from the requested points.
@@ -33,7 +35,8 @@ from ._num import (
     composite_simpson, cumulative_simpson, invert_running_integral,
 )
 from .errors import (
-    BracketingError, InputError, NumericalError, ShootingError,
+    BracketingError, ChartDomainError, InputError, NumericalError,
+    ShootingError,
 )
 from .integrate import (
     Curve, IntegratorConfig, coupled_residual, integrate_geodesic,
@@ -41,10 +44,7 @@ from .integrate import (
 from .manifold import (
     MetricChart, TangentVector, euclidean, metric_eval, weighted_line,
 )
-from .reparam import (
-    MonotoneMap, RiemannianGeodesic, compute_a_and_phi, compute_b_and_psi,
-    reparametrize, riemannize,
-)
+from .reparam import MonotoneMap, RiemannianGeodesic, _leg_maps, _rebuild
 from .warp import WarpField, admissible_range, conformal_metric, values_along
 
 __all__ = [
@@ -61,16 +61,56 @@ R_GRID_SAMPLES = 64
 # boundary shooting on a single chart
 
 
-def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
-           v_init=None, tol: float = 1e-10, max_iter: int = 60):
-    """Damped Newton on the endpoint map.
+def _fd_jacobian(shot, v: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of the endpoint gap at ``v``: ``2d`` shots."""
+    d = v.shape[0]
+    h = 1e-6 * max(1.0, float(np.max(np.abs(v))))
+    jac = np.empty((d, d))
+    for j in range(d):
+        dv = np.zeros(d)
+        dv[j] = h
+        jac[:, j] = (shot(v + dv)[1] - shot(v - dv)[1]) / (2.0 * h)
+    return jac
 
-    Returns ``(velocity, curve, iterations)``, with ``curve`` the geodesic
-    already integrated from the converged velocity.
+
+def _line_search(shot, v, step, best):
+    """Halve the step until the gap shrinks below ``best``, down to ``1/128``.
+
+    A trial that leaves the chart counts as no decrease.  Returns the
+    accepted ``(velocity, curve, gap, residual)``, or ``None``.
+    """
+    for halvings in range(8):
+        trial = v + 0.5 ** halvings * step
+        try:
+            curve, gap = shot(trial)
+        except ChartDomainError:
+            continue
+        res = float(np.max(np.abs(gap)))
+        if res < best:
+            return trial, curve, gap, res
+    return None
+
+
+def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
+           v_init=None, jac_init=None, tol: float = 1e-10,
+           max_iter: int = 60):
+    """Damped quasi-Newton on the endpoint map, with Broyden updates.
+
+    The Jacobian starts from ``jac_init`` (a neighbouring solve's, say) or,
+    without one, from central differences, and takes a rank-one secant
+    update after every accepted step.  A step that a reused or updated
+    Jacobian cannot make (a singular matrix, or no decrease at any length
+    down to ``1/128`` of the step) is retried from a fresh finite-difference
+    Jacobian; only a failure with that one raises :class:`ShootingError`.
+
+    Returns ``(velocity, jacobian, curve, iterations)``, with ``curve`` the
+    geodesic already integrated from the converged velocity and
+    ``jacobian`` the last one used (``None`` if no step was needed).
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     v = np.array(x1 - x0, dtype=float) if v_init is None else np.array(v_init, dtype=float)
+    jac = None if jac_init is None else np.array(jac_init, dtype=float)
 
     def shot(vel):
         curve = integrate_geodesic(chart, x0, vel, cfg)
@@ -80,34 +120,34 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
     best = float(np.max(np.abs(gap)))
     for it in range(1, max_iter + 1):
         if best <= tol:
-            return v, curve, it - 1
-        h = 1e-6 * max(1.0, float(np.max(np.abs(v))))
-        jac = np.empty((chart.dim, chart.dim))
-        for j in range(chart.dim):
-            dv = np.zeros(chart.dim)
-            dv[j] = h
-            jac[:, j] = (shot(v + dv)[1] - shot(v - dv)[1]) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -gap)
-        except np.linalg.LinAlgError as exc:
-            raise ShootingError(
-                f"singular shooting Jacobian on {chart.name}: {exc}", best, it
-            ) from exc
-        lam = 1.0
+            return v, jac, curve, it - 1
         while True:
-            trial = v + lam * step
-            trial_curve, trial_gap = shot(trial)
-            trial_res = float(np.max(np.abs(trial_gap)))
-            if trial_res < best or lam < 1.0 / 64.0:
+            fresh = jac is None
+            if fresh:
+                jac = _fd_jacobian(shot, v)
+            try:
+                step = np.linalg.solve(jac, -gap)
+            except np.linalg.LinAlgError as exc:
+                if fresh:
+                    raise ShootingError(
+                        f"singular shooting Jacobian on {chart.name}: {exc}", best, it
+                    ) from exc
+                jac = None
+                continue
+            accepted = _line_search(shot, v, step, best)
+            if accepted is not None:
                 break
-            lam *= 0.5
-        if trial_res >= best and best > tol:
-            raise ShootingError(
-                f"shooting stalled on {chart.name} at residual {best:.3e}", best, it
-            )
-        v, curve, gap, best = trial, trial_curve, trial_gap, trial_res
+            if fresh:
+                raise ShootingError(
+                    f"shooting stalled on {chart.name} at residual {best:.3e}", best, it
+                )
+            jac = None
+        trial, curve, trial_gap, trial_res = accepted
+        s = trial - v
+        jac = jac + np.outer(trial_gap - gap - jac @ s, s) / float(s @ s)
+        v, gap, best = trial, trial_gap, trial_res
     if best <= tol:
-        return v, curve, max_iter
+        return v, jac, curve, max_iter
     raise ShootingError(
         f"shooting failed to converge on {chart.name}; residual {best:.3e}",
         best, max_iter,
@@ -118,7 +158,7 @@ def shoot_boundary(chart: MetricChart, x0, x1,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    v_init=None, tol: float = 1e-10) -> TangentVector:
     """Initial velocity whose chart geodesic reaches ``x1`` at parameter 1."""
-    v, _, _ = _shoot(chart, x0, x1, cfg, v_init=v_init, tol=tol)
+    v, _, _, _ = _shoot(chart, x0, x1, cfg, v_init=v_init, tol=tol)
     return TangentVector(np.asarray(x0, dtype=float), v)
 
 
@@ -129,7 +169,11 @@ def shoot_boundary(chart: MetricChart, x0, x1,
 @dataclass
 class BetaResult:
     """One evaluation of the dial: the fiber distance the rebuilt geodesic
-    from this ``r`` would cover, plus everything produced on the way."""
+    from this ``r`` would cover, plus everything produced on the way.
+
+    ``jacobian`` is the shooting Jacobian at ``X_r`` (``None`` when no
+    shooting step was taken), for warm-starting a neighbouring ``r``.
+    """
 
     beta: float
     X_r: TangentVector
@@ -137,47 +181,52 @@ class BetaResult:
     b_r: float
     mu: Curve
     gamma: Curve
+    phi: MonotoneMap
+    psi: MonotoneMap
     iterations: int = 0
+    jacobian: Optional[np.ndarray] = None
 
     def __iter__(self):
         return iter((self.beta, self.X_r, self.a_r, self.b_r))
 
 
 def _beta_from_mu(mu: Curve, w: WarpField, r: float, g1: MetricChart,
-                  X: np.ndarray, iterations: int) -> BetaResult:
-    phi = compute_a_and_phi(mu, w, r)
-    gamma = reparametrize(mu, phi)
-    b = compute_b_and_psi(gamma, w).constant
-    a = phi.constant
+                  X: np.ndarray, iterations: int, jacobian=None) -> BetaResult:
+    phi, gamma, psi = _leg_maps(mu, w, r)
+    a, b = phi.constant, psi.constant
     x0 = mu.points[0]
     k0x = w.value_at(x0)
     q = metric_eval(g1, x0, X, X)
     beta = (a / b) * math.sqrt((1.0 + r * k0x) / k0x * q)
-    return BetaResult(beta, TangentVector(x0, X), a, b, mu, gamma, iterations)
+    return BetaResult(beta, TangentVector(x0, X), a, b, mu, gamma, phi, psi,
+                      iterations, jacobian)
 
 
 def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
               r: float, cfg: IntegratorConfig = IntegratorConfig(),
-              v_init=None) -> BetaResult:
+              v_init=None, jac_init=None) -> BetaResult:
     """Evaluate the dial at one ``r`` by shooting between the base points.
 
     Unpacks as ``(beta, X_r, a_r, b_r)``; the result object also carries
-    the shot curve and its reparametrized leg.
+    the shot curve, its reparametrized leg, both maps and the shooting
+    Jacobian.  ``v_init``/``jac_init`` warm-start the shooting, typically
+    from the result at a neighbouring ``r``.
     """
     admissible_range(w).require(r)
     chart = conformal_metric(g1, w, r)
-    X, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init)
-    return _beta_from_mu(mu, w, r, g1, X, iters)
+    X, jac, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init,
+                               jac_init=jac_init)
+    return _beta_from_mu(mu, w, r, g1, X, iters, jac)
 
 
 def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
              samples: int) -> tuple[float, BetaResult, int]:
     """Bracket ``beta(r) = beta0`` on a geometric r grid, then refine.
 
-    ``evaluate(r, v_init)`` is one dial evaluation; each distinct ``r`` is
-    evaluated once, warm-started from the velocity of the previous one.
-    Returns the root, its dial evaluation and the number of distinct ``r``
-    evaluated.
+    ``evaluate(r, v_init, jac_init)`` is one dial evaluation; each distinct
+    ``r`` is evaluated once, warm-started from the velocity and shooting
+    Jacobian of the previous one.  Returns the root, its dial evaluation
+    and the number of distinct ``r`` evaluated.
 
     The grid is geometric in the offset above the admissibility threshold,
     which resolves the blow-up end.  The walk starts a moderate distance
@@ -187,14 +236,15 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     only when the target actually lives there.
     """
     memo: dict[float, BetaResult] = {}
-    warm = None
+    # Only arrays: a BetaResult here would outlive the memo in brentq's cycle.
+    warm = (None, None)
 
     def beta_at(r: float) -> BetaResult:
         nonlocal warm
         hit = memo.get(r)
         if hit is None:
-            hit = memo[r] = evaluate(r, warm)
-            warm = hit.X_r.components
+            hit = memo[r] = evaluate(r, *warm)
+            warm = hit.X_r.components, hit.jacobian
         return hit
 
     def gap(r: float) -> float:
@@ -288,8 +338,9 @@ def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
                      first_integral_residual=None) -> ShootingReport:
     """Rebuild the solved pair; ``x1``/``y1`` are the requested end points
     that ``endpoint_error`` measures the rebuilt legs against."""
-    geo = riemannize(solver_result.mu, nu, w, r, g1, g2, compat_tol=1e-6,
-                     residual_tol=None)
+    geo = _rebuild(solver_result.mu, nu, w, r, g1, g2,
+                   (solver_result.phi, solver_result.gamma, solver_result.psi),
+                   compat_tol=1e-6, residual_tol=None)
     endpoint_error = max(
         float(np.max(np.abs(geo.gamma.points[-1] - x1))),
         float(np.max(np.abs(geo.tau.points[-1] - y1))),
@@ -303,7 +354,7 @@ def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
 
 def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
     """Coinciding fiber endpoints: constant fiber leg, base-metric geodesic."""
-    X, mu, iters = _shoot(g1, x0, x1, cfg)
+    X, _, mu, iters = _shoot(g1, x0, x1, cfg)
     t = mu.params.copy()
     y0 = np.asarray(y0, dtype=float)
     nu = Curve(t, np.tile(y0, (t.shape[0], 1)), np.zeros((t.shape[0], y0.shape[0])))
@@ -347,10 +398,11 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
             "coinciding base endpoints admit no rebuilt geodesic with a "
             "moving fiber leg: the dial is identically zero"
         )
-    V2, nu, _ = _shoot(g2, y0, y1, cfg)
+    V2, _, nu, _ = _shoot(g2, y0, y1, cfg)
     beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
     r0, res, evaluations = _solve_r(
-        lambda r, v_init: beta_of_r(g1, g2, w, x0, x1, r, cfg, v_init=v_init),
+        lambda r, v_init, jac_init: beta_of_r(g1, g2, w, x0, x1, r, cfg,
+                                              v_init, jac_init),
         beta0, admissible_range(w).lower, r_max, samples,
     )
     return _assemble_report(res, r0, nu, beta0, w, g1, g2, evaluations,
@@ -394,11 +446,9 @@ def partial_connect(mu_nu: tuple[Curve, Curve], alpha: float, w: WarpField,
     restricted = _restricted(mu, alpha)
     if alpha == 0.0:
         return 0.0, 0.0
-    phi = compute_a_and_phi(restricted, w, r)
-    gamma = reparametrize(restricted, phi)
-    b = compute_b_and_psi(gamma, w).constant
+    phi, _, psi = _leg_maps(restricted, w, r)
     k0x = w.value_at(mu.points[0])
-    beta = (phi.constant / b) * math.sqrt((1.0 + r * k0x) / k0x) * abs(alpha)
+    beta = (phi.constant / psi.constant) * math.sqrt((1.0 + r * k0x) / k0x) * abs(alpha)
     return beta, -beta
 
 
@@ -435,11 +485,9 @@ def theta_consistency(mu: Curve, nu: Curve, w: WarpField, r: float,
     if t == 0.0:
         beta_disp = beta_compat = 0.0
     else:
-        phi = compute_a_and_phi(restricted, w, r)
-        gamma = reparametrize(restricted, phi)
-        b = compute_b_and_psi(gamma, w).constant
-        beta_disp = (phi.constant / b) * stretch * t
-        beta_compat = (phi.constant / b) * math.sqrt(stretch) * t
+        phi, _, psi = _leg_maps(restricted, w, r)
+        beta_disp = (phi.constant / psi.constant) * stretch * t
+        beta_compat = (phi.constant / psi.constant) * math.sqrt(stretch) * t
     gap = abs(beta_disp - beta_compat) / max(abs(beta_disp), abs(beta_compat), 1e-300)
     if beta_disp > nu.params[-1] + 1e-12 or beta_compat > nu.params[-1] + 1e-12:
         raise InputError(
@@ -549,10 +597,10 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
             "coinciding base endpoints admit no rebuilt geodesic with a "
             "moving fiber leg: the dial is identically zero"
         )
-    V2, nu, _ = _shoot(g2, y0, y1, cfg)
+    V2, _, nu, _ = _shoot(g2, y0, y1, cfg)
     beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
     r0, res, evaluations = _solve_r(
-        lambda r, _: flrw_beta(w, t0, t1, r, cfg, weight),
+        lambda r, *_: flrw_beta(w, t0, t1, r, cfg, weight),
         beta0, admissible_range(w).lower, r_max, samples,
     )
 
@@ -589,12 +637,12 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     """
     admissible_range(w).require(r)
     x0 = np.asarray(x0, dtype=float)
-    X, gamma, _ = _shoot(g1, x0, x1, cfg)
+    X, _, gamma, _ = _shoot(g1, x0, x1, cfg)
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r
     h = 1.0 / gamma.steps
-    k = np.array([w.value_at(p) for p in gamma.points])
+    k = values_along(w, gamma.points)
     upper_integral = composite_simpson((1.0 + r * k) / k, h)
     lower = q * a / (b * b)
     upper = q * (a * a) / (b * b) * upper_integral

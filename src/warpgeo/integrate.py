@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
 from scipy.interpolate import BPoly
 
@@ -178,29 +180,35 @@ class IntegratorConfig:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def _rk4(rhs, state0: np.ndarray, steps: int) -> np.ndarray:
-    """Classical Runge-Kutta over [0, 1]; returns all ``steps + 1`` states."""
+def _rk4(rhs, state0: np.ndarray, steps: int, charts) -> np.ndarray:
+    """Classical Runge-Kutta over [0, 1]; returns all ``steps + 1`` states.
+
+    The state is one ``(point, velocity)`` block per chart of ``charts``,
+    in order.  Each state is checked as it is made, the initial one too:
+    the first whose point leaves its chart, or whose block is not finite,
+    raises :class:`ChartDomainError` at that step's parameter, before any
+    further right-hand side is evaluated.
+    """
     h = 1.0 / steps
     out = np.empty((steps + 1, state0.shape[0]))
     y = state0.astype(float)
-    out[0] = y
-    for i in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i + 1] = y
+    for i in range(steps + 1):
+        if i:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        start = 0
+        for chart in charts:
+            block = y[start:start + 2 * chart.dim]
+            point = block[:chart.dim]
+            if not (all(map(math.isfinite, block.tolist()))
+                    and chart.contains(point)):
+                raise ChartDomainError(chart.name, i / steps, point)
+            start += 2 * chart.dim
+        out[i] = y
     return out
-
-
-def _check_domain(chart: MetricChart, states: np.ndarray):
-    if chart.in_domain is None:
-        return
-    n = states.shape[0] - 1
-    for i, row in enumerate(states):
-        if not chart.in_domain(row[: chart.dim]):
-            raise ChartDomainError(chart.name, i / n, row[: chart.dim])
 
 
 def integrate_geodesic(chart: MetricChart, p0, v0,
@@ -213,16 +221,13 @@ def integrate_geodesic(chart: MetricChart, p0, v0,
             f"initial data of dimension {p0.shape}/{v0.shape} on a "
             f"{chart.dim}-dimensional chart"
         )
-    if not chart.contains(p0):
-        raise ChartDomainError(chart.name, 0.0, p0)
     d = chart.dim
 
     def rhs(state):
         p, v = state[:d], state[d:]
         return np.concatenate((v, geodesic_rhs(chart, p, v)))
 
-    states = _rk4(rhs, np.concatenate((p0, v0)), cfg.steps)
-    _check_domain(chart, states)
+    states = _rk4(rhs, np.concatenate((p0, v0)), cfg.steps, (chart,))
     t = np.linspace(0.0, 1.0, cfg.steps + 1)
     return Curve(t, states[:, :d], states[:, d:])
 
@@ -284,11 +289,9 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
         return np.concatenate((u, acc1, v, acc2))
 
     state0 = np.concatenate((p1, v1, p2, v2))
-    states = _rk4(rhs, state0, cfg.steps)
-    _check_domain(g1, states[:, : 2 * d1])
+    states = _rk4(rhs, state0, cfg.steps, (g1, g2))
     base_states = states[:, : 2 * d1]
     fiber_states = states[:, 2 * d1:]
-    _check_domain(g2, fiber_states)
     t = np.linspace(0.0, 1.0, cfg.steps + 1)
     return (
         Curve(t, base_states[:, :d1], base_states[:, d1:]),

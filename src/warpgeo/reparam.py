@@ -209,6 +209,15 @@ class RiemannianGeodesic:
         }
 
 
+def _leg_maps(mu: Curve, w: WarpField, r: float
+              ) -> tuple[MonotoneMap, Curve, MonotoneMap]:
+    """The base map ``phi`` along ``mu``, the reparametrized base leg
+    ``gamma`` it gives, and the fiber map ``psi`` along ``gamma``."""
+    phi = compute_a_and_phi(mu, w, r)
+    gamma = reparametrize(mu, phi)
+    return phi, gamma, compute_b_and_psi(gamma, w)
+
+
 def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
                g1: MetricChart, g2: MetricChart, *,
                compat_tol: float = 1e-8,
@@ -226,9 +235,16 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     """
     if mu.steps != nu.steps:
         raise InputError("factor curves must share one grid")
-    phi = compute_a_and_phi(mu, w, r)
-    gamma = reparametrize(mu, phi)
-    psi = compute_b_and_psi(gamma, w)
+    return _rebuild(mu, nu, w, r, g1, g2, _leg_maps(mu, w, r),
+                    compat_tol, residual_tol)
+
+
+def _rebuild(mu: Curve, nu: Curve, w: WarpField, r: float, g1: MetricChart,
+             g2: MetricChart, maps: tuple[MonotoneMap, Curve, MonotoneMap],
+             compat_tol: float, residual_tol: Optional[float]
+             ) -> RiemannianGeodesic:
+    """:func:`riemannize` from the :func:`_leg_maps` of ``mu``, already built."""
+    phi, gamma, psi = maps
     a_r, b_r = phi.constant, psi.constant
     x0 = mu.points[0]
     Y0 = TangentVector(nu.points[0], nu.velocities[0])

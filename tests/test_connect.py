@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
+from warpgeo import connect, reparam
 from warpgeo.connect import (
     BetaResult, _beta_from_mu, _flrw_mu, _restricted, _shoot,
 )
@@ -55,6 +57,68 @@ def test_starved_newton_raises_a_shooting_error():
     payload = err.value.payload()
     assert payload["iterations"] == 1
     assert payload["residual"] > 0.0
+
+
+# The README instance: half-plane base, its warp, and the base end points.
+README_WARP = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+X0 = np.array([0.0, 1.0])
+X1 = np.array([1.2, 0.7])
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
+    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+    near = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.0, FAST)
+    calls = _count_calls(monkeypatch, connect, "integrate_geodesic")
+    res = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST,
+                       near.X_r.components, near.jacobian)
+    # One shot from the warm start, then one per secant step: neither a
+    # finite-difference Jacobian (2d = 4 shots) nor a refresh.
+    assert len(calls) == 1 + res.iterations <= 5
+    cold = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST)
+    np.testing.assert_allclose(res.X_r.components, cold.X_r.components, atol=1e-9)
+
+
+@pytest.mark.parametrize("jac_init", [
+    np.zeros((2, 2)),      # singular
+    -np.eye(2),            # points uphill: no decrease down to 1/128
+    1e-3 * np.eye(2),      # huge steps: trials leave the half-plane
+], ids=["zeros", "minus_identity", "off_chart"])
+def test_a_wrong_jacobian_is_refreshed_not_trusted(jac_init):
+    chart = wg.conformal_metric(wg.poincare_half_plane(), README_WARP, 1.0)
+    cold, _, _, _ = _shoot(chart, X0, X1, FAST)
+    with np.errstate(over="ignore", invalid="ignore"):
+        warm, _, curve, _ = _shoot(chart, X0, X1, FAST, jac_init=jac_init)
+    np.testing.assert_allclose(warm, cold, atol=1e-9)
+    assert np.max(np.abs(curve.endpoint() - X1)) <= 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(x=st.floats(0.8, 1.6), y=st.floats(0.5, 0.9), r=st.floats(0.5, 3.0))
+def test_a_neighbouring_jacobian_reaches_the_cold_start_velocity(x, y, r):
+    x1 = np.array([x, y])
+    base = wg.poincare_half_plane()
+
+    def shoot(r, **warm):
+        return _shoot(wg.conformal_metric(base, README_WARP, r), X0, x1, FAST,
+                      **warm)
+
+    v_near, jac_near, _, _ = shoot(r + 0.05)
+    warm, _, curve, _ = shoot(r, v_init=v_near, jac_init=jac_near)
+    cold, _, _, _ = shoot(r)
+    assert np.max(np.abs(curve.endpoint() - x1)) <= 1e-10
+    np.testing.assert_allclose(warm, cold, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +468,16 @@ def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
     finally:
         gc.enable()
     assert after == before
+
+
+def test_a_solve_builds_the_maps_once_per_dial_evaluation(monkeypatch):
+    # The rebuilt geodesic reuses the maps of the dial evaluation at the root.
+    calls = _count_calls(monkeypatch, reparam, "compute_a_and_phi")
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    line = wg.euclidean(1)
+    report = wg.connect_points(line, line, w, (np.zeros(1), np.zeros(1)),
+                               (np.array([2.0]), np.array([0.5])), FAST)
+    assert len(calls) == report.iterations
 
 
 def test_a_non_positive_line_weight_is_a_numerical_failure():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import warpgeo as wg
-from warpgeo import _num
+from warpgeo import _num, integrate
 from warpgeo.errors import ChartDomainError, InputError
 
 
@@ -88,6 +88,27 @@ def test_leaving_the_chart_domain_is_reported():
     payload = err.value.payload()
     assert payload["chart"] == chart.name
     assert 0.5 < payload["t_exit"] <= 1.0
+
+
+@pytest.mark.parametrize("chart, v0", [
+    (wg.sphere(2), np.array([2.0, 0.0])),        # the meridian above
+    (wg.euclidean(2), np.array([1e308, 1e308])),  # |v|^2 overflows: NaN
+], ids=["off_chart", "not_finite"])
+def test_integration_stops_at_the_first_bad_step(monkeypatch, chart, v0):
+    calls = []
+    real = integrate.geodesic_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(integrate, "geodesic_rhs", counted)
+    p0 = np.array([np.pi / 2, 0.0])
+    with pytest.raises(ChartDomainError) as err, np.errstate(all="ignore"):
+        wg.integrate_geodesic(chart, p0, v0, wg.IntegratorConfig(steps=64))
+    exit_step = round(err.value.t_exit * 64)
+    assert 0 < exit_step < 64
+    assert len(calls) == 4 * exit_step
 
 
 # ---------------------------------------------------------------------------

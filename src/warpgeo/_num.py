@@ -1,7 +1,11 @@
 """Small numeric kernels shared by the geometry modules.
 
-Everything here operates on plain uniform grids and is deterministic, which
-keeps the higher-level outputs byte-reproducible.
+Quadrature (composite and running Simpson-type rules), a fourth-order grid
+derivative, and the one monotone inversion: the exact inverse of a PCHIP
+interpolant (:func:`invert_pchip`), polished by Newton steps against the
+re-integrated forward map (:func:`invert_running_integral`).  Everything
+here operates on plain uniform grids and is deterministic, which keeps the
+higher-level outputs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -71,25 +75,50 @@ def derivative_on_grid(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def solve_monotone(fn, targets: np.ndarray, lo: float, hi: float,
-                   tol: float = 1e-12, max_iter: int = 80) -> np.ndarray:
-    """Vectorized bisection for a strictly increasing scalar function.
+def invert_pchip(grid: np.ndarray, values: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Points ``u`` with ``P(u) = targets``, ``P`` the PCHIP interpolant of
+    the increasing table ``values`` on ``grid``.
 
-    Finds ``s`` with ``fn(s) == target`` for every entry of ``targets``;
-    ``fn`` must accept and return arrays.  All targets must lie inside
-    ``[fn(lo), fn(hi)]`` up to roundoff.
+    One ``searchsorted`` over the table finds each target's interval; that
+    interval's cubic is then solved for its local abscissa by Newton steps
+    from the linear interpolant, kept inside a shrinking bracket (a step
+    that leaves it is replaced by the bracket midpoint), until the largest
+    step is at roundoff.  Targets at or beyond the table's ends map to the
+    grid's ends exactly.
     """
-    t = np.asarray(targets, dtype=float)
-    a = np.full(t.shape, float(lo))
-    b = np.full(t.shape, float(hi))
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        high = fn(mid) > t
-        b = np.where(high, mid, b)
-        a = np.where(high, a, mid)
-        if np.max(b - a) <= tol:
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    n = grid.shape[0] - 1
+    j = np.clip(np.searchsorted(values, targets, side="right") - 1, 0, n - 1)
+    c0, c1, c2, c3 = PchipInterpolator(grid, values).c[:, j]
+    goal = targets - c3
+    width = grid[j + 1] - grid[j]
+    rise = values[j + 1] - values[j]
+    lo = np.zeros_like(goal)
+    hi = width.copy()
+    t = np.clip(np.divide(goal * width, rise, out=np.zeros_like(goal),
+                          where=rise > 0.0), lo, hi)
+    tol = 4.0 * np.finfo(float).eps * max(abs(grid[0]), abs(grid[-1]))
+    for _ in range(64):  # midpoint steps alone exhaust a double by then
+        miss = ((c0 * t + c1) * t + c2) * t - goal
+        below = miss < 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        slope = (3.0 * c0 * t + 2.0 * c1) * t + c2
+        step = np.divide(-miss, slope, out=np.full_like(t, np.inf),
+                         where=slope > 0.0)
+        nxt = t + step
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        moved = np.max(np.abs(nxt - t), initial=0.0)
+        t = nxt
+        if moved <= tol:
             break
-    return 0.5 * (a + b)
+    u = grid[j] + t
+    u[targets <= values[0]] = grid[0]
+    u[targets >= values[-1]] = grid[-1]
+    return u
 
 
 def invert_running_integral(integrand, grid: np.ndarray,
@@ -97,10 +126,11 @@ def invert_running_integral(integrand, grid: np.ndarray,
     """Nodes ``u`` with ``F(u_i) = F(1) * grid_i``, ``F`` a running integral.
 
     ``grid`` is uniform over ``[0, 1]``, ``accum`` holds ``F`` at its nodes
-    and ``integrand`` evaluates ``F'`` (positive) on a 1-d array.  Bisection
-    against a monotone interpolant of the normalised table gives a first
-    guess; its between-node error oscillates at the grid scale, and
-    differentiating anything downstream would amplify it by a grid factor.
+    and ``integrand`` evaluates ``F'`` (positive) on a 1-d array.  The exact
+    inverse of the PCHIP interpolant of the normalised table
+    (:func:`invert_pchip`) gives a first guess; its between-node error
+    oscillates at the grid scale, and differentiating anything downstream
+    would amplify it by a grid factor.
     Two Newton steps against the locally re-integrated forward map (``F`` at
     the nearest node plus a Gauss panel to the query point) leave only the
     smooth quadrature error of the table itself.
@@ -108,7 +138,7 @@ def invert_running_integral(integrand, grid: np.ndarray,
     n = grid.shape[0] - 1
     normalised = accum / accum[-1]
     normalised[0], normalised[-1] = 0.0, 1.0
-    u = solve_monotone(PchipInterpolator(grid, normalised), grid, 0.0, 1.0)
+    u = invert_pchip(grid, normalised, grid)
     goal = accum[-1] * grid
     for _ in range(2):
         idx = np.clip(np.searchsorted(grid, u[1:-1], side="right") - 1, 0, n - 1)

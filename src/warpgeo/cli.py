@@ -34,7 +34,9 @@ from .manifold import (
     MetricChart, _metric, circle, euclidean, metric_eval, poincare_ball,
     poincare_half_plane, sectional_curvature, sphere, weighted_line,
 )
-from .reparam import norm_identity_errors, riemannize, tangent_transform
+from .reparam import (
+    _leg_maps, _rebuild, norm_identity_errors, tangent_transform,
+)
 from .warp import (
     WarpField, admissible_range, conformal_metric, negativity_check,
     sectional_curvature_conformal,
@@ -222,7 +224,11 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
             raise InputError("riemannize.Y0 must be nonzero to fit its speed")
         Y0 = nu.velocities[0] * (res.beta / speed)
         nu = integrate_geodesic(g2, nu.points[0], Y0, tc.cfg)
-    geo = riemannize(mu, nu, w, r, tc.base, g2, residual_tol=None)
+        maps = (res.phi, res.gamma, res.psi)  # the fit already built them
+    else:
+        maps = _leg_maps(mu, w, r)
+    geo = _rebuild(mu, nu, w, r, tc.base, g2, maps, compat_tol=1e-8,
+                   residual_tol=None)
     for name, curve in (("mu", mu), ("nu", nu), ("gamma", geo.gamma),
                         ("tau", geo.tau)):
         curve_to_csv(curve, out / f"{name}.csv")

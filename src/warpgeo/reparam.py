@@ -64,6 +64,7 @@ class MonotoneMap:
         if np.any(np.diff(self.values) <= 0.0):
             raise NumericalError("map values are not strictly increasing")
         self._spline = None
+        self._derivative_spline = None
 
     def __call__(self, t):
         if self._spline is None:
@@ -71,11 +72,13 @@ class MonotoneMap:
         return self._spline(t)
 
     def derivative_at(self, t):
-        if self.derivative_values is None:
-            if self._spline is None:
-                self._spline = PchipInterpolator(self.grid, self.values)
-            return self._spline.derivative()(t)
-        return PchipInterpolator(self.grid, self.derivative_values)(t)
+        if self._derivative_spline is None:
+            self._derivative_spline = (
+                PchipInterpolator(self.grid, self.values).derivative()
+                if self.derivative_values is None
+                else PchipInterpolator(self.grid, self.derivative_values)
+            )
+        return self._derivative_spline(t)
 
 
 def _uniform_grid_step(curve: Curve) -> float:
@@ -92,9 +95,9 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
 
     Integrates ``k/(1 + r k)`` along ``mu``, which yields the constant
     ``a`` (the full integral) and samples of the *inverse* map; the map
-    itself is recovered by monotone interpolation of those samples,
-    bisection, and a Newton polish against the locally re-integrated
-    forward relation.
+    itself is recovered by inverting the monotone (PCHIP) interpolant of
+    those samples exactly, then a Newton polish against the locally
+    re-integrated forward relation.
     """
     admissible_range(w).require(r)
     h = _uniform_grid_step(mu)

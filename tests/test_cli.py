@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from warpgeo import __version__
+from warpgeo import __version__, cli, reparam
 from warpgeo.cli import main
 
 
@@ -263,6 +263,39 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     _, out2 = run_task(tmp_path, HYPERBOLIC_INTEGRATE, "--quiet", out_name="o2")
     assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_fitted_riemannize_builds_the_base_maps_once(tmp_path, monkeypatch):
+    doc = {
+        "task": "riemannize",
+        "base_chart": {"name": "poincare_half_plane"},
+        "fiber_chart": {"name": "circle", "radius": 1.0},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+        "integrator": {"steps": 256},
+        "riemannize": {"r": 1.0, "x0": [0.0, 1.0], "X0": [2.0, 0.8],
+                       "y0": [0.0], "Y0": [1.0], "fit_fiber_speed": True},
+    }
+    calls = []
+    build = reparam.compute_a_and_phi
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(reparam, "compute_a_and_phi", counted)
+    code, once = run_task(tmp_path, doc, "--quiet", out_name="once")
+    assert code == 0 and len(calls) == 1
+
+    def rebuild_from_scratch(mu, nu, w, r, g1, g2, maps, compat_tol,
+                             residual_tol):
+        return reparam.riemannize(mu, nu, w, r, g1, g2, compat_tol=compat_tol,
+                                  residual_tol=residual_tol)
+
+    monkeypatch.setattr(cli, "_rebuild", rebuild_from_scratch)
+    code, twice = run_task(tmp_path, doc, "--quiet", out_name="twice")
+    assert code == 0 and len(calls) == 3
+    for name in ("gamma.csv", "tau.csv", "report.json"):
+        assert (once / name).read_bytes() == (twice / name).read_bytes()
 
 
 def test_steps_override_wins_over_the_config(tmp_path):

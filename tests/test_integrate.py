@@ -1,9 +1,13 @@
 """Geodesic integration, dense output, residual measurement, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 import warpgeo as wg
 from warpgeo import _num, integrate
@@ -308,10 +312,80 @@ def test_grid_derivative_handles_stacked_columns():
     np.testing.assert_allclose(got[:, 1], 0.0, atol=1e-13)
 
 
-def test_monotone_bisection_inverts_a_cubic():
+def test_pchip_inverse_recovers_cube_roots():
+    grid = np.linspace(0.0, 2.0, 257)
+    values = grid**3
     targets = np.array([0.001, 0.5, 7.9])
-    roots = _num.solve_monotone(lambda x: x**3, targets, 0.0, 2.0)
-    np.testing.assert_allclose(roots, targets ** (1.0 / 3.0), atol=1e-11)
+    roots = _num.invert_pchip(grid, values, targets)
+    # exact inverse of the interpolant, which itself carries PCHIP's error
+    np.testing.assert_allclose(PchipInterpolator(grid, values)(roots), targets,
+                               rtol=1e-15)
+    np.testing.assert_allclose(roots, targets ** (1.0 / 3.0), atol=5e-6)
+    nodes = _num.invert_pchip(grid, values, np.array([0.0, 1.0, 8.0]))
+    assert nodes.tolist() == [0.0, 1.0, 2.0]
+
+
+def _bisect_pchip(grid, values, targets):
+    """Reference inverse: bisect the interpolant until the bracket is spent."""
+    spline = PchipInterpolator(grid, values)
+    lo = np.full(targets.shape, grid[0])
+    hi = np.full(targets.shape, grid[-1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        high = spline(mid) >= targets
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return hi
+
+
+def _pole_table(panels=64, gap=1e-6):
+    """Running integral of 1/(1 + gap - x): stiff next to the pole at x = 1."""
+    grid = np.linspace(0.0, 1.0, panels + 1)
+    return -np.log1p(-grid / (1.0 + gap))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table=hnp.arrays(
+    float, st.integers(3, 1024),
+    elements=st.floats(np.log(1e-8), 0.0),
+).map(lambda logs: np.concatenate(([0.0], np.cumsum(np.exp(logs))))))
+@example(table=_pole_table())
+def test_pchip_inverse_matches_bisection_on_increasing_tables(table):
+    grid = np.linspace(0.0, 1.0, table.shape[0])
+    targets = table[-1] * grid
+    u = _num.invert_pchip(grid, table, targets)
+    assert np.all(np.diff(u) > 0.0)
+    assert u[0] == 0.0 and u[-1] == 1.0
+    spline = PchipInterpolator(grid, table)
+    eps = np.finfo(float).eps
+    # a few ulps of the target, plus the slope times a few ulps of u
+    slack = 4.0 * eps * (np.abs(targets) + np.abs(spline(u, 1)) * np.abs(u))
+    assert np.all(np.abs(spline(u) - targets) <= slack)
+    # inside the table; where the interpolant is nearly flat, one ulp of the
+    # target moves its root by more than 1e-12, so that much is allowed too
+    inner = slice(1, -1)
+    slack = 1e-12 + 4.0 * np.spacing(targets[inner]) / spline(u[inner], 1)
+    gap = np.abs(u - _bisect_pchip(grid, table, targets))[inner]
+    assert np.all(gap <= slack)
+
+
+def test_a_zero_width_interval_inverts_without_a_division_warning():
+    grid = np.linspace(0.0, 1.0, 9)
+    # flat over two panels, at a level that is one of the targets
+    accum = np.array([0.0, 1.0, 2.0, 4.0, 4.0, 4.0, 5.0, 7.0, 8.0])
+    slopes = np.diff(accum) * 8.0
+
+    def integrand(x):
+        return slopes[np.clip((x * 8.0).astype(int), 0, 7)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = _num.invert_pchip(grid, accum / 8.0, grid)
+        u = _num.invert_running_integral(integrand, grid, accum)
+    assert first[4] == 0.625  # the right end of the flat run
+    assert np.all(np.diff(first) > 0.0) and np.all(np.diff(u) > 0.0)
+    np.testing.assert_allclose(np.interp(u, grid, accum), 8.0 * grid,
+                               atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

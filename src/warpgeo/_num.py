@@ -153,6 +153,6 @@ def invert_running_integral(integrand, grid: np.ndarray,
         gaps = np.diff(u)
         u[1:-1] += np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
     u[0], u[-1] = 0.0, 1.0
-    if np.any(np.diff(u) <= 0.0):
+    if not np.all(np.diff(u) > 0.0):
         raise NumericalError("inverse of a running integral lost monotonicity")
     return u

@@ -27,16 +27,14 @@ from .connect import (
 )
 from .errors import InputError, NumericalError, WarpGeoError
 from .integrate import (
-    Curve, IntegratorConfig, curve_to_csv, geodesic_residual,
+    IntegratorConfig, curve_to_csv, geodesic_residual,
     integrate_coupled_oracle, integrate_geodesic, speed_drift,
 )
 from .manifold import (
     MetricChart, _metric, circle, euclidean, metric_eval, poincare_ball,
     poincare_half_plane, sectional_curvature, sphere, weighted_line,
 )
-from .reparam import (
-    _leg_maps, _rebuild, norm_identity_errors, tangent_transform,
-)
+from .reparam import _leg_maps, _rebuild, norm_identity_errors
 from .warp import (
     WarpField, admissible_range, conformal_metric, negativity_check,
     sectional_curvature_conformal,

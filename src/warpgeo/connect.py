@@ -186,9 +186,6 @@ class BetaResult:
     iterations: int = 0
     jacobian: Optional[np.ndarray] = None
 
-    def __iter__(self):
-        return iter((self.beta, self.X_r, self.a_r, self.b_r))
-
 
 def _beta_from_mu(mu: Curve, w: WarpField, r: float, g1: MetricChart,
                   X: np.ndarray, iterations: int, jacobian=None) -> BetaResult:
@@ -426,7 +423,7 @@ def _restricted(curve: Curve, alpha: float) -> Curve:
     points = np.atleast_2d(curve.point_at(s))
     velocities = alpha * np.atleast_2d(curve.velocity_at(s))
     points[0] = curve.points[0]
-    return Curve(curve.params.copy(), points, velocities, span=curve.span * alpha)
+    return Curve(curve.params.copy(), points, velocities)
 
 
 def partial_connect(mu_nu: tuple[Curve, Curve], alpha: float, w: WarpField,
@@ -524,8 +521,8 @@ def _slowness(w: WarpField, r: float, weight, xs) -> np.ndarray:
     f = 1.0
     if weight is not None:
         f = warpfn.evaluate_many(weight, column)
-        if np.any(f <= 0.0):
-            bad = int(np.argmax(f <= 0.0))
+        if not np.all(f > 0.0):
+            bad = int(np.argmin(f > 0.0))
             raise NumericalError(
                 f"line weight must stay positive, got {f[bad]} at {column[bad]}"
             )

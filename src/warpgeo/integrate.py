@@ -2,8 +2,8 @@
 
 All curves are integrated with the classical fourth-order Runge-Kutta
 scheme on a uniform grid over ``[0, 1]``; problems posed on ``[0, T]`` are
-folded into the initial velocity, with ``T`` recorded on the curve.  The
-fixed step keeps runs deterministic and the convergence order measurable.
+folded into the initial velocity.  The fixed step keeps runs deterministic
+and the convergence order measurable.
 Plain geodesics take their acceleration from
 :func:`~warpgeo.manifold.geodesic_rhs`, the closed-form spray on
 conformally flat charts.
@@ -69,16 +69,13 @@ def _hermite_quintic(params, values, d1, d2) -> BPoly:
 class Curve:
     """A sampled curve with velocities on the uniform grid over ``[0, 1]``.
 
-    ``points`` and ``velocities`` have one row per parameter value.  The
-    ``span`` field records the length of the original parameter interval
-    when a ``[0, T]`` problem was rescaled onto ``[0, 1]``; velocities are
-    always with respect to the stored (unit-interval) parameter.
+    ``points`` and ``velocities`` have one row per parameter value;
+    velocities are with respect to the stored (unit-interval) parameter.
     """
 
     params: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    span: float = 1.0
     _point_poly: object = field(default=None, repr=False, compare=False)
     _velocity_poly: object = field(default=None, repr=False, compare=False)
 
@@ -92,7 +89,7 @@ class Curve:
                 f"inconsistent curve shapes: params {self.params.shape}, "
                 f"points {self.points.shape}, velocities {self.velocities.shape}"
             )
-        if self.params[0] != 0.0 or np.any(np.diff(self.params) <= 0.0):
+        if self.params[0] != 0.0 or not np.all(np.diff(self.params) > 0.0):
             raise InputError("curve parameters must increase strictly from 0")
 
     @property

@@ -18,7 +18,7 @@ supply it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -385,7 +385,7 @@ def circle(radius: float = 1.0) -> MetricChart:
     return sphere(dim=1, radius=radius)
 
 
-def weighted_line(weight, dim_hint: int = 1) -> MetricChart:
+def weighted_line(weight) -> MetricChart:
     """The real line with metric ``f(t) dt^2`` for a positive weight ``f``.
 
     ``weight`` is an expression string in the variable ``t`` (or ``x1``),

@@ -61,7 +61,7 @@ class MonotoneMap:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.shape != self.values.shape or self.grid.ndim != 1:
             raise InputError("map grid and values must be 1-d arrays of equal length")
-        if np.any(np.diff(self.values) <= 0.0):
+        if not np.all(np.diff(self.values) > 0.0):
             raise NumericalError("map values are not strictly increasing")
         self._spline = None
         self._derivative_spline = None
@@ -158,7 +158,7 @@ def reparametrize(curve: Curve, m: MonotoneMap) -> Curve:
     )
     velocities = velocities * np.asarray(deriv, dtype=float)[:, None]
     points[0], points[-1] = curve.points[0], curve.points[-1]
-    return Curve(m.grid.copy(), points, velocities, span=curve.span)
+    return Curve(m.grid.copy(), points, velocities)
 
 
 def check_compatibility(x0, X0, Y0: TangentVector, a_r: float, b_r: float,

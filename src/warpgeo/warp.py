@@ -1,7 +1,8 @@
 """Warping functions and the conformal metric family they induce.
 
 A warping function is a smooth positive field ``k`` on the base chart,
-bounded below by ``k0 > 0`` and above by ``K0`` (possibly infinite).  For
+given by one parsed :mod:`~warpgeo.warpfn` expression and bounded below by
+``k0 > 0`` and above by ``K0`` (possibly infinite).  For
 every ``r`` above the admissibility threshold the base metric is rescaled
 conformally by ``1/k + r``; geodesics of the rescaled metric are the raw
 material from which the mixed-signature geodesics are later rebuilt.
@@ -9,15 +10,15 @@ material from which the mixed-signature geodesics are later rebuilt.
 This module owns the rescaled charts, the bi-Lipschitz equivalence bounds
 between the base metric and a rescaled one, and the curvature side: the
 sectional curvature of a rescaled metric and the pointwise inequality
-guaranteeing it is negative.
+guaranteeing it is negative.  Both read only ``k``, ``dk``, the covariant
+Hessian of ``k`` and ``|dk|^2``, taken together from one evaluation of the
+expression at each point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,25 +38,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WarpField:
-    """A positive scalar field with first and second derivatives.
+    """A positive scalar field given by a parsed ``warpfn`` expression.
 
     ``value_at`` maps a point to ``k(p)``; ``differential_at`` to the
     coordinate differential ``dk`` (a covector); ``hessian_at`` to the
     coordinate second-derivative matrix (the covariant Hessian is
-    assembled against a chart by :func:`covariant_hessian`).  ``k0`` and
-    ``K0`` are the declared infimum and supremum of ``k`` over the chart;
-    ``K0 = inf`` declares an unbounded field.  Bounds are the caller's
-    promise and are spot-checked, not enforced pointwise.
+    assembled against a chart by :func:`covariant_hessian`).  All three are
+    exact forward-mode evaluations of ``expr``.  ``k0`` and ``K0`` are the
+    declared infimum and supremum of ``k`` over the chart; ``K0 = inf``
+    declares an unbounded field.  Bounds are the caller's promise and are
+    spot-checked, not enforced pointwise.
     """
 
-    value_at: Callable[[np.ndarray], float]
-    differential_at: Callable[[np.ndarray], np.ndarray]
-    hessian_at: Callable[[np.ndarray], np.ndarray]
+    expr: warpfn.Expr
     k0: float
     K0: float = math.inf
-    value_grad_at: Optional[Callable] = None  # fast combined path
-    values_many_at: Optional[Callable] = None  # batch path, rows of points
-    source: Optional[str] = None  # expression text, when built from one
 
     def __post_init__(self):
         if not (self.k0 > 0.0):
@@ -69,37 +66,21 @@ class WarpField:
     def from_expression(cls, text: str, dim: int, k0: float,
                         K0: float = math.inf) -> "WarpField":
         """Build a field from expression text over a ``dim``-chart."""
-        expr = warpfn.parse(text, dim)
-
-        def value(p):
-            return warpfn.evaluate(expr, p)
-
-        def diff(p):
-            return warpfn.value_and_gradient(expr, p)[1]
-
-        def hess(p):
-            return warpfn.eval2(expr, p)[2]
-
-        def value_grad(p):
-            return warpfn.value_and_gradient(expr, p)
-
-        def values_many(pts):
-            return warpfn.evaluate_many(expr, pts)
-
-        return cls(value, diff, hess, k0=k0, K0=K0, value_grad_at=value_grad,
-                   values_many_at=values_many,
-                   source=warpfn.format_expression(expr))
+        return cls(warpfn.parse(text, dim), k0, K0)
 
     @classmethod
     def constant(cls, c: float, dim: int) -> "WarpField":
-        """The constant field ``k = c`` on a ``dim``-chart."""
-        zero = np.zeros(dim)
-        zero2 = np.zeros((dim, dim))
-        return cls(
-            lambda p: c, lambda p: zero, lambda p: zero2,
-            k0=c, K0=c, value_grad_at=lambda p: (c, zero),
-            values_many_at=lambda pts: np.full(np.atleast_2d(pts).shape[0], c),
-        )
+        """The constant field ``k = c`` (on a chart of any dimension)."""
+        return cls(warpfn.Const(float(c)), c, c)
+
+    def value_at(self, p) -> float:
+        return warpfn.evaluate(self.expr, p)
+
+    def differential_at(self, p) -> np.ndarray:
+        return warpfn.value_and_gradient(self.expr, p)[1]
+
+    def hessian_at(self, p) -> np.ndarray:
+        return warpfn.eval2(self.expr, p)[2]
 
     def check_bounds(self, points, tol: float = 1e-9):
         """Verify the declared bounds on a sample of points."""
@@ -113,18 +94,12 @@ class WarpField:
 
 
 def value_and_grad(w: WarpField, p: np.ndarray) -> tuple[float, np.ndarray]:
-    if w.value_grad_at is not None:
-        v, g = w.value_grad_at(p)
-        return v, np.asarray(g, dtype=float)
-    return w.value_at(p), np.asarray(w.differential_at(p), dtype=float)
+    return warpfn.value_and_gradient(w.expr, p)
 
 
 def values_along(w: WarpField, points: np.ndarray) -> np.ndarray:
-    """Warp values at many points (one row each), batched when possible."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if w.values_many_at is not None:
-        return np.asarray(w.values_many_at(pts), dtype=float)
-    return np.array([w.value_at(p) for p in pts])
+    """Warp values at many points, one row each, in one batch."""
+    return warpfn.evaluate_many(w.expr, points)
 
 
 @dataclass(frozen=True)
@@ -243,23 +218,24 @@ def equivalence_bounds(w: WarpField, r: float) -> tuple[float, float]:
     return k2, k3
 
 
+def _jet(g1: MetricChart, w: WarpField, p):
+    """``(k, dk, covariant Hessian of k, |dk|^2)`` at ``p`` on the base chart.
+
+    ``(hess k)_ij = d_i d_j k - G^l_ij d_l k``, and ``|dk|^2`` raises the
+    index with the base metric.
+    """
+    p = np.asarray(p, dtype=float)
+    k, dk, H = warpfn.eval2(w.expr, p)
+    H = H - np.tensordot(christoffel(g1, p), dk, axes=([0], [0]))
+    return k, dk, H, float(dk @ np.linalg.solve(_metric(g1, p), dk))
+
+
 def covariant_hessian(g1: MetricChart, w: WarpField, p) -> np.ndarray:
     """Second covariant derivative of ``k`` on the base chart.
 
     ``(hess k)_ij = d_i d_j k - G^l_ij d_l k``; symmetric by construction.
     """
-    p = np.asarray(p, dtype=float)
-    H = np.asarray(w.hessian_at(p), dtype=float)
-    dk = np.asarray(w.differential_at(p), dtype=float)
-    G = christoffel(g1, p)
-    return H - np.tensordot(G, dk, axes=([0], [0]))
-
-
-def _dk_norm_squared(g1: MetricChart, w: WarpField, p) -> float:
-    """``|dk|^2`` with the index raised by the base metric."""
-    dk = np.asarray(w.differential_at(p), dtype=float)
-    g = _metric(g1, p)
-    return float(dk @ np.linalg.solve(g, dk))
+    return _jet(g1, w, p)[2]
 
 
 def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2) -> float:
@@ -276,9 +252,7 @@ def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2) -> 
     p = np.asarray(p, dtype=float)
     u, v = _components(e1), _components(e2)
     k1_sec = sectional_curvature(g1, p, u, v)  # validates orthonormality
-    k = w.value_at(p)
-    dk = np.asarray(w.differential_at(p), dtype=float)
-    H = covariant_hessian(g1, w, p)
+    k, dk, H, dk2 = _jet(g1, w, p)
     s = 1.0 + r * k
     e1k = float(dk @ u)
     e2k = float(dk @ v)
@@ -286,7 +260,7 @@ def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2) -> 
         k / s * k1_sec
         + (u @ H @ u + v @ H @ v) / (2.0 * s * s)
         - (1.0 + 4.0 * r * k) * (e1k * e1k + e2k * e2k) / (4.0 * k * s ** 3)
-        - _dk_norm_squared(g1, w, p) / (4.0 * k * s ** 3)
+        - dk2 / (4.0 * k * s ** 3)
     )
 
 
@@ -317,15 +291,13 @@ def negativity_check(g1: MetricChart, w: WarpField, r: float, p, e,
     norm = metric_eval(g1, p, u, u)
     if abs(norm - 1.0) > 1e-8:
         raise InputError(f"direction must be unit for the base metric, |e|^2={norm!r}")
-    k = w.value_at(p)
-    dk = np.asarray(w.differential_at(p), dtype=float)
-    H = covariant_hessian(g1, w, p)
+    k, dk, H, dk2 = _jet(g1, w, p)
     s = 1.0 + r * k
     ek = float(dk @ u)
     lhs = float(u @ H @ u)
     rhs = (
         (1.0 + 4.0 * r * k) * ek * ek / (2.0 * k * s)
-        + _dk_norm_squared(g1, w, p) / (4.0 * k * s)
+        + dk2 / (4.0 * k * s)
         - k * s * plane_curvature
     )
     return lhs < rhs

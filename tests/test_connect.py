@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
-from warpgeo import connect, reparam
+from warpgeo import connect, reparam, warpfn
 from warpgeo.connect import (
     BetaResult, _beta_from_mu, _flrw_mu, _restricted, _shoot,
 )
@@ -130,12 +130,10 @@ def test_dial_closed_form_for_trivial_warp():
     g2 = wg.euclidean(1)
     one = wg.WarpField.constant(1.0, 1)
     for r in (0.0, 3.0, 8.0, 99.0):
-        beta, X_r, a_r, b_r = wg.beta_of_r(
-            g1, g2, one, np.zeros(1), np.ones(1), r, CFG
-        )
-        assert abs(beta - 1.0 / np.sqrt(1.0 + r)) <= 1e-8
-        assert a_r == pytest.approx(1.0 / (1.0 + r), rel=1e-10)
-        assert b_r == pytest.approx(1.0, rel=1e-10)
+        res = wg.beta_of_r(g1, g2, one, np.zeros(1), np.ones(1), r, CFG)
+        assert abs(res.beta - 1.0 / np.sqrt(1.0 + r)) <= 1e-8
+        assert res.a_r == pytest.approx(1.0 / (1.0 + r), rel=1e-10)
+        assert res.b_r == pytest.approx(1.0, rel=1e-10)
 
 
 def test_connect_points_solves_the_trivial_warp_closed_form():
@@ -485,6 +483,9 @@ def test_a_non_positive_line_weight_is_a_numerical_failure():
     with pytest.raises(NumericalError, match="line weight must stay positive"):
         wg.flrw_connect(one, 0.0, 1.0, np.zeros(1), np.array([0.5]),
                         wg.euclidean(1), CFG, weight="t - 0.5")
+    with pytest.raises(NumericalError, match="got nan"):
+        wg.flrw_connect(one, 0.0, 1.0, np.zeros(1), np.array([0.5]),
+                        wg.euclidean(1), CFG, weight=warpfn.Const(math.nan))
 
 
 def test_line_base_rejects_an_empty_interval():

@@ -11,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 
 import warpgeo as wg
 from warpgeo import _num, integrate
-from warpgeo.errors import ChartDomainError, InputError
+from warpgeo.errors import ChartDomainError, InputError, NumericalError
 
 
 def _hyperbolic_closed_form(t):
@@ -245,6 +245,8 @@ def test_curve_validation():
     with pytest.raises(InputError):
         wg.Curve(np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(InputError):
+        wg.Curve(np.array([0.0, np.nan, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(InputError):
         wg.Curve(np.array([0.0, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)))
 
 
@@ -386,6 +388,19 @@ def test_a_zero_width_interval_inverts_without_a_division_warning():
     assert np.all(np.diff(first) > 0.0) and np.all(np.diff(u) > 0.0)
     np.testing.assert_allclose(np.interp(u, grid, accum), 8.0 * grid,
                                atol=1e-14)
+
+
+def test_a_nan_integrand_fails_the_inversion():
+    # The table is finite; the polish meets NaN past x = 0.6.  Without the
+    # check the result was [0, .17, .32, .46, nan, nan, nan, nan, 1].
+    grid = np.linspace(0.0, 1.0, 9)
+    accum = grid + 0.5 * grid**2
+
+    def integrand(x):
+        return np.where(x > 0.6, np.nan, 1.0 + x)
+
+    with pytest.raises(NumericalError, match="lost monotonicity"):
+        _num.invert_running_integral(integrand, grid, accum)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -123,6 +123,8 @@ def test_monotone_map_rejects_non_monotone_values():
     grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(NumericalError):
         wg.MonotoneMap(grid, np.array([0.0, 0.4, 0.3, 0.8, 1.0]), 1.0)
+    with pytest.raises(NumericalError):
+        wg.MonotoneMap(grid, np.array([0.0, 0.2, np.nan, 0.8, 1.0]), 1.0)
 
 
 def test_map_computation_requires_a_uniform_even_grid():

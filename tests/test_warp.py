@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import warpgeo as wg
+from warpgeo import warpfn
 from warpgeo.manifold import MetricChart, christoffel, metric_eval, sectional_curvature
 from warpgeo.warp import (
     admissible_range,
@@ -59,6 +60,22 @@ def test_check_bounds_flags_a_lying_declaration():
     with pytest.raises(InputError, match="violates declared"):
         w.check_bounds([np.array([-np.pi / 2])])
     w.check_bounds([np.array([0.0]), np.array([1.0])])  # fine on these
+
+
+def test_a_field_is_its_parsed_expression(dsl_cases):
+    for expr, point in dsl_cases[:200]:
+        text, dim = warpfn.format_expression(expr), point.shape[0]
+        node = wg.WarpField(warpfn.parse(text, dim), 0.5, 4.0)
+        parsed = wg.WarpField.from_expression(text, dim, 0.5, 4.0)
+        rows = np.stack([point, point])
+        for field in (node, parsed):
+            assert field.value_at(point) == warpfn.evaluate(expr, point)
+            np.testing.assert_array_equal(
+                field.differential_at(point), warpfn.value_and_gradient(expr, point)[1])
+            np.testing.assert_array_equal(field.hessian_at(point),
+                                          warpfn.eval2(expr, point)[2])
+            np.testing.assert_array_equal(values_along(field, rows),
+                                          warpfn.evaluate_many(expr, rows))
 
 
 def test_values_along_matches_pointwise_evaluation():
@@ -247,6 +264,23 @@ def test_negativity_check_predicts_the_curvature_sign():
             e = np.cos(theta) * e1 + np.sin(theta) * e2
             assert negativity_check(base, w, r, p, e, -1.0)
             assert sectional_curvature_conformal(base, w, r, p, e1, e2) < 0.0
+
+
+def test_each_curvature_formula_evaluates_the_warp_once(monkeypatch):
+    calls = []
+    for name in ("evaluate", "value_and_gradient", "eval2"):
+        def counted(*args, _f=getattr(warpfn, name), **kwargs):
+            calls.append(_f)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(warpfn, name, counted)
+    base = wg.poincare_half_plane()
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    p = np.array([0.3, 1.2])
+    e1, e2 = np.array([1.2, 0.0]), np.array([0.0, 1.2])
+    negativity_check(base, w, 1.0, p, e1, -1.0)
+    assert len(calls) == 1
+    sectional_curvature_conformal(base, w, 1.0, p, e1, e2)
+    assert len(calls) == 2
 
 
 def test_negativity_check_requires_a_unit_direction():

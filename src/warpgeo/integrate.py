@@ -4,9 +4,13 @@ All curves are integrated with the classical fourth-order Runge-Kutta
 scheme on a uniform grid over ``[0, 1]``; problems posed on ``[0, T]`` are
 folded into the initial velocity.  The fixed step keeps runs deterministic
 and the convergence order measurable.
-Plain geodesics take their acceleration from
-:func:`~warpgeo.manifold.geodesic_rhs`, the closed-form spray on
-conformally flat charts.
+On a chart that carries a conformal exponent ``phi`` (metric
+``exp(2 phi) I``), plain geodesics advance by the chart's generated float
+step, :func:`~warpgeo.warpfn.rk4_geodesic_step`, whose acceleration is the
+closed-form spray ``|v|^2 grad phi - 2 (grad phi . v) v``; on every other
+chart they take :func:`~warpgeo.manifold.geodesic_rhs`, the contracted
+Christoffel symbols, through the numpy RK4 loop.  Both check every state
+the same way.
 
 Besides the plain geodesic integrator for a single chart, this module
 integrates the coupled mixed-signature system directly:
@@ -29,6 +33,7 @@ import math
 import numpy as np
 from scipy.interpolate import BPoly
 
+from . import warpfn
 from ._num import derivative_on_grid
 from .errors import ChartDomainError, InputError
 from .manifold import MetricChart, _metric, christoffel, geodesic_rhs
@@ -198,14 +203,42 @@ def _rk4(rhs, state0: np.ndarray, steps: int, charts) -> np.ndarray:
             y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         start = 0
         for chart in charts:
-            block = y[start:start + 2 * chart.dim]
-            point = block[:chart.dim]
-            if not (all(map(math.isfinite, block.tolist()))
-                    and chart.contains(point)):
-                raise ChartDomainError(chart.name, i / steps, point)
+            _check_state(chart, y[start:start + 2 * chart.dim].tolist(), i / steps)
             start += 2 * chart.dim
         out[i] = y
     return out
+
+
+def _check_state(chart: MetricChart, block, t: float):
+    """Raise :class:`ChartDomainError` at ``t`` unless the ``(point,
+    velocity)`` block is finite and its point lies in the chart."""
+    point = block[:chart.dim]
+    if not (all(map(math.isfinite, block)) and chart.contains(point)):
+        raise ChartDomainError(chart.name, t, point)
+
+
+def _conformal_rk4(chart: MetricChart, state0: np.ndarray, steps: int) -> np.ndarray:
+    """:func:`_rk4` for a chart with a conformal exponent: one generated
+    float step per step, each state checked as there.
+
+    The step leaves the exponent's own logarithms unevaluated, so near the
+    chart's rim it divides by zero where numpy would give inf; that state
+    is not finite either.
+    """
+    step = warpfn.rk4_geodesic_step(chart.exponent, chart.dim)
+    h = 1.0 / steps
+    args = chart.exponent_args
+    y = tuple(state0.tolist())
+    states = []
+    for i in range(steps + 1):
+        if i:
+            try:
+                y = step(y, h, args)
+            except ZeroDivisionError:
+                y = (math.nan,) * len(y)
+        _check_state(chart, y, i / steps)
+        states.append(y)
+    return np.array(states)
 
 
 def integrate_geodesic(chart: MetricChart, p0, v0,
@@ -219,12 +252,16 @@ def integrate_geodesic(chart: MetricChart, p0, v0,
             f"{chart.dim}-dimensional chart"
         )
     d = chart.dim
+    state0 = np.concatenate((p0, v0))
+    if chart.exponent is not None:
+        states = _conformal_rk4(chart, state0, cfg.steps)
+    else:
 
-    def rhs(state):
-        p, v = state[:d], state[d:]
-        return np.concatenate((v, geodesic_rhs(chart, p, v)))
+        def rhs(state):
+            p, v = state[:d], state[d:]
+            return np.concatenate((v, geodesic_rhs(chart, p, v)))
 
-    states = _rk4(rhs, np.concatenate((p0, v0)), cfg.steps, (chart,))
+        states = _rk4(rhs, state0, cfg.steps, (chart,))
     t = np.linspace(0.0, 1.0, cfg.steps + 1)
     return Curve(t, states[:, :d], states[:, d:])
 

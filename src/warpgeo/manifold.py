@@ -10,10 +10,12 @@ Charts are plain data: a dimension plus callables.  Analytic metric
 derivatives, Christoffel symbols, and sectional curvature may be supplied
 where known (all built-in charts do), with central finite differences as
 the fallback for user-defined metrics.  A conformally flat chart, metric
-``exp(2 phi)`` times the identity, may also supply ``grad phi``; its
-geodesic acceleration (the spray) then has a closed form that needs no
-Christoffel tensor.  The flat, hyperbolic, weighted-line and circle charts
-supply it.
+``exp(2 phi)`` times the identity, may also carry its conformal exponent
+``phi`` as a :mod:`~warpgeo.warpfn` tree; its geodesics are then
+integrated by one generated float RK4 step
+(:func:`~warpgeo.warpfn.rk4_geodesic_step`) instead of a contraction of
+Christoffel symbols, which such a chart derives from ``grad phi``.  The
+flat, hyperbolic, weighted-line and circle charts carry one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import warpfn
-from .errors import InputError, NumericalError
+from .errors import DslEvaluationError, InputError, NumericalError
 
 __all__ = [
     "MetricChart", "TangentVector", "metric_eval", "christoffel", "sharp",
@@ -57,10 +59,14 @@ class MetricChart:
         plane spanned by an orthonormal pair.
     in_domain : callable, optional
         Point -> bool chart-domain predicate; default accepts everything.
-    conformal_gradient_at : callable, optional
-        Point -> ``grad phi`` for a chart whose metric is ``exp(2 phi)``
-        times the identity; :func:`geodesic_rhs` then uses the closed-form
-        spray instead of the Christoffel symbols.
+    exponent : warpfn.Expr, optional
+        The exponent ``phi`` of a chart whose metric is ``exp(2 phi)``
+        times the identity, in the chart's coordinates followed by one
+        variable per entry of ``exponent_args``; geodesics of such a chart
+        are integrated by its generated RK4 step.
+    exponent_args : tuple of float
+        Run-time values of the exponent's trailing variables (the
+        rescaling parameter ``r`` of a conformally rescaled chart).
     """
 
     dim: int
@@ -71,15 +77,15 @@ class MetricChart:
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
     name: str = "chart"
     fd_step: float = DEFAULT_FD_STEP
-    conformal_gradient_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    exponent: Optional[warpfn.Expr] = None
+    exponent_args: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"chart dimension must be positive, got {self.dim}")
 
     def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        return True if self.in_domain is None else bool(self.in_domain(p))
+        return self.in_domain is None or bool(self.in_domain(np.asarray(p, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -180,16 +186,8 @@ def sharp(chart: MetricChart, p, covector) -> TangentVector:
 
 
 def geodesic_rhs(chart: MetricChart, p, v) -> np.ndarray:
-    """Acceleration ``a^k = -G^k_ij v^i v^j`` of the geodesic equation.
-
-    On a conformally flat chart, metric ``exp(2 phi) I``, this is the spray
-    ``|v|^2 grad phi - 2 (grad phi . v) v`` in closed form; otherwise the
-    Christoffel symbols are contracted.
-    """
+    """Acceleration ``a^k = -G^k_ij v^i v^j`` of the geodesic equation."""
     v = _components(v)
-    if chart.conformal_gradient_at is not None:
-        s = chart.conformal_gradient_at(np.asarray(p, dtype=float))
-        return (v @ v) * s - (2.0 * (s @ v)) * v
     G = christoffel(chart, p)
     return -(G @ v) @ v
 
@@ -250,7 +248,6 @@ def euclidean(dim: int) -> MetricChart:
     """Flat space R^n with the identity metric."""
     eye = np.eye(dim)
     zeros3 = np.zeros((dim, dim, dim))
-    zero = np.zeros(dim)
     return MetricChart(
         dim=dim,
         metric_at=lambda p: eye,
@@ -258,17 +255,33 @@ def euclidean(dim: int) -> MetricChart:
         christoffel_at=lambda p: zeros3,
         sectional_at=(lambda p, e1, e2: 0.0) if dim >= 2 else None,
         name=f"euclidean{dim}",
-        conformal_gradient_at=lambda p: zero,
+        exponent=warpfn.Const(0.0),
     )
 
 
-def _conformal_flat_christoffel(grad_phi: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of ``exp(2 phi) * (flat metric)`` from ``grad phi``."""
-    n = grad_phi.shape[0]
-    eye = np.eye(n)
-    G = np.einsum("ki,j->kij", eye, grad_phi) + np.einsum("kj,i->kij", eye, grad_phi)
-    G -= np.einsum("ij,k->kij", eye, grad_phi)
-    return G
+def _conformal_flat_christoffel(phi: warpfn.Expr, dim: int, in_domain):
+    """Christoffel symbols ``d^k_i s_j + d^k_j s_i - d_ij s^k`` of
+    ``exp(2 phi) * (flat metric)``, with ``s = grad phi``.
+
+    Where the exponent is undefined because the point is off the chart
+    (``in_domain`` false), that is a :class:`NumericalError`, like a curve
+    leaving the chart, not an expression error.
+    """
+    eye = np.eye(dim)
+    # linear in s: G = T s with T[k, i, j, m] = d_ki d_jm + d_kj d_im - d_ij d_km
+    T = np.einsum("ki,jm->kijm", eye, eye) + np.einsum("kj,im->kijm", eye, eye)
+    T -= np.einsum("ij,km->kijm", eye, eye)
+
+    def christoffel_at(p):
+        try:
+            s = warpfn.value_and_gradient(phi, p)[1]
+        except DslEvaluationError as exc:
+            if in_domain(p):
+                raise
+            raise NumericalError(f"no Christoffel symbols off the chart, at {p}") from exc
+        return T @ s
+
+    return christoffel_at
 
 
 def poincare_half_plane() -> MetricChart:
@@ -282,18 +295,19 @@ def poincare_half_plane() -> MetricChart:
         d[0, 0, 1] = d[1, 1, 1] = -2.0 / p[1] ** 3
         return d
 
-    def grad_phi(p):
-        return np.array([0.0, -1.0 / p[1]])
+    def in_domain(p):
+        return p[1] > 0.0
 
+    phi = warpfn.parse("-log(x2)", 2)
     return MetricChart(
         dim=2,
         metric_at=metric,
         metric_derivative_at=dmetric,
-        christoffel_at=lambda p: _conformal_flat_christoffel(grad_phi(p)),
+        christoffel_at=_conformal_flat_christoffel(phi, 2, in_domain),
         sectional_at=lambda p, e1, e2: -1.0,
-        in_domain=lambda p: p[1] > 0.0,
+        in_domain=in_domain,
         name="poincare_half_plane",
-        conformal_gradient_at=grad_phi,
+        exponent=phi,
     )
 
 
@@ -316,18 +330,23 @@ def poincare_ball(dim: int = 2) -> MetricChart:
             d[:, :, k] = (16.0 * p[k] / s ** 3) * eye
         return d
 
-    def grad_phi(p):
-        return 2.0 * p / (1.0 - p @ p)
+    # |x|^2 as products, which a float step may overflow to inf where a
+    # power would raise
+    norm2 = " + ".join(f"x{i}*x{i}" for i in range(1, dim + 1))
+    phi = warpfn.parse(f"log(2) - log(1 - ({norm2}))", dim)
+
+    def in_domain(p):
+        return float(p @ p) < 1.0
 
     return MetricChart(
         dim=dim,
         metric_at=metric,
         metric_derivative_at=dmetric,
-        christoffel_at=lambda p: _conformal_flat_christoffel(grad_phi(p)),
+        christoffel_at=_conformal_flat_christoffel(phi, dim, in_domain),
         sectional_at=lambda p, e1, e2: -1.0,
-        in_domain=lambda p: float(p @ p) < 1.0,
+        in_domain=in_domain,
         name=f"poincare_ball{dim}",
-        conformal_gradient_at=grad_phi,
+        exponent=phi,
     )
 
 
@@ -367,8 +386,6 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
         # interior angles must avoid the coordinate poles
         return all(0.0 < p[j] < np.pi for j in range(dim - 1)) if dim > 1 else True
 
-    # one angle: the constant metric R^2 is exp(2 phi) with phi constant
-    zero = np.zeros(1)
     return MetricChart(
         dim=dim,
         metric_at=metric,
@@ -376,7 +393,8 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
         sectional_at=(lambda p, e1, e2: 1.0 / R2) if dim >= 2 else None,
         in_domain=in_domain,
         name=f"sphere{dim}",
-        conformal_gradient_at=(lambda p: zero) if dim == 1 else None,
+        # one angle: the constant metric R^2 is exp(2 phi) with phi = log(R)
+        exponent=warpfn.Call("log", warpfn.Const(float(radius))) if dim == 1 else None,
     )
 
 
@@ -389,13 +407,15 @@ def weighted_line(weight) -> MetricChart:
     """The real line with metric ``f(t) dt^2`` for a positive weight ``f``.
 
     ``weight`` is an expression string in the variable ``t`` (or ``x1``),
-    or an already parsed expression node.
+    or an already parsed expression node.  The chart's domain is where the
+    weight is positive: metric values raise :class:`NumericalError` at a
+    non-positive or NaN weight, Christoffel symbols at a non-positive one.
     """
     expr = warpfn.parse(weight, 1) if isinstance(weight, str) else weight
 
     def f_df(p):
         v, g = warpfn.value_and_gradient(expr, p)
-        if v <= 0.0:
+        if not v > 0.0:
             raise NumericalError(f"line weight must stay positive, got {v} at {p}")
         return v, g[0]
 
@@ -405,16 +425,17 @@ def weighted_line(weight) -> MetricChart:
     def dmetric(p):
         return np.array([[[f_df(p)[1]]]])
 
-    def grad_phi(p):
-        # f = exp(2 phi), so phi' = f' / (2 f)
-        v, dv = f_df(p)
-        return np.array([0.5 * dv / v])
+    def in_domain(p):
+        return warpfn.evaluate(expr, p) > 0.0
 
+    # f = exp(2 phi), so phi = log(f) / 2
+    phi = warpfn.Binary("*", warpfn.Const(0.5), warpfn.Call("log", expr))
     return MetricChart(
         dim=1,
         metric_at=metric,
         metric_derivative_at=dmetric,
-        christoffel_at=lambda p: grad_phi(p)[:, None, None],
+        christoffel_at=_conformal_flat_christoffel(phi, 1, in_domain),
+        in_domain=in_domain,
         name="weighted_line",
-        conformal_gradient_at=grad_phi,
+        exponent=phi,
     )

@@ -13,6 +13,11 @@ sectional curvature of a rescaled metric and the pointwise inequality
 guaranteeing it is negative.  Both read only ``k``, ``dk``, the covariant
 Hessian of ``k`` and ``|dk|^2``, taken together from one evaluation of the
 expression at each point.
+
+A conformally flat base with exponent ``phi`` gives rescaled charts with
+the exponent ``phi + log(1/k + r) / 2``, one expression tree per base and
+warp with ``r`` as its trailing variable; the geodesics of every rescaled
+chart are integrated by that tree's generated RK4 step.
 """
 
 from __future__ import annotations
@@ -131,9 +136,9 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
     with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.  A conformally flat
-    base, ``g1 = exp(2 phi) I``, stays conformally flat with
-    ``grad psi = grad phi + u / 2``, so its geodesics keep the closed-form
-    spray.
+    base, ``g1 = exp(2 phi) I``, stays conformally flat with the exponent
+    ``psi = phi + log(1/k + r) / 2``, in which ``r`` is a run-time argument:
+    one tree, and so one compiled RK4 step, serves every ``r``.
     """
     admissible_range(w).require(r)
     dim = g1.dim
@@ -170,23 +175,21 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
             )
             return G
 
-    conformal_gradient = None
-    if g1.conformal_gradient_at is not None:
-
-        def conformal_gradient(p):
-            v, dk = value_and_grad(w, p)
-            return g1.conformal_gradient_at(p) - dk / (2.0 * v * (1.0 + r * v))
-
     def sectional(p, e1, e2):
         # callers hand a pair orthonormal for the rescaled metric; scale it
         # back to a base-orthonormal pair before applying the formula
-        scale = math.sqrt(1.0 / w.value_at(np.asarray(p, dtype=float)) + r)
+        jet = _jet(g1, w, p)
+        scale = math.sqrt(1.0 / jet[0] + r)
         return _conformal_sectional(
             g1, w, r, p,
             scale * np.asarray(e1, dtype=float),
             scale * np.asarray(e2, dtype=float),
+            jet,
         )
 
+    exponent, args = None, ()
+    if g1.exponent is not None:
+        exponent, args = _rescaled_exponent(g1, w), (*g1.exponent_args, r)
     return MetricChart(
         dim=dim,
         metric_at=metric,
@@ -196,8 +199,24 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         in_domain=g1.in_domain,
         name=f"conformal({g1.name}, r={r:g})",
         fd_step=g1.fd_step,
-        conformal_gradient_at=conformal_gradient,
+        exponent=exponent,
+        exponent_args=args,
     )
+
+
+def _rescaled_exponent(g1: MetricChart, w: WarpField) -> warpfn.Expr:
+    """``phi + log(1/k + r) / 2`` with ``r`` the variable after the base
+    exponent's own, built once per base chart and warp expression (kept on
+    the chart, by identity) so that every ``r`` shares one compiled step."""
+    cache = g1.__dict__.setdefault("_rescaled", {})
+    hit = cache.get(id(w.expr))
+    if hit is None or hit[0] is not w.expr:
+        r = warpfn.Var(g1.dim + len(g1.exponent_args))
+        factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0), w.expr), r)
+        psi = warpfn.Binary("+", g1.exponent, warpfn.Binary(
+            "*", warpfn.Const(0.5), warpfn.Call("log", factor)))
+        hit = cache[id(w.expr)] = (w.expr, psi)
+    return hit[1]
 
 
 def equivalence_bounds(w: WarpField, r: float) -> tuple[float, float]:
@@ -238,11 +257,13 @@ def covariant_hessian(g1: MetricChart, w: WarpField, p) -> np.ndarray:
     return _jet(g1, w, p)[2]
 
 
-def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2) -> float:
+def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2,
+                         jet=None) -> float:
     """Sectional curvature of the rescaled metric on a base-orthonormal plane.
 
-    ``e1, e2`` must be orthonormal for the *base* metric; the returned
-    value is the curvature of their span under ``(1/k + r) g1``:
+    ``e1, e2`` must be orthonormal for the *base* metric; ``jet`` is
+    ``_jet(g1, w, p)`` when the caller has it.  The returned value is the
+    curvature of their span under ``(1/k + r) g1``:
 
         K_r = k/(1+rk) K1
             + [hess k(e1,e1) + hess k(e2,e2)] / (2 (1+rk)^2)
@@ -252,7 +273,7 @@ def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2) -> 
     p = np.asarray(p, dtype=float)
     u, v = _components(e1), _components(e2)
     k1_sec = sectional_curvature(g1, p, u, v)  # validates orthonormality
-    k, dk, H, dk2 = _jet(g1, w, p)
+    k, dk, H, dk2 = _jet(g1, w, p) if jet is None else jet
     s = 1.0 + r * k
     e1k = float(dk @ u)
     e2k = float(dk @ v)

@@ -12,6 +12,10 @@ compiled into one straight-line Python function that propagates the value,
 and as asked the gradient and Hessian, through every node; the scalar forms
 use ``math`` and the batch form of :func:`evaluate_many` uses ``numpy``.
 All four entry points apply the same domain checks.
+
+A fifth form, :func:`rk4_geodesic_step`, reads a tree as the conformal
+exponent ``psi`` of a metric ``exp(2 psi) I`` and compiles one classical
+Runge-Kutta step of its geodesic equation on Python floats.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import DslEvaluationError, DslNameError, DslSyntaxError
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
     "parse", "format_expression", "evaluate", "evaluate_many",
-    "value_and_gradient", "eval2",
+    "value_and_gradient", "eval2", "rk4_geodesic_step",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -272,10 +276,13 @@ def format_expression(e: Expr) -> str:
 # that are structurally zero left out.  Only node kinds, variable indices,
 # function names and generated temporaries appear in the source; constants,
 # exponents and the subexpressions named by domain errors are bound by name.
+# A domain check guards the value it precedes and is kept exactly as long as
+# that value is: only what the function returns is computed.
 # The compiled functions are cached on the root node itself, by identity.
 
-_VALUE, _GRADIENT, _HESSIAN, _ARRAY = range(4)
+_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP = range(5)
 _ONE = "1.0"
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 # derivative of each function in terms of its argument ``u`` and value ``f``
 _D1 = {"sin": "cos({u})", "cos": "-sin({u})", "exp": "{f}",
@@ -316,23 +323,35 @@ def _combine(plus, minus=()):
 
 
 class _Emitter:
-    """Writes one tree as the body of a function of the point ``x``."""
+    """Writes one tree as the body of a function of the point ``x``, or of
+    the state ``y``, step ``h`` and trailing arguments ``args`` of a step."""
 
     def __init__(self, form: int, dim: int):
-        self.order = form if form != _ARRAY else 0
+        self.order = {_ARRAY: 0, _STEP: 1}.get(form, form)
         self.array = form == _ARRAY
+        self.step = form == _STEP
         self.dim = dim
-        self.lines: list[str] = []
+        # (name the line assigns or guards, source line)
+        self.lines: list[tuple[str, str]] = []
         self.bound: dict[str, object] = {}
         self.failures: list[tuple[str, Expr]] = []
         self.loaded: dict[int, str] = {}
 
-    def let(self, src):
-        """A name (or literal) holding ``src``; None stays structurally zero."""
+    def let(self, src, checked=None):
+        """A name (or literal) holding ``src``; None stays structurally zero.
+
+        ``checked`` is the ``(node, kind, operand)`` whose domain checks
+        must pass before ``src`` is computed.
+        """
         if src is None or src.isidentifier() or src == _ONE:
             return src
         name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {src}")
+        if checked is not None:
+            self.check(name, *checked)
+        return self.put(name, src)
+
+    def put(self, name: str, src: str) -> str:
+        self.lines.append((name, f"{name} = {src}"))
         return name
 
     def bind(self, obj, prefix: str) -> str:
@@ -340,12 +359,12 @@ class _Emitter:
         self.bound[name] = obj
         return name
 
-    def check(self, e: Expr, kind: str, u: str):
+    def check(self, guarded: str, e: Expr, kind: str, u: str):
         for cond, message in _CHECKS[kind]:
             cond = cond.format(u=u)
             if self.array:
                 cond = f"_any({cond})"
-            self.lines.append(f"if {cond}: _fail({len(self.failures)})")
+            self.lines.append((guarded, f"if {cond}: _fail({len(self.failures)})"))
             self.failures.append((message, e))
 
     def emit(self, e: Expr):
@@ -354,9 +373,13 @@ class _Emitter:
             return self.bind(e.value, "c"), [None] * self.dim, {}
         if isinstance(e, Var):
             if e.index not in self.loaded:
-                self.loaded[e.index] = self.let(f"x[{operator.index(e.index)}]")
+                i = operator.index(e.index)
+                # a step's point is loaded per stage; later variables are
+                # its trailing arguments
+                src = f"args[{i - self.dim}]" if self.step else f"x[{i}]"
+                self.loaded[e.index] = self.let(src)
             g = [None] * self.dim
-            if self.order:
+            if self.order and e.index < self.dim:
                 g[e.index] = _ONE
             return self.loaded[e.index], g, {}
         if isinstance(e, Neg):
@@ -395,10 +418,9 @@ class _Emitter:
                     self.hessian(lambda i, j: _combine([
                         _product(a, bH.get((i, j))), _product(b, aH.get((i, j))),
                         _product(ag[i], bg[j]), _product(ag[j], bg[i])])))
-        self.check(e, "/", b)
         if self.order == 0:
-            return self.let(f"{a} / {b}"), ag, {}
-        inv = self.let(f"1.0 / {b}")
+            return self.let(f"{a} / {b}", (e, "/", b)), ag, {}
+        inv = self.let(f"1.0 / {b}", (e, "/", b))
         v = self.let(f"{a} * {inv}")
         g = [self.let(_over(_combine([p], [_product(v, q)]), inv))
              for p, q in zip(ag, bg)]
@@ -412,18 +434,15 @@ class _Emitter:
         d1 = d2 = None
         if kind == "^":
             m = e.exponent
-            if m < 0:
-                self.check(e, kind, u)
-            v = self.let(f"{u} ** {self.bind(m, 'm')}")
+            v = self.let(f"{u} ** {self.bind(m, 'm')}",
+                         (e, kind, u) if m < 0 else None)
             if self.order and m != 0:
                 d1 = self.let(f"{self.bind(m, 'm')} * {u} ** {self.bind(m - 1, 'm')}")
             if self.order > 1 and m not in (0, 1):
                 d2 = self.let(f"{self.bind(m * (m - 1), 'm')} * {u} ** "
                               f"{self.bind(m - 2, 'm')}")
         else:
-            if kind in _CHECKS:
-                self.check(e, kind, u)
-            v = self.let(f"{kind}({u})")
+            v = self.let(f"{kind}({u})", (e, kind, u) if kind in _CHECKS else None)
             if self.order:
                 d1 = self.let(_D1[kind].format(u=u, f=v))
             if self.order > 1:
@@ -432,26 +451,71 @@ class _Emitter:
             lambda i, j: _combine([_product(d1, uH.get((i, j))),
                                    _product(d2, ug[i], ug[j])]))
 
-    def source(self, e: Expr) -> str:
+    def result(self, e: Expr) -> str:
         v, g, H = self.emit(e)
         grad = ", ".join(p or "0.0" for p in g)
         if self.array:
             # an expression of no variable still gives one value per row
-            result = v if self.loaded else f"_full(x[0].shape, {v})"
-        elif self.order == 0:
-            result = v
-        elif self.order == 1:
-            result = f"{v}, _array(({grad},))"
+            return v if self.loaded else f"_full(x[0].shape, {v})"
+        if self.order == 0:
+            return v
+        if self.order == 1:
+            return f"{v}, _array(({grad},))"
+        rows = ", ".join(
+            "({},)".format(", ".join(H.get((min(i, j), max(i, j)), "0.0")
+                                     for j in range(self.dim)))
+            for i in range(self.dim))
+        return f"{v}, _array(({grad},)), _array(({rows},))"
+
+    def step_result(self, e: Expr) -> str:
+        """One RK4 step from the state ``(p, v)``, in the order of ``_rk4``
+        in :mod:`warpgeo.integrate`, with the geodesic acceleration of
+        ``exp(2 psi) I``, ``|u|^2 grad psi - 2 (grad psi . u) u``, at each
+        stage.  Zero gradient entries stay in it as ``0.0``, so an infinite
+        speed still makes the state NaN."""
+        d = self.dim
+        p = [f"p{i}" for i in range(d)]
+        v = [f"v{i}" for i in range(d)]
+        self.put("hh", "0.5 * h")
+        self.put("h6", "h / 6.0")
+        rates = []  # (velocity, acceleration) of each stage
+        x, u = p, v
+        for s, c in enumerate((None, "hh", "hh", "h")):
+            if c is not None:
+                du, da = rates[-1]
+                x = [self.put(f"x{s}_{i}", f"{p[i]} + {c} * {du[i]}") for i in range(d)]
+                u = [self.put(f"u{s}_{i}", f"{v[i]} + {c} * {da[i]}") for i in range(d)]
+            self.loaded.update(enumerate(x))
+            g = [q or "0.0" for q in self.emit(e)[1]]
+            uu = self.put(f"uu{s}", " + ".join(f"{q} * {q}" for q in u))
+            gu = self.put(f"gu{s}", " + ".join(f"{q} * {w}" for q, w in zip(g, u)))
+            rates.append((u, [self.put(f"a{s}_{i}", f"{uu} * {g[i]} - 2.0 * {gu} * {u[i]}")
+                              for i in range(d)]))
+        y = []
+        for start, k in ((p, [r[0] for r in rates]), (v, [r[1] for r in rates])):
+            for i, y0 in enumerate(start):
+                k1, k2, k3, k4 = (stage[i] for stage in k)
+                y.append(self.put(f"y{len(y)}",
+                                  f"{y0} + h6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"))
+        return ", ".join(y)
+
+    def source(self, e: Expr) -> str:
+        if self.step:
+            state = ", ".join(f"{c}{i}" for c in "pv" for i in range(self.dim))
+            result, head, unpack = self.step_result(e), "y, h, args", [f"{state}, = y"]
         else:
-            rows = ", ".join(
-                "({},)".format(", ".join(H.get((min(i, j), max(i, j)), "0.0")
-                                         for j in range(self.dim)))
-                for i in range(self.dim))
-            result = f"{v}, _array(({grad},)), _array(({rows},))"
+            result, head, unpack = self.result(e), "x", []
+        # keep what the result needs, reading the lines backwards
+        live = set(_NAME.findall(result))
+        kept = []
+        for name, line in reversed(self.lines):
+            if name in live:
+                kept.append(line)
+                live.update(_NAME.findall(line))
         params = ", ".join([*self.bound, "_fail", "_array", "_any", "_full",
                             *FUNCTIONS])
-        body = "".join(f"        {line}\n" for line in self.lines)
-        return (f"def _build({params}):\n    def _f(x):\n{body}"
+        body = "".join(f"        {line}\n" for line in unpack + kept[::-1])
+        return (f"def _build({params}):\n    def _f({head}):\n{body}"
                 f"        return {result}\n    return _f\n")
 
 
@@ -507,3 +571,17 @@ def eval2(e: Expr, point) -> tuple[float, np.ndarray, np.ndarray]:
     """
     x = np.asarray(point, dtype=float).tolist()
     return _compiled(e, _HESSIAN, len(x))(x)
+
+
+def rk4_geodesic_step(e: Expr, dim: int):
+    """One classical RK4 step for geodesics of ``exp(2 e) I``, compiled once.
+
+    ``e`` is the conformal exponent of a metric on ``dim`` coordinates;
+    variables past the first ``dim`` are run-time arguments.  Returns
+    ``step(y, h, args)``: the state ``y = (*point, *velocity)`` advanced by
+    ``h`` with ``args`` bound to those variables, all as tuples of floats.
+    Only the exponent's gradient is computed, so a domain check of ``e``
+    runs only where a value it guards is needed; outside the chart the
+    chart's own domain check decides.
+    """
+    return _compiled(e, _STEP, dim)

@@ -468,6 +468,31 @@ def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
     assert after == before
 
 
+def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch):
+    # The fiber chart and the base's rescaled family each compile one
+    # float step, whatever the number of dial evaluations; a second solve
+    # on the same charts compiles nothing.
+    compiled = []
+    real = warpfn._compile
+
+    def counted(e, form, dim):
+        if form == warpfn._STEP:
+            compiled.append(e)
+        return real(e, form, dim)
+
+    monkeypatch.setattr(warpfn, "_compile", counted)
+    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    ends = ((X0, np.zeros(1)), (X1, np.array([0.4])))
+    report = wg.connect_points(g1, g2, w, *ends, FAST)
+    assert report.iterations > 1
+    assert len(compiled) == 2
+    assert compiled[0] is g2.exponent
+    assert compiled[1] is wg.conformal_metric(g1, w, report.r).exponent
+    wg.connect_points(g1, g2, w, *ends, FAST)
+    assert len(compiled) == 2
+
+
 def test_a_solve_builds_the_maps_once_per_dial_evaluation(monkeypatch):
     # The rebuilt geodesic reuses the maps of the dial evaluation at the root.
     calls = _count_calls(monkeypatch, reparam, "compute_a_and_phi")

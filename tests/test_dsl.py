@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpgeo import warpfn
 from warpgeo.errors import DslEvaluationError, DslNameError, DslSyntaxError
@@ -318,12 +319,39 @@ def test_evaluate_many_gives_a_constant_one_value_per_row():
         assert np.array_equal(got, np.full(5, warpfn.evaluate(expr, [0.0, 0.0])))
 
 
-def test_malformed_hand_built_nodes_are_rejected():
+def test_malformed_hand_built_nodes_are_rejected(monkeypatch):
     # Node fields never reach the compiled source as text: an operator,
-    # function name or index that the parser cannot produce is refused.
+    # function name or index that the parser cannot produce is refused
+    # while the source is written, before anything is run.
+    ran = []
+    monkeypatch.setattr(warpfn, "exec", lambda *args: ran.append(args), raising=False)
+    entries = [*ENTRY_POINTS.values(),
+               lambda node, p: warpfn.rk4_geodesic_step(node, p.size)]
     for node in (warpfn.Binary("+ 1 +", warpfn.Var(0), warpfn.Var(0)),
                  warpfn.Call("__import__", warpfn.Var(0)),
                  warpfn.Var("0] + x[0")):
-        for entry in ENTRY_POINTS.values():
+        for entry in entries:
             with pytest.raises(TypeError):
                 entry(node, np.array([1.0]))
+    assert ran == []
+
+
+_LEAVES = st.one_of(
+    st.floats(0.0, 1e6, allow_nan=False).map(lambda c: warpfn.Const(abs(c))),
+    st.integers(0, 2).map(warpfn.Var),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        children.map(warpfn.Neg),
+        st.builds(warpfn.Call, st.sampled_from(warpfn.FUNCTIONS), children),
+        st.builds(warpfn.Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(warpfn.Power, children, st.integers(-3, 4)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(expr=st.recursive(_LEAVES, _nodes, max_leaves=12))
+def test_parse_inverts_format_on_random_trees(expr):
+    assert warpfn.parse(warpfn.format_expression(expr), 3) == expr

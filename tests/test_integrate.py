@@ -1,5 +1,7 @@
 """Geodesic integration, dense output, residual measurement, serialization."""
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -10,8 +12,10 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import warpgeo as wg
-from warpgeo import _num, integrate
-from warpgeo.errors import ChartDomainError, InputError, NumericalError
+from warpgeo import _num, integrate, warpfn
+from warpgeo.errors import (
+    ChartDomainError, DslEvaluationError, InputError, NumericalError,
+)
 
 
 def _hyperbolic_closed_form(t):
@@ -99,20 +103,105 @@ def test_leaving_the_chart_domain_is_reported():
     (wg.euclidean(2), np.array([1e308, 1e308])),  # |v|^2 overflows: NaN
 ], ids=["off_chart", "not_finite"])
 def test_integration_stops_at_the_first_bad_step(monkeypatch, chart, v0):
+    # one acceleration per Christoffel-path RHS, four per generated step
     calls = []
-    real = integrate.geodesic_rhs
+    real_rhs, real_step = integrate.geodesic_rhs, warpfn.rk4_geodesic_step
 
     def counted(*args):
         calls.append(1)
-        return real(*args)
+        return real_rhs(*args)
+
+    def counted_step(*compiled):
+        step = real_step(*compiled)
+
+        def counted(*args):
+            calls.extend([1] * 4)
+            return step(*args)
+        return counted
 
     monkeypatch.setattr(integrate, "geodesic_rhs", counted)
+    monkeypatch.setattr(warpfn, "rk4_geodesic_step", counted_step)
     p0 = np.array([np.pi / 2, 0.0])
     with pytest.raises(ChartDomainError) as err, np.errstate(all="ignore"):
         wg.integrate_geodesic(chart, p0, v0, wg.IntegratorConfig(steps=64))
     exit_step = round(err.value.t_exit * 64)
     assert 0 < exit_step < 64
     assert len(calls) == 4 * exit_step
+
+
+# Conformally flat charts, an in-domain starting point drawn from the unit
+# cube, and a warp for each dimension.  Speeds stay moderate, so that the
+# Christoffel path's RK4 stages stay inside the chart too.
+FLAT_CHARTS = [
+    ("euclidean2", wg.euclidean(2), lambda u: 4.0 * u - 2.0),
+    ("euclidean3", wg.euclidean(3), lambda u: 4.0 * u - 2.0),
+    ("half_plane", wg.poincare_half_plane(),
+     lambda u: np.array([4.0 * u[0] - 2.0, 0.5 + 2.5 * u[1]])),
+    ("ball2", wg.poincare_ball(2), lambda u: u - 0.5),
+    ("ball3", wg.poincare_ball(3), lambda u: u - 0.5),
+    ("weighted_line", wg.weighted_line("1 + t^2"), lambda u: 4.0 * u - 2.0),
+    ("circle", wg.circle(2.0), lambda u: 8.0 * u - 4.0),
+]
+FLAT_WARPS = {1: "2 + sin(x1)", 2: "2 + 0.5*sin(2*x1)*cos(2*x2)",
+              3: "2 + 0.5*sin(x1 + x2*x3)"}
+
+
+@pytest.mark.parametrize("label,base,draw", FLAT_CHARTS, ids=[c[0] for c in FLAT_CHARTS])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generated_steps_match_the_christoffel_path(label, base, draw, data):
+    """The float step of a chart's exponent and the numpy RK4 on the
+    chart's Christoffel symbols give the same curve to roundoff."""
+    n = base.dim
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    w = wg.WarpField.from_expression(FLAT_WARPS[n], n, 1.0, 3.0)
+    r = data.draw(st.floats(wg.admissible_range(w).lower + 0.05, 5.0))
+    p0 = np.asarray(draw(np.array(data.draw(unit))))
+    v0 = np.array(data.draw(unit)) - 0.5
+    for chart in (base, wg.conformal_metric(base, w, r)):
+        numpy_path = dataclasses.replace(chart, exponent=None, exponent_args=())
+        for steps in (16, 64):
+            cfg = wg.IntegratorConfig(steps=steps)
+            got = wg.integrate_geodesic(chart, p0, v0, cfg)
+            want = wg.integrate_geodesic(numpy_path, p0, v0, cfg)
+            for a, b in ((got.points, want.points), (got.velocities, want.velocities)):
+                scale = max(1.0, np.max(np.abs(b)))
+                assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+
+def test_a_stage_on_the_rim_makes_a_state_that_is_not_finite():
+    # The second stage of the first step lands on y = 0 exactly, where
+    # grad phi = (0, -1/y) divides by zero.
+    chart = wg.poincare_half_plane()
+    with pytest.raises(ChartDomainError) as err, np.errstate(all="ignore"):
+        wg.integrate_geodesic(chart, np.array([0.0, 1.0]), np.array([0.0, -32.0]),
+                              wg.IntegratorConfig(steps=16))
+    assert err.value.t_exit == 1.0 / 16
+
+
+def test_a_warp_domain_failure_stays_an_expression_error():
+    # the metric stays finite at x1 = 0, so the curve crosses into x1 < 0
+    w = wg.WarpField.from_expression("2 + sqrt(x1)", 1, 2.0, 3.0)
+    chart = wg.conformal_metric(wg.euclidean(1), w, 1.0)
+    with pytest.raises(DslEvaluationError, match="square root of negative"):
+        wg.integrate_geodesic(chart, np.array([0.5]), np.array([-2.0]),
+                              wg.IntegratorConfig(steps=16))
+
+
+@pytest.mark.parametrize("weight, p0", [
+    (warpfn.Const(math.nan), 0.3),   # NaN everywhere
+    ("t - 0.5", 0.3),                # negative at the start
+    ("1 - t", 0.0),                  # reaches zero at t = 1, a finite distance away
+], ids=["nan", "negative", "vanishing"])
+def test_a_bad_line_weight_is_a_numerical_failure(weight, p0):
+    chart = wg.weighted_line(weight)
+    if isinstance(weight, warpfn.Expr):
+        with pytest.raises(NumericalError, match="line weight must stay positive"):
+            chart.metric_at(np.array([p0]))
+    for line in (chart, wg.conformal_metric(chart, wg.WarpField.constant(1.0, 1), 1.0)):
+        with pytest.raises(NumericalError):
+            wg.integrate_geodesic(line, np.array([p0]), np.array([2.0]),
+                                  wg.IntegratorConfig(steps=64))
 
 
 # ---------------------------------------------------------------------------

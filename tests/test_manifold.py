@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
+from warpgeo import warpfn
 from warpgeo.manifold import (
     MetricChart,
     TangentVector,
@@ -16,7 +17,7 @@ from warpgeo.manifold import (
     sectional_curvature,
     sharp,
 )
-from warpgeo.errors import InputError
+from warpgeo.errors import DslEvaluationError, InputError, NumericalError
 
 
 def _rel(got, want):
@@ -122,6 +123,20 @@ def test_geodesic_rhs_frozen_values():
     )
 
 
+def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
+    # The exponent's log is undefined there: the chart's domain, not the
+    # expression, is at fault.  A failure inside a line weight stays the
+    # expression's own.
+    with pytest.raises(NumericalError, match="off the chart"):
+        christoffel(wg.poincare_half_plane(), np.array([0.0, -1.0]))
+    with pytest.raises(NumericalError, match="off the chart"):
+        christoffel(wg.poincare_ball(2), np.array([1.0, 0.5]))
+    with pytest.raises(NumericalError, match="off the chart"):
+        christoffel(wg.weighted_line("t - 0.5"), np.array([0.3]))
+    with pytest.raises(DslEvaluationError, match="square root of negative"):
+        christoffel(wg.weighted_line("1 + sqrt(t)"), np.array([-1.0]))
+
+
 def test_analytic_derivatives_match_finite_differences():
     """Charts shipping closed-form metric derivatives agree with differencing."""
 
@@ -166,30 +181,50 @@ CONFORMAL_CHARTS = [
 ]
 
 
+def _christoffel_rk4_step(chart, y, h):
+    """One RK4 step of ``a = -(G v) v`` on the chart's Christoffel symbols."""
+    n = chart.dim
+
+    def rhs(state):
+        return np.concatenate((state[n:], geodesic_rhs(chart, state[:n], state[n:])))
+
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 @pytest.mark.parametrize("label,base,draw", CONFORMAL_CHARTS,
                          ids=[c[0] for c in CONFORMAL_CHARTS])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_closed_form_spray_matches_the_christoffel_contraction(label, base, draw, data):
-    """On every conformally flat chart and its rescaled family, the spray
-    equals ``-(G v) v`` from the chart's own Christoffel symbols to
-    roundoff, and from central differences of the bare metric to 1e-6."""
+    """On every conformally flat chart and its rescaled family, one step of
+    the generated RK4 (four closed-form sprays of the chart's exponent)
+    equals one RK4 step on ``-(G v) v`` from the chart's own Christoffel
+    symbols to roundoff; those symbols, derived from ``grad phi``, match
+    central differences of the bare metric to 1e-6."""
     n = base.dim
     unit = st.floats(0.0, 1.0)
     text, k0, K0 = WARPS[n]
     w = wg.WarpField.from_expression(text, n, k0, K0)
     lower = wg.admissible_range(w).lower
     r = data.draw(st.floats(lower + 0.05, 5.0))
+    h = 0.01
     for chart in (base, wg.conformal_metric(base, w, r)):
-        assert chart.conformal_gradient_at is not None
+        assert chart.exponent is not None
         p = np.asarray(draw(np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))))
         v = 4.0 * np.array(data.draw(st.lists(unit, min_size=n, max_size=n))) - 2.0
-        got = geodesic_rhs(chart, p, v)
+        step = warpfn.rk4_geodesic_step(chart.exponent, n)
+        got = np.array(step((*p, *v), h, chart.exponent_args))
+        want = _christoffel_rk4_step(chart, np.concatenate((p, v)), h)
         G = christoffel(chart, p)
         scale = max(1.0, np.max(np.abs(G)) * np.max(np.abs(v)) ** 2)
-        assert np.max(np.abs(got - -(G @ v) @ v)) <= 1e-12 * scale
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
         bare = MetricChart(n, chart.metric_at)
-        assert np.max(np.abs(got - geodesic_rhs(bare, p, v))) <= 1e-6 * scale
+        acc = geodesic_rhs(chart, p, v)
+        assert np.max(np.abs(acc - geodesic_rhs(bare, p, v))) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Warp fields, the rescaled metric family, and its curvature."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import warpgeo as wg
 from warpgeo import warpfn
 from warpgeo.manifold import MetricChart, christoffel, metric_eval, sectional_curvature
 from warpgeo.warp import (
+    _conformal_sectional,
     admissible_range,
     conformal_metric,
     covariant_hessian,
@@ -266,21 +269,46 @@ def test_negativity_check_predicts_the_curvature_sign():
             assert sectional_curvature_conformal(base, w, r, p, e1, e2) < 0.0
 
 
-def test_each_curvature_formula_evaluates_the_warp_once(monkeypatch):
+def _count_warp_evaluations(monkeypatch, w):
+    """Evaluations of ``w``'s expression (the base chart's Christoffel
+    symbols evaluate the chart's own exponent, which is not the warp)."""
     calls = []
     for name in ("evaluate", "value_and_gradient", "eval2"):
-        def counted(*args, _f=getattr(warpfn, name), **kwargs):
-            calls.append(_f)
-            return _f(*args, **kwargs)
+        def counted(expr, *args, _f=getattr(warpfn, name), **kwargs):
+            if expr is w.expr:
+                calls.append(_f.__name__)
+            return _f(expr, *args, **kwargs)
         monkeypatch.setattr(warpfn, name, counted)
+    return calls
+
+
+def test_each_curvature_formula_evaluates_the_warp_once(monkeypatch):
     base = wg.poincare_half_plane()
     w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    calls = _count_warp_evaluations(monkeypatch, w)
     p = np.array([0.3, 1.2])
     e1, e2 = np.array([1.2, 0.0]), np.array([0.0, 1.2])
     negativity_check(base, w, 1.0, p, e1, -1.0)
     assert len(calls) == 1
     sectional_curvature_conformal(base, w, 1.0, p, e1, e2)
     assert len(calls) == 2
+
+
+def test_a_rescaled_chart_reads_its_sectional_curvature_from_one_jet(monkeypatch):
+    # The scale back to a base-orthonormal pair is the jet's k: one eval2
+    # and no separate evaluate per call, with the value of the two-call form.
+    base = wg.poincare_half_plane()
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)*cos(2*x2)", 2, 1.5, 2.5)
+    r = 0.7
+    p = np.array([0.3, 1.2])
+    scale = math.sqrt(1.0 / w.value_at(p) + r)
+    e1, e2 = np.array([1.2, 0.0]) / scale, np.array([0.0, 1.2]) / scale
+    want = _conformal_sectional(base, w, r, p, scale * e1, scale * e2)
+    chart = conformal_metric(base, w, r)
+    calls = _count_warp_evaluations(monkeypatch, w)
+    got = chart.sectional_at(p, e1, e2)
+    assert calls == ["eval2"]
+    assert got == want
 
 
 def test_negativity_check_requires_a_unit_direction():

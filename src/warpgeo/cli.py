@@ -77,13 +77,33 @@ def _vector(section, key, where, dim=None, required=True, default=None):
     return vec
 
 
+def _as_number(raw, what):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise InputError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _number(section, key, where, required=True, default=None):
     raw = _get(section, key, where, required, default)
     if raw is None:
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise InputError(f"{where}.{key} must be a number, got {raw!r}")
-    return float(raw)
+    return _as_number(raw, f"{where}.{key}")
+
+
+def _count(section, key, where, default, least) -> int:
+    """An optional finite count of at least ``least``, truncated to an int."""
+    raw = _number(section, key, where, required=False, default=default)
+    if not least <= raw < math.inf:
+        raise InputError(f"{where}.{key} must be finite and at least {least}, got {raw!r}")
+    return int(raw)
+
+
+def _numbers(section, key, where) -> list[float]:
+    """A required non-empty list of numbers."""
+    raw = _get(section, key, where)
+    if not isinstance(raw, list) or not raw:
+        raise InputError(f"{where}.{key} must be a non-empty list")
+    return [_as_number(v, f"{where}.{key} entry") for v in raw]
 
 
 def build_chart(section: dict, where: str) -> MetricChart:
@@ -361,16 +381,17 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
     p = tc.params
     w = tc.require_warp()
     g1 = tc.base
-    r_values = p.get("r_values")
-    if not isinstance(r_values, list) or not r_values:
-        raise InputError("curvature_scan.r_values must be a non-empty list")
+    r_values = _numbers(p, "r_values", "curvature_scan")
     grid = _get(p, "grid", "curvature_scan")
     mins = _vector(grid, "mins", "curvature_scan.grid", dim=g1.dim)
     maxs = _vector(grid, "maxs", "curvature_scan.grid", dim=g1.dim)
     counts = _vector(grid, "counts", "curvature_scan.grid", dim=g1.dim)
+    if not np.all((counts >= 1) & (counts < math.inf)):
+        raise InputError(f"curvature_scan.grid.counts must be finite and at least 1, "
+                         f"got {counts.tolist()}")
     axes = [np.linspace(mins[i], maxs[i], int(counts[i])) for i in range(g1.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    planes = int(_number(p, "planes", "curvature_scan", default=1, required=False))
+    planes = _count(p, "planes", "curvature_scan", default=1, least=1)
     rng = np.random.default_rng(tc.seed)
     rows = []
     all_negative = True
@@ -379,16 +400,16 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
         for r in r_values:
             for _ in range(planes):
                 e1, e2 = _random_orthonormal_plane(g1, point, rng)
-                K = sectional_curvature_conformal(g1, w, float(r), point, e1, e2)
+                K = sectional_curvature_conformal(g1, w, r, point, e1, e2)
                 base_K = sectional_curvature(g1, point, e1, e2)
                 ok = negativity_check(
-                    g1, w, float(r), point, e1, plane_curvature=base_K,
+                    g1, w, r, point, e1, plane_curvature=base_K,
                 ) and negativity_check(
-                    g1, w, float(r), point, e2, plane_curvature=base_K,
+                    g1, w, r, point, e2, plane_curvature=base_K,
                 )
                 all_negative &= K < 0.0
                 bid_all &= ok
-                rows.append([*point, float(r), K, float(ok)])
+                rows.append([*point, r, K, float(ok)])
     header = ",".join(
         [f"x{i + 1}" for i in range(g1.dim)] + ["r", "curvature", "criterion_ok"]
     )
@@ -431,11 +452,9 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
     g2 = tc.require_fiber()
     lower = admissible_range(w).lower
     if "r_values" in p:
-        r_values = [float(v) for v in p["r_values"]]
-        if not r_values:
-            raise InputError("beta_scan.r_values must be a non-empty list")
+        r_values = _numbers(p, "r_values", "beta_scan")
     else:
-        count = int(_number(p, "samples", "beta_scan", default=64, required=False))
+        count = _count(p, "samples", "beta_scan", default=64, least=2)
         r_max = _number(p, "r_max", "beta_scan", default=1e6, required=False)
         start = lower + 1e-3 * (1.0 + abs(lower))
         ratio = ((r_max - lower) / (start - lower)) ** (1.0 / (count - 1))

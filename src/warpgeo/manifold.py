@@ -6,13 +6,17 @@ integration, conformal rescaling, curvature checks) consumes charts through
 the small set of operations here: metric evaluation, Christoffel symbols,
 index raising, the geodesic right-hand side, and sectional curvature.
 
-Charts are plain data: a dimension plus callables.  Analytic metric
-derivatives, Christoffel symbols, and sectional curvature may be supplied
-where known (all built-in charts do), with central finite differences as
-the fallback for user-defined metrics.  A conformally flat chart, metric
-``exp(2 phi)`` times the identity, may also carry its conformal exponent
-``phi`` as a :mod:`~warpgeo.warpfn` tree; its geodesics are then
-integrated by one generated float RK4 step
+Charts are plain data: a dimension plus callables.  The one derivative a
+chart supplies is its Christoffel symbols, in closed form (all built-in
+charts and their conformal rescalings do); a chart without them, such as a
+user-defined metric, gets them from central differences of its metric
+with the step ``FD_STEP``.  Sectional curvature may be supplied in closed
+form too, and is otherwise contracted from the differenced curvature
+tensor.  Domain predicates take the point as given, any sequence of floats.
+
+A conformally flat chart, metric ``exp(2 phi)`` times the identity, may
+also carry its conformal exponent ``phi`` as a :mod:`~warpgeo.warpfn`
+tree; its geodesics are then integrated by one generated float RK4 step
 (:func:`~warpgeo.warpfn.rk4_geodesic_step`) instead of a contraction of
 Christoffel symbols, which such a chart derives from ``grad phi``.  The
 flat, hyperbolic, weighted-line and circle charts carry one.
@@ -34,7 +38,8 @@ __all__ = [
     "poincare_ball", "sphere", "circle", "weighted_line",
 ]
 
-DEFAULT_FD_STEP = 1e-5
+# step of the central differences behind charts without closed forms
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -47,18 +52,17 @@ class MetricChart:
         Number of coordinates.
     metric_at : callable
         Point -> (dim, dim) symmetric positive-definite matrix.
-    metric_derivative_at : callable, optional
-        Point -> (dim, dim, dim) array ``d[i, j, k] = d g_ij / d x^k``.
-        When omitted, central differences of ``metric_at`` with step
-        ``fd_step`` are used.
     christoffel_at : callable, optional
         Point -> (dim, dim, dim) array ``G[k, i, j]`` of Christoffel
-        symbols; analytic fast path used by the integrators when present.
+        symbols in closed form; when omitted they are assembled from
+        central differences of ``metric_at``.
     sectional_at : callable, optional
         ``(point, e1, e2) -> float`` analytic sectional curvature of the
         plane spanned by an orthonormal pair.
     in_domain : callable, optional
         Point -> bool chart-domain predicate; default accepts everything.
+        It is called with the point as given, which may be any sequence
+        of floats (a tuple, a list or an array).
     exponent : warpfn.Expr, optional
         The exponent ``phi`` of a chart whose metric is ``exp(2 phi)``
         times the identity, in the chart's coordinates followed by one
@@ -71,12 +75,10 @@ class MetricChart:
 
     dim: int
     metric_at: Callable[[np.ndarray], np.ndarray]
-    metric_derivative_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
     christoffel_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sectional_at: Optional[Callable] = None
-    in_domain: Optional[Callable[[np.ndarray], bool]] = None
+    in_domain: Optional[Callable] = None
     name: str = "chart"
-    fd_step: float = DEFAULT_FD_STEP
     exponent: Optional[warpfn.Expr] = None
     exponent_args: tuple = ()
 
@@ -85,7 +87,7 @@ class MetricChart:
             raise InputError(f"chart dimension must be positive, got {self.dim}")
 
     def contains(self, p) -> bool:
-        return self.in_domain is None or bool(self.in_domain(np.asarray(p, dtype=float)))
+        return self.in_domain is None or bool(self.in_domain(p))
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,9 @@ def metric_eval(chart: MetricChart, p, u, v) -> float:
 
 
 def metric_derivative(chart: MetricChart, p) -> np.ndarray:
-    """Array ``d[i, j, k] = d g_ij / d x^k``, analytic or central-difference."""
+    """Array ``d[i, j, k] = d g_ij / d x^k`` by central differences."""
     p = np.asarray(p, dtype=float)
-    if chart.metric_derivative_at is not None:
-        return np.asarray(chart.metric_derivative_at(p), dtype=float)
-    h = chart.fd_step
+    h = FD_STEP
     d = np.empty((chart.dim, chart.dim, chart.dim))
     for k in range(chart.dim):
         step = np.zeros(chart.dim)
@@ -151,8 +151,8 @@ def metric_derivative(chart: MetricChart, p) -> np.ndarray:
 def christoffel(chart: MetricChart, p) -> np.ndarray:
     """Christoffel symbols ``G[k, i, j]`` of the Levi-Civita connection.
 
-    Uses the chart's analytic symbols when available, otherwise assembles
-    them from the metric and its derivative:
+    Uses the chart's closed-form symbols when available, otherwise
+    assembles them from the metric and its central differences:
 
         G^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     """
@@ -196,11 +196,11 @@ def riemann_tensor(chart: MetricChart, p) -> np.ndarray:
     """Curvature tensor ``R[a, b, c, d]`` with ``(R(X, Y)Z)^a = R[a,b,c,d] Z^b X^c Y^d``.
 
     Built from the Christoffel symbols and their central-difference
-    derivatives; second-order accurate in the chart's ``fd_step``.
+    derivatives; second-order accurate in ``FD_STEP``.
     """
     p = np.asarray(p, dtype=float)
     n = chart.dim
-    h = chart.fd_step
+    h = FD_STEP
     dG = np.empty((n, n, n, n))  # dG[a, i, j, m] = d_m G^a_ij
     for m in range(n):
         step = np.zeros(n)
@@ -251,7 +251,6 @@ def euclidean(dim: int) -> MetricChart:
     return MetricChart(
         dim=dim,
         metric_at=lambda p: eye,
-        metric_derivative_at=lambda p: zeros3,
         christoffel_at=lambda p: zeros3,
         sectional_at=(lambda p, e1, e2: 0.0) if dim >= 2 else None,
         name=f"euclidean{dim}",
@@ -290,11 +289,6 @@ def poincare_half_plane() -> MetricChart:
     def metric(p):
         return np.eye(2) / p[1] ** 2
 
-    def dmetric(p):
-        d = np.zeros((2, 2, 2))
-        d[0, 0, 1] = d[1, 1, 1] = -2.0 / p[1] ** 3
-        return d
-
     def in_domain(p):
         return p[1] > 0.0
 
@@ -302,7 +296,6 @@ def poincare_half_plane() -> MetricChart:
     return MetricChart(
         dim=2,
         metric_at=metric,
-        metric_derivative_at=dmetric,
         christoffel_at=_conformal_flat_christoffel(phi, 2, in_domain),
         sectional_at=lambda p, e1, e2: -1.0,
         in_domain=in_domain,
@@ -323,25 +316,17 @@ def poincare_ball(dim: int = 2) -> MetricChart:
     def metric(p):
         return lam2(p) * eye
 
-    def dmetric(p):
-        s = 1.0 - p @ p
-        d = np.zeros((dim, dim, dim))
-        for k in range(dim):
-            d[:, :, k] = (16.0 * p[k] / s ** 3) * eye
-        return d
-
     # |x|^2 as products, which a float step may overflow to inf where a
     # power would raise
     norm2 = " + ".join(f"x{i}*x{i}" for i in range(1, dim + 1))
     phi = warpfn.parse(f"log(2) - log(1 - ({norm2}))", dim)
 
     def in_domain(p):
-        return float(p @ p) < 1.0
+        return sum(x * x for x in p) < 1.0
 
     return MetricChart(
         dim=dim,
         metric_at=metric,
-        metric_derivative_at=dmetric,
         christoffel_at=_conformal_flat_christoffel(phi, dim, in_domain),
         sectional_at=lambda p, e1, e2: -1.0,
         in_domain=in_domain,
@@ -373,25 +358,28 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
     def metric(p):
         return np.diag(factors(p))
 
-    def dmetric(p):
+    def christoffel_at(p):
+        # g_ii depends on t_m (m < i) only, through d g_ii / d t_m = 2 cot(t_m) g_ii
         f = factors(p)
-        d = np.zeros((dim, dim, dim))
-        for i in range(1, dim):
-            for m in range(i):
-                # d g_ii / d t_m = 2 cot(t_m) g_ii
-                d[i, i, m] = 2.0 * f[i] / np.tan(p[m])
-        return d
+        G = np.zeros((dim, dim, dim))
+        for m in range(dim - 1):
+            cot = 1.0 / np.tan(p[m])
+            for i in range(m + 1, dim):
+                G[i, i, m] = G[i, m, i] = cot
+                G[m, i, i] = -cot * f[i] / f[m]
+        return G
 
     def in_domain(p):
         # interior angles must avoid the coordinate poles
-        return all(0.0 < p[j] < np.pi for j in range(dim - 1)) if dim > 1 else True
+        return all(0.0 < p[j] < np.pi for j in range(dim - 1))
 
     return MetricChart(
         dim=dim,
         metric_at=metric,
-        metric_derivative_at=dmetric,
+        christoffel_at=christoffel_at,
         sectional_at=(lambda p, e1, e2: 1.0 / R2) if dim >= 2 else None,
-        in_domain=in_domain,
+        # one angle ranges over the whole line
+        in_domain=in_domain if dim >= 2 else None,
         name=f"sphere{dim}",
         # one angle: the constant metric R^2 is exp(2 phi) with phi = log(R)
         exponent=warpfn.Call("log", warpfn.Const(float(radius))) if dim == 1 else None,
@@ -413,17 +401,11 @@ def weighted_line(weight) -> MetricChart:
     """
     expr = warpfn.parse(weight, 1) if isinstance(weight, str) else weight
 
-    def f_df(p):
-        v, g = warpfn.value_and_gradient(expr, p)
+    def metric(p):
+        v = warpfn.evaluate(expr, p)
         if not v > 0.0:
             raise NumericalError(f"line weight must stay positive, got {v} at {p}")
-        return v, g[0]
-
-    def metric(p):
-        return np.array([[f_df(p)[0]]])
-
-    def dmetric(p):
-        return np.array([[[f_df(p)[1]]]])
+        return np.array([[v]])
 
     def in_domain(p):
         return warpfn.evaluate(expr, p) > 0.0
@@ -433,7 +415,6 @@ def weighted_line(weight) -> MetricChart:
     return MetricChart(
         dim=1,
         metric_at=metric,
-        metric_derivative_at=dmetric,
         christoffel_at=_conformal_flat_christoffel(phi, 1, in_domain),
         in_domain=in_domain,
         name="weighted_line",

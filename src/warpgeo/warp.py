@@ -130,8 +130,8 @@ def admissible_range(w: WarpField) -> WarpParameterRange:
 def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
     """The chart carrying the rescaled metric ``(1/k + r) g1``.
 
-    Metric derivatives and Christoffel symbols stay analytic whenever the
-    base chart supplies them, via the conformal correction
+    Its Christoffel symbols are the base chart's (closed-form, or
+    differenced when the base has none) plus the conformal correction
 
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
@@ -150,30 +150,14 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
     def metric(p):
         return factor(p) * g1.metric_at(p)
 
-    dmetric = None
-    if g1.metric_derivative_at is not None:
-
-        def dmetric(p):
-            v, dk = value_and_grad(w, p)
-            base = np.asarray(g1.metric_derivative_at(p), dtype=float)
-            dh = -dk / (v * v)
-            return (1.0 / v + r) * base + np.einsum(
-                "ij,k->ijk", np.asarray(g1.metric_at(p), dtype=float), dh
-            )
-
-    gamma = None
-    if g1.christoffel_at is not None:
-
-        def gamma(p):
-            v, dk = value_and_grad(w, p)
-            u = -dk / (v * (1.0 + r * v))
-            g = np.asarray(g1.metric_at(p), dtype=float)
-            G = np.asarray(g1.christoffel_at(p), dtype=float).copy()
-            G += 0.5 * (
-                np.einsum("ki,j->kij", eye, u) + np.einsum("kj,i->kij", eye, u)
-                - np.einsum("ij,k->kij", g, np.linalg.solve(g, u))
-            )
-            return G
+    def gamma(p):
+        v, dk = value_and_grad(w, p)
+        u = -dk / (v * (1.0 + r * v))
+        g = _metric(g1, p)
+        return christoffel(g1, p) + 0.5 * (
+            np.einsum("ki,j->kij", eye, u) + np.einsum("kj,i->kij", eye, u)
+            - np.einsum("ij,k->kij", g, np.linalg.solve(g, u))
+        )
 
     def sectional(p, e1, e2):
         # callers hand a pair orthonormal for the rescaled metric; scale it
@@ -193,12 +177,10 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
     return MetricChart(
         dim=dim,
         metric_at=metric,
-        metric_derivative_at=dmetric,
         christoffel_at=gamma,
         sectional_at=sectional,
         in_domain=g1.in_domain,
         name=f"conformal({g1.name}, r={r:g})",
-        fd_step=g1.fd_step,
         exponent=exponent,
         exponent_args=args,
     )

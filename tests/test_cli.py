@@ -111,19 +111,21 @@ def test_beta_scan_rejects_an_empty_grid(tmp_path):
         assert "non-empty" in json.load(fh)["message"]
 
 
+CURVATURE_SCAN = {
+    "task": "curvature-scan",
+    "seed": 7,
+    "base_chart": {"name": "poincare_half_plane"},
+    "warp": {"expression": "2 + 0.1*sin(x1)", "k0": 1.9, "K0": 2.1},
+    "curvature_scan": {
+        "r_values": [0.0, 1.0],
+        "planes": 1,
+        "grid": {"mins": [-1.0, 0.5], "maxs": [1.0, 2.0], "counts": [3, 3]},
+    },
+}
+
+
 def test_curvature_scan_reports_negativity(tmp_path):
-    doc = {
-        "task": "curvature-scan",
-        "seed": 7,
-        "base_chart": {"name": "poincare_half_plane"},
-        "warp": {"expression": "2 + 0.1*sin(x1)", "k0": 1.9, "K0": 2.1},
-        "curvature_scan": {
-            "r_values": [0.0, 1.0],
-            "planes": 1,
-            "grid": {"mins": [-1.0, 0.5], "maxs": [1.0, 2.0], "counts": [3, 3]},
-        },
-    }
-    code, out = run_task(tmp_path, doc, "--quiet")
+    code, out = run_task(tmp_path, CURVATURE_SCAN, "--quiet")
     assert code == 0
     report = report_of(out)
     assert report["samples"] == 18
@@ -132,6 +134,40 @@ def test_curvature_scan_reports_negativity(tmp_path):
     assert report["max_curvature"] < 0.0
     table = np.loadtxt(out / "curvature.csv", delimiter=",", skiprows=1)
     assert table.shape == (18, 5)
+
+
+def _beta_scan(**params):
+    return dict(TRIVIAL_PRODUCT, task="beta-scan",
+                beta_scan={"x0": 0.0, "x1": 1.0, **params})
+
+
+def _curvature_scan(grid=None, **params):
+    doc = json.loads(json.dumps(CURVATURE_SCAN))
+    doc["curvature_scan"].update(params)
+    doc["curvature_scan"]["grid"].update(grid or {})
+    return doc
+
+
+@pytest.mark.parametrize("doc,key", [
+    (_beta_scan(samples=1), "beta_scan.samples"),
+    (_beta_scan(samples=0), "beta_scan.samples"),
+    (_beta_scan(samples=math.nan), "beta_scan.samples"),
+    (_beta_scan(r_values=[0.5, "one"]), "beta_scan.r_values"),
+    (_beta_scan(r_values=[0.5, None]), "beta_scan.r_values"),
+    (_curvature_scan(r_values=["one"]), "curvature_scan.r_values"),
+    (_curvature_scan(r_values=0.5), "curvature_scan.r_values"),
+    (_curvature_scan(grid={"counts": [3, 0]}), "curvature_scan.grid.counts"),
+    (_curvature_scan(grid={"counts": [3, math.inf]}), "curvature_scan.grid.counts"),
+    (_curvature_scan(planes=0), "curvature_scan.planes"),
+], ids=["samples_1", "samples_0", "samples_nan", "beta_r_word", "beta_r_null",
+        "curvature_r_word", "curvature_r_scalar", "counts_0", "counts_inf", "planes_0"])
+def test_sampling_tasks_reject_a_grid_they_cannot_sample(tmp_path, doc, key):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert key in json.load(fh)["message"]
+    assert not (out / "beta.csv").exists()
+    assert not (out / "curvature.csv").exists()
 
 
 def test_flrw_task_cross_checks_the_general_path(tmp_path):

@@ -15,7 +15,6 @@ from warpgeo.connect import (
 from warpgeo.errors import (
     BracketingError, InputError, NumericalError, ShootingError,
 )
-from warpgeo.manifold import metric_eval
 
 CFG = wg.IntegratorConfig(steps=256)
 FAST = wg.IntegratorConfig(steps=64)

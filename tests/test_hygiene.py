@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, and
-code is generated and run in one module only."""
+"""Source hygiene: every module-level import in the package and its tests
+is used, and code is generated and run in one module only."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "warpgeo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -25,7 +26,7 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 

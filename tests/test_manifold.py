@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 import warpgeo as wg
 from warpgeo import warpfn
 from warpgeo.manifold import (
+    FD_STEP,
     MetricChart,
     TangentVector,
     christoffel,
     geodesic_rhs,
-    metric_derivative,
     metric_eval,
     riemann_tensor,
     sectional_curvature,
@@ -137,27 +137,51 @@ def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
         christoffel(wg.weighted_line("1 + sqrt(t)"), np.array([-1.0]))
 
 
-def test_analytic_derivatives_match_finite_differences():
-    """Charts shipping closed-form metric derivatives agree with differencing."""
+def test_closed_form_christoffel_symbols_match_finite_differences():
+    """Each chart's closed-form Christoffel symbols agree with those its bare
+    metric gets from central differences."""
 
     def norm_rel(got, want):
         return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
     rng = np.random.default_rng(11)
+
+    def angles(n):
+        # interior angles away from the poles, the last one anywhere
+        return lambda: [*rng.uniform(0.4, np.pi - 0.4, n - 1), rng.uniform(0, 6)]
+
+    def upper():
+        return [rng.uniform(-3, 3), rng.uniform(0.6, 3)]
+
+    sphere_warp = wg.WarpField.from_expression("2 + 0.5*sin(x1)*cos(x2)", 2, 1.5, 2.5)
+    half_warp = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)*cos(x2)", 2, 1.5, 2.5)
     cases = [
-        (wg.poincare_half_plane(), lambda: [rng.uniform(-3, 3), rng.uniform(0.6, 3)]),
-        (wg.sphere(2, radius=1.5), lambda: [rng.uniform(0.4, np.pi - 0.4), rng.uniform(0, 6)]),
+        (wg.poincare_half_plane(), upper),
+        (wg.sphere(2, radius=1.5), angles(2)),
+        (wg.sphere(3), angles(3)),
+        (wg.circle(2.0), lambda: [rng.uniform(-9, 9)]),
         (wg.poincare_ball(2), lambda: rng.uniform(-0.45, 0.45, 2)),
+        (wg.weighted_line("1 + t^2"), lambda: [rng.uniform(-3, 3)]),
+        (wg.euclidean(2), lambda: rng.uniform(-5, 5, 2)),
+        (wg.conformal_metric(wg.sphere(2), sphere_warp, 0.5), angles(2)),
+        (wg.conformal_metric(wg.poincare_half_plane(), half_warp, 0.5), upper),
     ]
     for chart, draw in cases:
-        assert chart.metric_derivative_at is not None
-        bare = MetricChart(chart.dim, chart.metric_at, fd_step=chart.fd_step)
+        bare = MetricChart(chart.dim, chart.metric_at)
         for _ in range(20):
             p = np.asarray(draw(), dtype=float)
-            err = norm_rel(metric_derivative(chart, p), metric_derivative(bare, p))
-            assert err <= 10.0 * chart.fd_step**2
-            err_g = norm_rel(christoffel(chart, p), christoffel(bare, p))
-            assert err_g <= 10.0 * chart.fd_step**2
+            err = norm_rel(christoffel(chart, p), christoffel(bare, p))
+            assert err <= 10.0 * FD_STEP**2, chart.name
+
+
+def test_every_built_in_chart_has_closed_form_christoffel_symbols():
+    for chart in (wg.euclidean(1), wg.euclidean(3), wg.poincare_half_plane(),
+                  wg.poincare_ball(2), wg.poincare_ball(3), wg.sphere(1),
+                  wg.sphere(2), wg.sphere(3), wg.circle(2.0),
+                  wg.weighted_line("1 + t^2")):
+        w = wg.WarpField.constant(2.0, chart.dim)
+        assert chart.christoffel_at is not None, chart.name
+        assert wg.conformal_metric(chart, w, 0.5).christoffel_at is not None, chart.name
 
 
 # Conformally flat built-in charts, each with a sampler of in-domain points
@@ -305,13 +329,13 @@ def test_sectional_curvature_closed_forms():
 def test_sectional_curvature_from_differenced_tensor():
     """Stripping the analytic shortcut reproduces the closed forms via FD."""
     half = wg.poincare_half_plane()
-    bare = MetricChart(2, half.metric_at, fd_step=1e-5)
+    bare = MetricChart(2, half.metric_at)
     p = np.array([0.5, 1.5])
     K = sectional_curvature(bare, p, np.array([1.5, 0.0]), np.array([0.0, 1.5]))
     assert K == pytest.approx(-1.0, abs=1e-6)
 
     ref = wg.sphere(2, radius=2.0)
-    bare_sphere = MetricChart(2, ref.metric_at, fd_step=1e-5)
+    bare_sphere = MetricChart(2, ref.metric_at)
     p = np.array([1.1, 0.4])
     e1 = np.array([0.5, 0.0])
     e2 = np.array([0.0, 1.0 / (2.0 * np.sin(1.1))])
@@ -339,19 +363,25 @@ def test_sectional_curvature_requires_an_orthonormal_frame():
 
 
 def test_domain_predicates():
-    half = wg.poincare_half_plane()
-    assert half.in_domain(np.array([0.0, 1.0]))
-    assert not half.in_domain(np.array([0.0, -1.0]))
-
-    ball = wg.poincare_ball(2)
-    assert ball.in_domain(np.array([0.5, 0.5]))
-    assert not ball.in_domain(np.array([0.8, 0.8]))
-
-    sph = wg.sphere(2)
-    assert sph.in_domain(np.array([1.5, 0.0]))
-    assert not sph.in_domain(np.array([-0.1, 0.0]))
-
+    """Each built-in predicate answers the same for a tuple, a list and an
+    array, inside and outside its chart."""
+    cases = [
+        (wg.poincare_half_plane(), [0.3, 1.0], [0.3, -1.0]),
+        (wg.poincare_ball(2), [0.5, 0.5], [0.8, 0.8]),
+        (wg.poincare_ball(3), [0.1, -0.2, 0.3], [0.6, -0.6, 0.6]),
+        (wg.sphere(2), [1.5, 7.0], [-0.1, 0.0]),
+        (wg.sphere(3), [1.5, 0.5, -2.0], [1.5, 3.5, 0.0]),
+        (wg.weighted_line("t - 0.5"), [1.0], [0.0]),
+    ]
+    for chart, inside, outside in cases:
+        for point, want in ((inside, True), (outside, False)):
+            for given in (tuple(point), list(point), np.array(point)):
+                assert bool(chart.in_domain(given)) is want, (chart.name, given)
+                assert chart.contains(given) is want, (chart.name, given)
+    # flat space and a single angle have no domain to leave
     assert wg.euclidean(2).in_domain is None
+    assert wg.circle(2.0).in_domain is None
+    assert wg.sphere(1).in_domain is None
 
 
 def test_tangent_vector_shape_validation():

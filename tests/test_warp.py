@@ -137,9 +137,8 @@ def test_rescaled_metric_keeps_analytic_derivatives_consistent():
     base = wg.poincare_half_plane()
     w = wg.WarpField.from_expression("2 + 0.1*sin(x1)", 2, 1.9, 2.1)
     chart = conformal_metric(base, w, 0.7)
-    assert chart.metric_derivative_at is not None
     assert chart.christoffel_at is not None
-    bare = MetricChart(2, chart.metric_at, fd_step=1e-5)
+    bare = MetricChart(2, chart.metric_at)
     rng = np.random.default_rng(23)
     for _ in range(15):
         p = np.array([rng.uniform(-2, 2), rng.uniform(0.6, 2.5)])
@@ -233,11 +232,7 @@ def test_rescaled_curvature_matches_generic_machinery():
     e2 = np.array([0.0, 1.2])
     K = sectional_curvature_conformal(base, w, r, p, e1, e2)
 
-    raw = MetricChart(
-        2,
-        lambda q: (1.0 / w.value_at(q) + r) * base.metric_at(q),
-        fd_step=1e-5,
-    )
+    raw = MetricChart(2, lambda q: (1.0 / w.value_at(q) + r) * base.metric_at(q))
     scale = np.sqrt(1.0 / w.value_at(p) + r)
     K_generic = sectional_curvature(raw, p, e1 / scale, e2 / scale)
     assert K == pytest.approx(K_generic, abs=2e-5)

@@ -14,15 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, warpfn
 from .connect import (
-    _beta_from_mu, _line_weight, beta_of_r, connect_points, flrw_beta,
+    _beta_from_mu, beta_of_r, connect_points, flrw_beta,
     flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, WarpGeoError
@@ -52,6 +53,18 @@ def task(name):
 
 # ---------------------------------------------------------------------------
 # config handling
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML loading that also reads plain ``1e-6``, ``1e6`` and
+    ``1.0e6`` as floats, as YAML 1.2 does (YAML 1.1 reads them as text)."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def _get(section: dict, key: str, where: str, required=True, default=None):
@@ -109,14 +122,14 @@ def _numbers(section, key, where) -> list[float]:
 def build_chart(section: dict, where: str) -> MetricChart:
     name = _get(section, "name", where)
     if name == "euclidean":
-        return euclidean(int(_number(section, "dim", where, default=2, required=False)))
+        return euclidean(_count(section, "dim", where, default=2, least=1))
     if name == "poincare_half_plane":
         return poincare_half_plane()
     if name == "poincare_ball":
-        return poincare_ball(int(_number(section, "dim", where, default=2, required=False)))
+        return poincare_ball(_count(section, "dim", where, default=2, least=1))
     if name == "sphere":
         return sphere(
-            int(_number(section, "dim", where, default=2, required=False)),
+            _count(section, "dim", where, default=2, least=1),
             _number(section, "radius", where, default=1.0, required=False),
         )
     if name == "circle":
@@ -126,6 +139,28 @@ def build_chart(section: dict, where: str) -> MetricChart:
     raise InputError(
         f"{where}.name: unknown chart {name!r}; choose from euclidean, "
         "poincare_half_plane, poincare_ball, sphere, circle, weighted_line"
+    )
+
+
+def build_line_weight(section: dict, chart: MetricChart, where: str):
+    """The parsed weight ``f`` of a line base, metric ``f(t) dt^2``, from
+    its chart section and the chart :func:`build_chart` made of it.
+
+    ``None`` for the flat line (``euclidean`` of dim 1), the ``weight`` of
+    a ``weighted_line``, the constant ``radius^2`` of a ``circle`` or a
+    ``sphere`` of dim 1; any other chart is not a line base.
+    """
+    name = section["name"]
+    if name == "weighted_line":
+        return warpfn.parse(section["weight"], 1)
+    if chart.dim == 1 and name == "euclidean":
+        return None
+    if chart.dim == 1 and name in ("circle", "sphere"):
+        radius = _number(section, "radius", where, default=1.0, required=False)
+        return warpfn.Const(radius * radius)
+    raise InputError(
+        f"{where}: {chart.name} is not a line base; use euclidean or sphere "
+        "with dim 1, circle or weighted_line"
     )
 
 
@@ -150,7 +185,7 @@ class TaskConfig:
                 f"unknown task {self.task!r}; choose from {', '.join(sorted(TASKS))}"
             )
         integ = doc.get("integrator") or {}
-        steps = int(_number(integ, "steps", "integrator", default=1024, required=False))
+        steps = _count(integ, "steps", "integrator", default=1024, least=16)
         if steps_override is not None:
             steps = steps_override
         self.cfg = IntegratorConfig(
@@ -158,8 +193,9 @@ class TaskConfig:
             tolerance=_number(integ, "tolerance", "integrator",
                               default=1e-6, required=False),
         )
-        self.seed = int(_number(doc, "seed", "config", default=0, required=False))
-        self.base = build_chart(_get(doc, "base_chart", "config"), "base_chart")
+        self.seed = _count(doc, "seed", "config", default=0, least=0)
+        self.base_section = _get(doc, "base_chart", "config")
+        self.base = build_chart(self.base_section, "base_chart")
         fiber = doc.get("fiber_chart")
         self.fiber = build_chart(fiber, "fiber_chart") if fiber else None
         warp_section = doc.get("warp")
@@ -177,6 +213,18 @@ class TaskConfig:
         if self.warp is None:
             raise InputError(f"task {self.task!r} needs a warp section")
         return self.warp
+
+    def line_weight(self, where: str, retired: tuple[str, ...]):
+        """The weight of the line base, from ``base_chart`` alone.
+
+        Keys that once described the line next to ``base_chart`` are
+        rejected, so an old config cannot silently change its answer.
+        """
+        for key in retired:
+            if key in self.params:
+                raise InputError(f"{where}.{key} is no longer read: the line "
+                                 "and its weight come from base_chart")
+        return build_line_weight(self.base_section, self.base, "base_chart")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +353,7 @@ def run_connect(tc: TaskConfig, out: Path) -> dict:
     if "r_max" in p:
         kwargs["r_max"] = _number(p, "r_max", "connect")
     if "samples" in p:
-        kwargs["samples"] = int(_number(p, "samples", "connect"))
+        kwargs["samples"] = _count(p, "samples", "connect", default=None, least=2)
     rep = connect_points(tc.base, g2, w, z0, z1, tc.cfg, **kwargs)
     return _finish_connection(rep, w, tc.base, g2, out)
 
@@ -319,7 +367,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
     t1 = _number(p, "t1", "flrw")
     y0 = _vector(p, "y0", "flrw", dim=g2.dim)
     y1 = _vector(p, "y1", "flrw", dim=g2.dim)
-    weight = p.get("weight")
+    weight = tc.line_weight("flrw", ("weight",))
     rep = flrw_connect(w, t0, t1, y0, y1, g2, tc.cfg, weight=weight)
     result = _finish_connection(rep, w, tc.base, g2, out)
     result["report"]["first_integral_residual"] = rep.first_integral_residual
@@ -381,6 +429,9 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
     p = tc.params
     w = tc.require_warp()
     g1 = tc.base
+    if g1.dim < 2:
+        raise InputError(f"curvature-scan needs a plane, so a base_chart of "
+                         f"dimension at least 2; {g1.name} has dimension {g1.dim}")
     r_values = _numbers(p, "r_values", "curvature_scan")
     grid = _get(p, "grid", "curvature_scan")
     mins = _vector(grid, "mins", "curvature_scan.grid", dim=g1.dim)
@@ -459,11 +510,11 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
         start = lower + 1e-3 * (1.0 + abs(lower))
         ratio = ((r_max - lower) / (start - lower)) ** (1.0 / (count - 1))
         r_values = [lower + (start - lower) * ratio ** i for i in range(count)]
-    use_first_integral = bool(p.get("first_integral", tc.base.dim == 1))
+    use_first_integral = tc.base.dim == 1
     if use_first_integral:
         t0 = _number(p, "x0", "beta_scan")
         t1 = _number(p, "x1", "beta_scan")
-        weight = _line_weight(p.get("weight"))
+        weight = tc.line_weight("beta_scan", ("weight", "first_integral"))
     else:
         x0 = _vector(p, "x0", "beta_scan", dim=tc.base.dim)
         x1 = _vector(p, "x1", "beta_scan", dim=tc.base.dim)
@@ -538,7 +589,7 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -638,9 +638,8 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r
-    h = 1.0 / gamma.steps
     k = values_along(w, gamma.points)
-    upper_integral = composite_simpson((1.0 + r * k) / k, h)
+    upper_integral = composite_simpson((1.0 + r * k) / k, gamma.h)
     lower = q * a / (b * b)
     upper = q * (a * a) / (b * b) * upper_integral
     beta2 = res.beta ** 2

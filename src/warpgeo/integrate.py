@@ -1,16 +1,17 @@
 """Fixed-step geodesic integration and residual checks.
 
-All curves are integrated with the classical fourth-order Runge-Kutta
-scheme on a uniform grid over ``[0, 1]``; problems posed on ``[0, T]`` are
-folded into the initial velocity.  The fixed step keeps runs deterministic
-and the convergence order measurable.
-On a chart that carries a conformal exponent ``phi`` (metric
-``exp(2 phi) I``), plain geodesics advance by the chart's generated float
-step, :func:`~warpgeo.warpfn.rk4_geodesic_step`, whose acceleration is the
-closed-form spray ``|v|^2 grad phi - 2 (grad phi . v) v``; on every other
-chart they take :func:`~warpgeo.manifold.geodesic_rhs`, the contracted
-Christoffel symbols, through the numpy RK4 loop.  Both check every state
-the same way.
+Every curve is a :class:`Curve` on a uniform grid from 0 with at least
+five nodes.  Curves are integrated by one fixed-step loop, :func:`_rk4`,
+which takes ``steps`` fixed steps over ``[0, 1]`` and checks every state
+it makes; problems posed on ``[0, T]`` are folded into the initial
+velocity.  The fixed step keeps runs deterministic and the convergence
+order measurable.  The step that loop applies is either the chart's
+generated float step, :func:`~warpgeo.warpfn.rk4_geodesic_step`, on a
+chart that carries a conformal exponent ``phi`` (metric ``exp(2 phi)
+I``), whose acceleration is the closed-form spray ``|v|^2 grad phi - 2
+(grad phi . v) v``, or the classical numpy RK4 step of a right-hand side:
+on every other chart :func:`~warpgeo.manifold.geodesic_rhs`, the
+contracted Christoffel symbols.
 
 Besides the plain geodesic integrator for a single chart, this module
 integrates the coupled mixed-signature system directly:
@@ -19,9 +20,9 @@ integrates the coupled mixed-signature system directly:
     fiber:  (d/dt) velocity = -G2(v, v) - (dk(base vel) / k) * fiber vel
 
 which serves as the independent oracle the reparametrization pipeline is
-tested against (it contracts Christoffel symbols, never the spray), and
-measures the max-norm residuals of that system along any stored pair of
-curves with the same acceleration.
+tested against (the classical step of its Christoffel form, never the
+spray), and measures the max-norm residuals of that system along any
+stored pair of curves with the same acceleration.
 """
 
 from __future__ import annotations
@@ -72,10 +73,14 @@ def _hermite_quintic(params, values, d1, d2) -> BPoly:
 
 @dataclass
 class Curve:
-    """A sampled curve with velocities on the uniform grid over ``[0, 1]``.
+    """A sampled curve with velocities on a uniform grid from 0.
 
     ``points`` and ``velocities`` have one row per parameter value;
-    velocities are with respect to the stored (unit-interval) parameter.
+    velocities are with respect to the stored parameter.  The grid must
+    have at least five nodes, equally spaced (to ``rtol=1e-9``,
+    ``atol=1e-15``) and starting at 0, as every curve the library makes
+    does; :attr:`h` is its step.  Anything else raises
+    :class:`InputError`.
     """
 
     params: np.ndarray
@@ -89,13 +94,17 @@ class Curve:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
         n = self.params.shape[0]
-        if n < 2 or self.points.shape[0] != n or self.velocities.shape != self.points.shape:
+        if self.points.shape[0] != n or self.velocities.shape != self.points.shape:
             raise InputError(
                 f"inconsistent curve shapes: params {self.params.shape}, "
                 f"points {self.points.shape}, velocities {self.velocities.shape}"
             )
-        if self.params[0] != 0.0 or not np.all(np.diff(self.params) > 0.0):
-            raise InputError("curve parameters must increase strictly from 0")
+        if n < 5:
+            raise InputError(f"a curve needs at least five nodes, got {n}")
+        d = np.diff(self.params)
+        if (self.params[0] != 0.0 or not d[0] > 0.0
+                or not np.all(np.abs(d - d[0]) <= 1e-15 + 1e-9 * d[0])):
+            raise InputError("curve parameters must form a uniform grid from 0")
 
     @property
     def dim(self) -> int:
@@ -104,6 +113,11 @@ class Curve:
     @property
     def steps(self) -> int:
         return self.params.shape[0] - 1
+
+    @property
+    def h(self) -> float:
+        """The grid step."""
+        return float(self.params[1] - self.params[0])
 
     def _dense(self):
         # Quintic Hermite pieces from stored points, velocities, and
@@ -118,26 +132,14 @@ class Curve:
         # polynomial divides coefficient roundoff by the grid step, which
         # at fine resolutions is the dominant noise in resampled curves.
         if self._point_poly is None:
-            if self.params.shape[0] >= 5:
-                h = self.params[1] - self.params[0]
-                uniform = np.allclose(np.diff(self.params), h, rtol=1e-9)
-            else:
-                uniform = False
-            if uniform:
-                acc = derivative_on_grid(self.velocities, h)
-                jerk = derivative_on_grid(acc, h)
-                self._point_poly = _hermite_quintic(
-                    self.params, self.points, self.velocities, acc,
-                )
-                self._velocity_poly = _hermite_quintic(
-                    self.params, self.velocities, acc, jerk,
-                )
-            else:
-                self._point_poly = BPoly.from_derivatives(
-                    self.params,
-                    np.stack([self.points, self.velocities], axis=1),
-                )
-                self._velocity_poly = self._point_poly.derivative()
+            acc = derivative_on_grid(self.velocities, self.h)
+            jerk = derivative_on_grid(acc, self.h)
+            self._point_poly = _hermite_quintic(
+                self.params, self.points, self.velocities, acc,
+            )
+            self._velocity_poly = _hermite_quintic(
+                self.params, self.velocities, acc, jerk,
+            )
         return self._point_poly, self._velocity_poly
 
     def _clamp(self, t):
@@ -182,63 +184,52 @@ class IntegratorConfig:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def _rk4(rhs, state0: np.ndarray, steps: int, charts) -> np.ndarray:
-    """Classical Runge-Kutta over [0, 1]; returns all ``steps + 1`` states.
+def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
+    """``steps`` fixed steps over [0, 1]; returns all ``steps + 1`` states.
 
-    The state is one ``(point, velocity)`` block per chart of ``charts``,
-    in order.  Each state is checked as it is made, the initial one too:
-    the first whose point leaves its chart, or whose block is not finite,
+    ``step(y, h)`` advances a state, a tuple of floats, by ``h``.  The
+    state is one ``(point, velocity)`` block per chart of ``charts``, in
+    order.  Each state is checked as it is made, the initial one too: the
+    first whose point leaves its chart, or whose block is not finite,
     raises :class:`ChartDomainError` at that step's parameter, before any
-    further right-hand side is evaluated.
+    further step is taken.  A step that divides by zero makes a state that
+    is not finite: a generated step leaves the exponent's own logarithms
+    unevaluated, so near the chart's rim it divides by zero where numpy
+    would give inf.
     """
     h = 1.0 / steps
-    out = np.empty((steps + 1, state0.shape[0]))
-    y = state0.astype(float)
-    for i in range(steps + 1):
-        if i:
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        start = 0
-        for chart in charts:
-            _check_state(chart, y[start:start + 2 * chart.dim].tolist(), i / steps)
-            start += 2 * chart.dim
-        out[i] = y
-    return out
-
-
-def _check_state(chart: MetricChart, block, t: float):
-    """Raise :class:`ChartDomainError` at ``t`` unless the ``(point,
-    velocity)`` block is finite and its point lies in the chart."""
-    point = block[:chart.dim]
-    if not (all(map(math.isfinite, block)) and chart.contains(point)):
-        raise ChartDomainError(chart.name, t, point)
-
-
-def _conformal_rk4(chart: MetricChart, state0: np.ndarray, steps: int) -> np.ndarray:
-    """:func:`_rk4` for a chart with a conformal exponent: one generated
-    float step per step, each state checked as there.
-
-    The step leaves the exponent's own logarithms unevaluated, so near the
-    chart's rim it divides by zero where numpy would give inf; that state
-    is not finite either.
-    """
-    step = warpfn.rk4_geodesic_step(chart.exponent, chart.dim)
-    h = 1.0 / steps
-    args = chart.exponent_args
     y = tuple(state0.tolist())
     states = []
     for i in range(steps + 1):
         if i:
             try:
-                y = step(y, h, args)
+                y = step(y, h)
             except ZeroDivisionError:
                 y = (math.nan,) * len(y)
-        _check_state(chart, y, i / steps)
+        start = 0
+        for chart in charts:
+            block = y[start:start + 2 * chart.dim]
+            point = block[:chart.dim]
+            if not (all(map(math.isfinite, block)) and chart.contains(point)):
+                raise ChartDomainError(chart.name, i / steps, point)
+            start += 2 * chart.dim
         states.append(y)
     return np.array(states)
+
+
+def _classical_step(rhs):
+    """The classical Runge-Kutta step of ``y' = rhs(y)``, ``rhs`` taking
+    and giving numpy arrays, as a ``step(y, h)`` of :func:`_rk4`."""
+
+    def step(y, h):
+        y = np.array(y)
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        return tuple((y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)).tolist())
+
+    return step
 
 
 def integrate_geodesic(chart: MetricChart, p0, v0,
@@ -252,16 +243,19 @@ def integrate_geodesic(chart: MetricChart, p0, v0,
             f"{chart.dim}-dimensional chart"
         )
     d = chart.dim
-    state0 = np.concatenate((p0, v0))
     if chart.exponent is not None:
-        states = _conformal_rk4(chart, state0, cfg.steps)
+        generated, args = warpfn.rk4_geodesic_step(chart.exponent, d), chart.exponent_args
+
+        def step(y, h):
+            return generated(y, h, args)
     else:
 
         def rhs(state):
             p, v = state[:d], state[d:]
             return np.concatenate((v, geodesic_rhs(chart, p, v)))
 
-        states = _rk4(rhs, state0, cfg.steps, (chart,))
+        step = _classical_step(rhs)
+    states = _rk4(step, np.concatenate((p0, v0)), cfg.steps, (chart,))
     t = np.linspace(0.0, 1.0, cfg.steps + 1)
     return Curve(t, states[:, :d], states[:, d:])
 
@@ -323,7 +317,7 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
         return np.concatenate((u, acc1, v, acc2))
 
     state0 = np.concatenate((p1, v1, p2, v2))
-    states = _rk4(rhs, state0, cfg.steps, (g1, g2))
+    states = _rk4(_classical_step(rhs), state0, cfg.steps, (g1, g2))
     base_states = states[:, : 2 * d1]
     fiber_states = states[:, 2 * d1:]
     t = np.linspace(0.0, 1.0, cfg.steps + 1)
@@ -331,13 +325,6 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
         Curve(t, base_states[:, :d1], base_states[:, d1:]),
         Curve(t, fiber_states[:, :d2], fiber_states[:, d2:]),
     )
-
-
-def _grid_step(curve: Curve) -> float:
-    h = np.diff(curve.params)
-    if not np.allclose(h, h[0], rtol=1e-9, atol=1e-15):
-        raise InputError("residuals require a uniform parameter grid")
-    return float(h[0])
 
 
 def coupled_residual(g1: MetricChart, g2: MetricChart, w: WarpField,
@@ -350,9 +337,8 @@ def coupled_residual(g1: MetricChart, g2: MetricChart, w: WarpField,
     """
     if base.steps != fiber.steps:
         raise InputError("base and fiber curves must share one grid")
-    h = _grid_step(base)
-    acc1 = derivative_on_grid(base.velocities, h)
-    acc2 = derivative_on_grid(fiber.velocities, h)
+    acc1 = derivative_on_grid(base.velocities, base.h)
+    acc2 = derivative_on_grid(fiber.velocities, base.h)
     r1 = 0.0
     r2 = 0.0
     for i in range(base.steps + 1):
@@ -366,8 +352,7 @@ def coupled_residual(g1: MetricChart, g2: MetricChart, w: WarpField,
 
 def geodesic_residual(chart: MetricChart, curve: Curve) -> float:
     """Max-norm residual of the plain geodesic equation along a curve."""
-    h = _grid_step(curve)
-    acc = derivative_on_grid(curve.velocities, h)
+    acc = derivative_on_grid(curve.velocities, curve.h)
     worst = 0.0
     for i in range(curve.steps + 1):
         p, v = curve.points[i], curve.velocities[i]

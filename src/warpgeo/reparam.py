@@ -48,19 +48,24 @@ class MonotoneMap:
 
     ``constant`` is the normalization constant of the defining relation
     (``a`` for base maps, ``b`` for fiber maps); ``derivative_values`` hold
-    the analytic derivative of the map at the grid nodes.
+    the map's derivative at the grid nodes, known in closed form for every
+    map the library builds (``a (1 + r k)/k`` for ``phi``, ``b/k`` for
+    ``psi``).  Values and derivatives are interpolated by PCHIP.
     """
 
     grid: np.ndarray
     values: np.ndarray
     constant: float
-    derivative_values: Optional[np.ndarray] = None
+    derivative_values: np.ndarray
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.grid.shape != self.values.shape or self.grid.ndim != 1:
-            raise InputError("map grid and values must be 1-d arrays of equal length")
+        self.derivative_values = np.asarray(self.derivative_values, dtype=float)
+        if (self.grid.ndim != 1 or self.values.shape != self.grid.shape
+                or self.derivative_values.shape != self.grid.shape):
+            raise InputError("map grid, values and derivative values must be "
+                             "1-d arrays of equal length")
         if not np.all(np.diff(self.values) > 0.0):
             raise NumericalError("map values are not strictly increasing")
         self._spline = None
@@ -73,21 +78,15 @@ class MonotoneMap:
 
     def derivative_at(self, t):
         if self._derivative_spline is None:
-            self._derivative_spline = (
-                PchipInterpolator(self.grid, self.values).derivative()
-                if self.derivative_values is None
-                else PchipInterpolator(self.grid, self.derivative_values)
-            )
+            self._derivative_spline = PchipInterpolator(self.grid, self.derivative_values)
         return self._derivative_spline(t)
 
 
-def _uniform_grid_step(curve: Curve) -> float:
-    h = np.diff(curve.params)
-    if not np.allclose(h, h[0], rtol=1e-9, atol=1e-15):
-        raise InputError("reparametrization maps require a uniform grid")
-    if (curve.params.shape[0] - 1) % 2:
+def _even_panel_step(curve: Curve) -> float:
+    """The curve's grid step, for Simpson quadrature over its panels."""
+    if curve.steps % 2:
         raise InputError("reparametrization maps require an even panel count")
-    return float(h[0])
+    return curve.h
 
 
 def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
@@ -100,7 +99,7 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     re-integrated forward relation.
     """
     admissible_range(w).require(r)
-    h = _uniform_grid_step(mu)
+    h = _even_panel_step(mu)
     k = values_along(w, mu.points)
     accum = cumulative_simpson(k / (1.0 + r * k), h)
     a = accum[-1]
@@ -122,7 +121,7 @@ def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
     so that ``psi(1) = 1``.  No inversion is needed: the running integral
     is the map.
     """
-    h = _uniform_grid_step(gamma)
+    h = _even_panel_step(gamma)
     k = values_along(w, gamma.points)
     accum = cumulative_simpson(1.0 / k, h)
     b = 1.0 / accum[-1]
@@ -140,7 +139,7 @@ def phi_constant_from_trace(gamma: Curve, w: WarpField, r: float) -> float:
     classifier needs when it starts from a mixed-signature geodesic.
     """
     admissible_range(w).require(r)
-    h = _uniform_grid_step(gamma)
+    h = _even_panel_step(gamma)
     k = values_along(w, gamma.points)
     return 1.0 / composite_simpson((1.0 + r * k) / k, h)
 
@@ -151,12 +150,7 @@ def reparametrize(curve: Curve, m: MonotoneMap) -> Curve:
     if s[0] < curve.params[0] - 1e-12 or s[-1] > curve.params[-1] + 1e-12:
         raise InputError("map range exceeds the curve's parameter interval")
     points = np.atleast_2d(curve.point_at(s))
-    velocities = np.atleast_2d(curve.velocity_at(s))
-    deriv = (
-        m.derivative_values if m.derivative_values is not None
-        else m.derivative_at(m.grid)
-    )
-    velocities = velocities * np.asarray(deriv, dtype=float)[:, None]
+    velocities = np.atleast_2d(curve.velocity_at(s)) * m.derivative_values[:, None]
     points[0], points[-1] = curve.points[0], curve.points[-1]
     return Curve(m.grid.copy(), points, velocities)
 

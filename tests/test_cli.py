@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 import yaml
 
+import warpgeo as wg
 from warpgeo import __version__, cli, reparam
 from warpgeo.cli import main
 
 
 def run_task(tmp_path, doc, *extra, out_name="out"):
+    """Run ``doc``, a config mapping or the text of a config file."""
     cfg = tmp_path / "task.yaml"
-    cfg.write_text(yaml.safe_dump(doc))
+    cfg.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     out = tmp_path / out_name
     code = main(["--config", str(cfg), "--out", str(out), *extra])
     return code, out
@@ -159,8 +161,10 @@ def _curvature_scan(grid=None, **params):
     (_curvature_scan(grid={"counts": [3, 0]}), "curvature_scan.grid.counts"),
     (_curvature_scan(grid={"counts": [3, math.inf]}), "curvature_scan.grid.counts"),
     (_curvature_scan(planes=0), "curvature_scan.planes"),
+    (dict(CURVATURE_SCAN, base_chart={"name": "euclidean", "dim": 1}), "base_chart"),
 ], ids=["samples_1", "samples_0", "samples_nan", "beta_r_word", "beta_r_null",
-        "curvature_r_word", "curvature_r_scalar", "counts_0", "counts_inf", "planes_0"])
+        "curvature_r_word", "curvature_r_scalar", "counts_0", "counts_inf", "planes_0",
+        "curvature_on_a_line"])
 def test_sampling_tasks_reject_a_grid_they_cannot_sample(tmp_path, doc, key):
     code, out = run_task(tmp_path, doc, "--quiet")
     assert code == 2
@@ -258,8 +262,7 @@ def test_missed_end_point_is_a_numerical_failure(tmp_path):
         "fiber_chart": {"name": "euclidean", "dim": 1},
         "warp": {"expression": "2 + sin(x1)", "k0": 1.0, "K0": 3.0},
         "integrator": {"steps": 256, "tolerance": 1.0e-6},
-        "flrw": {"t0": 0.0, "t1": 6.0, "y0": [0.0], "y1": [0.9],
-                 "weight": "(1 + t)^2"},
+        "flrw": {"t0": 0.0, "t1": 6.0, "y0": [0.0], "y1": [0.9]},
     }
     code, out = run_task(tmp_path, doc, "--quiet")
     assert code == 3
@@ -268,6 +271,126 @@ def test_missed_end_point_is_a_numerical_failure(tmp_path):
         payload = json.load(fh)
     assert payload["error"] == "ShootingError"
     assert payload["residual"] == pytest.approx(1.3268e-5, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# a line base is described by base_chart alone
+
+LINE_PRODUCT = {
+    "fiber_chart": {"name": "euclidean", "dim": 1},
+    "warp": {"expression": "2 + sin(x1)", "k0": 1.0, "K0": 3.0},
+    "integrator": {"steps": 256},
+}
+CIRCLE = {"name": "circle", "radius": 2.0}
+WEIGHTED = {"name": "weighted_line", "weight": "(1 + t)^2"}
+
+
+@pytest.mark.parametrize("base, chart", [
+    (CIRCLE, wg.circle(2.0)),
+    (WEIGHTED, wg.weighted_line("(1 + t)^2")),
+], ids=["circle", "weighted_line"])
+def test_beta_scan_reads_the_line_from_the_base_chart(tmp_path, base, chart):
+    doc = dict(LINE_PRODUCT, task="beta-scan", base_chart=base,
+               beta_scan={"r_values": [0.5, 2.0], "x0": 0.0, "x1": 1.0})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0
+    table = np.loadtxt(out / "beta.csv", delimiter=",", skiprows=1)
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    cfg = wg.IntegratorConfig(steps=256)
+    for r, beta in table[:, :2]:
+        shot = wg.beta_of_r(chart, wg.euclidean(1), w, [0.0], [1.0], r, cfg)
+        assert beta == pytest.approx(shot.beta, rel=1e-8)
+
+
+@pytest.mark.parametrize("base", [CIRCLE, WEIGHTED], ids=["circle", "weighted_line"])
+def test_flrw_reads_the_line_from_the_base_chart(tmp_path, base):
+    doc = dict(LINE_PRODUCT, task="flrw", base_chart=base, integrator={"steps": 512},
+               flrw={"t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [0.5],
+                     "cross_check": True})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0
+    report = report_of(out)
+    assert report["cross_check_r"] == pytest.approx(report["r"], rel=1e-8)
+    assert report["norm_identities"]["base_norm_error"] <= 1e-6
+
+
+@pytest.mark.parametrize("task, base, key", [
+    ("flrw", {"name": "euclidean", "dim": 1}, "weight"),
+    ("beta-scan", {"name": "euclidean", "dim": 1}, "weight"),
+    ("beta-scan", CIRCLE, "first_integral"),
+], ids=["flrw_weight", "beta_scan_weight", "beta_scan_first_integral"])
+def test_retired_line_keys_are_rejected(tmp_path, task, base, key):
+    section = task.replace("-", "_")
+    params = {"x0": 0.0, "x1": 1.0, "r_values": [0.5]} if task == "beta-scan" else {
+        "t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [0.5]}
+    doc = dict(LINE_PRODUCT, task=task, base_chart=base,
+               **{section: dict(params, **{key: "(1 + t)^2" if key == "weight" else False})})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        message = json.load(fh)["message"]
+    assert f"{section}.{key}" in message and "base_chart" in message
+
+
+def test_flrw_on_a_base_that_is_not_a_line_is_an_input_error(tmp_path):
+    doc = dict(LINE_PRODUCT, task="flrw", base_chart={"name": "poincare_half_plane"},
+               flrw={"t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [0.5]})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert "not a line base" in json.load(fh)["message"]
+
+
+# ---------------------------------------------------------------------------
+# config numbers
+
+INTEGRATE_FLAT = {
+    "task": "integrate",
+    "base_chart": {"name": "euclidean", "dim": 2},
+    "integrator": {"steps": 64},
+    "integrate": {"point": [0.0, 0.0], "velocity": [1.0, 0.0]},
+}
+CONNECT_LINE = dict(TRIVIAL_PRODUCT, task="connect", connect={
+    "x0": [0.0], "y0": [0.0], "x1": [1.0], "y1": [0.5],
+})
+
+
+@pytest.mark.parametrize("doc, key", [
+    (dict(CURVATURE_SCAN, seed=-1), "config.seed"),
+    (dict(INTEGRATE_FLAT, integrator={"steps": math.nan}), "integrator.steps"),
+    (dict(INTEGRATE_FLAT, base_chart={"name": "euclidean", "dim": math.inf}),
+     "base_chart.dim"),
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], samples=1)),
+     "connect.samples"),
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], samples=math.nan)),
+     "connect.samples"),
+], ids=["seed_negative", "steps_nan", "dim_inf", "samples_1", "samples_nan"])
+def test_counts_out_of_range_are_input_errors(tmp_path, doc, key):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert key in json.load(fh)["message"]
+
+
+CONNECT_TEXT = """\
+task: connect
+base_chart: {name: euclidean, dim: 1}
+fiber_chart: {name: euclidean, dim: 1}
+warp: {expression: "1", k0: 1.0, K0: 1.0}
+integrator: {steps: 256, tolerance: TOLERANCE}
+connect: {x0: [0.0], y0: [0.0], x1: [1.0], y1: [0.5], r_max: 1.0e6}
+"""
+
+
+def test_exponent_floats_are_read_as_numbers(tmp_path):
+    code, out = run_task(tmp_path, CONNECT_TEXT.replace("TOLERANCE", "1e-4"), "--quiet")
+    assert code == 0
+    assert abs(report_of(out)["r"] - 3.0) <= 1e-6
+    quoted = CONNECT_TEXT.replace("TOLERANCE", "'1e-4'")
+    code, out = run_task(tmp_path, quoted, "--quiet", out_name="quoted")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert "integrator.tolerance must be a number" in json.load(fh)["message"]
 
 
 def test_missing_required_key_fails_cleanly(tmp_path):

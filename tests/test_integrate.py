@@ -234,15 +234,6 @@ def test_dense_output_is_accurate_between_nodes():
     np.testing.assert_allclose(velocities, want_v, atol=1e-13)
 
 
-def test_short_curves_fall_back_to_a_generic_interpolant():
-    params = np.array([0.0, 0.5, 1.0])
-    points = np.array([[0.0], [0.25], [1.0]])  # t^2 sampled coarsely
-    velocities = np.array([[0.0], [1.0], [2.0]])
-    curve = wg.Curve(params, points, velocities)
-    assert curve.point_at(0.5) == pytest.approx(0.25, abs=1e-12)
-    assert curve.velocity_at(1.0) == pytest.approx(2.0, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # the coupled mixed-signature system
 
@@ -329,14 +320,24 @@ def test_integrator_config_validation():
 
 
 def test_curve_validation():
-    with pytest.raises(InputError):
-        wg.Curve(np.array([0.1, 0.5, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)))
-    with pytest.raises(InputError):
-        wg.Curve(np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)), np.zeros((3, 1)))
-    with pytest.raises(InputError):
-        wg.Curve(np.array([0.0, np.nan, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)))
-    with pytest.raises(InputError):
-        wg.Curve(np.array([0.0, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)))
+    rows = np.zeros((5, 1))
+    with pytest.raises(InputError, match="uniform grid from 0"):
+        wg.Curve(np.linspace(0.1, 1.0, 5), rows, rows)
+    with pytest.raises(InputError, match="uniform grid from 0"):
+        wg.Curve(np.array([0.0, 0.5, 0.5, 0.5, 0.5]), rows, rows)
+    with pytest.raises(InputError, match="uniform grid from 0"):
+        wg.Curve(np.array([0.0, 0.25, np.nan, 0.75, 1.0]), rows, rows)
+    with pytest.raises(InputError, match="shapes"):
+        wg.Curve(np.linspace(0.0, 1.0, 5), np.zeros((6, 1)), np.zeros((6, 1)))
+
+
+def test_curve_needs_a_uniform_grid_of_five_nodes():
+    with pytest.raises(InputError, match="uniform grid from 0"):
+        wg.Curve(np.array([0.0, 0.1, 0.3, 0.6, 1.0]), np.zeros((5, 1)), np.ones((5, 1)))
+    with pytest.raises(InputError, match="five nodes"):
+        wg.Curve(np.linspace(0.0, 1.0, 4), np.zeros((4, 1)), np.ones((4, 1)))
+    curve = wg.Curve(np.linspace(0.0, 1.0, 5), np.zeros((5, 1)), np.ones((5, 1)))
+    assert curve.h == 0.25
 
 
 def test_curve_evaluation_outside_the_parameter_range_fails():

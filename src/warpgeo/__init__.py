@@ -22,7 +22,8 @@ from .manifold import (
 from .warp import (
     WarpField, WarpParameterRange, admissible_range, conformal_metric,
     covariant_hessian, equivalence_bounds, negativity_check,
-    sectional_curvature_conformal, value_and_grad, values_along,
+    rescaled_curvature, sectional_curvature_conformal, value_and_grad,
+    values_along,
 )
 from .integrate import (
     Curve, IntegratorConfig, coupled_residual, curve_from_csv, curve_to_csv,

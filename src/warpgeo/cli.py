@@ -33,12 +33,11 @@ from .integrate import (
 )
 from .manifold import (
     MetricChart, _metric, circle, euclidean, metric_eval, poincare_ball,
-    poincare_half_plane, sectional_curvature, sphere, weighted_line,
+    poincare_half_plane, sphere, weighted_line,
 )
 from .reparam import _leg_maps, _rebuild, norm_identity_errors
 from .warp import (
-    WarpField, admissible_range, conformal_metric, negativity_check,
-    sectional_curvature_conformal,
+    WarpField, admissible_range, conformal_metric, rescaled_curvature,
 )
 
 TASKS = {}
@@ -135,7 +134,10 @@ def build_chart(section: dict, where: str) -> MetricChart:
     if name == "circle":
         return circle(_number(section, "radius", where, default=1.0, required=False))
     if name == "weighted_line":
-        return weighted_line(_get(section, "weight", where))
+        weight = _get(section, "weight", where)
+        if not isinstance(weight, str):
+            raise InputError(f"{where}.weight must be an expression in t, got {weight!r}")
+        return weighted_line(weight)
     raise InputError(
         f"{where}.name: unknown chart {name!r}; choose from euclidean, "
         "poincare_half_plane, poincare_ball, sphere, circle, weighted_line"
@@ -442,37 +444,34 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
                          f"got {counts.tolist()}")
     axes = [np.linspace(mins[i], maxs[i], int(counts[i])) for i in range(g1.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    if not (np.isfinite(mesh).all() and all(g1.contains(x) for x in mesh)):
+        raise InputError(f"curvature_scan.grid must lie inside the {g1.name} chart, "
+                         f"with finite mins and maxs; got mins {mins.tolist()}, "
+                         f"maxs {maxs.tolist()}")
     planes = _count(p, "planes", "curvature_scan", default=1, least=1)
-    rng = np.random.default_rng(tc.seed)
-    rows = []
-    all_negative = True
-    bid_all = True
-    for point in mesh:
-        for r in r_values:
-            for _ in range(planes):
-                e1, e2 = _random_orthonormal_plane(g1, point, rng)
-                K = sectional_curvature_conformal(g1, w, r, point, e1, e2)
-                base_K = sectional_curvature(g1, point, e1, e2)
-                ok = negativity_check(
-                    g1, w, r, point, e1, plane_curvature=base_K,
-                ) and negativity_check(
-                    g1, w, r, point, e2, plane_curvature=base_K,
-                )
-                all_negative &= K < 0.0
-                bid_all &= ok
-                rows.append([*point, r, K, float(ok)])
+    per_point = len(r_values) * planes
+    g = np.array([_metric(g1, x) for x in mesh])
+    frames = _random_planes(np.repeat(g, per_point, axis=0), np.random.default_rng(tc.seed))
+    frames = frames.reshape(len(mesh), len(r_values), planes, 2, g1.dim)
+    K, ok = rescaled_curvature(g1, w, mesh, r_values, frames)
+    ok = ok.all(axis=-1)
+    rows = np.column_stack([
+        np.repeat(mesh, per_point, axis=0),
+        np.tile(np.repeat(r_values, planes), len(mesh)),
+        K.ravel(),
+        ok.ravel(),
+    ])
     header = ",".join(
         [f"x{i + 1}" for i in range(g1.dim)] + ["r", "curvature", "criterion_ok"]
     )
-    np.savetxt(out / "curvature.csv", np.array(rows), fmt="%.17g",
+    np.savetxt(out / "curvature.csv", rows, fmt="%.17g",
                delimiter=",", header=header, comments="")
-    ks = np.array([row[-2] for row in rows])
     report = {
         "samples": len(rows),
-        "all_negative": bool(all_negative),
-        "criterion_everywhere": bool(bid_all),
-        "min_curvature": float(np.min(ks)),
-        "max_curvature": float(np.max(ks)),
+        "all_negative": bool(np.all(K < 0.0)),
+        "criterion_everywhere": bool(np.all(ok)),
+        "min_curvature": float(np.min(K)),
+        "max_curvature": float(np.max(K)),
     }
     lines = [
         f"scanned {len(rows)} (point, r, plane) samples",
@@ -483,17 +482,37 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
     return {"report": report, "summary": lines}
 
 
-def _random_orthonormal_plane(chart, point, rng):
-    """Two random vectors made orthonormal for the chart metric at a point."""
-    g = _metric(chart, np.asarray(point, dtype=float))
-    for _ in range(64):
-        raw = rng.standard_normal((2, chart.dim))
-        e1 = raw[0] / math.sqrt(raw[0] @ g @ raw[0])
-        e2 = raw[1] - (raw[1] @ g @ e1) * e1
-        n2 = e2 @ g @ e2
-        if n2 > 1e-12:
-            return e1, e2 / math.sqrt(n2)
-    raise NumericalError("could not draw an orthonormal plane")
+def _quadratic(u, g, v):
+    """``u @ g @ v`` per row, as a chain of matrix products (which rounds
+    like the one-row product)."""
+    return (u[..., None, :] @ g @ v[..., None])[..., 0, 0]
+
+
+def _random_planes(g, rng):
+    """One random pair per metric of ``g`` (``(n, d, d)``), orthonormal for it.
+
+    The pairs are drawn in one batch and made orthonormal by Gram-Schmidt.
+    A degenerate pair is skipped after the batch: it and every later row
+    move on by one pair of the stream, so each row gets the pair that
+    drawing row by row would give it.  64 degenerate pairs in a row for one
+    metric are a :class:`NumericalError`.
+    """
+    raw = rng.standard_normal((len(g), 2, g.shape[-1]))
+    last, tries = -1, 0
+    while True:
+        a, b = raw[:, 0], raw[:, 1]
+        e1 = a / np.sqrt(_quadratic(a, g, a))[:, None]
+        e2 = b - _quadratic(b, g, e1)[:, None] * e1
+        n2 = _quadratic(e2, g, e2)
+        degenerate = np.flatnonzero(~(n2 > 1e-12))
+        if not degenerate.size:
+            return np.stack([e1, e2 / np.sqrt(n2)[:, None]], axis=1)
+        i = degenerate[0]
+        tries = tries + 1 if i == last else 1
+        if tries == 64:
+            raise NumericalError("could not draw an orthonormal plane")
+        last = i
+        raw[i:] = np.concatenate([raw[i + 1:], rng.standard_normal((1, 2, g.shape[-1]))])
 
 
 @task("beta-scan")

@@ -113,6 +113,14 @@ def _components(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _components_at(v, p: np.ndarray) -> np.ndarray:
+    """Components of ``v`` as a vector at ``p``; a :class:`TangentVector`
+    must be based there."""
+    if isinstance(v, TangentVector) and not np.allclose(v.base, p, atol=1e-12):
+        raise InputError(f"tangent vector based at {v.base} evaluated at {p}")
+    return _components(v)
+
+
 def _metric(chart: MetricChart, p: np.ndarray) -> np.ndarray:
     g = np.asarray(chart.metric_at(p), dtype=float)
     if g.shape != (chart.dim, chart.dim):
@@ -129,11 +137,9 @@ def metric_eval(chart: MetricChart, p, u, v) -> float:
     against ``p``) or plain component arrays.
     """
     p = np.asarray(p, dtype=float)
-    for vec in (u, v):
-        if isinstance(vec, TangentVector) and not np.allclose(vec.base, p, atol=1e-12):
-            raise InputError(f"tangent vector based at {vec.base} evaluated at {p}")
+    u, v = _components_at(u, p), _components_at(v, p)
     g = _metric(chart, p)
-    return float(_components(u) @ g @ _components(v))
+    return float(u @ g @ v)
 
 
 def metric_derivative(chart: MetricChart, p) -> np.ndarray:
@@ -213,14 +219,20 @@ def riemann_tensor(chart: MetricChart, p) -> np.ndarray:
     return R
 
 
-def _require_orthonormal(chart: MetricChart, p, e1, e2, tol=1e-8):
-    n1 = metric_eval(chart, p, e1, e1)
-    n2 = metric_eval(chart, p, e2, e2)
-    n12 = metric_eval(chart, p, e1, e2)
-    if abs(n1 - 1.0) > tol or abs(n2 - 1.0) > tol or abs(n12) > tol:
-        raise InputError(
-            f"plane basis not orthonormal: |e1|^2={n1!r}, |e2|^2={n2!r}, <e1,e2>={n12!r}"
-        )
+def _require_orthonormal(g, frames, tol=1e-8):
+    """Raise :class:`InputError` unless every frame is orthonormal to ``tol``.
+
+    ``frames`` is ``(..., m, d)``, ``m`` vectors per frame, and ``g`` the
+    metrics ``(..., d, d)``, broadcast against the frames' leading axes.
+    """
+    gram = frames @ g @ np.swapaxes(frames, -1, -2)
+    near = np.abs(gram - np.eye(frames.shape[-2])) <= tol
+    if not near.all():
+        G = gram[~near.all(axis=(-2, -1))][0].tolist()
+        if len(G) == 1:
+            raise InputError(f"direction must be unit for the base metric, |e|^2={G[0][0]!r}")
+        raise InputError(f"plane basis not orthonormal: |e1|^2={G[0][0]!r}, "
+                         f"|e2|^2={G[1][1]!r}, <e1,e2>={G[0][1]!r}")
 
 
 def sectional_curvature(chart: MetricChart, p, e1, e2) -> float:
@@ -230,8 +242,8 @@ def sectional_curvature(chart: MetricChart, p, e1, e2) -> float:
     finite-difference curvature tensor: ``K = g(R(e1, e2) e2, e1)``.
     """
     p = np.asarray(p, dtype=float)
-    _require_orthonormal(chart, p, e1, e2)
-    u, w = _components(e1), _components(e2)
+    u, w = _components_at(e1, p), _components_at(e2, p)
+    _require_orthonormal(_metric(chart, p), np.array([u, w]))
     if chart.sectional_at is not None:
         return float(chart.sectional_at(p, u, w))
     R = riemann_tensor(chart, p)
@@ -344,8 +356,8 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
     """
     if dim < 1:
         raise InputError("sphere needs dim >= 1")
-    if radius <= 0:
-        raise InputError(f"sphere radius must be positive, got {radius}")
+    if not 0.0 < radius < np.inf:
+        raise InputError(f"sphere radius must be positive and finite, got {radius}")
     R2 = radius * radius
 
     def factors(p):

@@ -10,9 +10,10 @@ material from which the mixed-signature geodesics are later rebuilt.
 This module owns the rescaled charts, the bi-Lipschitz equivalence bounds
 between the base metric and a rescaled one, and the curvature side: the
 sectional curvature of a rescaled metric and the pointwise inequality
-guaranteeing it is negative.  Both read only ``k``, ``dk``, the covariant
+guaranteeing it is negative.  Both come from one batch kernel,
+:func:`rescaled_curvature`, which reads only ``k``, ``dk``, the covariant
 Hessian of ``k`` and ``|dk|^2``, taken together from one evaluation of the
-expression at each point.
+expression at each point, for any number of ``r`` values and planes there.
 
 A conformally flat base with exponent ``phi`` gives rescaled charts with
 the exponent ``phi + log(1/k + r) / 2``, one expression tree per base and
@@ -24,20 +25,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import warpfn
 from .errors import InputError, ParameterError
 from .manifold import (
-    MetricChart, _components, _metric, christoffel, metric_eval,
+    MetricChart, _components_at, _metric, _require_orthonormal, christoffel,
     sectional_curvature,
 )
 
 __all__ = [
     "WarpField", "WarpParameterRange", "admissible_range", "conformal_metric",
-    "equivalence_bounds", "covariant_hessian", "sectional_curvature_conformal",
-    "negativity_check", "value_and_grad", "values_along",
+    "equivalence_bounds", "covariant_hessian", "rescaled_curvature",
+    "sectional_curvature_conformal", "negativity_check", "value_and_grad", "values_along",
 ]
 
 
@@ -160,16 +162,8 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         )
 
     def sectional(p, e1, e2):
-        # callers hand a pair orthonormal for the rescaled metric; scale it
-        # back to a base-orthonormal pair before applying the formula
-        jet = _jet(g1, w, p)
-        scale = math.sqrt(1.0 / jet[0] + r)
-        return _conformal_sectional(
-            g1, w, r, p,
-            scale * np.asarray(e1, dtype=float),
-            scale * np.asarray(e2, dtype=float),
-            jet,
-        )
+        # callers hand a pair orthonormal for the rescaled metric
+        return _one_row(g1, w, r, p, (e1, e2), rescaled=True)[0].item()
 
     exponent, args = None, ()
     if g1.exponent is not None:
@@ -220,15 +214,17 @@ def equivalence_bounds(w: WarpField, r: float) -> tuple[float, float]:
 
 
 def _jet(g1: MetricChart, w: WarpField, p):
-    """``(k, dk, covariant Hessian of k, |dk|^2)`` at ``p`` on the base chart.
+    """``(k, dk, covariant Hessian of k, |dk|^2, g)`` at ``p`` on the base
+    chart, with ``g`` the base metric there.
 
     ``(hess k)_ij = d_i d_j k - G^l_ij d_l k``, and ``|dk|^2`` raises the
     index with the base metric.
     """
     p = np.asarray(p, dtype=float)
     k, dk, H = warpfn.eval2(w.expr, p)
-    H = H - np.tensordot(christoffel(g1, p), dk, axes=([0], [0]))
-    return k, dk, H, float(dk @ np.linalg.solve(_metric(g1, p), dk))
+    H = H - (dk @ christoffel(g1, p).reshape(len(dk), -1)).reshape(H.shape)
+    g = _metric(g1, p)
+    return k, dk, H, float(dk @ np.linalg.solve(g, dk)), g
 
 
 def covariant_hessian(g1: MetricChart, w: WarpField, p) -> np.ndarray:
@@ -239,68 +235,93 @@ def covariant_hessian(g1: MetricChart, w: WarpField, p) -> np.ndarray:
     return _jet(g1, w, p)[2]
 
 
-def _conformal_sectional(g1: MetricChart, w: WarpField, r: float, p, e1, e2,
-                         jet=None) -> float:
-    """Sectional curvature of the rescaled metric on a base-orthonormal plane.
+def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
+                       plane_curvature=None, rescaled: bool = False):
+    """Rescaled sectional curvatures and the negativity criterion, in one batch.
 
-    ``e1, e2`` must be orthonormal for the *base* metric; ``jet`` is
-    ``_jet(g1, w, p)`` when the caller has it.  The returned value is the
-    curvature of their span under ``(1/k + r) g1``:
+    ``points`` is ``(P, d)``, ``r_values`` ``(R,)`` and ``frames``
+    ``(P, R, Q, m, d)``: at each point and ``r``, ``Q`` frames of ``m``
+    vectors orthonormal for the base metric, or for ``(1/k + r) g1`` when
+    ``rescaled`` (they are then scaled back by ``sqrt(1/k + r)``).  A frame
+    of two spans a plane; ``plane_curvature``, broadcasting against
+    ``(P, R, Q)``, is the base sectional curvature ``K1`` of each, read from
+    the chart when not given (a frame of one vector needs it given).
+
+    Every ``r`` is checked admissible before any work, and the frames
+    orthonormal after scaling.  The warp's jet is evaluated once per point;
+    the rest is array expressions over all ``(point, r, frame)`` rows.
+    Returns ``(K, ok)``.  ``K`` is ``(P, R, Q)``, the curvature of each
+    plane under ``(1/k + r) g1`` (``None`` for frames of one vector):
 
         K_r = k/(1+rk) K1
             + [hess k(e1,e1) + hess k(e2,e2)] / (2 (1+rk)^2)
             - (1+4rk) [e1(k)^2 + e2(k)^2] / (4 k (1+rk)^3)
             - |dk|^2 / (4 k (1+rk)^3)
-    """
-    p = np.asarray(p, dtype=float)
-    u, v = _components(e1), _components(e2)
-    k1_sec = sectional_curvature(g1, p, u, v)  # validates orthonormality
-    k, dk, H, dk2 = _jet(g1, w, p) if jet is None else jet
-    s = 1.0 + r * k
-    e1k = float(dk @ u)
-    e2k = float(dk @ v)
-    return (
-        k / s * k1_sec
-        + (u @ H @ u + v @ H @ v) / (2.0 * s * s)
-        - (1.0 + 4.0 * r * k) * (e1k * e1k + e2k * e2k) / (4.0 * k * s ** 3)
-        - dk2 / (4.0 * k * s ** 3)
-    )
 
+    ``ok`` is ``(P, R, Q, m)``: whether each frame vector ``e`` satisfies
 
-def sectional_curvature_conformal(g1: MetricChart, w: WarpField, r: float,
-                                  p, e1, e2) -> float:
-    """Public wrapper around the rescaled-metric sectional curvature."""
-    admissible_range(w).require(r)
-    return _conformal_sectional(g1, w, r, p, e1, e2)
-
-
-def negativity_check(g1: MetricChart, w: WarpField, r: float, p, e,
-                     plane_curvature: float) -> bool:
-    """Pointwise criterion forcing the rescaled curvature negative.
-
-    For a base-unit vector ``e`` lying in a plane of base sectional
-    curvature ``plane_curvature``, checks
-
-        hess k(e, e) < (1+4rk) e(k)^2 / (2k(1+rk))
-                     + |dk|^2 / (4k(1+rk))
-                     - k (1+rk) * plane_curvature
+        hess k(e, e) < (1+4rk) e(k)^2 / (2k(1+rk)) + |dk|^2 / (4k(1+rk))
+                       - k (1+rk) K1
 
     When this holds for every unit vector of every plane on a region, all
     rescaled sectional curvatures there are negative.
     """
-    admissible_range(w).require(r)
-    p = np.asarray(p, dtype=float)
-    u = _components(e)
-    norm = metric_eval(g1, p, u, u)
-    if abs(norm - 1.0) > 1e-8:
-        raise InputError(f"direction must be unit for the base metric, |e|^2={norm!r}")
-    k, dk, H, dk2 = _jet(g1, w, p)
+    admissible = admissible_range(w)
+    for r in r_values:
+        admissible.require(float(r))
+    points = np.asarray(points, dtype=float)
+    e = np.asarray(frames, dtype=float)
+    k, dk, H, dk2, g = (np.array(c) for c in zip(*(_jet(g1, w, p) for p in points)))
+    # row quantities carry a trailing axis that broadcasts over frame vectors
+    k, dk2 = k[:, None, None, None], dk2[:, None, None, None]
+    r = np.asarray(r_values, dtype=float)[:, None, None]
+    if rescaled:
+        e = np.sqrt(1.0 / k + r)[..., None] * e
+    _require_orthonormal(g[:, None, None], e)
+    if plane_curvature is None:
+        sectional = g1.sectional_at or partial(sectional_curvature, g1)
+        plane_curvature = np.reshape([
+            sectional(p, *f) for p, at_p in zip(points, e)
+            for f in at_p.reshape(-1, *e.shape[3:])
+        ], e.shape[:3])
+    K1 = np.asarray(plane_curvature, dtype=float)[..., None]
     s = 1.0 + r * k
-    ek = float(dk @ u)
-    lhs = float(u @ H @ u)
-    rhs = (
-        (1.0 + 4.0 * r * k) * ek * ek / (2.0 * k * s)
-        + dk2 / (4.0 * k * s)
-        - k * s * plane_curvature
+    c = 1.0 + 4.0 * r * k
+    # matrix products, which round as the one-sample dk @ e and e @ H @ e do
+    row = e[..., None, :]
+    ek = (row @ dk[:, None, None, None, :, None])[..., 0, 0]
+    eHe = (row @ H[:, None, None, None] @ e[..., None])[..., 0, 0]
+    ok = eHe < c * ek * ek / (2.0 * k * s) + dk2 / (4.0 * k * s) - k * s * K1
+    if e.shape[3] != 2:
+        return None, ok
+    # C pow, as for one float: numpy's vector power may round s^3 differently
+    s3 = np.reshape([x ** 3 for x in s.ravel().tolist()], s.shape)
+    K = (
+        k / s * K1
+        + eHe.sum(axis=-1, keepdims=True) / (2.0 * s * s)
+        - c * (ek * ek).sum(axis=-1, keepdims=True) / (4.0 * k * s3)
+        - dk2 / (4.0 * k * s3)
     )
-    return lhs < rhs
+    return K[..., 0], ok
+
+
+def _one_row(g1, w, r, p, vectors, **kwargs):
+    """:func:`rescaled_curvature` at one point and ``r`` on one frame."""
+    p = np.asarray(p, dtype=float)
+    frame = np.array([_components_at(v, p) for v in vectors])
+    return rescaled_curvature(g1, w, p[None], [r], frame[None, None, None], **kwargs)
+
+
+def sectional_curvature_conformal(g1: MetricChart, w: WarpField, r: float,
+                                  p, e1, e2) -> float:
+    """Sectional curvature of ``(1/k + r) g1`` on the plane of a
+    base-orthonormal pair: one row of :func:`rescaled_curvature`."""
+    return _one_row(g1, w, r, p, (e1, e2))[0].item()
+
+
+def negativity_check(g1: MetricChart, w: WarpField, r: float, p, e,
+                     plane_curvature: float) -> bool:
+    """Pointwise criterion forcing the rescaled curvature negative, for a
+    base-unit vector ``e`` in a plane of base sectional curvature
+    ``plane_curvature``: one row of :func:`rescaled_curvature`."""
+    return _one_row(g1, w, r, p, (e,), plane_curvature=plane_curvature)[1].item()

@@ -138,6 +138,77 @@ def test_curvature_scan_reports_negativity(tmp_path):
     assert table.shape == (18, 5)
 
 
+def _random_orthonormal_plane(g, rng):
+    """Two random vectors made orthonormal for ``g``, redrawn until not
+    degenerate: the scan's draw, one sample at a time."""
+    for _ in range(64):
+        raw = rng.standard_normal((2, len(g)))
+        e1 = raw[0] / math.sqrt(raw[0] @ g @ raw[0])
+        e2 = raw[1] - (raw[1] @ g @ e1) * e1
+        n2 = e2 @ g @ e2
+        if n2 > 1e-12:
+            return e1, e2 / math.sqrt(n2)
+    raise AssertionError("no orthonormal plane")
+
+
+BALL_SCAN = {
+    "task": "curvature-scan",
+    "seed": 11,
+    "base_chart": {"name": "poincare_ball", "dim": 3},
+    "warp": {"expression": "2 + 0.3*sin(2*x1)*cos(x2 + x3)", "k0": 1.7, "K0": 2.3},
+    "curvature_scan": {
+        "r_values": [-0.2, 0.5, 3.0],
+        "planes": 2,
+        "grid": {"mins": [-0.5, -0.4, -0.3], "maxs": [0.4, 0.5, 0.3], "counts": [3, 2, 2]},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(CURVATURE_SCAN, curvature_scan=dict(CURVATURE_SCAN["curvature_scan"], planes=3)),
+    BALL_SCAN,
+], ids=["half_plane", "ball3"])
+def test_curvature_scan_matches_a_loop_over_the_scalar_functions(tmp_path, doc):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0
+    table = np.loadtxt(out / "curvature.csv", delimiter=",", skiprows=1)
+    tc = cli.TaskConfig(doc)
+    g1, w, p = tc.base, tc.warp, doc["curvature_scan"]
+    grid = p["grid"]
+    axes = [np.linspace(*bounds) for bounds in zip(grid["mins"], grid["maxs"], grid["counts"])]
+    rng = np.random.default_rng(doc["seed"])
+    rows = []
+    for point in np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1):
+        for r in p["r_values"]:
+            for _ in range(p["planes"]):
+                e1, e2 = _random_orthonormal_plane(g1.metric_at(point), rng)
+                base_K = wg.sectional_curvature(g1, point, e1, e2)
+                ok = (wg.negativity_check(g1, w, r, point, e1, base_K)
+                      and wg.negativity_check(g1, w, r, point, e2, base_K))
+                K = wg.sectional_curvature_conformal(g1, w, r, point, e1, e2)
+                rows.append([*point, r, K, float(ok)])
+    want = np.array(rows)
+    assert table.shape == want.shape
+    columns = [i for i in range(want.shape[1]) if i != want.shape[1] - 2]
+    np.testing.assert_array_equal(table[:, columns], want[:, columns])
+    np.testing.assert_allclose(table[:, -2], want[:, -2], rtol=0.0, atol=1e-12)
+
+
+def test_curvature_scan_evaluates_the_warp_once_per_grid_point(tmp_path, monkeypatch):
+    from warpgeo import warpfn
+    calls = []
+
+    def counted(expr, point, _eval2=warpfn.eval2):
+        calls.append(tuple(point))
+        return _eval2(expr, point)
+
+    monkeypatch.setattr(warpfn, "eval2", counted)
+    code, _ = run_task(tmp_path, dict(CURVATURE_SCAN, curvature_scan=dict(
+        CURVATURE_SCAN["curvature_scan"], planes=2)), "--quiet")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 9
+
+
 def _beta_scan(**params):
     return dict(TRIVIAL_PRODUCT, task="beta-scan",
                 beta_scan={"x0": 0.0, "x1": 1.0, **params})
@@ -162,9 +233,11 @@ def _curvature_scan(grid=None, **params):
     (_curvature_scan(grid={"counts": [3, math.inf]}), "curvature_scan.grid.counts"),
     (_curvature_scan(planes=0), "curvature_scan.planes"),
     (dict(CURVATURE_SCAN, base_chart={"name": "euclidean", "dim": 1}), "base_chart"),
+    (_curvature_scan(grid={"mins": [-1.0, math.nan]}), "curvature_scan.grid"),
+    (_curvature_scan(grid={"mins": [-1.0, -0.5]}), "curvature_scan.grid"),
 ], ids=["samples_1", "samples_0", "samples_nan", "beta_r_word", "beta_r_null",
         "curvature_r_word", "curvature_r_scalar", "counts_0", "counts_inf", "planes_0",
-        "curvature_on_a_line"])
+        "curvature_on_a_line", "grid_nan", "grid_off_the_chart"])
 def test_sampling_tasks_reject_a_grid_they_cannot_sample(tmp_path, doc, key):
     code, out = run_task(tmp_path, doc, "--quiet")
     assert code == 2
@@ -370,6 +443,21 @@ def test_counts_out_of_range_are_input_errors(tmp_path, doc, key):
     assert code == 2
     with open(out / "error.json") as fh:
         assert key in json.load(fh)["message"]
+
+
+@pytest.mark.parametrize("base, key", [
+    ({"name": "circle", "radius": math.nan}, "radius"),
+    ({"name": "sphere", "dim": 1, "radius": math.inf}, "radius"),
+    ({"name": "weighted_line", "weight": 4}, "base_chart.weight"),
+], ids=["circle_radius_nan", "sphere_radius_inf", "weight_not_text"])
+def test_chart_parameters_of_the_wrong_kind_are_input_errors(tmp_path, base, key):
+    doc = dict(INTEGRATE_FLAT, base_chart=base,
+               integrate={"point": [0.0], "velocity": [1.0]})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert key in json.load(fh)["message"]
+    assert not (out / "report.json").exists()
 
 
 CONNECT_TEXT = """\

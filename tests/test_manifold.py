@@ -1,5 +1,7 @@
 """Metric charts: evaluation, Christoffel symbols, curvature, validation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,6 +384,13 @@ def test_domain_predicates():
     assert wg.euclidean(2).in_domain is None
     assert wg.circle(2.0).in_domain is None
     assert wg.sphere(1).in_domain is None
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_sphere_radius_must_be_positive_and_finite(radius):
+    for make in (lambda: wg.sphere(2, radius), lambda: wg.circle(radius)):
+        with pytest.raises(InputError, match="radius"):
+            make()
 
 
 def test_tangent_vector_shape_validation():

@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
 from warpgeo import warpfn
 from warpgeo.manifold import MetricChart, christoffel, metric_eval, sectional_curvature
 from warpgeo.warp import (
-    _conformal_sectional,
     admissible_range,
     conformal_metric,
     covariant_hessian,
     equivalence_bounds,
     negativity_check,
+    rescaled_curvature,
     sectional_curvature_conformal,
     value_and_grad,
     values_along,
@@ -201,6 +202,106 @@ def test_covariant_hessian_picks_up_the_connection():
 # curvature of the rescaled metric
 
 
+def _reference_jet(g1, w, p):
+    k, dk, H = warpfn.eval2(w.expr, p)
+    H = H - np.tensordot(christoffel(g1, p), dk, axes=([0], [0]))
+    return k, dk, H, float(dk @ np.linalg.solve(g1.metric_at(p), dk))
+
+
+def _reference_sectional(g1, w, r, p, e1, e2):
+    """The rescaled curvature, one sample at a time as a scalar formula."""
+    k1_sec = sectional_curvature(g1, p, e1, e2)
+    k, dk, H, dk2 = _reference_jet(g1, w, p)
+    s = 1.0 + r * k
+    e1k = float(dk @ e1)
+    e2k = float(dk @ e2)
+    return (
+        k / s * k1_sec
+        + (e1 @ H @ e1 + e2 @ H @ e2) / (2.0 * s * s)
+        - (1.0 + 4.0 * r * k) * (e1k * e1k + e2k * e2k) / (4.0 * k * s ** 3)
+        - dk2 / (4.0 * k * s ** 3)
+    )
+
+
+def _reference_criterion(g1, w, r, p, e, plane_curvature):
+    """The negativity criterion for one vector as a scalar formula."""
+    k, dk, H, dk2 = _reference_jet(g1, w, p)
+    s = 1.0 + r * k
+    ek = float(dk @ e)
+    return float(e @ H @ e) < (
+        (1.0 + 4.0 * r * k) * ek * ek / (2.0 * k * s)
+        + dk2 / (4.0 * k * s)
+        - k * s * plane_curvature
+    )
+
+
+# base charts with a coordinate box inside each
+KERNEL_BASES = {
+    "half_plane": (wg.poincare_half_plane(), [(-2.0, 2.0), (0.2, 3.0)]),
+    "flat": (wg.euclidean(2), [(-2.0, 2.0), (-2.0, 2.0)]),
+    "ball": (wg.poincare_ball(2), [(-0.65, 0.65), (-0.65, 0.65)]),
+    "sphere": (wg.sphere(2), [(0.3, math.pi - 0.3), (-3.0, 3.0)]),
+}
+
+
+def _frame(g, theta):
+    """Gram-Schmidt for ``g`` of the rotation of the coordinate frame by ``theta``."""
+    a = np.array([math.cos(theta), math.sin(theta)])
+    b = np.array([-math.sin(theta), math.cos(theta)])
+    e1 = a / math.sqrt(a @ g @ a)
+    e2 = b - (b @ g @ e1) * e1
+    return np.array([e1, e2 / math.sqrt(e2 @ g @ e2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batch_kernel_matches_the_per_sample_formulas(data):
+    base, box = KERNEL_BASES[data.draw(st.sampled_from(sorted(KERNEL_BASES)))]
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)*cos(3*x2)", 2, 1.5, 2.5)
+    coordinate = st.tuples(*(st.floats(lo, hi) for lo, hi in box))
+    points = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=3)))
+    r_values = data.draw(st.lists(st.floats(-0.39, 3.0), min_size=1, max_size=3))
+    planes = data.draw(st.integers(1, 2))
+    shape = (len(points), len(r_values), planes)
+    thetas = iter(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                     min_size=math.prod(shape), max_size=math.prod(shape))))
+    frames = np.array([[[_frame(base.metric_at(p), next(thetas)) for _ in range(planes)]
+                        for _ in r_values] for p in points])
+
+    K, ok = rescaled_curvature(base, w, points, r_values, frames)
+
+    assert K.shape == shape and ok.shape == shape + (2,)
+    for i, p in enumerate(points):
+        for j, r in enumerate(r_values):
+            for q, (e1, e2) in enumerate(frames[i, j]):
+                want = _reference_sectional(base, w, r, p, e1, e2)
+                assert K[i, j, q] == pytest.approx(want, rel=1e-13, abs=1e-13)
+                K1 = sectional_curvature(base, p, e1, e2)
+                assert ok[i, j, q].tolist() == [
+                    _reference_criterion(base, w, r, p, e, K1) for e in (e1, e2)]
+
+
+def test_batch_kernel_checks_r_before_any_work_and_every_frame(monkeypatch):
+    base = wg.poincare_half_plane()
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    points = np.array([[0.0, 1.0], [0.5, 2.0]])
+    frames = np.broadcast_to(np.diag(points[:, 1])[:, None, None], (2, 2, 1, 2, 2)).copy()
+    calls = _count_warp_evaluations(monkeypatch, w)
+    with pytest.raises(wg.ParameterError):
+        rescaled_curvature(base, w, points, [0.5, -1.0], frames)
+    assert calls == []
+    frames[1, 0, 0, 1] *= 1.5  # one vector of one row off unit length
+    with pytest.raises(InputError, match="not orthonormal"):
+        rescaled_curvature(base, w, points, [0.5, 1.0], frames)
+    frames[1, 0, 0, 1] /= 1.5
+    frames[0, 1, 0, 1] = frames[0, 1, 0, 0]  # a repeated vector
+    with pytest.raises(InputError, match="not orthonormal"):
+        rescaled_curvature(base, w, points, [0.5, 1.0], frames)
+    with pytest.raises(InputError, match="must be unit"):
+        rescaled_curvature(base, w, points, [0.5], 2.0 * frames[:, :1, :, :1],
+                           plane_curvature=-1.0)
+
+
 def test_rescaled_curvature_constant_field_closed_form():
     one = wg.WarpField.constant(1.0, 2)
     base = wg.poincare_half_plane()
@@ -298,7 +399,7 @@ def test_a_rescaled_chart_reads_its_sectional_curvature_from_one_jet(monkeypatch
     p = np.array([0.3, 1.2])
     scale = math.sqrt(1.0 / w.value_at(p) + r)
     e1, e2 = np.array([1.2, 0.0]) / scale, np.array([0.0, 1.2]) / scale
-    want = _conformal_sectional(base, w, r, p, scale * e1, scale * e2)
+    want = _reference_sectional(base, w, r, p, scale * e1, scale * e2)
     chart = conformal_metric(base, w, r)
     calls = _count_warp_evaluations(monkeypatch, w)
     got = chart.sectional_at(p, e1, e2)

@@ -35,7 +35,7 @@ from .manifold import (
     MetricChart, _metric, circle, euclidean, metric_eval, poincare_ball,
     poincare_half_plane, sphere, weighted_line,
 )
-from .reparam import _leg_maps, _rebuild, norm_identity_errors
+from .reparam import norm_identity_errors, riemannize
 from .warp import (
     WarpField, admissible_range, conformal_metric, rescaled_curvature,
 )
@@ -54,9 +54,11 @@ def task(name):
 # config handling
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """Safe YAML loading that also reads plain ``1e-6``, ``1e6`` and
-    ``1.0e6`` as floats, as YAML 1.2 does (YAML 1.1 reads them as text)."""
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe YAML loading, through libyaml where PyYAML was built with it,
+    that also reads plain ``1e-6``, ``1e6`` and ``1.0e6`` as floats, as
+    YAML 1.2 does (YAML 1.1 reads them as text).  The resolver stays in
+    Python either way, so the extra rule applies to both parsers."""
 
 
 _ConfigLoader.add_implicit_resolver(
@@ -285,18 +287,15 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
     w, g2, r, mu, nu = _integrate_pair(tc, p, "riemannize")
     if p.get("fit_fiber_speed"):
         # rescale the fiber velocity so the coupling identity holds exactly
-        res = _beta_from_mu(mu, w, r, tc.base, mu.velocities[0], 0)
+        beta = _beta_from_mu(mu, w, r, tc.base, mu.velocities[0], 0).beta
         speed = math.sqrt(metric_eval(g2, nu.points[0], nu.velocities[0],
                                       nu.velocities[0]))
         if speed == 0.0:
             raise InputError("riemannize.Y0 must be nonzero to fit its speed")
-        Y0 = nu.velocities[0] * (res.beta / speed)
+        Y0 = nu.velocities[0] * (beta / speed)
         nu = integrate_geodesic(g2, nu.points[0], Y0, tc.cfg)
-        maps = (res.phi, res.gamma, res.psi)  # the fit already built them
-    else:
-        maps = _leg_maps(mu, w, r)
-    geo = _rebuild(mu, nu, w, r, tc.base, g2, maps, compat_tol=1e-8,
-                   residual_tol=None)
+    geo = riemannize(mu, nu, w, r, tc.base, g2, compat_tol=1e-8,
+                     residual_tol=None)
     for name, curve in (("mu", mu), ("nu", nu), ("gamma", geo.gamma),
                         ("tau", geo.tau)):
         curve_to_csv(curve, out / f"{name}.csv")

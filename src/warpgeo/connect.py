@@ -1,20 +1,23 @@
 """Joining boundary points with mixed-signature geodesics.
 
 The workhorse is the scalar dial ``beta(r)``: for each admissible ``r``,
-shoot a rescaled-metric geodesic between the base endpoints, rebuild its
-reparametrization constants, and read off the fiber distance the rebuilt
-geodesic would traverse.  ``beta`` blows up at the admissibility threshold
-and decays to zero for large ``r``, so matching it against the actual
-fiber distance is a bracketed scalar root-find.
+shoot a rescaled-metric geodesic between the base endpoints, take the two
+reparametrization constants as quadratures along it, and read off the
+fiber distance the rebuilt geodesic would traverse.  No dial evaluation
+builds a map: the maps are built once, when the solved pair is rebuilt at
+the root.  ``beta`` blows up at the admissibility threshold and decays to
+zero for large ``r``, so matching it against the actual fiber distance is
+a bracketed scalar root-find.
 
 Shooting itself is a damped quasi-Newton iteration on the endpoint map
 with Broyden updates, its velocity and Jacobian warm-started across ``r``;
 finite differences build the Jacobian only to start cold or to refresh a
 stale one.  The translation-invariant base case (the real line with a
 time-dependent warp, as in homogeneous cosmological metrics) evaluates the
-dial from the explicit first integral of the base equation instead, which
-separates and reduces to the same monotone inversion as the base
-reparametrization.
+dial from the explicit first integral of the base equation instead: with
+the slowness ``S`` of that integral, the leg's speed and both constants
+are quadratures over a uniform grid on the base interval, so neither a
+shot nor a base leg is needed.
 Both kinds of dial evaluation go through one root-find, and both
 connections raise :class:`~warpgeo.errors.ShootingError` when the rebuilt
 legs end farther than the integrator tolerance from the requested points.
@@ -31,9 +34,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import warpfn
-from ._num import (
-    composite_simpson, cumulative_simpson, invert_running_integral,
-)
+from ._num import composite_simpson, cumulative_simpson
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ShootingError,
@@ -44,7 +45,9 @@ from .integrate import (
 from .manifold import (
     MetricChart, TangentVector, euclidean, metric_eval, weighted_line,
 )
-from .reparam import MonotoneMap, RiemannianGeodesic, _leg_maps, _rebuild
+from .reparam import (
+    MonotoneMap, RiemannianGeodesic, _leg_constants, riemannize,
+)
 from .warp import WarpField, admissible_range, conformal_metric, values_along
 
 __all__ = [
@@ -169,34 +172,32 @@ def shoot_boundary(chart: MetricChart, x0, x1,
 @dataclass
 class BetaResult:
     """One evaluation of the dial: the fiber distance the rebuilt geodesic
-    from this ``r`` would cover, plus everything produced on the way.
+    from this ``r`` would cover, its initial base velocity and the two
+    reparametrization constants.
 
-    ``jacobian`` is the shooting Jacobian at ``X_r`` (``None`` when no
-    shooting step was taken), for warm-starting a neighbouring ``r``.
+    ``mu`` is the shot leg (``None`` on the line base, which shoots
+    nothing) and ``jacobian`` the shooting Jacobian at ``X_r`` (``None``
+    when no shooting step was taken), for warm-starting a neighbouring
+    ``r``.
     """
 
     beta: float
     X_r: TangentVector
     a_r: float
     b_r: float
-    mu: Curve
-    gamma: Curve
-    phi: MonotoneMap
-    psi: MonotoneMap
+    mu: Optional[Curve]
     iterations: int = 0
     jacobian: Optional[np.ndarray] = None
 
 
 def _beta_from_mu(mu: Curve, w: WarpField, r: float, g1: MetricChart,
                   X: np.ndarray, iterations: int, jacobian=None) -> BetaResult:
-    phi, gamma, psi = _leg_maps(mu, w, r)
-    a, b = phi.constant, psi.constant
+    a, b = _leg_constants(mu, w, r)
     x0 = mu.points[0]
     k0x = w.value_at(x0)
     q = metric_eval(g1, x0, X, X)
     beta = (a / b) * math.sqrt((1.0 + r * k0x) / k0x * q)
-    return BetaResult(beta, TangentVector(x0, X), a, b, mu, gamma, phi, psi,
-                      iterations, jacobian)
+    return BetaResult(beta, TangentVector(x0, X), a, b, mu, iterations, jacobian)
 
 
 def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
@@ -204,10 +205,10 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
               v_init=None, jac_init=None) -> BetaResult:
     """Evaluate the dial at one ``r`` by shooting between the base points.
 
-    Unpacks as ``(beta, X_r, a_r, b_r)``; the result object also carries
-    the shot curve, its reparametrized leg, both maps and the shooting
-    Jacobian.  ``v_init``/``jac_init`` warm-start the shooting, typically
-    from the result at a neighbouring ``r``.
+    The result carries ``beta``, ``X_r``, the constants ``a_r``, ``b_r``,
+    the shot leg and the shooting Jacobian, but no map.
+    ``v_init``/``jac_init`` warm-start the shooting, typically from the
+    result at a neighbouring ``r``.
     """
     admissible_range(w).require(r)
     chart = conformal_metric(g1, w, r)
@@ -279,7 +280,8 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
         return root, beta_at(root), len(memo)
     finally:
         # brentq wraps ``gap`` in a self-referencing closure, so the memo
-        # would otherwise live, with every curve it holds, until a full GC.
+        # would otherwise live, with the shot leg of every evaluation, until
+        # a full GC.
         memo.clear()
 
 
@@ -329,15 +331,14 @@ def _within_tolerance(report: ShootingReport,
     return report
 
 
-def _assemble_report(solver_result: BetaResult, r: float, nu: Curve,
-                     beta0: float, w, g1, g2, iterations: int, x1, y1,
-                     cfg: IntegratorConfig,
+def _assemble_report(mu: Curve, solver_result: BetaResult, r: float,
+                     nu: Curve, beta0: float, w, g1, g2, iterations: int,
+                     x1, y1, cfg: IntegratorConfig,
                      first_integral_residual=None) -> ShootingReport:
-    """Rebuild the solved pair; ``x1``/``y1`` are the requested end points
-    that ``endpoint_error`` measures the rebuilt legs against."""
-    geo = _rebuild(solver_result.mu, nu, w, r, g1, g2,
-                   (solver_result.phi, solver_result.gamma, solver_result.psi),
-                   compat_tol=1e-6, residual_tol=None)
+    """Rebuild the solved pair ``(mu, nu)``: the one map build of a solve.
+    ``x1``/``y1`` are the requested end points that ``endpoint_error``
+    measures the rebuilt legs against."""
+    geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None)
     endpoint_error = max(
         float(np.max(np.abs(geo.gamma.points[-1] - x1))),
         float(np.max(np.abs(geo.tau.points[-1] - y1))),
@@ -402,8 +403,8 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
                                               v_init, jac_init),
         beta0, admissible_range(w).lower, r_max, samples,
     )
-    return _assemble_report(res, r0, nu, beta0, w, g1, g2, evaluations,
-                            x1, y1, cfg)
+    return _assemble_report(res.mu, res, r0, nu, beta0, w, g1, g2,
+                            evaluations, x1, y1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +444,9 @@ def partial_connect(mu_nu: tuple[Curve, Curve], alpha: float, w: WarpField,
     restricted = _restricted(mu, alpha)
     if alpha == 0.0:
         return 0.0, 0.0
-    phi, _, psi = _leg_maps(restricted, w, r)
+    a, b = _leg_constants(restricted, w, r)
     k0x = w.value_at(mu.points[0])
-    beta = (phi.constant / psi.constant) * math.sqrt((1.0 + r * k0x) / k0x) * abs(alpha)
+    beta = (a / b) * math.sqrt((1.0 + r * k0x) / k0x) * abs(alpha)
     return beta, -beta
 
 
@@ -482,9 +483,9 @@ def theta_consistency(mu: Curve, nu: Curve, w: WarpField, r: float,
     if t == 0.0:
         beta_disp = beta_compat = 0.0
     else:
-        phi, _, psi = _leg_maps(restricted, w, r)
-        beta_disp = (phi.constant / psi.constant) * stretch * t
-        beta_compat = (phi.constant / psi.constant) * math.sqrt(stretch) * t
+        a, b = _leg_constants(restricted, w, r)
+        beta_disp = (a / b) * stretch * t
+        beta_compat = (a / b) * math.sqrt(stretch) * t
     gap = abs(beta_disp - beta_compat) / max(abs(beta_disp), abs(beta_compat), 1e-300)
     if beta_disp > nu.params[-1] + 1e-12 or beta_compat > nu.params[-1] + 1e-12:
         raise InputError(
@@ -509,8 +510,10 @@ def _line_weight(weight):
     return warpfn.parse(weight, 1) if isinstance(weight, str) else weight
 
 
-def _slowness(w: WarpField, r: float, weight, xs) -> np.ndarray:
-    """The first-integral slowness ``sqrt((1 + r k) f / k)`` at line points.
+def _slowness(w: WarpField, r: float, weight, xs
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The first-integral slowness ``sqrt((1 + r k) f / k)`` at line points,
+    and ``k`` there.
 
     ``weight`` is the parsed line weight ``f`` (``None`` for the flat line);
     both fields are evaluated in one batch over ``xs``, of any shape.
@@ -526,33 +529,7 @@ def _slowness(w: WarpField, r: float, weight, xs) -> np.ndarray:
             raise NumericalError(
                 f"line weight must stay positive, got {f[bad]} at {column[bad]}"
             )
-    return np.sqrt((1.0 + r * k) * f / k).reshape(xs.shape)
-
-
-def _flrw_mu(w: WarpField, t0: float, t1: float, r: float,
-             cfg: IntegratorConfig, weight=None) -> tuple[Curve, float]:
-    """Solve the base leg from its first integral by separation.
-
-    ``mu' = c / slowness(mu)`` separates: with ``A(x)`` the running integral
-    of the slowness from ``t0``, the solution is ``mu(s) = A^{-1}(c s)``
-    and the endpoint condition pins ``c = A(t1)``.  Everything reduces to
-    one cumulative quadrature on a uniform coordinate grid plus a monotone
-    inversion; no iteration on the trajectory is needed.  ``weight`` is
-    the parsed line weight, or ``None`` for the flat line.
-    """
-    if t1 == t0:
-        raise InputError("base endpoints coincide; the first integral degenerates")
-    span = t1 - t0
-    grid = np.linspace(0.0, 1.0, cfg.steps + 1)
-
-    def slowness(xi):
-        return _slowness(w, r, weight, t0 + span * xi)
-
-    accum = cumulative_simpson(slowness(grid), 1.0 / cfg.steps)
-    xi = invert_running_integral(slowness, grid, accum)
-    c = span * accum[-1]
-    mu = t0 + span * xi
-    return Curve(grid, mu[:, None], (c / slowness(xi))[:, None]), c
+    return np.sqrt((1.0 + r * k) * f / k).reshape(xs.shape), k.reshape(xs.shape)
 
 
 def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
@@ -560,13 +537,32 @@ def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
               weight=None) -> BetaResult:
     """Dial evaluation on the line base via the first integral (no shooting).
 
-    ``weight`` is the line weight as text in ``t`` or as a parsed node.
+    The base leg solves ``mu' = c / S(mu)``, ``S`` the slowness, so
+    ``ds = S dx / c`` along it.  On the uniform grid ``x = t0 + span xi``
+    over ``[t0, t1]``, quadratures of one slowness batch give the leg's
+    constant ``c = span int S``, its initial speed ``X_r = c / S(t0)`` and
+    the constants of :func:`~warpgeo.reparam._leg_constants`,
+    ``a = (span / c) int k S / (1 + r k)`` and
+    ``1/b = (span / (a c)) int S / (1 + r k)``; so
+    ``beta = |span| int S / (1 + r k)``.  ``weight`` is the line weight as
+    text in ``t`` or as a parsed node.
     """
     admissible_range(w).require(r)
-    weight = _line_weight(weight)
-    g1 = weighted_line(weight) if weight is not None else euclidean(1)
-    mu, _ = _flrw_mu(w, t0, t1, r, cfg, weight)
-    return _beta_from_mu(mu, w, r, g1, mu.velocities[0], 0)
+    if t1 == t0:
+        raise InputError("base endpoints coincide; the first integral degenerates")
+    span = t1 - t0
+    slow, k = _slowness(w, r, _line_weight(weight),
+                        t0 + span * np.linspace(0.0, 1.0, cfg.steps + 1))
+
+    def total(values):
+        return cumulative_simpson(values, 1.0 / cfg.steps)[-1]
+
+    c = span * total(slow)
+    reach = slow / (1.0 + r * k)
+    fiber = total(reach)
+    a = span / c * total(k * reach)
+    X_r = TangentVector(np.array([float(t0)]), np.array([c / slow[0]]))
+    return BetaResult(abs(span) * fiber, X_r, a, a * c / (span * fiber), None)
 
 
 def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
@@ -578,9 +574,10 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
 
     Same contract as :func:`connect_points` for a one-dimensional base
     chart (optionally weighted, as in :func:`flrw_beta`), but each dial
-    evaluation integrates the explicit first-order base equation instead
-    of shooting.  The report carries the residual of the first integral
-    measured along an independently integrated rescaled-metric geodesic.
+    evaluation reads the explicit first integral of the base equation
+    instead of shooting.  The base leg is integrated once, at the root, as
+    a plain rescaled-metric geodesic; the report carries the residual of
+    the first integral measured along it.
     """
     y0 = np.asarray(y0, dtype=float)
     y1 = np.asarray(y1, dtype=float)
@@ -606,12 +603,11 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
     X = res.X_r.components
     chart = conformal_metric(base_chart, w, r0)
     mu_geo = integrate_geodesic(chart, np.array([t0]), X, cfg)
-    slow = _slowness(w, r0, weight, mu_geo.points[:, 0])
+    slow, _ = _slowness(w, r0, weight, mu_geo.points[:, 0])
     fi_residual = float(np.max(np.abs(
         mu_geo.velocities[:, 0] - X[0] * slow[0] / slow
     )))
-    res_geo = _beta_from_mu(mu_geo, w, r0, base_chart, X, 0)
-    return _assemble_report(res_geo, r0, nu, beta0, w, base_chart, g2,
+    return _assemble_report(mu_geo, res, r0, nu, beta0, w, base_chart, g2,
                             evaluations, np.array([t1]), y1, cfg,
                             first_integral_residual=fi_residual)
 

@@ -10,6 +10,11 @@ a geodesic for the full warped metric of signature ``(+, -)``:
 * the fiber map ``psi`` satisfies ``psi' = b / k`` along the
   reparametrized base leg, again normalized to fix the constant ``b``.
 
+The constants alone need no map: changing variables along ``mu`` gives
+``a = int_0^1 k/(1 + r k)(mu)`` and ``1/b = (1/a) int_0^1 1/(1 + r k)(mu)``,
+two quadratures over ``mu``'s nodes (:func:`_leg_constants`).  Those are the
+constants of every rebuilt leg; the maps are built only to reparametrize it.
+
 The module also hosts the compatibility condition coupling the two initial
 tangents, the tangent-vector transformation between the two descriptions,
 and the classifier that recovers the rescaling parameter from a
@@ -179,7 +184,8 @@ class RiemannianGeodesic:
 
     ``base`` holds the input pair ``(mu, nu)``; ``gamma`` and ``tau`` are
     the reparametrized legs forming the actual geodesic; ``phi`` and
-    ``psi`` the maps that produced them.
+    ``psi`` the maps that produced them.  ``a_r`` and ``b_r`` are the
+    quadrature constants of :func:`_leg_constants` along ``mu``.
     """
 
     r: float
@@ -206,13 +212,18 @@ class RiemannianGeodesic:
         }
 
 
-def _leg_maps(mu: Curve, w: WarpField, r: float
-              ) -> tuple[MonotoneMap, Curve, MonotoneMap]:
-    """The base map ``phi`` along ``mu``, the reparametrized base leg
-    ``gamma`` it gives, and the fiber map ``psi`` along ``gamma``."""
-    phi = compute_a_and_phi(mu, w, r)
-    gamma = reparametrize(mu, phi)
-    return phi, gamma, compute_b_and_psi(gamma, w)
+def _leg_constants(mu: Curve, w: WarpField, r: float) -> tuple[float, float]:
+    """The constants ``(a, b)`` of the maps along ``mu``, without the maps.
+
+    ``a`` is the sum :func:`compute_a_and_phi` takes, so it equals
+    ``phi.constant`` exactly; ``b`` is the same rule over ``1/(1 + r k)``,
+    divided into ``a``.
+    """
+    admissible_range(w).require(r)
+    h = _even_panel_step(mu)
+    k = values_along(w, mu.points)
+    a = cumulative_simpson(k / (1.0 + r * k), h)[-1]
+    return a, a / cumulative_simpson(1.0 / (1.0 + r * k), h)[-1]
 
 
 def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
@@ -223,33 +234,27 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
 
     ``mu`` must be a geodesic of the rescaled base metric for this ``r``
     and ``nu`` a geodesic of the fiber; their initial tangents must pass
-    the compatibility check.  The base map is computed from ``mu``, the
-    fiber map from the already reparametrized base leg, matching the
-    defining relation of the fiber equation.
+    the compatibility check under the constants of :func:`_leg_constants`.
+    The base map is computed from ``mu``, the fiber map from the already
+    reparametrized base leg, matching the defining relation of the fiber
+    equation.
 
     Residuals of the coupled system are always measured on the result and
     stored; if ``residual_tol`` is given they must stay below it.
     """
     if mu.steps != nu.steps:
         raise InputError("factor curves must share one grid")
-    return _rebuild(mu, nu, w, r, g1, g2, _leg_maps(mu, w, r),
-                    compat_tol, residual_tol)
-
-
-def _rebuild(mu: Curve, nu: Curve, w: WarpField, r: float, g1: MetricChart,
-             g2: MetricChart, maps: tuple[MonotoneMap, Curve, MonotoneMap],
-             compat_tol: float, residual_tol: Optional[float]
-             ) -> RiemannianGeodesic:
-    """:func:`riemannize` from the :func:`_leg_maps` of ``mu``, already built."""
-    phi, gamma, psi = maps
-    a_r, b_r = phi.constant, psi.constant
-    x0 = mu.points[0]
+    a_r, b_r = _leg_constants(mu, w, r)
     Y0 = TangentVector(nu.points[0], nu.velocities[0])
     ok, defect = check_compatibility(
-        x0, mu.velocities[0], Y0, a_r, b_r, w, r, g1, g2, tol=compat_tol
+        mu.points[0], mu.velocities[0], Y0, a_r, b_r, w, r, g1, g2,
+        tol=compat_tol,
     )
     if not ok:
         raise CompatibilityError(defect, compat_tol)
+    phi = compute_a_and_phi(mu, w, r)
+    gamma = reparametrize(mu, phi)
+    psi = compute_b_and_psi(gamma, w)
     tau = reparametrize(nu, psi)
     residuals = coupled_residual(g1, g2, w, gamma, tau)
     if residual_tol is not None and max(residuals) > residual_tol:

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
 from warpgeo import connect, reparam, warpfn
-from warpgeo.connect import (
-    BetaResult, _beta_from_mu, _flrw_mu, _restricted, _shoot,
-)
+from warpgeo.connect import BetaResult, _beta_from_mu, _restricted, _shoot
 from warpgeo.errors import (
     BracketingError, InputError, NumericalError, ShootingError,
 )
@@ -361,15 +359,6 @@ def test_fiber_dial_rejects_self_intersecting_traces():
 # the line-base fast path
 
 
-def test_line_base_trace_and_constant_for_trivial_warp():
-    one = wg.WarpField.constant(1.0, 1)
-    for r in (0.0, 3.0):
-        mu, c = _flrw_mu(one, 0.0, 2.0, r, CFG)
-        assert c == pytest.approx(2.0 * np.sqrt(1.0 + r), rel=1e-12)
-        np.testing.assert_allclose(mu.points[:, 0], 2.0 * mu.params, atol=1e-10)
-        np.testing.assert_allclose(mu.velocities[:, 0], 2.0, atol=1e-10)
-
-
 def test_line_base_dial_closed_form():
     one = wg.WarpField.constant(1.0, 1)
     for r in (0.0, 3.0, 15.0):
@@ -395,30 +384,53 @@ def test_line_base_connection_matches_the_general_path():
 
 
 def test_first_integral_solve_against_direct_quadrature():
-    # The endpoint condition pins the first-integral constant to the full
-    # slowness integral, which an adaptive quadrature reproduces without
-    # any of this module's machinery.
+    # The endpoint condition pins the first-integral constant c = X_r S(t0)
+    # to the full slowness integral, and the dial is the integral of
+    # sqrt(f / (k (1 + r k))); an adaptive quadrature reproduces both
+    # without any of this module's machinery.
     from scipy.integrate import quad
 
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
-    mu, c = _flrw_mu(w, 0.0, math.pi, 0.0, CFG)
-    want, _ = quad(lambda x: 1.0 / math.sqrt(2.0 + math.sin(x)), 0.0, math.pi)
-    assert c == pytest.approx(want, rel=1e-10)
-    drift = max(
-        abs(mu.velocities[i, 0] - c * math.sqrt(2.0 + math.sin(mu.points[i, 0])))
-        for i in range(mu.steps + 1)
-    )
-    assert drift <= 1e-8
+    for r in (0.0, 0.5):
+        res = wg.flrw_beta(w, 0.0, math.pi, r, CFG)
+        slowness = math.sqrt((1.0 + 2.0 * r) / 2.0)
+        c, _ = quad(lambda x: math.sqrt((1.0 + r * (2.0 + math.sin(x)))
+                                        / (2.0 + math.sin(x))), 0.0, math.pi)
+        assert res.X_r.components[0] * slowness == pytest.approx(c, rel=1e-10)
+        beta, _ = quad(lambda x: 1.0 / math.sqrt((2.0 + math.sin(x))
+                                                 * (1.0 + r * (2.0 + math.sin(x)))),
+                       0.0, math.pi)
+        assert res.beta == pytest.approx(beta, rel=1e-10)
 
 
 def test_weighted_line_base_closed_form():
-    # k = 1 with weight (1+t)^2: the slowness is sqrt(1+r)(1+t), so the
-    # cumulative integral inverts to mu(s) = sqrt(1 + s (2 t1 + t1^2)) - 1.
+    # k = 1 with weight (1+t)^2 and r = 3: the slowness is 2 (1 + t), so
+    # c = 8, X_r = c / S(0) = 4, a = 1/(1+r) and beta = int_0^2 (1 + t)/2 = 2.
+    # The connection to y1 = 2 lands on r = 3, and its base leg, which
+    # solves mu' = c / S(mu), is mu(s) = sqrt(1 + 8 s) - 1.  That leg is an
+    # RK4 integration, off by 4e-9 at 256 steps (2.4e-10 at 512).
     one = wg.WarpField.constant(1.0, 1)
-    mu, c = _flrw_mu(one, 0.0, 2.0, 3.0, CFG, weight=wg.warpfn.parse("(1 + t)^2", 1))
-    assert c == pytest.approx(8.0, rel=1e-12)
-    assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-9)
-    assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
+    res = wg.flrw_beta(one, 0.0, 2.0, 3.0, CFG, weight="(1 + t)^2")
+    np.testing.assert_allclose(res.X_r.components, [4.0], rtol=1e-12)
+    assert res.a_r == pytest.approx(0.25, rel=1e-12)
+    assert res.beta == pytest.approx(2.0, rel=1e-12)
+    rep = wg.flrw_connect(one, 0.0, 2.0, np.zeros(1), np.array([2.0]),
+                          wg.euclidean(1), CFG, weight="(1 + t)^2")
+    assert rep.r == pytest.approx(3.0, abs=1e-9)
+    mu = rep.geodesic.base[0]
+    assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-8)
+    assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_reversing_the_line_interval_leaves_the_dial():
+    # Reversed, the grid visits the same points in the opposite order and
+    # the quadrature rule is symmetric, so only the summation order changes.
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    for r in (-0.3, 1.0):
+        for weight in (None, "(1 + t)^2"):
+            forth = wg.flrw_beta(w, 0.0, 6.0, r, CFG, weight=weight)
+            back = wg.flrw_beta(w, 6.0, 0.0, r, CFG, weight=weight)
+            assert back.beta == pytest.approx(forth.beta, rel=1e-12)
 
 
 def test_endpoint_error_measures_the_requested_end_points():
@@ -448,7 +460,7 @@ def test_missing_the_end_point_beyond_the_tolerance_raises():
 
 def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
     # brentq keeps its objective in a reference cycle; the dial memo, with
-    # two curves per evaluation, must not ride along until a full GC.
+    # the shot leg of every evaluation, must not ride along until a full GC.
     def held():
         return sum(isinstance(o, BetaResult) for o in gc.get_objects())
 
@@ -492,14 +504,17 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch):
     assert len(compiled) == 2
 
 
-def test_a_solve_builds_the_maps_once_per_dial_evaluation(monkeypatch):
-    # The rebuilt geodesic reuses the maps of the dial evaluation at the root.
+def test_a_solve_builds_the_maps_once_at_the_root(monkeypatch):
+    # A dial evaluation reads the constants as quadratures; only the
+    # rebuild of the solved pair builds the maps.
     calls = _count_calls(monkeypatch, reparam, "compute_a_and_phi")
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     line = wg.euclidean(1)
     report = wg.connect_points(line, line, w, (np.zeros(1), np.zeros(1)),
                                (np.array([2.0]), np.array([0.5])), FAST)
-    assert len(calls) == report.iterations
+    assert report.iterations > 1 and len(calls) == 1
+    report = wg.flrw_connect(w, 0.0, 2.0, np.zeros(1), np.array([0.5]), line, CFG)
+    assert report.iterations > 1 and len(calls) == 2
 
 
 def test_a_non_positive_line_weight_is_a_numerical_failure():
@@ -515,7 +530,7 @@ def test_a_non_positive_line_weight_is_a_numerical_failure():
 def test_line_base_rejects_an_empty_interval():
     one = wg.WarpField.constant(1.0, 1)
     with pytest.raises(InputError):
-        _flrw_mu(one, 1.0, 1.0, 0.0, CFG)
+        wg.flrw_beta(one, 1.0, 1.0, 0.0, CFG)
     g2 = wg.euclidean(1)
     with pytest.raises(BracketingError):
         wg.flrw_connect(one, 1.0, 1.0, np.zeros(1), np.ones(1), g2, CFG)
@@ -527,4 +542,4 @@ def test_line_base_dial_survives_the_admissibility_threshold():
     r = lower + 1e-3 * (1.0 + abs(lower))
     res = wg.flrw_beta(w, 0.0, 6.0, r, CFG)
     assert np.isfinite(res.beta) and res.beta > 0.0
-    assert np.all(np.diff(res.mu.points[:, 0]) > 0.0)
+    assert np.isfinite(res.X_r.components[0]) and res.X_r.components[0] > 0.0

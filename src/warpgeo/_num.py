@@ -1,21 +1,21 @@
 """Small numeric kernels shared by the geometry modules.
 
 Quadrature (composite and running Simpson-type rules), a fourth-order grid
-derivative, and the one monotone inversion: the exact inverse of a PCHIP
-interpolant (:func:`invert_pchip`), polished by Newton steps against the
-re-integrated forward map (:func:`invert_running_integral`).  Everything
-here operates on plain uniform grids and is deterministic, which keeps the
-higher-level outputs byte-reproducible.
+derivative, and the one monotone inversion: the inverse of a table's linear
+interpolant, polished by Newton steps against the re-integrated forward map
+(:func:`invert_running_integral`).  Everything here operates on plain
+uniform grids and is deterministic, which keeps the higher-level outputs
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InputError, NumericalError
 
 GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -75,83 +75,43 @@ def derivative_on_grid(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def invert_pchip(grid: np.ndarray, values: np.ndarray,
-                 targets: np.ndarray) -> np.ndarray:
-    """Points ``u`` with ``P(u) = targets``, ``P`` the PCHIP interpolant of
-    the increasing table ``values`` on ``grid``.
-
-    One ``searchsorted`` over the table finds each target's interval; that
-    interval's cubic is then solved for its local abscissa by Newton steps
-    from the linear interpolant, kept inside a shrinking bracket (a step
-    that leaves it is replaced by the bracket midpoint), until the largest
-    step is at roundoff.  Targets at or beyond the table's ends map to the
-    grid's ends exactly.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n = grid.shape[0] - 1
-    j = np.clip(np.searchsorted(values, targets, side="right") - 1, 0, n - 1)
-    c0, c1, c2, c3 = PchipInterpolator(grid, values).c[:, j]
-    goal = targets - c3
-    width = grid[j + 1] - grid[j]
-    rise = values[j + 1] - values[j]
-    lo = np.zeros_like(goal)
-    hi = width.copy()
-    t = np.clip(np.divide(goal * width, rise, out=np.zeros_like(goal),
-                          where=rise > 0.0), lo, hi)
-    tol = 4.0 * np.finfo(float).eps * max(abs(grid[0]), abs(grid[-1]))
-    for _ in range(64):  # midpoint steps alone exhaust a double by then
-        miss = ((c0 * t + c1) * t + c2) * t - goal
-        below = miss < 0.0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-        slope = (3.0 * c0 * t + 2.0 * c1) * t + c2
-        step = np.divide(-miss, slope, out=np.full_like(t, np.inf),
-                         where=slope > 0.0)
-        nxt = t + step
-        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        moved = np.max(np.abs(nxt - t), initial=0.0)
-        t = nxt
-        if moved <= tol:
-            break
-    u = grid[j] + t
-    u[targets <= values[0]] = grid[0]
-    u[targets >= values[-1]] = grid[-1]
-    return u
-
-
 def invert_running_integral(integrand, grid: np.ndarray,
                             accum: np.ndarray) -> np.ndarray:
     """Nodes ``u`` with ``F(u_i) = F(1) * grid_i``, ``F`` a running integral.
 
     ``grid`` is uniform over ``[0, 1]``, ``accum`` holds ``F`` at its nodes
-    and ``integrand`` evaluates ``F'`` (positive) on a 1-d array.  The exact
-    inverse of the PCHIP interpolant of the normalised table
-    (:func:`invert_pchip`) gives a first guess; its between-node error
-    oscillates at the grid scale, and differentiating anything downstream
-    would amplify it by a grid factor.
-    Two Newton steps against the locally re-integrated forward map (``F`` at
-    the nearest node plus a Gauss panel to the query point) leave only the
-    smooth quadrature error of the table itself.
+    and ``integrand`` evaluates ``F'`` (positive) on a 1-d array.  The
+    inverse of the table's linear interpolant gives a first guess; Newton
+    steps against the locally re-integrated forward map (``F`` at the
+    nearest node plus a Gauss panel to the query point) then leave only the
+    smooth quadrature error of the table itself.  Each step evaluates the
+    integrand once, at the panel nodes and the current nodes together.  The
+    polish stops after a step that moves no node by more than ``sqrt(eps)``,
+    since quadratic convergence puts the next move below roundoff, and after
+    four steps at most.
     """
     n = grid.shape[0] - 1
     normalised = accum / accum[-1]
     normalised[0], normalised[-1] = 0.0, 1.0
-    u = invert_pchip(grid, normalised, grid)
+    u = np.interp(grid, normalised, grid)
     goal = accum[-1] * grid
-    for _ in range(2):
-        idx = np.clip(np.searchsorted(grid, u[1:-1], side="right") - 1, 0, n - 1)
+    for _ in range(4):
+        inner = u[1:-1]
+        idx = np.clip(np.searchsorted(grid, inner, side="right") - 1, 0, n - 1)
         left = grid[idx]
-        halfw = 0.5 * (u[1:-1] - left)
-        sigma = (0.5 * (u[1:-1] + left))[:, None] + halfw[:, None] * GAUSS5_NODES
-        panel = halfw * (integrand(sigma.ravel()).reshape(sigma.shape) @ GAUSS5_WEIGHTS)
-        step = -(accum[idx] + panel - goal[1:-1]) / integrand(u[1:-1])
+        halfw = 0.5 * (inner - left)
+        sigma = (0.5 * (inner + left))[:, None] + halfw[:, None] * GAUSS5_NODES
+        f = integrand(np.concatenate((sigma.ravel(), inner)))
+        panel = halfw * (f[:sigma.size].reshape(sigma.shape) @ GAUSS5_WEIGHTS)
+        step = -(accum[idx] + panel - goal[1:-1]) / f[sigma.size:]
         # Near a pole of the integrand the interpolant can be off by more
         # than a node spacing; cap each move at just under half the gap to
         # either neighbour so the polished nodes stay strictly ordered.
         gaps = np.diff(u)
-        u[1:-1] += np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
+        move = np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
+        u[1:-1] += move
+        if np.max(np.abs(move), initial=0.0) <= SQRT_EPS:
+            break
     u[0], u[-1] = 0.0, 1.0
     if not np.all(np.diff(u) > 0.0):
         raise NumericalError("inverse of a running integral lost monotonicity")

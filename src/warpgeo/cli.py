@@ -88,12 +88,16 @@ def _vector(section, key, where, dim=None, required=True, default=None):
         raise InputError(f"{where}.{key} must be a flat list of numbers")
     if dim is not None and vec.shape[0] != dim:
         raise InputError(f"{where}.{key} must have {dim} entries, got {vec.shape[0]}")
+    if not np.isfinite(vec).all():
+        raise InputError(f"{where}.{key} must be finite, got {vec.tolist()}")
     return vec
 
 
 def _as_number(raw, what):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"{what} must be a number, got {raw!r}")
+    if not math.isfinite(raw):
+        raise InputError(f"{what} must be finite, got {raw!r}")
     return float(raw)
 
 
@@ -105,10 +109,10 @@ def _number(section, key, where, required=True, default=None):
 
 
 def _count(section, key, where, default, least) -> int:
-    """An optional finite count of at least ``least``, truncated to an int."""
+    """An optional count of at least ``least``, truncated to an int."""
     raw = _number(section, key, where, required=False, default=default)
-    if not least <= raw < math.inf:
-        raise InputError(f"{where}.{key} must be finite and at least {least}, got {raw!r}")
+    if raw < least:
+        raise InputError(f"{where}.{key} must be at least {least}, got {raw!r}")
     return int(raw)
 
 
@@ -438,8 +442,8 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
     mins = _vector(grid, "mins", "curvature_scan.grid", dim=g1.dim)
     maxs = _vector(grid, "maxs", "curvature_scan.grid", dim=g1.dim)
     counts = _vector(grid, "counts", "curvature_scan.grid", dim=g1.dim)
-    if not np.all((counts >= 1) & (counts < math.inf)):
-        raise InputError(f"curvature_scan.grid.counts must be finite and at least 1, "
+    if not np.all(counts >= 1):
+        raise InputError(f"curvature_scan.grid.counts must be at least 1, "
                          f"got {counts.tolist()}")
     axes = [np.linspace(mins[i], maxs[i], int(counts[i])) for i in range(g1.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)

@@ -45,9 +45,7 @@ from .integrate import (
 from .manifold import (
     MetricChart, TangentVector, euclidean, metric_eval, weighted_line,
 )
-from .reparam import (
-    MonotoneMap, RiemannianGeodesic, _leg_constants, riemannize,
-)
+from .reparam import RiemannianGeodesic, _leg_constants, riemannize
 from .warp import WarpField, admissible_range, conformal_metric, values_along
 
 __all__ = [
@@ -357,14 +355,12 @@ def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
     y0 = np.asarray(y0, dtype=float)
     nu = Curve(t, np.tile(y0, (t.shape[0], 1)), np.zeros((t.shape[0], y0.shape[0])))
     residuals = coupled_residual(g1, g2, w, mu, nu)
-    ident = np.linspace(0.0, 1.0, t.shape[0])
-    identity = MonotoneMap(ident, ident.copy(), 1.0, np.ones_like(ident))
     geo = RiemannianGeodesic(
         r=math.nan, base=(mu, nu), gamma=mu, tau=nu, a_r=math.nan,
         b_r=math.nan,
         initial_tangents=(TangentVector(mu.points[0], mu.velocities[0]),
                           TangentVector(y0, np.zeros_like(y0))),
-        residuals=residuals, phi=identity, psi=identity,
+        residuals=residuals,
     )
     endpoint_error = float(np.max(np.abs(mu.points[-1] - np.asarray(x1, dtype=float))))
     return _within_tolerance(ShootingReport(

@@ -180,8 +180,8 @@ class IntegratorConfig:
             raise InputError(f"need at least 16 steps, got {self.steps}")
         if self.steps % 2:
             raise InputError(f"step count must be even, got {self.steps}")
-        if not (self.tolerance > 0.0):
-            raise InputError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:

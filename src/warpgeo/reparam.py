@@ -6,14 +6,15 @@ a geodesic for the full warped metric of signature ``(+, -)``:
 
 * the base map ``phi`` solves ``phi' = a (1 + r k)/k`` along ``mu``, with
   the constant ``a`` fixed by ``phi(0) = 0``, ``phi(1) = 1``; it is built
-  by inverting the explicitly integrable inverse map;
+  by inverting the explicitly integrable inverse map at the grid nodes;
 * the fiber map ``psi`` satisfies ``psi' = b / k`` along the
   reparametrized base leg, again normalized to fix the constant ``b``.
 
 The constants alone need no map: changing variables along ``mu`` gives
 ``a = int_0^1 k/(1 + r k)(mu)`` and ``1/b = (1/a) int_0^1 1/(1 + r k)(mu)``,
 two quadratures over ``mu``'s nodes (:func:`_leg_constants`).  Those are the
-constants of every rebuilt leg; the maps are built only to reparametrize it.
+constants of every rebuilt leg; the maps are built only to reparametrize it,
+and are read at the grid nodes only.
 
 The module also hosts the compatibility condition coupling the two initial
 tangents, the tangent-vector transformation between the two descriptions,
@@ -29,7 +30,6 @@ from typing import Optional
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._num import (
     composite_simpson, cumulative_simpson, invert_running_integral,
@@ -55,7 +55,8 @@ class MonotoneMap:
     (``a`` for base maps, ``b`` for fiber maps); ``derivative_values`` hold
     the map's derivative at the grid nodes, known in closed form for every
     map the library builds (``a (1 + r k)/k`` for ``phi``, ``b/k`` for
-    ``psi``).  Values and derivatives are interpolated by PCHIP.
+    ``psi``).  The map is its nodes: :func:`reparametrize` reads the values
+    and the derivatives there, and nothing evaluates it between them.
     """
 
     grid: np.ndarray
@@ -73,18 +74,6 @@ class MonotoneMap:
                              "1-d arrays of equal length")
         if not np.all(np.diff(self.values) > 0.0):
             raise NumericalError("map values are not strictly increasing")
-        self._spline = None
-        self._derivative_spline = None
-
-    def __call__(self, t):
-        if self._spline is None:
-            self._spline = PchipInterpolator(self.grid, self.values)
-        return self._spline(t)
-
-    def derivative_at(self, t):
-        if self._derivative_spline is None:
-            self._derivative_spline = PchipInterpolator(self.grid, self.derivative_values)
-        return self._derivative_spline(t)
 
 
 def _even_panel_step(curve: Curve) -> float:
@@ -99,9 +88,9 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
 
     Integrates ``k/(1 + r k)`` along ``mu``, which yields the constant
     ``a`` (the full integral) and samples of the *inverse* map; the map
-    itself is recovered by inverting the monotone (PCHIP) interpolant of
-    those samples exactly, then a Newton polish against the locally
-    re-integrated forward relation.
+    itself is recovered by inverting the linear interpolant of those
+    samples, then a Newton polish against the locally re-integrated
+    forward relation (:func:`~warpgeo._num.invert_running_integral`).
     """
     admissible_range(w).require(r)
     h = _even_panel_step(mu)
@@ -183,9 +172,10 @@ class RiemannianGeodesic:
     """A mixed-signature geodesic rebuilt from rescaled-factor legs.
 
     ``base`` holds the input pair ``(mu, nu)``; ``gamma`` and ``tau`` are
-    the reparametrized legs forming the actual geodesic; ``phi`` and
-    ``psi`` the maps that produced them.  ``a_r`` and ``b_r`` are the
-    quadrature constants of :func:`_leg_constants` along ``mu``.
+    the reparametrized legs forming the actual geodesic.  ``a_r`` and
+    ``b_r`` are the quadrature constants of :func:`_leg_constants` along
+    ``mu``.  The maps that produced the legs are not kept: to read one,
+    call :func:`compute_a_and_phi` or :func:`compute_b_and_psi`.
     """
 
     r: float
@@ -196,8 +186,6 @@ class RiemannianGeodesic:
     b_r: float
     initial_tangents: tuple[TangentVector, TangentVector]
     residuals: tuple[float, float]
-    phi: MonotoneMap
-    psi: MonotoneMap
 
     def to_dict(self) -> dict:
         Xt, Yt = self.initial_tangents
@@ -267,7 +255,7 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     )
     return RiemannianGeodesic(
         r=r, base=(mu, nu), gamma=gamma, tau=tau, a_r=a_r, b_r=b_r,
-        initial_tangents=tangents, residuals=residuals, phi=phi, psi=psi,
+        initial_tangents=tangents, residuals=residuals,
     )
 
 

@@ -445,6 +445,25 @@ def test_counts_out_of_range_are_input_errors(tmp_path, doc, key):
         assert key in json.load(fh)["message"]
 
 
+@pytest.mark.parametrize("doc, key", [
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], x1=[math.nan])),
+     "connect.x1"),
+    (dict(INTEGRATE_FLAT, integrate={"point": [0.0, math.nan], "velocity": [1.0, 0.0]}),
+     "integrate.point"),
+    (dict(TRIVIAL_PRODUCT, task="flrw",
+          flrw={"t0": math.nan, "t1": 2.0, "y0": [0.0], "y1": [0.5]}), "flrw.t0"),
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], r_max=math.inf)),
+     "connect.r_max"),
+    (dict(CONNECT_LINE, integrator={"steps": 64, "tolerance": math.inf}),
+     "integrator.tolerance"),
+], ids=["x1_nan", "point_nan", "t0_nan", "r_max_inf", "tolerance_inf"])
+def test_non_finite_numbers_are_input_errors(tmp_path, doc, key):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert key in json.load(fh)["message"]
+
+
 @pytest.mark.parametrize("base, key", [
     ({"name": "circle", "radius": math.nan}, "radius"),
     ({"name": "sphere", "dim": 1, "radius": math.inf}, "radius"),

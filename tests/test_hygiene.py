@@ -36,6 +36,28 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source) == ["math (line 1)", "array (line 2)"]
 
 
+def _scipy_names(source: str) -> set[str]:
+    """The names a module imports from scipy at module level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.partition(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "scipy":
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_the_package_imports_only_two_scipy_names():
+    # scipy's import is most of the package's; a new name is a reviewed choice
+    found = set().union(*(_scipy_names(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert found == {"BPoly", "brentq"}
+
+
+def test_the_check_sees_scipy_imports():
+    source = "import scipy.linalg\nfrom scipy.optimize import brentq\nimport numpy\n"
+    assert _scipy_names(source) == {"scipy.linalg", "brentq"}
+
+
 def _runs_code(source: str) -> list[str]:
     """Names of the builtins that compile or run source text, where used."""
     return [f"{node.id} (line {node.lineno})" for node in ast.walk(ast.parse(source))

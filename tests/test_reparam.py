@@ -48,7 +48,7 @@ def test_base_constant_closed_form_for_sine_warp():
     phi = wg.compute_a_and_phi(mu, _sine_field(), 0.0)
     assert phi.constant == pytest.approx(2.0 + 2.0 / np.pi, rel=1e-12)
     # Symmetry of sin about the midpoint pins the map's centre exactly.
-    assert phi(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-10)
+    assert phi.values[STEPS // 2] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_base_constant_against_adaptive_quadrature():
@@ -83,7 +83,7 @@ def test_fiber_constant_closed_form():
     psi = wg.compute_b_and_psi(gamma, _sine_field())
     # b = pi / integral of 1/(2 + sin) over [0, pi] = 3 sqrt(3) / 2.
     assert psi.constant == pytest.approx(1.5 * np.sqrt(3.0), rel=1e-12)
-    assert psi(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
+    assert psi.values[STEPS // 2] == pytest.approx(0.5, abs=1e-12)
 
     flat = wg.compute_b_and_psi(_line_curve(1.0, steps=128), wg.WarpField.constant(2.0, 1))
     assert flat.constant == pytest.approx(2.0, rel=1e-13)
@@ -132,13 +132,6 @@ def test_leg_constants_are_the_map_constants(c0, ratio, c2, offset, X0):
 
 # ---------------------------------------------------------------------------
 # monotone map mechanics
-
-
-def test_monotone_map_interpolates_its_nodes():
-    grid = np.linspace(0.0, 1.0, 9)
-    m = wg.MonotoneMap(grid, grid**2, 1.0, derivative_values=2.0 * grid)
-    np.testing.assert_allclose(m(grid), grid**2, atol=1e-15)
-    assert m.derivative_at(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_monotone_map_rejects_non_monotone_values():
@@ -233,6 +226,50 @@ def test_riemannize_is_the_identity_for_trivial_warp():
     np.testing.assert_allclose(geo.gamma.points, mu.points, atol=1e-10)
     np.testing.assert_allclose(geo.tau.points, nu.points, atol=1e-10)
     assert max(geo.residuals) <= 1e-9
+
+
+# chart, start point, start direction; the legs stay well inside each chart
+TRIVIAL_CHARTS = {
+    "euclidean1": (lambda: wg.euclidean(1), [0.3], [1.0]),
+    "euclidean2": (lambda: wg.euclidean(2), [0.3, -0.2], [0.6, 0.8]),
+    "half_plane": (wg.poincare_half_plane, [0.0, 1.0], [0.8, 0.6]),
+    "ball2": (lambda: wg.poincare_ball(2), [0.1, 0.0], [0.3, 0.4]),
+    "circle": (lambda: wg.circle(1.5), [0.2], [1.0]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(base=st.sampled_from(sorted(TRIVIAL_CHARTS)),
+       fiber=st.sampled_from(sorted(TRIVIAL_CHARTS)),
+       c=st.floats(0.5, 3.0), offset=st.floats(0.05, 3.0))
+def test_trivial_warp_rebuilds_the_factor_geodesics_on_every_chart(base, fiber,
+                                                                   c, offset):
+    # For k = c the constants are (c/(1 + r c), c), both maps are the
+    # identity and the rebuilt legs are the factor geodesics themselves.
+    make_g1, x0, X0 = TRIVIAL_CHARTS[base]
+    make_g2, y0, V = TRIVIAL_CHARTS[fiber]
+    g1, g2 = make_g1(), make_g2()
+    x0, X0, y0, V = (np.array(v, dtype=float) for v in (x0, X0, y0, V))
+    w = wg.WarpField.constant(c, g1.dim)
+    r = wg.admissible_range(w).lower + offset / c
+    cfg = wg.IntegratorConfig(steps=64)
+    mu = wg.integrate_geodesic(wg.conformal_metric(g1, w, r), x0, X0, cfg)
+    # compatibility: |Y0|^2 = |X0|^2 / (c (1 + r c))
+    speed = np.sqrt(metric_eval(g1, x0, X0, X0) / (c * (1.0 + r * c)))
+    nu = wg.integrate_geodesic(
+        g2, y0, speed / np.sqrt(metric_eval(g2, y0, V, V)) * V, cfg)
+
+    a, b = _leg_constants(mu, w, r)
+    assert a == pytest.approx(c / (1.0 + r * c), rel=1e-13)
+    assert b == pytest.approx(c, rel=1e-13)
+    np.testing.assert_allclose(wg.compute_a_and_phi(mu, w, r).values, mu.params,
+                               rtol=0.0, atol=1e-13)
+    # residual_tol off: a fast fiber leg at 64 steps carries RK4 error
+    geo = wg.riemannize(mu, nu, w, r, g1, g2, residual_tol=None)
+    for got, want in ((geo.gamma, mu), (geo.tau, nu)):
+        np.testing.assert_allclose(got.points, want.points, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got.velocities, want.velocities,
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_riemannize_rejects_incompatible_tangents():

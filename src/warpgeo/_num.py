@@ -88,7 +88,9 @@ def invert_running_integral(integrand, grid: np.ndarray,
     integrand once, at the panel nodes and the current nodes together.  The
     polish stops after a step that moves no node by more than ``sqrt(eps)``,
     since quadratic convergence puts the next move below roundoff, and after
-    four steps at most.
+    four steps at most: a fourth step that still moves a node by more than
+    ``1e-6`` of the grid step has not converged (the polish cycles next to a
+    pole of the integrand) and raises :class:`NumericalError`.
     """
     n = grid.shape[0] - 1
     normalised = accum / accum[-1]
@@ -110,8 +112,14 @@ def invert_running_integral(integrand, grid: np.ndarray,
         gaps = np.diff(u)
         move = np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
         u[1:-1] += move
-        if np.max(np.abs(move), initial=0.0) <= SQRT_EPS:
+        largest = np.max(np.abs(move), initial=0.0)
+        if largest <= SQRT_EPS:
             break
+    else:
+        if largest > 1e-6 * (grid[1] - grid[0]):
+            raise NumericalError(
+                f"inverse of a running integral did not converge: the last "
+                f"Newton step still moved a node by {largest:.3g}")
     u[0], u[-1] = 0.0, 1.0
     if not np.all(np.diff(u) > 0.0):
         raise NumericalError("inverse of a running integral lost monotonicity")

@@ -32,8 +32,8 @@ from .integrate import (
     integrate_coupled_oracle, integrate_geodesic, speed_drift,
 )
 from .manifold import (
-    MetricChart, _metric, circle, euclidean, metric_eval, poincare_ball,
-    poincare_half_plane, sphere, weighted_line,
+    MetricChart, _metric, _quadratic, circle, euclidean, metric_eval,
+    poincare_ball, poincare_half_plane, sphere, weighted_line,
 )
 from .reparam import norm_identity_errors, riemannize
 from .warp import (
@@ -69,10 +69,15 @@ _ConfigLoader.add_implicit_resolver(
 
 
 def _get(section: dict, key: str, where: str, required=True, default=None):
+    """The value of ``key``; an absent optional key gives ``default``, and
+    a present ``null`` is an error, never a stand-in for the default."""
     if key not in section:
         if required:
             raise InputError(f"missing config key {where}.{key}")
         return default
+    if section[key] is None:
+        raise InputError(f"config key {where}.{key} is null; give a value "
+                         "or leave the key out")
     return section[key]
 
 
@@ -483,12 +488,6 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
         f"negativity criterion everywhere: {report['criterion_everywhere']}",
     ]
     return {"report": report, "summary": lines}
-
-
-def _quadratic(u, g, v):
-    """``u @ g @ v`` per row, as a chain of matrix products (which rounds
-    like the one-row product)."""
-    return (u[..., None, :] @ g @ v[..., None])[..., 0, 0]
 
 
 def _random_planes(g, rng):

@@ -20,9 +20,19 @@ integrates the coupled mixed-signature system directly:
     fiber:  (d/dt) velocity = -G2(v, v) - (dk(base vel) / k) * fiber vel
 
 which serves as the independent oracle the reparametrization pipeline is
-tested against (the classical step of its Christoffel form, never the
-spray), and measures the max-norm residuals of that system along any
-stored pair of curves with the same acceleration.
+tested against, and measures the max-norm residuals of that system along
+any stored pair of curves.  The system's right-hand side is written once,
+as an array kernel over rows of states: one batch of ``k`` and ``dk``,
+and the metrics, inverse metrics and Christoffel symbols of both charts
+at every row (:func:`~warpgeo.manifold.geometry_at`), contracted with
+the velocities.  The residual, :func:`geodesic_residual`,
+:func:`speed_drift` and the norm identities of :mod:`warpgeo.reparam` are
+array expressions over all nodes.  The oracle, when both charts carry a
+conformal exponent, applies one generated float step of the same
+Christoffel form, :func:`~warpgeo.warpfn.rk4_coupled_step`, written from
+the base exponent, the warp and the fiber exponent as given, never from
+the pipeline's rescaled exponent or its spray; on any other pair it
+applies the classical step of the array kernel on one row.
 """
 
 from __future__ import annotations
@@ -36,9 +46,11 @@ from scipy.interpolate import BPoly
 
 from . import warpfn
 from ._num import derivative_on_grid
-from .errors import ChartDomainError, InputError
-from .manifold import MetricChart, _metric, christoffel, geodesic_rhs
-from .warp import WarpField, value_and_grad
+from .errors import ChartDomainError, DslEvaluationError, InputError
+from .manifold import (
+    MetricChart, _quadratic, _squared_speeds, geodesic_rhs, geometry_at,
+)
+from .warp import WarpField
 
 __all__ = [
     "Curve", "IntegratorConfig", "integrate_geodesic",
@@ -274,19 +286,27 @@ def integrate_product_geodesic(g1: MetricChart, g2: MetricChart, z0, V0,
     )
 
 
-def _coupled_acceleration(g1: MetricChart, g2: MetricChart, w: WarpField,
-                          x, u, y, v) -> tuple[np.ndarray, np.ndarray]:
-    """Base and fiber accelerations the coupled system prescribes at a state.
+def _contract(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``G(v, v)`` per row: ``(G @ v) @ v`` for ``G`` ``(N, d, d, d)`` and
+    ``v`` ``(N, d)``."""
+    return ((G @ v[:, None, :, None])[..., 0] @ v[:, :, None])[..., 0]
+
+
+def _coupled_accelerations(g1: MetricChart, g2: MetricChart, w: WarpField,
+                           x, u, y, v) -> tuple[np.ndarray, np.ndarray]:
+    """Base and fiber accelerations the coupled system prescribes at rows
+    of states ``(x, u, y, v)``, each ``(N, d)``, as array expressions.
 
     Contracts Christoffel symbols, never the spray, so the oracle and the
-    residual stay independent of the geodesic integrator.
+    residual stay independent of the geodesic integrator; ``dk`` is raised
+    through the base metric.
     """
-    k, dk = value_and_grad(w, x)
-    fiber_speed2 = float(v @ _metric(g2, y) @ v)
-    acc1 = -(christoffel(g1, x) @ u) @ u
-    acc1 -= 0.5 * fiber_speed2 * np.linalg.solve(_metric(g1, x), dk)
-    acc2 = -(christoffel(g2, y) @ v) @ v
-    acc2 -= (float(dk @ u) / k) * v
+    k, dk = warpfn.value_and_gradient_many(w.expr, x)
+    _, inverse1, G1 = geometry_at(g1, x)
+    metric2, _, G2 = geometry_at(g2, y)
+    acc1 = -_contract(G1, u) - 0.5 * _quadratic(v, metric2, v)[:, None] * (
+        inverse1 @ dk[:, :, None])[..., 0]
+    acc2 = -_contract(G2, v) - (np.einsum("ni,ni->n", dk, u) / k)[:, None] * v
     return acc1, acc2
 
 
@@ -300,6 +320,14 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
     over the joint state of both factors, with the coupling terms written
     straight from the governing equations.  Used as the ground truth the
     pipeline is validated against.
+
+    When both charts carry a conformal exponent the pass applies one
+    generated float step, :func:`~warpgeo.warpfn.rk4_coupled_step`, which
+    reads the base exponent, the warp and the fiber exponent as given
+    (never the pipeline's rescaled exponent).  Any other pair takes the
+    classical step of the array kernel on one row; so does a generated
+    step that fails a domain check at a stage, so that the kernel decides
+    the error, as it does on every other pair.
     """
     (p1, p2), (v1, v2) = z0, V0
     p1 = np.asarray(p1, dtype=float)
@@ -311,13 +339,24 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
         raise InputError("initial point dimensions do not match the charts")
 
     def rhs(state):
-        x, u = state[:d1], state[d1:2 * d1]
-        y, v = state[2 * d1:2 * d1 + d2], state[2 * d1 + d2:]
-        acc1, acc2 = _coupled_acceleration(g1, g2, w, x, u, y, v)
-        return np.concatenate((u, acc1, v, acc2))
+        x, u, y, v = np.split(state[None], (d1, 2 * d1, 2 * d1 + d2), axis=1)
+        acc1, acc2 = _coupled_accelerations(g1, g2, w, x, u, y, v)
+        return np.concatenate((u[0], acc1[0], v[0], acc2[0]))
+
+    classical = step = _classical_step(rhs)
+    if g1.exponent is not None and g2.exponent is not None:
+        generated = warpfn.rk4_coupled_step(
+            g1.exponent, d1, w.expr, g2.exponent, d2, len(g1.exponent_args))
+        args = (*g1.exponent_args, *g2.exponent_args)
+
+        def step(y, h):
+            try:
+                return generated(y, h, args)
+            except (DslEvaluationError, OverflowError):
+                return classical(y, h)
 
     state0 = np.concatenate((p1, v1, p2, v2))
-    states = _rk4(_classical_step(rhs), state0, cfg.steps, (g1, g2))
+    states = _rk4(step, state0, cfg.steps, (g1, g2))
     base_states = states[:, : 2 * d1]
     fiber_states = states[:, 2 * d1:]
     t = np.linspace(0.0, 1.0, cfg.steps + 1)
@@ -333,40 +372,27 @@ def coupled_residual(g1: MetricChart, g2: MetricChart, w: WarpField,
 
     Accelerations are recovered from the stored velocities with
     fourth-order finite-difference stencils, so the measurement is
-    independent of how the curves were produced.
+    independent of how the curves were produced; the system's are the
+    array kernel's at every node at once.
     """
     if base.steps != fiber.steps:
         raise InputError("base and fiber curves must share one grid")
-    acc1 = derivative_on_grid(base.velocities, base.h)
-    acc2 = derivative_on_grid(fiber.velocities, base.h)
-    r1 = 0.0
-    r2 = 0.0
-    for i in range(base.steps + 1):
-        a1, a2 = _coupled_acceleration(g1, g2, w, base.points[i],
-                                       base.velocities[i], fiber.points[i],
-                                       fiber.velocities[i])
-        r1 = max(r1, float(np.max(np.abs(acc1[i] - a1))))
-        r2 = max(r2, float(np.max(np.abs(acc2[i] - a2))))
-    return r1, r2
+    acc1, acc2 = _coupled_accelerations(g1, g2, w, base.points, base.velocities,
+                                        fiber.points, fiber.velocities)
+    return (float(np.max(np.abs(derivative_on_grid(base.velocities, base.h) - acc1))),
+            float(np.max(np.abs(derivative_on_grid(fiber.velocities, base.h) - acc2))))
 
 
 def geodesic_residual(chart: MetricChart, curve: Curve) -> float:
     """Max-norm residual of the plain geodesic equation along a curve."""
     acc = derivative_on_grid(curve.velocities, curve.h)
-    worst = 0.0
-    for i in range(curve.steps + 1):
-        p, v = curve.points[i], curve.velocities[i]
-        e = acc[i] + (christoffel(chart, p) @ v) @ v
-        worst = max(worst, float(np.max(np.abs(e))))
-    return worst
+    G = geometry_at(chart, curve.points)[2]
+    return float(np.max(np.abs(acc + _contract(G, curve.velocities))))
 
 
 def speed_drift(chart: MetricChart, curve: Curve) -> float:
     """Largest deviation of ``g(v, v)`` along the curve from its start value."""
-    speeds = np.array([
-        float(v @ _metric(chart, p) @ v)
-        for p, v in zip(curve.points, curve.velocities)
-    ])
+    speeds = _squared_speeds(chart, curve.points, curve.velocities)
     return float(np.max(np.abs(speeds - speeds[0])))
 
 

@@ -20,6 +20,11 @@ tree; its geodesics are then integrated by one generated float RK4 step
 (:func:`~warpgeo.warpfn.rk4_geodesic_step`) instead of a contraction of
 Christoffel symbols, which such a chart derives from ``grad phi``.  The
 flat, hyperbolic, weighted-line and circle charts carry one.
+
+:func:`metrics_at` and :func:`geometry_at` give the metric, its inverse
+and the Christoffel symbols at many points: from one batch of ``phi`` and
+``grad phi`` on a chart with an exponent, stacked point by point on any
+other.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .errors import DslEvaluationError, InputError, NumericalError
 
 __all__ = [
     "MetricChart", "TangentVector", "metric_eval", "christoffel", "sharp",
+    "metrics_at", "geometry_at",
     "geodesic_rhs", "sectional_curvature", "euclidean", "poincare_half_plane",
     "poincare_ball", "sphere", "circle", "weighted_line",
 ]
@@ -128,6 +134,12 @@ def _metric(chart: MetricChart, p: np.ndarray) -> np.ndarray:
             f"metric_at returned shape {g.shape}, expected {(chart.dim, chart.dim)}"
         )
     return g
+
+
+def _quadratic(u, g, v):
+    """``u @ g @ v`` per row, as a chain of matrix products (which rounds
+    like the one-row product)."""
+    return (u[..., None, :] @ g @ v[..., None])[..., 0, 0]
 
 
 def metric_eval(chart: MetricChart, p, u, v) -> float:
@@ -270,29 +282,101 @@ def euclidean(dim: int) -> MetricChart:
     )
 
 
-def _conformal_flat_christoffel(phi: warpfn.Expr, dim: int, in_domain):
-    """Christoffel symbols ``d^k_i s_j + d^k_j s_i - d_ij s^k`` of
-    ``exp(2 phi) * (flat metric)``, with ``s = grad phi``.
-
-    Where the exponent is undefined because the point is off the chart
-    (``in_domain`` false), that is a :class:`NumericalError`, like a curve
-    leaving the chart, not an expression error.
-    """
+def _conformal_tensor(dim: int) -> np.ndarray:
+    """``T`` with ``T @ s`` the Christoffel symbols ``d^k_i s_j + d^k_j s_i
+    - d_ij s^k`` of ``exp(2 phi) * (flat metric)``, ``s = grad phi``:
+    ``T[k, i, j, m] = d_ki d_jm + d_kj d_im - d_ij d_km``."""
     eye = np.eye(dim)
-    # linear in s: G = T s with T[k, i, j, m] = d_ki d_jm + d_kj d_im - d_ij d_km
     T = np.einsum("ki,jm->kijm", eye, eye) + np.einsum("kj,im->kijm", eye, eye)
-    T -= np.einsum("ij,km->kijm", eye, eye)
+    return T - np.einsum("ij,km->kijm", eye, eye)
+
+
+def _check_off_chart(in_domain, points, exc: DslEvaluationError):
+    """Raise :class:`NumericalError` from ``exc`` when some point is off the
+    chart (``in_domain`` false): an exponent undefined there is a curve
+    leaving the chart, not an expression error."""
+    for p in points:
+        if not in_domain(p):
+            raise NumericalError(f"no metric off the chart, at {p}") from exc
+
+
+def _conformal_flat_christoffel(phi: warpfn.Expr, dim: int, in_domain):
+    """Christoffel symbols ``T @ grad phi`` of ``exp(2 phi) * (flat
+    metric)`` at a point; off the chart a :class:`NumericalError`."""
+    T = _conformal_tensor(dim)
 
     def christoffel_at(p):
         try:
             s = warpfn.value_and_gradient(phi, p)[1]
         except DslEvaluationError as exc:
-            if in_domain(p):
-                raise
-            raise NumericalError(f"no Christoffel symbols off the chart, at {p}") from exc
+            _check_off_chart(in_domain, [p], exc)
+            raise
         return T @ s
 
     return christoffel_at
+
+
+def _exponent_jet(chart: MetricChart, points: np.ndarray):
+    """``phi`` and ``grad phi`` of a chart's exponent at the rows of
+    ``points``, in one batch, with its ``exponent_args`` bound.  A ``phi``
+    that is not finite (a NaN line weight) leaves no metric there, which is
+    a :class:`NumericalError`."""
+    try:
+        phi, s = warpfn.value_and_gradient_many(chart.exponent, points,
+                                                chart.exponent_args)
+    except DslEvaluationError as exc:
+        _check_off_chart(chart.contains, points, exc)
+        raise
+    bad = ~np.isfinite(phi)
+    if bad.any():
+        raise NumericalError(f"the metric of {chart.name} is not finite at "
+                             f"{points[bad][0]}")
+    return phi, s
+
+
+def metrics_at(chart: MetricChart, points) -> np.ndarray:
+    """The metric at each row of ``points``, ``(N, d, d)``.
+
+    A chart with an exponent gives ``exp(2 phi) I`` from one batch;
+    any other stacks its ``metric_at``.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if chart.exponent is None:
+        return np.array([_metric(chart, p) for p in points])
+    phi = _exponent_jet(chart, points)[0]
+    return np.exp(2.0 * phi)[:, None, None] * np.eye(chart.dim)
+
+
+def _squared_speeds(chart: MetricChart, points, velocities) -> np.ndarray:
+    """``g(v, v)`` at each row of ``points`` and ``velocities``."""
+    v = np.atleast_2d(velocities)
+    return _quadratic(v, metrics_at(chart, points), v)
+
+
+def geometry_at(chart: MetricChart, points):
+    """Metric, inverse metric and Christoffel symbols at each row of
+    ``points``: ``(N, d, d)``, ``(N, d, d)`` and ``(N, d, d, d)``.
+
+    A chart with an exponent gets all three from one batch of ``phi`` and
+    ``s = grad phi``: ``exp(2 phi) I``, ``exp(-2 phi) I`` and ``T @ s``.
+    Any other stacks its pointwise metric and symbols (closed form or
+    differenced) and inverts the metrics.  A point off the chart where the
+    exponent is undefined raises :class:`NumericalError`.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    d = chart.dim
+    if chart.exponent is None:
+        g = metrics_at(chart, points)
+        G = np.array([christoffel(chart, p) for p in points])
+        try:
+            return g, np.linalg.inv(g), G
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular metric on {chart.name}: {exc}") from exc
+    phi, s = _exponent_jet(chart, points)
+    eye = np.eye(d)
+    G = (s @ _conformal_tensor(d).reshape(-1, d).T).reshape(-1, d, d, d)
+    return (np.exp(2.0 * phi)[:, None, None] * eye,
+            np.exp(-2.0 * phi)[:, None, None] * eye, G)
 
 
 def poincare_half_plane() -> MetricChart:

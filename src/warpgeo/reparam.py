@@ -36,7 +36,9 @@ from ._num import (
 )
 from .errors import CompatibilityError, InputError, NumericalError
 from .integrate import Curve, coupled_residual
-from .manifold import MetricChart, TangentVector, metric_eval
+from .manifold import (
+    MetricChart, TangentVector, _squared_speeds, metric_eval,
+)
 from .warp import WarpField, admissible_range, values_along
 
 __all__ = [
@@ -316,25 +318,17 @@ def norm_identity_errors(geo: RiemannianGeodesic, w: WarpField,
     errors of both, plus the drift of the first integral itself.
     """
     mu, nu = geo.base
-    x0 = mu.points[0]
-    k0x = w.value_at(x0)
-    X2 = metric_eval(g1, x0, mu.velocities[0], mu.velocities[0])
-    Y2 = metric_eval(g2, nu.points[0], nu.velocities[0], nu.velocities[0])
+    gamma, tau = geo.gamma, geo.tau
+    k0x = w.value_at(mu.points[0])
+    X2 = _squared_speeds(g1, mu.points[0], mu.velocities[0])[0]
+    Y2 = _squared_speeds(g2, nu.points[0], nu.velocities[0])[0]
     r, a, b = geo.r, geo.a_r, geo.b_r
-    base_err = 0.0
-    fiber_err = 0.0
-    products = np.empty(geo.gamma.steps + 1)
-    for i in range(geo.gamma.steps + 1):
-        x, u = geo.gamma.points[i], geo.gamma.velocities[i]
-        y, v = geo.tau.points[i], geo.tau.velocities[i]
-        k = w.value_at(x)
-        base_pred = a * a * (1.0 + r * k0x) * (1.0 + r * k) / (k0x * k) * X2
-        base_err = max(base_err, abs(metric_eval(g1, x, u, u) - base_pred))
-        fiber_speed2 = metric_eval(g2, y, v, v)
-        products[i] = k * k * fiber_speed2
-        fiber_err = max(fiber_err, abs(products[i] - b * b * Y2))
+    k = values_along(w, gamma.points)
+    base_pred = a * a * (1.0 + r * k0x) * (1.0 + r * k) / (k0x * k) * X2
+    base_speed2 = _squared_speeds(g1, gamma.points, gamma.velocities)
+    products = k * k * _squared_speeds(g2, tau.points, tau.velocities)
     return {
-        "base_norm_error": base_err,
-        "fiber_norm_error": fiber_err,
+        "base_norm_error": float(np.max(np.abs(base_speed2 - base_pred))),
+        "fiber_norm_error": float(np.max(np.abs(products - b * b * Y2))),
         "first_integral_drift": float(np.max(np.abs(products - products[0]))),
     }

@@ -10,12 +10,15 @@ Evaluation is exact forward-mode differentiation, so no truncation error
 enters the derivatives.  On its first evaluation in a given form, a tree is
 compiled into one straight-line Python function that propagates the value,
 and as asked the gradient and Hessian, through every node; the scalar forms
-use ``math`` and the batch form of :func:`evaluate_many` uses ``numpy``.
-All four entry points apply the same domain checks.
+use ``math`` and the batch forms of :func:`evaluate_many` and
+:func:`value_and_gradient_many` use ``numpy``.  All five entry points apply
+the same domain checks.
 
-A fifth form, :func:`rk4_geodesic_step`, reads a tree as the conformal
-exponent ``psi`` of a metric ``exp(2 psi) I`` and compiles one classical
-Runge-Kutta step of its geodesic equation on Python floats.
+Two step forms compile one classical Runge-Kutta step on Python floats:
+:func:`rk4_geodesic_step` reads a tree as the conformal exponent ``psi``
+of a metric ``exp(2 psi) I`` and steps its geodesic equation, and
+:func:`rk4_coupled_step` reads a base exponent, a warp and a fiber
+exponent and steps the coupled geodesic system of the warped metric.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .errors import DslEvaluationError, DslNameError, DslSyntaxError
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
     "parse", "format_expression", "evaluate", "evaluate_many",
-    "value_and_gradient", "eval2", "rk4_geodesic_step",
+    "value_and_gradient", "value_and_gradient_many", "eval2",
+    "rk4_geodesic_step", "rk4_coupled_step",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -280,7 +284,7 @@ def format_expression(e: Expr) -> str:
 # that value is: only what the function returns is computed.
 # The compiled functions are cached on the root node itself, by identity.
 
-_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP = range(5)
+_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP, _ARRAY_GRADIENT, _COUPLED = range(7)
 _ONE = "1.0"
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -323,14 +327,17 @@ def _combine(plus, minus=()):
 
 
 class _Emitter:
-    """Writes one tree as the body of a function of the point ``x``, or of
-    the state ``y``, step ``h`` and trailing arguments ``args`` of a step."""
+    """Writes one tree as the body of a function of the point ``x``, or
+    trees as the body of a step of the state ``y`` by ``h``, with trailing
+    arguments ``args``."""
 
     def __init__(self, form: int, dim: int):
-        self.order = {_ARRAY: 0, _STEP: 1}.get(form, form)
-        self.array = form == _ARRAY
-        self.step = form == _STEP
+        self.order = {_ARRAY: 0, _STEP: 1, _ARRAY_GRADIENT: 1,
+                      _COUPLED: 1}.get(form, form)
+        self.array = form in (_ARRAY, _ARRAY_GRADIENT)
+        self.step = form in (_STEP, _COUPLED)
         self.dim = dim
+        self.arg_offset = 0
         # (name the line assigns or guards, source line)
         self.lines: list[tuple[str, str]] = []
         self.bound: dict[str, object] = {}
@@ -376,7 +383,8 @@ class _Emitter:
                 i = operator.index(e.index)
                 # a step's point is loaded per stage; later variables are
                 # its trailing arguments
-                src = f"args[{i - self.dim}]" if self.step else f"x[{i}]"
+                src = (f"args[{self.arg_offset + i - self.dim}]" if self.step
+                       else f"x[{i}]")
                 self.loaded[e.index] = self.let(src)
             g = [None] * self.dim
             if self.order and e.index < self.dim:
@@ -454,6 +462,8 @@ class _Emitter:
     def result(self, e: Expr) -> str:
         v, g, H = self.emit(e)
         grad = ", ".join(p or "0.0" for p in g)
+        if self.array and self.order:
+            return f"_rows(x[0], {v}, ({grad},))"
         if self.array:
             # an expression of no variable still gives one value per row
             return v if self.loaded else f"_full(x[0].shape, {v})"
@@ -467,44 +477,91 @@ class _Emitter:
             for i in range(self.dim))
         return f"{v}, _array(({grad},)), _array(({rows},))"
 
-    def step_result(self, e: Expr) -> str:
-        """One RK4 step from the state ``(p, v)``, in the order of ``_rk4``
-        in :mod:`warpgeo.integrate`, with the geodesic acceleration of
-        ``exp(2 psi) I``, ``|u|^2 grad psi - 2 (grad psi . u) u``, at each
-        stage.  Zero gradient entries stay in it as ``0.0``, so an infinite
-        speed still makes the state NaN."""
-        d = self.dim
-        p = [f"p{i}" for i in range(d)]
-        v = [f"v{i}" for i in range(d)]
+    def rk4(self, n: int, rates) -> str:
+        """One classical RK4 step of the state ``q0 .. q{n-1}``, in the
+        order of ``_rk4`` in :mod:`warpgeo.integrate`; ``rates(s, z)`` names
+        the derivatives of the state at the stage-``s`` state ``z``."""
+        q = [f"q{i}" for i in range(n)]
         self.put("hh", "0.5 * h")
         self.put("h6", "h / 6.0")
-        rates = []  # (velocity, acceleration) of each stage
-        x, u = p, v
+        ks = []  # the derivatives of each stage
+        z = q
         for s, c in enumerate((None, "hh", "hh", "h")):
             if c is not None:
-                du, da = rates[-1]
-                x = [self.put(f"x{s}_{i}", f"{p[i]} + {c} * {du[i]}") for i in range(d)]
-                u = [self.put(f"u{s}_{i}", f"{v[i]} + {c} * {da[i]}") for i in range(d)]
-            self.loaded.update(enumerate(x))
-            g = [q or "0.0" for q in self.emit(e)[1]]
-            uu = self.put(f"uu{s}", " + ".join(f"{q} * {q}" for q in u))
-            gu = self.put(f"gu{s}", " + ".join(f"{q} * {w}" for q, w in zip(g, u)))
-            rates.append((u, [self.put(f"a{s}_{i}", f"{uu} * {g[i]} - 2.0 * {gu} * {u[i]}")
-                              for i in range(d)]))
-        y = []
-        for start, k in ((p, [r[0] for r in rates]), (v, [r[1] for r in rates])):
-            for i, y0 in enumerate(start):
-                k1, k2, k3, k4 = (stage[i] for stage in k)
-                y.append(self.put(f"y{len(y)}",
-                                  f"{y0} + h6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"))
-        return ", ".join(y)
+                z = [self.put(f"z{s}_{i}", f"{q[i]} + {c} * {ks[-1][i]}")
+                     for i in range(n)]
+            ks.append(rates(s, z))
+        return ", ".join(
+            self.put(f"y{i}", f"{q[i]} + h6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})")
+            for i, (k1, k2, k3, k4) in enumerate(zip(*ks)))
 
-    def source(self, e: Expr) -> str:
-        if self.step:
-            state = ", ".join(f"{c}{i}" for c in "pv" for i in range(self.dim))
-            result, head, unpack = self.step_result(e), "y, h, args", [f"{state}, = y"]
-        else:
-            result, head, unpack = self.result(e), "x", []
+    def gradient_at(self, e: Expr, dim: int, loaded: dict, point, offset=0):
+        """``(value, gradient entries)`` of ``e`` at the names ``point``, its
+        variables past ``dim`` read from ``args`` from ``offset`` on; a zero
+        entry stays in as ``0.0``, so an infinite speed still makes the
+        state NaN."""
+        self.dim, self.loaded, self.arg_offset = dim, loaded, offset
+        loaded.update(enumerate(point))
+        v, g, _ = self.emit(e)
+        return v, [p or "0.0" for p in g]
+
+    def dot(self, name: str, a, b) -> str:
+        return self.put(name, " + ".join(f"{p} * {q}" for p, q in zip(a, b)))
+
+    def geodesic_step(self, e: Expr, d: int) -> str:
+        """The acceleration of ``exp(2 psi) I``, ``|u|^2 grad psi - 2 (grad
+        psi . u) u``, at each stage."""
+        loaded = {}
+
+        def rates(s, z):
+            x, u = z[:d], z[d:]
+            g = self.gradient_at(e, d, loaded, x)[1]
+            uu, gu = self.dot(f"uu{s}", u, u), self.dot(f"gu{s}", g, u)
+            return [*u, *(self.put(f"a{s}_{i}", f"{uu} * {g[i]} - 2.0 * {gu} * {u[i]}")
+                          for i in range(d))]
+
+        return self.rk4(2 * d, rates)
+
+    def coupled_step(self, phi1: Expr, k: Expr, phi2: Expr,
+                     d1: int, d2: int, n1: int) -> str:
+        """The coupled system of ``exp(2 phi1) I - k exp(2 phi2) I`` at each
+        stage, from the state ``(x, u, y, v)``:
+
+            base:  -G1(u, u) - 1/2 exp(2 phi2) |v|^2 exp(-2 phi1) dk
+            fiber: -G2(v, v) - (dk . u / k) v
+
+        with ``-G(u, u) = |u|^2 s - 2 (s . u) u`` the contraction of the
+        conformally flat symbols ``G^a_ij = d^a_i s_j + d^a_j s_i - d_ij
+        s^a``, ``s`` the exponent's gradient.  ``phi1`` reads ``args`` up to
+        ``n1``, ``phi2`` from there on."""
+        base, fiber = {}, {}
+
+        def rates(s, z):
+            x, u = z[:d1], z[d1:2 * d1]
+            y, v = z[2 * d1:2 * d1 + d2], z[2 * d1 + d2:]
+            p1, s1 = self.gradient_at(phi1, d1, base, x)
+            kv, dk = self.gradient_at(k, d1, base, x)
+            p2, s2 = self.gradient_at(phi2, d2, fiber, y, n1)
+            uu, su = self.dot(f"uu{s}", u, u), self.dot(f"su{s}", s1, u)
+            vv, sv = self.dot(f"vv{s}", v, v), self.dot(f"sv{s}", s2, v)
+            du = self.dot(f"du{s}", dk, u)
+            lift = self.put(f"w{s}", f"0.5 * (exp(2.0 * {p2}) * {vv})")
+            down = self.put(f"e{s}", f"exp(-2.0 * {p1})")
+            rate = self.put(f"r{s}", f"{du} / {kv}")
+            return [
+                *u,
+                *(self.put(f"a{s}_{i}", f"{uu} * {s1[i]} - 2.0 * {su} * {u[i]}"
+                                        f" - {lift} * ({down} * {dk[i]})")
+                  for i in range(d1)),
+                *v,
+                *(self.put(f"b{s}_{i}", f"{vv} * {s2[i]} - 2.0 * {sv} * {v[i]}"
+                                        f" - {rate} * {v[i]}")
+                  for i in range(d2)),
+            ]
+
+        return self.rk4(2 * (d1 + d2), rates)
+
+    def source(self, result: str, head: str = "x", unpack=()) -> str:
         # keep what the result needs, reading the lines backwards
         live = set(_NAME.findall(result))
         kept = []
@@ -513,16 +570,31 @@ class _Emitter:
                 kept.append(line)
                 live.update(_NAME.findall(line))
         params = ", ".join([*self.bound, "_fail", "_array", "_any", "_full",
-                            *FUNCTIONS])
-        body = "".join(f"        {line}\n" for line in unpack + kept[::-1])
+                            "_rows", *FUNCTIONS])
+        body = "".join(f"        {line}\n" for line in [*unpack, *kept[::-1]])
         return (f"def _build({params}):\n    def _f({head}):\n{body}"
                 f"        return {result}\n    return _f\n")
 
+    def step_source(self, n: int, result: str) -> str:
+        """Source of ``step(y, h, args)`` over a state of ``n`` floats."""
+        state = ", ".join(f"q{i}" for i in range(n))
+        return self.source(result, "y, h, args", [f"{state}, = y"])
 
-def _compile(e: Expr, form: int, dim: int):
-    emitter = _Emitter(form, dim)
+
+def _rows(points, value, gradient):
+    """A batch value and its gradient, ``(N,)`` and ``(N, d)``, with each
+    entry broadcast to the ``N`` points."""
+    shape = np.shape(points)
+    rows = np.empty(shape + (len(gradient),))
+    for i, g in enumerate(gradient):
+        rows[..., i] = g
+    return np.full(shape, value), rows
+
+
+def _function(emitter: _Emitter, source: str):
+    """The function ``source`` defines, with the emitter's bindings."""
     namespace: dict = {}
-    exec(compile(emitter.source(e), "<warpfn>", "exec"), namespace)
+    exec(compile(source, "<warpfn>", "exec"), namespace)
     failures = emitter.failures
 
     def fail(k: int):
@@ -530,9 +602,19 @@ def _compile(e: Expr, form: int, dim: int):
         raise DslEvaluationError(message, str(node))
 
     functions = np if emitter.array else math
-    fn = namespace["_build"](
+    return namespace["_build"](
         **emitter.bound, _fail=fail, _array=np.array, _any=np.any,
-        _full=np.full, **{name: getattr(functions, name) for name in FUNCTIONS})
+        _full=np.full, _rows=_rows,
+        **{name: getattr(functions, name) for name in FUNCTIONS})
+
+
+def _compile(e: Expr, form: int, dim: int):
+    emitter = _Emitter(form, dim)
+    if form == _STEP:
+        source = emitter.step_source(2 * dim, emitter.geodesic_step(e, dim))
+    else:
+        source = emitter.source(emitter.result(e))
+    fn = _function(emitter, source)
     e.__dict__.setdefault("_compiled", {})[form, dim] = fn
     return fn
 
@@ -563,6 +645,18 @@ def value_and_gradient(e: Expr, point) -> tuple[float, np.ndarray]:
     return _compiled(e, _GRADIENT, len(x))(x)
 
 
+def value_and_gradient_many(e: Expr, points, args=()) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(N,)`` and gradients ``(N, d)`` at ``N`` points at once.
+
+    ``points`` has one row per point; ``args`` binds the variables past
+    its ``d`` columns, which the gradient leaves out.  Each entry rounds
+    as :func:`value_and_gradient` does, up to numpy's elementary functions
+    against ``math``'s.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _compiled(e, _ARRAY_GRADIENT, pts.shape[1])((*pts.T, *args))
+
+
 def eval2(e: Expr, point) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and Hessian of the expression at a point.
 
@@ -585,3 +679,26 @@ def rk4_geodesic_step(e: Expr, dim: int):
     chart's own domain check decides.
     """
     return _compiled(e, _STEP, dim)
+
+
+def rk4_coupled_step(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
+                     n1: int = 0):
+    """One classical RK4 step of the coupled geodesic system of the warped
+    metric ``exp(2 phi1) I - k exp(2 phi2) I``, compiled once per triple.
+
+    ``phi1`` and the warp ``k`` are expressions on the ``d1`` base
+    coordinates, ``phi2`` on the ``d2`` fiber coordinates.  Returns
+    ``step(y, h, args)`` over the state ``y = (*x, *u, *y, *v)``; ``args``
+    holds ``phi1``'s run-time arguments (the first ``n1``) and then
+    ``phi2``'s.  The step reads ``phi1`` and ``phi2`` themselves, so their
+    domain checks run.
+    """
+    cache = phi1.__dict__.setdefault("_compiled", {})
+    key = (_COUPLED, d1, id(k), id(phi2), d2, n1)
+    hit = cache.get(key)
+    if hit is None or hit[0] is not k or hit[1] is not phi2:
+        emitter = _Emitter(_COUPLED, d1)
+        source = emitter.step_source(
+            2 * (d1 + d2), emitter.coupled_step(phi1, k, phi2, d1, d2, n1))
+        hit = cache[key] = (k, phi2, _function(emitter, source))
+    return hit[2]

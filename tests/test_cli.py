@@ -479,6 +479,25 @@ def test_chart_parameters_of_the_wrong_kind_are_input_errors(tmp_path, base, key
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("doc, key", [
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], samples=None)),
+     "connect.samples"),
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], r_max=None)),
+     "connect.r_max"),
+    (dict(CONNECT_LINE, warp={"expression": "1", "k0": 1.0, "K0": None}), "warp.K0"),
+    (dict(INTEGRATE_FLAT, integrator={"steps": None}), "integrator.steps"),
+    (dict(INTEGRATE_FLAT, integrate={"point": None, "velocity": [1.0, 0.0]}),
+     "integrate.point"),
+], ids=["samples", "r_max", "K0", "steps", "point"])
+def test_null_values_are_input_errors(tmp_path, doc, key):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        message = json.load(fh)["message"]
+    assert key in message and "null" in message
+    assert not (out / "report.json").exists()
+
+
 CONNECT_TEXT = """\
 task: connect
 base_chart: {name: euclidean, dim: 1}

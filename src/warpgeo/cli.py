@@ -26,13 +26,13 @@ from .connect import (
     _beta_from_mu, beta_of_r, connect_points, flrw_beta,
     flrw_connect, partial_connect, theta_consistency,
 )
-from .errors import InputError, NumericalError, WarpGeoError
+from .errors import InputError, NumericalError, ParameterError, WarpGeoError
 from .integrate import (
     IntegratorConfig, curve_to_csv, geodesic_residual,
     integrate_coupled_oracle, integrate_geodesic, speed_drift,
 )
 from .manifold import (
-    MetricChart, _metric, _quadratic, circle, euclidean, metric_eval,
+    MetricChart, _quadratic, circle, euclidean, metric_eval, metrics_at,
     poincare_ball, poincare_half_plane, sphere, weighted_line,
 )
 from .reparam import norm_identity_errors, riemannize
@@ -79,6 +79,22 @@ def _get(section: dict, key: str, where: str, required=True, default=None):
         raise InputError(f"config key {where}.{key} is null; give a value "
                          "or leave the key out")
     return section[key]
+
+
+def _section(doc: dict, key: str, where: str, required=True):
+    """The mapping under ``key``; an absent optional section gives None."""
+    raw = _get(doc, key, where, required)
+    if raw is not None and not isinstance(raw, dict):
+        raise InputError(f"{where}.{key} must be a mapping, got {raw!r}")
+    return raw
+
+
+def _flag(section: dict, key: str, where: str, default: bool) -> bool:
+    """An optional ``true`` or ``false``."""
+    raw = _get(section, key, where, required=False, default=default)
+    if not isinstance(raw, bool):
+        raise InputError(f"{where}.{key} must be true or false, got {raw!r}")
+    return raw
 
 
 def _vector(section, key, where, dim=None, required=True, default=None):
@@ -179,6 +195,8 @@ def build_line_weight(section: dict, chart: MetricChart, where: str):
 
 def build_warp(section: dict, dim: int) -> WarpField:
     text = _get(section, "expression", "warp")
+    if not isinstance(text, str):
+        raise InputError(f"warp.expression must be an expression, got {text!r}")
     k0 = _number(section, "k0", "warp")
     K0 = _number(section, "K0", "warp", required=False)
     return WarpField.from_expression(
@@ -197,7 +215,7 @@ class TaskConfig:
             raise InputError(
                 f"unknown task {self.task!r}; choose from {', '.join(sorted(TASKS))}"
             )
-        integ = doc.get("integrator") or {}
+        integ = _section(doc, "integrator", "config", required=False) or {}
         steps = _count(integ, "steps", "integrator", default=1024, least=16)
         if steps_override is not None:
             steps = steps_override
@@ -207,15 +225,15 @@ class TaskConfig:
                               default=1e-6, required=False),
         )
         self.seed = _count(doc, "seed", "config", default=0, least=0)
-        self.base_section = _get(doc, "base_chart", "config")
+        self.base_section = _section(doc, "base_chart", "config")
         self.base = build_chart(self.base_section, "base_chart")
-        fiber = doc.get("fiber_chart")
-        self.fiber = build_chart(fiber, "fiber_chart") if fiber else None
-        warp_section = doc.get("warp")
-        self.warp = build_warp(warp_section, self.base.dim) if warp_section else None
-        self.params = doc.get(self.task.replace("-", "_"), {}) or {}
-        if not isinstance(self.params, dict):
-            raise InputError(f"section {self.task!r} must be a mapping")
+        fiber = _section(doc, "fiber_chart", "config", required=False)
+        self.fiber = build_chart(fiber, "fiber_chart") if fiber is not None else None
+        warp_section = _section(doc, "warp", "config", required=False)
+        self.warp = (build_warp(warp_section, self.base.dim)
+                     if warp_section is not None else None)
+        self.params = _section(doc, self.task.replace("-", "_"), "config",
+                               required=False) or {}
 
     def require_fiber(self) -> MetricChart:
         if self.fiber is None:
@@ -293,8 +311,10 @@ def _integrate_pair(tc: TaskConfig, p: dict, where: str):
 @task("riemannize")
 def run_riemannize(tc: TaskConfig, out: Path) -> dict:
     p = tc.params
+    fit = _flag(p, "fit_fiber_speed", "riemannize", default=False)
+    oracle = _flag(p, "oracle_check", "riemannize", default=True)
     w, g2, r, mu, nu = _integrate_pair(tc, p, "riemannize")
-    if p.get("fit_fiber_speed"):
+    if fit:
         # rescale the fiber velocity so the coupling identity holds exactly
         beta = _beta_from_mu(mu, w, r, tc.base, mu.velocities[0], 0).beta
         speed = math.sqrt(metric_eval(g2, nu.points[0], nu.velocities[0],
@@ -310,7 +330,7 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
         curve_to_csv(curve, out / f"{name}.csv")
     report = geo.to_dict()
     report["norm_identities"] = norm_identity_errors(geo, w, tc.base, g2)
-    if p.get("oracle_check", True):
+    if oracle:
         Xt, Yt = geo.initial_tangents
         ob, of = integrate_coupled_oracle(
             tc.base, g2, w, (mu.points[0], nu.points[0]),
@@ -377,6 +397,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
     t1 = _number(p, "t1", "flrw")
     y0 = _vector(p, "y0", "flrw", dim=g2.dim)
     y1 = _vector(p, "y1", "flrw", dim=g2.dim)
+    cross_check = _flag(p, "cross_check", "flrw", default=False)
     weight = tc.line_weight("flrw", ("weight",))
     rep = flrw_connect(w, t0, t1, y0, y1, g2, tc.cfg, weight=weight)
     result = _finish_connection(rep, w, tc.base, g2, out)
@@ -384,7 +405,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
     result["summary"].append(
         f"first-integral residual {rep.first_integral_residual:.3e}"
     )
-    if p.get("cross_check"):
+    if cross_check:
         general = connect_points(
             tc.base, g2, w, (np.array([t0]), y0), (np.array([t1]), y1), tc.cfg
         )
@@ -399,6 +420,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
 @task("partial-connect")
 def run_partial(tc: TaskConfig, out: Path) -> dict:
     p = tc.params
+    theta_check = _flag(p, "theta", "partial_connect", default=True)
     w, g2, r, mu, nu = _integrate_pair(tc, p, "partial_connect")
     alpha = _number(p, "alpha", "partial_connect")
     beta_plus, beta_minus = partial_connect((mu, nu), alpha, w, r)
@@ -408,7 +430,7 @@ def run_partial(tc: TaskConfig, out: Path) -> dict:
         "beta_plus": beta_plus,
         "beta_minus": beta_minus,
     }
-    if p.get("theta", True):
+    if theta_check:
         theta = theta_consistency(mu, nu, w, r, alpha)
         report["theta"] = {
             "beta_displayed": theta["beta_displayed"],
@@ -443,7 +465,7 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
         raise InputError(f"curvature-scan needs a plane, so a base_chart of "
                          f"dimension at least 2; {g1.name} has dimension {g1.dim}")
     r_values = _numbers(p, "r_values", "curvature_scan")
-    grid = _get(p, "grid", "curvature_scan")
+    grid = _section(p, "grid", "curvature_scan")
     mins = _vector(grid, "mins", "curvature_scan.grid", dim=g1.dim)
     maxs = _vector(grid, "maxs", "curvature_scan.grid", dim=g1.dim)
     counts = _vector(grid, "counts", "curvature_scan.grid", dim=g1.dim)
@@ -458,8 +480,8 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
                          f"maxs {maxs.tolist()}")
     planes = _count(p, "planes", "curvature_scan", default=1, least=1)
     per_point = len(r_values) * planes
-    g = np.array([_metric(g1, x) for x in mesh])
-    frames = _random_planes(np.repeat(g, per_point, axis=0), np.random.default_rng(tc.seed))
+    frames = _random_planes(np.repeat(metrics_at(g1, mesh), per_point, axis=0),
+                            np.random.default_rng(tc.seed))
     frames = frames.reshape(len(mesh), len(r_values), planes, 2, g1.dim)
     K, ok = rescaled_curvature(g1, w, mesh, r_values, frames)
     ok = ok.all(axis=-1)
@@ -528,6 +550,8 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
     else:
         count = _count(p, "samples", "beta_scan", default=64, least=2)
         r_max = _number(p, "r_max", "beta_scan", default=1e6, required=False)
+        if not r_max > lower:
+            raise ParameterError(r_max, lower, "beta_scan.r_max")
         start = lower + 1e-3 * (1.0 + abs(lower))
         ratio = ((r_max - lower) / (start - lower)) ** (1.0 / (count - 1))
         r_values = [lower + (start - lower) * ratio ** i for i in range(count)]

@@ -37,7 +37,7 @@ from . import warpfn
 from ._num import composite_simpson, cumulative_simpson
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
-    ShootingError,
+    ParameterError, ShootingError,
 )
 from .integrate import (
     Curve, IntegratorConfig, coupled_residual, integrate_geodesic,
@@ -231,6 +231,8 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     undershoots the target, so the stiff near-threshold regime is entered
     only when the target actually lives there.
     """
+    if not r_max > lower:
+        raise ParameterError(r_max, lower, "r_max")
     memo: dict[float, BetaResult] = {}
     # Only arrays: a BetaResult here would outlive the memo in brentq's cycle.
     warm = (None, None)

@@ -26,8 +26,8 @@ class InputError(WarpGeoError, ValueError):
 class ParameterError(InputError):
     """Conformal parameter outside the admissible range."""
 
-    def __init__(self, r: float, lower: float):
-        super().__init__(f"parameter r={r!r} must be strictly greater than {lower!r}")
+    def __init__(self, r: float, lower: float, name: str = "r"):
+        super().__init__(f"parameter {name}={r!r} must be strictly greater than {lower!r}")
         self.r = r
         self.lower = lower
 

@@ -6,20 +6,20 @@ integration, conformal rescaling, curvature checks) consumes charts through
 the small set of operations here: metric evaluation, Christoffel symbols,
 index raising, the geodesic right-hand side, and sectional curvature.
 
-Charts are plain data: a dimension plus callables.  The one derivative a
-chart supplies is its Christoffel symbols, in closed form (all built-in
-charts and their conformal rescalings do); a chart without them, such as a
-user-defined metric, gets them from central differences of its metric
-with the step ``FD_STEP``.  Sectional curvature may be supplied in closed
-form too, and is otherwise contracted from the differenced curvature
-tensor.  Domain predicates take the point as given, any sequence of floats.
-
-A conformally flat chart, metric ``exp(2 phi)`` times the identity, may
-also carry its conformal exponent ``phi`` as a :mod:`~warpgeo.warpfn`
-tree; its geodesics are then integrated by one generated float RK4 step
-(:func:`~warpgeo.warpfn.rk4_geodesic_step`) instead of a contraction of
-Christoffel symbols, which such a chart derives from ``grad phi``.  The
-flat, hyperbolic, weighted-line and circle charts carry one.
+Charts are plain data: a dimension plus one definition of the metric.
+Either the chart has a metric callable, with its Christoffel symbols in
+closed form beside it or, when it has none (a user-defined metric), from
+central differences of the metric with the step ``FD_STEP``; or it is
+conformally flat, metric ``exp(2 phi)`` times the identity, and is its
+conformal exponent ``phi``, a :mod:`~warpgeo.warpfn` tree.  Such a chart's
+metric is ``exp(2 phi) I``, its Christoffel symbols are ``T @ grad phi``,
+and its geodesics are integrated by one generated float RK4 step
+(:func:`~warpgeo.warpfn.rk4_geodesic_step`).  The flat, hyperbolic,
+weighted-line and circle charts are exponents; the round spheres of
+dimension two and more are metric callables.  Sectional curvature may be
+supplied in closed form too, and is otherwise contracted from the
+differenced curvature tensor.  Domain predicates take the point as given,
+any sequence of floats.
 
 :func:`metrics_at` and :func:`geometry_at` give the metric, its inverse
 and the Christoffel symbols at many points: from one batch of ``phi`` and
@@ -29,6 +29,8 @@ other.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,16 +54,19 @@ FD_STEP = 1e-5
 class MetricChart:
     """A coordinate chart with a Riemannian metric.
 
+    The metric is given once: by ``metric_at`` (with ``christoffel_at``
+    optional) or by ``exponent``, never both.
+
     Parameters
     ----------
     dim : int
         Number of coordinates.
-    metric_at : callable
+    metric_at : callable, optional
         Point -> (dim, dim) symmetric positive-definite matrix.
     christoffel_at : callable, optional
         Point -> (dim, dim, dim) array ``G[k, i, j]`` of Christoffel
-        symbols in closed form; when omitted they are assembled from
-        central differences of ``metric_at``.
+        symbols in closed form, beside ``metric_at``; when omitted they are
+        assembled from central differences of ``metric_at``.
     sectional_at : callable, optional
         ``(point, e1, e2) -> float`` analytic sectional curvature of the
         plane spanned by an orthonormal pair.
@@ -72,15 +77,15 @@ class MetricChart:
     exponent : warpfn.Expr, optional
         The exponent ``phi`` of a chart whose metric is ``exp(2 phi)``
         times the identity, in the chart's coordinates followed by one
-        variable per entry of ``exponent_args``; geodesics of such a chart
-        are integrated by its generated RK4 step.
+        variable per entry of ``exponent_args``; the chart's metric,
+        Christoffel symbols and generated RK4 step all derive from it.
     exponent_args : tuple of float
         Run-time values of the exponent's trailing variables (the
         rescaling parameter ``r`` of a conformally rescaled chart).
     """
 
     dim: int
-    metric_at: Callable[[np.ndarray], np.ndarray]
+    metric_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
     christoffel_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sectional_at: Optional[Callable] = None
     in_domain: Optional[Callable] = None
@@ -91,6 +96,12 @@ class MetricChart:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"chart dimension must be positive, got {self.dim}")
+        if (self.metric_at is None) == (self.exponent is None):
+            raise InputError("a chart is defined by exactly one of metric_at "
+                             "and exponent")
+        if self.christoffel_at is not None and self.metric_at is None:
+            raise InputError("christoffel_at goes with metric_at; an exponent "
+                             "chart derives its symbols")
 
     def contains(self, p) -> bool:
         return self.in_domain is None or bool(self.in_domain(p))
@@ -128,6 +139,8 @@ def _components_at(v, p: np.ndarray) -> np.ndarray:
 
 
 def _metric(chart: MetricChart, p: np.ndarray) -> np.ndarray:
+    if chart.exponent is not None:
+        return np.exp(2.0 * _exponent_at(chart, p)[0]) * np.eye(chart.dim)
     g = np.asarray(chart.metric_at(p), dtype=float)
     if g.shape != (chart.dim, chart.dim):
         raise InputError(
@@ -169,12 +182,15 @@ def metric_derivative(chart: MetricChart, p) -> np.ndarray:
 def christoffel(chart: MetricChart, p) -> np.ndarray:
     """Christoffel symbols ``G[k, i, j]`` of the Levi-Civita connection.
 
-    Uses the chart's closed-form symbols when available, otherwise
-    assembles them from the metric and its central differences:
+    Uses ``T @ grad phi`` on a chart with an exponent, the chart's
+    closed-form symbols when available, and otherwise assembles them from
+    the metric and its central differences:
 
         G^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     """
     p = np.asarray(p, dtype=float)
+    if chart.exponent is not None:
+        return _conformal_tensor(chart.dim) @ _exponent_at(chart, p)[1]
     if chart.christoffel_at is not None:
         return np.asarray(chart.christoffel_at(p), dtype=float)
     g = _metric(chart, p)
@@ -270,25 +286,25 @@ def sectional_curvature(chart: MetricChart, p, e1, e2) -> float:
 
 def euclidean(dim: int) -> MetricChart:
     """Flat space R^n with the identity metric."""
-    eye = np.eye(dim)
-    zeros3 = np.zeros((dim, dim, dim))
     return MetricChart(
         dim=dim,
-        metric_at=lambda p: eye,
-        christoffel_at=lambda p: zeros3,
         sectional_at=(lambda p, e1, e2: 0.0) if dim >= 2 else None,
         name=f"euclidean{dim}",
         exponent=warpfn.Const(0.0),
     )
 
 
+@functools.cache
 def _conformal_tensor(dim: int) -> np.ndarray:
     """``T`` with ``T @ s`` the Christoffel symbols ``d^k_i s_j + d^k_j s_i
     - d_ij s^k`` of ``exp(2 phi) * (flat metric)``, ``s = grad phi``:
-    ``T[k, i, j, m] = d_ki d_jm + d_kj d_im - d_ij d_km``."""
+    ``T[k, i, j, m] = d_ki d_jm + d_kj d_im - d_ij d_km``.  Built once per
+    dimension and read-only."""
     eye = np.eye(dim)
     T = np.einsum("ki,jm->kijm", eye, eye) + np.einsum("kj,im->kijm", eye, eye)
-    return T - np.einsum("ij,km->kijm", eye, eye)
+    T = T - np.einsum("ij,km->kijm", eye, eye)
+    T.flags.writeable = False
+    return T
 
 
 def _check_off_chart(in_domain, points, exc: DslEvaluationError):
@@ -300,27 +316,26 @@ def _check_off_chart(in_domain, points, exc: DslEvaluationError):
             raise NumericalError(f"no metric off the chart, at {p}") from exc
 
 
-def _conformal_flat_christoffel(phi: warpfn.Expr, dim: int, in_domain):
-    """Christoffel symbols ``T @ grad phi`` of ``exp(2 phi) * (flat
-    metric)`` at a point; off the chart a :class:`NumericalError`."""
-    T = _conformal_tensor(dim)
-
-    def christoffel_at(p):
-        try:
-            s = warpfn.value_and_gradient(phi, p)[1]
-        except DslEvaluationError as exc:
-            _check_off_chart(in_domain, [p], exc)
-            raise
-        return T @ s
-
-    return christoffel_at
+def _exponent_at(chart: MetricChart, p: np.ndarray):
+    """``phi`` and ``grad phi`` of a chart's exponent at the one point
+    ``p``, through the scalar form, with its ``exponent_args`` bound.  An
+    exponent undefined off the chart, or a ``phi`` that is not finite (a
+    NaN line weight), leaves no metric there: a :class:`NumericalError`."""
+    try:
+        phi, s = warpfn.value_and_gradient(chart.exponent,
+                                           [*p.tolist(), *chart.exponent_args])
+    except DslEvaluationError as exc:
+        _check_off_chart(chart.contains, [p], exc)
+        raise
+    if not math.isfinite(phi):
+        raise NumericalError(f"the metric of {chart.name} is not finite at {p}")
+    return phi, s[:chart.dim]
 
 
 def _exponent_jet(chart: MetricChart, points: np.ndarray):
     """``phi`` and ``grad phi`` of a chart's exponent at the rows of
-    ``points``, in one batch, with its ``exponent_args`` bound.  A ``phi``
-    that is not finite (a NaN line weight) leaves no metric there, which is
-    a :class:`NumericalError`."""
+    ``points``, in one batch, with its ``exponent_args`` bound; failures
+    as in :func:`_exponent_at`."""
     try:
         phi, s = warpfn.value_and_gradient_many(chart.exponent, points,
                                                 chart.exponent_args)
@@ -380,38 +395,26 @@ def geometry_at(chart: MetricChart, points):
 
 
 def poincare_half_plane() -> MetricChart:
-    """Hyperbolic plane, upper half-plane model: ``g = (dx^2 + dy^2) / y^2``."""
-
-    def metric(p):
-        return np.eye(2) / p[1] ** 2
+    """Hyperbolic plane, upper half-plane model: ``g = (dx^2 + dy^2) / y^2``,
+    the exponent ``phi = -log(y)``."""
 
     def in_domain(p):
         return p[1] > 0.0
 
-    phi = warpfn.parse("-log(x2)", 2)
     return MetricChart(
         dim=2,
-        metric_at=metric,
-        christoffel_at=_conformal_flat_christoffel(phi, 2, in_domain),
         sectional_at=lambda p, e1, e2: -1.0,
         in_domain=in_domain,
         name="poincare_half_plane",
-        exponent=phi,
+        exponent=warpfn.parse("-log(x2)", 2),
     )
 
 
 def poincare_ball(dim: int = 2) -> MetricChart:
-    """Hyperbolic space, ball model: ``g = 4 (1 - |x|^2)^{-2} * euclidean``."""
+    """Hyperbolic space, ball model: ``g = 4 (1 - |x|^2)^{-2} * euclidean``,
+    the exponent ``phi = log(2) - log(1 - |x|^2)``."""
     if dim < 2:
         raise InputError("poincare_ball needs dim >= 2")
-    eye = np.eye(dim)
-
-    def lam2(p):
-        return (2.0 / (1.0 - p @ p)) ** 2
-
-    def metric(p):
-        return lam2(p) * eye
-
     # |x|^2 as products, which a float step may overflow to inf where a
     # power would raise
     norm2 = " + ".join(f"x{i}*x{i}" for i in range(1, dim + 1))
@@ -422,8 +425,6 @@ def poincare_ball(dim: int = 2) -> MetricChart:
 
     return MetricChart(
         dim=dim,
-        metric_at=metric,
-        christoffel_at=_conformal_flat_christoffel(phi, dim, in_domain),
         sectional_at=lambda p, e1, e2: -1.0,
         in_domain=in_domain,
         name=f"poincare_ball{dim}",
@@ -442,6 +443,11 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
         raise InputError("sphere needs dim >= 1")
     if not 0.0 < radius < np.inf:
         raise InputError(f"sphere radius must be positive and finite, got {radius}")
+    if dim == 1:
+        # one angle over the whole line: the constant metric R^2 is
+        # exp(2 phi) with phi = log(R)
+        return MetricChart(dim=1, name="sphere1",
+                           exponent=warpfn.Call("log", warpfn.Const(float(radius))))
     R2 = radius * radius
 
     def factors(p):
@@ -473,12 +479,9 @@ def sphere(dim: int = 2, radius: float = 1.0) -> MetricChart:
         dim=dim,
         metric_at=metric,
         christoffel_at=christoffel_at,
-        sectional_at=(lambda p, e1, e2: 1.0 / R2) if dim >= 2 else None,
-        # one angle ranges over the whole line
-        in_domain=in_domain if dim >= 2 else None,
+        sectional_at=lambda p, e1, e2: 1.0 / R2,
+        in_domain=in_domain,
         name=f"sphere{dim}",
-        # one angle: the constant metric R^2 is exp(2 phi) with phi = log(R)
-        exponent=warpfn.Call("log", warpfn.Const(float(radius))) if dim == 1 else None,
     )
 
 
@@ -492,16 +495,10 @@ def weighted_line(weight) -> MetricChart:
 
     ``weight`` is an expression string in the variable ``t`` (or ``x1``),
     or an already parsed expression node.  The chart's domain is where the
-    weight is positive: metric values raise :class:`NumericalError` at a
-    non-positive or NaN weight, Christoffel symbols at a non-positive one.
+    weight is positive: its metric and Christoffel symbols raise
+    :class:`NumericalError` at a non-positive or NaN weight.
     """
     expr = warpfn.parse(weight, 1) if isinstance(weight, str) else weight
-
-    def metric(p):
-        v = warpfn.evaluate(expr, p)
-        if not v > 0.0:
-            raise NumericalError(f"line weight must stay positive, got {v} at {p}")
-        return np.array([[v]])
 
     def in_domain(p):
         return warpfn.evaluate(expr, p) > 0.0
@@ -510,8 +507,6 @@ def weighted_line(weight) -> MetricChart:
     phi = warpfn.Binary("*", warpfn.Const(0.5), warpfn.Call("log", expr))
     return MetricChart(
         dim=1,
-        metric_at=metric,
-        christoffel_at=_conformal_flat_christoffel(phi, 1, in_domain),
         in_domain=in_domain,
         name="weighted_line",
         exponent=phi,

@@ -32,8 +32,8 @@ import numpy as np
 from . import warpfn
 from .errors import InputError, ParameterError
 from .manifold import (
-    MetricChart, _components_at, _metric, _require_orthonormal, christoffel,
-    sectional_curvature,
+    MetricChart, _components_at, _metric, _quadratic, _require_orthonormal,
+    christoffel, geometry_at, sectional_curvature,
 )
 
 __all__ = [
@@ -132,25 +132,33 @@ def admissible_range(w: WarpField) -> WarpParameterRange:
 def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
     """The chart carrying the rescaled metric ``(1/k + r) g1``.
 
-    Its Christoffel symbols are the base chart's (closed-form, or
-    differenced when the base has none) plus the conformal correction
+    A conformally flat base, ``g1 = exp(2 phi) I``, stays conformally flat
+    and gives the chart of the exponent ``psi = phi + log(1/k + r) / 2``,
+    in which ``r`` is a run-time argument: one tree, and so one compiled
+    RK4 step, serves every ``r``.  Any other base gives a chart whose
+    Christoffel symbols are the base chart's (closed-form, or differenced
+    when the base has none) plus the conformal correction
 
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
-    with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.  A conformally flat
-    base, ``g1 = exp(2 phi) I``, stays conformally flat with the exponent
-    ``psi = phi + log(1/k + r) / 2``, in which ``r`` is a run-time argument:
-    one tree, and so one compiled RK4 step, serves every ``r``.
+    with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.
     """
     admissible_range(w).require(r)
     dim = g1.dim
+    name = f"conformal({g1.name}, r={r:g})"
+
+    def sectional(p, e1, e2):
+        # callers hand a pair orthonormal for the rescaled metric
+        return _one_row(g1, w, r, p, (e1, e2), rescaled=True)[0].item()
+
+    if g1.exponent is not None:
+        return MetricChart(dim=dim, sectional_at=sectional, in_domain=g1.in_domain,
+                           name=name, exponent=_rescaled_exponent(g1, w),
+                           exponent_args=(*g1.exponent_args, r))
     eye = np.eye(dim)
 
-    def factor(p):
-        return 1.0 / w.value_at(p) + r
-
     def metric(p):
-        return factor(p) * g1.metric_at(p)
+        return (1.0 / w.value_at(p) + r) * _metric(g1, p)
 
     def gamma(p):
         v, dk = value_and_grad(w, p)
@@ -161,23 +169,8 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
             - np.einsum("ij,k->kij", g, np.linalg.solve(g, u))
         )
 
-    def sectional(p, e1, e2):
-        # callers hand a pair orthonormal for the rescaled metric
-        return _one_row(g1, w, r, p, (e1, e2), rescaled=True)[0].item()
-
-    exponent, args = None, ()
-    if g1.exponent is not None:
-        exponent, args = _rescaled_exponent(g1, w), (*g1.exponent_args, r)
-    return MetricChart(
-        dim=dim,
-        metric_at=metric,
-        christoffel_at=gamma,
-        sectional_at=sectional,
-        in_domain=g1.in_domain,
-        name=f"conformal({g1.name}, r={r:g})",
-        exponent=exponent,
-        exponent_args=args,
-    )
+    return MetricChart(dim=dim, metric_at=metric, christoffel_at=gamma,
+                       sectional_at=sectional, in_domain=g1.in_domain, name=name)
 
 
 def _rescaled_exponent(g1: MetricChart, w: WarpField) -> warpfn.Expr:
@@ -213,18 +206,20 @@ def equivalence_bounds(w: WarpField, r: float) -> tuple[float, float]:
     return k2, k3
 
 
-def _jet(g1: MetricChart, w: WarpField, p):
-    """``(k, dk, covariant Hessian of k, |dk|^2, g)`` at ``p`` on the base
-    chart, with ``g`` the base metric there.
+def _jets(g1: MetricChart, w: WarpField, points):
+    """``(k, dk, covariant Hessian of k, |dk|^2, g)`` at each row of
+    ``points`` on the base chart, with ``g`` the base metric there.
 
     ``(hess k)_ij = d_i d_j k - G^l_ij d_l k``, and ``|dk|^2`` raises the
-    index with the base metric.
+    index with the base metric.  The warp's jet is evaluated point by
+    point; the base metric, its inverse and ``G`` come from one
+    :func:`~warpgeo.manifold.geometry_at`.
     """
-    p = np.asarray(p, dtype=float)
-    k, dk, H = warpfn.eval2(w.expr, p)
-    H = H - (dk @ christoffel(g1, p).reshape(len(dk), -1)).reshape(H.shape)
-    g = _metric(g1, p)
-    return k, dk, H, float(dk @ np.linalg.solve(g, dk)), g
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    k, dk, H = (np.array(c) for c in zip(*(warpfn.eval2(w.expr, p) for p in points)))
+    g, inverse, G = geometry_at(g1, points)
+    H = H - (dk[:, None, :] @ G.reshape(len(points), g1.dim, -1)).reshape(H.shape)
+    return k, dk, H, _quadratic(dk, inverse, dk), g
 
 
 def covariant_hessian(g1: MetricChart, w: WarpField, p) -> np.ndarray:
@@ -232,7 +227,7 @@ def covariant_hessian(g1: MetricChart, w: WarpField, p) -> np.ndarray:
 
     ``(hess k)_ij = d_i d_j k - G^l_ij d_l k``; symmetric by construction.
     """
-    return _jet(g1, w, p)[2]
+    return _jets(g1, w, p)[2][0]
 
 
 def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
@@ -271,7 +266,7 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
         admissible.require(float(r))
     points = np.asarray(points, dtype=float)
     e = np.asarray(frames, dtype=float)
-    k, dk, H, dk2, g = (np.array(c) for c in zip(*(_jet(g1, w, p) for p in points)))
+    k, dk, H, dk2, g = _jets(g1, w, points)
     # row quantities carry a trailing axis that broadcasts over frame vectors
     k, dk2 = k[:, None, None, None], dk2[:, None, None, None]
     r = np.asarray(r_values, dtype=float)[:, None, None]

@@ -10,6 +10,7 @@ import yaml
 import warpgeo as wg
 from warpgeo import __version__, cli, reparam
 from warpgeo.cli import main
+from warpgeo.manifold import metrics_at
 
 
 def run_task(tmp_path, doc, *extra, out_name="out"):
@@ -181,7 +182,7 @@ def test_curvature_scan_matches_a_loop_over_the_scalar_functions(tmp_path, doc):
     for point in np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1):
         for r in p["r_values"]:
             for _ in range(p["planes"]):
-                e1, e2 = _random_orthonormal_plane(g1.metric_at(point), rng)
+                e1, e2 = _random_orthonormal_plane(metrics_at(g1, point)[0], rng)
                 base_K = wg.sectional_curvature(g1, point, e1, e2)
                 ok = (wg.negativity_check(g1, w, r, point, e1, base_K)
                       and wg.negativity_check(g1, w, r, point, e2, base_K))
@@ -496,6 +497,75 @@ def test_null_values_are_input_errors(tmp_path, doc, key):
         message = json.load(fh)["message"]
     assert key in message and "null" in message
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    (dict(INTEGRATE_FLAT, base_chart=["name"]), "config.base_chart"),
+    (dict(INTEGRATE_FLAT, integrator=["steps"]), "config.integrator"),
+    (dict(CONNECT_LINE, warp=["expression"]), "config.warp"),
+    (dict(CONNECT_LINE, fiber_chart="name"), "config.fiber_chart"),
+    (dict(CONNECT_LINE, connect=["x0"]), "config.connect"),
+    (dict(CURVATURE_SCAN, curvature_scan=dict(CURVATURE_SCAN["curvature_scan"],
+                                              grid=["mins"])), "curvature_scan.grid"),
+    (dict(CONNECT_LINE, warp={"expression": 5, "k0": 1.0}), "warp.expression"),
+], ids=["base_chart", "integrator", "warp", "fiber_chart", "task_section", "grid",
+        "expression"])
+def test_sections_of_the_wrong_kind_are_input_errors(tmp_path, doc, key):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        assert key in json.load(fh)["message"]
+    assert not (out / "report.json").exists()
+
+
+FLAG_TASKS = {
+    "riemannize": dict(TRIVIAL_PRODUCT, task="riemannize", riemannize={
+        "r": 3.0, "x0": [0.0], "X0": [1.0], "y0": [0.0], "Y0": [0.5],
+        "fit_fiber_speed": True}),
+    "flrw": dict(TRIVIAL_PRODUCT, task="flrw", flrw={
+        "t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [1.0]}),
+    "partial_connect": dict(TRIVIAL_PRODUCT, task="partial-connect", partial_connect={
+        "r": 3.0, "alpha": 0.7, "x0": [0.0], "X0": [1.0], "y0": [0.0], "Y0": [0.5]}),
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    ("riemannize", "fit_fiber_speed"), ("riemannize", "oracle_check"),
+    ("flrw", "cross_check"), ("partial_connect", "theta"),
+])
+@pytest.mark.parametrize("value, words", [
+    (None, "null"), ("false", "true or false"), (0, "true or false"),
+], ids=["null", "text", "number"])
+def test_flags_are_booleans(tmp_path, section, key, value, words):
+    doc = json.loads(json.dumps(FLAG_TASKS[section]))
+    doc[section][key] = value
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        message = json.load(fh)["message"]
+    assert f"{section}.{key}" in message and words in message
+
+
+def test_a_false_flag_skips_its_check(tmp_path):
+    doc = json.loads(json.dumps(FLAG_TASKS["riemannize"]))
+    doc["riemannize"]["oracle_check"] = False
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0 and "oracle_deviation" not in report_of(out)
+    doc["riemannize"]["oracle_check"] = True
+    code, out = run_task(tmp_path, doc, "--quiet", out_name="checked")
+    assert code == 0 and "oracle_deviation" in report_of(out)
+
+
+@pytest.mark.parametrize("doc, key", [
+    (dict(CONNECT_LINE, connect=dict(CONNECT_LINE["connect"], r_max=-3.0)), "r_max"),
+    (_beta_scan(r_max=-5.0), "beta_scan.r_max"),
+], ids=["connect", "beta_scan"])
+def test_an_r_max_below_the_threshold_is_a_parameter_error(tmp_path, doc, key):
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert key in payload["message"] and payload["r"] < payload["lower"]
 
 
 CONNECT_TEXT = """\

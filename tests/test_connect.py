@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import warpgeo as wg
 from warpgeo import connect, reparam, warpfn
 from warpgeo.connect import BetaResult, _beta_from_mu, _restricted, _shoot
 from warpgeo.errors import (
-    BracketingError, InputError, NumericalError, ShootingError,
+    BracketingError, InputError, NumericalError, ParameterError, ShootingError,
 )
 
 CFG = wg.IntegratorConfig(steps=256)
@@ -131,6 +131,60 @@ def test_dial_closed_form_for_trivial_warp():
         assert abs(res.beta - 1.0 / np.sqrt(1.0 + r)) <= 1e-8
         assert res.a_r == pytest.approx(1.0 / (1.0 + r), rel=1e-10)
         assert res.b_r == pytest.approx(1.0, rel=1e-10)
+
+
+def _half_plane_distance(p, q):
+    return math.acosh(1.0 + ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+                      / (2.0 * p[1] * q[1]))
+
+
+def _ball_distance(p, q):
+    return math.acosh(1.0 + 2.0 * np.sum((p - q) ** 2)
+                      / ((1.0 - p @ p) * (1.0 - q @ q)))
+
+
+def _flat_distance(p, q):
+    return float(np.linalg.norm(p - q))
+
+
+# a base chart, its distance in closed form and a box of end points inside it
+CONSTANT_WARP_BASES = {
+    "half_plane": (wg.poincare_half_plane(), _half_plane_distance,
+                   [(-1.0, 1.0), (0.5, 2.0)]),
+    "flat": (wg.euclidean(2), _flat_distance, [(-2.0, 2.0), (-2.0, 2.0)]),
+    "ball": (wg.poincare_ball(2), _ball_distance, [(-0.45, 0.45), (-0.45, 0.45)]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONSTANT_WARP_BASES))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dial_closed_form_for_a_constant_warp(label, data):
+    """For ``k = c`` the rescaled base is ``(1/c + r) g1``, whose geodesic
+    between the base points has the length ``sqrt(1/c + r) d(x0, x1)``; the
+    dial reads ``beta(r) = d(x0, x1) / sqrt(c (1 + r c))``."""
+    g1, distance, box = CONSTANT_WARP_BASES[label]
+    point = st.tuples(*(st.floats(lo, hi) for lo, hi in box))
+    x0, x1 = (np.array(data.draw(point)) for _ in range(2))
+    d = distance(x0, x1)
+    assume(d > 0.05)
+    c = data.draw(st.floats(0.5, 3.0))
+    r = data.draw(st.floats(-0.5 / c, 4.0))
+    res = wg.beta_of_r(g1, wg.euclidean(1), wg.WarpField.constant(c, 2), x0, x1, r,
+                       FAST)
+    assert res.beta == pytest.approx(d / math.sqrt(c * (1.0 + r * c)), rel=1e-7)
+
+
+def test_an_r_max_below_the_threshold_is_a_parameter_error():
+    one = wg.WarpField.constant(1.0, 1)
+    line = wg.euclidean(1)
+    with pytest.raises(ParameterError, match="r_max=-3") as err:
+        wg.connect_points(line, line, one, (np.zeros(1), np.zeros(1)),
+                          (np.ones(1), np.array([0.5])), FAST, r_max=-3.0)
+    assert err.value.lower == -1.0
+    with pytest.raises(ParameterError, match="r_max"):
+        wg.flrw_connect(one, 0.0, 1.0, np.zeros(1), np.array([0.5]), line, FAST,
+                        r_max=-3.0)
 
 
 def test_connect_points_solves_the_trivial_warp_closed_form():

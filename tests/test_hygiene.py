@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package and its tests
-is used, and code is generated and run in one module only."""
+is used, code is generated and run in one module only, and only the chart
+module reads how a chart was defined."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,27 @@ def test_only_the_expression_compiler_runs_generated_code(path):
 def test_the_check_sees_generated_code_being_run():
     source = "import re\nr = re.compile('x')\nexec(compile(src, 'f', 'exec'))\n"
     assert _runs_code(source) == ["exec (line 3)", "compile (line 3)"]
+
+
+def _chart_definition_reads(source: str) -> list[str]:
+    """Where a chart's ``metric_at`` or ``christoffel_at`` is read."""
+    reads = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("metric_at", "christoffel_at"))
+    return [f"{attr} (line {line})" for line, attr in reads]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_chart_module_reads_a_chart_definition(path):
+    # every other module reads a chart through manifold's functions, which
+    # serve a chart defined by its exponent as well
+    found = _chart_definition_reads(path.read_text())
+    if path.name == "manifold.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_the_check_sees_a_chart_definition_being_read():
+    source = "g = chart.metric_at(p)\nc = MetricChart(2, metric_at=f)\nG = c.christoffel_at\n"
+    assert _chart_definition_reads(source) == ["metric_at (line 1)", "christoffel_at (line 3)"]

@@ -12,6 +12,7 @@ from warpgeo.manifold import (
     FD_STEP,
     MetricChart,
     TangentVector,
+    _metric,
     christoffel,
     geodesic_rhs,
     metric_eval,
@@ -26,6 +27,35 @@ def _rel(got, want):
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+# Textbook metrics, written out apart from the charts' own definitions: the
+# references that the charts' metrics and Christoffel symbols are checked
+# against.
+def _flat(n):
+    return lambda p: np.eye(n)
+
+
+def _half_plane(p):
+    return np.eye(2) / p[1] ** 2
+
+
+def _ball(p):
+    return 4.0 / (1.0 - p @ p) ** 2 * np.eye(len(p))
+
+
+def _line(f):
+    return lambda p: np.array([[f(p[0])]])
+
+
+def _round_sphere(radius):
+    """``g_ii = R^2 prod_{j<i} sin^2(t_j)``; a constant ``R^2`` on one angle."""
+    return lambda p: radius**2 * np.diag(np.cumprod([1.0, *np.sin(p[:-1]) ** 2]))
+
+
+def _rescaled(ref, w, r):
+    """The textbook ``(1/k + r) g1``."""
+    return lambda p: (1.0 / w.value_at(p) + r) * ref(p)
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +78,10 @@ def test_half_plane_inner_product_scales_with_height():
 
 def test_sphere_metric_components():
     chart = wg.sphere(2, radius=1.0)
-    g = chart.metric_at(np.array([np.pi / 3, 0.4]))
+    g = _metric(chart, np.array([np.pi / 3, 0.4]))
     np.testing.assert_allclose(g, np.diag([1.0, 0.75]), rtol=1e-15)
     doubled = wg.sphere(2, radius=2.0)
-    g2 = doubled.metric_at(np.array([np.pi / 3, 0.4]))
+    g2 = _metric(doubled, np.array([np.pi / 3, 0.4]))
     np.testing.assert_allclose(g2, 4.0 * g, rtol=1e-15)
 
 
@@ -59,14 +89,14 @@ def test_circle_metric_is_constant():
     chart = wg.circle(2.0)
     for angle in (-1.0, 0.0, 2.5, 9.0):
         p = np.array([angle])
-        np.testing.assert_allclose(chart.metric_at(p), [[4.0]])
+        np.testing.assert_allclose(_metric(chart, p), [[4.0]], rtol=1e-15)
         np.testing.assert_allclose(christoffel(chart, p), 0.0, atol=1e-12)
 
 
 def test_weighted_line_metric_and_connection():
     chart = wg.weighted_line("1 + t^2")
     p = np.array([2.0])
-    np.testing.assert_allclose(chart.metric_at(p), [[5.0]], rtol=1e-15)
+    np.testing.assert_allclose(_metric(chart, p), [[5.0]], rtol=1e-15)
     # Connection coefficient f'/(2f) = t/(1+t^2); at t=2 that is 0.4.
     np.testing.assert_allclose(christoffel(chart, p), [[[0.4]]], rtol=1e-12)
     acc = geodesic_rhs(chart, p, np.array([3.0]))
@@ -128,15 +158,30 @@ def test_geodesic_rhs_frozen_values():
 def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
     # The exponent's log is undefined there: the chart's domain, not the
     # expression, is at fault.  A failure inside a line weight stays the
-    # expression's own.
-    with pytest.raises(NumericalError, match="off the chart"):
-        christoffel(wg.poincare_half_plane(), np.array([0.0, -1.0]))
-    with pytest.raises(NumericalError, match="off the chart"):
-        christoffel(wg.poincare_ball(2), np.array([1.0, 0.5]))
-    with pytest.raises(NumericalError, match="off the chart"):
-        christoffel(wg.weighted_line("t - 0.5"), np.array([0.3]))
-    with pytest.raises(DslEvaluationError, match="square root of negative"):
-        christoffel(wg.weighted_line("1 + sqrt(t)"), np.array([-1.0]))
+    # expression's own.  The metric of an exponent chart, read from the
+    # exponent at one point, fails as its symbols do, and a NaN line weight
+    # leaves neither finite.
+    for read in (christoffel, _metric):
+        with pytest.raises(NumericalError, match="off the chart"):
+            read(wg.poincare_half_plane(), np.array([0.0, -1.0]))
+        with pytest.raises(NumericalError, match="off the chart"):
+            read(wg.poincare_ball(2), np.array([1.0, 0.5]))
+        with pytest.raises(NumericalError, match="off the chart"):
+            read(wg.weighted_line("t - 0.5"), np.array([0.3]))
+        with pytest.raises(DslEvaluationError, match="square root of negative"):
+            read(wg.weighted_line("1 + sqrt(t)"), np.array([-1.0]))
+        with pytest.raises(NumericalError, match="not finite"):
+            read(wg.weighted_line(warpfn.Const(math.nan)), np.array([0.3]))
+
+
+def test_a_chart_is_defined_once():
+    phi = warpfn.parse("-log(x2)", 2)
+    with pytest.raises(InputError, match="exactly one"):
+        MetricChart(2, _half_plane, exponent=phi)
+    with pytest.raises(InputError, match="exactly one"):
+        MetricChart(2)
+    with pytest.raises(InputError, match="christoffel_at goes with metric_at"):
+        MetricChart(2, christoffel_at=lambda p: np.zeros((2, 2, 2)), exponent=phi)
 
 
 def test_closed_form_christoffel_symbols_match_finite_differences():
@@ -158,32 +203,44 @@ def test_closed_form_christoffel_symbols_match_finite_differences():
     sphere_warp = wg.WarpField.from_expression("2 + 0.5*sin(x1)*cos(x2)", 2, 1.5, 2.5)
     half_warp = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)*cos(x2)", 2, 1.5, 2.5)
     cases = [
-        (wg.poincare_half_plane(), upper),
-        (wg.sphere(2, radius=1.5), angles(2)),
-        (wg.sphere(3), angles(3)),
-        (wg.circle(2.0), lambda: [rng.uniform(-9, 9)]),
-        (wg.poincare_ball(2), lambda: rng.uniform(-0.45, 0.45, 2)),
-        (wg.weighted_line("1 + t^2"), lambda: [rng.uniform(-3, 3)]),
-        (wg.euclidean(2), lambda: rng.uniform(-5, 5, 2)),
-        (wg.conformal_metric(wg.sphere(2), sphere_warp, 0.5), angles(2)),
-        (wg.conformal_metric(wg.poincare_half_plane(), half_warp, 0.5), upper),
+        (wg.poincare_half_plane(), _half_plane, upper),
+        (wg.sphere(2, radius=1.5), _round_sphere(1.5), angles(2)),
+        (wg.sphere(3), _round_sphere(1.0), angles(3)),
+        (wg.circle(2.0), _round_sphere(2.0), lambda: [rng.uniform(-9, 9)]),
+        (wg.poincare_ball(2), _ball, lambda: rng.uniform(-0.45, 0.45, 2)),
+        (wg.weighted_line("1 + t^2"), _line(lambda t: 1 + t * t),
+         lambda: [rng.uniform(-3, 3)]),
+        (wg.euclidean(2), _flat(2), lambda: rng.uniform(-5, 5, 2)),
+        (wg.conformal_metric(wg.sphere(2), sphere_warp, 0.5),
+         _rescaled(_round_sphere(1.0), sphere_warp, 0.5), angles(2)),
+        (wg.conformal_metric(wg.poincare_half_plane(), half_warp, 0.5),
+         _rescaled(_half_plane, half_warp, 0.5), upper),
     ]
-    for chart, draw in cases:
-        bare = MetricChart(chart.dim, chart.metric_at)
+    for chart, textbook, draw in cases:
+        bare = MetricChart(chart.dim, textbook)
         for _ in range(20):
             p = np.asarray(draw(), dtype=float)
             err = norm_rel(christoffel(chart, p), christoffel(bare, p))
             assert err <= 10.0 * FD_STEP**2, chart.name
+            assert _rel(_metric(chart, p), textbook(p)) <= 1e-14, chart.name
 
 
 def test_every_built_in_chart_has_closed_form_christoffel_symbols():
+    """A conformally flat chart, and its rescaled family, is its exponent
+    alone; a round sphere of two or more angles carries closed-form
+    symbols beside its metric."""
     for chart in (wg.euclidean(1), wg.euclidean(3), wg.poincare_half_plane(),
                   wg.poincare_ball(2), wg.poincare_ball(3), wg.sphere(1),
                   wg.sphere(2), wg.sphere(3), wg.circle(2.0),
                   wg.weighted_line("1 + t^2")):
         w = wg.WarpField.constant(2.0, chart.dim)
-        assert chart.christoffel_at is not None, chart.name
-        assert wg.conformal_metric(chart, w, 0.5).christoffel_at is not None, chart.name
+        spheres = chart.name in ("sphere2", "sphere3")
+        for c in (chart, wg.conformal_metric(chart, w, 0.5)):
+            if spheres:
+                assert c.exponent is None and c.christoffel_at is not None, c.name
+            else:
+                assert c.exponent is not None, c.name
+                assert c.metric_at is None and c.christoffel_at is None, c.name
 
 
 # Conformally flat built-in charts, each with a sampler of in-domain points
@@ -195,15 +252,16 @@ WARPS = {
     3: ("2 + 0.5*sin(x1 + x2*x3)", 1.5, 2.5),
 }
 CONFORMAL_CHARTS = [
-    ("euclidean1", wg.euclidean(1), lambda u: 4.0 * u - 2.0),
-    ("euclidean2", wg.euclidean(2), lambda u: 4.0 * u - 2.0),
-    ("euclidean3", wg.euclidean(3), lambda u: 4.0 * u - 2.0),
-    ("half_plane", wg.poincare_half_plane(),
+    ("euclidean1", wg.euclidean(1), _flat(1), lambda u: 4.0 * u - 2.0),
+    ("euclidean2", wg.euclidean(2), _flat(2), lambda u: 4.0 * u - 2.0),
+    ("euclidean3", wg.euclidean(3), _flat(3), lambda u: 4.0 * u - 2.0),
+    ("half_plane", wg.poincare_half_plane(), _half_plane,
      lambda u: np.array([4.0 * u[0] - 2.0, 0.5 + 2.5 * u[1]])),
-    ("ball2", wg.poincare_ball(2), lambda u: u - 0.5),
-    ("ball3", wg.poincare_ball(3), lambda u: u - 0.5),
-    ("weighted_line", wg.weighted_line("1 + t^2"), lambda u: 4.0 * u - 2.0),
-    ("circle", wg.circle(2.0), lambda u: 8.0 * u - 4.0),
+    ("ball2", wg.poincare_ball(2), _ball, lambda u: u - 0.5),
+    ("ball3", wg.poincare_ball(3), _ball, lambda u: u - 0.5),
+    ("weighted_line", wg.weighted_line("1 + t^2"), _line(lambda t: 1 + t * t),
+     lambda u: 4.0 * u - 2.0),
+    ("circle", wg.circle(2.0), _round_sphere(2.0), lambda u: 8.0 * u - 4.0),
 ]
 
 
@@ -221,16 +279,17 @@ def _christoffel_rk4_step(chart, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-@pytest.mark.parametrize("label,base,draw", CONFORMAL_CHARTS,
+@pytest.mark.parametrize("label,base,textbook,draw", CONFORMAL_CHARTS,
                          ids=[c[0] for c in CONFORMAL_CHARTS])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_closed_form_spray_matches_the_christoffel_contraction(label, base, draw, data):
+def test_closed_form_spray_matches_the_christoffel_contraction(label, base, textbook,
+                                                               draw, data):
     """On every conformally flat chart and its rescaled family, one step of
     the generated RK4 (four closed-form sprays of the chart's exponent)
     equals one RK4 step on ``-(G v) v`` from the chart's own Christoffel
     symbols to roundoff; those symbols, derived from ``grad phi``, match
-    central differences of the bare metric to 1e-6."""
+    central differences of the textbook metric to 1e-6."""
     n = base.dim
     unit = st.floats(0.0, 1.0)
     text, k0, K0 = WARPS[n]
@@ -238,7 +297,8 @@ def test_closed_form_spray_matches_the_christoffel_contraction(label, base, draw
     lower = wg.admissible_range(w).lower
     r = data.draw(st.floats(lower + 0.05, 5.0))
     h = 0.01
-    for chart in (base, wg.conformal_metric(base, w, r)):
+    for chart, ref in ((base, textbook),
+                       (wg.conformal_metric(base, w, r), _rescaled(textbook, w, r))):
         assert chart.exponent is not None
         p = np.asarray(draw(np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))))
         v = 4.0 * np.array(data.draw(st.lists(unit, min_size=n, max_size=n))) - 2.0
@@ -248,7 +308,7 @@ def test_closed_form_spray_matches_the_christoffel_contraction(label, base, draw
         G = christoffel(chart, p)
         scale = max(1.0, np.max(np.abs(G)) * np.max(np.abs(v)) ** 2)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        bare = MetricChart(n, chart.metric_at)
+        bare = MetricChart(n, ref)
         acc = geodesic_rhs(chart, p, v)
         assert np.max(np.abs(acc - geodesic_rhs(bare, p, v))) <= 1e-6 * scale
 
@@ -292,7 +352,7 @@ def _unit(rng):
 def test_metric_is_positive_definite_at_random_points(label, chart, draw):
     rng = np.random.default_rng(hash(label) % 2**32)
     for _ in range(1000):
-        g = chart.metric_at(np.asarray(draw(rng), dtype=float))
+        g = _metric(chart, np.asarray(draw(rng), dtype=float))
         np.linalg.cholesky(g)  # raises LinAlgError if not positive definite
         np.testing.assert_allclose(g, g.T, rtol=1e-14, atol=1e-14)
 
@@ -330,14 +390,12 @@ def test_sectional_curvature_closed_forms():
 
 def test_sectional_curvature_from_differenced_tensor():
     """Stripping the analytic shortcut reproduces the closed forms via FD."""
-    half = wg.poincare_half_plane()
-    bare = MetricChart(2, half.metric_at)
+    bare = MetricChart(2, _half_plane)
     p = np.array([0.5, 1.5])
     K = sectional_curvature(bare, p, np.array([1.5, 0.0]), np.array([0.0, 1.5]))
     assert K == pytest.approx(-1.0, abs=1e-6)
 
-    ref = wg.sphere(2, radius=2.0)
-    bare_sphere = MetricChart(2, ref.metric_at)
+    bare_sphere = MetricChart(2, _round_sphere(2.0))
     p = np.array([1.1, 0.4])
     e1 = np.array([0.5, 0.0])
     e2 = np.array([0.0, 1.0 / (2.0 * np.sin(1.1))])

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import warpgeo as wg
 from warpgeo import warpfn
-from warpgeo.manifold import MetricChart, christoffel, metric_eval, sectional_curvature
+from warpgeo.manifold import (
+    MetricChart, _metric, christoffel, metric_eval, sectional_curvature,
+)
 from warpgeo.warp import (
     admissible_range,
     conformal_metric,
@@ -25,6 +27,11 @@ from warpgeo.errors import InputError, ParameterError
 
 def _sine_field():
     return wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+
+
+def _half_plane(p):
+    """The textbook half-plane metric ``I / y^2``."""
+    return np.eye(2) / p[1] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +128,15 @@ def test_rescaled_metric_frozen_factors():
     base = wg.poincare_half_plane()
     p = np.array([0.4, 1.7])
     np.testing.assert_allclose(
-        conformal_metric(base, one, 0.0).metric_at(p), base.metric_at(p), rtol=1e-15
+        _metric(conformal_metric(base, one, 0.0), p), _half_plane(p), rtol=1e-15
     )
     np.testing.assert_allclose(
-        conformal_metric(base, one, 3.0).metric_at(p), 4.0 * base.metric_at(p), rtol=1e-15
+        _metric(conformal_metric(base, one, 3.0), p), 4.0 * _half_plane(p), rtol=1e-15
     )
     line = wg.euclidean(1)
     squeezed = conformal_metric(line, _sine_field(), 0.0)
     np.testing.assert_allclose(
-        squeezed.metric_at(np.array([np.pi / 2])), [[1.0 / 3.0]], rtol=1e-14
+        _metric(squeezed, np.array([np.pi / 2])), [[1.0 / 3.0]], rtol=1e-14
     )
     assert squeezed.name.startswith("conformal(")
 
@@ -138,8 +145,8 @@ def test_rescaled_metric_keeps_analytic_derivatives_consistent():
     base = wg.poincare_half_plane()
     w = wg.WarpField.from_expression("2 + 0.1*sin(x1)", 2, 1.9, 2.1)
     chart = conformal_metric(base, w, 0.7)
-    assert chart.christoffel_at is not None
-    bare = MetricChart(2, chart.metric_at)
+    assert chart.exponent is not None
+    bare = MetricChart(2, lambda p: (1.0 / w.value_at(p) + 0.7) * _half_plane(p))
     rng = np.random.default_rng(23)
     for _ in range(15):
         p = np.array([rng.uniform(-2, 2), rng.uniform(0.6, 2.5)])
@@ -205,7 +212,7 @@ def test_covariant_hessian_picks_up_the_connection():
 def _reference_jet(g1, w, p):
     k, dk, H = warpfn.eval2(w.expr, p)
     H = H - np.tensordot(christoffel(g1, p), dk, axes=([0], [0]))
-    return k, dk, H, float(dk @ np.linalg.solve(g1.metric_at(p), dk))
+    return k, dk, H, float(dk @ np.linalg.solve(_metric(g1, p), dk))
 
 
 def _reference_sectional(g1, w, r, p, e1, e2):
@@ -265,7 +272,7 @@ def test_batch_kernel_matches_the_per_sample_formulas(data):
     shape = (len(points), len(r_values), planes)
     thetas = iter(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
                                      min_size=math.prod(shape), max_size=math.prod(shape))))
-    frames = np.array([[[_frame(base.metric_at(p), next(thetas)) for _ in range(planes)]
+    frames = np.array([[[_frame(_metric(base, p), next(thetas)) for _ in range(planes)]
                         for _ in r_values] for p in points])
 
     K, ok = rescaled_curvature(base, w, points, r_values, frames)
@@ -333,7 +340,7 @@ def test_rescaled_curvature_matches_generic_machinery():
     e2 = np.array([0.0, 1.2])
     K = sectional_curvature_conformal(base, w, r, p, e1, e2)
 
-    raw = MetricChart(2, lambda q: (1.0 / w.value_at(q) + r) * base.metric_at(q))
+    raw = MetricChart(2, lambda q: (1.0 / w.value_at(q) + r) * _half_plane(q))
     scale = np.sqrt(1.0 / w.value_at(p) + r)
     K_generic = sectional_curvature(raw, p, e1 / scale, e2 / scale)
     assert K == pytest.approx(K_generic, abs=2e-5)

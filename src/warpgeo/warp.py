@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class WarpField:
     exact forward-mode evaluations of ``expr``.  ``k0`` and ``K0`` are the
     declared infimum and supremum of ``k`` over the chart; ``K0 = inf``
     declares an unbounded field.  Bounds are the caller's promise and are
-    spot-checked, not enforced pointwise.
+    not enforced; :meth:`check_bounds` is the spot check a caller may run.
     """
 
     expr: warpfn.Expr
@@ -134,10 +134,12 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
 
     A conformally flat base, ``g1 = exp(2 phi) I``, stays conformally flat
     and gives the chart of the exponent ``psi = phi + log(1/k + r) / 2``,
-    in which ``r`` is a run-time argument: one tree, and so one compiled
-    RK4 step, serves every ``r``.  Any other base gives a chart whose
-    Christoffel symbols are the base chart's (closed-form, or differenced
-    when the base has none) plus the conformal correction
+    in which ``r`` is a run-time argument: one interned tree per base
+    exponent and warp expression, and so one RK4 step compiled per process,
+    serves every ``r`` and every chart or warp parsed again from the same
+    text.  Any other base gives a chart whose Christoffel symbols are the
+    base chart's (closed-form, or differenced when the base has none) plus
+    the conformal correction
 
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
@@ -153,8 +155,9 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
 
     if g1.exponent is not None:
         return MetricChart(dim=dim, sectional_at=sectional, in_domain=g1.in_domain,
-                           name=name, exponent=_rescaled_exponent(g1, w),
-                           exponent_args=(*g1.exponent_args, r))
+                           name=name, exponent_args=(*g1.exponent_args, r),
+                           exponent=_rescaled_exponent(
+                               g1.exponent, dim + len(g1.exponent_args), w.expr))
     eye = np.eye(dim)
 
     def metric(p):
@@ -173,19 +176,17 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
                        sectional_at=sectional, in_domain=g1.in_domain, name=name)
 
 
-def _rescaled_exponent(g1: MetricChart, w: WarpField) -> warpfn.Expr:
-    """``phi + log(1/k + r) / 2`` with ``r`` the variable after the base
-    exponent's own, built once per base chart and warp expression (kept on
-    the chart, by identity) so that every ``r`` shares one compiled step."""
-    cache = g1.__dict__.setdefault("_rescaled", {})
-    hit = cache.get(id(w.expr))
-    if hit is None or hit[0] is not w.expr:
-        r = warpfn.Var(g1.dim + len(g1.exponent_args))
-        factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0), w.expr), r)
-        psi = warpfn.Binary("+", g1.exponent, warpfn.Binary(
-            "*", warpfn.Const(0.5), warpfn.Call("log", factor)))
-        hit = cache[id(w.expr)] = (w.expr, psi)
-    return hit[1]
+@lru_cache(maxsize=warpfn._CACHE_SIZE)
+def _rescaled_exponent(phi: warpfn.Expr, r_index: int, k: warpfn.Expr) -> warpfn.Expr:
+    """``phi + log(1/k + r) / 2`` with ``r`` the variable of index ``r_index``.
+
+    Interning makes the tree one object per ``(phi, r_index, k)``, and so
+    one compiled step for every value of ``r``; the memo only spares
+    building it again on every dial evaluation."""
+    factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0), k),
+                           warpfn.Var(r_index))
+    return warpfn.Binary("+", phi, warpfn.Binary(
+        "*", warpfn.Const(0.5), warpfn.Call("log", factor)))
 
 
 def equivalence_bounds(w: WarpField, r: float) -> tuple[float, float]:

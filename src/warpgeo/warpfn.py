@@ -6,13 +6,20 @@ minus, ``*`` ``/``, ``+`` ``-``; parentheses; function application for
 n-dimensional chart, with ``t`` accepted as an alias for ``x1`` when the
 chart is one-dimensional.
 
+Nodes are hash-consed (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, 2006): building a node returns the live node of equal value
+when there is one, so equal trees are one object and compare and hash by
+identity.
+
 Evaluation is exact forward-mode differentiation, so no truncation error
 enters the derivatives.  On its first evaluation in a given form, a tree is
 compiled into one straight-line Python function that propagates the value,
 and as asked the gradient and Hessian, through every node; the scalar forms
 use ``math`` and the batch forms of :func:`evaluate_many` and
 :func:`value_and_gradient_many` use ``numpy``.  All five entry points apply
-the same domain checks.
+the same domain checks.  Every compiled form sits in one bounded cache keyed
+by its tree, so an expression is compiled once per process, however often
+it is parsed again.
 
 Two step forms compile one classical Runge-Kutta step on Python floats:
 :func:`rk4_geodesic_step` reads a tree as the conformal exponent ``psi``
@@ -26,7 +33,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,42 +51,69 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
-class Expr:
+# entries kept by each cache of compiled forms, least recently used dropped first
+_CACHE_SIZE = 256
+
+
+class _Interned(type):
+    """Building a node returns the live node of equal value, if there is one.
+
+    The key is shallow: children by identity, which is safe because a live
+    node keeps its children alive, and leaf values by type and ``repr``,
+    which keeps ``0.0`` and ``-0.0`` apart, and ``1`` and ``1.0``.  The
+    table holds its nodes weakly.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        fields = (getattr(node, name) for name in cls.__match_args__)
+        key = (cls, *(v if isinstance(v, Expr) else (type(v), repr(v)) for v in fields))
+        return _NODES.setdefault(key, node)
+
+
+_NODES = weakref.WeakValueDictionary()
+
+
+class Expr(metaclass=_Interned):
     """Base class for expression nodes."""
 
     def __str__(self) -> str:
         return format_expression(self)
 
+    def __reduce__(self):
+        # copies and pickles are built again, and so interned
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     index: int  # 0-based coordinate index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(Expr):
     name: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Binary(Expr):
     op: str  # '+', '-', '*', '/'
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Power(Expr):
     base: Expr
     exponent: int
@@ -282,7 +318,8 @@ def format_expression(e: Expr) -> str:
 # exponents and the subexpressions named by domain errors are bound by name.
 # A domain check guards the value it precedes and is kept exactly as long as
 # that value is: only what the function returns is computed.
-# The compiled functions are cached on the root node itself, by identity.
+# The compiled functions are cached by tree, form and dimension in one
+# bounded cache; interning makes that key equal across parses.
 
 _VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP, _ARRAY_GRADIENT, _COUPLED = range(7)
 _ONE = "1.0"
@@ -608,23 +645,15 @@ def _function(emitter: _Emitter, source: str):
         **{name: getattr(functions, name) for name in FUNCTIONS})
 
 
-def _compile(e: Expr, form: int, dim: int):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _compiled(e: Expr, form: int, dim: int):
+    """The function for ``form`` on ``dim``-point arguments, compiled once."""
     emitter = _Emitter(form, dim)
     if form == _STEP:
         source = emitter.step_source(2 * dim, emitter.geodesic_step(e, dim))
     else:
         source = emitter.source(emitter.result(e))
-    fn = _function(emitter, source)
-    e.__dict__.setdefault("_compiled", {})[form, dim] = fn
-    return fn
-
-
-def _compiled(e: Expr, form: int, dim: int):
-    """The function for ``form`` on ``dim``-point arguments, compiled once."""
-    try:
-        return e.__dict__["_compiled"][form, dim]
-    except KeyError:
-        return _compile(e, form, dim)
+    return _function(emitter, source)
 
 
 def evaluate(e: Expr, point) -> float:
@@ -681,6 +710,7 @@ def rk4_geodesic_step(e: Expr, dim: int):
     return _compiled(e, _STEP, dim)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def rk4_coupled_step(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
                      n1: int = 0):
     """One classical RK4 step of the coupled geodesic system of the warped
@@ -693,12 +723,6 @@ def rk4_coupled_step(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
     ``phi2``'s.  The step reads ``phi1`` and ``phi2`` themselves, so their
     domain checks run.
     """
-    cache = phi1.__dict__.setdefault("_compiled", {})
-    key = (_COUPLED, d1, id(k), id(phi2), d2, n1)
-    hit = cache.get(key)
-    if hit is None or hit[0] is not k or hit[1] is not phi2:
-        emitter = _Emitter(_COUPLED, d1)
-        source = emitter.step_source(
-            2 * (d1 + d2), emitter.coupled_step(phi1, k, phi2, d1, d2, n1))
-        hit = cache[key] = (k, phi2, _function(emitter, source))
-    return hit[2]
+    emitter = _Emitter(_COUPLED, d1)
+    return _function(emitter, emitter.step_source(
+        2 * (d1 + d2), emitter.coupled_step(phi1, k, phi2, d1, d2, n1)))

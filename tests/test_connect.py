@@ -1,6 +1,7 @@
 """Boundary connection: shooting, the fiber-distance dial, line-base solver."""
 
 import gc
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import warpgeo as wg
-from warpgeo import connect, reparam, warpfn
+from warpgeo import cli, connect, reparam, warpfn
 from warpgeo.connect import BetaResult, _beta_from_mu, _restricted, _shoot
 from warpgeo.errors import (
     BracketingError, InputError, NumericalError, ParameterError, ShootingError,
@@ -413,13 +414,22 @@ def test_fiber_dial_rejects_self_intersecting_traces():
 # the line-base fast path
 
 
-def test_line_base_dial_closed_form():
-    one = wg.WarpField.constant(1.0, 1)
-    for r in (0.0, 3.0, 15.0):
-        res = wg.flrw_beta(one, 0.0, 2.0, r, CFG)
-        assert res.beta == pytest.approx(2.0 / np.sqrt(1.0 + r), rel=1e-10)
-        assert res.a_r == pytest.approx(1.0 / (1.0 + r), rel=1e-10)
-        np.testing.assert_allclose(res.X_r.components, [2.0], rtol=1e-10)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=st.floats(0.25, 4.0), r=st.floats(-0.2, 20.0),
+       t0=st.floats(0.0, 3.0), t1=st.floats(0.0, 3.0))
+def test_line_base_dial_closed_form(c, r, t0, t1):
+    # For a constant warp k = c the dial is the base distance over
+    # sqrt(c (1 + r c)); Simpson's rule is exact on the flat line and on the
+    # weight (1 + t)^2, whose slowness is linear in t.
+    assume(abs(t1 - t0) >= 0.05)
+    w = wg.WarpField.constant(c, 1)
+    for weight, s0, primitive in ((None, 1.0, lambda t: t),
+                                  ("(1 + t)^2", 1.0 + t0, lambda t: t + t * t / 2)):
+        res = wg.flrw_beta(w, t0, t1, r, CFG, weight=weight)
+        d = primitive(t1) - primitive(t0)
+        assert res.beta == pytest.approx(abs(d) / math.sqrt(c * (1.0 + r * c)), rel=1e-14)
+        assert res.a_r == pytest.approx(c / (1.0 + r * c), rel=1e-10)
+        np.testing.assert_allclose(res.X_r.components, [d / s0], rtol=1e-10)
 
 
 def test_line_base_connection_matches_the_general_path():
@@ -533,29 +543,54 @@ def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
     assert after == before
 
 
-def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch):
+def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
     # The fiber chart and the base's rescaled family each compile one
-    # float step, whatever the number of dial evaluations; a second solve
-    # on the same charts compiles nothing.
+    # float step, whatever the number of dial evaluations.  Equal trees are
+    # one object, so nothing compiles again: not a solve on charts and a
+    # warp built afresh, nor a second CLI run of the same config.
     compiled = []
-    real = warpfn._compile
+    real = warpfn._function
 
-    def counted(e, form, dim):
-        if form == warpfn._STEP:
-            compiled.append(e)
-        return real(e, form, dim)
+    def counted(emitter, source):
+        compiled.append(emitter)
+        return real(emitter, source)
 
-    monkeypatch.setattr(warpfn, "_compile", counted)
-    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
-    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
-    ends = ((X0, np.zeros(1)), (X1, np.array([0.4])))
-    report = wg.connect_points(g1, g2, w, *ends, FAST)
+    monkeypatch.setattr(warpfn, "_function", counted)
+    warpfn._compiled.cache_clear()
+    warpfn.rk4_coupled_step.cache_clear()
+
+    def solve():
+        g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+        w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+        ends = ((X0, np.zeros(1)), (X1, np.array([0.4])))
+        return g1, g2, w, wg.connect_points(g1, g2, w, *ends, FAST)
+
+    g1, g2, w, report = solve()
     assert report.iterations > 1
-    assert len(compiled) == 2
-    assert compiled[0] is g2.exponent
-    assert compiled[1] is wg.conformal_metric(g1, w, report.r).exponent
-    wg.connect_points(g1, g2, w, *ends, FAST)
-    assert len(compiled) == 2
+    assert sum(emitter.step for emitter in compiled) == 2
+    before = len(compiled)
+    warpfn.rk4_geodesic_step(g2.exponent, 1)
+    warpfn.rk4_geodesic_step(wg.conformal_metric(g1, w, report.r).exponent, 2)
+    assert len(compiled) == before
+    compiled.clear()
+    solve()
+    assert compiled == []
+
+    config = tmp_path / "task.yaml"
+    config.write_text(json.dumps({
+        "task": "riemannize",
+        "base_chart": {"name": "poincare_half_plane"},
+        "fiber_chart": {"name": "circle", "radius": 1.0},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+        "integrator": {"steps": 64},
+        "riemannize": {"r": 1.0, "x0": [0.0, 1.0], "X0": [2.0, 0.8], "y0": [0.0],
+                       "Y0": [1.0], "fit_fiber_speed": True, "oracle_check": True},
+    }))
+    for run in ("o1", "o2"):
+        compiled.clear()
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / run),
+                         "--quiet"]) == 0
+    assert compiled == []
 
 
 def test_a_solve_builds_the_maps_once_at_the_root(monkeypatch):

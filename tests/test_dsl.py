@@ -1,6 +1,9 @@
 """Parser, printer, and derivative checks for the warp-function language."""
 
+import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -132,6 +135,41 @@ def test_print_parse_is_a_fixed_point_on_random_corpus(dsl_cases):
 def test_str_delegates_to_formatter():
     expr = warpfn.parse("1 + x1 * x2", 2)
     assert str(expr) == warpfn.format_expression(expr)
+
+
+# ---------------------------------------------------------------------------
+# interning and the compile cache
+
+
+def test_equal_text_parses_to_one_tree():
+    text = "exp(-(x1)) + log(1.5 + x2^2)"
+    tree = warpfn.parse(text, 2)
+    assert warpfn.parse(text, 2) is tree
+    assert tree.left is warpfn.parse("exp(-x1)", 2)
+    assert copy.deepcopy(tree) is tree
+
+
+def test_leaves_are_told_apart_by_type_and_sign():
+    assert warpfn.Const(0.0) is not warpfn.Const(-0.0)
+    assert warpfn.Const(1) is not warpfn.Const(1.0)
+    assert warpfn.Const(1.0) is warpfn.Const(1.0)
+    assert warpfn.Var(0) is not warpfn.Var(1)
+
+
+def test_a_dropped_tree_leaves_the_intern_table():
+    tree = warpfn.parse("x1 * 8191.25 + x2", 2)
+    dropped = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert dropped() is None
+    assert all(getattr(node, "value", None) != 8191.25
+               for node in list(warpfn._NODES.values()))
+
+
+def test_the_compile_cache_stays_at_its_bound():
+    for c in range(warpfn._CACHE_SIZE + 8):
+        warpfn.evaluate(warpfn.Binary("+", warpfn.Var(0), warpfn.Const(c + 0.5)), [1.0])
+    assert warpfn._compiled.cache_info().currsize == warpfn._CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -354,4 +392,4 @@ def _nodes(children):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(expr=st.recursive(_LEAVES, _nodes, max_leaves=12))
 def test_parse_inverts_format_on_random_trees(expr):
-    assert warpfn.parse(warpfn.format_expression(expr), 3) == expr
+    assert warpfn.parse(warpfn.format_expression(expr), 3) is expr

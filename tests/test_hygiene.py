@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package and its tests
-is used, code is generated and run in one module only, and only the chart
-module reads how a chart was defined."""
+is used, code is generated and run in one module only, only the chart
+module reads how a chart was defined, and no module caches by identity."""
 
 import ast
 from pathlib import Path
@@ -101,3 +101,27 @@ def test_only_the_chart_module_reads_a_chart_definition(path):
 def test_the_check_sees_a_chart_definition_being_read():
     source = "g = chart.metric_at(p)\nc = MetricChart(2, metric_at=f)\nG = c.christoffel_at\n"
     assert _chart_definition_reads(source) == ["metric_at (line 1)", "christoffel_at (line 3)"]
+
+
+def _identity_reads(source: str) -> list[str]:
+    """Where a module reads an object's ``__dict__`` or calls ``id``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(f"__dict__ (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "id"):
+            found.append(f"id (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_caches_by_identity(path):
+    # equal expression trees are one object, so warpfn's one cache, keyed
+    # by tree, is the only cache of compiled forms
+    assert _identity_reads(path.read_text()) == []
+
+
+def test_the_check_sees_identity_reads():
+    source = "c = node.__dict__\nk = id(node)\nd = derivative_on_grid(v, h)\n"
+    assert _identity_reads(source) == ["__dict__ (line 1)", "id (line 2)"]

@@ -1,21 +1,25 @@
 """Small numeric kernels shared by the geometry modules.
 
 Quadrature (composite and running Simpson-type rules), a fourth-order grid
-derivative, and the one monotone inversion: the inverse of a table's linear
+derivative, the one monotone inversion: the inverse of a table's linear
 interpolant, polished by Newton steps against the re-integrated forward map
-(:func:`invert_running_integral`).  Everything here operates on plain
-uniform grids and is deterministic, which keeps the higher-level outputs
+(:func:`invert_running_integral`), and Brent's bracketed scalar root find
+(:func:`brent_root`).  Everything here operates on plain uniform grids or
+Python floats and is deterministic, which keeps the higher-level outputs
 byte-reproducible.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import BracketingError, InputError, NumericalError
 
 GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * sys.float_info.epsilon
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -124,3 +128,64 @@ def invert_running_integral(integrand, grid: np.ndarray,
     if not np.all(np.diff(u) > 0.0):
         raise NumericalError("inverse of a running integral lost monotonicity")
     return u
+
+
+def brent_root(f, a: float, b: float, maxiter: int = 200) -> float:
+    """A root of ``f`` in the bracket ``[a, b]``, by Brent's method.
+
+    Brent's zeroin (*Algorithms for Minimization without Derivatives*,
+    1973, ch. 4) in the form of scipy's ``brentq.c``, step for step: the
+    same evaluation points and the same root, converged when half the
+    bracket is below ``(xtol + rtol |x|) / 2``, with ``xtol = 1e-12`` and
+    ``rtol = 4 eps``.  ``f`` maps a Python float to a real number; every
+    value is kept as a Python float, so ``f`` is never handed a numpy
+    scalar.  ``f(a)`` and ``f(b)`` must differ in sign
+    (:class:`BracketingError` otherwise); ``maxiter`` steps without
+    convergence raise :class:`NumericalError`.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketingError(
+            f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre!r}, {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # a short step, well inside the bracket: take it
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+    raise NumericalError(
+        f"root find did not converge in {maxiter} iterations; last x = {xcur!r}")

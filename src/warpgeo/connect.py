@@ -7,7 +7,7 @@ fiber distance the rebuilt geodesic would traverse.  No dial evaluation
 builds a map: the maps are built once, when the solved pair is rebuilt at
 the root.  ``beta`` blows up at the admissibility threshold and decays to
 zero for large ``r``, so matching it against the actual fiber distance is
-a bracketed scalar root-find.
+a bracketed scalar root-find: a geometric walk, then Brent's method.
 
 Shooting itself is a damped quasi-Newton iteration on the endpoint map
 with Broyden updates, its velocity and Jacobian warm-started across ``r``;
@@ -31,10 +31,9 @@ from typing import Optional
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import warpfn
-from ._num import composite_simpson, cumulative_simpson
+from ._num import brent_root, composite_simpson, cumulative_simpson
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
@@ -229,12 +228,15 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     above the threshold — where the rescaled metric is still well
     conditioned — and shrinks toward it only while the first sample still
     undershoots the target, so the stiff near-threshold regime is entered
-    only when the target actually lives there.
+    only when the target actually lives there.  The bracket is refined by
+    :func:`~warpgeo._num.brent_root` to ``1e-12``.  Every ``r`` handed to
+    ``evaluate`` is a Python float, and a dial value that is not a number,
+    in the walk or in the refinement, raises :class:`NumericalError`.
     """
     if not r_max > lower:
         raise ParameterError(r_max, lower, "r_max")
+    beta0, lower, r_max = float(beta0), float(lower), float(r_max)
     memo: dict[float, BetaResult] = {}
-    # Only arrays: a BetaResult here would outlive the memo in brentq's cycle.
     warm = (None, None)
 
     def beta_at(r: float) -> BetaResult:
@@ -246,7 +248,13 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
         return hit
 
     def gap(r: float) -> float:
-        return beta_at(r).beta - beta0
+        beta = float(beta_at(r).beta)
+        if math.isnan(beta):
+            raise NumericalError(
+                f"the dial beta(r) is NaN at r = {r!r}: the rescaled metric "
+                f"is undefined where 1 + r k <= 0, as when k exceeds its "
+                f"declared K0")
+        return beta - beta0
 
     try:
         start = lower + 0.25 * (1.0 + abs(lower))
@@ -276,12 +284,11 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
                 f"no sign change: beta stayed above {beta0:.6g} up to "
                 f"r = {r_max:.6g}"
             )
-        root = float(brentq(gap, prev, r_hi, xtol=1e-12, maxiter=200))
+        root = brent_root(gap, prev, r_hi)
         return root, beta_at(root), len(memo)
     finally:
-        # brentq wraps ``gap`` in a self-referencing closure, so the memo
-        # would otherwise live, with the shot leg of every evaluation, until
-        # a full GC.
+        # A raised error's traceback holds this frame, and with it the memo:
+        # drop the shot leg of every evaluation as soon as the solve ends.
         memo.clear()
 
 

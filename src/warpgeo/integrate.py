@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from . import warpfn
 from ._num import derivative_on_grid
@@ -59,15 +58,21 @@ __all__ = [
 ]
 
 
-def _hermite_quintic(params, values, d1, d2) -> BPoly:
+_BINOMIAL5 = np.array([1.0, 5.0, 10.0, 10.0, 5.0, 1.0])
+_POWERS5 = np.arange(6.0)
+
+
+def _hermite_quintic(params, values, d1, d2):
     """Quintic pieces matching value + two derivatives at every node.
 
-    Builds the Bernstein coefficient array in a handful of whole-grid
-    operations and hands it to ``BPoly``, whose evaluation is both
-    compiled and numerically stable; ``BPoly.from_derivatives`` computes
-    the same polynomial but assembles it interval by interval in Python,
-    which dominates solver loops that re-interpolate curves.
+    Builds the Bernstein coefficients of every piece in a handful of
+    whole-grid operations and returns their evaluator: ``t`` of any shape
+    gives values of shape ``t.shape + (d,)``.  A query picks the piece
+    that starts at the last node ``<= t``, and the last piece at the right
+    end, and sums the quintic's Bernstein form in closed form, as
+    ``scipy.interpolate.BPoly`` does with the same coefficients.
     """
+    params = np.asarray(params, dtype=float)
     h = np.diff(params)[:, None]
     p0, p1 = values[:-1], values[1:]
     v0, v1 = d1[:-1] * h, d1[1:] * h
@@ -79,8 +84,20 @@ def _hermite_quintic(params, values, d1, d2) -> BPoly:
         p1 - 0.4 * v1 + 0.05 * a1,
         p1 - 0.2 * v1,
         p1,
-    ])
-    return BPoly(coefs, np.asarray(params, dtype=float))
+    ], axis=1)
+    # The piece index is ``searchsorted(params, t, "right") - 1`` clipped
+    # to ``[0, n - 2]``, which a search of the interior nodes gives at once.
+    interior = params[1:-1]
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(interior, t, side="right")
+        left = params[i]
+        s = ((t - left) / (params[i + 1] - left))[..., None]
+        basis = _BINOMIAL5 * s ** _POWERS5 * (1.0 - s) ** _POWERS5[::-1]
+        return np.einsum("...k,...kd->...d", basis, coefs[i])
+
+    return evaluate
 
 
 @dataclass

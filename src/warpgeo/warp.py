@@ -143,9 +143,12 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
 
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
-    with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.
+    with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.  The chart holds
+    ``r`` as a Python float, so the generated step never does numpy-scalar
+    arithmetic.
     """
     admissible_range(w).require(r)
+    r = float(r)
     dim = g1.dim
     name = f"conformal({g1.name}, r={r:g})"
 

@@ -347,6 +347,27 @@ def test_missed_end_point_is_a_numerical_failure(tmp_path):
     assert payload["residual"] == pytest.approx(1.3268e-5, rel=1e-4)
 
 
+def test_a_nan_dial_value_is_a_numerical_failure(tmp_path):
+    # the warp exceeds its declared K0 (its maximum is 2.5), so the walk
+    # toward the threshold reaches an r where 1 + r k < 0 on the line
+    doc = {
+        "task": "flrw",
+        "base_chart": {"name": "euclidean", "dim": 1},
+        "fiber_chart": {"name": "euclidean", "dim": 1},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.2},
+        "integrator": {"steps": 256},
+        "flrw": {"t0": 0.0, "t1": 6.0, "y0": [0.0], "y1": [40.0]},
+    }
+    with np.errstate(invalid="ignore"):
+        code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    assert not (out / "report.json").exists()
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "NumericalError"
+    assert "NaN at r = -0.4318" in payload["message"]
+
+
 # ---------------------------------------------------------------------------
 # a line base is described by base_chart alone
 

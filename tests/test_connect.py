@@ -249,6 +249,58 @@ def test_targets_below_the_reachable_range_raise():
         )
 
 
+def _misdeclared_sine():
+    # true maximum 2.5: the rescaled metric is undefined where r < -1/2.5
+    # for some x, yet every r > -1/2.2 is admissible by the declaration
+    return wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.2)
+
+
+def test_a_nan_dial_value_in_the_walk_is_a_numerical_error():
+    # The walk toward the threshold meets beta = NaN at r = -0.4318, which
+    # a bare comparison would read as "above target".
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"NaN at r = -0\.4318"):
+        wg.flrw_connect(_misdeclared_sine(), 0.0, 6.0, np.zeros(1),
+                        np.array([40.0]), wg.euclidean(1), CFG)
+
+
+def test_a_nan_dial_value_in_the_refinement_is_a_numerical_error():
+    seen = []
+
+    def evaluate(r, *_):
+        seen.append(r)
+        beta = math.nan if abs(r - 0.5) < 1e-3 else 2.0 - r
+        return BetaResult(beta, wg.TangentVector(np.zeros(1), np.ones(1)),
+                          1.0, 1.0, None)
+
+    with pytest.raises(NumericalError, match=r"NaN at r = 0\.5"):
+        connect._solve_r(evaluate, 1.5, -1.0, 10.0, 64)
+    # the grid walk bracketed the root, [0.471, 0.545], without a NaN
+    assert all(abs(r - 0.5) >= 1e-3 for r in seen[:-1])
+
+
+def test_every_r_handed_to_the_dial_is_a_python_float(monkeypatch):
+    # numpy scalars would run the generated step in numpy-scalar arithmetic
+    seen = []
+    for name, r_index in (("beta_of_r", 5), ("flrw_beta", 3)):
+        real = getattr(connect, name)
+
+        def spy(*args, real=real, r_index=r_index, **kwargs):
+            seen.append(type(args[r_index]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(connect, name, spy)
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    line = wg.euclidean(1)
+    wg.connect_points(line, line, w, (np.zeros(1), np.zeros(1)),
+                      (np.array([2.0]), np.array([0.5])), FAST,
+                      r_max=np.float64(1e6))
+    shots = len(seen)
+    wg.flrw_connect(w, 0.0, 2.0, np.zeros(1), np.float64(0.5) * np.ones(1),
+                    line, CFG, r_max=np.float64(1e6))
+    assert 0 < shots < len(seen) and set(seen) == {float}
+
+
 def test_dial_blows_up_toward_the_admissibility_threshold():
     g1 = wg.euclidean(1)
     g2 = wg.euclidean(1)
@@ -523,8 +575,8 @@ def test_missing_the_end_point_beyond_the_tolerance_raises():
 
 
 def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
-    # brentq keeps its objective in a reference cycle; the dial memo, with
-    # the shot leg of every evaluation, must not ride along until a full GC.
+    # The dial memo holds the shot leg of every evaluation; nothing of it
+    # may be left for a full GC once a solve has returned.
     def held():
         return sum(isinstance(o, BetaResult) for o in gc.get_objects())
 

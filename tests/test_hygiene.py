@@ -1,8 +1,12 @@
 """Source hygiene: every module-level import in the package and its tests
-is used, code is generated and run in one module only, only the chart
-module reads how a chart was defined, and no module caches by identity."""
+is used, the package neither imports nor loads scipy, code is generated and
+run in one module only, only the chart module reads how a chart was
+defined, and no module caches by identity."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,9 +42,10 @@ def test_the_check_sees_an_unused_import():
 
 
 def _scipy_names(source: str) -> set[str]:
-    """The names a module imports from scipy at module level."""
+    """The names a module imports from scipy, at module level or inside a
+    function."""
     names = set()
-    for node in ast.parse(source).body:
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names |= {a.name for a in node.names if a.name.partition(".")[0] == "scipy"}
         elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "scipy":
@@ -48,15 +53,27 @@ def _scipy_names(source: str) -> set[str]:
     return names
 
 
-def test_the_package_imports_only_two_scipy_names():
-    # scipy's import is most of the package's; a new name is a reviewed choice
+def test_no_package_module_imports_scipy():
+    # scipy's import took most of a fresh process's set-up; only the tests use it
     found = set().union(*(_scipy_names(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert found == {"BPoly", "brentq"}
+    assert found == set()
 
 
 def test_the_check_sees_scipy_imports():
-    source = "import scipy.linalg\nfrom scipy.optimize import brentq\nimport numpy\n"
+    source = ("import scipy.linalg\nimport numpy\n"
+              "def f():\n    from scipy.optimize import brentq\n")
     assert _scipy_names(source) == {"scipy.linalg", "brentq"}
+
+
+def test_importing_the_command_line_loads_no_scipy_module():
+    probe = ("import sys, warpgeo.cli\n"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def _runs_code(source: str) -> list[str]:

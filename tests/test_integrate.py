@@ -5,14 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import BPoly
+from scipy.optimize import brentq
 
 import warpgeo as wg
 from warpgeo import _num, integrate, warpfn
 from warpgeo.manifold import _metric, christoffel
 from warpgeo.errors import (
-    ChartDomainError, DslEvaluationError, InputError, NumericalError,
+    BracketingError, ChartDomainError, DslEvaluationError, InputError,
+    NumericalError,
 )
 
 
@@ -239,6 +242,34 @@ def test_dense_output_is_accurate_between_nodes():
     ])
     velocities = np.array([curve.velocity_at(s) for s in t])
     np.testing.assert_allclose(velocities, want_v, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nodes=st.integers(5, 1025), dim=st.integers(1, 3),
+       length=st.floats(0.05, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_dense_output_agrees_with_scipy_bernstein_polynomials(nodes, dim, length, seed):
+    rng = np.random.default_rng(seed)
+    params = np.linspace(0.0, length, nodes)
+    values, d1, d2 = (rng.normal(size=(nodes, dim)) for _ in range(3))
+    h = np.diff(params)[:, None]
+    reference = BPoly(np.stack([
+        values[:-1],
+        values[:-1] + 0.2 * d1[:-1] * h,
+        values[:-1] + 0.4 * d1[:-1] * h + 0.05 * d2[:-1] * h * h,
+        values[1:] - 0.4 * d1[1:] * h + 0.05 * d2[1:] * h * h,
+        values[1:] - 0.2 * d1[1:] * h,
+        values[1:],
+    ]), params)
+    dense = integrate._hermite_quintic(params, values, d1, d2)
+    scale = np.max(np.abs(reference(params)))
+    t = np.concatenate((rng.uniform(0.0, length, 64), params))
+    got, want = dense(t), reference(t)
+    assert got.shape == want.shape == (t.size, dim)
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    for x in (0.0, length, params[nodes // 2], float(t[0])):
+        got, want = dense(x), reference(x)
+        assert got.shape == want.shape == (dim,)
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -680,3 +711,50 @@ def test_inverted_running_integral_matches_adaptive_quadrature(a, b, c, panels):
     reached = np.array([integral(0.0, x) for x in u])
     np.testing.assert_allclose(reached, accum[-1] * grid, rtol=1e-9,
                                atol=1e-9 * accum[-1])
+
+
+# ---------------------------------------------------------------------------
+# the bracketed root find
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(root=st.floats(-5.0, 5.0), left=st.floats(1e-3, 10.0),
+       right=st.floats(1e-3, 10.0), cubic=st.floats(-3.0, 3.0),
+       curve=st.floats(-2.0, 2.0), flip=st.booleans())
+def test_brent_root_takes_the_steps_of_scipy_brentq(root, left, right, cubic,
+                                                    curve, flip):
+    def f(x):
+        u = x - root
+        return math.tanh(3.0 * u) + cubic * u**3 + curve * u * abs(u)
+
+    a, b = root - left, root + right
+    if flip:
+        a, b = b, a
+    assume(f(a) * f(b) < 0.0)
+    seen, reference = [], []
+    got = _num.brent_root(lambda x: seen.append(x) or f(x), a, b)
+    want = brentq(lambda x: reference.append(x) or f(x), a, b, xtol=1e-12,
+                  maxiter=200)
+    assert got == want
+    assert seen == reference
+    assert all(type(x) is float for x in seen)
+
+
+def test_brent_root_hands_python_floats_to_a_numpy_valued_function():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return np.float64(x) ** 3 - np.float64(2.0)
+
+    root = _num.brent_root(f, np.float64(0.0), np.float64(2.0))
+    assert type(root) is float and root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+    assert all(type(x) is float for x in seen)
+
+
+def test_brent_root_raises_typed_errors():
+    with pytest.raises(BracketingError, match="no sign change"):
+        _num.brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(NumericalError, match="did not converge in 3 iterations"):
+        _num.brent_root(lambda x: math.tanh(10.0 * (x - 0.3)), 0.0, 1.0, maxiter=3)
+    assert _num.brent_root(lambda x: x - 1.0, 1.0, 4.0) == 1.0

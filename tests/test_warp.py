@@ -141,6 +141,20 @@ def test_rescaled_metric_frozen_factors():
     assert squeezed.name.startswith("conformal(")
 
 
+def test_rescaled_chart_holds_r_as_a_python_float():
+    base = wg.poincare_half_plane()
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    cfg = wg.IntegratorConfig(steps=64)
+    curves = []
+    for r in (0.7, np.float64(0.7)):
+        chart = conformal_metric(base, w, r)
+        assert {type(a) for a in chart.exponent_args} == {float}
+        curves.append(wg.integrate_geodesic(chart, np.array([0.0, 1.0]),
+                                            np.array([1.0, 0.3]), cfg))
+    assert np.array_equal(curves[0].points, curves[1].points)
+    assert np.array_equal(curves[0].velocities, curves[1].velocities)
+
+
 def test_rescaled_metric_keeps_analytic_derivatives_consistent():
     base = wg.poincare_half_plane()
     w = wg.WarpField.from_expression("2 + 0.1*sin(x1)", 2, 1.9, 2.1)

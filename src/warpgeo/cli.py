@@ -474,7 +474,7 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
                          f"got {counts.tolist()}")
     axes = [np.linspace(mins[i], maxs[i], int(counts[i])) for i in range(g1.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    if not (np.isfinite(mesh).all() and all(g1.contains(x) for x in mesh)):
+    if not (np.isfinite(mesh).all() and g1.contains_all(mesh)):
         raise InputError(f"curvature_scan.grid must lie inside the {g1.name} chart, "
                          f"with finite mins and maxs; got mins {mins.tolist()}, "
                          f"maxs {maxs.tolist()}")

@@ -12,12 +12,13 @@ a bracketed scalar root-find: a geometric walk, then Brent's method.
 Shooting itself is a damped quasi-Newton iteration on the endpoint map
 with Broyden updates, its velocity and Jacobian warm-started across ``r``;
 finite differences build the Jacobian only to start cold or to refresh a
-stale one.  The translation-invariant base case (the real line with a
-time-dependent warp, as in homogeneous cosmological metrics) evaluates the
-dial from the explicit first integral of the base equation instead: with
-the slowness ``S`` of that integral, the leg's speed and both constants
-are quadratures over a uniform grid on the base interval, so neither a
-shot nor a base leg is needed.
+stale one.  Each shot reads the geodesic's states alone; the curve is
+built once, for the velocity a shoot returns.  The translation-invariant
+base case (the real line with a time-dependent warp, as in homogeneous
+cosmological metrics) evaluates the dial from the explicit first integral
+of the base equation instead: with the slowness ``S`` of that integral,
+the leg's speed and both constants are quadratures over a uniform grid on
+the base interval, so neither a shot nor a base leg is needed.
 Both kinds of dial evaluation go through one root-find, and both
 connections raise :class:`~warpgeo.errors.ShootingError` when the rebuilt
 legs end farther than the integrator tolerance from the requested points.
@@ -39,13 +40,17 @@ from .errors import (
     ParameterError, ShootingError,
 )
 from .integrate import (
-    Curve, IntegratorConfig, coupled_residual, integrate_geodesic,
+    Curve, IntegratorConfig, _curve, _geodesic_states, coupled_residual,
+    integrate_geodesic,
 )
 from .manifold import (
     MetricChart, TangentVector, euclidean, metric_eval, weighted_line,
 )
 from .reparam import RiemannianGeodesic, _leg_constants, riemannize
-from .warp import WarpField, admissible_range, conformal_metric, values_along
+from .warp import (
+    WarpField, _require_rescalable, admissible_range, conformal_metric,
+    values_along,
+)
 
 __all__ = [
     "ShootingReport", "shoot_boundary", "beta_of_r", "connect_points",
@@ -77,17 +82,17 @@ def _line_search(shot, v, step, best):
     """Halve the step until the gap shrinks below ``best``, down to ``1/128``.
 
     A trial that leaves the chart counts as no decrease.  Returns the
-    accepted ``(velocity, curve, gap, residual)``, or ``None``.
+    accepted ``(velocity, states, gap, residual)``, or ``None``.
     """
     for halvings in range(8):
         trial = v + 0.5 ** halvings * step
         try:
-            curve, gap = shot(trial)
+            states, gap = shot(trial)
         except ChartDomainError:
             continue
         res = float(np.max(np.abs(gap)))
         if res < best:
-            return trial, curve, gap, res
+            return trial, states, gap, res
     return None
 
 
@@ -104,23 +109,25 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
     Jacobian; only a failure with that one raises :class:`ShootingError`.
 
     Returns ``(velocity, jacobian, curve, iterations)``, with ``curve`` the
-    geodesic already integrated from the converged velocity and
-    ``jacobian`` the last one used (``None`` if no step was needed).
+    geodesic already integrated from the converged velocity, the one curve
+    the shoot builds, and ``jacobian`` the last one used (``None`` if no
+    step was needed).
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     v = np.array(x1 - x0, dtype=float) if v_init is None else np.array(v_init, dtype=float)
     jac = None if jac_init is None else np.array(jac_init, dtype=float)
+    d = chart.dim
 
     def shot(vel):
-        curve = integrate_geodesic(chart, x0, vel, cfg)
-        return curve, curve.endpoint() - x1
+        states = _geodesic_states(chart, x0, vel, cfg.steps)
+        return states, states[-1, :d] - x1
 
-    curve, gap = shot(v)
+    states, gap = shot(v)
     best = float(np.max(np.abs(gap)))
     for it in range(1, max_iter + 1):
         if best <= tol:
-            return v, jac, curve, it - 1
+            return v, jac, _curve(states, d), it - 1
         while True:
             fresh = jac is None
             if fresh:
@@ -142,12 +149,12 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
                     f"shooting stalled on {chart.name} at residual {best:.3e}", best, it
                 )
             jac = None
-        trial, curve, trial_gap, trial_res = accepted
+        trial, states, trial_gap, trial_res = accepted
         s = trial - v
         jac = jac + np.outer(trial_gap - gap - jac @ s, s) / float(s @ s)
         v, gap, best = trial, trial_gap, trial_res
     if best <= tol:
-        return v, jac, curve, max_iter
+        return v, jac, _curve(states, d), max_iter
     raise ShootingError(
         f"shooting failed to converge on {chart.name}; residual {best:.3e}",
         best, max_iter,
@@ -521,11 +528,13 @@ def _slowness(w: WarpField, r: float, weight, xs
     and ``k`` there.
 
     ``weight`` is the parsed line weight ``f`` (``None`` for the flat line);
-    both fields are evaluated in one batch over ``xs``, of any shape.
+    both fields are evaluated in one batch over ``xs``, of any shape.  A
+    point where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     xs = np.asarray(xs, dtype=float)
     column = xs.reshape(-1, 1)
     k = values_along(w, column)
+    _require_rescalable(w, r, column, k)
     f = 1.0
     if weight is not None:
         f = warpfn.evaluate_many(weight, column)

@@ -40,15 +40,24 @@ class NumericalError(WarpGeoError):
 
 
 class ChartDomainError(NumericalError):
-    """A curve left the chart's coordinate domain during integration."""
+    """A curve left the chart's coordinate domain during integration.
 
-    def __init__(self, chart_name: str, t_exit: float, point):
+    ``condition``, when known, is what the state failed: ``"a finite
+    state"``, or a domain condition of the chart's exponent such as
+    ``x2 > 0.0``.
+    """
+
+    def __init__(self, chart_name: str, t_exit: float, point,
+                 condition: str | None = None):
+        where = "" if condition is None else f", where it needs {condition}"
         super().__init__(
-            f"curve left the domain of chart {chart_name!r} at parameter {t_exit:.6g}"
+            f"curve left the domain of chart {chart_name!r} at parameter "
+            f"{t_exit:.6g}{where}"
         )
         self.chart_name = chart_name
         self.t_exit = t_exit
         self.point = point
+        self.condition = condition
 
     def payload(self) -> dict:
         return {
@@ -56,6 +65,7 @@ class ChartDomainError(NumericalError):
             "chart": self.chart_name,
             "t_exit": self.t_exit,
             "point": list(map(float, self.point)),
+            "condition": self.condition,
         }
 
 

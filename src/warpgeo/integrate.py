@@ -1,17 +1,19 @@
 """Fixed-step geodesic integration and residual checks.
 
 Every curve is a :class:`Curve` on a uniform grid from 0 with at least
-five nodes.  Curves are integrated by one fixed-step loop, :func:`_rk4`,
-which takes ``steps`` fixed steps over ``[0, 1]`` and checks every state
-it makes; problems posed on ``[0, T]`` are folded into the initial
+five nodes; the library builds each on one read-only grid per step count.
+A geodesic takes ``steps`` fixed steps over ``[0, 1]``, and every state it
+makes is checked; problems posed on ``[0, T]`` are folded into the initial
 velocity.  The fixed step keeps runs deterministic and the convergence
-order measurable.  The step that loop applies is either the chart's
-generated float step, :func:`~warpgeo.warpfn.rk4_geodesic_step`, on a
-chart that carries a conformal exponent ``phi`` (metric ``exp(2 phi)
-I``), whose acceleration is the closed-form spray ``|v|^2 grad phi - 2
-(grad phi . v) v``, or the classical numpy RK4 step of a right-hand side:
-on every other chart :func:`~warpgeo.manifold.geodesic_rhs`, the
-contracted Christoffel symbols.
+order measurable.  On a chart that carries a conformal exponent ``phi``
+(metric ``exp(2 phi) I``) the whole integration is one generated float
+loop, :func:`~warpgeo.warpfn.rk4_geodesic_loop`, whose acceleration is the
+closed-form spray ``|v|^2 grad phi - 2 (grad phi . v) v`` and which tests
+each state finite and inside the domain of ``phi``.  On every other chart
+the numpy driver :func:`_rk4` applies the classical RK4 step of
+:func:`~warpgeo.manifold.geodesic_rhs`, the contracted Christoffel
+symbols, and checks each state against the chart.  Shooting reads the
+states of :func:`_geodesic_states` and builds no curve.
 
 Besides the plain geodesic integrator for a single chart, this module
 integrates the coupled mixed-signature system directly:
@@ -31,13 +33,15 @@ array expressions over all nodes.  The oracle, when both charts carry a
 conformal exponent, applies one generated float step of the same
 Christoffel form, :func:`~warpgeo.warpfn.rk4_coupled_step`, written from
 the base exponent, the warp and the fiber exponent as given, never from
-the pipeline's rescaled exponent or its spray; on any other pair it
+the pipeline's rescaled exponent or its spray, in one generated loop,
+:func:`~warpgeo.warpfn.rk4_coupled_loop`; on any other pair :func:`_rk4`
 applies the classical step of the array kernel on one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import math
 
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import warpfn
 from ._num import derivative_on_grid
-from .errors import ChartDomainError, DslEvaluationError, InputError
+from .errors import ChartDomainError, InputError
 from .manifold import (
     MetricChart, _quadratic, _squared_speeds, geodesic_rhs, geometry_at,
 )
@@ -213,18 +217,32 @@ class IntegratorConfig:
             raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
+@lru_cache(maxsize=64)
+def _grid(steps: int) -> np.ndarray:
+    """The uniform grid of ``steps`` steps over [0, 1], read-only, shared
+    by every curve of that step count."""
+    t = np.linspace(0.0, 1.0, steps + 1)
+    t.flags.writeable = False
+    return t
+
+
+def _curve(states: np.ndarray, dim: int) -> Curve:
+    """The curve of ``(point, velocity)`` rows on the shared grid."""
+    return Curve(_grid(len(states) - 1), states[:, :dim], states[:, dim:])
+
+
 def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
     """``steps`` fixed steps over [0, 1]; returns all ``steps + 1`` states.
 
-    ``step(y, h)`` advances a state, a tuple of floats, by ``h``.  The
-    state is one ``(point, velocity)`` block per chart of ``charts``, in
-    order.  Each state is checked as it is made, the initial one too: the
-    first whose point leaves its chart, or whose block is not finite,
+    The numpy path: charts without an exponent, and coupled pairs where
+    either chart has none.  ``step(y, h)`` advances a state, a tuple of
+    floats, by ``h``.  The state is one ``(point, velocity)`` block per
+    chart of ``charts``, in order.  Each state is checked as it is made,
+    the initial one too: the first whose block is not finite, or whose
+    point leaves its chart (:meth:`~warpgeo.manifold.MetricChart.contains`),
     raises :class:`ChartDomainError` at that step's parameter, before any
-    further step is taken.  A step that divides by zero makes a state that
-    is not finite: a generated step leaves the exponent's own logarithms
-    unevaluated, so near the chart's rim it divides by zero where numpy
-    would give inf.
+    further step is taken.  A step that divides by zero (a user's metric
+    on floats, say) makes a state that is not finite.
     """
     h = 1.0 / steps
     y = tuple(state0.tolist())
@@ -239,11 +257,28 @@ def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
         for chart in charts:
             block = y[start:start + 2 * chart.dim]
             point = block[:chart.dim]
-            if not (all(map(math.isfinite, block)) and chart.contains(point)):
+            if not all(map(math.isfinite, block)):
+                raise ChartDomainError(chart.name, i / steps, point,
+                                       warpfn.FINITE_STATE)
+            if not chart.contains(point):
                 raise ChartDomainError(chart.name, i / steps, point)
             start += 2 * chart.dim
         states.append(y)
     return np.array(states)
+
+
+def _loop_states(flat: list, failed, steps: int, charts) -> np.ndarray:
+    """The states a generated loop made, ``(steps + 1, n)``; where one
+    failed, the :class:`ChartDomainError` of its block at its parameter."""
+    n = sum(2 * chart.dim for chart in charts)
+    if failed is not None:
+        block, condition = failed
+        i = len(flat) // n - 1
+        start = i * n + sum(2 * chart.dim for chart in charts[:block])
+        chart = charts[block]
+        raise ChartDomainError(chart.name, i / steps,
+                               tuple(flat[start:start + chart.dim]), condition)
+    return np.array(flat).reshape(steps + 1, n)
 
 
 def _classical_step(rhs):
@@ -261,32 +296,38 @@ def _classical_step(rhs):
     return step
 
 
+def _geodesic_states(chart: MetricChart, p0, v0, steps: int) -> np.ndarray:
+    """The ``steps + 1`` states ``(point, velocity)`` of the chart's
+    geodesic from ``(p0, v0)`` over ``[0, 1]``, as rows: one generated
+    loop on a chart with an exponent, :func:`_rk4` on any other.  The first
+    state that is not finite or leaves the chart raises
+    :class:`ChartDomainError` at its parameter."""
+    p0 = np.asarray(p0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    d = chart.dim
+    if p0.shape != (d,) or v0.shape != (d,):
+        raise InputError(
+            f"initial data of dimension {p0.shape}/{v0.shape} on a "
+            f"{d}-dimensional chart"
+        )
+    state0 = np.concatenate((p0, v0))
+    if chart.exponent is not None:
+        loop = warpfn.rk4_geodesic_loop(chart.exponent, d)
+        flat, failed = loop(tuple(state0.tolist()), 1.0 / steps,
+                            chart.exponent_args, steps)
+        return _loop_states(flat, failed, steps, (chart,))
+
+    def rhs(state):
+        p, v = state[:d], state[d:]
+        return np.concatenate((v, geodesic_rhs(chart, p, v)))
+
+    return _rk4(_classical_step(rhs), state0, steps, (chart,))
+
+
 def integrate_geodesic(chart: MetricChart, p0, v0,
                        cfg: IntegratorConfig = IntegratorConfig()) -> Curve:
     """Geodesic of the chart's metric from ``(p0, v0)``, over ``[0, 1]``."""
-    p0 = np.asarray(p0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if p0.shape != (chart.dim,) or v0.shape != (chart.dim,):
-        raise InputError(
-            f"initial data of dimension {p0.shape}/{v0.shape} on a "
-            f"{chart.dim}-dimensional chart"
-        )
-    d = chart.dim
-    if chart.exponent is not None:
-        generated, args = warpfn.rk4_geodesic_step(chart.exponent, d), chart.exponent_args
-
-        def step(y, h):
-            return generated(y, h, args)
-    else:
-
-        def rhs(state):
-            p, v = state[:d], state[d:]
-            return np.concatenate((v, geodesic_rhs(chart, p, v)))
-
-        step = _classical_step(rhs)
-    states = _rk4(step, np.concatenate((p0, v0)), cfg.steps, (chart,))
-    t = np.linspace(0.0, 1.0, cfg.steps + 1)
-    return Curve(t, states[:, :d], states[:, d:])
+    return _curve(_geodesic_states(chart, p0, v0, cfg.steps), chart.dim)
 
 
 def integrate_product_geodesic(g1: MetricChart, g2: MetricChart, z0, V0,
@@ -338,13 +379,14 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
     straight from the governing equations.  Used as the ground truth the
     pipeline is validated against.
 
-    When both charts carry a conformal exponent the pass applies one
-    generated float step, :func:`~warpgeo.warpfn.rk4_coupled_step`, which
-    reads the base exponent, the warp and the fiber exponent as given
-    (never the pipeline's rescaled exponent).  Any other pair takes the
-    classical step of the array kernel on one row; so does a generated
-    step that fails a domain check at a stage, so that the kernel decides
-    the error, as it does on every other pair.
+    When both charts carry a conformal exponent the pass is one generated
+    float loop, :func:`~warpgeo.warpfn.rk4_coupled_loop`, which reads the
+    base exponent, the warp and the fiber exponent as given (never the
+    pipeline's rescaled exponent).  Any other pair takes the classical
+    step of the array kernel on one row; so does each step of the loop
+    whose stage fails a domain check, so that the kernel decides the
+    error, as it does on every other pair, and the loop goes on from the
+    classical step's state.
     """
     (p1, p2), (v1, v2) = z0, V0
     p1 = np.asarray(p1, dtype=float)
@@ -360,27 +402,18 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
         acc1, acc2 = _coupled_accelerations(g1, g2, w, x, u, y, v)
         return np.concatenate((u[0], acc1[0], v[0], acc2[0]))
 
-    classical = step = _classical_step(rhs)
-    if g1.exponent is not None and g2.exponent is not None:
-        generated = warpfn.rk4_coupled_step(
-            g1.exponent, d1, w.expr, g2.exponent, d2, len(g1.exponent_args))
-        args = (*g1.exponent_args, *g2.exponent_args)
-
-        def step(y, h):
-            try:
-                return generated(y, h, args)
-            except (DslEvaluationError, OverflowError):
-                return classical(y, h)
-
+    classical = _classical_step(rhs)
     state0 = np.concatenate((p1, v1, p2, v2))
-    states = _rk4(step, state0, cfg.steps, (g1, g2))
-    base_states = states[:, : 2 * d1]
-    fiber_states = states[:, 2 * d1:]
-    t = np.linspace(0.0, 1.0, cfg.steps + 1)
-    return (
-        Curve(t, base_states[:, :d1], base_states[:, d1:]),
-        Curve(t, fiber_states[:, :d2], fiber_states[:, d2:]),
-    )
+    if g1.exponent is not None and g2.exponent is not None:
+        loop = warpfn.rk4_coupled_loop(
+            g1.exponent, d1, w.expr, g2.exponent, d2, len(g1.exponent_args))
+        flat, failed = loop(tuple(state0.tolist()), 1.0 / cfg.steps,
+                            (*g1.exponent_args, *g2.exponent_args), cfg.steps,
+                            classical)
+        states = _loop_states(flat, failed, cfg.steps, (g1, g2))
+    else:
+        states = _rk4(classical, state0, cfg.steps, (g1, g2))
+    return _curve(states[:, :2 * d1], d1), _curve(states[:, 2 * d1:], d2)
 
 
 def coupled_residual(g1: MetricChart, g2: MetricChart, w: WarpField,

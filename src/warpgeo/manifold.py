@@ -13,13 +13,16 @@ central differences of the metric with the step ``FD_STEP``; or it is
 conformally flat, metric ``exp(2 phi)`` times the identity, and is its
 conformal exponent ``phi``, a :mod:`~warpgeo.warpfn` tree.  Such a chart's
 metric is ``exp(2 phi) I``, its Christoffel symbols are ``T @ grad phi``,
-and its geodesics are integrated by one generated float RK4 step
-(:func:`~warpgeo.warpfn.rk4_geodesic_step`).  The flat, hyperbolic,
-weighted-line and circle charts are exponents; the round spheres of
-dimension two and more are metric callables.  Sectional curvature may be
-supplied in closed form too, and is otherwise contracted from the
-differenced curvature tensor.  Domain predicates take the point as given,
-any sequence of floats.
+its geodesics are integrated by one generated float RK4 loop
+(:func:`~warpgeo.warpfn.rk4_geodesic_loop`), and its domain is where the
+exponent is defined (:func:`~warpgeo.warpfn.domain_failure`): ``x2 > 0``
+for the half-plane's ``-log(x2)``, ``|x|^2 < 1`` for the ball, a positive
+weight for the weighted line.  The flat, hyperbolic, weighted-line and
+circle charts are exponents; the round spheres of dimension two and more
+are metric callables with a domain predicate beside them.  Sectional
+curvature may be supplied in closed form too, and is otherwise contracted
+from the differenced curvature tensor.  Domain tests take the point as
+given, any sequence of floats.
 
 :func:`metrics_at` and :func:`geometry_at` give the metric, its inverse
 and the Christoffel symbols at many points: from one batch of ``phi`` and
@@ -71,9 +74,11 @@ class MetricChart:
         ``(point, e1, e2) -> float`` analytic sectional curvature of the
         plane spanned by an orthonormal pair.
     in_domain : callable, optional
-        Point -> bool chart-domain predicate; default accepts everything.
-        It is called with the point as given, which may be any sequence
-        of floats (a tuple, a list or an array).
+        Point -> bool chart-domain predicate beside ``metric_at``; default
+        accepts everything.  It is called with the point as given, which
+        may be any sequence of floats (a tuple, a list or an array).  An
+        exponent chart takes none: its domain is where its exponent is
+        defined.
     exponent : warpfn.Expr, optional
         The exponent ``phi`` of a chart whose metric is ``exp(2 phi)``
         times the identity, in the chart's coordinates followed by one
@@ -102,9 +107,24 @@ class MetricChart:
         if self.christoffel_at is not None and self.metric_at is None:
             raise InputError("christoffel_at goes with metric_at; an exponent "
                              "chart derives its symbols")
+        if self.in_domain is not None and self.metric_at is None:
+            raise InputError("in_domain goes with metric_at; an exponent "
+                             "chart's domain is where its exponent is defined")
 
     def contains(self, p) -> bool:
+        """Whether the point is in the chart: where the exponent is defined
+        on an exponent chart, by ``in_domain`` on any other."""
+        if self.exponent is not None:
+            return warpfn.domain_failure(self.exponent, p, self.exponent_args) is None
         return self.in_domain is None or bool(self.in_domain(p))
+
+    def contains_all(self, points) -> bool:
+        """Whether every row of ``points`` is in the chart; one batch on an
+        exponent chart."""
+        if self.exponent is not None:
+            return warpfn.domain_failure_many(self.exponent, points,
+                                              self.exponent_args) is None
+        return all(self.contains(p) for p in points)
 
 
 @dataclass(frozen=True)
@@ -307,12 +327,12 @@ def _conformal_tensor(dim: int) -> np.ndarray:
     return T
 
 
-def _check_off_chart(in_domain, points, exc: DslEvaluationError):
+def _check_off_chart(contains, points, exc: DslEvaluationError):
     """Raise :class:`NumericalError` from ``exc`` when some point is off the
-    chart (``in_domain`` false): an exponent undefined there is a curve
+    chart (``contains`` false): an exponent undefined there is a curve
     leaving the chart, not an expression error."""
     for p in points:
-        if not in_domain(p):
+        if not contains(p):
             raise NumericalError(f"no metric off the chart, at {p}") from exc
 
 
@@ -396,15 +416,10 @@ def geometry_at(chart: MetricChart, points):
 
 def poincare_half_plane() -> MetricChart:
     """Hyperbolic plane, upper half-plane model: ``g = (dx^2 + dy^2) / y^2``,
-    the exponent ``phi = -log(y)``."""
-
-    def in_domain(p):
-        return p[1] > 0.0
-
+    the exponent ``phi = -log(y)``, so the domain ``y > 0``."""
     return MetricChart(
         dim=2,
         sectional_at=lambda p, e1, e2: -1.0,
-        in_domain=in_domain,
         name="poincare_half_plane",
         exponent=warpfn.parse("-log(x2)", 2),
     )
@@ -412,21 +427,17 @@ def poincare_half_plane() -> MetricChart:
 
 def poincare_ball(dim: int = 2) -> MetricChart:
     """Hyperbolic space, ball model: ``g = 4 (1 - |x|^2)^{-2} * euclidean``,
-    the exponent ``phi = log(2) - log(1 - |x|^2)``."""
+    the exponent ``phi = log(2) - log(1 - |x|^2)``, so the domain
+    ``|x|^2 < 1``."""
     if dim < 2:
         raise InputError("poincare_ball needs dim >= 2")
     # |x|^2 as products, which a float step may overflow to inf where a
     # power would raise
     norm2 = " + ".join(f"x{i}*x{i}" for i in range(1, dim + 1))
     phi = warpfn.parse(f"log(2) - log(1 - ({norm2}))", dim)
-
-    def in_domain(p):
-        return sum(x * x for x in p) < 1.0
-
     return MetricChart(
         dim=dim,
         sectional_at=lambda p, e1, e2: -1.0,
-        in_domain=in_domain,
         name=f"poincare_ball{dim}",
         exponent=phi,
     )
@@ -495,19 +506,15 @@ def weighted_line(weight) -> MetricChart:
 
     ``weight`` is an expression string in the variable ``t`` (or ``x1``),
     or an already parsed expression node.  The chart's domain is where the
-    weight is positive: its metric and Christoffel symbols raise
-    :class:`NumericalError` at a non-positive or NaN weight.
+    exponent ``log(f) / 2`` is defined, so where the weight is positive
+    (and the weight itself defined): its metric and Christoffel symbols
+    raise :class:`NumericalError` at a non-positive or NaN weight.
     """
     expr = warpfn.parse(weight, 1) if isinstance(weight, str) else weight
-
-    def in_domain(p):
-        return warpfn.evaluate(expr, p) > 0.0
-
     # f = exp(2 phi), so phi = log(f) / 2
     phi = warpfn.Binary("*", warpfn.Const(0.5), warpfn.Call("log", expr))
     return MetricChart(
         dim=1,
-        in_domain=in_domain,
         name="weighted_line",
         exponent=phi,
     )

@@ -39,7 +39,9 @@ from .integrate import Curve, coupled_residual
 from .manifold import (
     MetricChart, TangentVector, _squared_speeds, metric_eval,
 )
-from .warp import WarpField, admissible_range, values_along
+from .warp import (
+    WarpField, _require_rescalable, admissible_range, values_along,
+)
 
 __all__ = [
     "MonotoneMap", "RiemannianGeodesic", "compute_a_and_phi",
@@ -207,11 +209,13 @@ def _leg_constants(mu: Curve, w: WarpField, r: float) -> tuple[float, float]:
 
     ``a`` is the sum :func:`compute_a_and_phi` takes, so it equals
     ``phi.constant`` exactly; ``b`` is the same rule over ``1/(1 + r k)``,
-    divided into ``a``.
+    divided into ``a``.  A node where ``1 + r k <= 0`` raises
+    :class:`NumericalError`.
     """
     admissible_range(w).require(r)
     h = _even_panel_step(mu)
     k = values_along(w, mu.points)
+    _require_rescalable(w, r, mu.points, k)
     a = cumulative_simpson(k / (1.0 + r * k), h)[-1]
     return a, a / cumulative_simpson(1.0 / (1.0 + r * k), h)[-1]
 

@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import warpfn
-from .errors import InputError, ParameterError
+from .errors import InputError, NumericalError, ParameterError
 from .manifold import (
     MetricChart, _components_at, _metric, _quadratic, _require_orthonormal,
     christoffel, geometry_at, sectional_curvature,
@@ -109,6 +109,22 @@ def values_along(w: WarpField, points: np.ndarray) -> np.ndarray:
     return warpfn.evaluate_many(w.expr, points)
 
 
+def _require_rescalable(w: WarpField, r: float, points, k: np.ndarray):
+    """Raise :class:`NumericalError` unless ``1 + r k > 0`` at every row of
+    ``points``, ``k`` the warp there: the rescaled metric ``(1/k + r) g1``
+    needs it, and the declared bounds promise it for every admissible
+    ``r``.  The error names the first failing point, ``k``, ``r`` and the
+    declared ``[k0, K0]``."""
+    bad = ~(1.0 + r * k > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"1 + r k = {float(1.0 + r * k[i])!r} is not positive at "
+            f"{np.asarray(points)[i].tolist()}, where k = {float(k[i])!r}, at "
+            f"r = {r!r}: the warp leaves its declared bounds "
+            f"[k0, K0] = [{w.k0!r}, {w.K0!r}]")
+
+
 @dataclass(frozen=True)
 class WarpParameterRange:
     """Open half-line ``(lower, inf)`` of admissible conformal parameters."""
@@ -137,7 +153,10 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
     in which ``r`` is a run-time argument: one interned tree per base
     exponent and warp expression, and so one RK4 step compiled per process,
     serves every ``r`` and every chart or warp parsed again from the same
-    text.  Any other base gives a chart whose Christoffel symbols are the
+    text.  That chart's domain is where ``psi`` is defined: the base's,
+    where also ``k != 0`` and ``1/k + r > 0``, so a warp above its declared
+    ``K0`` ends a geodesic there.  Any other base gives a chart whose
+    Christoffel symbols are the
     base chart's (closed-form, or differenced when the base has none) plus
     the conformal correction
 
@@ -157,7 +176,7 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         return _one_row(g1, w, r, p, (e1, e2), rescaled=True)[0].item()
 
     if g1.exponent is not None:
-        return MetricChart(dim=dim, sectional_at=sectional, in_domain=g1.in_domain,
+        return MetricChart(dim=dim, sectional_at=sectional,
                            name=name, exponent_args=(*g1.exponent_args, r),
                            exponent=_rescaled_exponent(
                                g1.exponent, dim + len(g1.exponent_args), w.expr))

@@ -26,6 +26,11 @@ Two step forms compile one classical Runge-Kutta step on Python floats:
 of a metric ``exp(2 psi) I`` and steps its geodesic equation, and
 :func:`rk4_coupled_step` reads a base exponent, a warp and a fiber
 exponent and steps the coupled geodesic system of the warped metric.
+Their loop forms, :func:`rk4_geodesic_loop` and :func:`rk4_coupled_loop`,
+run the same step body inside one ``for`` loop and test every state they
+make: finite, and inside the domain of each exponent, where every one of
+its logarithms, square roots and divisions is defined
+(:func:`domain_failure`).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +51,8 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
     "parse", "format_expression", "evaluate", "evaluate_many",
     "value_and_gradient", "value_and_gradient_many", "eval2",
-    "rk4_geodesic_step", "rk4_coupled_step",
+    "domain_failure", "domain_failure_many", "rk4_geodesic_step",
+    "rk4_coupled_step", "rk4_geodesic_loop", "rk4_coupled_loop",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -321,7 +328,8 @@ def format_expression(e: Expr) -> str:
 # The compiled functions are cached by tree, form and dimension in one
 # bounded cache; interning makes that key equal across parses.
 
-_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP, _ARRAY_GRADIENT, _COUPLED = range(7)
+(_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP, _ARRAY_GRADIENT, _COUPLED, _LOOP,
+ _COUPLED_LOOP, _DOMAIN, _ARRAY_DOMAIN) = range(11)
 _ONE = "1.0"
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -337,6 +345,18 @@ _CHECKS = {"log": (("{u} <= 0.0", "log of non-positive value"),),
                     ("{u} == 0.0", "square root derivative undefined at zero")),
            "/": (("{u} == 0.0", "division by zero"),),
            "^": (("{u} == 0.0", "division by zero"),)}
+
+# where each checked node kind is defined, as one condition on its operand
+# that NaN fails too: the domain of an expression, which a loop tests at
+# every state and :func:`domain_failure` at a point
+_DEFINED = {"log": "{u} > 0.0", "sqrt": "{u} > 0.0", "/": "{u} != 0.0",
+            "^": "{u} != 0.0"}
+
+# the name of the lines kept whatever the result reads: the domain tests
+_KEEP = "_keep"
+
+# the condition a loop names where a state is not finite
+FINITE_STATE = "a finite state"
 
 
 def _product(*factors):
@@ -369,17 +389,26 @@ class _Emitter:
     arguments ``args``."""
 
     def __init__(self, form: int, dim: int):
-        self.order = {_ARRAY: 0, _STEP: 1, _ARRAY_GRADIENT: 1,
-                      _COUPLED: 1}.get(form, form)
-        self.array = form in (_ARRAY, _ARRAY_GRADIENT)
-        self.step = form in (_STEP, _COUPLED)
+        self.order = {_ARRAY: 0, _STEP: 1, _ARRAY_GRADIENT: 1, _COUPLED: 1,
+                      _LOOP: 1, _COUPLED_LOOP: 1, _DOMAIN: 0,
+                      _ARRAY_DOMAIN: 0}.get(form, form)
+        self.array = form in (_ARRAY, _ARRAY_GRADIENT, _ARRAY_DOMAIN)
+        self.step = form in (_STEP, _COUPLED, _LOOP, _COUPLED_LOOP)
+        self.loop = form in (_LOOP, _COUPLED_LOOP)
         self.dim = dim
         self.arg_offset = 0
-        # (name the line assigns or guards, source line)
+        # (name the line assigns or guards, source line); the run-time
+        # arguments and the step's fractions of ``h`` are read once, first
         self.lines: list[tuple[str, str]] = []
+        self.hoisted: dict[str, str] = {}
         self.bound: dict[str, object] = {}
         self.failures: list[tuple[str, Expr]] = []
         self.loaded: dict[int, str] = {}
+        # while a state's or a point's domain is written, the statement
+        # that a failed condition ``{}`` runs; None while checks raise
+        self.verdict = "return {}" if form in (_DOMAIN, _ARRAY_DOMAIN) else None
+        if self.loop:
+            self.finite = self.bind(FINITE_STATE, "n")
 
     def let(self, src, checked=None):
         """A name (or literal) holding ``src``; None stays structurally zero.
@@ -398,12 +427,25 @@ class _Emitter:
         self.lines.append((name, f"{name} = {src}"))
         return name
 
+    def hoist(self, name: str, src: str) -> str:
+        self.hoisted[name] = f"{name} = {src}"
+        return name
+
     def bind(self, obj, prefix: str) -> str:
         name = f"{prefix}{len(self.bound)}"
         self.bound[name] = obj
         return name
 
     def check(self, guarded: str, e: Expr, kind: str, u: str):
+        if self.verdict is not None:
+            cond = _DEFINED[kind].format(u=u)
+            if self.array:
+                cond = f"_all({cond})"
+            operand = e.right if isinstance(e, Binary) else (
+                e.base if isinstance(e, Power) else e.arg)
+            name = self.bind(_DEFINED[kind].format(u=format_expression(operand)), "n")
+            self.lines.append((_KEEP, f"if not {cond}: {self.verdict.format(name)}"))
+            return
         for cond, message in _CHECKS[kind]:
             cond = cond.format(u=u)
             if self.array:
@@ -419,10 +461,12 @@ class _Emitter:
             if e.index not in self.loaded:
                 i = operator.index(e.index)
                 # a step's point is loaded per stage; later variables are
-                # its trailing arguments
-                src = (f"args[{self.arg_offset + i - self.dim}]" if self.step
-                       else f"x[{i}]")
-                self.loaded[e.index] = self.let(src)
+                # its trailing arguments, read once
+                if self.step:
+                    j = self.arg_offset + i - self.dim
+                    self.loaded[e.index] = self.hoist(f"p{j}", f"args[{j}]")
+                else:
+                    self.loaded[e.index] = self.let(f"x[{i}]")
             g = [None] * self.dim
             if self.order and e.index < self.dim:
                 g[e.index] = _ONE
@@ -519,8 +563,8 @@ class _Emitter:
         order of ``_rk4`` in :mod:`warpgeo.integrate`; ``rates(s, z)`` names
         the derivatives of the state at the stage-``s`` state ``z``."""
         q = [f"q{i}" for i in range(n)]
-        self.put("hh", "0.5 * h")
-        self.put("h6", "h / 6.0")
+        self.hoist("hh", "0.5 * h")
+        self.hoist("h6", "h / 6.0")
         ks = []  # the derivatives of each stage
         z = q
         for s, c in enumerate((None, "hh", "hh", "h")):
@@ -552,7 +596,9 @@ class _Emitter:
 
         def rates(s, z):
             x, u = z[:d], z[d:]
+            self.test_state(s, 0, z)
             g = self.gradient_at(e, d, loaded, x)[1]
+            self.verdict = None
             uu, gu = self.dot(f"uu{s}", u, u), self.dot(f"gu{s}", g, u)
             return [*u, *(self.put(f"a{s}_{i}", f"{uu} * {g[i]} - 2.0 * {gu} * {u[i]}")
                           for i in range(d))]
@@ -576,9 +622,12 @@ class _Emitter:
         def rates(s, z):
             x, u = z[:d1], z[d1:2 * d1]
             y, v = z[2 * d1:2 * d1 + d2], z[2 * d1 + d2:]
+            self.test_state(s, 0, z[:2 * d1])
             p1, s1 = self.gradient_at(phi1, d1, base, x)
-            kv, dk = self.gradient_at(k, d1, base, x)
+            self.test_state(s, 1, z[2 * d1:])
             p2, s2 = self.gradient_at(phi2, d2, fiber, y, n1)
+            self.verdict = None
+            kv, dk = self.gradient_at(k, d1, base, x)
             uu, su = self.dot(f"uu{s}", u, u), self.dot(f"su{s}", s1, u)
             vv, sv = self.dot(f"vv{s}", v, v), self.dot(f"sv{s}", s2, v)
             du = self.dot(f"du{s}", dk, u)
@@ -598,24 +647,90 @@ class _Emitter:
 
         return self.rk4(2 * (d1 + d2), rates)
 
-    def source(self, result: str, head: str = "x", unpack=()) -> str:
-        # keep what the result needs, reading the lines backwards
-        live = set(_NAME.findall(result))
+    def test_state(self, s: int, block: int, names):
+        """At the first stage of a loop, test the state block ``names``
+        finite, and let the domain checks emitted next end the loop at a
+        failed condition, naming ``block``."""
+        if not (self.loop and s == 0):
+            return
+        self.verdict = f"return out, ({block}, {{}})"
+        self.lines.append((_KEEP, f"if not {_zeros(names)} == 0.0: "
+                                  f"{self.verdict.format(self.finite)}"))
+
+    def body(self, result: str) -> tuple[list[str], list[str]]:
+        """The lines ``result`` needs, read backwards from it, as the
+        hoisted ones and the rest; every domain test is kept."""
+        live = {*_NAME.findall(result), _KEEP}
         kept = []
         for name, line in reversed(self.lines):
             if name in live:
                 kept.append(line)
                 live.update(_NAME.findall(line))
-        params = ", ".join([*self.bound, "_fail", "_array", "_any", "_full",
-                            "_rows", *FUNCTIONS])
-        body = "".join(f"        {line}\n" for line in [*unpack, *kept[::-1]])
-        return (f"def _build({params}):\n    def _f({head}):\n{body}"
+        return [line for name, line in self.hoisted.items() if name in live], kept[::-1]
+
+    def source(self, body, result: str, head: str = "x") -> str:
+        params = ", ".join([*self.bound, "_fail", "_array", "_any", "_all",
+                            "_full", "_rows", "_nan", "_raised", *FUNCTIONS])
+        lines = "".join(f"        {line}\n" for line in body)
+        return (f"def _build({params}):\n    def _f({head}):\n{lines}"
                 f"        return {result}\n    return _f\n")
+
+    def function_source(self, e: Expr) -> str:
+        """Source of the value form of ``e``, or of its domain test, which
+        returns the first condition that fails, or None."""
+        if self.verdict is not None:
+            self.emit(e)
+            result = "None"
+        else:
+            result = self.result(e)
+        return self.source(sum(self.body(result), []), result)
 
     def step_source(self, n: int, result: str) -> str:
         """Source of ``step(y, h, args)`` over a state of ``n`` floats."""
         state = ", ".join(f"q{i}" for i in range(n))
-        return self.source(result, "y, h, args", [f"{state}, = y"])
+        hoisted, kept = self.body(result)
+        return self.source([f"{state}, = y", *hoisted, *kept], result, "y, h, args")
+
+    def loop_source(self, result: str, blocks) -> str:
+        """Source of ``loop(y, h, args, steps)``: ``steps`` steps from
+        ``y``, over the ``(point, velocity)`` blocks ``blocks``, each
+        ``(exponent, dimension, index of its first argument)``; the coupled
+        loop also takes the ``fallback(y, h)`` it steps by where a stage
+        raises."""
+        n = sum(2 * dim for _, dim, _ in blocks)
+        state = ", ".join(f"q{i}" for i in range(n))
+        hoisted, steps = self.body(result)
+        steps.append(f"{state} = {result}")
+        head = "y, h, args, steps"
+        if len(blocks) > 1:
+            head += ", fallback"
+            steps = ["try:", *(f"    {line}" for line in steps),
+                     "except _raised:", f"    {state}, = fallback(({state},), h)"]
+        done, start = [], 0
+        for block, (e, dim, first) in enumerate(blocks):
+            names = [f"q{i}" for i in range(start, start + 2 * dim)]
+            point = ", ".join(names[:dim])
+            test = self.bind(_compiled(e, _DOMAIN, dim), "f")
+            fail = f"return out, ({block}, {{}})"
+            done += [f"if not {_zeros(names)} == 0.0: {fail.format(self.finite)}",
+                     f"failed = {test}(({point}, *args[{first}:]))",
+                     f"if failed is not None: {fail.format('failed')}"]
+            start += 2 * dim
+        lines = [f"{state}, = y", *hoisted, f"out = [{state}]", "try:",
+                 "    for _ in range(steps):",
+                 *(f"        {line}" for line in steps),
+                 f"        out += ({state},)",
+                 "except ZeroDivisionError:",
+                 f"    out += ({'_nan, ' * n})",
+                 f"    return out, (0, {self.finite})",
+                 *done]
+        return self.source(lines, "out, None", head)
+
+
+def _zeros(names) -> str:
+    """Source of a sum that is zero if every name holds a finite float,
+    and NaN otherwise."""
+    return " + ".join(f"{q} * 0.0" for q in names)
 
 
 def _rows(points, value, gradient):
@@ -640,19 +755,31 @@ def _function(emitter: _Emitter, source: str):
 
     functions = np if emitter.array else math
     return namespace["_build"](
-        **emitter.bound, _fail=fail, _array=np.array, _any=np.any,
-        _full=np.full, _rows=_rows,
+        **emitter.bound, _fail=fail, _array=np.array, _any=np.any, _all=np.all,
+        _full=np.full, _rows=_rows, _nan=math.nan,
+        _raised=(DslEvaluationError, OverflowError),
         **{name: getattr(functions, name) for name in FUNCTIONS})
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(e: Expr, form: int, dim: int):
-    """The function for ``form`` on ``dim``-point arguments, compiled once."""
+def _compiled(e, form: int, dim):
+    """The function for ``form`` on ``dim``-point arguments, compiled once.
+
+    The coupled loop reads three trees, ``e = (phi1, k, phi2)``, on
+    ``dim = (d1, d2, n1)``."""
+    if form == _COUPLED_LOOP:
+        (phi1, k, phi2), (d1, d2, n1) = e, dim
+        emitter = _Emitter(form, d1)
+        result = emitter.coupled_step(phi1, k, phi2, d1, d2, n1)
+        return _function(emitter, emitter.loop_source(
+            result, [(phi1, d1, 0), (phi2, d2, n1)]))
     emitter = _Emitter(form, dim)
     if form == _STEP:
         source = emitter.step_source(2 * dim, emitter.geodesic_step(e, dim))
+    elif form == _LOOP:
+        source = emitter.loop_source(emitter.geodesic_step(e, dim), [(e, dim, 0)])
     else:
-        source = emitter.source(emitter.result(e))
+        source = emitter.function_source(e)
     return _function(emitter, source)
 
 
@@ -686,6 +813,28 @@ def value_and_gradient_many(e: Expr, points, args=()) -> tuple[np.ndarray, np.nd
     return _compiled(e, _ARRAY_GRADIENT, pts.shape[1])((*pts.T, *args))
 
 
+def domain_failure(e: Expr, point, args=()) -> Optional[str]:
+    """The first condition of the expression's domain that fails at a
+    point, or None inside it.
+
+    The domain is where every logarithm and square root of the tree has a
+    positive argument and every division and negative power a non-zero
+    one; NaN fails the first two.  ``args`` binds the variables past the
+    point's coordinates.  A condition reads as its subexpression's test,
+    ``x2 > 0.0`` say.
+    """
+    x = np.asarray(point, dtype=float).tolist()
+    return _compiled(e, _DOMAIN, len(x))((*x, *args))
+
+
+def domain_failure_many(e: Expr, points, args=()) -> Optional[str]:
+    """The first condition of the expression's domain that fails at some
+    row of ``points``, or None when every row is inside it: the conditions
+    of :func:`domain_failure`, each tested on all rows at once."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _compiled(e, _ARRAY_DOMAIN, pts.shape[1])((*pts.T, *args))
+
+
 def eval2(e: Expr, point) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and Hessian of the expression at a point.
 
@@ -704,10 +853,27 @@ def rk4_geodesic_step(e: Expr, dim: int):
     ``step(y, h, args)``: the state ``y = (*point, *velocity)`` advanced by
     ``h`` with ``args`` bound to those variables, all as tuples of floats.
     Only the exponent's gradient is computed, so a domain check of ``e``
-    runs only where a value it guards is needed; outside the chart the
-    chart's own domain check decides.
+    runs only where a value it guards is needed.  Integration runs the loop
+    form, :func:`rk4_geodesic_loop`, which also tests every state it makes.
     """
     return _compiled(e, _STEP, dim)
+
+
+def rk4_geodesic_loop(e: Expr, dim: int):
+    """The step of :func:`rk4_geodesic_step` in one loop, compiled once.
+
+    Returns ``loop(y, h, args, steps)``, which takes ``steps`` steps of
+    ``h`` from the state ``y`` and returns ``(states, failed)``: the flat
+    list of the states it made, ``y`` first, and ``None``, or, where a
+    state fails, ``(0, condition)`` with that state last in the list.  A
+    state fails where an entry is not finite (``condition`` is
+    :data:`FINITE_STATE`) or where a condition of :func:`domain_failure`
+    fails at its point; the conditions are tested at the first stage of
+    each step, where the gradient computes their operands anyway.  A step
+    that divides by zero makes a state of NaN, which fails.  Every other
+    domain check of a stage raises, as in the step form.
+    """
+    return _compiled(e, _LOOP, dim)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -726,3 +892,20 @@ def rk4_coupled_step(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
     emitter = _Emitter(_COUPLED, d1)
     return _function(emitter, emitter.step_source(
         2 * (d1 + d2), emitter.coupled_step(phi1, k, phi2, d1, d2, n1)))
+
+
+def rk4_coupled_loop(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
+                     n1: int = 0):
+    """The step of :func:`rk4_coupled_step` in one loop, compiled once per
+    triple.
+
+    Returns ``loop(y, h, args, steps, fallback)``, which runs as the loop
+    of :func:`rk4_geodesic_loop` over the base block ``(x, u)`` and the
+    fiber block ``(y, v)``: each state is tested finite and inside the
+    domains of ``phi1`` and ``phi2`` in that order, and ``failed`` is
+    ``(block, condition)`` with ``block`` 0 for the base and 1 for the
+    fiber.  Where a stage raises :class:`DslEvaluationError` or
+    ``OverflowError`` (a check of the warp, say), the loop takes that step
+    by ``fallback(state, h)`` instead and goes on from its state.
+    """
+    return _compiled((phi1, k, phi2), _COUPLED_LOOP, (d1, d2, n1))

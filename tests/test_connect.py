@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ import warpgeo as wg
 from warpgeo import cli, connect, reparam, warpfn
 from warpgeo.connect import BetaResult, _beta_from_mu, _restricted, _shoot
 from warpgeo.errors import (
-    BracketingError, InputError, NumericalError, ParameterError, ShootingError,
+    BracketingError, ChartDomainError, InputError, NumericalError, ParameterError,
+    ShootingError,
 )
+from warpgeo.warp import _require_rescalable
 
 CFG = wg.IntegratorConfig(steps=256)
 FAST = wg.IntegratorConfig(steps=64)
@@ -78,7 +81,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
     g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
     near = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.0, FAST)
-    calls = _count_calls(monkeypatch, connect, "integrate_geodesic")
+    calls = _count_calls(monkeypatch, connect, "_geodesic_states")
     res = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST,
                        near.X_r.components, near.jacobian)
     # One shot from the warm start, then one per secant step: neither a
@@ -257,11 +260,17 @@ def _misdeclared_sine():
 
 def test_a_nan_dial_value_in_the_walk_is_a_numerical_error():
     # The walk toward the threshold meets beta = NaN at r = -0.4318, which
-    # a bare comparison would read as "above target".
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NumericalError, match=r"NaN at r = -0\.4318"):
-        wg.flrw_connect(_misdeclared_sine(), 0.0, 6.0, np.zeros(1),
-                        np.array([40.0]), wg.euclidean(1), CFG)
+    # a bare comparison would read as "above target".  (A warp above its
+    # declared K0, which made this NaN on the line base, is now named where
+    # k is read; the dial here is a stand-in with the same walk.)
+    def evaluate(r, *_):
+        beta = math.nan if r < -0.43 else 1.0 / (r + 0.5)
+        return BetaResult(beta, wg.TangentVector(np.zeros(1), np.ones(1)),
+                          1.0, 1.0, None)
+
+    lower = wg.admissible_range(_misdeclared_sine()).lower
+    with pytest.raises(NumericalError, match=r"NaN at r = -0\.4318"):
+        connect._solve_r(evaluate, 40.0, lower, 1e6, 64)
 
 
 def test_a_nan_dial_value_in_the_refinement_is_a_numerical_error():
@@ -462,6 +471,23 @@ def test_fiber_dial_rejects_self_intersecting_traces():
         wg.theta_consistency(loop, nu, one, 0.0, 0.5)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(c=st.floats(0.25, 4.0), r=st.floats(-0.2, 20.0), frac=st.floats(0.0, 1.0))
+def test_fiber_dial_readings_for_a_constant_warp(c, r, frac):
+    # k = c: a = c/(1 + r c) and b = c, so the linear reading is t/c and the
+    # coupling-consistent one t/sqrt(c (1 + r c)); t keeps both on the
+    # unit fiber leg
+    assume(1.0 + r * c > 0.05)
+    w = wg.WarpField.constant(c, 1)
+    t = frac * min(1.0, c, math.sqrt(c * (1.0 + r * c)))
+    s = np.linspace(0.0, 1.0, 65)
+    mu = wg.Curve(s, s[:, None], np.ones((65, 1)))
+    doc = wg.theta_consistency(mu, mu, w, r, t)
+    assert doc["beta_displayed"] == pytest.approx(t / c, rel=1e-12, abs=1e-300)
+    assert doc["beta_compat"] == pytest.approx(t / math.sqrt(c * (1.0 + r * c)),
+                                               rel=1e-12, abs=1e-300)
+
+
 # ---------------------------------------------------------------------------
 # the line-base fast path
 
@@ -597,7 +623,7 @@ def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
 
 def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
     # The fiber chart and the base's rescaled family each compile one
-    # float step, whatever the number of dial evaluations.  Equal trees are
+    # float loop, whatever the number of dial evaluations.  Equal trees are
     # one object, so nothing compiles again: not a solve on charts and a
     # warp built afresh, nor a second CLI run of the same config.
     compiled = []
@@ -619,10 +645,11 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
 
     g1, g2, w, report = solve()
     assert report.iterations > 1
+    assert sum(emitter.loop for emitter in compiled) == 2
     assert sum(emitter.step for emitter in compiled) == 2
     before = len(compiled)
-    warpfn.rk4_geodesic_step(g2.exponent, 1)
-    warpfn.rk4_geodesic_step(wg.conformal_metric(g1, w, report.r).exponent, 2)
+    warpfn.rk4_geodesic_loop(g2.exponent, 1)
+    warpfn.rk4_geodesic_loop(wg.conformal_metric(g1, w, report.r).exponent, 2)
     assert len(compiled) == before
     compiled.clear()
     solve()
@@ -643,6 +670,71 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
         assert cli.main(["--config", str(config), "--out", str(tmp_path / run),
                          "--quiet"]) == 0
     assert compiled == []
+
+
+def test_a_shoot_builds_one_curve(monkeypatch):
+    # every shot reads the geodesic's states; only the returned velocity's
+    # geodesic becomes a curve
+    built = []
+    real = wg.Curve.__post_init__
+
+    def counted(curve):
+        built.append(1)
+        real(curve)
+
+    shots = _count_calls(monkeypatch, connect, "_geodesic_states")
+    monkeypatch.setattr(wg.Curve, "__post_init__", counted)
+    v, _, curve, iterations = _shoot(wg.poincare_half_plane(), X0, X1, FAST)
+    assert iterations > 1 and len(shots) > iterations
+    assert len(built) == 1
+    assert np.array_equal(curve.points, wg.integrate_geodesic(
+        wg.poincare_half_plane(), X0, v, FAST).points)
+    assert not curve.params.flags.writeable
+
+
+MISDECLARED = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.2)
+
+
+def test_a_warp_above_its_declared_bound_ends_a_solve_by_name():
+    # k reaches 2.5, K0 = 2.2 is declared: the walk reaches r near
+    # -1/2.2, where a shot meets 1/k + r <= 0
+    factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0),
+                                              MISDECLARED.expr), warpfn.Var(2))
+    with pytest.raises(ChartDomainError) as err:
+        wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), MISDECLARED,
+                          (X0, np.zeros(1)), (X1, np.array([3.0])), FAST)
+    assert err.value.condition == f"{factor} > 0.0"
+    assert str(factor) in str(err.value)
+
+
+def test_a_warp_above_its_declared_bound_is_a_typed_error_where_k_is_read():
+    # no numpy warning: 1 + r k is compared before any square root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"1 \+ r k = -.* is not positive at "
+                           r"\[.*\], where k = .*, at r = -0\.43.*"
+                           r"\[k0, K0\] = \[1\.5, 2\.2\]"):
+            wg.flrw_connect(_misdeclared_sine(), 0.0, 6.0, np.zeros(1),
+                            np.array([40.0]), wg.euclidean(1), CFG)
+        t = np.linspace(0.0, 1.0, 17)
+        leg = wg.Curve(t, np.column_stack([np.pi / 4 + 0.1 * t, np.ones(17)]),
+                       np.tile([0.1, 0.0], (17, 1)))
+        with pytest.raises(NumericalError, match=r"at \[0\.785.*, 1\.0\], where k = 2\.5"):
+            reparam._leg_constants(leg, MISDECLARED, -0.44)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k0=st.floats(0.1, 5.0), spread=st.floats(0.0, 5.0),
+       above=st.floats(1e-9, 10.0), unit=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                  max_size=20))
+def test_a_warp_within_its_declared_bounds_never_trips_the_check(k0, spread, above,
+                                                                 unit):
+    K0 = k0 + spread
+    w = wg.WarpField.constant(k0, 1)
+    w = wg.WarpField(w.expr, k0, K0)
+    r = wg.admissible_range(w).lower * (1.0 - above / 11.0) + above
+    k = k0 + spread * np.array(unit)
+    _require_rescalable(w, r, k[:, None], k)
 
 
 def test_a_solve_builds_the_maps_once_at_the_root(monkeypatch):

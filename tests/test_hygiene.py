@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package and its tests
 is used, the package neither imports nor loads scipy, code is generated and
 run in one module only, only the chart module reads how a chart was
-defined, and no module caches by identity."""
+defined, no exponent chart carries a domain predicate, and no module
+caches by identity."""
 
 import ast
 import os
@@ -118,6 +119,30 @@ def test_only_the_chart_module_reads_a_chart_definition(path):
 def test_the_check_sees_a_chart_definition_being_read():
     source = "g = chart.metric_at(p)\nc = MetricChart(2, metric_at=f)\nG = c.christoffel_at\n"
     assert _chart_definition_reads(source) == ["metric_at (line 1)", "christoffel_at (line 3)"]
+
+
+def _exponent_charts_with_predicates(source: str) -> list[str]:
+    """Where a ``MetricChart`` is built with both ``exponent`` and
+    ``in_domain``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "MetricChart"
+                and {"exponent", "in_domain"} <= {k.arg for k in node.keywords}):
+            found.append(f"MetricChart (line {node.lineno})")
+    return found
+
+
+def test_no_exponent_chart_carries_a_domain_predicate():
+    # an exponent chart's domain is where its exponent is defined
+    for path in MODULES:
+        assert _exponent_charts_with_predicates(path.read_text()) == [], path.name
+
+
+def test_the_check_sees_an_exponent_chart_with_a_predicate():
+    source = ("a = MetricChart(2, exponent=e, in_domain=f)\n"
+              "b = MetricChart(2, metric_at=g, in_domain=f)\n")
+    assert _exponent_charts_with_predicates(source) == ["MetricChart (line 1)"]
 
 
 def _identity_reads(source: str) -> list[str]:

@@ -104,24 +104,26 @@ def test_leaving_the_chart_domain_is_reported():
     (wg.euclidean(2), np.array([1e308, 1e308])),  # |v|^2 overflows: NaN
 ], ids=["off_chart", "not_finite"])
 def test_integration_stops_at_the_first_bad_step(monkeypatch, chart, v0):
-    # one acceleration per Christoffel-path RHS, four per generated step
+    # one acceleration per Christoffel-path RHS, four per step the
+    # generated loop made
     calls = []
-    real_rhs, real_step = integrate.geodesic_rhs, warpfn.rk4_geodesic_step
+    real_rhs, real_loop = integrate.geodesic_rhs, warpfn.rk4_geodesic_loop
 
     def counted(*args):
         calls.append(1)
         return real_rhs(*args)
 
-    def counted_step(*compiled):
-        step = real_step(*compiled)
+    def counted_loop(e, dim):
+        loop = real_loop(e, dim)
 
         def counted(*args):
-            calls.extend([1] * 4)
-            return step(*args)
+            states, failed = loop(*args)
+            calls.extend([1] * 4 * (len(states) // (2 * dim) - 1))
+            return states, failed
         return counted
 
     monkeypatch.setattr(integrate, "geodesic_rhs", counted)
-    monkeypatch.setattr(warpfn, "rk4_geodesic_step", counted_step)
+    monkeypatch.setattr(warpfn, "rk4_geodesic_loop", counted_loop)
     p0 = np.array([np.pi / 2, 0.0])
     with pytest.raises(ChartDomainError) as err, np.errstate(all="ignore"):
         wg.integrate_geodesic(chart, p0, v0, wg.IntegratorConfig(steps=64))
@@ -212,6 +214,130 @@ def test_a_bad_line_weight_is_a_numerical_failure(weight, p0):
     curve = wg.Curve(t, (p0 + (1.0 - p0) * t)[:, None], np.full((9, 1), 1.0 - p0))
     with pytest.raises(NumericalError):
         wg.speed_drift(chart, curve)
+
+
+# The per-step driver the generated loop replaced, kept as its reference:
+# the chart's generated step applied state by state, each state checked
+# finite and inside the chart's former domain predicate (the base's, on a
+# rescaled chart).
+def _per_step_outcome(chart, inside, p0, v0, steps):
+    step = warpfn.rk4_geodesic_step(chart.exponent, chart.dim)
+    h, y, states = 1.0 / steps, (*p0.tolist(), *v0.tolist()), []
+    try:
+        for i in range(steps + 1):
+            if i:
+                try:
+                    y = step(y, h, chart.exponent_args)
+                except ZeroDivisionError:
+                    y = (math.nan,) * len(y)
+            point = y[:chart.dim]
+            if not (all(map(math.isfinite, y)) and inside(point)):
+                return "left", chart.name, i / steps, point
+            states.append(y)
+    except (DslEvaluationError, ValueError, OverflowError) as exc:
+        return "raised", type(exc), str(exc)
+    return "states", np.array(states)
+
+
+def _loop_outcome(chart, p0, v0, steps):
+    try:
+        return "states", integrate._geodesic_states(chart, p0, v0, steps)
+    except ChartDomainError as exc:
+        return "left", exc.chart_name, exc.t_exit, exc.point
+    except (DslEvaluationError, ValueError, OverflowError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+_ONE_MINUS_T = warpfn.parse("1 - t", 1)
+EXPONENT_CHARTS = [
+    ("half_plane", wg.poincare_half_plane(), lambda p: p[1] > 0.0,
+     lambda u: np.array([4.0 * u[0] - 2.0, 0.5 + 2.5 * u[1]])),
+    ("ball2", wg.poincare_ball(2), lambda p: sum(x * x for x in p) < 1.0,
+     lambda u: u - 0.5),
+    ("ball3", wg.poincare_ball(3), lambda p: sum(x * x for x in p) < 1.0,
+     lambda u: u - 0.5),
+    ("euclidean2", wg.euclidean(2), lambda p: True, lambda u: 4.0 * u - 2.0),
+    ("weighted_line", wg.weighted_line(_ONE_MINUS_T),
+     lambda p: warpfn.evaluate(_ONE_MINUS_T, p) > 0.0, lambda u: 1.8 * u - 0.9),
+    ("circle", wg.circle(2.0), lambda p: True, lambda u: 8.0 * u - 4.0),
+]
+
+
+@pytest.mark.parametrize("label,base,inside,draw", EXPONENT_CHARTS,
+                         ids=[c[0] for c in EXPONENT_CHARTS])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_loop_makes_the_states_of_the_per_step_driver(label, base, inside,
+                                                           draw, data):
+    """Bitwise the same states, and where a state fails, the same chart,
+    parameter and point, on every exponent chart and its rescalings; the
+    speeds reach far enough to leave the chart or overflow."""
+    n = base.dim
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    w = wg.WarpField.from_expression(FLAT_WARPS[n], n, 1.0, 3.0)
+    r = data.draw(st.floats(wg.admissible_range(w).lower + 1e-3, 5.0))
+    p0 = np.asarray(draw(np.array(data.draw(unit))))
+    speed = data.draw(st.sampled_from([1.0, 30.0, 1e3, 1e300]))
+    v0 = speed * (np.array(data.draw(unit)) - 0.5)
+    steps = data.draw(st.sampled_from([16, 64]))
+    for chart in (base, wg.conformal_metric(base, w, r)):
+        with np.errstate(all="ignore"):
+            want = _per_step_outcome(chart, inside, p0, v0, steps)
+            got = _loop_outcome(chart, p0, v0, steps)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "states":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[:-1] == want[:-1]
+            if got[0] == "left":
+                assert np.array_equal(got[-1], want[-1], equal_nan=True)
+
+
+def test_a_warp_above_its_declared_bound_ends_the_geodesic_at_once():
+    # k reaches 2.5 where K0 = 2.2 is declared, so at r = -0.44, admissible
+    # by the declaration, 1/k + r = -0.04 at the start point
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.2)
+    chart = wg.conformal_metric(wg.poincare_half_plane(), w, -0.44)
+    factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0), w.expr),
+                           warpfn.Var(2))
+    with pytest.raises(ChartDomainError) as err:
+        wg.integrate_geodesic(chart, np.array([math.pi / 4, 1.0]),
+                              np.array([1.0, 0.0]), wg.IntegratorConfig(steps=256))
+    assert err.value.t_exit == 0.0
+    assert err.value.condition == f"{factor} > 0.0"
+    assert str(factor) in str(err.value)
+    assert err.value.payload()["condition"] == err.value.condition
+    assert not chart.contains([math.pi / 4, 1.0])
+    assert chart.contains([0.0, 1.0])
+
+
+def test_the_oracle_loop_resumes_after_a_classical_step(monkeypatch):
+    # The first step's second stage falls below the x axis, where the base
+    # exponent is undefined: that step is the fallback's, and the loop goes
+    # on with its own steps from the state the fallback made.
+    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    good = (0.0, 0.2, 0.0, 1.0, 0.1, 0.5)
+    calls = []
+
+    def classical_step(rhs):
+        def step(y, h):
+            calls.append(y)
+            return good
+        return step
+
+    monkeypatch.setattr(integrate, "_classical_step", classical_step)
+    steps = 16
+    base, fiber = wg.integrate_coupled_oracle(
+        g1, g2, w, (np.array([0.0, 0.1]), np.array([0.0])),
+        (np.array([0.0, -8.0]), np.array([0.5])), wg.IntegratorConfig(steps=steps))
+    assert calls == [(0.0, 0.1, 0.0, -8.0, 0.0, 0.5)]
+    states = np.column_stack([base.points, base.velocities,
+                              fiber.points, fiber.velocities])
+    assert tuple(states[1].tolist()) == good
+    step = warpfn.rk4_coupled_step(g1.exponent, 2, w.expr, g2.exponent, 1)
+    for y, after in zip(states[1:-1].tolist(), states[2:].tolist()):
+        assert step(tuple(y), 1.0 / steps, ()) == tuple(after)
 
 
 # ---------------------------------------------------------------------------

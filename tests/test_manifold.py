@@ -157,10 +157,10 @@ def test_geodesic_rhs_frozen_values():
 
 def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
     # The exponent's log is undefined there: the chart's domain, not the
-    # expression, is at fault.  A failure inside a line weight stays the
-    # expression's own.  The metric of an exponent chart, read from the
-    # exponent at one point, fails as its symbols do, and a NaN line weight
-    # leaves neither finite.
+    # expression, is at fault.  The domain is where the whole exponent is
+    # defined, so a failure inside a line weight is off the chart too.  The
+    # metric of an exponent chart, read from the exponent at one point,
+    # fails as its symbols do, and a NaN line weight leaves neither finite.
     for read in (christoffel, _metric):
         with pytest.raises(NumericalError, match="off the chart"):
             read(wg.poincare_half_plane(), np.array([0.0, -1.0]))
@@ -168,8 +168,9 @@ def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
             read(wg.poincare_ball(2), np.array([1.0, 0.5]))
         with pytest.raises(NumericalError, match="off the chart"):
             read(wg.weighted_line("t - 0.5"), np.array([0.3]))
-        with pytest.raises(DslEvaluationError, match="square root of negative"):
+        with pytest.raises(NumericalError, match="off the chart") as err:
             read(wg.weighted_line("1 + sqrt(t)"), np.array([-1.0]))
+        assert isinstance(err.value.__cause__, DslEvaluationError)
         with pytest.raises(NumericalError, match="not finite"):
             read(wg.weighted_line(warpfn.Const(math.nan)), np.array([0.3]))
 
@@ -182,6 +183,11 @@ def test_a_chart_is_defined_once():
         MetricChart(2)
     with pytest.raises(InputError, match="christoffel_at goes with metric_at"):
         MetricChart(2, christoffel_at=lambda p: np.zeros((2, 2, 2)), exponent=phi)
+
+
+def test_an_exponent_chart_takes_no_domain_predicate():
+    with pytest.raises(InputError, match="in_domain goes with metric_at"):
+        MetricChart(2, in_domain=lambda p: True, exponent=warpfn.parse("-log(x2)", 2))
 
 
 def test_closed_form_christoffel_symbols_match_finite_differences():
@@ -423,8 +429,10 @@ def test_sectional_curvature_requires_an_orthonormal_frame():
 
 
 def test_domain_predicates():
-    """Each built-in predicate answers the same for a tuple, a list and an
-    array, inside and outside its chart."""
+    """Each built-in chart's domain test answers the same for a tuple, a
+    list and an array, inside and outside its chart, one point at a time
+    and in one batch.  An exponent chart's domain is where its exponent is
+    defined; only the spheres of two or more angles carry a predicate."""
     cases = [
         (wg.poincare_half_plane(), [0.3, 1.0], [0.3, -1.0]),
         (wg.poincare_ball(2), [0.5, 0.5], [0.8, 0.8]),
@@ -434,14 +442,18 @@ def test_domain_predicates():
         (wg.weighted_line("t - 0.5"), [1.0], [0.0]),
     ]
     for chart, inside, outside in cases:
+        assert (chart.in_domain is None) is (chart.exponent is not None)
         for point, want in ((inside, True), (outside, False)):
             for given in (tuple(point), list(point), np.array(point)):
-                assert bool(chart.in_domain(given)) is want, (chart.name, given)
+                if chart.in_domain is not None:
+                    assert bool(chart.in_domain(given)) is want, (chart.name, given)
                 assert chart.contains(given) is want, (chart.name, given)
+        assert chart.contains_all(np.array([inside, inside]))
+        assert not chart.contains_all(np.array([inside, outside]))
     # flat space and a single angle have no domain to leave
-    assert wg.euclidean(2).in_domain is None
-    assert wg.circle(2.0).in_domain is None
-    assert wg.sphere(1).in_domain is None
+    for chart in (wg.euclidean(2), wg.circle(2.0), wg.sphere(1)):
+        assert chart.in_domain is None
+        assert chart.contains([1e300] * chart.dim)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])

@@ -6,8 +6,10 @@ reparametrization constants as quadratures along it, and read off the
 fiber distance the rebuilt geodesic would traverse.  No dial evaluation
 builds a map: the maps are built once, when the solved pair is rebuilt at
 the root.  ``beta`` blows up at the admissibility threshold and decays to
-zero for large ``r``, so matching it against the actual fiber distance is
-a bracketed scalar root-find: a geometric walk, then Brent's method.
+zero for large ``r``, nearly as a power of ``r`` minus the threshold, so
+matching it against the actual fiber distance is a scalar root-find: a
+secant walk on that power law in log-log coordinates, then Brent's method
+on the bracket it finds.
 
 Shooting itself is a damped quasi-Newton iteration on the endpoint map
 with Broyden updates, its velocity and Jacobian warm-started across ``r``;
@@ -34,7 +36,9 @@ import math
 import numpy as np
 
 from . import warpfn
-from ._num import brent_root, composite_simpson, cumulative_simpson
+from ._num import (
+    BRENT_RTOL, BRENT_XTOL, brent_root, composite_simpson, cumulative_simpson,
+)
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
@@ -59,7 +63,7 @@ __all__ = [
 ]
 
 R_MAX_DEFAULT = 1e6
-R_GRID_SAMPLES = 64
+R_WALK_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +227,27 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
 
 def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
              samples: int) -> tuple[float, BetaResult, int]:
-    """Bracket ``beta(r) = beta0`` on a geometric r grid, then refine.
+    """Solve ``beta(r) = beta0`` by a walk on a model of the dial, then Brent.
 
     ``evaluate(r, v_init, jac_init)`` is one dial evaluation; each distinct
     ``r`` is evaluated once, warm-started from the velocity and shooting
     Jacobian of the previous one.  Returns the root, its dial evaluation
     and the number of distinct ``r`` evaluated.
 
-    The grid is geometric in the offset above the admissibility threshold,
-    which resolves the blow-up end.  The walk starts a moderate distance
-    above the threshold — where the rescaled metric is still well
-    conditioned — and shrinks toward it only while the first sample still
-    undershoots the target, so the stiff near-threshold regime is entered
-    only when the target actually lives there.  The bracket is refined by
-    :func:`~warpgeo._num.brent_root` to ``1e-12``.  Every ``r`` handed to
-    ``evaluate`` is a Python float, and a dial value that is not a number,
-    in the walk or in the refinement, raises :class:`NumericalError`.
+    The model: against ``u = log(r - lower)``, ``f = log(beta / beta0)`` is
+    nearly a line of slope about ``-1/2``.  The walk starts a moderate
+    distance above the threshold, where the rescaled metric is still well
+    conditioned, and steps to the zero of that line: on slope ``-1/2``
+    first, then on the secant of its last two points, kept negative and no
+    steeper than ``-4``, each step at most a factor of 16 in ``r - lower``
+    and within ``[lower + 1e-12 (1 + |lower|), r_max]``.  A step shorter
+    than Brent's tolerance ends the solve at the walk's last ``r``; a sign
+    change ends the walk, and :func:`~warpgeo._num.brent_root` refines that
+    bracket to ``1e-12`` in ``r``.  A walk that meets either end of its
+    range, or makes ``samples`` evaluations, without a sign change raises
+    :class:`BracketingError`.  Every ``r`` handed to ``evaluate`` is a
+    Python float, and a dial value that is not a number, in the walk or in
+    the refinement, raises :class:`NumericalError`.
     """
     if not r_max > lower:
         raise ParameterError(r_max, lower, "r_max")
@@ -261,37 +270,33 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
                 f"the dial beta(r) is NaN at r = {r!r}: the rescaled metric "
                 f"is undefined where 1 + r k <= 0, as when k exceeds its "
                 f"declared K0")
-        return beta - beta0
+        return math.log(beta / beta0)
 
     try:
-        start = lower + 0.25 * (1.0 + abs(lower))
         floor = lower + 1e-12 * (1.0 + abs(lower))
-        r_lo = start
-        f_lo = gap(r_lo)
-        while f_lo <= 0.0:
-            nxt = lower + (r_lo - lower) / 4.0
-            if nxt <= floor:
+        r = min(lower + 0.25 * (1.0 + abs(lower)), r_max)
+        f, slope, reach, walked = gap(r), -0.5, math.log(16.0), 1
+        while True:
+            aim = lower + (r - lower) * math.exp(max(-reach, min(reach, -f / slope)))
+            if (abs(aim - r) <= (BRENT_XTOL + BRENT_RTOL * abs(r)) / 2.0
+                    and floor <= aim <= r_max):
+                return r, beta_at(r), len(memo)
+            nxt = min(max(aim, floor), r_max)
+            if nxt == r or walked >= samples:
+                at = f"r = {r:.6g}" + (
+                    f" after {walked} dial evaluations" if nxt != r
+                    else " next to the admissibility threshold" if f < 0.0 else "")
                 raise BracketingError(
-                    f"target fiber distance {beta0:.6g} not reached even at "
-                    f"r = {r_lo:.6g} next to the admissibility threshold"
-                )
-            r_lo = nxt
-            f_lo = gap(r_lo)
-        ratio = ((r_max - lower) / (r_lo - lower)) ** (1.0 / (samples - 1))
-        r_hi = None
-        prev = r_lo
-        for i in range(1, samples):
-            r = lower + (r_lo - lower) * ratio ** i
-            if gap(r) <= 0.0:
-                r_hi = r
+                    f"target fiber distance {beta0:.6g} not reached even at {at}"
+                    if f < 0.0 else
+                    f"no sign change: beta stayed above {beta0:.6g} up to {at}")
+            f_nxt, walked = gap(nxt), walked + 1
+            if (f_nxt <= 0.0) != (f <= 0.0):
                 break
-            prev = r
-        if r_hi is None:
-            raise BracketingError(
-                f"no sign change: beta stayed above {beta0:.6g} up to "
-                f"r = {r_max:.6g}"
-            )
-        root = brent_root(gap, prev, r_hi)
+            slope = max(-4.0, min(-1e-300, (f_nxt - f) / math.log(
+                (nxt - lower) / (r - lower))))
+            r, f = nxt, f_nxt
+        root = brent_root(gap, min(r, nxt), max(r, nxt))
         return root, beta_at(root), len(memo)
     finally:
         # A raised error's traceback holds this frame, and with it the memo:
@@ -388,13 +393,16 @@ def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
 def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
                    cfg: IntegratorConfig = IntegratorConfig(), *,
                    r_max: float = R_MAX_DEFAULT,
-                   samples: int = R_GRID_SAMPLES) -> ShootingReport:
+                   samples: int = R_WALK_SAMPLES) -> ShootingReport:
     """Join two points of the product by a rebuilt mixed-signature geodesic.
 
     ``z0 = (x0, y0)`` and ``z1 = (x1, y1)``.  The fiber endpoints fix the
     target distance (via a fiber shoot); the rescaling parameter is then
     solved from ``beta(r) = target``, and the matched pair of factor
-    geodesics is reparametrized into the final geodesic.
+    geodesics is reparametrized into the final geodesic.  The solve looks
+    for the root in ``(lower, r_max]``, ``lower`` the admissibility
+    threshold; ``samples`` is the largest number of dial evaluations its
+    bracketing walk makes before it raises :class:`BracketingError`.
     """
     (x0, y0), (x1, y1) = z0, z1
     x0 = np.asarray(x0, dtype=float)
@@ -583,7 +591,7 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
                  g2: MetricChart, cfg: IntegratorConfig = IntegratorConfig(),
                  *, weight=None,
                  r_max: float = R_MAX_DEFAULT,
-                 samples: int = R_GRID_SAMPLES) -> ShootingReport:
+                 samples: int = R_WALK_SAMPLES) -> ShootingReport:
     """Boundary connection on a line base, using the first integral.
 
     Same contract as :func:`connect_points` for a one-dimensional base
@@ -591,7 +599,8 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
     evaluation reads the explicit first integral of the base equation
     instead of shooting.  The base leg is integrated once, at the root, as
     a plain rescaled-metric geodesic; the report carries the residual of
-    the first integral measured along it.
+    the first integral measured along it.  ``r_max`` and ``samples`` bound
+    the solve as in :func:`connect_points`.
     """
     y0 = np.asarray(y0, dtype=float)
     y1 = np.asarray(y1, dtype=float)

@@ -265,9 +265,11 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
     ``(P, R, Q)``, is the base sectional curvature ``K1`` of each, read from
     the chart when not given (a frame of one vector needs it given).
 
-    Every ``r`` is checked admissible before any work, and the frames
-    orthonormal after scaling.  The warp's jet is evaluated once per point;
-    the rest is array expressions over all ``(point, r, frame)`` rows.
+    Every ``r`` is checked admissible before any work, ``1 + r k > 0`` at
+    every point (:class:`NumericalError` where a warp above its declared
+    ``K0`` breaks it), and the frames orthonormal after scaling.  The
+    warp's jet is evaluated once per point; the rest is array expressions
+    over all ``(point, r, frame)`` rows.
     Returns ``(K, ok)``.  ``K`` is ``(P, R, Q)``, the curvature of each
     plane under ``(1/k + r) g1`` (``None`` for frames of one vector):
 
@@ -290,6 +292,8 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
     points = np.asarray(points, dtype=float)
     e = np.asarray(frames, dtype=float)
     k, dk, H, dk2, g = _jets(g1, w, points)
+    for r in r_values:
+        _require_rescalable(w, float(r), points, k)
     # row quantities carry a trailing axis that broadcasts over frame vectors
     k, dk2 = k[:, None, None, None], dk2[:, None, None, None]
     r = np.asarray(r_values, dtype=float)[:, None, None]

@@ -45,7 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DslEvaluationError, DslNameError, DslSyntaxError
+from .errors import (
+    DslEvaluationError, DslNameError, DslSyntaxError, WarpGeoError,
+)
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
@@ -670,7 +672,7 @@ class _Emitter:
 
     def source(self, body, result: str, head: str = "x") -> str:
         params = ", ".join([*self.bound, "_fail", "_array", "_any", "_all",
-                            "_full", "_rows", "_nan", "_raised", *FUNCTIONS])
+                            "_full", "_rows", "_nan", "_raised", "_typed", *FUNCTIONS])
         lines = "".join(f"        {line}\n" for line in body)
         return (f"def _build({params}):\n    def _f({head}):\n{lines}"
                 f"        return {result}\n    return _f\n")
@@ -720,7 +722,9 @@ class _Emitter:
                  "    for _ in range(steps):",
                  *(f"        {line}" for line in steps),
                  f"        out += ({state},)",
-                 "except ZeroDivisionError:",
+                 "except _typed:",
+                 "    raise",
+                 "except (ZeroDivisionError, ValueError):",
                  f"    out += ({'_nan, ' * n})",
                  f"    return out, (0, {self.finite})",
                  *done]
@@ -757,7 +761,7 @@ def _function(emitter: _Emitter, source: str):
     return namespace["_build"](
         **emitter.bound, _fail=fail, _array=np.array, _any=np.any, _all=np.all,
         _full=np.full, _rows=_rows, _nan=math.nan,
-        _raised=(DslEvaluationError, OverflowError),
+        _raised=(DslEvaluationError, OverflowError), _typed=WarpGeoError,
         **{name: getattr(functions, name) for name in FUNCTIONS})
 
 
@@ -870,8 +874,10 @@ def rk4_geodesic_loop(e: Expr, dim: int):
     :data:`FINITE_STATE`) or where a condition of :func:`domain_failure`
     fails at its point; the conditions are tested at the first stage of
     each step, where the gradient computes their operands anyway.  A step
-    that divides by zero makes a state of NaN, which fails.  Every other
-    domain check of a stage raises, as in the step form.
+    that divides by zero, or that overflows into ``sin`` or ``cos`` of an
+    infinite stage coordinate (a math domain error), makes a state of NaN,
+    which fails.  Every other domain check of a stage raises, as in the
+    step form.
     """
     return _compiled(e, _LOOP, dim)
 

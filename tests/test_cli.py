@@ -354,6 +354,24 @@ def test_a_warp_above_its_declared_bound_is_a_numerical_failure(tmp_path):
     assert "[k0, K0] = [1.5, 2.2]" in payload["message"]
 
 
+def test_a_curvature_scan_past_the_warps_declared_bound_is_a_numerical_failure(tmp_path):
+    # k reaches 2.5 at x1 = pi/4, above the declared K0 = 2.2, so the
+    # admissible r = -0.44 makes 1 + r k negative inside the window
+    doc = dict(CURVATURE_SCAN, base_chart={"name": "euclidean", "dim": 2},
+               warp={"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.2})
+    doc["curvature_scan"] = dict(CURVATURE_SCAN["curvature_scan"], r_values=[-0.44],
+                                 grid={"mins": [0.0, 0.0], "maxs": [1.5, 1.0],
+                                       "counts": [3, 2]})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    assert not (out / "report.json").exists()
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "NumericalError"
+    assert "at [0.75, 0.0]" in payload["message"]
+    assert "r = -0.44" in payload["message"]
+
+
 def test_missed_end_point_is_a_numerical_failure(tmp_path):
     doc = {
         "task": "flrw",

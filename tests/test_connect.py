@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import warpgeo as wg
-from warpgeo import cli, connect, reparam, warpfn
+from warpgeo import _num, cli, connect, reparam, warpfn
 from warpgeo.connect import BetaResult, _beta_from_mu, _restricted, _shoot
 from warpgeo.errors import (
     BracketingError, ChartDomainError, InputError, NumericalError, ParameterError,
@@ -89,6 +89,18 @@ def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
     assert len(calls) == 1 + res.iterations <= 5
     cold = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST)
     np.testing.assert_allclose(res.X_r.components, cold.X_r.components, atol=1e-9)
+
+
+def test_the_readme_example_solves_in_few_dial_evaluations(monkeypatch):
+    # The README example at its default 1024 steps.  The counts repeat
+    # exactly; a geometric walk to the bracket took 16 dial evaluations and
+    # 71 integrations here.
+    shots = _count_calls(monkeypatch, connect, "_geodesic_states")
+    report = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
+                               (X0, np.zeros(1)), (X1, np.array([0.4])))
+    assert report.iterations <= 8
+    assert len(shots) <= 35
+    assert report.endpoint_error <= wg.IntegratorConfig().tolerance
 
 
 @pytest.mark.parametrize("jac_init", [
@@ -284,8 +296,65 @@ def test_a_nan_dial_value_in_the_refinement_is_a_numerical_error():
 
     with pytest.raises(NumericalError, match=r"NaN at r = 0\.5"):
         connect._solve_r(evaluate, 1.5, -1.0, 10.0, 64)
-    # the grid walk bracketed the root, [0.471, 0.545], without a NaN
+    # the walk bracketed the root, [0.389, 0.640], without a NaN
     assert all(abs(r - 0.5) >= 1e-3 for r in seen[:-1])
+
+
+def _power_dial(c, s, e, lower, seen):
+    """The dial ``c (r - lower)^s + e``, recording each ``r`` it is handed."""
+    def evaluate(r, *_):
+        seen.append(r)
+        return BetaResult(c * (r - lower) ** s + e,
+                          wg.TangentVector(np.zeros(1), np.ones(1)), 1.0, 1.0, None)
+    return evaluate
+
+
+def test_the_walk_raises_after_samples_dial_evaluations(monkeypatch):
+    seen = []
+    dial = _power_dial(1.0, -0.5, 0.0, -1.0, seen)
+    for beta0, message in ((1e-3, "stayed above"), (1e3, "not reached")):
+        seen.clear()
+        with pytest.raises(BracketingError, match=f"{message}.* after 2 dial evaluations"):
+            connect._solve_r(dial, beta0, -1.0, 1e6, 2)
+        assert len(seen) == 2
+    # the same cap through the public call, on a reachable target
+    calls = _count_calls(monkeypatch, connect, "beta_of_r")
+    line = wg.euclidean(1)
+    with pytest.raises(BracketingError, match="stayed above"):
+        wg.connect_points(line, line, wg.WarpField.constant(1.0, 1),
+                          (np.zeros(1), np.zeros(1)), (np.ones(1), np.array([0.05])),
+                          FAST, samples=2)
+    assert len(calls) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c=st.floats(0.1, 10.0), s=st.floats(-3.0, -0.05),
+       e=st.just(0.0) | st.floats(0.0, 10.0), lower=st.floats(-1.0, 0.0),
+       case=st.sampled_from(["reached", "above", "below"]),
+       offset=st.floats(-10.0, 6.0), margin=st.floats(1e-3, 10.0))
+def test_the_root_find_solves_every_decreasing_power_dial(c, s, e, lower, case,
+                                                           offset, margin):
+    """On ``c (r - lower)^s + e``: the root to Brent's tolerance (widened
+    by the rounding of the dial where it is flat) where the target is in
+    reach, the matching bracketing error where it is not, and every ``r``
+    handed over once, as a Python float."""
+    seen, r_max = [], 1e6
+    dial = _power_dial(c, s, e, lower, seen)
+    floor = lower + 1e-12 * (1.0 + abs(lower))
+    if case == "reached":
+        r_true = lower + 10.0 ** offset
+        beta0 = c * (r_true - lower) ** s + e
+        root, res, evaluations = connect._solve_r(dial, beta0, lower, r_max, 64)
+        flat = 16.0 * np.finfo(float).eps * beta0 / (-s * c * (r_true - lower) ** (s - 1.0))
+        assert abs(root - r_true) <= _num.BRENT_XTOL + _num.BRENT_RTOL * abs(r_true) + flat
+        assert res.beta == c * (root - lower) ** s + e and evaluations == len(seen)
+    else:
+        end, message = (floor, "not reached") if case == "above" else (r_max, "stayed above")
+        beta0 = (c * (end - lower) ** s + e) * (1.0 + margin) ** (1 if case == "above" else -1)
+        with pytest.raises(BracketingError, match=message):
+            connect._solve_r(dial, beta0, lower, r_max, 64)
+    assert len(set(seen)) == len(seen)
+    assert all(type(r) is float for r in seen)
 
 
 def test_every_r_handed_to_the_dial_is_a_python_float(monkeypatch):

@@ -228,13 +228,15 @@ def _per_step_outcome(chart, inside, p0, v0, steps):
             if i:
                 try:
                     y = step(y, h, chart.exponent_args)
-                except ZeroDivisionError:
+                except DslEvaluationError:
+                    raise
+                except (ZeroDivisionError, ValueError):
                     y = (math.nan,) * len(y)
             point = y[:chart.dim]
             if not (all(map(math.isfinite, y)) and inside(point)):
                 return "left", chart.name, i / steps, point
             states.append(y)
-    except (DslEvaluationError, ValueError, OverflowError) as exc:
+    except (DslEvaluationError, OverflowError) as exc:
         return "raised", type(exc), str(exc)
     return "states", np.array(states)
 
@@ -244,7 +246,7 @@ def _loop_outcome(chart, p0, v0, steps):
         return "states", integrate._geodesic_states(chart, p0, v0, steps)
     except ChartDomainError as exc:
         return "left", exc.chart_name, exc.t_exit, exc.point
-    except (DslEvaluationError, ValueError, OverflowError) as exc:
+    except (DslEvaluationError, OverflowError) as exc:
         return "raised", type(exc), str(exc)
 
 
@@ -309,6 +311,18 @@ def test_a_warp_above_its_declared_bound_ends_the_geodesic_at_once():
     assert err.value.payload()["condition"] == err.value.condition
     assert not chart.contains([math.pi / 4, 1.0])
     assert chart.contains([0.0, 1.0])
+
+
+def test_a_state_that_overflows_inside_sine_is_not_finite():
+    # the stage coordinates pass 1e308 within the first step, and sin(inf)
+    # is a math domain error: the state that step makes is not finite
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)*cos(2*x2)", 2, 1.5, 2.5)
+    chart = wg.conformal_metric(wg.euclidean(2), w, 0.5)
+    with pytest.raises(ChartDomainError) as err:
+        wg.integrate_geodesic(chart, [0.1, 1.0], [1e150, 0.0],
+                              wg.IntegratorConfig(steps=16))
+    assert err.value.condition == warpfn.FINITE_STATE
+    assert err.value.t_exit == 1.0 / 16.0
 
 
 def test_the_oracle_loop_resumes_after_a_classical_step(monkeypatch):

@@ -22,7 +22,7 @@ from warpgeo.warp import (
     value_and_grad,
     values_along,
 )
-from warpgeo.errors import InputError, ParameterError
+from warpgeo.errors import InputError, NumericalError, ParameterError
 
 
 def _sine_field():
@@ -321,6 +321,20 @@ def test_batch_kernel_checks_r_before_any_work_and_every_frame(monkeypatch):
     with pytest.raises(InputError, match="must be unit"):
         rescaled_curvature(base, w, points, [0.5], 2.0 * frames[:, :1, :, :1],
                            plane_curvature=-1.0)
+
+
+def test_a_warp_above_its_declared_bound_stops_the_curvature():
+    # k = 2.5 at x1 = pi/4, where K0 = 2.2 is declared: r = -0.44 is
+    # admissible, yet 1 + r k = -0.1 there, and the metric is not Riemannian
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.2)
+    points = np.array([[0.0, 0.0], [0.785, 0.0]])
+    frames = np.broadcast_to(np.eye(2), (2, 1, 1, 2, 2))
+    with pytest.raises(NumericalError, match=r"at \[0\.785, 0\.0\]") as err:
+        rescaled_curvature(wg.euclidean(2), w, points, [0.5, -0.44], frames)
+    assert "r = -0.44" in str(err.value)
+    assert "[k0, K0] = [1.5, 2.2]" in str(err.value)
+    K, ok = rescaled_curvature(wg.euclidean(2), w, points, [0.5, -0.4], frames)
+    assert np.all(np.isfinite(K))
 
 
 def test_rescaled_curvature_constant_field_closed_form():

@@ -28,7 +28,7 @@ from .connect import (
 )
 from .errors import InputError, NumericalError, ParameterError, WarpGeoError
 from .integrate import (
-    IntegratorConfig, curve_to_csv, geodesic_residual,
+    IntegratorConfig, _write_csv, curve_to_csv, geodesic_residual,
     integrate_coupled_oracle, integrate_geodesic, speed_drift,
 )
 from .manifold import (
@@ -494,8 +494,7 @@ def run_curvature(tc: TaskConfig, out: Path) -> dict:
     header = ",".join(
         [f"x{i + 1}" for i in range(g1.dim)] + ["r", "curvature", "criterion_ok"]
     )
-    np.savetxt(out / "curvature.csv", rows, fmt="%.17g",
-               delimiter=",", header=header, comments="")
+    _write_csv(out / "curvature.csv", header, rows)
     report = {
         "samples": len(rows),
         "all_negative": bool(np.all(K < 0.0)),
@@ -573,8 +572,7 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
             warm = res.X_r.components, res.jacobian
         rows.append([r, res.beta, res.a_r, res.b_r, res.iterations])
     table = np.array(rows)
-    np.savetxt(out / "beta.csv", table, fmt="%.17g", delimiter=",",
-               header="r,beta,a_r,b_r,iterations", comments="")
+    _write_csv(out / "beta.csv", "r,beta,a_r,b_r,iterations", table)
     betas = table[:, 1]
     report = {
         "samples": len(rows),

@@ -449,7 +449,29 @@ def speed_drift(chart: MetricChart, curve: Curve) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
-_FMT = "%.17g"
+def _write_csv(path, header: str, table):
+    """Write the rows of ``table`` under the line ``header``, each value as
+    ``%.17g``, comma-separated: byte for byte what numpy's row-by-row text
+    writer gives with that format and no comment prefix.
+
+    A column formats each distinct value once, keyed by its bits so that
+    ``-0.0`` and ``0.0`` stay apart, unless most of its values are
+    distinct; the rows are streamed to the file."""
+    table = np.asarray(table, dtype=float)
+    columns = []
+    for j, column in enumerate(table.T):
+        fmt = "%.17g\n" if j == table.shape[1] - 1 else "%.17g,"
+        values = column.tolist()
+        bits = column.view(np.int64).tolist()
+        distinct = dict(zip(bits, values))
+        if 2 * len(distinct) > len(values):
+            columns.append([fmt % x for x in values])
+        else:
+            text = {b: fmt % x for b, x in distinct.items()}
+            columns.append([text[b] for b in bits])
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(map("".join, zip(*columns)))
 
 
 def curve_to_csv(curve: Curve, path):
@@ -458,8 +480,7 @@ def curve_to_csv(curve: Curve, path):
     header = ",".join(
         ["t"] + [f"x{i + 1}" for i in range(d)] + [f"v{i + 1}" for i in range(d)]
     )
-    table = np.column_stack([curve.params, curve.points, curve.velocities])
-    np.savetxt(path, table, fmt=_FMT, delimiter=",", header=header, comments="")
+    _write_csv(path, header, np.column_stack([curve.params, curve.points, curve.velocities]))
 
 
 def curve_from_csv(path) -> Curve:

@@ -71,8 +71,13 @@ class MetricChart:
         symbols in closed form, beside ``metric_at``; when omitted they are
         assembled from central differences of ``metric_at``.
     sectional_at : callable, optional
-        ``(point, e1, e2) -> float`` analytic sectional curvature of the
-        plane spanned by an orthonormal pair.
+        ``(points, e1, e2)`` -> analytic sectional curvature of the planes
+        spanned by orthonormal pairs, in one batch: points ``(..., dim)``
+        and pair vectors ``(..., dim)`` whose leading axes broadcast, and
+        a value that broadcasts over those leading axes (a constant for a
+        chart of constant curvature).  Without it, a plane's curvature is
+        contracted from the differenced curvature tensor, one plane at a
+        time.
     in_domain : callable, optional
         Point -> bool chart-domain predicate beside ``metric_at``; default
         accepts everything.  It is called with the point as given, which

@@ -95,10 +95,12 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     itself is recovered by inverting the linear interpolant of those
     samples, then a Newton polish against the locally re-integrated
     forward relation (:func:`~warpgeo._num.invert_running_integral`).
+    A node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
     h = _even_panel_step(mu)
     k = values_along(w, mu.points)
+    _require_rescalable(w, r, mu.points, k)
     accum = cumulative_simpson(k / (1.0 + r * k), h)
     a = accum[-1]
 
@@ -134,11 +136,13 @@ def phi_constant_from_trace(gamma: Curve, w: WarpField, r: float) -> float:
     Chain rule on the defining relation gives
     ``1/a = integral of (1 + r k)/k along gamma``; this recovers ``a``
     without access to the rescaled-metric curve, which is what the
-    classifier needs when it starts from a mixed-signature geodesic.
+    classifier needs when it starts from a mixed-signature geodesic.  A
+    node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
     h = _even_panel_step(gamma)
     k = values_along(w, gamma.points)
+    _require_rescalable(w, r, gamma.points, k)
     return 1.0 / composite_simpson((1.0 + r * k) / k, h)
 
 
@@ -319,7 +323,8 @@ def norm_identity_errors(geo: RiemannianGeodesic, w: WarpField,
 
     and the fiber speed satisfies ``k^2 |tau'|^2 = b^2 |Y_0|^2`` (in
     particular that product is a first integral).  Returns the max-norm
-    errors of both, plus the drift of the first integral itself.
+    errors of both, plus the drift of the first integral itself.  A node of
+    ``gamma`` where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     mu, nu = geo.base
     gamma, tau = geo.gamma, geo.tau
@@ -328,6 +333,7 @@ def norm_identity_errors(geo: RiemannianGeodesic, w: WarpField,
     Y2 = _squared_speeds(g2, nu.points[0], nu.velocities[0])[0]
     r, a, b = geo.r, geo.a_r, geo.b_r
     k = values_along(w, gamma.points)
+    _require_rescalable(w, r, gamma.points, k)
     base_pred = a * a * (1.0 + r * k0x) * (1.0 + r * k) / (k0x * k) * X2
     base_speed2 = _squared_speeds(g1, gamma.points, gamma.velocities)
     products = k * k * _squared_speeds(g2, tau.points, tau.velocities)

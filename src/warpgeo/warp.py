@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,8 +172,12 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
     name = f"conformal({g1.name}, r={r:g})"
 
     def sectional(p, e1, e2):
-        # callers hand a pair orthonormal for the rescaled metric
-        return _one_row(g1, w, r, p, (e1, e2), rescaled=True)[0].item()
+        # callers hand pairs orthonormal for the rescaled metric, in a
+        # batch that broadcasts; each pair is one row of the kernel
+        p, e1, e2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, e1, e2)))
+        frames = np.stack([e1, e2], axis=-2).reshape(-1, 1, 1, 2, dim)
+        K = rescaled_curvature(g1, w, p.reshape(-1, dim), [r], frames, rescaled=True)[0]
+        return K.reshape(p.shape[:-1])
 
     if g1.exponent is not None:
         return MetricChart(dim=dim, sectional_at=sectional,
@@ -262,8 +266,11 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
     vectors orthonormal for the base metric, or for ``(1/k + r) g1`` when
     ``rescaled`` (they are then scaled back by ``sqrt(1/k + r)``).  A frame
     of two spans a plane; ``plane_curvature``, broadcasting against
-    ``(P, R, Q)``, is the base sectional curvature ``K1`` of each, read from
-    the chart when not given (a frame of one vector needs it given).
+    ``(P, R, Q)``, is the base sectional curvature ``K1`` of each.  When it
+    is not given it is read from the chart: from one batched call of its
+    ``sectional_at`` for all planes, or plane by plane from the differenced
+    curvature tensor on a chart without one (a frame of one vector needs
+    it given).
 
     Every ``r`` is checked admissible before any work, ``1 + r k > 0`` at
     every point (:class:`NumericalError` where a warp above its declared
@@ -300,10 +307,12 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
     if rescaled:
         e = np.sqrt(1.0 / k + r)[..., None] * e
     _require_orthonormal(g[:, None, None], e)
-    if plane_curvature is None:
-        sectional = g1.sectional_at or partial(sectional_curvature, g1)
+    if plane_curvature is None and g1.sectional_at is not None:
+        plane_curvature = np.broadcast_to(g1.sectional_at(
+            points[:, None, None], e[..., 0, :], e[..., 1, :]), e.shape[:3])
+    elif plane_curvature is None:
         plane_curvature = np.reshape([
-            sectional(p, *f) for p, at_p in zip(points, e)
+            sectional_curvature(g1, p, *f) for p, at_p in zip(points, e)
             for f in at_p.reshape(-1, *e.shape[3:])
         ], e.shape[:3])
     K1 = np.asarray(plane_curvature, dtype=float)[..., None]

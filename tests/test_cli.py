@@ -1,5 +1,6 @@
 """Command-line driver, exercised in process through ``main(argv)``."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -209,6 +210,22 @@ def test_curvature_scan_evaluates_the_warp_once_per_grid_point(tmp_path, monkeyp
         CURVATURE_SCAN["curvature_scan"], planes=2)), "--quiet")
     assert code == 0
     assert len(calls) == len(set(calls)) == 9
+
+
+def test_curvature_scan_reads_the_base_curvature_in_one_call(tmp_path, monkeypatch):
+    chart = wg.poincare_half_plane()
+    shapes = []
+
+    def counted(points, e1, e2):
+        shapes.append(np.broadcast_shapes(points.shape, e1.shape, e2.shape))
+        return chart.sectional_at(points, e1, e2)
+
+    monkeypatch.setattr(cli, "poincare_half_plane",
+                        lambda: dataclasses.replace(chart, sectional_at=counted))
+    code, _ = run_task(tmp_path, dict(CURVATURE_SCAN, curvature_scan=dict(
+        CURVATURE_SCAN["curvature_scan"], planes=2)), "--quiet")
+    assert code == 0
+    assert shapes == [(9, 2, 2, 2)]  # points, r values, planes, coordinates
 
 
 def _beta_scan(**params):
@@ -677,16 +694,42 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+FITTED_RIEMANNIZE = {
+    "task": "riemannize",
+    "base_chart": {"name": "poincare_half_plane"},
+    "fiber_chart": {"name": "circle", "radius": 1.0},
+    "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+    "integrator": {"steps": 256},
+    "riemannize": {"r": 1.0, "x0": [0.0, 1.0], "X0": [2.0, 0.8],
+                   "y0": [0.0], "Y0": [1.0], "fit_fiber_speed": True},
+}
+
+CSV_TASKS = {
+    "integrate": (HYPERBOLIC_INTEGRATE, ["curve.csv"]),
+    "riemannize": (FITTED_RIEMANNIZE, ["mu.csv", "nu.csv", "gamma.csv", "tau.csv"]),
+    "curvature_scan": (CURVATURE_SCAN, ["curvature.csv"]),
+    "beta_scan": (_beta_scan(r_values=[0.0, 3.0, 8.0, 99.0]), ["beta.csv"]),
+}
+
+
+@pytest.mark.parametrize("task", sorted(CSV_TASKS))
+def test_every_csv_is_the_savetxt_of_its_read_back(tmp_path, task):
+    # the format the CSVs have always had: %.17g, comma-separated, one
+    # header line with no comment prefix
+    doc, names = CSV_TASKS[task]
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0
+    for name in names:
+        written = (out / name).read_bytes()
+        header = written.decode().partition("\n")[0]
+        table = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+        np.savetxt(tmp_path / "want.csv", table, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        assert written == (tmp_path / "want.csv").read_bytes(), name
+
+
 def test_fitted_riemannize_builds_the_base_maps_once(tmp_path, monkeypatch):
-    doc = {
-        "task": "riemannize",
-        "base_chart": {"name": "poincare_half_plane"},
-        "fiber_chart": {"name": "circle", "radius": 1.0},
-        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
-        "integrator": {"steps": 256},
-        "riemannize": {"r": 1.0, "x0": [0.0, 1.0], "X0": [2.0, 0.8],
-                       "y0": [0.0], "Y0": [1.0], "fit_fiber_speed": True},
-    }
+    doc = FITTED_RIEMANNIZE
     calls = []
     build = reparam.compute_a_and_phi
 

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package and its tests
 is used, the package neither imports nor loads scipy, code is generated and
 run in one module only, only the chart module reads how a chart was
-defined, no exponent chart carries a domain predicate, and no module
-caches by identity."""
+defined, no exponent chart carries a domain predicate, no module caches by
+identity, and the package writes CSV through one writer."""
 
 import ast
 import os
@@ -167,3 +167,10 @@ def test_no_module_caches_by_identity(path):
 def test_the_check_sees_identity_reads():
     source = "c = node.__dict__\nk = id(node)\nd = derivative_on_grid(v, h)\n"
     assert _identity_reads(source) == ["__dict__ (line 1)", "id (line 2)"]
+
+
+def test_the_package_has_one_csv_writer():
+    # every CSV goes through integrate._write_csv, which formats each
+    # repeated value once
+    found = [p.name for p in PACKAGE.glob("*.py") if "savetxt" in p.read_text()]
+    assert found == []

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BPoly
 from scipy.optimize import brentq
@@ -733,6 +733,60 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.velocities, curve.velocities)
     header = path.read_text().splitlines()[0]
     assert header == "t,x1,x2,v1,v2"
+
+
+_CSV_VALUES = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+               | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310]))
+
+
+@st.composite
+def _csv_tables(draw):
+    """Tables of 1-30 rows and 1-5 columns; a column either draws its
+    values freely or repeats a few, as the scan's coordinate columns do."""
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    columns = []
+    for _ in range(cols):
+        pool = draw(st.lists(_CSV_VALUES, min_size=1, max_size=4))
+        values = st.sampled_from(pool) if draw(st.booleans()) else _CSV_VALUES
+        columns.append(draw(st.lists(values, min_size=rows, max_size=rows)))
+    return np.array(columns, dtype=float).T
+
+
+def _writer_keyed_by_value(path, header, table):
+    """The distinct-value writer keyed by float value instead of by bits."""
+    table = np.asarray(table, dtype=float)
+    columns = []
+    for j, column in enumerate(table.T):
+        fmt = "%.17g\n" if j == table.shape[1] - 1 else "%.17g,"
+        values = column.tolist()
+        text = {x: fmt % x for x in values}
+        columns.append([text[x] for x in values])
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(map("".join, zip(*columns)))
+
+
+def _check_writer_against_savetxt(writer, directory):
+    @settings(max_examples=150, deadline=None, database=None)
+    @example(table=np.array([[0.0], [-0.0], [0.0], [0.0], [0.0]]), header="x1")
+    @given(table=_csv_tables(), header=st.text("abrtvx0123456789_,", min_size=1, max_size=20))
+    def check(table, header):
+        writer(directory / "got.csv", header, table)
+        np.savetxt(directory / "want.csv", table, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+    check()
+
+
+def test_the_csv_writer_writes_the_bytes_of_savetxt(tmp_path):
+    _check_writer_against_savetxt(integrate._write_csv, tmp_path)
+
+
+def test_the_property_sees_a_writer_that_merges_signed_zeros(tmp_path):
+    # keyed by value, -0.0 finds the text of 0.0; keyed by bits, each its own
+    with pytest.raises(AssertionError):
+        _check_writer_against_savetxt(_writer_keyed_by_value, tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ own integration rules: closed forms where the warp admits one, and adaptive
 ``scipy.integrate.quad`` elsewhere.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,37 @@ def test_map_computation_requires_a_uniform_even_grid():
     odd = wg.Curve(np.linspace(0, 1, 6), np.zeros((6, 1)), np.ones((6, 1)))
     with pytest.raises(InputError, match="panel"):
         wg.compute_a_and_phi(odd, wg.WarpField.constant(1.0, 1), 0.0)
+
+
+# k attains 2.5 at x1 = pi/4, above the declared K0 = 2.2: r = -0.44 is
+# admissible, yet 1 + r k < 0 from x1 = 0.29 on the leg x = 1.5 t
+MISDECLARED = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.2)
+
+
+def _raises_at_the_first_bad_node(call):
+    with pytest.raises(NumericalError, match=r"at \[0\.29296875\], where k = 2\.276") as err:
+        call()
+    assert "r = -0.44" in str(err.value)
+    assert "[k0, K0] = [1.5, 2.2]" in str(err.value)
+
+
+def test_the_base_map_checks_k_at_its_nodes():
+    # it used to end in "inverse of a running integral did not converge"
+    _raises_at_the_first_bad_node(
+        lambda: wg.compute_a_and_phi(_line_curve(1.5, steps=256), MISDECLARED, -0.44))
+
+
+def test_the_trace_side_constant_checks_k_at_its_nodes():
+    # it used to return a = -106.3
+    _raises_at_the_first_bad_node(
+        lambda: wg.phi_constant_from_trace(_line_curve(1.5, steps=256), MISDECLARED, -0.44))
+
+
+def test_the_norm_identities_check_k_at_their_nodes():
+    g1, g2, one, mu, nu = _flat_pair()
+    geo = dataclasses.replace(wg.riemannize(mu, nu, one, 0.0, g1, g2), r=-0.44,
+                              gamma=_line_curve(1.5, steps=256))
+    _raises_at_the_first_bad_node(lambda: wg.norm_identity_errors(geo, MISDECLARED, g1, g2))
 
 
 # ---------------------------------------------------------------------------

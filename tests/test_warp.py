@@ -442,6 +442,70 @@ def test_a_rescaled_chart_reads_its_sectional_curvature_from_one_jet(monkeypatch
     assert got == want
 
 
+def test_a_rescaled_chart_as_the_base_reads_its_curvature_in_batches():
+    # the rescaled chart's sectional_at takes the kernel's batch of planes;
+    # the values are those of the former plane-by-plane reads
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    base = conformal_metric(wg.euclidean(2), w, 0.5)
+    points = np.array([[0.1, 1.0], [0.2, 1.1]])
+    scale = np.sqrt(1.0 / values_along(w, points) + 0.5)
+    frames = (np.eye(2) / scale[:, None, None])[:, None, None]
+    K, ok = rescaled_curvature(base, w, points, [0.3], frames)
+    assert K.shape == (2, 1, 1) and ok.all()
+    np.testing.assert_allclose(K.ravel(), [-0.36588197252276433, -0.456610732350684],
+                               rtol=1e-14)
+    pairs = base.sectional_at(points, frames[:, 0, 0, 0], frames[:, 0, 0, 1])
+    assert pairs.shape == (2,)
+    for p, frame, got in zip(points, frames[:, 0, 0], pairs):
+        assert got == sectional_curvature(base, p, *frame)
+
+
+def _orthonormal_pairs(g, rng, count):
+    """``count`` random pairs made orthonormal for ``g`` by Gram-Schmidt."""
+    pairs = []
+    for _ in range(count):
+        a, b = rng.standard_normal((2, len(g)))
+        e1 = a / math.sqrt(a @ g @ a)
+        e2 = b - (b @ g @ e1) * e1
+        pairs.append([e1, e2 / math.sqrt(e2 @ g @ e2)])
+    return np.array(pairs)
+
+
+# every built-in chart of constant curvature, and one chart given by its
+# metric alone, with a coordinate box inside each
+CURVATURE_BASES = {
+    "euclidean2": (wg.euclidean(2), [(-2.0, 2.0)] * 2),
+    "euclidean3": (wg.euclidean(3), [(-2.0, 2.0)] * 3),
+    "half_plane": (wg.poincare_half_plane(), [(-2.0, 2.0), (0.3, 3.0)]),
+    "ball2": (wg.poincare_ball(2), [(-0.6, 0.6)] * 2),
+    "ball3": (wg.poincare_ball(3), [(-0.5, 0.5)] * 3),
+    "sphere2": (wg.sphere(2), [(0.3, math.pi - 0.3), (-3.0, 3.0)]),
+    "sphere3": (wg.sphere(3, radius=2.0), [(0.3, math.pi - 0.3)] * 2 + [(-3.0, 3.0)]),
+    "metric_only": (MetricChart(2, metric_at=_half_plane), [(-2.0, 2.0), (0.3, 3.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_BASES))
+def test_the_batched_base_curvature_matches_each_plane(name):
+    base, box = CURVATURE_BASES[name]
+    w = wg.WarpField.from_expression("2 + 0.3*sin(2*x1)*cos(x2)", base.dim, 1.7, 2.3)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    points = np.column_stack([rng.uniform(lo, hi, 4) for lo, hi in box])
+    r_values = [-0.2, 0.5, 3.0]
+    frames = np.array([_orthonormal_pairs(_metric(base, p), rng, 6).reshape(3, 2, 2, -1)
+                       for p in points])
+    per_plane = np.array([[[sectional_curvature(base, p, *f) for f in at_r] for at_r in at_p]
+                          for p, at_p in zip(points, frames)])
+    K, ok = rescaled_curvature(base, w, points, r_values, frames)
+    want_K, want_ok = rescaled_curvature(base, w, points, r_values, frames,
+                                         plane_curvature=per_plane)
+    np.testing.assert_array_equal(K, want_K)
+    np.testing.assert_array_equal(ok, want_ok)
+    if base.sectional_at is not None:
+        read = base.sectional_at(points[:, None, None], frames[..., 0, :], frames[..., 1, :])
+        np.testing.assert_array_equal(np.broadcast_to(read, per_plane.shape), per_plane)
+
+
 def test_negativity_check_requires_a_unit_direction():
     half = wg.poincare_half_plane()
     one = wg.WarpField.constant(1.0, 2)

@@ -364,7 +364,7 @@ def _finish_connection(report_obj, w, g1, g2, out: Path) -> dict:
         f"connection found: r={report_obj.r}",
         f"beta={report_obj.beta:.12g} (target {report_obj.target_beta:.12g})",
         f"endpoint error {report_obj.endpoint_error:.3e}, "
-        f"{report_obj.iterations} dial evaluations",
+        f"{report_obj.iterations or 'no'} dial evaluations",
         f"residuals: base {geo.residuals[0]:.3e}, fiber {geo.residuals[1]:.3e}",
     ]
     return {"report": report, "summary": lines}
@@ -414,7 +414,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
             f"general-path cross check: r={general.r:.12g} "
             f"(difference {abs(general.r - rep.r):.3e})"
         )
-    return {"report": result["report"], "summary": result["summary"]}
+    return result
 
 
 @task("partial-connect")

@@ -310,7 +310,9 @@ class ShootingReport:
 
     ``r`` is ``None`` for the degenerate case of coinciding fiber
     endpoints, where the fiber leg is constant and the base leg is a plain
-    base-metric geodesic.
+    base-metric geodesic.  ``iterations`` is the number of distinct ``r``
+    at which the dial was evaluated: 0 in the degenerate case, which
+    evaluates no dial.
     """
 
     r: Optional[float]
@@ -371,7 +373,7 @@ def _assemble_report(mu: Curve, solver_result: BetaResult, r: float,
 
 def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
     """Coinciding fiber endpoints: constant fiber leg, base-metric geodesic."""
-    X, _, mu, iters = _shoot(g1, x0, x1, cfg)
+    X, _, mu, _ = _shoot(g1, x0, x1, cfg)
     t = mu.params.copy()
     y0 = np.asarray(y0, dtype=float)
     nu = Curve(t, np.tile(y0, (t.shape[0], 1)), np.zeros((t.shape[0], y0.shape[0])))
@@ -386,7 +388,7 @@ def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
     endpoint_error = float(np.max(np.abs(mu.points[-1] - np.asarray(x1, dtype=float))))
     return _within_tolerance(ShootingReport(
         r=None, X_r=TangentVector(mu.points[0], X), beta=0.0, target_beta=0.0,
-        geodesic=geo, endpoint_error=endpoint_error, iterations=iters,
+        geodesic=geo, endpoint_error=endpoint_error, iterations=0,
     ), cfg)
 
 

@@ -30,11 +30,10 @@ at every row (:func:`~warpgeo.manifold.geometry_at`), contracted with
 the velocities.  The residual, :func:`geodesic_residual`,
 :func:`speed_drift` and the norm identities of :mod:`warpgeo.reparam` are
 array expressions over all nodes.  The oracle, when both charts carry a
-conformal exponent, applies one generated float step of the same
-Christoffel form, :func:`~warpgeo.warpfn.rk4_coupled_step`, written from
-the base exponent, the warp and the fiber exponent as given, never from
-the pipeline's rescaled exponent or its spray, in one generated loop,
-:func:`~warpgeo.warpfn.rk4_coupled_loop`; on any other pair :func:`_rk4`
+conformal exponent, is one generated float loop of the same Christoffel
+form, :func:`~warpgeo.warpfn.rk4_coupled_loop`, written from the base
+exponent, the warp and the fiber exponent as given, never from the
+pipeline's rescaled exponent or its spray; on any other pair :func:`_rk4`
 applies the classical step of the array kernel on one row.
 """
 
@@ -44,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import math
+import numbers
 
 import numpy as np
 
@@ -209,6 +209,8 @@ class IntegratorConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.steps, numbers.Integral):
+            raise InputError(f"step count must be an integer, got {self.steps!r}")
         if self.steps < 16:
             raise InputError(f"need at least 16 steps, got {self.steps}")
         if self.steps % 2:

@@ -163,7 +163,7 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         G~^k_ij = G^k_ij + (d^k_i u_j + d^k_j u_i - g_ij g^{kl} u_l) / 2
 
     with ``u = d log(1/k + r) = -dk / (k (1 + r k))``.  The chart holds
-    ``r`` as a Python float, so the generated step never does numpy-scalar
+    ``r`` as a Python float, so the generated loop never does numpy-scalar
     arithmetic.
     """
     admissible_range(w).require(r)
@@ -207,7 +207,7 @@ def _rescaled_exponent(phi: warpfn.Expr, r_index: int, k: warpfn.Expr) -> warpfn
     """``phi + log(1/k + r) / 2`` with ``r`` the variable of index ``r_index``.
 
     Interning makes the tree one object per ``(phi, r_index, k)``, and so
-    one compiled step for every value of ``r``; the memo only spares
+    one compiled loop for every value of ``r``; the memo only spares
     building it again on every dial evaluation."""
     factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0), k),
                            warpfn.Var(r_index))
@@ -269,10 +269,11 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
     ``(P, R, Q)``, is the base sectional curvature ``K1`` of each.  When it
     is not given it is read from the chart: from one batched call of its
     ``sectional_at`` for all planes, or plane by plane from the differenced
-    curvature tensor on a chart without one (a frame of one vector needs
-    it given).
+    curvature tensor on a chart without one.  A frame of one vector spans
+    no plane, so it needs ``plane_curvature`` given.
 
-    Every ``r`` is checked admissible before any work, ``1 + r k > 0`` at
+    Every ``r`` is checked admissible and a frame of one vector given its
+    ``plane_curvature`` before any work, ``1 + r k > 0`` at
     every point (:class:`NumericalError` where a warp above its declared
     ``K0`` breaks it), and the frames orthonormal after scaling.  The
     warp's jet is evaluated once per point; the rest is array expressions
@@ -298,6 +299,9 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
         admissible.require(float(r))
     points = np.asarray(points, dtype=float)
     e = np.asarray(frames, dtype=float)
+    if plane_curvature is None and e.shape[3] < 2:
+        raise InputError("a frame of one vector spans no plane: it needs "
+                         "plane_curvature, the base curvature of its plane")
     k, dk, H, dk2, g = _jets(g1, w, points)
     for r in r_values:
         _require_rescalable(w, float(r), points, k)

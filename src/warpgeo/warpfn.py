@@ -21,16 +21,20 @@ the same domain checks.  Every compiled form sits in one bounded cache keyed
 by its tree, so an expression is compiled once per process, however often
 it is parsed again.
 
-Two step forms compile one classical Runge-Kutta step on Python floats:
-:func:`rk4_geodesic_step` reads a tree as the conformal exponent ``psi``
-of a metric ``exp(2 psi) I`` and steps its geodesic equation, and
-:func:`rk4_coupled_step` reads a base exponent, a warp and a fiber
-exponent and steps the coupled geodesic system of the warped metric.
-Their loop forms, :func:`rk4_geodesic_loop` and :func:`rk4_coupled_loop`,
-run the same step body inside one ``for`` loop and test every state they
-make: finite, and inside the domain of each exponent, where every one of
-its logarithms, square roots and divisions is defined
-(:func:`domain_failure`).
+Two loop forms compile classical Runge-Kutta steps on Python floats into
+one ``for`` loop.  The state is a tuple of floats, one ``(point,
+velocity)`` block per chart, and ``args`` binds, in order, the variables
+of each exponent past its chart's coordinates.  At each of the four
+stages of a step, every block reads the gradient ``s`` of its exponent
+``psi`` at the stage's point and computes, at the stage's velocity ``u``,
+the spray ``|u|^2 s - 2 (s . u) u`` of the metric ``exp(2 psi) I``.
+:func:`rk4_geodesic_loop` steps the geodesic equation of one such metric,
+given by its exponent ``psi``; :func:`rk4_coupled_loop` steps the coupled
+geodesic system of the warped metric ``exp(2 phi1) I - k exp(2 phi2) I``,
+whose stages add the warp's coupling terms to both sprays.  Each loop
+tests every state it makes: finite, and inside the domain of each
+exponent, where every one of its logarithms, square roots and divisions is
+defined (:func:`domain_failure`).
 """
 
 from __future__ import annotations
@@ -53,14 +57,14 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
     "parse", "format_expression", "evaluate", "evaluate_many",
     "value_and_gradient", "value_and_gradient_many", "eval2",
-    "domain_failure", "domain_failure_many", "rk4_geodesic_step",
-    "rk4_coupled_step", "rk4_geodesic_loop", "rk4_coupled_loop",
+    "domain_failure", "domain_failure_many", "rk4_geodesic_loop",
+    "rk4_coupled_loop",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
-# entries kept by each cache of compiled forms, least recently used dropped first
+# entries kept by the cache of compiled forms, least recently used dropped first
 _CACHE_SIZE = 256
 
 
@@ -330,8 +334,8 @@ def format_expression(e: Expr) -> str:
 # The compiled functions are cached by tree, form and dimension in one
 # bounded cache; interning makes that key equal across parses.
 
-(_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _STEP, _ARRAY_GRADIENT, _COUPLED, _LOOP,
- _COUPLED_LOOP, _DOMAIN, _ARRAY_DOMAIN) = range(11)
+(_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _ARRAY_GRADIENT, _LOOP, _COUPLED_LOOP,
+ _DOMAIN, _ARRAY_DOMAIN) = range(9)
 _ONE = "1.0"
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -387,15 +391,13 @@ def _combine(plus, minus=()):
 
 class _Emitter:
     """Writes one tree as the body of a function of the point ``x``, or
-    trees as the body of a step of the state ``y`` by ``h``, with trailing
-    arguments ``args``."""
+    trees as the body of a loop of steps of the state ``y`` by ``h``, with
+    trailing arguments ``args``."""
 
     def __init__(self, form: int, dim: int):
-        self.order = {_ARRAY: 0, _STEP: 1, _ARRAY_GRADIENT: 1, _COUPLED: 1,
-                      _LOOP: 1, _COUPLED_LOOP: 1, _DOMAIN: 0,
-                      _ARRAY_DOMAIN: 0}.get(form, form)
+        self.order = {_ARRAY: 0, _ARRAY_GRADIENT: 1, _LOOP: 1, _COUPLED_LOOP: 1,
+                      _DOMAIN: 0, _ARRAY_DOMAIN: 0}.get(form, form)
         self.array = form in (_ARRAY, _ARRAY_GRADIENT, _ARRAY_DOMAIN)
-        self.step = form in (_STEP, _COUPLED, _LOOP, _COUPLED_LOOP)
         self.loop = form in (_LOOP, _COUPLED_LOOP)
         self.dim = dim
         self.arg_offset = 0
@@ -462,9 +464,9 @@ class _Emitter:
         if isinstance(e, Var):
             if e.index not in self.loaded:
                 i = operator.index(e.index)
-                # a step's point is loaded per stage; later variables are
+                # a loop's point is loaded per stage; later variables are
                 # its trailing arguments, read once
-                if self.step:
+                if self.loop:
                     j = self.arg_offset + i - self.dim
                     self.loaded[e.index] = self.hoist(f"p{j}", f"args[{j}]")
                 else:
@@ -650,10 +652,10 @@ class _Emitter:
         return self.rk4(2 * (d1 + d2), rates)
 
     def test_state(self, s: int, block: int, names):
-        """At the first stage of a loop, test the state block ``names``
-        finite, and let the domain checks emitted next end the loop at a
-        failed condition, naming ``block``."""
-        if not (self.loop and s == 0):
+        """At the first stage ``s`` of a step, test the state block
+        ``names`` finite, and let the domain checks emitted next end the
+        loop at a failed condition, naming ``block``."""
+        if s:
             return
         self.verdict = f"return out, ({block}, {{}})"
         self.lines.append((_KEEP, f"if not {_zeros(names)} == 0.0: "
@@ -686,12 +688,6 @@ class _Emitter:
         else:
             result = self.result(e)
         return self.source(sum(self.body(result), []), result)
-
-    def step_source(self, n: int, result: str) -> str:
-        """Source of ``step(y, h, args)`` over a state of ``n`` floats."""
-        state = ", ".join(f"q{i}" for i in range(n))
-        hoisted, kept = self.body(result)
-        return self.source([f"{state}, = y", *hoisted, *kept], result, "y, h, args")
 
     def loop_source(self, result: str, blocks) -> str:
         """Source of ``loop(y, h, args, steps)``: ``steps`` steps from
@@ -778,9 +774,7 @@ def _compiled(e, form: int, dim):
         return _function(emitter, emitter.loop_source(
             result, [(phi1, d1, 0), (phi2, d2, n1)]))
     emitter = _Emitter(form, dim)
-    if form == _STEP:
-        source = emitter.step_source(2 * dim, emitter.geodesic_step(e, dim))
-    elif form == _LOOP:
+    if form == _LOOP:
         source = emitter.loop_source(emitter.geodesic_step(e, dim), [(e, dim, 0)])
     else:
         source = emitter.function_source(e)
@@ -849,25 +843,19 @@ def eval2(e: Expr, point) -> tuple[float, np.ndarray, np.ndarray]:
     return _compiled(e, _HESSIAN, len(x))(x)
 
 
-def rk4_geodesic_step(e: Expr, dim: int):
-    """One classical RK4 step for geodesics of ``exp(2 e) I``, compiled once.
-
-    ``e`` is the conformal exponent of a metric on ``dim`` coordinates;
-    variables past the first ``dim`` are run-time arguments.  Returns
-    ``step(y, h, args)``: the state ``y = (*point, *velocity)`` advanced by
-    ``h`` with ``args`` bound to those variables, all as tuples of floats.
-    Only the exponent's gradient is computed, so a domain check of ``e``
-    runs only where a value it guards is needed.  Integration runs the loop
-    form, :func:`rk4_geodesic_loop`, which also tests every state it makes.
-    """
-    return _compiled(e, _STEP, dim)
-
-
 def rk4_geodesic_loop(e: Expr, dim: int):
-    """The step of :func:`rk4_geodesic_step` in one loop, compiled once.
+    """Classical RK4 steps for geodesics of ``exp(2 e) I`` in one loop,
+    compiled once.
 
-    Returns ``loop(y, h, args, steps)``, which takes ``steps`` steps of
-    ``h`` from the state ``y`` and returns ``(states, failed)``: the flat
+    ``e`` is the conformal exponent of a metric on ``dim`` coordinates; its
+    variables past the first ``dim`` are run-time arguments.  Returns
+    ``loop(y, h, args, steps)``, which takes ``steps`` steps of ``h`` from
+    the state ``y = (*point, *velocity)``, with ``args`` bound to those
+    variables, all as tuples of floats.  Each stage computes the gradient
+    ``s`` of ``e`` at its point and the acceleration ``|u|^2 s - 2 (s . u)
+    u`` at its velocity ``u``; only the gradient is computed, so a domain
+    check of ``e`` runs only where a value it guards is needed.  The loop
+    returns ``(states, failed)``: the flat
     list of the states it made, ``y`` first, and ``None``, or, where a
     state fails, ``(0, condition)`` with that state last in the list.  A
     state fails where an entry is not finite (``condition`` is
@@ -876,35 +864,28 @@ def rk4_geodesic_loop(e: Expr, dim: int):
     each step, where the gradient computes their operands anyway.  A step
     that divides by zero, or that overflows into ``sin`` or ``cos`` of an
     infinite stage coordinate (a math domain error), makes a state of NaN,
-    which fails.  Every other domain check of a stage raises, as in the
-    step form.
+    which fails.  Every other domain check of a stage raises.
     """
     return _compiled(e, _LOOP, dim)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def rk4_coupled_step(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
-                     n1: int = 0):
-    """One classical RK4 step of the coupled geodesic system of the warped
-    metric ``exp(2 phi1) I - k exp(2 phi2) I``, compiled once per triple.
-
-    ``phi1`` and the warp ``k`` are expressions on the ``d1`` base
-    coordinates, ``phi2`` on the ``d2`` fiber coordinates.  Returns
-    ``step(y, h, args)`` over the state ``y = (*x, *u, *y, *v)``; ``args``
-    holds ``phi1``'s run-time arguments (the first ``n1``) and then
-    ``phi2``'s.  The step reads ``phi1`` and ``phi2`` themselves, so their
-    domain checks run.
-    """
-    emitter = _Emitter(_COUPLED, d1)
-    return _function(emitter, emitter.step_source(
-        2 * (d1 + d2), emitter.coupled_step(phi1, k, phi2, d1, d2, n1)))
-
-
 def rk4_coupled_loop(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
                      n1: int = 0):
-    """The step of :func:`rk4_coupled_step` in one loop, compiled once per
-    triple.
+    """Classical RK4 steps of the coupled geodesic system of the warped
+    metric ``exp(2 phi1) I - k exp(2 phi2) I`` in one loop, compiled once
+    per triple.
 
+    ``phi1`` and the warp ``k`` are expressions on the ``d1`` base
+    coordinates, ``phi2`` on the ``d2`` fiber coordinates.  The state is
+    ``(*x, *u, *y, *v)``; ``args`` holds ``phi1``'s run-time arguments (the
+    first ``n1``) and then ``phi2``'s.  From the gradients ``s1`` of
+    ``phi1`` and ``s2`` of ``phi2``, and the warp's value ``k`` and
+    gradient ``dk``, each stage computes the accelerations
+
+        base:  |u|^2 s1 - 2 (s1 . u) u - 1/2 exp(2 phi2) |v|^2 exp(-2 phi1) dk
+        fiber: |v|^2 s2 - 2 (s2 . v) v - (dk . u / k) v
+
+    reading ``phi1`` and ``phi2`` themselves, so their domain checks run.
     Returns ``loop(y, h, args, steps, fallback)``, which runs as the loop
     of :func:`rk4_geodesic_loop` over the base block ``(x, u)`` and the
     fiber block ``(y, v)``: each state is tested finite and inside the

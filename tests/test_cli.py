@@ -91,6 +91,22 @@ def test_connect_task_recovers_the_closed_form_parameter(tmp_path):
         assert (out / name).exists()
 
 
+def test_a_connection_with_coinciding_fiber_end_points_evaluates_no_dial(tmp_path):
+    doc = {
+        "task": "connect",
+        "base_chart": {"name": "poincare_half_plane"},
+        "fiber_chart": {"name": "circle", "radius": 1.0},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+        "integrator": {"steps": 64},
+        "connect": {"x0": [0.0, 1.0], "y0": [0.0], "x1": [1.2, 0.7], "y1": [0.0]},
+    }
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0
+    report = report_of(out)
+    assert report["r"] is None and report["iterations"] == 0
+    assert ", no dial evaluations\n" in (out / "summary.txt").read_text()
+
+
 def test_beta_scan_matches_the_closed_form(tmp_path):
     doc = dict(TRIVIAL_PRODUCT, task="beta-scan")
     doc["beta_scan"] = {"r_values": [0.0, 3.0, 8.0, 99.0], "x0": 0.0, "x1": 1.0}

@@ -233,6 +233,16 @@ def test_coinciding_fiber_endpoints_short_circuit():
     assert max(report.geodesic.residuals) <= 1e-5
 
 
+def test_coinciding_fiber_endpoints_evaluate_no_dial():
+    # the base leg is one shoot of the base metric; its Newton iterations
+    # are not dial evaluations
+    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    report = wg.connect_points(g1, g2, w, (X0, np.zeros(1)), (X1, np.zeros(1)), FAST)
+    assert report.r is None
+    assert report.iterations == 0
+
+
 def test_coinciding_base_endpoints_cannot_move_the_fiber():
     g1 = wg.euclidean(1)
     g2 = wg.euclidean(1)
@@ -704,7 +714,6 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
 
     monkeypatch.setattr(warpfn, "_function", counted)
     warpfn._compiled.cache_clear()
-    warpfn.rk4_coupled_step.cache_clear()
 
     def solve():
         g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
@@ -715,7 +724,6 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
     g1, g2, w, report = solve()
     assert report.iterations > 1
     assert sum(emitter.loop for emitter in compiled) == 2
-    assert sum(emitter.step for emitter in compiled) == 2
     before = len(compiled)
     warpfn.rk4_geodesic_loop(g2.exponent, 1)
     warpfn.rk4_geodesic_loop(wg.conformal_metric(g1, w, report.r).exponent, 2)

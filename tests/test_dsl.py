@@ -364,7 +364,7 @@ def test_malformed_hand_built_nodes_are_rejected(monkeypatch):
     ran = []
     monkeypatch.setattr(warpfn, "exec", lambda *args: ran.append(args), raising=False)
     entries = [*ENTRY_POINTS.values(),
-               lambda node, p: warpfn.rk4_geodesic_step(node, p.size)]
+               lambda node, p: warpfn.rk4_geodesic_loop(node, p.size)]
     for node in (warpfn.Binary("+ 1 +", warpfn.Var(0), warpfn.Var(0)),
                  warpfn.Call("__import__", warpfn.Var(0)),
                  warpfn.Var("0] + x[0")):

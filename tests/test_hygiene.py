@@ -174,3 +174,26 @@ def test_the_package_has_one_csv_writer():
     # repeated value once
     found = [p.name for p in PACKAGE.glob("*.py") if "savetxt" in p.read_text()]
     assert found == []
+
+
+def _cached_functions(source: str) -> list[str]:
+    """The functions a module decorates with ``lru_cache``, called or not."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)]
+
+
+def test_the_expression_compiler_has_one_compile_cache():
+    # every compiled form, the generated loops too, sits in the one cache
+    # of _compiled, keyed by tree; the loops are the only generated steps
+    from warpgeo import warpfn
+
+    assert _cached_functions((PACKAGE / "warpfn.py").read_text()) == ["_compiled"]
+    assert [name for name in dir(warpfn) if name.endswith("_step")] == []
+
+
+def test_the_check_sees_cached_functions():
+    source = ("@lru_cache(maxsize=8)\ndef f(x):\n    pass\n"
+              "@functools.lru_cache\ndef g(x):\n    pass\n"
+              "@other\ndef h(x):\n    pass\n")
+    assert _cached_functions(source) == ["f", "g"]

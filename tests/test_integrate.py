@@ -217,21 +217,20 @@ def test_a_bad_line_weight_is_a_numerical_failure(weight, p0):
 
 
 # The per-step driver the generated loop replaced, kept as its reference:
-# the chart's generated step applied state by state, each state checked
+# the chart's generated loop run one step at a time, each state checked
 # finite and inside the chart's former domain predicate (the base's, on a
-# rescaled chart).
+# rescaled chart).  A one-step loop tests the state it starts from too, so
+# a failure that returns only that state is that state's failure.
 def _per_step_outcome(chart, inside, p0, v0, steps):
-    step = warpfn.rk4_geodesic_step(chart.exponent, chart.dim)
+    loop = warpfn.rk4_geodesic_loop(chart.exponent, chart.dim)
     h, y, states = 1.0 / steps, (*p0.tolist(), *v0.tolist()), []
     try:
         for i in range(steps + 1):
             if i:
-                try:
-                    y = step(y, h, chart.exponent_args)
-                except DslEvaluationError:
-                    raise
-                except (ZeroDivisionError, ValueError):
-                    y = (math.nan,) * len(y)
+                flat, _ = loop(y, h, chart.exponent_args, 1)
+                if len(flat) == len(y):
+                    return "left", chart.name, (i - 1) / steps, y[:chart.dim]
+                y = tuple(flat[len(y):])
             point = y[:chart.dim]
             if not (all(map(math.isfinite, y)) and inside(point)):
                 return "left", chart.name, i / steps, point
@@ -349,9 +348,10 @@ def test_the_oracle_loop_resumes_after_a_classical_step(monkeypatch):
     states = np.column_stack([base.points, base.velocities,
                               fiber.points, fiber.velocities])
     assert tuple(states[1].tolist()) == good
-    step = warpfn.rk4_coupled_step(g1.exponent, 2, w.expr, g2.exponent, 1)
+    loop = warpfn.rk4_coupled_loop(g1.exponent, 2, w.expr, g2.exponent, 1)
     for y, after in zip(states[1:-1].tolist(), states[2:].tolist()):
-        assert step(tuple(y), 1.0 / steps, ()) == tuple(after)
+        flat, failed = loop(tuple(y), 1.0 / steps, (), 1, _no_fallback)
+        assert failed is None and tuple(flat[6:]) == tuple(after)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +600,10 @@ def test_a_node_off_the_chart_is_a_numerical_error():
             measure()
 
 
+def _no_fallback(y, h):
+    raise AssertionError("a stage of the generated step raised")
+
+
 def _array_kernel_step(g1, g2, w):
     """The classical RK4 step of the array kernel on one row."""
     d1, d2 = g1.dim, g2.dim
@@ -625,11 +629,16 @@ def test_generated_oracle_step_matches_the_array_kernel(base, x0, X0):
     cfg = wg.IntegratorConfig(steps=256)
     z0, V0 = (np.array(x0), np.array([0.3])), (np.array(X0), np.array([0.8]))
     base_curve, fiber_curve = wg.integrate_coupled_oracle(g1, g2, w, z0, V0, cfg)
-    generated = warpfn.rk4_coupled_step(g1.exponent, 2, w.expr, g2.exponent, 1)
+    loop = warpfn.rk4_coupled_loop(g1.exponent, 2, w.expr, g2.exponent, 1)
     classical = _array_kernel_step(g1, g2, w)
     states = np.column_stack([base_curve.points, base_curve.velocities,
                               fiber_curve.points, fiber_curve.velocities])
-    worst = max(np.max(np.abs(np.subtract(generated(tuple(y), 1 / 256, ()),
+
+    def generated(y, h):
+        # one step of the loop; a stage that raises fails the test
+        return loop(y, h, (), 1, _no_fallback)[0][-len(y):]
+
+    worst = max(np.max(np.abs(np.subtract(generated(tuple(y), 1 / 256),
                                           classical(tuple(y), 1 / 256))))
                 for y in states.tolist())
     assert worst <= 1e-12
@@ -679,6 +688,10 @@ def test_integrator_config_validation():
         wg.IntegratorConfig(steps=8)
     with pytest.raises(InputError):
         wg.IntegratorConfig(steps=129)
+    for steps in (32.0, np.float64(32.0), "32"):
+        with pytest.raises(InputError, match="must be an integer"):
+            wg.IntegratorConfig(steps=steps)
+    assert wg.IntegratorConfig(steps=np.int64(32)).steps == 32
     for tolerance in (0.0, math.inf, math.nan):
         with pytest.raises(InputError, match="tolerance"):
             wg.IntegratorConfig(tolerance=tolerance)

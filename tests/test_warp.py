@@ -323,6 +323,18 @@ def test_batch_kernel_checks_r_before_any_work_and_every_frame(monkeypatch):
                            plane_curvature=-1.0)
 
 
+def test_a_frame_of_one_vector_needs_its_plane_curvature(monkeypatch):
+    # one vector spans no plane, so the chart's sectional curvature cannot
+    # be read for it: the call fails before the warp's jet is evaluated
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    frames = np.ones((1, 1, 1, 1, 2)) / math.sqrt(2.0)
+    jets = []
+    monkeypatch.setattr("warpgeo.warp._jets", lambda *args: jets.append(args))
+    with pytest.raises(InputError, match="one vector .* needs plane_curvature"):
+        rescaled_curvature(wg.euclidean(2), w, np.zeros((1, 2)), [0.5], frames)
+    assert jets == []
+
+
 def test_a_warp_above_its_declared_bound_stops_the_curvature():
     # k = 2.5 at x1 = pi/4, where K0 = 2.2 is declared: r = -0.44 is
     # admissible, yet 1 + r k = -0.1 there, and the metric is not Riemannian

@@ -1,11 +1,11 @@
 """Small numeric kernels shared by the geometry modules.
 
 Quadrature (composite and running Simpson-type rules), a fourth-order grid
-derivative, the one monotone inversion: the inverse of a table's linear
-interpolant, polished by Newton steps against the re-integrated forward map
-(:func:`invert_running_integral`), and Brent's bracketed scalar root find
-(:func:`brent_root`).  Everything here operates on plain uniform grids or
-Python floats and is deterministic, which keeps the higher-level outputs
+derivative, and the one monotone inversion: the inverse of a table's linear
+interpolant, moved by one Newton step on the table's cubic Hermite
+interpolant and polished by Newton steps against the re-integrated forward
+map (:func:`invert_running_integral`).  Everything here operates on plain
+uniform grids and is deterministic, which keeps the higher-level outputs
 byte-reproducible.
 """
 
@@ -15,10 +15,12 @@ import sys
 
 import numpy as np
 
-from .errors import BracketingError, InputError, NumericalError
+from .errors import InputError, NumericalError
 
 GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# The bracket width ``BRENT_XTOL + BRENT_RTOL |r|`` at which a solve for
+# ``r`` on a dial that reports no resolution stops (scipy's brentq defaults).
 BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * sys.float_info.epsilon
 
 
@@ -79,48 +81,69 @@ def derivative_on_grid(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def invert_running_integral(integrand, grid: np.ndarray,
-                            accum: np.ndarray) -> np.ndarray:
+def invert_running_integral(integrand, grid: np.ndarray, accum: np.ndarray,
+                            slopes: np.ndarray) -> np.ndarray:
     """Nodes ``u`` with ``F(u_i) = F(1) * grid_i``, ``F`` a running integral.
 
-    ``grid`` is uniform over ``[0, 1]``, ``accum`` holds ``F`` at its nodes
-    and ``integrand`` evaluates ``F'`` (positive) on a 1-d array.  The
-    inverse of the table's linear interpolant gives a first guess; Newton
-    steps against the locally re-integrated forward map (``F`` at the
-    nearest node plus a Gauss panel to the query point) then leave only the
-    smooth quadrature error of the table itself.  Each step evaluates the
-    integrand once, at the panel nodes and the current nodes together.  The
-    polish stops after a step that moves no node by more than ``sqrt(eps)``,
-    since quadratic convergence puts the next move below roundoff, and after
-    four steps at most: a fourth step that still moves a node by more than
-    ``1e-6`` of the grid step has not converged (the polish cycles next to a
-    pole of the integrand) and raises :class:`NumericalError`.
+    ``grid`` is uniform over ``[0, 1]``, ``accum`` holds ``F`` at its nodes,
+    ``slopes`` holds ``F'`` there and ``integrand`` evaluates ``F'``
+    (positive) on a 1-d array.  The inverse of the table's linear
+    interpolant, moved by one Newton step on the table's cubic Hermite
+    interpolant (values ``accum``, derivatives ``slopes``), gives a first
+    guess; Newton steps against the locally re-integrated forward map
+    (``F`` at the nearest node plus a Gauss panel to the query point) then
+    leave only the smooth quadrature error of the table itself.  Each polish
+    step evaluates the integrand once, at the panel nodes and the current
+    nodes together.  The polish stops after a step that moves no node by
+    more than ``sqrt(eps)``, since quadratic convergence puts the next move
+    below roundoff, and after four steps at most: a fourth step that still
+    moves a node by more than ``1e-6`` of the grid step has not converged
+    (the polish cycles next to a pole of the integrand) and raises
+    :class:`NumericalError`.  Every move, the Hermite step's too, is capped
+    at just under half the gap to either neighbour.
     """
     n = grid.shape[0] - 1
+    h = grid[1] - grid[0]
     normalised = accum / accum[-1]
     normalised[0], normalised[-1] = 0.0, 1.0
     u = np.interp(grid, normalised, grid)
     goal = accum[-1] * grid
+
+    def advance(step):
+        # Near a pole of the integrand the interpolant can be off by more
+        # than a node spacing; cap each move at just under half the gap to
+        # either neighbour so the nodes stay strictly ordered.
+        gaps = np.diff(u)
+        move = np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
+        u[1:-1] += move
+        return np.max(np.abs(move), initial=0.0)
+
+    def panel_of(inner):
+        return np.clip(np.searchsorted(grid, inner, side="right") - 1, 0, n - 1)
+
+    idx = panel_of(u[1:-1])
+    s = (u[1:-1] - grid[idx]) / h
+    f0, f1 = accum[idx], accum[idx + 1]
+    d0, d1 = h * slopes[idx], h * slopes[idx + 1]
+    c2 = 3.0 * (f1 - f0) - 2.0 * d0 - d1
+    c3 = d0 + d1 - 2.0 * (f1 - f0)
+    hermite = f0 + s * (d0 + s * (c2 + s * c3))
+    rate = (d0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
+    advance(np.divide(goal[1:-1] - hermite, rate,
+                      out=np.zeros_like(rate), where=rate > 0.0))
     for _ in range(4):
         inner = u[1:-1]
-        idx = np.clip(np.searchsorted(grid, inner, side="right") - 1, 0, n - 1)
+        idx = panel_of(inner)
         left = grid[idx]
         halfw = 0.5 * (inner - left)
         sigma = (0.5 * (inner + left))[:, None] + halfw[:, None] * GAUSS5_NODES
         f = integrand(np.concatenate((sigma.ravel(), inner)))
         panel = halfw * (f[:sigma.size].reshape(sigma.shape) @ GAUSS5_WEIGHTS)
-        step = -(accum[idx] + panel - goal[1:-1]) / f[sigma.size:]
-        # Near a pole of the integrand the interpolant can be off by more
-        # than a node spacing; cap each move at just under half the gap to
-        # either neighbour so the polished nodes stay strictly ordered.
-        gaps = np.diff(u)
-        move = np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
-        u[1:-1] += move
-        largest = np.max(np.abs(move), initial=0.0)
+        largest = advance(-(accum[idx] + panel - goal[1:-1]) / f[sigma.size:])
         if largest <= SQRT_EPS:
             break
     else:
-        if largest > 1e-6 * (grid[1] - grid[0]):
+        if largest > 1e-6 * h:
             raise NumericalError(
                 f"inverse of a running integral did not converge: the last "
                 f"Newton step still moved a node by {largest:.3g}")
@@ -128,64 +151,3 @@ def invert_running_integral(integrand, grid: np.ndarray,
     if not np.all(np.diff(u) > 0.0):
         raise NumericalError("inverse of a running integral lost monotonicity")
     return u
-
-
-def brent_root(f, a: float, b: float, maxiter: int = 200) -> float:
-    """A root of ``f`` in the bracket ``[a, b]``, by Brent's method.
-
-    Brent's zeroin (*Algorithms for Minimization without Derivatives*,
-    1973, ch. 4) in the form of scipy's ``brentq.c``, step for step: the
-    same evaluation points and the same root, converged when half the
-    bracket is below ``(xtol + rtol |x|) / 2``, with ``xtol = 1e-12`` and
-    ``rtol = 4 eps``.  ``f`` maps a Python float to a real number; every
-    value is kept as a Python float, so ``f`` is never handed a numpy
-    scalar.  ``f(a)`` and ``f(b)`` must differ in sign
-    (:class:`BracketingError` otherwise); ``maxiter`` steps without
-    convergence raise :class:`NumericalError`.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketingError(
-            f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre!r}, {fcur!r}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # a short step, well inside the bracket: take it
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = float(f(xcur))
-    raise NumericalError(
-        f"root find did not converge in {maxiter} iterations; last x = {xcur!r}")

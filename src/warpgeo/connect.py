@@ -8,19 +8,25 @@ builds a map: the maps are built once, when the solved pair is rebuilt at
 the root.  ``beta`` blows up at the admissibility threshold and decays to
 zero for large ``r``, nearly as a power of ``r`` minus the threshold, so
 matching it against the actual fiber distance is a scalar root-find: a
-secant walk on that power law in log-log coordinates, then Brent's method
-on the bracket it finds.
+secant walk on that power law in log-log coordinates, then an
+Anderson-Bjorck secant in the same coordinates on the bracket it finds.
+The solve stops once the dial matches its target within the resolution
+the evaluation reports (the shooting tolerance, when it shoots): the
+shooting dial is noisy at about a tenth of that, so evaluations past it
+would only chase the noise.  On a dial that reports none, it stops once
+the bracket is no wider than ``1e-12 + 4 eps |r|``.
 
 Shooting itself is a damped quasi-Newton iteration on the endpoint map
 with Broyden updates, its velocity and Jacobian warm-started across ``r``;
 finite differences build the Jacobian only to start cold or to refresh a
-stale one.  Each shot reads the geodesic's states alone; the curve is
-built once, for the velocity a shoot returns.  The translation-invariant
-base case (the real line with a time-dependent warp, as in homogeneous
-cosmological metrics) evaluates the dial from the explicit first integral
-of the base equation instead: with the slowness ``S`` of that integral,
-the leg's speed and both constants are quadratures over a uniform grid on
-the base interval, so neither a shot nor a base leg is needed.
+stale one.  Each trial shot reads only the end state from the geodesic's
+flat list of states; the array of states and the curve are built once,
+from the converged shot.  The translation-invariant base case (the real
+line with a time-dependent warp, as in homogeneous cosmological metrics)
+evaluates the dial from the explicit first integral of the base equation
+instead: with the slowness ``S`` of that integral, the leg's speed and
+both constants are quadratures over a uniform grid on the base interval,
+so neither a shot nor a base leg is needed.
 Both kinds of dial evaluation go through one root-find, and both
 connections raise :class:`~warpgeo.errors.ShootingError` when the rebuilt
 legs end farther than the integrator tolerance from the requested points.
@@ -36,15 +42,13 @@ import math
 import numpy as np
 
 from . import warpfn
-from ._num import (
-    BRENT_RTOL, BRENT_XTOL, brent_root, composite_simpson, cumulative_simpson,
-)
+from ._num import BRENT_RTOL, BRENT_XTOL, composite_simpson, cumulative_simpson
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
 )
 from .integrate import (
-    Curve, IntegratorConfig, _curve, _geodesic_states, coupled_residual,
+    Curve, IntegratorConfig, _curve, _geodesic_flat, coupled_residual,
     integrate_geodesic,
 )
 from .manifold import (
@@ -64,6 +68,7 @@ __all__ = [
 
 R_MAX_DEFAULT = 1e6
 R_WALK_SAMPLES = 64
+SHOOT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,7 @@ def _line_search(shot, v, step, best):
 
 
 def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
-           v_init=None, jac_init=None, tol: float = 1e-10,
+           v_init=None, jac_init=None, tol: float = SHOOT_TOL,
            max_iter: int = 60):
     """Damped quasi-Newton on the endpoint map, with Broyden updates.
 
@@ -112,10 +117,12 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
     down to ``1/128`` of the step) is retried from a fresh finite-difference
     Jacobian; only a failure with that one raises :class:`ShootingError`.
 
-    Returns ``(velocity, jacobian, curve, iterations)``, with ``curve`` the
-    geodesic already integrated from the converged velocity, the one curve
-    the shoot builds, and ``jacobian`` the last one used (``None`` if no
-    step was needed).
+    Each shot reads only the end state from the flat list of states of
+    :func:`~warpgeo.integrate._geodesic_flat`.  Returns ``(velocity,
+    jacobian, curve, iterations)``, with ``curve`` the geodesic of the
+    converged shot, the one array of states and the one curve the shoot
+    builds, and ``jacobian`` the last one used (``None`` if no step was
+    needed).
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -124,14 +131,14 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
     d = chart.dim
 
     def shot(vel):
-        states = _geodesic_states(chart, x0, vel, cfg.steps)
-        return states, states[-1, :d] - x1
+        flat = _geodesic_flat(chart, x0, vel, cfg.steps)
+        return flat, np.array(flat[-2 * d:-d]) - x1
 
-    states, gap = shot(v)
+    flat, gap = shot(v)
     best = float(np.max(np.abs(gap)))
     for it in range(1, max_iter + 1):
         if best <= tol:
-            return v, jac, _curve(states, d), it - 1
+            return v, jac, _curve(flat, d), it - 1
         while True:
             fresh = jac is None
             if fresh:
@@ -153,12 +160,12 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
                     f"shooting stalled on {chart.name} at residual {best:.3e}", best, it
                 )
             jac = None
-        trial, states, trial_gap, trial_res = accepted
+        trial, flat, trial_gap, trial_res = accepted
         s = trial - v
         jac = jac + np.outer(trial_gap - gap - jac @ s, s) / float(s @ s)
         v, gap, best = trial, trial_gap, trial_res
     if best <= tol:
-        return v, jac, _curve(states, d), max_iter
+        return v, jac, _curve(flat, d), max_iter
     raise ShootingError(
         f"shooting failed to converge on {chart.name}; residual {best:.3e}",
         best, max_iter,
@@ -186,7 +193,9 @@ class BetaResult:
     ``mu`` is the shot leg (``None`` on the line base, which shoots
     nothing) and ``jacobian`` the shooting Jacobian at ``X_r`` (``None``
     when no shooting step was taken), for warm-starting a neighbouring
-    ``r``.
+    ``r``.  ``resolution`` is the relative error in ``beta`` below which
+    the evaluation cannot resolve it (``None`` where it reports none): a
+    solve for ``r`` stops once ``beta`` matches its target that closely.
     """
 
     beta: float
@@ -196,16 +205,19 @@ class BetaResult:
     mu: Optional[Curve]
     iterations: int = 0
     jacobian: Optional[np.ndarray] = None
+    resolution: Optional[float] = None
 
 
 def _beta_from_mu(mu: Curve, w: WarpField, r: float, g1: MetricChart,
-                  X: np.ndarray, iterations: int, jacobian=None) -> BetaResult:
+                  X: np.ndarray, iterations: int, jacobian=None,
+                  resolution=None) -> BetaResult:
     a, b = _leg_constants(mu, w, r)
     x0 = mu.points[0]
     k0x = w.value_at(x0)
     q = metric_eval(g1, x0, X, X)
     beta = (a / b) * math.sqrt((1.0 + r * k0x) / k0x * q)
-    return BetaResult(beta, TangentVector(x0, X), a, b, mu, iterations, jacobian)
+    return BetaResult(beta, TangentVector(x0, X), a, b, mu, iterations, jacobian,
+                      resolution)
 
 
 def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
@@ -214,7 +226,8 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     """Evaluate the dial at one ``r`` by shooting between the base points.
 
     The result carries ``beta``, ``X_r``, the constants ``a_r``, ``b_r``,
-    the shot leg and the shooting Jacobian, but no map.
+    the shot leg and the shooting Jacobian, but no map.  Its resolution is
+    the shooting tolerance, ``SHOOT_TOL``, about ten times the dial's noise.
     ``v_init``/``jac_init`` warm-start the shooting, typically from the
     result at a neighbouring ``r``.
     """
@@ -222,12 +235,13 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     chart = conformal_metric(g1, w, r)
     X, jac, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init,
                                jac_init=jac_init)
-    return _beta_from_mu(mu, w, r, g1, X, iters, jac)
+    return _beta_from_mu(mu, w, r, g1, X, iters, jac, SHOOT_TOL)
 
 
 def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
              samples: int) -> tuple[float, BetaResult, int]:
-    """Solve ``beta(r) = beta0`` by a walk on a model of the dial, then Brent.
+    """Solve ``beta(r) = beta0`` by a walk on a model of the dial, then a
+    secant on the bracket it finds.
 
     ``evaluate(r, v_init, jac_init)`` is one dial evaluation; each distinct
     ``r`` is evaluated once, warm-started from the velocity and shooting
@@ -240,10 +254,18 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     conditioned, and steps to the zero of that line: on slope ``-1/2``
     first, then on the secant of its last two points, kept negative and no
     steeper than ``-4``, each step at most a factor of 16 in ``r - lower``
-    and within ``[lower + 1e-12 (1 + |lower|), r_max]``.  A step shorter
-    than Brent's tolerance ends the solve at the walk's last ``r``; a sign
-    change ends the walk, and :func:`~warpgeo._num.brent_root` refines that
-    bracket to ``1e-12`` in ``r``.  A walk that meets either end of its
+    and within ``[lower + 1e-12 (1 + |lower|), r_max]``.  A sign change ends
+    the walk, and the Anderson-Bjorck secant (*BIT* 13, 1973) on ``(u, f)``
+    refines that bracket: each point lies at least ``tol / 2`` inside it,
+    ``tol = BRENT_XTOL + BRENT_RTOL |r|``, and after three points in a row
+    that do not halve ``|f|`` the next one bisects the bracket in ``u``.
+
+    The solve ends at the first ``r`` whose ``|f|`` is within the relative
+    resolution its evaluation reports (:attr:`BetaResult.resolution`).  It
+    also ends at the walk's last ``r`` when the walk's next step would be
+    shorter than ``tol / 2``, and at the end of the bracket with the smaller
+    ``|f|`` once the bracket is no wider than ``tol``: the only stops on a
+    dial that reports no resolution.  A walk that meets either end of its
     range, or makes ``samples`` evaluations, without a sign change raises
     :class:`BracketingError`.  Every ``r`` handed to ``evaluate`` is a
     Python float, and a dial value that is not a number, in the walk or in
@@ -272,13 +294,17 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
                 f"declared K0")
         return math.log(beta / beta0)
 
+    def resolved(r: float, f: float) -> bool:
+        return abs(f) <= (memo[r].resolution or 0.0)
+
     try:
         floor = lower + 1e-12 * (1.0 + abs(lower))
         r = min(lower + 0.25 * (1.0 + abs(lower)), r_max)
         f, slope, reach, walked = gap(r), -0.5, math.log(16.0), 1
         while True:
             aim = lower + (r - lower) * math.exp(max(-reach, min(reach, -f / slope)))
-            if (abs(aim - r) <= (BRENT_XTOL + BRENT_RTOL * abs(r)) / 2.0
+            if resolved(r, f) or (
+                    abs(aim - r) <= (BRENT_XTOL + BRENT_RTOL * abs(r)) / 2.0
                     and floor <= aim <= r_max):
                 return r, beta_at(r), len(memo)
             nxt = min(max(aim, floor), r_max)
@@ -296,8 +322,29 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
             slope = max(-4.0, min(-1e-300, (f_nxt - f) / math.log(
                 (nxt - lower) / (r - lower))))
             r, f = nxt, f_nxt
-        root = brent_root(gap, min(r, nxt), max(r, nxt))
-        return root, beta_at(root), len(memo)
+        # Anderson-Bjorck on (u, f): b is the newest point; when a point
+        # lands on b's side, the other end's f is scaled down so that the
+        # next secant moves toward it.
+        a, fa, b, fb, stalled = r, f, nxt, f_nxt, 0
+        while not resolved(b, fb):
+            lo, hi = min(a, b), max(a, b)
+            tol = BRENT_XTOL + BRENT_RTOL * abs(b)
+            if hi - lo <= tol:
+                b = min((a, b), key=lambda end: abs(gap(end)))
+                break
+            ua, ub = math.log(a - lower), math.log(b - lower)
+            x = lower + math.exp(ub - fb * (ub - ua) / (fb - fa))
+            if stalled == 3 or not lo <= x <= hi:
+                x, stalled = lower + math.sqrt((lo - lower) * (hi - lower)), 0
+            x = min(max(x, lo + tol / 2.0), hi - tol / 2.0)
+            fx = gap(x)
+            stalled = 0 if abs(fx) <= 0.5 * abs(fb) else stalled + 1
+            if (fx <= 0.0) != (fb <= 0.0):
+                a, fa = b, fb
+            else:
+                fa *= 1.0 - fx / fb if abs(fx) < abs(fb) else 0.5
+            b, fb = x, fx
+        return b, beta_at(b), len(memo)
     finally:
         # A raised error's traceback holds this frame, and with it the memo:
         # drop the shot leg of every evaluation as soon as the solve ends.
@@ -651,15 +698,17 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
         |X|^2 a_r / b_r^2  <=  beta(r)^2  <=  |X|^2 (a_r^2/b_r^2) I(gamma)
 
     where ``I(gamma)`` integrates ``(1+r k)/k`` along ``gamma``.  Returns
-    the three numbers and the bound checks.
+    the three numbers and the bound checks.  A node of ``gamma`` where
+    ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
     x0 = np.asarray(x0, dtype=float)
     X, _, gamma, _ = _shoot(g1, x0, x1, cfg)
+    k = values_along(w, gamma.points)
+    _require_rescalable(w, r, gamma.points, k)
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r
-    k = values_along(w, gamma.points)
     upper_integral = composite_simpson((1.0 + r * k) / k, gamma.h)
     lower = q * a / (b * b)
     upper = q * (a * a) / (b * b) * upper_integral

@@ -12,8 +12,9 @@ closed-form spray ``|v|^2 grad phi - 2 (grad phi . v) v`` and which tests
 each state finite and inside the domain of ``phi``.  On every other chart
 the numpy driver :func:`_rk4` applies the classical RK4 step of
 :func:`~warpgeo.manifold.geodesic_rhs`, the contracted Christoffel
-symbols, and checks each state against the chart.  Shooting reads the
-states of :func:`_geodesic_states` and builds no curve.
+symbols, and checks each state against the chart.  Both give the states
+as one flat list (:func:`_geodesic_flat`), from which a trial shot reads
+only the end state.
 
 Besides the plain geodesic integrator for a single chart, this module
 integrates the coupled mixed-signature system directly:
@@ -228,8 +229,10 @@ def _grid(steps: int) -> np.ndarray:
     return t
 
 
-def _curve(states: np.ndarray, dim: int) -> Curve:
-    """The curve of ``(point, velocity)`` rows on the shared grid."""
+def _curve(states, dim: int) -> Curve:
+    """The curve of ``(point, velocity)`` states on the shared grid, given
+    as rows or as one flat list, state after state."""
+    states = np.reshape(states, (-1, 2 * dim))
     return Curve(_grid(len(states) - 1), states[:, :dim], states[:, dim:])
 
 
@@ -269,18 +272,18 @@ def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
     return np.array(states)
 
 
-def _loop_states(flat: list, failed, steps: int, charts) -> np.ndarray:
-    """The states a generated loop made, ``(steps + 1, n)``; where one
-    failed, the :class:`ChartDomainError` of its block at its parameter."""
-    n = sum(2 * chart.dim for chart in charts)
+def _loop_states(flat: list, failed, steps: int, charts) -> list:
+    """The flat list of states a generated loop made; where one failed,
+    the :class:`ChartDomainError` of its block at its parameter."""
     if failed is not None:
+        n = sum(2 * chart.dim for chart in charts)
         block, condition = failed
         i = len(flat) // n - 1
         start = i * n + sum(2 * chart.dim for chart in charts[:block])
         chart = charts[block]
         raise ChartDomainError(chart.name, i / steps,
                                tuple(flat[start:start + chart.dim]), condition)
-    return np.array(flat).reshape(steps + 1, n)
+    return flat
 
 
 def _classical_step(rhs):
@@ -298,12 +301,12 @@ def _classical_step(rhs):
     return step
 
 
-def _geodesic_states(chart: MetricChart, p0, v0, steps: int) -> np.ndarray:
+def _geodesic_flat(chart: MetricChart, p0, v0, steps: int) -> list:
     """The ``steps + 1`` states ``(point, velocity)`` of the chart's
-    geodesic from ``(p0, v0)`` over ``[0, 1]``, as rows: one generated
-    loop on a chart with an exponent, :func:`_rk4` on any other.  The first
-    state that is not finite or leaves the chart raises
-    :class:`ChartDomainError` at its parameter."""
+    geodesic from ``(p0, v0)`` over ``[0, 1]``, as one flat list of floats,
+    state after state: one generated loop on a chart with an exponent,
+    :func:`_rk4` on any other.  The first state that is not finite or
+    leaves the chart raises :class:`ChartDomainError` at its parameter."""
     p0 = np.asarray(p0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     d = chart.dim
@@ -312,10 +315,9 @@ def _geodesic_states(chart: MetricChart, p0, v0, steps: int) -> np.ndarray:
             f"initial data of dimension {p0.shape}/{v0.shape} on a "
             f"{d}-dimensional chart"
         )
-    state0 = np.concatenate((p0, v0))
     if chart.exponent is not None:
         loop = warpfn.rk4_geodesic_loop(chart.exponent, d)
-        flat, failed = loop(tuple(state0.tolist()), 1.0 / steps,
+        flat, failed = loop((*p0.tolist(), *v0.tolist()), 1.0 / steps,
                             chart.exponent_args, steps)
         return _loop_states(flat, failed, steps, (chart,))
 
@@ -323,13 +325,14 @@ def _geodesic_states(chart: MetricChart, p0, v0, steps: int) -> np.ndarray:
         p, v = state[:d], state[d:]
         return np.concatenate((v, geodesic_rhs(chart, p, v)))
 
-    return _rk4(_classical_step(rhs), state0, steps, (chart,))
+    return _rk4(_classical_step(rhs), np.concatenate((p0, v0)), steps,
+                (chart,)).ravel().tolist()
 
 
 def integrate_geodesic(chart: MetricChart, p0, v0,
                        cfg: IntegratorConfig = IntegratorConfig()) -> Curve:
     """Geodesic of the chart's metric from ``(p0, v0)``, over ``[0, 1]``."""
-    return _curve(_geodesic_states(chart, p0, v0, cfg.steps), chart.dim)
+    return _curve(_geodesic_flat(chart, p0, v0, cfg.steps), chart.dim)
 
 
 def integrate_product_geodesic(g1: MetricChart, g2: MetricChart, z0, V0,
@@ -412,7 +415,8 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
         flat, failed = loop(tuple(state0.tolist()), 1.0 / cfg.steps,
                             (*g1.exponent_args, *g2.exponent_args), cfg.steps,
                             classical)
-        states = _loop_states(flat, failed, cfg.steps, (g1, g2))
+        states = np.reshape(_loop_states(flat, failed, cfg.steps, (g1, g2)),
+                            (cfg.steps + 1, -1))
     else:
         states = _rk4(classical, state0, cfg.steps, (g1, g2))
     return _curve(states[:, :2 * d1], d1), _curve(states[:, 2 * d1:], d2)

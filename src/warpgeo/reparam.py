@@ -101,14 +101,15 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     h = _even_panel_step(mu)
     k = values_along(w, mu.points)
     _require_rescalable(w, r, mu.points, k)
-    accum = cumulative_simpson(k / (1.0 + r * k), h)
+    integrand = k / (1.0 + r * k)
+    accum = cumulative_simpson(integrand, h)
     a = accum[-1]
 
     def integrand_at(pos):
         k = values_along(w, np.atleast_2d(mu.point_at(pos)))
         return k / (1.0 + r * k)
 
-    values = invert_running_integral(integrand_at, mu.params, accum)
+    values = invert_running_integral(integrand_at, mu.params, accum, integrand)
     k_at_phi = values_along(w, np.atleast_2d(mu.point_at(values)))
     derivative = a * (1.0 + r * k_at_phi) / k_at_phi
     return MonotoneMap(mu.params, values, a, derivative)

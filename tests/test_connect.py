@@ -1,5 +1,6 @@
 """Boundary connection: shooting, the fiber-distance dial, line-base solver."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -81,7 +82,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
     g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
     near = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.0, FAST)
-    calls = _count_calls(monkeypatch, connect, "_geodesic_states")
+    calls = _count_calls(monkeypatch, connect, "_geodesic_flat")
     res = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST,
                        near.X_r.components, near.jacobian)
     # One shot from the warm start, then one per secant step: neither a
@@ -94,12 +95,13 @@ def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
 def test_the_readme_example_solves_in_few_dial_evaluations(monkeypatch):
     # The README example at its default 1024 steps.  The counts repeat
     # exactly; a geometric walk to the bracket took 16 dial evaluations and
-    # 71 integrations here.
-    shots = _count_calls(monkeypatch, connect, "_geodesic_states")
+    # 71 integrations here, and Brent's method on the walk's bracket 8 and
+    # 34, its last three evaluations below the dial's resolution.
+    shots = _count_calls(monkeypatch, connect, "_geodesic_flat")
     report = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
                                (X0, np.zeros(1)), (X1, np.array([0.4])))
-    assert report.iterations <= 8
-    assert len(shots) <= 35
+    assert report.iterations == 5
+    assert len(shots) == 31
     assert report.endpoint_error <= wg.IntegratorConfig().tolerance
 
 
@@ -304,7 +306,7 @@ def test_a_nan_dial_value_in_the_refinement_is_a_numerical_error():
         return BetaResult(beta, wg.TangentVector(np.zeros(1), np.ones(1)),
                           1.0, 1.0, None)
 
-    with pytest.raises(NumericalError, match=r"NaN at r = 0\.5"):
+    with pytest.raises(NumericalError, match=r"NaN at r = 0\.49908"):
         connect._solve_r(evaluate, 1.5, -1.0, 10.0, 64)
     # the walk bracketed the root, [0.389, 0.640], without a NaN
     assert all(abs(r - 0.5) >= 1e-3 for r in seen[:-1])
@@ -365,6 +367,28 @@ def test_the_root_find_solves_every_decreasing_power_dial(c, s, e, lower, case,
             connect._solve_r(dial, beta0, lower, r_max, 64)
     assert len(set(seen)) == len(seen)
     assert all(type(r) is float for r in seen)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(x=st.floats(1.0, 1.4), y=st.floats(0.6, 0.8), beta0=st.floats(0.3, 0.5))
+def test_the_solve_stops_within_the_dials_resolution(x, y, beta0):
+    """On README-like instances: the root matches its target within the
+    resolution the dial reports, and the root of the same dial reporting no
+    resolution (solved to Brent's tolerance) within 1e-9 relative."""
+    g1, g2, x1 = wg.poincare_half_plane(), wg.circle(1.0), np.array([x, y])
+    lower = wg.admissible_range(README_WARP).lower
+
+    def dial(r, v_init, jac_init):
+        return wg.beta_of_r(g1, g2, README_WARP, X0, x1, r, FAST, v_init, jac_init)
+
+    def unresolved(*args):
+        return dataclasses.replace(dial(*args), resolution=None)
+
+    root, res, _ = connect._solve_r(dial, beta0, lower, 1e6, 64)
+    assert res.resolution == connect.SHOOT_TOL
+    assert abs(math.log(res.beta / beta0)) <= res.resolution
+    fine, _, _ = connect._solve_r(unresolved, beta0, lower, 1e6, 64)
+    assert abs(root - fine) <= 1e-9 * abs(fine)
 
 
 def test_every_r_handed_to_the_dial_is_a_python_float(monkeypatch):
@@ -750,8 +774,8 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
 
 
 def test_a_shoot_builds_one_curve(monkeypatch):
-    # every shot reads the geodesic's states; only the returned velocity's
-    # geodesic becomes a curve
+    # every shot reads only the end state of the geodesic's flat list of
+    # states; only the converged shot's states become a curve
     built = []
     real = wg.Curve.__post_init__
 
@@ -759,7 +783,7 @@ def test_a_shoot_builds_one_curve(monkeypatch):
         built.append(1)
         real(curve)
 
-    shots = _count_calls(monkeypatch, connect, "_geodesic_states")
+    shots = _count_calls(monkeypatch, connect, "_geodesic_flat")
     monkeypatch.setattr(wg.Curve, "__post_init__", counted)
     v, _, curve, iterations = _shoot(wg.poincare_half_plane(), X0, X1, FAST)
     assert iterations > 1 and len(shots) > iterations
@@ -798,6 +822,16 @@ def test_a_warp_above_its_declared_bound_is_a_typed_error_where_k_is_read():
                        np.tile([0.1, 0.0], (17, 1)))
         with pytest.raises(NumericalError, match=r"at \[0\.785.*, 1\.0\], where k = 2\.5"):
             reparam._leg_constants(leg, MISDECLARED, -0.44)
+
+
+def test_the_dial_bounds_check_the_warp_along_the_base_geodesic():
+    # k reaches 2.5 where K0 = 2.2 is declared: at r = -0.44, admissible by
+    # the declaration, 1 + r k < 0 from k = 2.27, which the base geodesic
+    # from X0 to X1 first passes near x1 = 0.303
+    with pytest.raises(NumericalError, match=r"1 \+ r k = -.* is not positive at "
+                       r"\[0\.303.*, 1\.069.*\], where k = 2\.28.*, at r = -0\.44"):
+        wg.beta_bounds(wg.poincare_half_plane(), wg.circle(1.0), MISDECLARED,
+                       X0, X1, -0.44, FAST)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,17 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BPoly
-from scipy.optimize import brentq
 
 import warpgeo as wg
 from warpgeo import _num, integrate, warpfn
 from warpgeo.manifold import _metric, christoffel
 from warpgeo.errors import (
-    BracketingError, ChartDomainError, DslEvaluationError, InputError,
-    NumericalError,
+    ChartDomainError, DslEvaluationError, InputError, NumericalError,
 )
 
 
@@ -242,7 +240,8 @@ def _per_step_outcome(chart, inside, p0, v0, steps):
 
 def _loop_outcome(chart, p0, v0, steps):
     try:
-        return "states", integrate._geodesic_states(chart, p0, v0, steps)
+        return "states", np.reshape(integrate._geodesic_flat(chart, p0, v0, steps),
+                                    (steps + 1, -1))
     except ChartDomainError as exc:
         return "left", exc.chart_name, exc.t_exit, exc.point
     except (DslEvaluationError, OverflowError) as exc:
@@ -852,14 +851,16 @@ def test_inversion_survives_a_pole_next_to_the_interval():
             return 1.0 / (1.0 + gap - x)
 
         accum = -np.log1p(-grid / (1.0 + gap))
+        slopes = integrand(grid)
+        calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if gap == 1e-6:
                 with pytest.raises(NumericalError, match="did not converge"):
-                    _num.invert_running_integral(integrand, grid, accum)
+                    _num.invert_running_integral(integrand, grid, accum, slopes)
                 assert len(calls) == 4
                 continue
-            u = _num.invert_running_integral(integrand, grid, accum)
+            u = _num.invert_running_integral(integrand, grid, accum, slopes)
         # one batch per Newton step, the panels' and the nodes' together
         assert 1 <= len(calls) <= 4 and set(calls) == {6 * 1023}
         assert u[0] == 0.0 and u[-1] == 1.0
@@ -879,7 +880,7 @@ def test_a_zero_width_interval_inverts_without_a_division_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = _num.invert_running_integral(integrand, grid, accum)
+        u = _num.invert_running_integral(integrand, grid, accum, integrand(grid))
     assert np.all(np.diff(u) > 0.0)
     np.testing.assert_allclose(np.interp(u, grid, accum), 8.0 * grid,
                                atol=1e-14)
@@ -895,7 +896,7 @@ def test_a_nan_integrand_fails_the_inversion():
         return np.where(x > 0.6, np.nan, 1.0 + x)
 
     with pytest.raises(NumericalError, match="lost monotonicity"):
-        _num.invert_running_integral(integrand, grid, accum)
+        _num.invert_running_integral(integrand, grid, accum, integrand(grid))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -912,56 +913,9 @@ def test_inverted_running_integral_matches_adaptive_quadrature(a, b, c, panels):
     accum = np.concatenate(([0.0], np.cumsum(
         [integral(lo, hi) for lo, hi in zip(grid[:-1], grid[1:])]
     )))
-    u = _num.invert_running_integral(f, grid, accum)
+    u = _num.invert_running_integral(f, grid, accum, f(grid))
     assert u[0] == 0.0 and u[-1] == 1.0
     assert np.all(np.diff(u) > 0.0)
     reached = np.array([integral(0.0, x) for x in u])
     np.testing.assert_allclose(reached, accum[-1] * grid, rtol=1e-9,
                                atol=1e-9 * accum[-1])
-
-
-# ---------------------------------------------------------------------------
-# the bracketed root find
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(root=st.floats(-5.0, 5.0), left=st.floats(1e-3, 10.0),
-       right=st.floats(1e-3, 10.0), cubic=st.floats(-3.0, 3.0),
-       curve=st.floats(-2.0, 2.0), flip=st.booleans())
-def test_brent_root_takes_the_steps_of_scipy_brentq(root, left, right, cubic,
-                                                    curve, flip):
-    def f(x):
-        u = x - root
-        return math.tanh(3.0 * u) + cubic * u**3 + curve * u * abs(u)
-
-    a, b = root - left, root + right
-    if flip:
-        a, b = b, a
-    assume(f(a) * f(b) < 0.0)
-    seen, reference = [], []
-    got = _num.brent_root(lambda x: seen.append(x) or f(x), a, b)
-    want = brentq(lambda x: reference.append(x) or f(x), a, b, xtol=1e-12,
-                  maxiter=200)
-    assert got == want
-    assert seen == reference
-    assert all(type(x) is float for x in seen)
-
-
-def test_brent_root_hands_python_floats_to_a_numpy_valued_function():
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return np.float64(x) ** 3 - np.float64(2.0)
-
-    root = _num.brent_root(f, np.float64(0.0), np.float64(2.0))
-    assert type(root) is float and root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
-    assert all(type(x) is float for x in seen)
-
-
-def test_brent_root_raises_typed_errors():
-    with pytest.raises(BracketingError, match="no sign change"):
-        _num.brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(NumericalError, match="did not converge in 3 iterations"):
-        _num.brent_root(lambda x: math.tanh(10.0 * (x - 0.3)), 0.0, 1.0, maxiter=3)
-    assert _num.brent_root(lambda x: x - 1.0, 1.0, 4.0) == 1.0

@@ -1,12 +1,12 @@
 """Small numeric kernels shared by the geometry modules.
 
-Quadrature (composite and running Simpson-type rules), a fourth-order grid
-derivative, and the one monotone inversion: the inverse of a table's linear
-interpolant, moved by one Newton step on the table's cubic Hermite
-interpolant and polished by Newton steps against the re-integrated forward
-map (:func:`invert_running_integral`).  Everything here operates on plain
-uniform grids and is deterministic, which keeps the higher-level outputs
-byte-reproducible.
+Quadrature (one running rule, whose last node is the total), a
+fourth-order grid derivative, and the one monotone inversion: the inverse of
+a table's linear interpolant, moved by one Newton step on the table's cubic
+Hermite interpolant and polished by Newton steps against the re-integrated
+forward map (:func:`invert_running_integral`).  Everything here operates on
+plain uniform grids and is deterministic, which keeps the higher-level
+outputs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -22,22 +22,6 @@ SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 # The bracket width ``BRENT_XTOL + BRENT_RTOL |r|`` at which a solve for
 # ``r`` on a dial that reports no resolution stops (scipy's brentq defaults).
 BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * sys.float_info.epsilon
-
-
-def composite_simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson rule on a uniform grid with an even panel count.
-
-    ``values`` holds samples at ``n + 1`` nodes with spacing ``h``; ``n``
-    must be even.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0] - 1
-    if n < 2 or n % 2:
-        raise InputError(f"Simpson rule needs an even number of panels, got {n}")
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * weights @ values)
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:

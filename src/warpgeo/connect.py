@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from . import warpfn
-from ._num import BRENT_RTOL, BRENT_XTOL, composite_simpson, cumulative_simpson
+from ._num import BRENT_RTOL, BRENT_XTOL, cumulative_simpson
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
@@ -709,7 +709,7 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r
-    upper_integral = composite_simpson((1.0 + r * k) / k, gamma.h)
+    upper_integral = cumulative_simpson((1.0 + r * k) / k, gamma.h)[-1]
     lower = q * a / (b * b)
     upper = q * (a * a) / (b * b) * upper_integral
     beta2 = res.beta ** 2

@@ -214,8 +214,6 @@ class IntegratorConfig:
             raise InputError(f"step count must be an integer, got {self.steps!r}")
         if self.steps < 16:
             raise InputError(f"need at least 16 steps, got {self.steps}")
-        if self.steps % 2:
-            raise InputError(f"step count must be even, got {self.steps}")
         if not 0.0 < self.tolerance < math.inf:
             raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
 
@@ -246,8 +244,8 @@ def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
     the initial one too: the first whose block is not finite, or whose
     point leaves its chart (:meth:`~warpgeo.manifold.MetricChart.contains`),
     raises :class:`ChartDomainError` at that step's parameter, before any
-    further step is taken.  A step that divides by zero (a user's metric
-    on floats, say) makes a state that is not finite.
+    further step is taken.  A step that divides by zero or overflows (a
+    user's metric on floats, say) makes a state that is not finite.
     """
     h = 1.0 / steps
     y = tuple(state0.tolist())
@@ -256,7 +254,7 @@ def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
         if i:
             try:
                 y = step(y, h)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, OverflowError):
                 y = (math.nan,) * len(y)
         start = 0
         for chart in charts:
@@ -387,11 +385,11 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
     When both charts carry a conformal exponent the pass is one generated
     float loop, :func:`~warpgeo.warpfn.rk4_coupled_loop`, which reads the
     base exponent, the warp and the fiber exponent as given (never the
-    pipeline's rescaled exponent).  Any other pair takes the classical
-    step of the array kernel on one row; so does each step of the loop
-    whose stage fails a domain check, so that the kernel decides the
-    error, as it does on every other pair, and the loop goes on from the
-    classical step's state.
+    pipeline's rescaled exponent).  No stage of the loop raises: a step
+    whose stage leaves the domain of an exponent or of the warp, or
+    overflows, makes a state that is not finite, which raises
+    :class:`ChartDomainError` at that step's parameter.  Any other pair
+    takes the classical step of the array kernel on one row.
     """
     (p1, p2), (v1, v2) = z0, V0
     p1 = np.asarray(p1, dtype=float)
@@ -402,23 +400,21 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
     if p1.shape != (d1,) or p2.shape != (d2,):
         raise InputError("initial point dimensions do not match the charts")
 
-    def rhs(state):
-        x, u, y, v = np.split(state[None], (d1, 2 * d1, 2 * d1 + d2), axis=1)
-        acc1, acc2 = _coupled_accelerations(g1, g2, w, x, u, y, v)
-        return np.concatenate((u[0], acc1[0], v[0], acc2[0]))
-
-    classical = _classical_step(rhs)
     state0 = np.concatenate((p1, v1, p2, v2))
     if g1.exponent is not None and g2.exponent is not None:
         loop = warpfn.rk4_coupled_loop(
             g1.exponent, d1, w.expr, g2.exponent, d2, len(g1.exponent_args))
         flat, failed = loop(tuple(state0.tolist()), 1.0 / cfg.steps,
-                            (*g1.exponent_args, *g2.exponent_args), cfg.steps,
-                            classical)
+                            (*g1.exponent_args, *g2.exponent_args), cfg.steps)
         states = np.reshape(_loop_states(flat, failed, cfg.steps, (g1, g2)),
                             (cfg.steps + 1, -1))
     else:
-        states = _rk4(classical, state0, cfg.steps, (g1, g2))
+        def rhs(state):
+            x, u, y, v = np.split(state[None], (d1, 2 * d1, 2 * d1 + d2), axis=1)
+            acc1, acc2 = _coupled_accelerations(g1, g2, w, x, u, y, v)
+            return np.concatenate((u[0], acc1[0], v[0], acc2[0]))
+
+        states = _rk4(_classical_step(rhs), state0, cfg.steps, (g1, g2))
     return _curve(states[:, :2 * d1], d1), _curve(states[:, 2 * d1:], d2)
 
 

@@ -31,9 +31,7 @@ import math
 
 import numpy as np
 
-from ._num import (
-    composite_simpson, cumulative_simpson, invert_running_integral,
-)
+from ._num import cumulative_simpson, invert_running_integral
 from .errors import CompatibilityError, InputError, NumericalError
 from .integrate import Curve, coupled_residual
 from .manifold import (
@@ -80,13 +78,6 @@ class MonotoneMap:
             raise NumericalError("map values are not strictly increasing")
 
 
-def _even_panel_step(curve: Curve) -> float:
-    """The curve's grid step, for Simpson quadrature over its panels."""
-    if curve.steps % 2:
-        raise InputError("reparametrization maps require an even panel count")
-    return curve.h
-
-
 def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     """Base-leg reparametrization along a rescaled-metric geodesic.
 
@@ -98,11 +89,10 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     A node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
-    h = _even_panel_step(mu)
     k = values_along(w, mu.points)
     _require_rescalable(w, r, mu.points, k)
     integrand = k / (1.0 + r * k)
-    accum = cumulative_simpson(integrand, h)
+    accum = cumulative_simpson(integrand, mu.h)
     a = accum[-1]
 
     def integrand_at(pos):
@@ -122,9 +112,8 @@ def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
     so that ``psi(1) = 1``.  No inversion is needed: the running integral
     is the map.
     """
-    h = _even_panel_step(gamma)
     k = values_along(w, gamma.points)
-    accum = cumulative_simpson(1.0 / k, h)
+    accum = cumulative_simpson(1.0 / k, gamma.h)
     b = 1.0 / accum[-1]
     values = b * accum
     values[0], values[-1] = 0.0, 1.0
@@ -141,10 +130,9 @@ def phi_constant_from_trace(gamma: Curve, w: WarpField, r: float) -> float:
     node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
-    h = _even_panel_step(gamma)
     k = values_along(w, gamma.points)
     _require_rescalable(w, r, gamma.points, k)
-    return 1.0 / composite_simpson((1.0 + r * k) / k, h)
+    return 1.0 / cumulative_simpson((1.0 + r * k) / k, gamma.h)[-1]
 
 
 def reparametrize(curve: Curve, m: MonotoneMap) -> Curve:
@@ -218,11 +206,10 @@ def _leg_constants(mu: Curve, w: WarpField, r: float) -> tuple[float, float]:
     :class:`NumericalError`.
     """
     admissible_range(w).require(r)
-    h = _even_panel_step(mu)
     k = values_along(w, mu.points)
     _require_rescalable(w, r, mu.points, k)
-    a = cumulative_simpson(k / (1.0 + r * k), h)[-1]
-    return a, a / cumulative_simpson(1.0 / (1.0 + r * k), h)[-1]
+    a = cumulative_simpson(k / (1.0 + r * k), mu.h)[-1]
+    return a, a / cumulative_simpson(1.0 / (1.0 + r * k), mu.h)[-1]
 
 
 def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,

@@ -34,7 +34,9 @@ geodesic system of the warped metric ``exp(2 phi1) I - k exp(2 phi2) I``,
 whose stages add the warp's coupling terms to both sprays.  Each loop
 tests every state it makes: finite, and inside the domain of each
 exponent, where every one of its logarithms, square roots and divisions is
-defined (:func:`domain_failure`).
+defined (:func:`domain_failure`).  No stage of a loop raises: a float
+failure inside a step (a division by zero, a math domain error or an
+overflow) makes that step's state not finite, and the loop ends there.
 """
 
 from __future__ import annotations
@@ -49,9 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DslEvaluationError, DslNameError, DslSyntaxError, WarpGeoError,
-)
+from .errors import DslEvaluationError, DslNameError, DslSyntaxError
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
@@ -409,7 +409,8 @@ class _Emitter:
         self.failures: list[tuple[str, Expr]] = []
         self.loaded: dict[int, str] = {}
         # while a state's or a point's domain is written, the statement
-        # that a failed condition ``{}`` runs; None while checks raise
+        # that a failed condition ``{}`` runs; None while checks raise, or,
+        # in a loop, are left out
         self.verdict = "return {}" if form in (_DOMAIN, _ARRAY_DOMAIN) else None
         if self.loop:
             self.finite = self.bind(FINITE_STATE, "n")
@@ -449,6 +450,9 @@ class _Emitter:
                 e.base if isinstance(e, Power) else e.arg)
             name = self.bind(_DEFINED[kind].format(u=format_expression(operand)), "n")
             self.lines.append((_KEEP, f"if not {cond}: {self.verdict.format(name)}"))
+            return
+        if self.loop:
+            # a loop raises nothing: a float failure makes its state not finite
             return
         for cond, message in _CHECKS[kind]:
             cond = cond.format(u=u)
@@ -674,7 +678,7 @@ class _Emitter:
 
     def source(self, body, result: str, head: str = "x") -> str:
         params = ", ".join([*self.bound, "_fail", "_array", "_any", "_all",
-                            "_full", "_rows", "_nan", "_raised", "_typed", *FUNCTIONS])
+                            "_full", "_rows", "_nan", *FUNCTIONS])
         lines = "".join(f"        {line}\n" for line in body)
         return (f"def _build({params}):\n    def _f({head}):\n{lines}"
                 f"        return {result}\n    return _f\n")
@@ -692,18 +696,11 @@ class _Emitter:
     def loop_source(self, result: str, blocks) -> str:
         """Source of ``loop(y, h, args, steps)``: ``steps`` steps from
         ``y``, over the ``(point, velocity)`` blocks ``blocks``, each
-        ``(exponent, dimension, index of its first argument)``; the coupled
-        loop also takes the ``fallback(y, h)`` it steps by where a stage
-        raises."""
+        ``(exponent, dimension, index of its first argument)``."""
         n = sum(2 * dim for _, dim, _ in blocks)
         state = ", ".join(f"q{i}" for i in range(n))
         hoisted, steps = self.body(result)
         steps.append(f"{state} = {result}")
-        head = "y, h, args, steps"
-        if len(blocks) > 1:
-            head += ", fallback"
-            steps = ["try:", *(f"    {line}" for line in steps),
-                     "except _raised:", f"    {state}, = fallback(({state},), h)"]
         done, start = [], 0
         for block, (e, dim, first) in enumerate(blocks):
             names = [f"q{i}" for i in range(start, start + 2 * dim)]
@@ -718,13 +715,11 @@ class _Emitter:
                  "    for _ in range(steps):",
                  *(f"        {line}" for line in steps),
                  f"        out += ({state},)",
-                 "except _typed:",
-                 "    raise",
-                 "except (ZeroDivisionError, ValueError):",
+                 "except (ZeroDivisionError, ValueError, OverflowError):",
                  f"    out += ({'_nan, ' * n})",
                  f"    return out, (0, {self.finite})",
                  *done]
-        return self.source(lines, "out, None", head)
+        return self.source(lines, "out, None", "y, h, args, steps")
 
 
 def _zeros(names) -> str:
@@ -757,7 +752,6 @@ def _function(emitter: _Emitter, source: str):
     return namespace["_build"](
         **emitter.bound, _fail=fail, _array=np.array, _any=np.any, _all=np.all,
         _full=np.full, _rows=_rows, _nan=math.nan,
-        _raised=(DslEvaluationError, OverflowError), _typed=WarpGeoError,
         **{name: getattr(functions, name) for name in FUNCTIONS})
 
 
@@ -853,18 +847,16 @@ def rk4_geodesic_loop(e: Expr, dim: int):
     the state ``y = (*point, *velocity)``, with ``args`` bound to those
     variables, all as tuples of floats.  Each stage computes the gradient
     ``s`` of ``e`` at its point and the acceleration ``|u|^2 s - 2 (s . u)
-    u`` at its velocity ``u``; only the gradient is computed, so a domain
-    check of ``e`` runs only where a value it guards is needed.  The loop
-    returns ``(states, failed)``: the flat
-    list of the states it made, ``y`` first, and ``None``, or, where a
+    u`` at its velocity ``u``.  The loop returns ``(states, failed)``: the
+    flat list of the states it made, ``y`` first, and ``None``, or, where a
     state fails, ``(0, condition)`` with that state last in the list.  A
     state fails where an entry is not finite (``condition`` is
     :data:`FINITE_STATE`) or where a condition of :func:`domain_failure`
     fails at its point; the conditions are tested at the first stage of
-    each step, where the gradient computes their operands anyway.  A step
-    that divides by zero, or that overflows into ``sin`` or ``cos`` of an
-    infinite stage coordinate (a math domain error), makes a state of NaN,
-    which fails.  Every other domain check of a stage raises.
+    each step, where the gradient computes their operands anyway.  No stage
+    raises: a step that divides by zero, meets a math domain error (a
+    logarithm or square root off its domain, ``sin`` of an infinite
+    coordinate) or overflows makes a state of NaN, which fails.
     """
     return _compiled(e, _LOOP, dim)
 
@@ -885,14 +877,13 @@ def rk4_coupled_loop(phi1: Expr, d1: int, k: Expr, phi2: Expr, d2: int,
         base:  |u|^2 s1 - 2 (s1 . u) u - 1/2 exp(2 phi2) |v|^2 exp(-2 phi1) dk
         fiber: |v|^2 s2 - 2 (s2 . v) v - (dk . u / k) v
 
-    reading ``phi1`` and ``phi2`` themselves, so their domain checks run.
-    Returns ``loop(y, h, args, steps, fallback)``, which runs as the loop
-    of :func:`rk4_geodesic_loop` over the base block ``(x, u)`` and the
-    fiber block ``(y, v)``: each state is tested finite and inside the
-    domains of ``phi1`` and ``phi2`` in that order, and ``failed`` is
-    ``(block, condition)`` with ``block`` 0 for the base and 1 for the
-    fiber.  Where a stage raises :class:`DslEvaluationError` or
-    ``OverflowError`` (a check of the warp, say), the loop takes that step
-    by ``fallback(state, h)`` instead and goes on from its state.
+    reading ``phi1`` and ``phi2`` themselves.  Returns ``loop(y, h, args,
+    steps)``, which runs as the loop of :func:`rk4_geodesic_loop` over the
+    base block ``(x, u)`` and the fiber block ``(y, v)``: each state is
+    tested finite and inside the domains of ``phi1`` and ``phi2`` in that
+    order, and ``failed`` is ``(block, condition)`` with ``block`` 0 for the
+    base and 1 for the fiber.  As there, no stage raises: a float failure
+    anywhere in a step, in the warp too, makes that step's state a NaN
+    state of block 0.
     """
     return _compiled((phi1, k, phi2), _COUPLED_LOOP, (d1, d2, n1))

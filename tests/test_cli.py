@@ -363,6 +363,29 @@ def test_domain_exit_is_a_numerical_failure(tmp_path):
     assert 0.5 < payload["t_exit"] <= 1.0
 
 
+@pytest.mark.parametrize("warp, point, velocity", [
+    # x1^3 overflows a float within the first step
+    ({"expression": "2 + 0.5*sin(x1^3)", "k0": 1.5, "K0": 2.5}, [1.2, 0.3], [1e150, 0.0]),
+    # a stage crosses into x1 < 0, where sqrt(x1) is undefined
+    ({"expression": "2 + sqrt(x1)", "k0": 2.0, "K0": 3.0}, [0.5, 0.0], [-2.0, 0.0]),
+], ids=["overflow", "square-root"])
+def test_a_step_that_fails_in_floats_is_a_domain_exit(tmp_path, warp, point, velocity):
+    doc = {
+        "task": "integrate",
+        "base_chart": {"name": "euclidean", "dim": 2},
+        "warp": warp,
+        "integrator": {"steps": 16},
+        "integrate": {"chart": "rescaled", "r": 0.5, "point": point,
+                      "velocity": velocity},
+    }
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "ChartDomainError"
+    assert payload["condition"] == "a finite state"
+
+
 def test_a_warp_above_its_declared_bound_is_a_numerical_failure(tmp_path):
     # the warp exceeds its declared K0 (its maximum is 2.5), so the walk
     # toward the threshold reaches an r where 1 + r k < 0 on the line: the

@@ -2,7 +2,8 @@
 is used, the package neither imports nor loads scipy, code is generated and
 run in one module only, only the chart module reads how a chart was
 defined, no exponent chart carries a domain predicate, no module caches by
-identity, and the package writes CSV through one writer."""
+identity, the package writes CSV through one writer, and no generated loop
+raises."""
 
 import ast
 import os
@@ -197,3 +198,34 @@ def test_the_check_sees_cached_functions():
               "@functools.lru_cache\ndef g(x):\n    pass\n"
               "@other\ndef h(x):\n    pass\n")
     assert _cached_functions(source) == ["f", "g"]
+
+
+def _raises(compiled) -> bool:
+    """Whether a compiled form can raise an expression error: its body
+    reads ``_fail``."""
+    return "_fail" in compiled.__code__.co_freevars
+
+
+def test_no_generated_loop_raises():
+    # a float failure in a stage makes a state that is not finite, so no
+    # check of a loop raises; the charts and warps are the benchmark's
+    import warpgeo as wg
+    from warpgeo import warpfn
+
+    fiber = wg.circle(1.0)
+    for base, text in ((wg.poincare_half_plane(), "2 + 0.5*sin(2*x1)"),
+                       (wg.euclidean(2), "2 + 0.5*sin(2*x1)*cos(2*x2)")):
+        w = wg.WarpField.from_expression(text, 2, 1.5, 2.5)
+        rescaled = wg.conformal_metric(base, w, 1.0)
+        assert not _raises(warpfn.rk4_geodesic_loop(rescaled.exponent, 2))
+        assert not _raises(warpfn.rk4_coupled_loop(
+            base.exponent, 2, w.expr, fiber.exponent, 1, len(base.exponent_args)))
+    # a loop handles its float errors itself and lets no package error out
+    source = (PACKAGE / "warpfn.py").read_text()
+    assert "_raised" not in source and "_typed" not in source
+
+
+def test_the_check_sees_a_form_that_raises():
+    from warpgeo import warpfn
+
+    assert _raises(warpfn._compiled(warpfn.parse("1 / x1", 1), warpfn._VALUE, 1))

@@ -401,19 +401,21 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
     weight = tc.line_weight("flrw", ("weight",))
     rep = flrw_connect(w, t0, t1, y0, y1, g2, tc.cfg, weight=weight)
     result = _finish_connection(rep, w, tc.base, g2, out)
-    result["report"]["first_integral_residual"] = rep.first_integral_residual
-    result["summary"].append(
-        f"first-integral residual {rep.first_integral_residual:.3e}"
-    )
+    # the trivial connection of coinciding fiber points has no residual and no r
+    if rep.first_integral_residual is not None:
+        result["summary"].append(
+            f"first-integral residual {rep.first_integral_residual:.3e}"
+        )
     if cross_check:
         general = connect_points(
             tc.base, g2, w, (np.array([t0]), y0), (np.array([t1]), y1), tc.cfg
         )
         result["report"]["cross_check_r"] = general.r
-        result["summary"].append(
-            f"general-path cross check: r={general.r:.12g} "
-            f"(difference {abs(general.r - rep.r):.3e})"
-        )
+        if general.r is not None and rep.r is not None:
+            result["summary"].append(
+                f"general-path cross check: r={general.r:.12g} "
+                f"(difference {abs(general.r - rep.r):.3e})"
+            )
     return result
 
 
@@ -431,14 +433,7 @@ def run_partial(tc: TaskConfig, out: Path) -> dict:
         "beta_minus": beta_minus,
     }
     if theta_check:
-        theta = theta_consistency(mu, nu, w, r, alpha)
-        report["theta"] = {
-            "beta_displayed": theta["beta_displayed"],
-            "beta_compat": theta["beta_compat"],
-            "relative_gap": theta["relative_gap"],
-            "point_displayed": theta["point_displayed"].tolist(),
-            "point_compat": theta["point_compat"].tolist(),
-        }
+        report["theta"] = theta_consistency(mu, nu, w, r, alpha)
     lines = [
         f"partial connection at r={r:g}, alpha={alpha:g}: "
         f"beta = +/-{beta_plus:.12g}",

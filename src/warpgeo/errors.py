@@ -10,6 +10,8 @@ and the second to exit code 3.
 
 from __future__ import annotations
 
+import math
+
 
 class WarpGeoError(Exception):
     """Base class for every error raised by this package."""
@@ -64,7 +66,8 @@ class ChartDomainError(NumericalError):
             **super().payload(),
             "chart": self.chart_name,
             "t_exit": self.t_exit,
-            "point": list(map(float, self.point)),
+            # JSON has no NaN or infinity: a coordinate that is not finite is null
+            "point": [x if math.isfinite(x) else None for x in map(float, self.point)],
             "condition": self.condition,
         }
 

@@ -245,7 +245,8 @@ def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:
     point leaves its chart (:meth:`~warpgeo.manifold.MetricChart.contains`),
     raises :class:`ChartDomainError` at that step's parameter, before any
     further step is taken.  A step that divides by zero or overflows (a
-    user's metric on floats, say) makes a state that is not finite.
+    user's metric on floats, say), or whose stage state is not finite
+    (:func:`_classical_step`), makes a state that is not finite.
     """
     h = 1.0 / steps
     y = tuple(state0.tolist())
@@ -286,14 +287,19 @@ def _loop_states(flat: list, failed, steps: int, charts) -> list:
 
 def _classical_step(rhs):
     """The classical Runge-Kutta step of ``y' = rhs(y)``, ``rhs`` taking
-    and giving numpy arrays, as a ``step(y, h)`` of :func:`_rk4`."""
+    and giving numpy arrays, as a ``step(y, h)`` of :func:`_rk4`.  As in
+    the generated loops, a stage state that is not finite makes the step's
+    state NaN, and ``rhs`` never sees it."""
 
     def step(y, h):
         y = np.array(y)
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
+        ks = [rhs(y)]
+        for c in (0.5 * h, 0.5 * h, h):
+            z = y + c * ks[-1]
+            if not np.isfinite(z).all():
+                return (math.nan,) * len(y)
+            ks.append(rhs(z))
+        k1, k2, k3, k4 = ks
         return tuple((y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)).tolist())
 
     return step

@@ -332,26 +332,19 @@ def _conformal_tensor(dim: int) -> np.ndarray:
     return T
 
 
-def _check_off_chart(contains, points, exc: DslEvaluationError):
-    """Raise :class:`NumericalError` from ``exc`` when some point is off the
-    chart (``contains`` false): an exponent undefined there is a curve
-    leaving the chart, not an expression error."""
-    for p in points:
-        if not contains(p):
-            raise NumericalError(f"no metric off the chart, at {p}") from exc
-
-
 def _exponent_at(chart: MetricChart, p: np.ndarray):
     """``phi`` and ``grad phi`` of a chart's exponent at the one point
-    ``p``, through the scalar form, with its ``exponent_args`` bound.  An
-    exponent undefined off the chart, or a ``phi`` that is not finite (a
-    NaN line weight), leaves no metric there: a :class:`NumericalError`."""
+    ``p``, through the scalar form, with its ``exponent_args`` bound.  The
+    chart is where the exponent is defined, and the exponent raises exactly
+    where one of its domain conditions fails, so a raised
+    :class:`~warpgeo.errors.DslEvaluationError` is a point off the chart:
+    no metric there, a :class:`NumericalError`.  So is a ``phi`` that is
+    not finite (an infinite line weight)."""
     try:
         phi, s = warpfn.value_and_gradient(chart.exponent,
                                            [*p.tolist(), *chart.exponent_args])
     except DslEvaluationError as exc:
-        _check_off_chart(chart.contains, [p], exc)
-        raise
+        raise NumericalError(f"no metric off the chart {chart.name}, at {p}") from exc
     if not math.isfinite(phi):
         raise NumericalError(f"the metric of {chart.name} is not finite at {p}")
     return phi, s[:chart.dim]
@@ -365,8 +358,7 @@ def _exponent_jet(chart: MetricChart, points: np.ndarray):
         phi, s = warpfn.value_and_gradient_many(chart.exponent, points,
                                                 chart.exponent_args)
     except DslEvaluationError as exc:
-        _check_off_chart(chart.contains, points, exc)
-        raise
+        raise NumericalError(f"no metric off the chart {chart.name}: {exc}") from exc
     bad = ~np.isfinite(phi)
     if bad.any():
         raise NumericalError(f"the metric of {chart.name} is not finite at "

@@ -16,10 +16,18 @@ enters the derivatives.  On its first evaluation in a given form, a tree is
 compiled into one straight-line Python function that propagates the value,
 and as asked the gradient and Hessian, through every node; the scalar forms
 use ``math`` and the batch forms of :func:`evaluate_many` and
-:func:`value_and_gradient_many` use ``numpy``.  All five entry points apply
-the same domain checks.  Every compiled form sits in one bounded cache keyed
-by its tree, so an expression is compiled once per process, however often
-it is parsed again.
+:func:`value_and_gradient_many` use ``numpy``.  Every compiled form sits in
+one bounded cache keyed by its tree, so an expression is compiled once per
+process, however often it is parsed again.
+
+An expression's domain is written once, as one condition per logarithm,
+square root, division and negative power on its operand, which NaN fails
+too (``_DEFINED``): a positive argument for ``log`` and ``sqrt``, a
+non-zero one for ``/`` and ``^``.  Every compiled form tests these
+conditions in the same order, and differs only in what a failed one does:
+:func:`domain_failure` returns it, the value forms raise
+:class:`~warpgeo.errors.DslEvaluationError` naming the subexpression, and a
+loop ends at the state that fails it.
 
 Two loop forms compile classical Runge-Kutta steps on Python floats into
 one ``for`` loop.  The state is a tuple of floats, one ``(point,
@@ -32,11 +40,11 @@ the spray ``|u|^2 s - 2 (s . u) u`` of the metric ``exp(2 psi) I``.
 given by its exponent ``psi``; :func:`rk4_coupled_loop` steps the coupled
 geodesic system of the warped metric ``exp(2 phi1) I - k exp(2 phi2) I``,
 whose stages add the warp's coupling terms to both sprays.  Each loop
-tests every state it makes: finite, and inside the domain of each
-exponent, where every one of its logarithms, square roots and divisions is
-defined (:func:`domain_failure`).  No stage of a loop raises: a float
-failure inside a step (a division by zero, a math domain error or an
-overflow) makes that step's state not finite, and the loop ends there.
+tests every state it makes, the last one too, in one place, at the first
+stage from it: finite, and inside the domain of each exponent.  No stage
+of a loop raises: a float failure inside a step (a division by zero, a
+math domain error or an overflow) makes that step's state not finite, and
+the loop ends there.
 """
 
 from __future__ import annotations
@@ -329,8 +337,7 @@ def format_expression(e: Expr) -> str:
 # that are structurally zero left out.  Only node kinds, variable indices,
 # function names and generated temporaries appear in the source; constants,
 # exponents and the subexpressions named by domain errors are bound by name.
-# A domain check guards the value it precedes and is kept exactly as long as
-# that value is: only what the function returns is computed.
+# Only what the function returns is computed, and every domain test is kept.
 # The compiled functions are cached by tree, form and dimension in one
 # bounded cache; interning makes that key equal across parses.
 
@@ -345,18 +352,17 @@ _D1 = {"sin": "cos({u})", "cos": "-sin({u})", "exp": "{f}",
 _D2 = {"sin": "-{f}", "cos": "-{f}", "exp": "{f}",
        "log": "-1.0 / ({u} * {u})", "sqrt": "-0.25 / {f} ** 3"}
 
-# domain checks per node kind: (condition on the checked operand, message)
-_CHECKS = {"log": (("{u} <= 0.0", "log of non-positive value"),),
-           "sqrt": (("{u} < 0.0", "square root of negative value"),
-                    ("{u} == 0.0", "square root derivative undefined at zero")),
-           "/": (("{u} == 0.0", "division by zero"),),
-           "^": (("{u} == 0.0", "division by zero"),)}
+# the domain of an expression: where each checked node kind is defined, as
+# one condition on its operand that NaN fails too, and the message of the
+# error a value form raises where it fails; the branch point of sqrt is
+# left out, so that every expression stays twice differentiable
+_DEFINED = {"log": ("{u} > 0.0", "log of non-positive value"),
+            "sqrt": ("{u} > 0.0", "square root of non-positive value"),
+            "/": ("{u} != 0.0", "division by zero"),
+            "^": ("{u} != 0.0", "division by zero")}
 
-# where each checked node kind is defined, as one condition on its operand
-# that NaN fails too: the domain of an expression, which a loop tests at
-# every state and :func:`domain_failure` at a point
-_DEFINED = {"log": "{u} > 0.0", "sqrt": "{u} > 0.0", "/": "{u} != 0.0",
-            "^": "{u} != 0.0"}
+# the statement of a value form where a domain condition fails
+_RAISE = "raise _error(*{})"
 
 # the name of the lines kept whatever the result reads: the domain tests
 _KEEP = "_keep"
@@ -406,27 +412,27 @@ class _Emitter:
         self.lines: list[tuple[str, str]] = []
         self.hoisted: dict[str, str] = {}
         self.bound: dict[str, object] = {}
-        self.failures: list[tuple[str, Expr]] = []
         self.loaded: dict[int, str] = {}
-        # while a state's or a point's domain is written, the statement
-        # that a failed condition ``{}`` runs; None while checks raise, or,
-        # in a loop, are left out
-        self.verdict = "return {}" if form in (_DOMAIN, _ARRAY_DOMAIN) else None
+        # the statement that a failed domain condition runs: returning the
+        # condition ``{}`` from a domain form, or from a loop while it tests
+        # a state, raising from a value form; None in a loop's stages,
+        # which test nothing
+        self.verdict = (None if self.loop else "return {}"
+                        if form in (_DOMAIN, _ARRAY_DOMAIN) else _RAISE)
         if self.loop:
             self.finite = self.bind(FINITE_STATE, "n")
 
     def let(self, src, checked=None):
         """A name (or literal) holding ``src``; None stays structurally zero.
 
-        ``checked`` is the ``(node, kind, operand)`` whose domain checks
-        must pass before ``src`` is computed.
+        ``checked`` is the ``(node, kind, operand)`` whose domain condition
+        is tested before ``src`` is computed.
         """
         if src is None or src.isidentifier() or src == _ONE:
             return src
-        name = f"t{len(self.lines)}"
         if checked is not None:
-            self.check(name, *checked)
-        return self.put(name, src)
+            self.check(*checked)
+        return self.put(f"t{len(self.lines)}", src)
 
     def put(self, name: str, src: str) -> str:
         self.lines.append((name, f"{name} = {src}"))
@@ -441,25 +447,25 @@ class _Emitter:
         self.bound[name] = obj
         return name
 
-    def check(self, guarded: str, e: Expr, kind: str, u: str):
-        if self.verdict is not None:
-            cond = _DEFINED[kind].format(u=u)
-            if self.array:
-                cond = f"_all({cond})"
+    def check(self, e: Expr, kind: str, u: str):
+        """Test the condition of ``_DEFINED`` on the operand ``u`` of ``e``
+        (on every row of a batch), and run the verdict where it fails, with
+        the condition as it reads on the subexpression (``x2 > 0.0``), or,
+        where the verdict raises, the message and ``e``."""
+        if self.verdict is None:
+            return
+        defined, message = _DEFINED[kind]
+        test = defined.format(u=u)
+        if self.array:
+            test = f"_all({test})"
+        if self.verdict == _RAISE:
+            failed = (message, str(e))
+        else:
             operand = e.right if isinstance(e, Binary) else (
                 e.base if isinstance(e, Power) else e.arg)
-            name = self.bind(_DEFINED[kind].format(u=format_expression(operand)), "n")
-            self.lines.append((_KEEP, f"if not {cond}: {self.verdict.format(name)}"))
-            return
-        if self.loop:
-            # a loop raises nothing: a float failure makes its state not finite
-            return
-        for cond, message in _CHECKS[kind]:
-            cond = cond.format(u=u)
-            if self.array:
-                cond = f"_any({cond})"
-            self.lines.append((guarded, f"if {cond}: _fail({len(self.failures)})"))
-            self.failures.append((message, e))
+            failed = defined.format(u=format_expression(operand))
+        name = self.bind(failed, "n")
+        self.lines.append((_KEEP, f"if not {test}: {self.verdict.format(name)}"))
 
     def emit(self, e: Expr):
         """``(value, gradient entries, non-zero Hessian entries by (i, j))``."""
@@ -539,7 +545,7 @@ class _Emitter:
                 d2 = self.let(f"{self.bind(m * (m - 1), 'm')} * {u} ** "
                               f"{self.bind(m - 2, 'm')}")
         else:
-            v = self.let(f"{kind}({u})", (e, kind, u) if kind in _CHECKS else None)
+            v = self.let(f"{kind}({u})", (e, kind, u) if kind in _DEFINED else None)
             if self.order:
                 d1 = self.let(_D1[kind].format(u=u, f=v))
             if self.order > 1:
@@ -606,7 +612,7 @@ class _Emitter:
             x, u = z[:d], z[d:]
             self.test_state(s, 0, z)
             g = self.gradient_at(e, d, loaded, x)[1]
-            self.verdict = None
+            self.end_tests(s)
             uu, gu = self.dot(f"uu{s}", u, u), self.dot(f"gu{s}", g, u)
             return [*u, *(self.put(f"a{s}_{i}", f"{uu} * {g[i]} - 2.0 * {gu} * {u[i]}")
                           for i in range(d))]
@@ -634,7 +640,7 @@ class _Emitter:
             p1, s1 = self.gradient_at(phi1, d1, base, x)
             self.test_state(s, 1, z[2 * d1:])
             p2, s2 = self.gradient_at(phi2, d2, fiber, y, n1)
-            self.verdict = None
+            self.end_tests(s)
             kv, dk = self.gradient_at(k, d1, base, x)
             uu, su = self.dot(f"uu{s}", u, u), self.dot(f"su{s}", s1, u)
             vv, sv = self.dot(f"vv{s}", v, v), self.dot(f"sv{s}", s2, v)
@@ -665,6 +671,14 @@ class _Emitter:
         self.lines.append((_KEEP, f"if not {_zeros(names)} == 0.0: "
                                   f"{self.verdict.format(self.finite)}"))
 
+    def end_tests(self, s: int):
+        """After the state tests of stage ``s``: the last state, which
+        takes no step, ends the loop there, and what follows tests
+        nothing."""
+        if not s:
+            self.lines.append((_KEEP, "if i == steps: return out, None"))
+        self.verdict = None
+
     def body(self, result: str) -> tuple[list[str], list[str]]:
         """The lines ``result`` needs, read backwards from it, as the
         hoisted ones and the rest; every domain test is kept."""
@@ -676,50 +690,38 @@ class _Emitter:
                 live.update(_NAME.findall(line))
         return [line for name, line in self.hoisted.items() if name in live], kept[::-1]
 
-    def source(self, body, result: str, head: str = "x") -> str:
-        params = ", ".join([*self.bound, "_fail", "_array", "_any", "_all",
-                            "_full", "_rows", "_nan", *FUNCTIONS])
+    def source(self, body, head: str = "x") -> str:
+        params = ", ".join([*self.bound, "_error", "_array", "_all", "_full",
+                            "_rows", "_nan", *FUNCTIONS])
         lines = "".join(f"        {line}\n" for line in body)
-        return (f"def _build({params}):\n    def _f({head}):\n{lines}"
-                f"        return {result}\n    return _f\n")
+        return f"def _build({params}):\n    def _f({head}):\n{lines}    return _f\n"
 
     def function_source(self, e: Expr) -> str:
         """Source of the value form of ``e``, or of its domain test, which
         returns the first condition that fails, or None."""
-        if self.verdict is not None:
+        if self.verdict == _RAISE:
+            result = self.result(e)
+        else:
             self.emit(e)
             result = "None"
-        else:
-            result = self.result(e)
-        return self.source(sum(self.body(result), []), result)
+        return self.source([*sum(self.body(result), []), f"return {result}"])
 
-    def loop_source(self, result: str, blocks) -> str:
-        """Source of ``loop(y, h, args, steps)``: ``steps`` steps from
-        ``y``, over the ``(point, velocity)`` blocks ``blocks``, each
-        ``(exponent, dimension, index of its first argument)``."""
-        n = sum(2 * dim for _, dim, _ in blocks)
+    def loop_source(self, result: str, n: int) -> str:
+        """Source of ``loop(y, h, args, steps)``: ``steps`` steps from the
+        state ``y`` of ``n`` floats, each state tested at the first stage
+        from it, the last one too.  A float failure makes the state of its
+        step NaN, or, at the last state, that state."""
         state = ", ".join(f"q{i}" for i in range(n))
         hoisted, steps = self.body(result)
-        steps.append(f"{state} = {result}")
-        done, start = [], 0
-        for block, (e, dim, first) in enumerate(blocks):
-            names = [f"q{i}" for i in range(start, start + 2 * dim)]
-            point = ", ".join(names[:dim])
-            test = self.bind(_compiled(e, _DOMAIN, dim), "f")
-            fail = f"return out, ({block}, {{}})"
-            done += [f"if not {_zeros(names)} == 0.0: {fail.format(self.finite)}",
-                     f"failed = {test}(({point}, *args[{first}:]))",
-                     f"if failed is not None: {fail.format('failed')}"]
-            start += 2 * dim
-        lines = [f"{state}, = y", *hoisted, f"out = [{state}]", "try:",
-                 "    for _ in range(steps):",
-                 *(f"        {line}" for line in steps),
-                 f"        out += ({state},)",
-                 "except (ZeroDivisionError, ValueError, OverflowError):",
-                 f"    out += ({'_nan, ' * n})",
-                 f"    return out, (0, {self.finite})",
-                 *done]
-        return self.source(lines, "out, None", "y, h, args, steps")
+        return self.source([
+            f"{state}, = y", *hoisted, f"out = [{state}]", "try:",
+            "    for i in range(steps + 1):",
+            *(f"        {line}" for line in steps),
+            f"        {state} = {result}",
+            f"        out += ({state},)",
+            "except (ZeroDivisionError, ValueError, OverflowError):",
+            f"    out[{n} * min(i + 1, steps):] = ({'_nan, ' * n})",
+            f"    return out, (0, {self.finite})"], "y, h, args, steps")
 
 
 def _zeros(names) -> str:
@@ -742,37 +744,34 @@ def _function(emitter: _Emitter, source: str):
     """The function ``source`` defines, with the emitter's bindings."""
     namespace: dict = {}
     exec(compile(source, "<warpfn>", "exec"), namespace)
-    failures = emitter.failures
-
-    def fail(k: int):
-        message, node = failures[k]
-        raise DslEvaluationError(message, str(node))
-
     functions = np if emitter.array else math
     return namespace["_build"](
-        **emitter.bound, _fail=fail, _array=np.array, _any=np.any, _all=np.all,
+        **emitter.bound, _error=DslEvaluationError, _array=np.array, _all=np.all,
         _full=np.full, _rows=_rows, _nan=math.nan,
         **{name: getattr(functions, name) for name in FUNCTIONS})
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(e, form: int, dim):
-    """The function for ``form`` on ``dim``-point arguments, compiled once.
+def _source(e, form: int, dim):
+    """The emitter and the source of the function for ``form`` on
+    ``dim``-point arguments.
 
     The coupled loop reads three trees, ``e = (phi1, k, phi2)``, on
     ``dim = (d1, d2, n1)``."""
     if form == _COUPLED_LOOP:
         (phi1, k, phi2), (d1, d2, n1) = e, dim
         emitter = _Emitter(form, d1)
-        result = emitter.coupled_step(phi1, k, phi2, d1, d2, n1)
-        return _function(emitter, emitter.loop_source(
-            result, [(phi1, d1, 0), (phi2, d2, n1)]))
+        return emitter, emitter.loop_source(
+            emitter.coupled_step(phi1, k, phi2, d1, d2, n1), 2 * (d1 + d2))
     emitter = _Emitter(form, dim)
     if form == _LOOP:
-        source = emitter.loop_source(emitter.geodesic_step(e, dim), [(e, dim, 0)])
-    else:
-        source = emitter.function_source(e)
-    return _function(emitter, source)
+        return emitter, emitter.loop_source(emitter.geodesic_step(e, dim), 2 * dim)
+    return emitter, emitter.function_source(e)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _compiled(e, form: int, dim):
+    """The function for ``form`` on ``dim``-point arguments, compiled once."""
+    return _function(*_source(e, form, dim))
 
 
 def evaluate(e: Expr, point) -> float:
@@ -813,7 +812,9 @@ def domain_failure(e: Expr, point, args=()) -> Optional[str]:
     positive argument and every division and negative power a non-zero
     one; NaN fails the first two.  ``args`` binds the variables past the
     point's coordinates.  A condition reads as its subexpression's test,
-    ``x2 > 0.0`` say.
+    ``x2 > 0.0`` say.  These are the only domain conditions: every value
+    form raises :class:`~warpgeo.errors.DslEvaluationError` exactly where
+    one fails, and a loop ends at a state where one fails.
     """
     x = np.asarray(point, dtype=float).tolist()
     return _compiled(e, _DOMAIN, len(x))((*x, *args))
@@ -852,11 +853,15 @@ def rk4_geodesic_loop(e: Expr, dim: int):
     state fails, ``(0, condition)`` with that state last in the list.  A
     state fails where an entry is not finite (``condition`` is
     :data:`FINITE_STATE`) or where a condition of :func:`domain_failure`
-    fails at its point; the conditions are tested at the first stage of
-    each step, where the gradient computes their operands anyway.  No stage
-    raises: a step that divides by zero, meets a math domain error (a
-    logarithm or square root off its domain, ``sin`` of an infinite
-    coordinate) or overflows makes a state of NaN, which fails.
+    fails at its point, the one domain rule of every compiled form.  Every
+    state, the last one too, is tested the same way: at the first stage
+    from it, where the gradient computes the conditions' operands anyway;
+    the last state then ends the loop.  No stage raises: a step that
+    divides by zero, meets a math domain error (a logarithm or square root
+    off its domain, ``sin`` of an infinite coordinate) or overflows makes a
+    state of NaN, which fails.  The last state's first-stage gradient is
+    computed too, so a float failure there makes that state NaN, and the
+    loop ends with :data:`FINITE_STATE` at it.
     """
     return _compiled(e, _LOOP, dim)
 

@@ -381,9 +381,31 @@ def test_a_step_that_fails_in_floats_is_a_domain_exit(tmp_path, warp, point, vel
     code, out = run_task(tmp_path, doc, "--quiet")
     assert code == 3
     with open(out / "error.json") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_constant=_no_constant)
     assert payload["error"] == "ChartDomainError"
     assert payload["condition"] == "a finite state"
+    # the state is NaN, which JSON writes as null
+    assert payload["point"] == [None, None]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_flrw_with_coinciding_fiber_points_is_the_trivial_connection(tmp_path,
+                                                                     cross_check):
+    # the trivial connection has no r and no first-integral residual
+    doc = dict(TRIVIAL_PRODUCT, task="flrw", flrw={
+        "t0": 0.0, "t1": 2.0, "y0": [0.5], "y1": [0.5], "cross_check": cross_check,
+    })
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 0
+    report = report_of(out)
+    assert report["r"] is None
+    assert "first_integral_residual" not in report
+    assert ("cross_check_r" in report) == cross_check
+    assert "first-integral residual" not in (out / "summary.txt").read_text()
 
 
 def test_a_warp_above_its_declared_bound_is_a_numerical_failure(tmp_path):

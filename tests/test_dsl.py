@@ -287,12 +287,12 @@ def test_log_of_non_positive_value_is_reported():
 
 def test_sqrt_domain_rules():
     expr = warpfn.parse("sqrt(x1)", 1)
-    with pytest.raises(DslEvaluationError, match="square root of negative"):
-        warpfn.evaluate(expr, np.array([-1.0]))
     # The field must stay twice differentiable, so the branch point itself
-    # is rejected as well.
-    with pytest.raises(DslEvaluationError, match="derivative undefined at zero"):
-        warpfn.evaluate(expr, np.array([0.0]))
+    # is rejected as well, by the one condition x1 > 0.
+    for x in (-1.0, 0.0, math.nan):
+        with pytest.raises(DslEvaluationError, match="square root of non-positive"):
+            warpfn.evaluate(expr, np.array([x]))
+        assert warpfn.domain_failure(expr, [x]) == "x1 > 0.0"
     assert warpfn.evaluate(expr, np.array([4.0])) == 2.0
 
 
@@ -316,9 +316,9 @@ DOMAIN_CASES = {
     "division": ("1 + 2/(x1 - 1)", 1.0, "division by zero", "2.0 / (x1 - 1.0)"),
     "log-zero": ("log(x1)", 0.0, "log of non-positive value", "log(x1)"),
     "log-negative": ("log(x1)", -2.0, "log of non-positive value", "log(x1)"),
-    "sqrt-negative": ("sqrt(x1)", -1.0, "square root of negative value", "sqrt(x1)"),
-    "sqrt-zero": ("sqrt(x1)", 0.0, "square root derivative undefined at zero",
-                  "sqrt(x1)"),
+    "sqrt-negative": ("sqrt(x1)", -1.0, "square root of non-positive value",
+                      "sqrt(x1)"),
+    "sqrt-zero": ("sqrt(x1)", 0.0, "square root of non-positive value", "sqrt(x1)"),
     "negative-power": ("3 + x1^-2", 0.0, "division by zero", "x1^-2"),
     "nested": ("exp(x1) * log(x1 - 2)", 2.0, "log of non-positive value",
                "log(x1 - 2.0)"),
@@ -334,6 +334,34 @@ def test_domain_errors_at_every_entry_point(entry, text, x, message, subexpressi
         ENTRY_POINTS[entry](expr, np.array([x]))
     assert err.value.subexpression == subexpression
     assert str(err.value) == f"{message} in {subexpression!r}"
+
+
+# Every value form, a one-row batch too, against the one domain rule.
+VALUE_FORMS = {**ENTRY_POINTS,
+               "evaluate_many": lambda expr, p: warpfn.evaluate_many(expr, [p])}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_value_form_raises_exactly_where_a_domain_condition_fails(dsl_cases,
+                                                                        data):
+    # the conftest's random expressions at points in [-4, 4], some with a
+    # NaN coordinate, which fails every log and sqrt it reaches
+    expr, point = dsl_cases[data.draw(st.integers(0, len(dsl_cases) - 1))]
+    coordinates = st.lists(st.floats(-4.0, 4.0), min_size=point.size,
+                           max_size=point.size)
+    p = np.array(data.draw(coordinates))
+    if data.draw(st.booleans()):
+        p[data.draw(st.integers(0, p.size - 1))] = math.nan
+    with np.errstate(all="ignore"):
+        failed = warpfn.domain_failure(expr, p)
+        for name, form in VALUE_FORMS.items():
+            try:
+                form(expr, p)
+            except DslEvaluationError:
+                assert failed is not None, (name, expr, p)
+            else:
+                assert failed is None, (name, expr, p, failed)
 
 
 def test_an_infinite_constant_is_evaluated_not_spelled_out():

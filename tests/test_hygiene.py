@@ -7,6 +7,7 @@ raises."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,13 +203,24 @@ def test_the_check_sees_cached_functions():
 
 def _raises(compiled) -> bool:
     """Whether a compiled form can raise an expression error: its body
-    reads ``_fail``."""
-    return "_fail" in compiled.__code__.co_freevars
+    reads ``_error``."""
+    return "_error" in compiled.__code__.co_freevars
+
+
+def _ends_in_its_loop(source: str) -> bool:
+    """Whether the generated function is one ``try`` whose body ends in its
+    ``for``: no code runs after the loop but the float-failure handler."""
+    function = ast.parse(source).body[0].body[0]
+    last = function.body[-1]
+    return (isinstance(last, ast.Try) and isinstance(last.body[-1], ast.For)
+            and not last.orelse and not last.finalbody)
 
 
 def test_no_generated_loop_raises():
     # a float failure in a stage makes a state that is not finite, so no
-    # check of a loop raises; the charts and warps are the benchmark's
+    # check of a loop raises; every state, the last one too, is tested in
+    # the loop, which calls no other compiled form; the charts and warps
+    # are the benchmark's
     import warpgeo as wg
     from warpgeo import warpfn
 
@@ -220,9 +232,26 @@ def test_no_generated_loop_raises():
         assert not _raises(warpfn.rk4_geodesic_loop(rescaled.exponent, 2))
         assert not _raises(warpfn.rk4_coupled_loop(
             base.exponent, 2, w.expr, fiber.exponent, 1, len(base.exponent_args)))
-    # a loop handles its float errors itself and lets no package error out
+        for key in ((rescaled.exponent, warpfn._LOOP, 2),
+                    ((base.exponent, w.expr, fiber.exponent), warpfn._COUPLED_LOOP,
+                     (2, 1, len(base.exponent_args)))):
+            source = warpfn._source(*key)[1]
+            assert re.search(r"\bf\d+\(", source) is None
+            assert _ends_in_its_loop(source)
+    # a loop handles its float errors itself and lets no package error out,
+    # and the domain is written once, in _DEFINED
     source = (PACKAGE / "warpfn.py").read_text()
     assert "_raised" not in source and "_typed" not in source
+    assert "_CHECKS" not in source
+
+
+def test_the_check_sees_a_loop_with_code_after_it():
+    source = ("def _build():\n    def _f(y):\n        try:\n"
+              "            for i in y:\n                pass\n"
+              "        except ValueError:\n            pass\n"
+              "        return y\n    return _f\n")
+    assert not _ends_in_its_loop(source)
+    assert _ends_in_its_loop(source.replace("        return y\n", ""))
 
 
 def test_the_check_sees_a_form_that_raises():

@@ -211,6 +211,31 @@ def test_an_integer_power_that_overflows_makes_a_state_that_is_not_finite(base):
     assert err.value.t_exit == 1.0 / 16.0
 
 
+def test_a_float_failure_at_the_last_state_makes_that_state_not_finite():
+    # exp(x1) overflows at x1 = 1000, a finite state inside the domain; the
+    # last state's first-stage gradient is computed too, so a loop of no
+    # steps ends at its one state, now NaN, and one of 16 steps at the
+    # state its first step makes
+    loop = warpfn.rk4_geodesic_loop(warpfn.parse("exp(x1)", 1), 1)
+    for steps, states in ((0, 1), (16, 2)):
+        flat, failed = loop((1000.0, 1.0), 1.0 / 16.0, (), steps)
+        assert failed == (0, warpfn.FINITE_STATE)
+        assert len(flat) == 2 * states and all(map(math.isnan, flat[-2:]))
+
+
+def test_a_stage_that_is_not_finite_makes_a_numpy_step_not_finite():
+    # the first stage coordinate overflows to inf, where the warp's scalar
+    # form would take sin(inf): the numpy step makes a NaN state before any
+    # right-hand side sees it, as the generated loops do
+    w = wg.WarpField.from_expression("2 + 0.5*sin(x1)", 2, 1.5, 2.5)
+    chart = wg.conformal_metric(wg.sphere(2), w, 0.5)
+    with pytest.raises(ChartDomainError) as err, np.errstate(all="ignore"):
+        wg.integrate_geodesic(chart, [1.2, 0.3], [1e150, 0.0],
+                              wg.IntegratorConfig(steps=16))
+    assert err.value.condition == warpfn.FINITE_STATE
+    assert err.value.t_exit == 0.0625
+
+
 def test_an_oracle_power_that_overflows_makes_a_state_that_is_not_finite():
     g1, g2 = wg.euclidean(2), wg.circle(1.0)
     with pytest.raises(ChartDomainError) as err:
@@ -221,15 +246,15 @@ def test_an_oracle_power_that_overflows_makes_a_state_that_is_not_finite():
     assert err.value.t_exit == 1.0 / 16.0
 
 
-@pytest.mark.parametrize("weight, p0", [
-    (warpfn.Const(math.nan), 0.3),   # NaN everywhere
-    ("t - 0.5", 0.3),                # negative at the start
-    ("1 - t", 0.0),                  # reaches zero at t = 1, a finite distance away
+@pytest.mark.parametrize("weight, p0, message", [
+    (warpfn.Const(math.nan), 0.3, "off the chart"),  # NaN everywhere: off log's domain
+    ("t - 0.5", 0.3, None),          # negative at the start
+    ("1 - t", 0.0, None),            # reaches zero at t = 1, a finite distance away
 ], ids=["nan", "negative", "vanishing"])
-def test_a_bad_line_weight_is_a_numerical_failure(weight, p0):
+def test_a_bad_line_weight_is_a_numerical_failure(weight, p0, message):
     chart = wg.weighted_line(weight)
-    if isinstance(weight, warpfn.Expr):
-        with pytest.raises(NumericalError, match="not finite"):
+    if message is not None:
+        with pytest.raises(NumericalError, match=message):
             _metric(chart, np.array([p0]))
     for line in (chart, wg.conformal_metric(chart, wg.WarpField.constant(1.0, 1), 1.0)):
         with pytest.raises(NumericalError):

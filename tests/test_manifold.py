@@ -160,7 +160,9 @@ def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
     # expression, is at fault.  The domain is where the whole exponent is
     # defined, so a failure inside a line weight is off the chart too.  The
     # metric of an exponent chart, read from the exponent at one point,
-    # fails as its symbols do, and a NaN line weight leaves neither finite.
+    # fails as its symbols do.  A NaN line weight fails log's condition, so
+    # it is off the chart too; an infinite one is defined, but leaves
+    # neither finite.
     for read in (christoffel, _metric):
         with pytest.raises(NumericalError, match="off the chart"):
             read(wg.poincare_half_plane(), np.array([0.0, -1.0]))
@@ -171,8 +173,11 @@ def test_christoffel_symbols_off_the_chart_are_a_numerical_failure():
         with pytest.raises(NumericalError, match="off the chart") as err:
             read(wg.weighted_line("1 + sqrt(t)"), np.array([-1.0]))
         assert isinstance(err.value.__cause__, DslEvaluationError)
-        with pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(NumericalError, match="off the chart") as err:
             read(wg.weighted_line(warpfn.Const(math.nan)), np.array([0.3]))
+        assert isinstance(err.value.__cause__, DslEvaluationError)
+        with pytest.raises(NumericalError, match="not finite"):
+            read(wg.weighted_line(warpfn.Const(math.inf)), np.array([0.3]))
 
 
 def test_a_chart_is_defined_once():

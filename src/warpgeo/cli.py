@@ -325,49 +325,45 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
         nu = integrate_geodesic(g2, nu.points[0], Y0, tc.cfg)
     geo = riemannize(mu, nu, w, r, tc.base, g2, compat_tol=1e-8,
                      residual_tol=None)
-    for name, curve in (("mu", mu), ("nu", nu), ("gamma", geo.gamma),
-                        ("tau", geo.tau)):
-        curve_to_csv(curve, out / f"{name}.csv")
-    report = geo.to_dict()
-    report["norm_identities"] = norm_identity_errors(geo, w, tc.base, g2)
+    result = _write_rebuilt(geo, w, tc.base, g2, out, geo.to_dict(), [
+        f"rebuilt geodesic at r={r:g}: a={geo.a_r:.12g} b={geo.b_r:.12g}"])
     if oracle:
         Xt, Yt = geo.initial_tangents
         ob, of = integrate_coupled_oracle(
             tc.base, g2, w, (mu.points[0], nu.points[0]),
             (Xt.components, Yt.components), tc.cfg,
         )
-        report["oracle_deviation"] = max(
+        result["report"]["oracle_deviation"] = deviation = max(
             float(np.max(np.abs(ob.points - geo.gamma.points))),
             float(np.max(np.abs(of.points - geo.tau.points))),
         )
-    lines = [
-        f"rebuilt geodesic at r={r:g}: a={geo.a_r:.12g} b={geo.b_r:.12g}",
-        f"residuals: base {geo.residuals[0]:.3e}, fiber {geo.residuals[1]:.3e}",
-    ]
-    if "oracle_deviation" in report:
-        lines.append(f"deviation from directly integrated system: "
-                     f"{report['oracle_deviation']:.3e}")
-    return {"report": report, "summary": lines}
+        result["summary"].append(
+            f"deviation from directly integrated system: {deviation:.3e}")
+    return result
 
 
-def _finish_connection(report_obj, w, g1, g2, out: Path) -> dict:
-    geo = report_obj.geodesic
-    for name, curve in (("mu", geo.base[0]), ("nu", geo.base[1]),
-                        ("gamma", geo.gamma), ("tau", geo.tau)):
+def _write_rebuilt(geo, w, g1, g2, out: Path, report: dict, lines: list) -> dict:
+    """Write the four legs of a rebuilt geodesic as CSVs, add its norm
+    identities to ``report`` (``None`` for a geodesic without an ``r``, the
+    trivial connection) and its residuals to the summary ``lines``; the
+    task's result."""
+    for name, curve in zip(("mu", "nu", "gamma", "tau"),
+                           (*geo.base, geo.gamma, geo.tau)):
         curve_to_csv(curve, out / f"{name}.csv")
-    report = report_obj.to_dict()
     report["norm_identities"] = (
-        None if report_obj.r is None
-        else norm_identity_errors(geo, w, g1, g2)
-    )
-    lines = [
-        f"connection found: r={report_obj.r}",
-        f"beta={report_obj.beta:.12g} (target {report_obj.target_beta:.12g})",
-        f"endpoint error {report_obj.endpoint_error:.3e}, "
-        f"{report_obj.iterations or 'no'} dial evaluations",
-        f"residuals: base {geo.residuals[0]:.3e}, fiber {geo.residuals[1]:.3e}",
-    ]
+        None if math.isnan(geo.r) else norm_identity_errors(geo, w, g1, g2))
+    lines.append(
+        f"residuals: base {geo.residuals[0]:.3e}, fiber {geo.residuals[1]:.3e}")
     return {"report": report, "summary": lines}
+
+
+def _finish_connection(rep, w, g1, g2, out: Path) -> dict:
+    return _write_rebuilt(rep.geodesic, w, g1, g2, out, rep.to_dict(), [
+        f"connection found: r={rep.r}",
+        f"beta={rep.beta:.12g} (target {rep.target_beta:.12g})",
+        f"endpoint error {rep.endpoint_error:.3e}, "
+        f"{rep.iterations or 'no'} dial evaluations",
+    ])
 
 
 @task("connect")

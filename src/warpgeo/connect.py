@@ -27,9 +27,12 @@ evaluates the dial from the explicit first integral of the base equation
 instead: with the slowness ``S`` of that integral, the leg's speed and
 both constants are quadratures over a uniform grid on the base interval,
 so neither a shot nor a base leg is needed.
-Both kinds of dial evaluation go through one root-find, and both
-connections raise :class:`~warpgeo.errors.ShootingError` when the rebuilt
-legs end farther than the integrator tolerance from the requested points.
+Both connections run one driver, which differs between them only in the
+dial and in how it gets the base leg at the root: it makes the trivial
+connection of coinciding fiber points (within 1e-12 absolute), solves for
+``r`` with one root-find and rebuilds the pair there, and raises
+:class:`~warpgeo.errors.ShootingError` when either rebuilt leg ends farther
+than the integrator tolerance from its requested point.
 """
 
 from __future__ import annotations
@@ -356,10 +359,12 @@ class ShootingReport:
     """Outcome of a boundary-connection solve.
 
     ``r`` is ``None`` for the degenerate case of coinciding fiber
-    endpoints, where the fiber leg is constant and the base leg is a plain
-    base-metric geodesic.  ``iterations`` is the number of distinct ``r``
-    at which the dial was evaluated: 0 in the degenerate case, which
-    evaluates no dial.
+    endpoints (within 1e-12 absolute), where the fiber leg is constant and
+    the base leg is a plain base-metric geodesic.  ``iterations`` is the
+    number of distinct ``r`` at which the dial was evaluated: 0 in the
+    degenerate case, which evaluates no dial.  ``endpoint_error`` is the
+    larger distance of the two rebuilt legs' ends from the requested
+    points, in the degenerate case too.
     """
 
     r: Optional[float]
@@ -386,57 +391,64 @@ class ShootingReport:
         return doc
 
 
-def _within_tolerance(report: ShootingReport,
-                      cfg: IntegratorConfig) -> ShootingReport:
-    """The report, if its rebuilt legs end within ``cfg.tolerance`` of the
-    requested end points; a :class:`ShootingError` otherwise."""
-    if report.endpoint_error > cfg.tolerance:
+def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
+             cfg: IntegratorConfig, dial, leg, r_max: float,
+             samples: int) -> ShootingReport:
+    """Join ``z0 = (x0, y0)`` to ``z1 = (x1, y1)``: the one connection driver.
+
+    ``dial(r, v_init, jac_init)`` is one dial evaluation for
+    :func:`_solve_r`, and ``leg(r, result)`` the base leg at the root from
+    its evaluation, with the first-integral residual measured along it
+    (``None`` where there is none).  Fiber end points that coincide, within
+    1e-12 absolute in every coordinate, make the trivial connection: a
+    constant fiber leg and a ``g1``-geodesic base leg, with no dial.
+    Otherwise coinciding base end points raise :class:`BracketingError`;
+    a fiber shoot fixes the target ``beta``, the dial is solved for ``r``
+    and the pair rebuilt there, the one map build of a solve.  Either way
+    the rebuilt legs must both end within ``cfg.tolerance`` of ``x1`` and
+    ``y1``, or :class:`ShootingError` is raised.
+    """
+    x0, y0 = (np.asarray(p, dtype=float) for p in z0)
+    x1, y1 = (np.asarray(p, dtype=float) for p in z1)
+    if np.allclose(y0, y1, rtol=0.0, atol=1e-12):
+        X, _, mu, _ = _shoot(g1, x0, x1, cfg)
+        n = mu.params.shape[0]
+        nu = Curve(mu.params.copy(), np.tile(y0, (n, 1)), np.zeros((n, y0.shape[0])))
+        geo = RiemannianGeodesic(
+            r=math.nan, base=(mu, nu), gamma=mu, tau=nu, a_r=math.nan,
+            b_r=math.nan,
+            initial_tangents=(TangentVector(mu.points[0], mu.velocities[0]),
+                              TangentVector(y0, np.zeros_like(y0))),
+            residuals=coupled_residual(g1, g2, w, mu, nu),
+        )
+        r, X_r, beta, beta0, iterations, fi_residual = (
+            None, TangentVector(mu.points[0], X), 0.0, 0.0, 0, None)
+    else:
+        if np.allclose(x0, x1, rtol=0.0, atol=1e-12):
+            raise BracketingError(
+                "coinciding base endpoints admit no rebuilt geodesic with a "
+                "moving fiber leg: the dial is identically zero"
+            )
+        V2, _, nu, _ = _shoot(g2, y0, y1, cfg)
+        beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
+        r, res, iterations = _solve_r(dial, beta0, admissible_range(w).lower,
+                                      r_max, samples)
+        X_r, beta = res.X_r, res.beta
+        mu, fi_residual = leg(r, res)
+        geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None)
+    endpoint_error = float(max(np.max(np.abs(geo.gamma.points[-1] - x1)),
+                               np.max(np.abs(geo.tau.points[-1] - y1))))
+    if endpoint_error > cfg.tolerance:
         raise ShootingError(
             f"rebuilt geodesic misses the requested end points by "
-            f"{report.endpoint_error:.3e} > tolerance {cfg.tolerance:g}",
-            residual=report.endpoint_error, iterations=report.iterations,
+            f"{endpoint_error:.3e} > tolerance {cfg.tolerance:g}",
+            residual=endpoint_error, iterations=iterations,
         )
-    return report
-
-
-def _assemble_report(mu: Curve, solver_result: BetaResult, r: float,
-                     nu: Curve, beta0: float, w, g1, g2, iterations: int,
-                     x1, y1, cfg: IntegratorConfig,
-                     first_integral_residual=None) -> ShootingReport:
-    """Rebuild the solved pair ``(mu, nu)``: the one map build of a solve.
-    ``x1``/``y1`` are the requested end points that ``endpoint_error``
-    measures the rebuilt legs against."""
-    geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None)
-    endpoint_error = max(
-        float(np.max(np.abs(geo.gamma.points[-1] - x1))),
-        float(np.max(np.abs(geo.tau.points[-1] - y1))),
+    return ShootingReport(
+        r=r, X_r=X_r, beta=beta, target_beta=beta0, geodesic=geo,
+        endpoint_error=endpoint_error, iterations=iterations,
+        first_integral_residual=fi_residual,
     )
-    return _within_tolerance(ShootingReport(
-        r=r, X_r=solver_result.X_r, beta=solver_result.beta,
-        target_beta=beta0, geodesic=geo, endpoint_error=endpoint_error,
-        iterations=iterations, first_integral_residual=first_integral_residual,
-    ), cfg)
-
-
-def _trivial_connection(g1, g2, w, x0, x1, y0, cfg) -> ShootingReport:
-    """Coinciding fiber endpoints: constant fiber leg, base-metric geodesic."""
-    X, _, mu, _ = _shoot(g1, x0, x1, cfg)
-    t = mu.params.copy()
-    y0 = np.asarray(y0, dtype=float)
-    nu = Curve(t, np.tile(y0, (t.shape[0], 1)), np.zeros((t.shape[0], y0.shape[0])))
-    residuals = coupled_residual(g1, g2, w, mu, nu)
-    geo = RiemannianGeodesic(
-        r=math.nan, base=(mu, nu), gamma=mu, tau=nu, a_r=math.nan,
-        b_r=math.nan,
-        initial_tangents=(TangentVector(mu.points[0], mu.velocities[0]),
-                          TangentVector(y0, np.zeros_like(y0))),
-        residuals=residuals,
-    )
-    endpoint_error = float(np.max(np.abs(mu.points[-1] - np.asarray(x1, dtype=float))))
-    return _within_tolerance(ShootingReport(
-        r=None, X_r=TangentVector(mu.points[0], X), beta=0.0, target_beta=0.0,
-        geodesic=geo, endpoint_error=endpoint_error, iterations=0,
-    ), cfg)
 
 
 def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
@@ -453,27 +465,9 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
     threshold; ``samples`` is the largest number of dial evaluations its
     bracketing walk makes before it raises :class:`BracketingError`.
     """
-    (x0, y0), (x1, y1) = z0, z1
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    if np.allclose(y0, y1, atol=1e-12):
-        return _trivial_connection(g1, g2, w, x0, x1, y0, cfg)
-    if np.allclose(x0, x1, atol=1e-12):
-        raise BracketingError(
-            "coinciding base endpoints admit no rebuilt geodesic with a "
-            "moving fiber leg: the dial is identically zero"
-        )
-    V2, _, nu, _ = _shoot(g2, y0, y1, cfg)
-    beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
-    r0, res, evaluations = _solve_r(
-        lambda r, v_init, jac_init: beta_of_r(g1, g2, w, x0, x1, r, cfg,
-                                              v_init, jac_init),
-        beta0, admissible_range(w).lower, r_max, samples,
-    )
-    return _assemble_report(res.mu, res, r0, nu, beta0, w, g1, g2,
-                            evaluations, x1, y1, cfg)
+    return _connect(g1, g2, w, z0, z1, cfg,
+                    lambda r, *warm: beta_of_r(g1, g2, w, z0[0], z1[0], r, cfg, *warm),
+                    lambda r, res: (res.mu, None), r_max, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +490,21 @@ def _restricted(curve: Curve, alpha: float) -> Curve:
     return Curve(curve.params.copy(), points, velocities)
 
 
+def _restricted_dial(mu: Curve, w: WarpField, r: float,
+                     alpha: float) -> tuple[float, float]:
+    """``(a / b, (1 + r k0) / k0)`` of ``mu`` restricted to ``[0, alpha]``,
+    ``k0`` the warp at its start: the two factors of a partial dial.  The
+    ratio is 0 at ``alpha = 0``, where the restriction has no length."""
+    admissible_range(w).require(r)
+    restricted = _restricted(mu, alpha)
+    k0x = w.value_at(mu.points[0])
+    stretch = (1.0 + r * k0x) / k0x
+    if alpha == 0.0:
+        return 0.0, stretch
+    a, b = _leg_constants(restricted, w, r)
+    return a / b, stretch
+
+
 def partial_connect(mu_nu: tuple[Curve, Curve], alpha: float, w: WarpField,
                     r: float) -> tuple[float, float]:
     """Fiber distances reachable over ``[0, alpha]`` of a unit-speed pair.
@@ -508,15 +517,9 @@ def partial_connect(mu_nu: tuple[Curve, Curve], alpha: float, w: WarpField,
     where the constants are recomputed along the restricted leg.  Returns
     ``(beta_plus, beta_minus)``.
     """
-    admissible_range(w).require(r)
-    mu, _ = mu_nu
-    restricted = _restricted(mu, alpha)
-    if alpha == 0.0:
-        return 0.0, 0.0
-    a, b = _leg_constants(restricted, w, r)
-    k0x = w.value_at(mu.points[0])
-    beta = (a / b) * math.sqrt((1.0 + r * k0x) / k0x) * abs(alpha)
-    return beta, -beta
+    ratio, stretch = _restricted_dial(mu_nu[0], w, r, alpha)
+    beta = ratio * math.sqrt(stretch) * abs(alpha)
+    return beta, 0.0 - beta  # +0.0, not -0.0, at alpha = 0
 
 
 def _self_intersection_check(curve: Curve, samples: int = 192):
@@ -544,17 +547,10 @@ def theta_consistency(mu: Curve, nu: Curve, w: WarpField, r: float,
     tangent coupling (it matches :func:`partial_connect`).  The relative
     gap between them is reported so callers can flag the discrepancy.
     """
-    admissible_range(w).require(r)
     _self_intersection_check(mu)
-    restricted = _restricted(mu, t)
-    k0x = w.value_at(mu.points[0])
-    stretch = (1.0 + r * k0x) / k0x
-    if t == 0.0:
-        beta_disp = beta_compat = 0.0
-    else:
-        a, b = _leg_constants(restricted, w, r)
-        beta_disp = (a / b) * stretch * t
-        beta_compat = (a / b) * math.sqrt(stretch) * t
+    ratio, stretch = _restricted_dial(mu, w, r, t)
+    beta_disp = ratio * stretch * t
+    beta_compat = ratio * math.sqrt(stretch) * t
     gap = abs(beta_disp - beta_compat) / max(abs(beta_disp), abs(beta_compat), 1e-300)
     if beta_disp > nu.params[-1] + 1e-12 or beta_compat > nu.params[-1] + 1e-12:
         raise InputError(
@@ -651,37 +647,21 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
     the first integral measured along it.  ``r_max`` and ``samples`` bound
     the solve as in :func:`connect_points`.
     """
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
     weight = _line_weight(weight)
     base_chart = weighted_line(weight) if weight is not None else euclidean(1)
-    if np.allclose(y0, y1, atol=1e-12):
-        return _trivial_connection(base_chart, g2, w, np.array([t0]),
-                                   np.array([t1]), y0, cfg)
-    if t0 == t1:
-        raise BracketingError(
-            "coinciding base endpoints admit no rebuilt geodesic with a "
-            "moving fiber leg: the dial is identically zero"
-        )
-    V2, _, nu, _ = _shoot(g2, y0, y1, cfg)
-    beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
-    r0, res, evaluations = _solve_r(
-        lambda r, *_: flrw_beta(w, t0, t1, r, cfg, weight),
-        beta0, admissible_range(w).lower, r_max, samples,
-    )
 
-    # re-integrate the base leg as a plain rescaled-metric geodesic and
-    # measure how well it honors the first integral v * slowness = const
-    X = res.X_r.components
-    chart = conformal_metric(base_chart, w, r0)
-    mu_geo = integrate_geodesic(chart, np.array([t0]), X, cfg)
-    slow, _ = _slowness(w, r0, weight, mu_geo.points[:, 0])
-    fi_residual = float(np.max(np.abs(
-        mu_geo.velocities[:, 0] - X[0] * slow[0] / slow
-    )))
-    return _assemble_report(mu_geo, res, r0, nu, beta0, w, base_chart, g2,
-                            evaluations, np.array([t1]), y1, cfg,
-                            first_integral_residual=fi_residual)
+    def leg(r, res):
+        # the base leg as a plain rescaled-metric geodesic, and how well it
+        # honors the first integral v * slowness = const
+        X = res.X_r.components
+        mu = integrate_geodesic(conformal_metric(base_chart, w, r), res.X_r.base,
+                                X, cfg)
+        slow, _ = _slowness(w, r, weight, mu.points[:, 0])
+        return mu, float(np.max(np.abs(mu.velocities[:, 0] - X[0] * slow[0] / slow)))
+
+    return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
+                    lambda r, *_: flrw_beta(w, t0, t1, r, cfg, weight), leg,
+                    r_max, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,10 @@ class Curve:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step count of the fixed-step integrator, and the largest distance
-    a connection's rebuilt legs may end from the requested end points."""
+    a connection's rebuilt legs may end from the requested end points:
+    ``ShootingReport.endpoint_error`` measures both legs, the base leg's end
+    against ``x1`` and the fiber leg's against ``y1``, in the trivial
+    connection of coinciding fiber points too."""
 
     steps: int = 1024
     tolerance: float = 1e-6

@@ -107,6 +107,27 @@ def test_a_connection_with_coinciding_fiber_end_points_evaluates_no_dial(tmp_pat
     assert ", no dial evaluations\n" in (out / "summary.txt").read_text()
 
 
+def test_a_connection_of_nearby_fiber_end_points_is_no_trivial_success(tmp_path):
+    # 2e-5 apart is not coinciding (that is within 1e-12 absolute), and no
+    # r carries the fiber that little way
+    doc = {
+        "task": "connect",
+        "base_chart": {"name": "poincare_half_plane"},
+        "fiber_chart": {"name": "circle", "radius": 1.0},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+        "integrator": {"steps": 64},
+        "connect": {"x0": [0.0, 1.0], "y0": [3.0], "x1": [1.2, 0.7],
+                    "y1": [3.00002]},
+    }
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    with open(out / "error.json") as fh:
+        error = json.load(fh)
+    assert error["error"] == "BracketingError"
+    assert error["message"] == ("no sign change: beta stayed above 2e-05 "
+                                "up to r = 1e+06")
+
+
 def test_beta_scan_matches_the_closed_form(tmp_path):
     doc = dict(TRIVIAL_PRODUCT, task="beta-scan")
     doc["beta_scan"] = {"r_values": [0.0, 3.0, 8.0, 99.0], "x0": 0.0, "x1": 1.0}

@@ -255,6 +255,53 @@ def test_coinciding_base_endpoints_cannot_move_the_fiber():
         )
 
 
+def test_nearby_fiber_end_points_are_not_the_trivial_connection():
+    # 2e-5 apart is within numpy's default relative tolerance of 3.0, but
+    # coinciding means within 1e-12 absolute: the dial is solved, and no
+    # r carries the fiber that little way
+    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    y0, y1 = np.array([3.0]), np.array([3.00002])
+    with pytest.raises(BracketingError, match="no sign change"):
+        wg.connect_points(g1, g2, w, (X0, y0), (X1, y1), FAST)
+    line_warp = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    with pytest.raises(BracketingError, match="no sign change"):
+        wg.flrw_connect(line_warp, 0.0, 5.0, y0, y1, wg.euclidean(1), CFG)
+
+
+def test_nearby_base_end_points_do_not_coincide():
+    # (0, 1) and (0, 1.000005) are 5e-6 apart: the dial is solved, and the
+    # short base leg cannot carry the fiber distance
+    g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    with pytest.raises(BracketingError, match="not reached") as caught:
+        wg.connect_points(g1, g2, w, (X0, np.zeros(1)),
+                          (np.array([0.0, 1.000005]), np.array([0.4])), FAST)
+    assert "coinciding" not in str(caught.value)
+
+
+def test_line_base_end_points_within_1e_12_coincide():
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    with pytest.raises(BracketingError, match="coinciding base endpoints"):
+        wg.flrw_connect(w, 2.0, 2.0 + 1e-13, np.zeros(1), np.array([0.8]),
+                        wg.euclidean(1), CFG)
+
+
+def test_the_trivial_connection_measures_its_fiber_leg_too():
+    # the fiber end points coincide within 1e-12, so the fiber leg stays
+    # at y0 and ends 5e-13 from y1; the base legs here end on x1 exactly
+    y0 = np.array([0.5])
+    y1 = y0 + 5e-13
+    one = wg.WarpField.constant(1.0, 1)
+    line = wg.flrw_connect(wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0),
+                           0.0, 5.0, y0, y1, wg.euclidean(1), CFG)
+    general = wg.connect_points(wg.euclidean(1), wg.euclidean(1), one,
+                                (np.zeros(1), y0), (np.ones(1), y1), FAST)
+    for report in (line, general):
+        assert report.r is None
+        assert report.endpoint_error >= 5e-13
+
+
 def test_unreachable_targets_raise_after_walking_to_the_threshold():
     g1 = wg.euclidean(1)
     g2 = wg.euclidean(1)

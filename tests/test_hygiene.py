@@ -2,8 +2,8 @@
 is used, the package neither imports nor loads scipy, code is generated and
 run in one module only, only the chart module reads how a chart was
 defined, no exponent chart carries a domain predicate, no module caches by
-identity, the package writes CSV through one writer, and no generated loop
-raises."""
+identity, the package writes CSV through one writer, no generated loop
+raises, and one driver makes every connection."""
 
 import ast
 import os
@@ -258,3 +258,44 @@ def test_the_check_sees_a_form_that_raises():
     from warpgeo import warpfn
 
     assert _raises(warpfn._compiled(warpfn.parse("1 / x1", 1), warpfn._VALUE, 1))
+
+
+def _call_sites(source: str, name: str) -> list[str]:
+    """The function around each call of ``name``, the innermost one, once
+    per call, in the order of the source."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                called = child.func
+                if (getattr(called, "id", None) or getattr(called, "attr", None)) == name:
+                    sites.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_one_driver_makes_every_connection():
+    # connect_points and flrw_connect differ only in their dial and base
+    # leg: one function solves for r, rebuilds the pair and reports
+    source = (PACKAGE / "connect.py").read_text()
+    for name in ("_solve_r", "riemannize", "ShootingReport"):
+        assert _call_sites(source, name) == ["_connect"], name
+    for gone in ("_trivial_connection", "_assemble_report", "_within_tolerance"):
+        assert gone not in source
+    # the command line writes the four legs of a rebuilt geodesic in one
+    # place; the integrate task writes its one curve
+    assert _call_sites((PACKAGE / "cli.py").read_text(), "curve_to_csv") == [
+        "run_integrate", "_write_rebuilt"]
+
+
+def test_the_check_sees_a_second_call_site():
+    source = ("def a():\n    riemannize(x)\n"
+              "def b():\n    f = lambda: reparam.riemannize(y)\n"
+              "    def c():\n        riemannize(z)\n    riemannize(w)\n")
+    assert _call_sites(source, "riemannize") == ["a", "b", "c", "b"]

@@ -11,8 +11,8 @@ expression language for warping functions.
 
 from .errors import (
     BracketingError, ChartDomainError, CompatibilityError, DslError,
-    DslEvaluationError, DslNameError, DslSyntaxError, InputError,
-    NumericalError, ParameterError, ShootingError, WarpGeoError,
+    DslEvaluationError, DslNameError, DslSyntaxError, FloatOverflowError,
+    InputError, NumericalError, ParameterError, ShootingError, WarpGeoError,
 )
 from .manifold import (
     MetricChart, TangentVector, christoffel, circle, euclidean, geodesic_rhs,

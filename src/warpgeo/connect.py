@@ -16,12 +16,27 @@ shooting dial is noisy at about a tenth of that, so evaluations past it
 would only chase the noise.  On a dial that reports none, it stops once
 the bracket is no wider than ``1e-12 + 4 eps |r|``.
 
+Far from the root only the sign and rough size of ``f = log(beta /
+beta0)`` steer the next step, so the solve asks each new evaluation for a
+shooting tolerance that fits how far the last one was from the root (an
+inexact Newton method in the sense of Dembo, Eisenstat & Steihaug, *SIAM
+J. Numer. Anal.* 19, 1982): ``LOOSE_TOL`` for the first, then
+``min(LOOSE_TOL, LOOSE_SCALE f^2)`` for the last ``f`` while ``|f|`` is at
+least ``NEAR_ROOT``, and ``SHOOT_TOL`` for every one after ``|f|`` first
+falls below it, since a noisy ``f`` would spoil the secant's last steps.
+A loose evaluation is never the answer: one that lands within twice its
+tolerance of the target is shot again to ``SHOOT_TOL`` at the same ``r``,
+warm-started from itself, and every stop returns a ``SHOOT_TOL``
+evaluation.
+
 Shooting itself is a damped quasi-Newton iteration on the endpoint map
 with Broyden updates, its velocity and Jacobian warm-started across ``r``;
-finite differences build the Jacobian only to start cold or to refresh a
-stale one.  Each trial shot reads only the end state from the geodesic's
-flat list of states; the array of states and the curve are built once,
-from the converged shot.  The translation-invariant base case (the real
+forward differences from the gap already in hand build the Jacobian only
+to start cold or to refresh a stale one (``d`` shots; Dennis & Schnabel,
+*Numerical Methods for Unconstrained Optimization*, section 5.4).  Each
+trial shot reads only the end state from the geodesic's flat list of
+states; the array of states and the curve are built once, from the
+converged shot.  The translation-invariant base case (the real
 line with a time-dependent warp, as in homogeneous cosmological metrics)
 evaluates the dial from the explicit first integral of the base equation
 instead: with the slowness ``S`` of that integral, the leg's speed and
@@ -45,7 +60,7 @@ import math
 import numpy as np
 
 from . import warpfn
-from ._num import BRENT_RTOL, BRENT_XTOL, cumulative_simpson
+from ._num import BRENT_RTOL, BRENT_XTOL, SQRT_EPS, cumulative_simpson
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
@@ -72,21 +87,28 @@ __all__ = [
 R_MAX_DEFAULT = 1e6
 R_WALK_SAMPLES = 64
 SHOOT_TOL = 1e-10
+# The shooting tolerance of a dial evaluation far from the root: LOOSE_TOL
+# for a solve's first, then min(LOOSE_TOL, LOOSE_SCALE f^2) for the last
+# f = log(beta / beta0) until |f| first falls below NEAR_ROOT.
+LOOSE_TOL = 1e-4
+LOOSE_SCALE = 1e-3
+NEAR_ROOT = 1e-3
 
 
 # ---------------------------------------------------------------------------
 # boundary shooting on a single chart
 
 
-def _fd_jacobian(shot, v: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of the endpoint gap at ``v``: ``2d`` shots."""
+def _fd_jacobian(shot, v: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of the endpoint gap, ``gap`` at ``v``:
+    ``d`` shots, each with step ``sqrt(eps) max(1, |v|_inf)``."""
     d = v.shape[0]
-    h = 1e-6 * max(1.0, float(np.max(np.abs(v))))
+    h = SQRT_EPS * max(1.0, float(np.max(np.abs(v))))
     jac = np.empty((d, d))
     for j in range(d):
         dv = np.zeros(d)
         dv[j] = h
-        jac[:, j] = (shot(v + dv)[1] - shot(v - dv)[1]) / (2.0 * h)
+        jac[:, j] = (shot(v + dv)[1] - gap) / h
     return jac
 
 
@@ -113,12 +135,14 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
            max_iter: int = 60):
     """Damped quasi-Newton on the endpoint map, with Broyden updates.
 
-    The Jacobian starts from ``jac_init`` (a neighbouring solve's, say) or,
-    without one, from central differences, and takes a rank-one secant
-    update after every accepted step.  A step that a reused or updated
-    Jacobian cannot make (a singular matrix, or no decrease at any length
-    down to ``1/128`` of the step) is retried from a fresh finite-difference
-    Jacobian; only a failure with that one raises :class:`ShootingError`.
+    The shoot ends once every coordinate of the end point is within ``tol``
+    of ``x1``.  The Jacobian starts from ``jac_init`` (a neighbouring
+    solve's, say) or, without one, from forward differences at the current
+    velocity, and takes a rank-one secant update after every accepted step.
+    A step that a reused or updated Jacobian cannot make (a singular matrix,
+    or no decrease at any length down to ``1/128`` of the step) is retried
+    from a fresh finite-difference Jacobian; only a failure with that one
+    raises :class:`ShootingError`.
 
     Each shot reads only the end state from the flat list of states of
     :func:`~warpgeo.integrate._geodesic_flat`.  Returns ``(velocity,
@@ -145,7 +169,7 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
         while True:
             fresh = jac is None
             if fresh:
-                jac = _fd_jacobian(shot, v)
+                jac = _fd_jacobian(shot, v, gap)
             try:
                 step = np.linalg.solve(jac, -gap)
             except np.linalg.LinAlgError as exc:
@@ -177,7 +201,7 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
 
 def shoot_boundary(chart: MetricChart, x0, x1,
                    cfg: IntegratorConfig = IntegratorConfig(),
-                   v_init=None, tol: float = 1e-10) -> TangentVector:
+                   v_init=None, tol: float = SHOOT_TOL) -> TangentVector:
     """Initial velocity whose chart geodesic reaches ``x1`` at parameter 1."""
     v, _, _, _ = _shoot(chart, x0, x1, cfg, v_init=v_init, tol=tol)
     return TangentVector(np.asarray(x0, dtype=float), v)
@@ -197,8 +221,9 @@ class BetaResult:
     nothing) and ``jacobian`` the shooting Jacobian at ``X_r`` (``None``
     when no shooting step was taken), for warm-starting a neighbouring
     ``r``.  ``resolution`` is the relative error in ``beta`` below which
-    the evaluation cannot resolve it (``None`` where it reports none): a
-    solve for ``r`` stops once ``beta`` matches its target that closely.
+    the evaluation cannot resolve it: the tolerance the leg was shot to, or
+    ``None`` where the dial reports none.  A solve for ``r`` stops once
+    ``beta`` matches its target that closely.
     """
 
     beta: float
@@ -225,20 +250,22 @@ def _beta_from_mu(mu: Curve, w: WarpField, r: float, g1: MetricChart,
 
 def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
               r: float, cfg: IntegratorConfig = IntegratorConfig(),
-              v_init=None, jac_init=None) -> BetaResult:
+              v_init=None, jac_init=None, *, _tol: float = SHOOT_TOL) -> BetaResult:
     """Evaluate the dial at one ``r`` by shooting between the base points.
 
     The result carries ``beta``, ``X_r``, the constants ``a_r``, ``b_r``,
     the shot leg and the shooting Jacobian, but no map.  Its resolution is
     the shooting tolerance, ``SHOOT_TOL``, about ten times the dial's noise.
     ``v_init``/``jac_init`` warm-start the shooting, typically from the
-    result at a neighbouring ``r``.
+    result at a neighbouring ``r``.  (``_tol`` is the private path by which
+    a solve for ``r`` shoots an evaluation far from its root more loosely;
+    the resolution then reports it.)
     """
     admissible_range(w).require(r)
     chart = conformal_metric(g1, w, r)
     X, jac, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init,
-                               jac_init=jac_init)
-    return _beta_from_mu(mu, w, r, g1, X, iters, jac, SHOOT_TOL)
+                               jac_init=jac_init, tol=_tol)
+    return _beta_from_mu(mu, w, r, g1, X, iters, jac, _tol)
 
 
 def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
@@ -246,10 +273,16 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     """Solve ``beta(r) = beta0`` by a walk on a model of the dial, then a
     secant on the bracket it finds.
 
-    ``evaluate(r, v_init, jac_init)`` is one dial evaluation; each distinct
-    ``r`` is evaluated once, warm-started from the velocity and shooting
-    Jacobian of the previous one.  Returns the root, its dial evaluation
-    and the number of distinct ``r`` evaluated.
+    ``evaluate(r, v_init, jac_init, tol)`` is one dial evaluation, shot to
+    ``tol`` where it shoots; each distinct ``r`` is evaluated once,
+    warm-started from the velocity and shooting Jacobian of the previous
+    evaluation, to the tolerance of the schedule in the module docstring.
+    A loose evaluation (one whose resolution is wider than ``SHOOT_TOL``)
+    with ``|f|`` within twice its resolution is evaluated again at the
+    same ``r``, to ``SHOOT_TOL`` and warm-started from itself, before
+    the stop test.  Returns the root, its dial evaluation and the number of
+    distinct ``r`` evaluated; a stop on a loose evaluation shoots it again
+    in the same way, so the evaluation returned is never a loose one.
 
     The model: against ``u = log(r - lower)``, ``f = log(beta / beta0)`` is
     nearly a line of slope about ``-1/2``.  The walk starts a moderate
@@ -279,23 +312,41 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     beta0, lower, r_max = float(beta0), float(lower), float(r_max)
     memo: dict[float, BetaResult] = {}
     warm = (None, None)
+    tol_next = LOOSE_TOL  # the shooting tolerance of the next new r
 
-    def beta_at(r: float) -> BetaResult:
+    def shoot(r: float, v_init, jac_init, tol: float) -> BetaResult:
         nonlocal warm
-        hit = memo.get(r)
-        if hit is None:
-            hit = memo[r] = evaluate(r, *warm)
-            warm = hit.X_r.components, hit.jacobian
+        hit = memo[r] = evaluate(r, v_init, jac_init, tol)
+        warm = hit.X_r.components, hit.jacobian
         return hit
 
-    def gap(r: float) -> float:
-        beta = float(beta_at(r).beta)
+    def tight(r: float) -> BetaResult:
+        """The evaluation at ``r``, shot again if it is a loose one."""
+        hit = memo[r]
+        if (hit.resolution or 0.0) > SHOOT_TOL:
+            hit = shoot(r, hit.X_r.components, hit.jacobian, SHOOT_TOL)
+        return hit
+
+    def log_ratio(r: float) -> float:
+        beta = float(memo[r].beta)
         if math.isnan(beta):
             raise NumericalError(
                 f"the dial beta(r) is NaN at r = {r!r}: the rescaled metric "
                 f"is undefined where 1 + r k <= 0, as when k exceeds its "
                 f"declared K0")
         return math.log(beta / beta0)
+
+    def gap(r: float) -> float:
+        nonlocal tol_next
+        if r not in memo:
+            hit = shoot(r, *warm, tol_next)
+            if abs(log_ratio(r)) <= 2.0 * (hit.resolution or 0.0):
+                tight(r)
+            f = log_ratio(r)
+            if tol_next > SHOOT_TOL:
+                tol_next = (SHOOT_TOL if abs(f) < NEAR_ROOT
+                            else min(LOOSE_TOL, LOOSE_SCALE * f * f))
+        return log_ratio(r)
 
     def resolved(r: float, f: float) -> bool:
         return abs(f) <= (memo[r].resolution or 0.0)
@@ -309,7 +360,7 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
             if resolved(r, f) or (
                     abs(aim - r) <= (BRENT_XTOL + BRENT_RTOL * abs(r)) / 2.0
                     and floor <= aim <= r_max):
-                return r, beta_at(r), len(memo)
+                return r, tight(r), len(memo)
             nxt = min(max(aim, floor), r_max)
             if nxt == r or walked >= samples:
                 at = f"r = {r:.6g}" + (
@@ -347,7 +398,7 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
             else:
                 fa *= 1.0 - fx / fb if abs(fx) < abs(fb) else 0.5
             b, fb = x, fx
-        return b, beta_at(b), len(memo)
+        return b, tight(b), len(memo)
     finally:
         # A raised error's traceback holds this frame, and with it the memo:
         # drop the shot leg of every evaluation as soon as the solve ends.
@@ -396,7 +447,7 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
              samples: int) -> ShootingReport:
     """Join ``z0 = (x0, y0)`` to ``z1 = (x1, y1)``: the one connection driver.
 
-    ``dial(r, v_init, jac_init)`` is one dial evaluation for
+    ``dial(r, v_init, jac_init, tol)`` is one dial evaluation for
     :func:`_solve_r`, and ``leg(r, result)`` the base leg at the root from
     its evaluation, with the first-integral residual measured along it
     (``None`` where there is none).  Fiber end points that coincide, within
@@ -466,7 +517,8 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
     bracketing walk makes before it raises :class:`BracketingError`.
     """
     return _connect(g1, g2, w, z0, z1, cfg,
-                    lambda r, *warm: beta_of_r(g1, g2, w, z0[0], z1[0], r, cfg, *warm),
+                    lambda r, v_init, jac_init, tol: beta_of_r(
+                        g1, g2, w, z0[0], z1[0], r, cfg, v_init, jac_init, _tol=tol),
                     lambda r, res: (res.mu, None), r_max, samples)
 
 

@@ -41,6 +41,14 @@ class NumericalError(WarpGeoError):
     """Runtime numerical failure."""
 
 
+class FloatOverflowError(NumericalError, OverflowError):
+    """A float overflowed while an expression was evaluated at a point.
+
+    Still an :class:`OverflowError`, so that a numerical step that meets
+    one makes a state that is not finite, as a bare overflow does.
+    """
+
+
 class ChartDomainError(NumericalError):
     """A curve left the chart's coordinate domain during integration.
 

@@ -27,7 +27,11 @@ non-zero one for ``/`` and ``^``.  Every compiled form tests these
 conditions in the same order, and differs only in what a failed one does:
 :func:`domain_failure` returns it, the value forms raise
 :class:`~warpgeo.errors.DslEvaluationError` naming the subexpression, and a
-loop ends at the state that fails it.
+loop ends at the state that fails it.  Where ``math`` overflows and numpy
+would give an infinity, a scalar value form raises
+:class:`~warpgeo.errors.FloatOverflowError` naming the expression and the
+point, and the scalar domain form answers as the batch form does on that
+one row.  A numeric literal too large for a float is a syntax error.
 
 Two loop forms compile classical Runge-Kutta steps on Python floats into
 one ``for`` loop.  The state is a tuple of floats, one ``(point,
@@ -59,7 +63,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DslEvaluationError, DslNameError, DslSyntaxError
+from .errors import (
+    DslEvaluationError, DslNameError, DslSyntaxError, FloatOverflowError,
+)
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Call", "Binary", "Power",
@@ -248,8 +254,13 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.head
         if tok.kind == "num":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise DslSyntaxError(
+                    f"numeric literal {tok.text} is too large for a float",
+                    offset=tok.offset)
             self.advance()
-            return Const(float(tok.text))
+            return Const(value)
         if tok.kind == "ident":
             self.advance()
             return self.name(tok)
@@ -774,10 +785,20 @@ def _compiled(e, form: int, dim):
     return _function(*_source(e, form, dim))
 
 
+def _scalar(e: Expr, form: int, x: list):
+    """The scalar value form ``form`` of ``e`` at the point ``x``; an
+    overflow in ``math`` raises :class:`~warpgeo.errors.FloatOverflowError`
+    naming the expression and the point."""
+    try:
+        return _compiled(e, form, len(x))(x)
+    except OverflowError as exc:
+        raise FloatOverflowError(
+            f"{format_expression(e)!r} overflows a float at {x}: {exc}") from None
+
+
 def evaluate(e: Expr, point) -> float:
     """Value of the expression at a point (sequence of coordinates)."""
-    x = np.asarray(point, dtype=float).tolist()
-    return _compiled(e, _VALUE, len(x))(x)
+    return _scalar(e, _VALUE, np.asarray(point, dtype=float).tolist())
 
 
 def evaluate_many(e: Expr, points) -> np.ndarray:
@@ -788,8 +809,7 @@ def evaluate_many(e: Expr, points) -> np.ndarray:
 
 def value_and_gradient(e: Expr, point) -> tuple[float, np.ndarray]:
     """Value and gradient at a point, both exact to roundoff."""
-    x = np.asarray(point, dtype=float).tolist()
-    return _compiled(e, _GRADIENT, len(x))(x)
+    return _scalar(e, _GRADIENT, np.asarray(point, dtype=float).tolist())
 
 
 def value_and_gradient_many(e: Expr, points, args=()) -> tuple[np.ndarray, np.ndarray]:
@@ -814,10 +834,16 @@ def domain_failure(e: Expr, point, args=()) -> Optional[str]:
     point's coordinates.  A condition reads as its subexpression's test,
     ``x2 > 0.0`` say.  These are the only domain conditions: every value
     form raises :class:`~warpgeo.errors.DslEvaluationError` exactly where
-    one fails, and a loop ends at a state where one fails.
+    one fails, and a loop ends at a state where one fails.  Where an
+    operand fails in ``math`` floats (an overflow, say), the answer is that
+    of :func:`domain_failure_many` on the one row.
     """
     x = np.asarray(point, dtype=float).tolist()
-    return _compiled(e, _DOMAIN, len(x))((*x, *args))
+    try:
+        return _compiled(e, _DOMAIN, len(x))((*x, *args))
+    except (OverflowError, ValueError):
+        with np.errstate(all="ignore"):
+            return domain_failure_many(e, [x], args)
 
 
 def domain_failure_many(e: Expr, points, args=()) -> Optional[str]:
@@ -834,8 +860,7 @@ def eval2(e: Expr, point) -> tuple[float, np.ndarray, np.ndarray]:
     The Hessian is assembled from its upper triangle, so it is exactly
     symmetric.
     """
-    x = np.asarray(point, dtype=float).tolist()
-    return _compiled(e, _HESSIAN, len(x))(x)
+    return _scalar(e, _HESSIAN, np.asarray(point, dtype=float).tolist())
 
 
 def rk4_geodesic_loop(e: Expr, dim: int):

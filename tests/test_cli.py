@@ -548,6 +548,19 @@ def test_retired_line_keys_are_rejected(tmp_path, task, base, key):
     assert f"{section}.{key}" in message and "base_chart" in message
 
 
+def test_a_weight_literal_too_large_for_a_float_is_an_input_error(tmp_path):
+    # read as inf, the weight made the chart a flat line (phi = inf)
+    doc = dict(LINE_PRODUCT, task="flrw",
+               base_chart={"name": "weighted_line", "weight": "WEIGHT"},
+               flrw={"t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [0.5]})
+    text = yaml.safe_dump(doc).replace("WEIGHT", '"1e400"')
+    code, out = run_task(tmp_path, text, "--quiet")
+    assert code == 2
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "DslSyntaxError" and "1e400" in payload["message"]
+
+
 def test_flrw_on_a_base_that_is_not_a_line_is_an_input_error(tmp_path):
     doc = dict(LINE_PRODUCT, task="flrw", base_chart={"name": "poincare_half_plane"},
                flrw={"t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [0.5]})

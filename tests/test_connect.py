@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
     res = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST,
                        near.X_r.components, near.jacobian)
     # One shot from the warm start, then one per secant step: neither a
-    # finite-difference Jacobian (2d = 4 shots) nor a refresh.
+    # finite-difference Jacobian (d = 2 shots) nor a refresh.
     assert len(calls) == 1 + res.iterations <= 5
     cold = wg.beta_of_r(g1, g2, README_WARP, X0, X1, 1.05, FAST)
     np.testing.assert_allclose(res.X_r.components, cold.X_r.components, atol=1e-9)
@@ -96,13 +97,33 @@ def test_the_readme_example_solves_in_few_dial_evaluations(monkeypatch):
     # The README example at its default 1024 steps.  The counts repeat
     # exactly; a geometric walk to the bracket took 16 dial evaluations and
     # 71 integrations here, and Brent's method on the walk's bracket 8 and
-    # 34, its last three evaluations below the dial's resolution.
+    # 34, its last three evaluations below the dial's resolution.  Every
+    # evaluation shot to 1e-10 and central-difference Jacobians took 31.
     shots = _count_calls(monkeypatch, connect, "_geodesic_flat")
     report = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
                                (X0, np.zeros(1)), (X1, np.array([0.4])))
     assert report.iterations == 5
-    assert len(shots) == 31
+    assert len(shots) == 23
     assert report.endpoint_error <= wg.IntegratorConfig().tolerance
+
+
+def test_a_cold_jacobian_takes_one_forward_difference_shot_per_coordinate():
+    chart = wg.conformal_metric(wg.poincare_half_plane(), README_WARP, 1.0)
+    shots = []
+
+    def shot(vel):
+        shots.append(vel)
+        flat = connect._geodesic_flat(chart, X0, vel, FAST.steps)
+        return flat, np.array(flat[-4:-2]) - X1
+
+    v = X1 - X0
+    gap = shot(v)[1]
+    jac = connect._fd_jacobian(shot, v, gap)
+    assert len(shots) == 1 + 2
+    h = 1e-5
+    central = np.column_stack([(shot(v + h * e)[1] - shot(v - h * e)[1]) / (2.0 * h)
+                               for e in np.eye(2)])
+    assert np.max(np.abs(jac - central)) <= 1e-6 * np.max(np.abs(central))
 
 
 @pytest.mark.parametrize("jac_init", [
@@ -425,8 +446,9 @@ def test_the_solve_stops_within_the_dials_resolution(x, y, beta0):
     g1, g2, x1 = wg.poincare_half_plane(), wg.circle(1.0), np.array([x, y])
     lower = wg.admissible_range(README_WARP).lower
 
-    def dial(r, v_init, jac_init):
-        return wg.beta_of_r(g1, g2, README_WARP, X0, x1, r, FAST, v_init, jac_init)
+    def dial(r, v_init, jac_init, tol):
+        return wg.beta_of_r(g1, g2, README_WARP, X0, x1, r, FAST, v_init, jac_init,
+                            _tol=tol)
 
     def unresolved(*args):
         return dataclasses.replace(dial(*args), resolution=None)
@@ -436,6 +458,86 @@ def test_the_solve_stops_within_the_dials_resolution(x, y, beta0):
     assert abs(math.log(res.beta / beta0)) <= res.resolution
     fine, _, _ = connect._solve_r(unresolved, beta0, lower, 1e6, 64)
     assert abs(root - fine) <= 1e-9 * abs(fine)
+
+
+def _shooting_power_dial(s, lower, calls, e=0.0, r_jump=None):
+    """The dial ``(r - lower)^s + e`` as a shooting dial reports it: off by
+    a relative error of up to a tenth of the tolerance it is asked for,
+    that tolerance its resolution, and its velocity ``[r]``.  Past
+    ``r_jump`` it drops by 2 %, so that no ``r`` matches the target near
+    that jump."""
+    def evaluate(r, v_init, jac_init, tol):
+        calls.append((r, tol, v_init))
+        beta = ((r - lower) ** s + e) * math.exp(
+            0.1 * tol * random.Random(r).uniform(-1, 1))
+        if r_jump is not None:
+            beta *= 1.01 if r < r_jump else 0.99
+        return BetaResult(beta, wg.TangentVector(np.zeros(1), np.array([r])),
+                          1.0, 1.0, None, jacobian=np.eye(1), resolution=tol)
+    return evaluate
+
+
+def _redone(calls) -> list:
+    """The calls that evaluate an ``r`` again, each checked to be a
+    ``SHOOT_TOL`` shot warm-started from the loose evaluation before it."""
+    first = {}
+    again = []
+    for call in calls:
+        if call[0] in first:
+            again.append((first[call[0]], call))
+        first.setdefault(call[0], call)
+    for (r, tol, _), (_, tol_again, v_init) in again:
+        assert tol > connect.SHOOT_TOL == tol_again and v_init.tolist() == [r]
+    return again
+
+
+@pytest.mark.parametrize("s, e, redone", [
+    (-0.5, 0.0, 1), (-2.0, 0.0, 1), (-0.5, 0.5, 0), (-2.0, 0.5, 0),
+])
+def test_a_solve_shoots_far_from_its_root_loosely_and_returns_a_tight_root(s, e,
+                                                                           redone):
+    # The resolution stop.  On a pure power law the walk's secant lands a
+    # loose evaluation within twice its tolerance of the target, and that
+    # r is shot again; with an offset, |f| falls below 1e-3 first, and
+    # every later evaluation is tight from the start.
+    calls = []
+    root, res, evaluations = connect._solve_r(
+        _shooting_power_dial(s, -1.0, calls, e), 2.0 ** s + e, -1.0, 1e6, 64)
+    assert res.resolution == connect.SHOOT_TOL
+    assert abs(math.log(res.beta / (2.0 ** s + e))) <= connect.SHOOT_TOL
+    assert abs(root - 1.0) <= 1e-9
+    assert calls[0][1] == connect.LOOSE_TOL
+    assert evaluations == len({r for r, _, _ in calls})
+    assert len(calls) == evaluations + len(_redone(calls)) == evaluations + redone
+    tight = [i for i, (_, tol, _) in enumerate(calls) if tol == connect.SHOOT_TOL]
+    assert tight == list(range(tight[0], len(calls)))
+
+
+def test_a_walk_that_stops_on_a_loose_evaluation_shoots_it_again():
+    # The walk's r halves by a factor of 16 toward a root at 0.9 of its
+    # tenth r, 3.3e-12 above the threshold: there the next step is shorter
+    # than half the bracket tolerance while |f| is still 0.05.
+    calls, r_true = [], 0.9 * 0.25 / 16.0 ** 9
+    root, res, evaluations = connect._solve_r(
+        _shooting_power_dial(-0.5, 0.0, calls), r_true ** -0.5, 0.0, 1e6, 64)
+    assert evaluations == 10 and len(calls) == 11
+    assert _redone(calls) and calls[-1][0] == root
+    assert res.resolution == connect.SHOOT_TOL
+    assert abs(math.log(res.beta * r_true ** 0.5)) > 0.05
+    assert abs(root - r_true) <= _num.BRENT_XTOL
+
+
+def test_a_bracket_that_closes_on_loose_evaluations_returns_a_tight_end():
+    # No r is within 1e-3 of the target across the jump, so the bracket
+    # closes on loose evaluations and its better end is shot again.
+    calls = []
+    root, res, evaluations = connect._solve_r(
+        _shooting_power_dial(-0.5, -1.0, calls, r_jump=1.0), 1.0 / math.sqrt(2.0),
+        -1.0, 1e6, 64)
+    assert abs(root - 1.0) <= _num.BRENT_XTOL + _num.BRENT_RTOL
+    assert res.resolution == connect.SHOOT_TOL and calls[-1][0] == root
+    assert all(tol > connect.SHOOT_TOL for _, tol, _ in calls[:-1])
+    assert len(_redone(calls)) == 1 and evaluations == len(calls) - 1
 
 
 def test_every_r_handed_to_the_dial_is_a_python_float(monkeypatch):

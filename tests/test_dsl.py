@@ -3,6 +3,7 @@
 import copy
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpgeo import warpfn
-from warpgeo.errors import DslEvaluationError, DslNameError, DslSyntaxError
+from warpgeo.errors import (
+    DslEvaluationError, DslNameError, DslSyntaxError, NumericalError,
+)
+from warpgeo.manifold import MetricChart
 
 FD_STEP = 1e-5
 
@@ -258,6 +262,15 @@ def test_malformed_input_reports_exact_offset(text, dim, offset):
     assert f"offset {offset}" in str(err.value)
 
 
+def test_a_literal_too_large_for_a_float_is_a_syntax_error():
+    for text, offset in (("1e400", 0), ("2 + 1e400", 4), ("x1 * 1" + "0" * 400, 5)):
+        with pytest.raises(DslSyntaxError, match="(1e400|10{400}) is too large") as err:
+            warpfn.parse(text, 1)
+        assert err.value.offset == offset
+    # a literal that only underflows is the float it rounds to
+    assert warpfn.parse("1e-400", 1) == warpfn.Const(0.0)
+
+
 def test_unknown_identifiers_raise_the_name_error_subclass():
     for text, dim in [("x3", 2), ("t", 2), ("foo(1)", 1), ("x0", 2)]:
         with pytest.raises(DslNameError):
@@ -364,8 +377,26 @@ def test_every_value_form_raises_exactly_where_a_domain_condition_fails(dsl_case
                 assert failed is None, (name, expr, p, failed)
 
 
+def test_a_float_failure_in_a_scalar_form_is_a_typed_error():
+    # math.exp(1000) overflows where numpy's gives inf: the domain form
+    # answers as the batch form does on that row, and each value form
+    # raises a NumericalError naming the expression and the point
+    for text, failed in (("log(exp(x1))", None),
+                         ("log(x1 - exp(x1))", "x1 - exp(x1) > 0.0")):
+        expr = warpfn.parse(text, 1)
+        with np.errstate(all="ignore"):
+            assert warpfn.domain_failure_many(expr, [[1000.0]]) == failed
+        assert warpfn.domain_failure(expr, [1000.0]) == failed
+        for form in (warpfn.evaluate, warpfn.value_and_gradient, warpfn.eval2):
+            with pytest.raises(NumericalError, match=rf"'{re.escape(text)}' .*\[1000\.0\]"):
+                form(expr, [1000.0])
+    chart = MetricChart(1, exponent=warpfn.parse("log(exp(x1))", 1))
+    assert chart.contains([1000.0])
+
+
 def test_an_infinite_constant_is_evaluated_not_spelled_out():
-    expr = warpfn.parse("1e999 + x1", 1)
+    # built by hand: the parser refuses a literal too large for a float
+    expr = warpfn.Binary("+", warpfn.Const(math.inf), warpfn.Var(0))
     p = np.array([2.0])
     assert warpfn.evaluate(expr, p) == math.inf
     value, grad = warpfn.value_and_gradient(expr, p)

@@ -1,12 +1,13 @@
 """Small numeric kernels shared by the geometry modules.
 
 Quadrature (one running rule, whose last node is the total), a
-fourth-order grid derivative, and the one monotone inversion: the inverse of
-a table's linear interpolant, moved by one Newton step on the table's cubic
-Hermite interpolant and polished by Newton steps against the re-integrated
-forward map (:func:`invert_running_integral`).  Everything here operates on
-plain uniform grids and is deterministic, which keeps the higher-level
-outputs byte-reproducible.
+fourth-order grid derivative, and the one monotone inversion: the inverse
+of a running integral known only at the nodes of a table, found by Newton
+steps on the table's quintic Hermite interpolant and refused where the
+table does not resolve it (:func:`invert_running_integral`).  Nothing here
+calls back into a function: every kernel reads plain arrays on uniform
+grids and is deterministic, which keeps the higher-level outputs
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,14 +15,22 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import InputError, NumericalError
 
-GAUSS5_NODES, GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 # The bracket width ``BRENT_XTOL + BRENT_RTOL |r|`` at which a solve for
 # ``r`` on a dial that reports no resolution stops (scipy's brentq defaults).
 BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * sys.float_info.epsilon
+# The largest error estimate a node of :func:`invert_running_integral` may
+# carry, as a fraction of the grid step.  The estimate of a rebuilt leg
+# stays below 3e-7 of a step over the test suite and the benchmark's
+# problems (seeds 101-103).  On the README instance at 64 steps it reads
+# 5e-3 at 1e-3 above the lowest admissible ``r`` and 6e-2 at 1e-4 above
+# it; there the table's own quadrature error, which the estimate does not
+# see, measured 3 to 6 times the estimate.
+INVERSE_TOL = 1e-3
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
@@ -65,73 +74,77 @@ def derivative_on_grid(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def invert_running_integral(integrand, grid: np.ndarray, accum: np.ndarray,
-                            slopes: np.ndarray) -> np.ndarray:
-    """Nodes ``u`` with ``F(u_i) = F(1) * grid_i``, ``F`` a running integral.
+def invert_running_integral(grid: np.ndarray, accum: np.ndarray,
+                            slopes: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nodes ``u`` with ``F(u_i) = F(1) * grid_i``, ``F`` a running integral
+    known only at the nodes, and the largest error estimate of a node.
 
-    ``grid`` is uniform over ``[0, 1]``, ``accum`` holds ``F`` at its nodes,
-    ``slopes`` holds ``F'`` there and ``integrand`` evaluates ``F'``
-    (positive) on a 1-d array.  The inverse of the table's linear
-    interpolant, moved by one Newton step on the table's cubic Hermite
-    interpolant (values ``accum``, derivatives ``slopes``), gives a first
-    guess; Newton steps against the locally re-integrated forward map
-    (``F`` at the nearest node plus a Gauss panel to the query point) then
-    leave only the smooth quadrature error of the table itself.  Each polish
-    step evaluates the integrand once, at the panel nodes and the current
-    nodes together.  The polish stops after a step that moves no node by
-    more than ``sqrt(eps)``, since quadratic convergence puts the next move
-    below roundoff, and after four steps at most: a fourth step that still
-    moves a node by more than ``1e-6`` of the grid step has not converged
-    (the polish cycles next to a pole of the integrand) and raises
-    :class:`NumericalError`.  Every move, the Hermite step's too, is capped
-    at just under half the gap to either neighbour.
+    ``grid`` is uniform over ``[0, 1]`` with step ``h``, ``accum`` holds
+    ``F`` at its nodes (``F(0) = 0``) and ``slopes`` holds ``F'``
+    (positive) there.  ``F`` is read as the table's piecewise quintic
+    Hermite interpolant (de Boor, *A Practical Guide to Splines*, 1978):
+    values ``accum``, first derivatives ``slopes`` and second derivatives
+    ``slopes`` differenced on the grid (:func:`derivative_on_grid`), so
+    nothing but the table is read and nothing is called back.  Newton
+    steps on it start from the inverse of the table's linear interpolant
+    and stop after a step that moves no node by more than ``sqrt(eps) h``,
+    since quadratic convergence puts the next move below roundoff, or after
+    eight steps.  Every move is capped at just under half the gap to
+    either neighbour, which keeps the nodes strictly ordered next to a pole
+    of ``F'``, where the linear first guess can be off by more than a node
+    spacing.
+
+    A node's error estimate is the miss of the table's cubic Hermite
+    interpolant (values and slopes only) at the node, divided by the slope:
+    how far the cubic's inverse lies from the quintic's.  On a table that
+    resolves ``F`` the cubic errs at fourth order in ``h`` and the quintic
+    at sixth, so the estimate bounds the quintic's interpolation error
+    with a wide margin.  It adds the quintic's own miss, which convergence
+    leaves at roundoff, so Newton steps that stopped short show in it too.
+    It says nothing of the error of the table's values themselves (a
+    quadrature's), which the inverse inherits.  A node whose estimate
+    exceeds ``INVERSE_TOL * h``, or is not a number, raises
+    :class:`NumericalError`: there the two interpolants of one table
+    disagree by a visible fraction of a node spacing, so ``F'`` changes on
+    the scale of the grid and the table does not resolve the inverse.
     """
-    n = grid.shape[0] - 1
     h = grid[1] - grid[0]
-    normalised = accum / accum[-1]
-    normalised[0], normalised[-1] = 0.0, 1.0
-    u = np.interp(grid, normalised, grid)
-    goal = accum[-1] * grid
+    rise = np.diff(accum)
+    d0, d1 = h * slopes[:-1], h * slopes[1:]
+    bend = 0.5 * h * h * derivative_on_grid(slopes, h)
+    b0, db = bend[:-1], np.diff(bend)
+    # every piece in powers of the fraction of its step: the cubic matches
+    # value and slope at both its nodes, the quintic the bend too
+    p, q = rise - d0 - b0, d1 - d0 - 2.0 * b0
+    quintic = np.stack([accum[:-1], d0, b0, 10.0 * p - 4.0 * q + db,
+                        -15.0 * p + 7.0 * q - 2.0 * db, 6.0 * p - 3.0 * q + db])
+    cubic = np.stack([accum[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise])
+    u = np.interp(grid, accum / accum[-1], grid)
+    goal = accum[-1] * grid[1:-1]
 
-    def advance(step):
-        # Near a pole of the integrand the interpolant can be off by more
-        # than a node spacing; cap each move at just under half the gap to
-        # either neighbour so the nodes stay strictly ordered.
+    def at_nodes(pieces):
+        # the value and the slope (per step) of the piece each interior
+        # node lies on
+        i = np.searchsorted(grid[1:-1], u[1:-1], side="right")
+        s, c = (u[1:-1] - grid[i]) / h, pieces[:, i]
+        return polyval(s, c, tensor=False), polyval(s, polyder(c), tensor=False)
+
+    for _ in range(8):
+        value, slope = at_nodes(quintic)
         gaps = np.diff(u)
-        move = np.clip(step, -0.45 * gaps[:-1], 0.45 * gaps[1:])
+        move = np.clip(np.divide(h * (goal - value), slope, out=np.zeros_like(slope),
+                                 where=slope > 0.0),
+                       -0.45 * gaps[:-1], 0.45 * gaps[1:])
         u[1:-1] += move
-        return np.max(np.abs(move), initial=0.0)
-
-    def panel_of(inner):
-        return np.clip(np.searchsorted(grid, inner, side="right") - 1, 0, n - 1)
-
-    idx = panel_of(u[1:-1])
-    s = (u[1:-1] - grid[idx]) / h
-    f0, f1 = accum[idx], accum[idx + 1]
-    d0, d1 = h * slopes[idx], h * slopes[idx + 1]
-    c2 = 3.0 * (f1 - f0) - 2.0 * d0 - d1
-    c3 = d0 + d1 - 2.0 * (f1 - f0)
-    hermite = f0 + s * (d0 + s * (c2 + s * c3))
-    rate = (d0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
-    advance(np.divide(goal[1:-1] - hermite, rate,
-                      out=np.zeros_like(rate), where=rate > 0.0))
-    for _ in range(4):
-        inner = u[1:-1]
-        idx = panel_of(inner)
-        left = grid[idx]
-        halfw = 0.5 * (inner - left)
-        sigma = (0.5 * (inner + left))[:, None] + halfw[:, None] * GAUSS5_NODES
-        f = integrand(np.concatenate((sigma.ravel(), inner)))
-        panel = halfw * (f[:sigma.size].reshape(sigma.shape) @ GAUSS5_WEIGHTS)
-        largest = advance(-(accum[idx] + panel - goal[1:-1]) / f[sigma.size:])
-        if largest <= SQRT_EPS:
+        if np.max(np.abs(move), initial=0.0) <= SQRT_EPS * h:
             break
-    else:
-        if largest > 1e-6 * h:
-            raise NumericalError(
-                f"inverse of a running integral did not converge: the last "
-                f"Newton step still moved a node by {largest:.3g}")
-    u[0], u[-1] = 0.0, 1.0
-    if not np.all(np.diff(u) > 0.0):
-        raise NumericalError("inverse of a running integral lost monotonicity")
-    return u
+    value, slope = at_nodes(quintic)
+    miss = h * (np.abs(at_nodes(cubic)[0] - goal) + np.abs(value - goal))
+    estimate = np.max(np.divide(miss, slope, out=np.where(miss == 0.0, 0.0, np.inf),
+                                where=slope > 0.0), initial=0.0)
+    if not estimate <= INVERSE_TOL * h:
+        raise NumericalError(
+            f"inverse of a running integral not resolved by its table: a "
+            f"node's estimated error {estimate:.3g} exceeds {INVERSE_TOL:g} "
+            f"of the grid step {h:.3g}")
+    return u, estimate

@@ -72,7 +72,7 @@ from .integrate import (
 from .manifold import (
     MetricChart, TangentVector, euclidean, metric_eval, weighted_line,
 )
-from .reparam import RiemannianGeodesic, _leg_constants, riemannize
+from .reparam import RiemannianGeodesic, _leg_constants, _warp_along, riemannize
 from .warp import (
     WarpField, _require_rescalable, admissible_range, conformal_metric,
     values_along,
@@ -261,7 +261,6 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     a solve for ``r`` shoots an evaluation far from its root more loosely;
     the resolution then reports it.)
     """
-    admissible_range(w).require(r)
     chart = conformal_metric(g1, w, r)
     X, jac, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init,
                                jac_init=jac_init, tol=_tol)
@@ -736,8 +735,7 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     admissible_range(w).require(r)
     x0 = np.asarray(x0, dtype=float)
     X, _, gamma, _ = _shoot(g1, x0, x1, cfg)
-    k = values_along(w, gamma.points)
-    _require_rescalable(w, r, gamma.points, k)
+    k = _warp_along(gamma, w, r)
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r

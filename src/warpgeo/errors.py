@@ -42,7 +42,8 @@ class NumericalError(WarpGeoError):
 
 
 class FloatOverflowError(NumericalError, OverflowError):
-    """A float overflowed while an expression was evaluated at a point.
+    """A float overflowed while an expression was evaluated at a point, or
+    ``sin`` or ``cos`` met the infinity an overflow made.
 
     Still an :class:`OverflowError`, so that a numerical step that meets
     one makes a state that is not finite, as a bare overflow does.

@@ -92,6 +92,11 @@ class MetricChart:
     exponent_args : tuple of float
         Run-time values of the exponent's trailing variables (the
         rescaling parameter ``r`` of a conformally rescaled chart).
+
+    An exponent that reads no variable, defined but not finite (a line
+    weight that overflows, say), raises :class:`NumericalError` here: the
+    generated loops read only its gradient, zero, and would integrate a
+    flat chart.
     """
 
     dim: int
@@ -115,6 +120,12 @@ class MetricChart:
         if self.in_domain is not None and self.metric_at is None:
             raise InputError("in_domain goes with metric_at; an exponent "
                              "chart's domain is where its exponent is defined")
+        origin = np.zeros(self.dim)
+        if (self.exponent is not None and _reads_no_variable(self.exponent)
+                and self.contains(origin)):
+            # A loop reads only the gradient of a constant exponent, zero:
+            # its value is tested here, once.
+            _exponent_at(self, origin)
 
     def contains(self, p) -> bool:
         """Whether the point is in the chart: where the exponent is defined
@@ -130,6 +141,12 @@ class MetricChart:
             return warpfn.domain_failure_many(self.exponent, points,
                                               self.exponent_args) is None
         return all(self.contains(p) for p in points)
+
+
+def _reads_no_variable(e: warpfn.Expr) -> bool:
+    """Whether the tree is constant: no node of it is a variable."""
+    return not isinstance(e, warpfn.Var) and all(
+        _reads_no_variable(v) for v in vars(e).values() if isinstance(v, warpfn.Expr))
 
 
 @dataclass(frozen=True)
@@ -505,7 +522,9 @@ def weighted_line(weight) -> MetricChart:
     or an already parsed expression node.  The chart's domain is where the
     exponent ``log(f) / 2`` is defined, so where the weight is positive
     (and the weight itself defined): its metric and Christoffel symbols
-    raise :class:`NumericalError` at a non-positive or NaN weight.
+    raise :class:`NumericalError` at a non-positive or NaN weight.  A
+    constant weight that is positive but not finite raises
+    :class:`NumericalError` at once (see :class:`MetricChart`).
     """
     expr = warpfn.parse(weight, 1) if isinstance(weight, str) else weight
     # f = exp(2 phi), so phi = log(f) / 2

@@ -6,7 +6,8 @@ a geodesic for the full warped metric of signature ``(+, -)``:
 
 * the base map ``phi`` solves ``phi' = a (1 + r k)/k`` along ``mu``, with
   the constant ``a`` fixed by ``phi(0) = 0``, ``phi(1) = 1``; it is built
-  by inverting the explicitly integrable inverse map at the grid nodes;
+  by inverting the explicitly integrable inverse map, from its table at
+  the grid nodes alone;
 * the fiber map ``psi`` satisfies ``psi' = b / k`` along the
   reparametrized base leg, again normalized to fix the constant ``b``.
 
@@ -82,27 +83,27 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     """Base-leg reparametrization along a rescaled-metric geodesic.
 
     Integrates ``k/(1 + r k)`` along ``mu``, which yields the constant
-    ``a`` (the full integral) and samples of the *inverse* map; the map
-    itself is recovered by inverting the linear interpolant of those
-    samples, then a Newton polish against the locally re-integrated
-    forward relation (:func:`~warpgeo._num.invert_running_integral`).
-    A node where ``1 + r k <= 0`` raises :class:`NumericalError`.
+    ``a`` (the full integral) and a table of the *inverse* map at the
+    nodes, its values and slopes; the map is that table's inverse, read
+    from the table alone (:func:`~warpgeo._num.invert_running_integral`),
+    and raises :class:`NumericalError` where the table does not resolve it.
+    The map's derivative needs the warp at ``mu``'s points at the map's
+    nodes.  A node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
-    admissible_range(w).require(r)
-    k = values_along(w, mu.points)
-    _require_rescalable(w, r, mu.points, k)
+    return _base_map(mu, w, r, _warp_along(mu, w, r))[0]
+
+
+def _base_map(mu: Curve, w: WarpField, r: float, k: np.ndarray):
+    """The map of :func:`compute_a_and_phi` from the warp ``k`` at ``mu``'s
+    nodes, with the points of ``mu`` at the map's nodes and the warp there:
+    ``mu``'s dense output and the warp are read once each."""
     integrand = k / (1.0 + r * k)
     accum = cumulative_simpson(integrand, mu.h)
     a = accum[-1]
-
-    def integrand_at(pos):
-        k = values_along(w, np.atleast_2d(mu.point_at(pos)))
-        return k / (1.0 + r * k)
-
-    values = invert_running_integral(integrand_at, mu.params, accum, integrand)
-    k_at_phi = values_along(w, np.atleast_2d(mu.point_at(values)))
-    derivative = a * (1.0 + r * k_at_phi) / k_at_phi
-    return MonotoneMap(mu.params, values, a, derivative)
+    values = invert_running_integral(mu.params, accum, integrand)[0]
+    points = np.atleast_2d(mu.point_at(values))
+    k_at_phi = values_along(w, points)
+    return MonotoneMap(mu.params, values, a, a * (1.0 + r * k_at_phi) / k_at_phi), points, k_at_phi
 
 
 def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
@@ -112,7 +113,12 @@ def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
     so that ``psi(1) = 1``.  No inversion is needed: the running integral
     is the map.
     """
-    k = values_along(w, gamma.points)
+    return _fiber_map(gamma, values_along(w, gamma.points))
+
+
+def _fiber_map(gamma: Curve, k: np.ndarray) -> MonotoneMap:
+    """The map of :func:`compute_b_and_psi` from the warp ``k`` at
+    ``gamma``'s nodes."""
     accum = cumulative_simpson(1.0 / k, gamma.h)
     b = 1.0 / accum[-1]
     values = b * accum
@@ -129,9 +135,7 @@ def phi_constant_from_trace(gamma: Curve, w: WarpField, r: float) -> float:
     classifier needs when it starts from a mixed-signature geodesic.  A
     node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
-    admissible_range(w).require(r)
-    k = values_along(w, gamma.points)
-    _require_rescalable(w, r, gamma.points, k)
+    k = _warp_along(gamma, w, r)
     return 1.0 / cumulative_simpson((1.0 + r * k) / k, gamma.h)[-1]
 
 
@@ -140,9 +144,14 @@ def reparametrize(curve: Curve, m: MonotoneMap) -> Curve:
     s = np.asarray(m.values, dtype=float)
     if s[0] < curve.params[0] - 1e-12 or s[-1] > curve.params[-1] + 1e-12:
         raise InputError("map range exceeds the curve's parameter interval")
-    points = np.atleast_2d(curve.point_at(s))
-    velocities = np.atleast_2d(curve.velocity_at(s)) * m.derivative_values[:, None]
+    return _composed(curve, m, np.atleast_2d(curve.point_at(s)))
+
+
+def _composed(curve: Curve, m: MonotoneMap, points: np.ndarray) -> Curve:
+    """:func:`reparametrize` given the curve's points at the map's nodes,
+    whose end points it pins to the curve's own."""
     points[0], points[-1] = curve.points[0], curve.points[-1]
+    velocities = np.atleast_2d(curve.velocity_at(m.values)) * m.derivative_values[:, None]
     return Curve(m.grid.copy(), points, velocities)
 
 
@@ -197,19 +206,28 @@ class RiemannianGeodesic:
         }
 
 
-def _leg_constants(mu: Curve, w: WarpField, r: float) -> tuple[float, float]:
+def _leg_constants(mu: Curve, w: WarpField, r: float,
+                   k: Optional[np.ndarray] = None) -> tuple[float, float]:
     """The constants ``(a, b)`` of the maps along ``mu``, without the maps.
 
     ``a`` is the sum :func:`compute_a_and_phi` takes, so it equals
     ``phi.constant`` exactly; ``b`` is the same rule over ``1/(1 + r k)``,
-    divided into ``a``.  A node where ``1 + r k <= 0`` raises
-    :class:`NumericalError`.
+    divided into ``a``.  ``k`` is the warp at ``mu``'s nodes from
+    :func:`_warp_along`, evaluated here when not given.  A node where
+    ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
-    admissible_range(w).require(r)
-    k = values_along(w, mu.points)
-    _require_rescalable(w, r, mu.points, k)
+    if k is None:
+        k = _warp_along(mu, w, r)
     a = cumulative_simpson(k / (1.0 + r * k), mu.h)[-1]
     return a, a / cumulative_simpson(1.0 / (1.0 + r * k), mu.h)[-1]
+
+
+def _warp_along(curve: Curve, w: WarpField, r: float) -> np.ndarray:
+    """The warp at the curve's nodes, where ``1 + r k > 0`` must hold."""
+    admissible_range(w).require(r)
+    k = values_along(w, curve.points)
+    _require_rescalable(w, r, curve.points, k)
+    return k
 
 
 def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
@@ -223,14 +241,18 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     the compatibility check under the constants of :func:`_leg_constants`.
     The base map is computed from ``mu``, the fiber map from the already
     reparametrized base leg, matching the defining relation of the fiber
-    equation.
+    equation.  The warp is evaluated once along ``mu``'s nodes, for the
+    constants and the base map's table, and once at ``mu``'s points at the
+    base map's nodes, for that map's derivative and the fiber map; ``mu``'s
+    dense output is read once, there.
 
     Residuals of the coupled system are always measured on the result and
     stored; if ``residual_tol`` is given they must stay below it.
     """
     if mu.steps != nu.steps:
         raise InputError("factor curves must share one grid")
-    a_r, b_r = _leg_constants(mu, w, r)
+    k = _warp_along(mu, w, r)
+    a_r, b_r = _leg_constants(mu, w, r, k)
     Y0 = TangentVector(nu.points[0], nu.velocities[0])
     ok, defect = check_compatibility(
         mu.points[0], mu.velocities[0], Y0, a_r, b_r, w, r, g1, g2,
@@ -238,10 +260,9 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     )
     if not ok:
         raise CompatibilityError(defect, compat_tol)
-    phi = compute_a_and_phi(mu, w, r)
-    gamma = reparametrize(mu, phi)
-    psi = compute_b_and_psi(gamma, w)
-    tau = reparametrize(nu, psi)
+    phi, points, k_at_phi = _base_map(mu, w, r, k)
+    gamma = _composed(mu, phi, points)
+    tau = reparametrize(nu, _fiber_map(gamma, k_at_phi))
     residuals = coupled_residual(g1, g2, w, gamma, tau)
     if residual_tol is not None and max(residuals) > residual_tol:
         raise NumericalError(
@@ -320,8 +341,7 @@ def norm_identity_errors(geo: RiemannianGeodesic, w: WarpField,
     X2 = _squared_speeds(g1, mu.points[0], mu.velocities[0])[0]
     Y2 = _squared_speeds(g2, nu.points[0], nu.velocities[0])[0]
     r, a, b = geo.r, geo.a_r, geo.b_r
-    k = values_along(w, gamma.points)
-    _require_rescalable(w, r, gamma.points, k)
+    k = _warp_along(gamma, w, r)
     base_pred = a * a * (1.0 + r * k0x) * (1.0 + r * k) / (k0x * k) * X2
     base_speed2 = _squared_speeds(g1, gamma.points, gamma.velocities)
     products = k * k * _squared_speeds(g2, tau.points, tau.velocities)

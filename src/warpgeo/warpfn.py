@@ -31,7 +31,9 @@ loop ends at the state that fails it.  Where ``math`` overflows and numpy
 would give an infinity, a scalar value form raises
 :class:`~warpgeo.errors.FloatOverflowError` naming the expression and the
 point, and the scalar domain form answers as the batch form does on that
-one row.  A numeric literal too large for a float is a syntax error.
+one row; so does ``sin`` or ``cos`` of an infinite operand, where
+``math`` meets a domain error and numpy gives NaN.  A numeric literal too
+large for a float is a syntax error.
 
 Two loop forms compile classical Runge-Kutta steps on Python floats into
 one ``for`` loop.  The state is a tuple of floats, one ``(point,
@@ -787,11 +789,15 @@ def _compiled(e, form: int, dim):
 
 def _scalar(e: Expr, form: int, x: list):
     """The scalar value form ``form`` of ``e`` at the point ``x``; an
-    overflow in ``math`` raises :class:`~warpgeo.errors.FloatOverflowError`
-    naming the expression and the point."""
+    overflow in ``math``, or ``sin`` or ``cos`` of an infinite operand (a
+    math domain error, where an overflow has made the infinity), raises
+    :class:`~warpgeo.errors.FloatOverflowError` naming the expression and
+    the point."""
     try:
         return _compiled(e, form, len(x))(x)
-    except OverflowError as exc:
+    except DslEvaluationError:
+        raise
+    except (OverflowError, ValueError) as exc:
         raise FloatOverflowError(
             f"{format_expression(e)!r} overflows a float at {x}: {exc}") from None
 

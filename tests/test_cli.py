@@ -561,6 +561,19 @@ def test_a_weight_literal_too_large_for_a_float_is_an_input_error(tmp_path):
     assert payload["error"] == "DslSyntaxError" and "1e400" in payload["message"]
 
 
+def test_a_weight_that_overflows_to_a_constant_infinity_writes_no_curve(tmp_path):
+    # the chart is refused where it is made, before the task writes a curve
+    doc = dict(INTEGRATE_FLAT, base_chart={"name": "weighted_line",
+                                           "weight": "1e300*1e300"},
+               integrate={"point": [0.3], "velocity": [2.0]})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "NumericalError" and "not finite" in payload["message"]
+
+
 def test_flrw_on_a_base_that_is_not_a_line_is_an_input_error(tmp_path):
     doc = dict(LINE_PRODUCT, task="flrw", base_chart={"name": "poincare_half_plane"},
                flrw={"t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [0.5]})
@@ -826,13 +839,13 @@ def test_every_csv_is_the_savetxt_of_its_read_back(tmp_path, task):
 def test_fitted_riemannize_builds_the_base_maps_once(tmp_path, monkeypatch):
     doc = FITTED_RIEMANNIZE
     calls = []
-    build = reparam.compute_a_and_phi
+    build = reparam._base_map
 
     def counted(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(reparam, "compute_a_and_phi", counted)
+    monkeypatch.setattr(reparam, "_base_map", counted)
     code, _ = run_task(tmp_path, doc, "--quiet")
     assert code == 0 and len(calls) == 1
 

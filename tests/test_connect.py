@@ -1000,7 +1000,7 @@ def test_a_warp_within_its_declared_bounds_never_trips_the_check(k0, spread, abo
 def test_a_solve_builds_the_maps_once_at_the_root(monkeypatch):
     # A dial evaluation reads the constants as quadratures; only the
     # rebuild of the solved pair builds the maps.
-    calls = _count_calls(monkeypatch, reparam, "compute_a_and_phi")
+    calls = _count_calls(monkeypatch, reparam, "_base_map")
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     line = wg.euclidean(1)
     report = wg.connect_points(line, line, w, (np.zeros(1), np.zeros(1)),

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from warpgeo import warpfn
 from warpgeo.errors import (
-    DslEvaluationError, DslNameError, DslSyntaxError, NumericalError,
+    DslEvaluationError, DslNameError, DslSyntaxError, FloatOverflowError,
+    NumericalError,
 )
 from warpgeo.manifold import MetricChart
 
@@ -392,6 +393,19 @@ def test_a_float_failure_in_a_scalar_form_is_a_typed_error():
                 form(expr, [1000.0])
     chart = MetricChart(1, exponent=warpfn.parse("log(exp(x1))", 1))
     assert chart.contains([1000.0])
+
+
+def test_sin_or_cos_of_an_overflowed_operand_is_a_typed_error():
+    # x1 * 1e300 * 1e300 overflows to inf without an exception; math's sin
+    # and cos of it meet a domain error, where numpy gives NaN.  Each value
+    # form raises the typed overflow error, naming the expression and the
+    # point, and the domain form answers as the batch form does on that row.
+    for text in ("sin(x1 * 1e300 * 1e300)", "cos(x1 * 1e300 * 1e300)"):
+        expr = warpfn.parse(text, 1)
+        assert warpfn.domain_failure(expr, [1.0]) is None
+        for form in (warpfn.evaluate, warpfn.value_and_gradient, warpfn.eval2):
+            with pytest.raises(FloatOverflowError, match=r"x1 \* 1e\+300 .*\[1\.0\]"):
+                form(expr, [1.0])
 
 
 def test_an_infinite_constant_is_evaluated_not_spelled_out():

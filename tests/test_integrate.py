@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import quad
 from scipy.interpolate import BPoly
 
 import warpgeo as wg
@@ -851,85 +850,98 @@ def test_grid_derivative_handles_stacked_columns():
     np.testing.assert_allclose(got[:, 1], 0.0, atol=1e-13)
 
 
+def _quintic_hermite(grid, accum, slopes):
+    """The table's quintic Hermite interpolant, built by scipy from the
+    values, the slopes and the slopes' grid derivative."""
+    bend = _num.derivative_on_grid(slopes, grid[1] - grid[0])
+    return BPoly.from_derivatives(grid, np.column_stack([accum, slopes, bend]))
+
+
 def test_inversion_survives_a_pole_next_to_the_interval():
     # F' = 1/(1 + gap - x), so F = -log1p(-x/(1 + gap)): next to x = 1 the
     # linear first guess can be off by more than a node spacing, and the
-    # capped polish has to keep the nodes ordered.  At gap 1e-6 the capped
-    # polish cycles instead of converging, which is an error.
+    # capped Newton steps have to keep the nodes ordered.  At gap 1e-6 the
+    # table no longer resolves F, which is an error.
     grid = np.linspace(0.0, 1.0, 1025)
     for gap in (1e-2, 1e-6):
-        calls = []
-
-        def integrand(x):
-            calls.append(x.size)
-            return 1.0 / (1.0 + gap - x)
-
         accum = -np.log1p(-grid / (1.0 + gap))
-        slopes = integrand(grid)
-        calls.clear()
+        slopes = 1.0 / (1.0 + gap - grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if gap == 1e-6:
-                with pytest.raises(NumericalError, match="did not converge"):
-                    _num.invert_running_integral(integrand, grid, accum, slopes)
-                assert len(calls) == 4
+                with pytest.raises(NumericalError, match="inverse of a running integral"):
+                    _num.invert_running_integral(grid, accum, slopes)
                 continue
-            u = _num.invert_running_integral(integrand, grid, accum, slopes)
-        # one batch per Newton step, the panels' and the nodes' together
-        assert 1 <= len(calls) <= 4 and set(calls) == {6 * 1023}
+            u, estimate = _num.invert_running_integral(grid, accum, slopes)
         assert u[0] == 0.0 and u[-1] == 1.0
         assert np.all(np.diff(u) > 0.0)
-        reached = -np.log1p(-u / (1.0 + gap))
-        np.testing.assert_allclose(reached, accum[-1] * grid, rtol=1e-12)
+        exact = (1.0 + gap) * -np.expm1(-accum[-1] * grid)
+        assert np.max(np.abs(u - exact)) <= estimate <= _num.INVERSE_TOL * grid[1]
 
 
 def test_a_zero_width_interval_inverts_without_a_division_warning():
     grid = np.linspace(0.0, 1.0, 9)
     # flat over two panels, at a level that is one of the targets
     accum = np.array([0.0, 1.0, 2.0, 4.0, 4.0, 4.0, 5.0, 7.0, 8.0])
-    slopes = np.diff(accum) * 8.0
-
-    def integrand(x):
-        return slopes[np.clip((x * 8.0).astype(int), 0, 7)]
-
+    slopes = (np.diff(accum) * 8.0)[np.clip((grid * 8.0).astype(int), 0, 7)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = _num.invert_running_integral(integrand, grid, accum, integrand(grid))
+        u = _num.invert_running_integral(grid, accum, slopes)[0]
     assert np.all(np.diff(u) > 0.0)
-    np.testing.assert_allclose(np.interp(u, grid, accum), 8.0 * grid,
+    np.testing.assert_allclose(_quintic_hermite(grid, accum, slopes)(u), 8.0 * grid,
                                atol=1e-14)
 
 
 def test_a_nan_integrand_fails_the_inversion():
-    # The table is finite; the polish meets NaN past x = 0.6.  Without the
-    # check the result was [0, .17, .32, .46, nan, nan, nan, nan, 1].
+    # The values are finite; the slopes are NaN past x = 0.6.  Nodes whose
+    # Hermite piece is NaN never move, so only the error estimate sees it.
     grid = np.linspace(0.0, 1.0, 9)
     accum = grid + 0.5 * grid**2
-
-    def integrand(x):
-        return np.where(x > 0.6, np.nan, 1.0 + x)
-
-    with pytest.raises(NumericalError, match="lost monotonicity"):
-        _num.invert_running_integral(integrand, grid, accum, integrand(grid))
+    slopes = np.where(grid > 0.6, np.nan, 1.0 + grid)
+    with pytest.raises(NumericalError, match="not resolved"):
+        _num.invert_running_integral(grid, accum, slopes)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(a=st.floats(-0.89, 0.89), b=st.floats(0.0, 12.0),
-       c=st.floats(0.0, 2.0 * np.pi), panels=st.integers(16, 256))
-def test_inverted_running_integral_matches_adaptive_quadrature(a, b, c, panels):
+       c=st.floats(0.0, 2.0 * np.pi), panels=st.integers(16, 128))
+def test_inversion_error_is_within_its_estimate_and_falls_at_fourth_order(a, b, c,
+                                                                         panels):
+    # Exact tables of F(x) = x + a (cos c - cos(b x + c))/b, the running
+    # integral of 1 + a sin(b x + c), leave only the interpolation error.
+    # The estimate must bound it (safety factor 1, plus roundoff), and a
+    # step four times finer must cut it at least 4^4-fold down to roundoff:
+    # fourth order at least, over two halvings, because the first halving
+    # of the coarsest tables (b h near 0.5) is not yet asymptotic.
     def f(x):
         return 1.0 + a * np.sin(b * x + c)
 
-    def integral(lo, hi):
-        return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+    def F(x):  # the cosines' difference as a product, which keeps small b exact
+        return x + a * x * np.sin(0.5 * b * x + c) * np.sinc(0.5 * b * x / np.pi)
 
-    grid = np.linspace(0.0, 1.0, panels + 1)
-    accum = np.concatenate(([0.0], np.cumsum(
-        [integral(lo, hi) for lo, hi in zip(grid[:-1], grid[1:])]
-    )))
-    u = _num.invert_running_integral(f, grid, accum, f(grid))
-    assert u[0] == 0.0 and u[-1] == 1.0
-    assert np.all(np.diff(u) > 0.0)
-    reached = np.array([integral(0.0, x) for x in u])
-    np.testing.assert_allclose(reached, accum[-1] * grid, rtol=1e-9,
-                               atol=1e-9 * accum[-1])
+    errors = []
+    for n in (panels, 4 * panels):
+        grid = np.linspace(0.0, 1.0, n + 1)
+        u, estimate = _num.invert_running_integral(grid, F(grid), f(grid))
+        assert u[0] == 0.0 and u[-1] == 1.0
+        assert np.all(np.diff(u) > 0.0)
+        lo, hi = np.zeros(n - 1), np.ones(n - 1)
+        for _ in range(60):  # bisection on F itself, increasing since f >= 0.11
+            mid = 0.5 * (lo + hi)
+            below = F(mid) < F(1.0) * grid[1:-1]
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        errors.append(np.max(np.abs(u[1:-1] - 0.5 * (lo + hi))))
+        assert errors[-1] <= estimate + 1e-14
+    assert errors[1] <= errors[0] / 256.0 + 1e-14
+
+
+def test_a_table_that_does_not_resolve_the_inverse_is_refused():
+    # The README instance at 64 steps, 1e-4 above the lowest admissible r:
+    # k/(1 + r k) changes on the scale of the grid, and the estimate reads
+    # about 0.06 of a step.
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    r = wg.admissible_range(w).lower + 1e-4
+    mu = wg.beta_of_r(wg.poincare_half_plane(), wg.circle(1.0), w, np.array([0.0, 1.0]),
+                      np.array([1.2, 0.7]), r, wg.IntegratorConfig(steps=64)).mu
+    with pytest.raises(NumericalError, match="not resolved by its table"):
+        wg.compute_a_and_phi(mu, w, r)

@@ -103,6 +103,19 @@ def test_weighted_line_metric_and_connection():
     np.testing.assert_allclose(acc, [-3.6], rtol=1e-12)
 
 
+def test_a_constant_weight_or_exponent_that_is_not_finite_is_refused():
+    # A loop reads only the gradient of a constant exponent, zero, so an
+    # infinite constant would integrate as a flat line.  A constant that is
+    # finite, or off its domain (a negative weight), is kept.
+    for weight in ("1e300*1e300", "exp(1000)"):
+        with pytest.raises(NumericalError, match="not finite|overflows a float"):
+            wg.weighted_line(weight)
+    with pytest.raises(NumericalError, match="not finite"):
+        wg.MetricChart(2, exponent=warpfn.Const(math.inf))
+    assert wg.weighted_line("4").contains([1.0])
+    assert not wg.weighted_line("-1").contains([1.0])
+
+
 # ---------------------------------------------------------------------------
 # index raising
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import warpgeo as wg
-from warpgeo import _num
+from warpgeo import _num, integrate, reparam
 from warpgeo.errors import CompatibilityError, InputError, NumericalError
 from warpgeo.manifold import metric_eval
 from warpgeo.reparam import _leg_constants
@@ -351,6 +351,37 @@ def test_assembled_geodesic_matches_the_direct_oracle(hyperbolic_instance):
     )
     assert np.max(np.abs(base.points - geo.gamma.points)) <= 1e-7
     assert np.max(np.abs(fiber.points - geo.tau.points)) <= 1e-7
+
+
+def test_a_rebuild_reads_the_warp_twice_and_the_base_leg_once(hyperbolic_instance,
+                                                              monkeypatch):
+    # One warp batch along mu's nodes and one at the rebuilt leg's, one read
+    # of mu's dense output (nu's own is read once too), and nothing but
+    # tables reaches the numeric kernels.
+    g1, g2, w, r, cfg, geo = hyperbolic_instance
+    mu, nu = geo.base
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            assert not any(map(callable, (*args, *kwargs.values()))), name
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reparam, "values_along", counted("values_along", reparam.values_along))
+    for module in (reparam, integrate):
+        for name, fn in vars(module).copy().items():
+            if getattr(fn, "__module__", None) == "warpgeo._num":
+                monkeypatch.setattr(module, name, counted("_num", fn))
+    reads = []
+    point_at = wg.Curve.point_at
+    monkeypatch.setattr(wg.Curve, "point_at",
+                        lambda curve, t: reads.append(curve) or point_at(curve, t))
+    again = wg.riemannize(mu, nu, w, r, g1, g2)
+    assert calls.count("values_along") == 2 and "_num" in calls
+    assert len(reads) == 2 and reads[0] is mu and reads[1] is nu
+    np.testing.assert_array_equal(again.gamma.points, geo.gamma.points)
 
 
 def test_norm_identities_hold_along_the_assembled_geodesic(hyperbolic_instance):

@@ -1,13 +1,16 @@
 """Small numeric kernels shared by the geometry modules.
 
 Quadrature (one running rule, whose last node is the total), a
-fourth-order grid derivative, and the one monotone inversion: the inverse
-of a running integral known only at the nodes of a table, found by Newton
-steps on the table's quintic Hermite interpolant and refused where the
-table does not resolve it (:func:`invert_running_integral`).  Nothing here
-calls back into a function: every kernel reads plain arrays on uniform
-grids and is deterministic, which keeps the higher-level outputs
-byte-reproducible.
+fourth-order grid derivative, whose two end rows on each side are one
+small stencil matrix applied to the first or last five samples, and the
+one monotone inversion: the inverse of a running integral known only at
+the nodes of a table, found by Newton steps on the table's quintic Hermite
+interpolant and refused where the table does not resolve it
+(:func:`invert_running_integral`).  The inversion writes its pieces in
+powers of the fraction of a step, differentiates them once per table and
+evaluates both by Horner's rule.  Nothing here calls back into a
+function: every kernel reads plain arrays on uniform grids and is
+deterministic, which keeps the higher-level outputs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import InputError, NumericalError
 
@@ -31,6 +33,10 @@ BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * sys.float_info.epsilon
 # it; there the table's own quadrature error, which the estimate does not
 # see, measured 3 to 6 times the estimate.
 INVERSE_TOL = 1e-3
+# The one-sided five-point stencils of the first two nodes of a grid, on
+# its first five samples (times ``12 h``); the last two nodes take their
+# mirror image, on the last five samples in reverse.
+_END_STENCILS = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]], dtype=float)
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
@@ -66,12 +72,14 @@ def derivative_on_grid(values: np.ndarray, h: float) -> np.ndarray:
     if f.shape[0] < 5:
         raise InputError("need at least five samples for the derivative stencil")
     d = np.empty_like(f)
-    d[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
-    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    return d
+    d[2:-2] = -f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]
+    # both ends' rows as one product of the stencils with the samples, its
+    # five terms summed in order: a column's derivative does not depend on
+    # the columns beside it, as it would through a BLAS product's rounding
+    stencils = _END_STENCILS if f.ndim == 1 else _END_STENCILS[:, :, None]
+    ends = (stencils * np.stack((f[:5], f[:-6:-1]))[:, None]).sum(axis=2)
+    d[:2], d[-2:] = ends[0], -ends[1, ::-1]
+    return np.divide(d, 12.0 * h, out=d)
 
 
 def invert_running_integral(grid: np.ndarray, accum: np.ndarray,
@@ -113,33 +121,35 @@ def invert_running_integral(grid: np.ndarray, accum: np.ndarray,
     d0, d1 = h * slopes[:-1], h * slopes[1:]
     bend = 0.5 * h * h * derivative_on_grid(slopes, h)
     b0, db = bend[:-1], np.diff(bend)
-    # every piece in powers of the fraction of its step: the cubic matches
-    # value and slope at both its nodes, the quintic the bend too
+    # every piece in powers of the fraction of its step, one row per power
+    # holding the quintic, which matches value, slope and bend at both its
+    # nodes, its derivative, and the cubic, which matches value and slope
     p, q = rise - d0 - b0, d1 - d0 - 2.0 * b0
-    quintic = np.stack([accum[:-1], d0, b0, 10.0 * p - 4.0 * q + db,
-                        -15.0 * p + 7.0 * q - 2.0 * db, 6.0 * p - 3.0 * q + db])
-    cubic = np.stack([accum[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise])
+    pieces = np.zeros((6, 3, rise.size))
+    pieces[:, 0] = (accum[:-1], d0, b0, 10.0 * p - 4.0 * q + db,
+                    -15.0 * p + 7.0 * q - 2.0 * db, 6.0 * p - 3.0 * q + db)
+    pieces[:5, 1] = np.arange(1.0, 6.0)[:, None] * pieces[1:, 0]
+    pieces[:4, 2] = accum[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise
     u = np.interp(grid, accum / accum[-1], grid)
     goal = accum[-1] * grid[1:-1]
-
-    def at_nodes(pieces):
-        # the value and the slope (per step) of the piece each interior
-        # node lies on
+    move = np.inf
+    for moves in range(9):
+        # the quintic's value and slope (per step) and the cubic's value on
+        # the piece each interior node lies on, by Horner's rule
         i = np.searchsorted(grid[1:-1], u[1:-1], side="right")
-        s, c = (u[1:-1] - grid[i]) / h, pieces[:, i]
-        return polyval(s, c, tensor=False), polyval(s, polyder(c), tensor=False)
-
-    for _ in range(8):
-        value, slope = at_nodes(quintic)
+        s, c = (u[1:-1] - grid[i]) / h, pieces[..., i]
+        at = c[-1]
+        for row in c[-2::-1]:
+            at = at * s + row
+        value, slope, cubic = at
+        if moves == 8 or np.max(np.abs(move), initial=0.0) <= SQRT_EPS * h:
+            break
         gaps = np.diff(u)
         move = np.clip(np.divide(h * (goal - value), slope, out=np.zeros_like(slope),
                                  where=slope > 0.0),
                        -0.45 * gaps[:-1], 0.45 * gaps[1:])
         u[1:-1] += move
-        if np.max(np.abs(move), initial=0.0) <= SQRT_EPS * h:
-            break
-    value, slope = at_nodes(quintic)
-    miss = h * (np.abs(at_nodes(cubic)[0] - goal) + np.abs(value - goal))
+    miss = h * (np.abs(cubic - goal) + np.abs(value - goal))
     estimate = np.max(np.divide(miss, slope, out=np.where(miss == 0.0, 0.0, np.inf),
                                 where=slope > 0.0), initial=0.0)
     if not estimate <= INVERSE_TOL * h:

@@ -534,11 +534,9 @@ def _restricted(curve: Curve, alpha: float) -> Curve:
         )
     if alpha == 1.0:
         return curve
-    s = alpha * curve.params
-    points = np.atleast_2d(curve.point_at(s))
-    velocities = alpha * np.atleast_2d(curve.velocity_at(s))
+    points, velocities = curve.state_at(alpha * curve.params)
     points[0] = curve.points[0]
-    return Curve(curve.params.copy(), points, velocities)
+    return Curve(curve.params.copy(), points, alpha * velocities)
 
 
 def _restricted_dial(mu: Curve, w: WarpField, r: float,

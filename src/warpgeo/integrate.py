@@ -2,6 +2,9 @@
 
 Every curve is a :class:`Curve` on a uniform grid from 0 with at least
 five nodes; the library builds each on one read-only grid per step count.
+Between its nodes a curve is read through one quintic Hermite
+interpolant over its stacked points and velocities, which gives both at
+once (:meth:`Curve.state_at`).
 A geodesic takes ``steps`` fixed steps over ``[0, 1]``, and every state it
 makes is checked; problems posed on ``[0, T]`` are folded into the initial
 velocity.  The fixed step keeps runs deterministic and the convergence
@@ -115,13 +118,25 @@ class Curve:
     ``atol=1e-15``) and starting at 0, as every curve the library makes
     does; :attr:`h` is its step.  Anything else raises
     :class:`InputError`.
+
+    Between its nodes a curve is read through one interpolant, built on
+    the first read and kept (:meth:`state_at`): quintic Hermite pieces over
+    the stacked columns ``(points, velocities)``, which match the stored
+    velocities and the accelerations and jerks finite-differenced from
+    them (:func:`~warpgeo._num.derivative_on_grid`).  Matching two
+    derivatives at every node keeps the interpolation error two orders
+    below the grid resolution, so finite differences of resampled curves
+    stay at the integrator's own order (a cubic spline would bottleneck
+    the measured geodesic residuals).  Velocities are interpolated as
+    values, not as the derivative of the position pieces: differentiating
+    a piecewise polynomial divides coefficient roundoff by the grid step,
+    which at fine resolutions is the dominant noise in resampled curves.
     """
 
     params: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    _point_poly: object = field(default=None, repr=False, compare=False)
-    _velocity_poly: object = field(default=None, repr=False, compare=False)
+    _interpolant: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
@@ -153,29 +168,6 @@ class Curve:
         """The grid step."""
         return float(self.params[1] - self.params[0])
 
-    def _dense(self):
-        # Quintic Hermite pieces from stored points, velocities, and
-        # finite-differenced accelerations.  Matching two derivatives at
-        # every node keeps the interpolation error two orders below the
-        # grid resolution, so downstream finite differencing of resampled
-        # curves stays at the integrator's own order.  (A cubic spline
-        # here would bottleneck the measured geodesic residuals.)
-        #
-        # Velocities get their own value-level interpolant rather than the
-        # derivative of the position one: differentiating a piecewise
-        # polynomial divides coefficient roundoff by the grid step, which
-        # at fine resolutions is the dominant noise in resampled curves.
-        if self._point_poly is None:
-            acc = derivative_on_grid(self.velocities, self.h)
-            jerk = derivative_on_grid(acc, self.h)
-            self._point_poly = _hermite_quintic(
-                self.params, self.points, self.velocities, acc,
-            )
-            self._velocity_poly = _hermite_quintic(
-                self.params, self.velocities, acc, jerk,
-            )
-        return self._point_poly, self._velocity_poly
-
     def _clamp(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = self.params[0], self.params[-1]
@@ -186,13 +178,24 @@ class Curve:
             )
         return np.clip(t, lo, hi)
 
+    def state_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolated position and velocity; ``t`` may be a scalar or an
+        array.  Both are read from the curve's one interpolant at once."""
+        if self._interpolant is None:
+            d1 = np.hstack((self.velocities, derivative_on_grid(self.velocities, self.h)))
+            self._interpolant = _hermite_quintic(
+                self.params, np.hstack((self.points, self.velocities)), d1,
+                derivative_on_grid(d1, self.h))
+        states = self._interpolant(self._clamp(t))
+        return states[..., :self.dim], states[..., self.dim:]
+
     def point_at(self, t) -> np.ndarray:
         """Interpolated position; ``t`` may be a scalar or an array."""
-        return self._dense()[0](self._clamp(t))
+        return self.state_at(t)[0]
 
     def velocity_at(self, t) -> np.ndarray:
         """Interpolated velocity; ``t`` may be a scalar or an array."""
-        return self._dense()[1](self._clamp(t))
+        return self.state_at(t)[1]
 
     def endpoint(self) -> np.ndarray:
         return self.points[-1]
@@ -440,8 +443,9 @@ def coupled_residual(g1: MetricChart, g2: MetricChart, w: WarpField,
         raise InputError("base and fiber curves must share one grid")
     acc1, acc2 = _coupled_accelerations(g1, g2, w, base.points, base.velocities,
                                         fiber.points, fiber.velocities)
-    return (float(np.max(np.abs(derivative_on_grid(base.velocities, base.h) - acc1))),
-            float(np.max(np.abs(derivative_on_grid(fiber.velocities, base.h) - acc2))))
+    acc = derivative_on_grid(np.hstack((base.velocities, fiber.velocities)), base.h)
+    return (float(np.max(np.abs(acc[:, :base.dim] - acc1))),
+            float(np.max(np.abs(acc[:, base.dim:] - acc2))))
 
 
 def geodesic_residual(chart: MetricChart, curve: Curve) -> float:

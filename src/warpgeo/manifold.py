@@ -174,8 +174,8 @@ def _components(v) -> np.ndarray:
 
 def _components_at(v, p: np.ndarray) -> np.ndarray:
     """Components of ``v`` as a vector at ``p``; a :class:`TangentVector`
-    must be based there."""
-    if isinstance(v, TangentVector) and not np.allclose(v.base, p, atol=1e-12):
+    must be based there, to 1e-12 in every coordinate."""
+    if isinstance(v, TangentVector) and not (np.abs(v.base - p) <= 1e-12).all():
         raise InputError(f"tangent vector based at {v.base} evaluated at {p}")
     return _components(v)
 

@@ -90,20 +90,28 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     The map's derivative needs the warp at ``mu``'s points at the map's
     nodes.  A node where ``1 + r k <= 0`` raises :class:`NumericalError`.
     """
-    return _base_map(mu, w, r, _warp_along(mu, w, r))[0]
+    return _base_map(mu, w, r, *_base_table(mu, r, _warp_along(mu, w, r)))[0]
 
 
-def _base_map(mu: Curve, w: WarpField, r: float, k: np.ndarray):
-    """The map of :func:`compute_a_and_phi` from the warp ``k`` at ``mu``'s
-    nodes, with the points of ``mu`` at the map's nodes and the warp there:
-    ``mu``'s dense output and the warp are read once each."""
+def _base_table(mu: Curve, r: float, k: np.ndarray):
+    """The integrand ``k/(1 + r k)`` at ``mu``'s nodes, from the warp ``k``
+    there, and its running integral: the base map's inverse, whose last
+    node is the constant ``a``."""
     integrand = k / (1.0 + r * k)
-    accum = cumulative_simpson(integrand, mu.h)
+    return integrand, cumulative_simpson(integrand, mu.h)
+
+
+def _base_map(mu: Curve, w: WarpField, r: float, integrand, accum):
+    """The map of :func:`compute_a_and_phi` from its table
+    (:func:`_base_table`), with the points and velocities of ``mu`` at the
+    map's nodes and the warp there: ``mu``'s dense output and the warp are
+    read once each."""
     a = accum[-1]
     values = invert_running_integral(mu.params, accum, integrand)[0]
-    points = np.atleast_2d(mu.point_at(values))
+    points, velocities = mu.state_at(values)
     k_at_phi = values_along(w, points)
-    return MonotoneMap(mu.params, values, a, a * (1.0 + r * k_at_phi) / k_at_phi), points, k_at_phi
+    phi = MonotoneMap(mu.params, values, a, a * (1.0 + r * k_at_phi) / k_at_phi)
+    return phi, points, velocities, k_at_phi
 
 
 def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
@@ -144,15 +152,14 @@ def reparametrize(curve: Curve, m: MonotoneMap) -> Curve:
     s = np.asarray(m.values, dtype=float)
     if s[0] < curve.params[0] - 1e-12 or s[-1] > curve.params[-1] + 1e-12:
         raise InputError("map range exceeds the curve's parameter interval")
-    return _composed(curve, m, np.atleast_2d(curve.point_at(s)))
+    return _composed(curve, m, *curve.state_at(s))
 
 
-def _composed(curve: Curve, m: MonotoneMap, points: np.ndarray) -> Curve:
-    """:func:`reparametrize` given the curve's points at the map's nodes,
-    whose end points it pins to the curve's own."""
+def _composed(curve: Curve, m: MonotoneMap, points, velocities) -> Curve:
+    """:func:`reparametrize` given the curve's points and velocities at the
+    map's nodes; it pins the end points to the curve's own."""
     points[0], points[-1] = curve.points[0], curve.points[-1]
-    velocities = np.atleast_2d(curve.velocity_at(m.values)) * m.derivative_values[:, None]
-    return Curve(m.grid.copy(), points, velocities)
+    return Curve(m.grid.copy(), points, velocities * m.derivative_values[:, None])
 
 
 def check_compatibility(x0, X0, Y0: TangentVector, a_r: float, b_r: float,
@@ -206,19 +213,20 @@ class RiemannianGeodesic:
         }
 
 
-def _leg_constants(mu: Curve, w: WarpField, r: float,
-                   k: Optional[np.ndarray] = None) -> tuple[float, float]:
+def _leg_constants(mu: Curve, w: WarpField, r: float, k: Optional[np.ndarray] = None,
+                   a: Optional[float] = None) -> tuple[float, float]:
     """The constants ``(a, b)`` of the maps along ``mu``, without the maps.
 
-    ``a`` is the sum :func:`compute_a_and_phi` takes, so it equals
-    ``phi.constant`` exactly; ``b`` is the same rule over ``1/(1 + r k)``,
-    divided into ``a``.  ``k`` is the warp at ``mu``'s nodes from
-    :func:`_warp_along`, evaluated here when not given.  A node where
-    ``1 + r k <= 0`` raises :class:`NumericalError`.
+    ``a`` is the last node of the base map's table (:func:`_base_table`),
+    so it equals ``phi.constant`` exactly; ``b`` is the same rule over
+    ``1/(1 + r k)``, divided into ``a``.  ``k`` is the warp at ``mu``'s
+    nodes from :func:`_warp_along`, and ``a`` that table's last node, each
+    evaluated here when not given.  A node where ``1 + r k <= 0`` raises
+    :class:`NumericalError`.
     """
     if k is None:
         k = _warp_along(mu, w, r)
-    a = cumulative_simpson(k / (1.0 + r * k), mu.h)[-1]
+    a = _base_table(mu, r, k)[1][-1] if a is None else a
     return a, a / cumulative_simpson(1.0 / (1.0 + r * k), mu.h)[-1]
 
 
@@ -242,9 +250,10 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     The base map is computed from ``mu``, the fiber map from the already
     reparametrized base leg, matching the defining relation of the fiber
     equation.  The warp is evaluated once along ``mu``'s nodes, for the
-    constants and the base map's table, and once at ``mu``'s points at the
-    base map's nodes, for that map's derivative and the fiber map; ``mu``'s
-    dense output is read once, there.
+    base map's table, which gives both constants too, and once at ``mu``'s
+    points at the base map's nodes, for that map's derivative and the fiber
+    map; the dense output of ``mu`` is read once, there, and that of ``nu``
+    once, at the fiber map's nodes.
 
     Residuals of the coupled system are always measured on the result and
     stored; if ``residual_tol`` is given they must stay below it.
@@ -252,7 +261,8 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     if mu.steps != nu.steps:
         raise InputError("factor curves must share one grid")
     k = _warp_along(mu, w, r)
-    a_r, b_r = _leg_constants(mu, w, r, k)
+    table = _base_table(mu, r, k)
+    a_r, b_r = _leg_constants(mu, w, r, k, table[1][-1])
     Y0 = TangentVector(nu.points[0], nu.velocities[0])
     ok, defect = check_compatibility(
         mu.points[0], mu.velocities[0], Y0, a_r, b_r, w, r, g1, g2,
@@ -260,8 +270,8 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     )
     if not ok:
         raise CompatibilityError(defect, compat_tol)
-    phi, points, k_at_phi = _base_map(mu, w, r, k)
-    gamma = _composed(mu, phi, points)
+    phi, points, velocities, k_at_phi = _base_map(mu, w, r, *table)
+    gamma = _composed(mu, phi, points, velocities)
     tau = reparametrize(nu, _fiber_map(gamma, k_at_phi))
     residuals = coupled_residual(g1, g2, w, gamma, tau)
     if residual_tol is not None and max(residuals) > residual_tol:

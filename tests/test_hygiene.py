@@ -2,7 +2,8 @@
 is used, the package neither imports nor loads scipy, code is generated and
 run in one module only, only the chart module reads how a chart was
 defined, no exponent chart carries a domain predicate, no module caches by
-identity, the package writes CSV through one writer, no generated loop
+identity, no module compares arrays with numpy's default relative
+tolerance, the package writes CSV through one writer, no generated loop
 raises, and one driver makes every connection."""
 
 import ast
@@ -169,6 +170,29 @@ def test_no_module_caches_by_identity(path):
 def test_the_check_sees_identity_reads():
     source = "c = node.__dict__\nk = id(node)\nd = derivative_on_grid(v, h)\n"
     assert _identity_reads(source) == ["__dict__ (line 1)", "id (line 2)"]
+
+
+def _default_rtol_comparisons(source: str) -> list[str]:
+    """Where ``allclose`` or ``isclose`` is called without an ``rtol``."""
+    return [f"{name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+            in ("allclose", "isclose")
+            and len(node.args) < 3 and "rtol" not in {k.arg for k in node.keywords}]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_compares_with_the_default_relative_tolerance(path):
+    # numpy's default rtol=1e-5 passes points and bases that differ far
+    # above the atol a caller writes next to it
+    assert _default_rtol_comparisons(path.read_text()) == []
+
+
+def test_the_check_sees_a_default_relative_tolerance():
+    source = ("a = np.allclose(x, y, atol=1e-12)\nb = isclose(x, y)\n"
+              "c = np.allclose(x, y, rtol=0.0, atol=1e-12)\n"
+              "d = numpy.isclose(x, y, 0.0, 1e-12)\n")
+    assert _default_rtol_comparisons(source) == ["allclose (line 1)", "isclose (line 2)"]
 
 
 def test_the_package_has_one_csv_writer():

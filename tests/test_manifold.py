@@ -494,3 +494,13 @@ def test_metric_eval_rejects_vectors_based_elsewhere():
     # Based at the right point, tangent vectors and bare components agree.
     p = np.array([0.0, 1.0])
     assert metric_eval(chart, p, v, v) == metric_eval(chart, p, v.components, v.components)
+
+
+def test_a_vector_based_a_relative_1e_5_away_is_based_elsewhere():
+    # the base is compared to 1e-12 absolute, with no relative slack
+    chart = wg.euclidean(2)
+    v = TangentVector(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    for p in ([1.000009, 1.0], [1.0, 1.0 + 2e-12]):
+        with pytest.raises(InputError, match="based at"):
+            metric_eval(chart, p, v, v)
+    assert metric_eval(chart, [1.0, 1.0 + 5e-13], v, v) == 1.0

@@ -355,11 +355,12 @@ def test_assembled_geodesic_matches_the_direct_oracle(hyperbolic_instance):
 
 def test_a_rebuild_reads_the_warp_twice_and_the_base_leg_once(hyperbolic_instance,
                                                               monkeypatch):
-    # One warp batch along mu's nodes and one at the rebuilt leg's, one read
-    # of mu's dense output (nu's own is read once too), and nothing but
-    # tables reaches the numeric kernels.
+    # One warp batch along mu's nodes and one at the rebuilt leg's, one
+    # dense read of mu and then one of nu, one interpolant built per leg,
+    # and nothing but tables reaches the numeric kernels.
     g1, g2, w, r, cfg, geo = hyperbolic_instance
-    mu, nu = geo.base
+    # copies, since the fixture's rebuild keeps the interpolants it built
+    mu, nu = (wg.Curve(c.params, c.points, c.velocities) for c in geo.base)
     calls = []
 
     def counted(name, real):
@@ -374,12 +375,15 @@ def test_a_rebuild_reads_the_warp_twice_and_the_base_leg_once(hyperbolic_instanc
         for name, fn in vars(module).copy().items():
             if getattr(fn, "__module__", None) == "warpgeo._num":
                 monkeypatch.setattr(module, name, counted("_num", fn))
+    monkeypatch.setattr(integrate, "_hermite_quintic",
+                        counted("interpolant", integrate._hermite_quintic))
     reads = []
-    point_at = wg.Curve.point_at
-    monkeypatch.setattr(wg.Curve, "point_at",
-                        lambda curve, t: reads.append(curve) or point_at(curve, t))
+    state_at = wg.Curve.state_at
+    monkeypatch.setattr(wg.Curve, "state_at",
+                        lambda curve, t: reads.append(curve) or state_at(curve, t))
     again = wg.riemannize(mu, nu, w, r, g1, g2)
     assert calls.count("values_along") == 2 and "_num" in calls
+    assert calls.count("interpolant") == 2
     assert len(reads) == 2 and reads[0] is mu and reads[1] is nu
     np.testing.assert_array_equal(again.gamma.points, geo.gamma.points)
 

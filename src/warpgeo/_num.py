@@ -1,12 +1,13 @@
 """Small numeric kernels shared by the geometry modules.
 
-Quadrature (one running rule, whose last node is the total), a
-fourth-order grid derivative, whose two end rows on each side are one
-small stencil matrix applied to the first or last five samples, and the
-one monotone inversion: the inverse of a running integral known only at
-the nodes of a table, found by Newton steps on the table's quintic Hermite
-interpolant and refused where the table does not resolve it
-(:func:`invert_running_integral`).  The inversion writes its pieces in
+Quadrature (one running rule, whose last node is the total, and the
+same rule's total as one weight per node, both read from one table of
+panel coefficients), a fourth-order grid derivative, whose two end rows
+on each side are one small stencil matrix applied to the first or last
+five samples, and the one monotone inversion: the inverse of a running
+integral known only at the nodes of a table, found by Newton steps on the
+table's quintic Hermite interpolant and refused where the table does not
+resolve it (:func:`invert_running_integral`).  The inversion writes its pieces in
 powers of the fraction of a step, differentiates them once per table and
 evaluates both by Horner's rule.  Nothing here calls back into a
 function: every kernel reads plain arrays on uniform grids and is
@@ -21,10 +22,11 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
-SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+EPS = sys.float_info.epsilon
+SQRT_EPS = float(np.sqrt(EPS))
 # The bracket width ``BRENT_XTOL + BRENT_RTOL |r|`` at which a solve for
 # ``r`` on a dial that reports no resolution stops (scipy's brentq defaults).
-BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * sys.float_info.epsilon
+BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * EPS
 # The largest error estimate a node of :func:`invert_running_integral` may
 # carry, as a fraction of the grid step.  The estimate of a rebuilt leg
 # stays below 3e-7 of a step over the test suite and the benchmark's
@@ -37,6 +39,12 @@ INVERSE_TOL = 1e-3
 # its first five samples (times ``12 h``); the last two nodes take their
 # mirror image, on the last five samples in reverse.
 _END_STENCILS = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]], dtype=float)
+# The panel coefficients of :func:`cumulative_simpson`, times ``24 / h``:
+# the first panel's, on the first four samples (the last panel takes their
+# mirror image, on the last four), and an interior panel's, on the sample
+# each side of it (outer) and the two it spans (inner).
+_END_PANEL = (9.0, 19.0, -5.0, 1.0)
+_INNER_PANEL = (-1.0, 13.0)
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
@@ -51,14 +59,37 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     n = f.shape[0] - 1
     if n < 3:
         raise InputError(f"cumulative rule needs at least three panels, got {n}")
+    (e0, e1, e2, e3), (outer, inner) = _END_PANEL, _INNER_PANEL
     inc = np.empty(n)
-    inc[0] = h / 24.0 * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    inc[1:-1] = h / 24.0 * (-f[:-3] + 13.0 * (f[1:-2] + f[2:-1]) - f[3:])
-    inc[-1] = h / 24.0 * (f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1])
+    inc[0] = h / 24.0 * (e0 * f[0] + e1 * f[1] + e2 * f[2] + e3 * f[3])
+    inc[1:-1] = h / 24.0 * (outer * f[:-3] + inner * (f[1:-2] + f[2:-1]) + outer * f[3:])
+    inc[-1] = h / 24.0 * (e3 * f[-4] + e2 * f[-3] + e1 * f[-2] + e0 * f[-1])
     out = np.empty(n + 1)
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])
     return out
+
+
+def total_weights(steps: int) -> np.ndarray:
+    """The total of :func:`cumulative_simpson` over ``[0, 1]`` as one
+    weight per node: ``total_weights(n) @ f`` is ``cumulative_simpson(f,
+    1/n)[-1]`` up to roundoff.
+
+    Each node's weight sums the panel coefficients that read it, over
+    ``24 n``: ``8, 31, 20, 25, 24, ..., 24, 25, 20, 31, 8`` from eight
+    steps on, and ``9, 27, 27, 9`` (the three-eighths rule) at three,
+    ``8, 32, 16, 32, 8`` at four and so on up to seven.  Every weight is
+    positive, so a total of positive values rounds as a sum of positive
+    terms.
+    """
+    if steps < 3:
+        raise InputError(f"cumulative rule needs at least three panels, got {steps}")
+    (outer, inner), end = _INNER_PANEL, np.array(_END_PANEL)
+    # the interior panels 1 .. steps - 2, panel i on samples i - 1 .. i + 2
+    weights = np.convolve(np.ones(steps - 2), (outer, inner, inner, outer))
+    weights[:4] += end
+    weights[-4:] += end[::-1]
+    return weights / (24.0 * steps)
 
 
 def derivative_on_grid(values: np.ndarray, h: float) -> np.ndarray:

@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__, warpfn
 from .connect import (
-    _beta_from_mu, beta_of_r, connect_points, flrw_beta,
+    _beta_from_mu, _line_batch, beta_of_r, connect_points, flrw_beta,
     flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, ParameterError, WarpGeoError
@@ -550,6 +550,7 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
         t0 = _number(p, "x0", "beta_scan")
         t1 = _number(p, "x1", "beta_scan")
         weight = tc.line_weight("beta_scan", ("weight", "first_integral"))
+        batch = _line_batch(w, t0, t1, tc.cfg.steps, weight)
     else:
         x0 = _vector(p, "x0", "beta_scan", dim=tc.base.dim)
         x1 = _vector(p, "x1", "beta_scan", dim=tc.base.dim)
@@ -557,7 +558,7 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
     warm = (None, None)
     for r in r_values:
         if use_first_integral:
-            res = flrw_beta(w, t0, t1, r, tc.cfg, weight=weight)
+            res = flrw_beta(w, t0, t1, r, tc.cfg, _batch=batch)
         else:
             res = beta_of_r(tc.base, g2, w, x0, x1, r, tc.cfg, *warm)
             warm = res.X_r.components, res.jacobian

@@ -11,10 +11,12 @@ matching it against the actual fiber distance is a scalar root-find: a
 secant walk on that power law in log-log coordinates, then an
 Anderson-Bjorck secant in the same coordinates on the bracket it finds.
 The solve stops once the dial matches its target within the resolution
-the evaluation reports (the shooting tolerance, when it shoots): the
-shooting dial is noisy at about a tenth of that, so evaluations past it
-would only chase the noise.  On a dial that reports none, it stops once
-the bracket is no wider than ``1e-12 + 4 eps |r|``.
+the evaluation reports: the shooting tolerance, when it shoots, since the
+shooting dial is noisy at about a tenth of that, and on the line base the
+rounding bound of its sums, about ``(steps + 3) eps``.  Evaluations past
+it would only chase the noise.  Every built-in dial reports one; the stop
+once the bracket is no wider than ``1e-12 + 4 eps |r|`` stays, as the
+guard for a dial whose noise exceeds what it reports.
 
 Far from the root only the sign and rough size of ``f = log(beta /
 beta0)`` steer the next step, so the solve asks each new evaluation for a
@@ -41,7 +43,10 @@ line with a time-dependent warp, as in homogeneous cosmological metrics)
 evaluates the dial from the explicit first integral of the base equation
 instead: with the slowness ``S`` of that integral, the leg's speed and
 both constants are quadratures over a uniform grid on the base interval,
-so neither a shot nor a base leg is needed.
+so neither a shot nor a base leg is needed.  Only ``1 + r k`` on that grid
+depends on ``r``: a solve evaluates the warp and the weight there once,
+and each evaluation is a few array operations and three dot products with
+the rule's total weights.
 Both connections run one driver, which differs between them only in the
 dial and in how it gets the base leg at the root: it makes the trivial
 connection of coinciding fiber points (within 1e-12 absolute), solves for
@@ -60,7 +65,9 @@ import math
 import numpy as np
 
 from . import warpfn
-from ._num import BRENT_RTOL, BRENT_XTOL, SQRT_EPS, cumulative_simpson
+from ._num import (
+    BRENT_RTOL, BRENT_XTOL, EPS, SQRT_EPS, cumulative_simpson, total_weights,
+)
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
@@ -222,8 +229,10 @@ class BetaResult:
     when no shooting step was taken), for warm-starting a neighbouring
     ``r``.  ``resolution`` is the relative error in ``beta`` below which
     the evaluation cannot resolve it: the tolerance the leg was shot to, or
-    ``None`` where the dial reports none.  A solve for ``r`` stops once
-    ``beta`` matches its target that closely.
+    on the line base the bound on the rounding of its sums
+    (:func:`flrw_beta`).  A solve for ``r`` stops once ``beta`` matches its
+    target that closely.  ``None`` says the dial reports no resolution;
+    no built-in dial does that.
     """
 
     beta: float
@@ -296,11 +305,14 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     that do not halve ``|f|`` the next one bisects the bracket in ``u``.
 
     The solve ends at the first ``r`` whose ``|f|`` is within the relative
-    resolution its evaluation reports (:attr:`BetaResult.resolution`).  It
-    also ends at the walk's last ``r`` when the walk's next step would be
-    shorter than ``tol / 2``, and at the end of the bracket with the smaller
-    ``|f|`` once the bracket is no wider than ``tol``: the only stops on a
-    dial that reports no resolution.  A walk that meets either end of its
+    resolution its evaluation reports (:attr:`BetaResult.resolution`): the
+    shooting tolerance, or the line dial's rounding bound.  It also ends at
+    the walk's last ``r`` when the walk's next step would be shorter than
+    ``tol / 2``, and at the end of the bracket with the smaller ``|f|``
+    once the bracket is no wider than ``tol``.  Every built-in dial reports
+    a resolution, so these two stops are the guard for a dial whose noise
+    exceeds what it reports, and the only stops on a dial that reports
+    none.  A walk that meets either end of its
     range, or makes ``samples`` evaluations, without a sign change raises
     :class:`BracketingError`.  Every ``r`` handed to ``evaluate`` is a
     Python float, and a dial value that is not a number, in the walk or in
@@ -624,61 +636,98 @@ def _line_weight(weight):
     return warpfn.parse(weight, 1) if isinstance(weight, str) else weight
 
 
-def _slowness(w: WarpField, r: float, weight, xs
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The first-integral slowness ``sqrt((1 + r k) f / k)`` at line points,
-    and ``k`` there.
+def _line_fields(w: WarpField, weight, column) -> tuple[np.ndarray, np.ndarray]:
+    """The warp ``k`` and ``g = sqrt(f / k)`` at the rows of ``column``,
+    ``f`` the parsed line weight (``None`` for the flat line), each field
+    evaluated in one batch.
 
-    ``weight`` is the parsed line weight ``f`` (``None`` for the flat line);
-    both fields are evaluated in one batch over ``xs``, of any shape.  A
-    point where ``1 + r k <= 0`` raises :class:`NumericalError`.
+    A row where ``f`` is not finite and positive raises
+    :class:`NumericalError` that names the first such point and the value
+    there; an overflow inside the weight is one such value, not a warning.
     """
-    xs = np.asarray(xs, dtype=float)
-    column = xs.reshape(-1, 1)
     k = values_along(w, column)
-    _require_rescalable(w, r, column, k)
     f = 1.0
     if weight is not None:
-        f = warpfn.evaluate_many(weight, column)
-        if not np.all(f > 0.0):
-            bad = int(np.argmin(f > 0.0))
+        with np.errstate(all="ignore"):
+            f = warpfn.evaluate_many(weight, column)
+        bad = ~((f > 0.0) & (f < math.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
             raise NumericalError(
-                f"line weight must stay positive, got {f[bad]} at {column[bad]}"
-            )
-    return np.sqrt((1.0 + r * k) * f / k).reshape(xs.shape), k.reshape(xs.shape)
+                f"line weight must stay positive and finite, got {float(f[i])!r} "
+                f"at t = {float(column[i, 0])!r}")
+    return k, np.sqrt(f / k)
+
+
+def _line_batch(w: WarpField, t0: float, t1: float, steps: int, weight):
+    """What the line dial reads at every ``r``, evaluated once: the grid
+    ``x = t0 + (t1 - t0) xi`` over ``[t0, t1]`` as a column, the warp ``k``
+    and ``g = sqrt(f / k)`` at its nodes (:func:`_line_fields`), the largest
+    ``k`` and the rule's total weights over ``xi``
+    (:func:`~warpgeo._num.total_weights`).  Coinciding end points raise
+    :class:`InputError`.
+    """
+    if t1 == t0:
+        raise InputError("base endpoints coincide; the first integral degenerates")
+    column = (t0 + (t1 - t0) * np.linspace(0.0, 1.0, steps + 1)).reshape(-1, 1)
+    k, g = _line_fields(w, weight, column)
+    return column, k, g, float(np.max(k)), total_weights(steps)
 
 
 def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
               cfg: IntegratorConfig = IntegratorConfig(),
-              weight=None) -> BetaResult:
+              weight=None, *, _batch=None) -> BetaResult:
     """Dial evaluation on the line base via the first integral (no shooting).
 
-    The base leg solves ``mu' = c / S(mu)``, ``S`` the slowness, so
+    The base leg solves ``mu' = c / S(mu)``, ``S = sqrt(q) g`` the
+    slowness, with ``q = 1 + r k`` and ``g = sqrt(f / k)``, so
     ``ds = S dx / c`` along it.  On the uniform grid ``x = t0 + span xi``
-    over ``[t0, t1]``, quadratures of one slowness batch give the leg's
-    constant ``c = span int S``, its initial speed ``X_r = c / S(t0)`` and
-    the constants of :func:`~warpgeo.reparam._leg_constants`,
-    ``a = (span / c) int k S / (1 + r k)`` and
-    ``1/b = (span / (a c)) int S / (1 + r k)``; so
-    ``beta = |span| int S / (1 + r k)``.  ``weight`` is the line weight as
+    over ``[t0, t1]``, the rule's totals give the leg's constant
+    ``c = span int S``, its initial speed ``X_r = c / S(t0)`` and the
+    constants of :func:`~warpgeo.reparam._leg_constants`,
+    ``a = (span / c) int k S / q`` and ``1/b = (span / (a c)) int S / q``;
+    so ``beta = |span| int g / sqrt(q)``.  ``weight`` is the line weight as
     text in ``t`` or as a parsed node.
+
+    Nothing but ``q`` depends on ``r``: the grid, ``k``, ``g`` and the
+    rule's total weights are one batch (:func:`_line_batch`), and each
+    total is one dot product with those weights.  (``_batch`` is the
+    private path by which a solve or a scan hands every evaluation the
+    batch it built once; without it the evaluation builds its own.)
+
+    ``resolution`` is ``(steps + 3 + rho) eps``, ``rho = max |r k| / q``,
+    a bound on the relative rounding error of ``beta`` given the batch,
+    which every evaluation of a solve shares.  With ``u = eps / 2`` the
+    unit roundoff (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sections 2.2 and 4.2), ``q`` carries at most
+    ``(1 + rho) u``, ``sqrt(q)`` half of that and ``u``, the quotient
+    ``g / sqrt(q)`` and its product with a weight ``u`` each: every term
+    of the total at most ``(3.5 + rho / 2) u``.  The terms and the weights
+    are positive, so summing ``steps + 1`` of them, in any order, adds at
+    most ``steps u``, relative to the total; the product with ``|span|``
+    and the solve's ratio to its target add ``u`` each.  That makes
+    ``(steps + 5.5 + rho / 2) u`` to first order; the reported bound is
+    about twice it, a margin for the higher-order terms (at 1024 steps
+    and ``r >= 0`` it reads about 2.3e-13).  ``rho`` is below 1 for
+    ``r >= 0``; for ``r < 0`` it is ``|r| max k / (1 + r max k)``, which
+    grows without bound toward the admissibility threshold, where
+    ``1 + r k`` cancels.
     """
     admissible_range(w).require(r)
-    if t1 == t0:
-        raise InputError("base endpoints coincide; the first integral degenerates")
+    column, k, g, k_max, weights = (
+        _line_batch(w, t0, t1, cfg.steps, _line_weight(weight)) if _batch is None
+        else _batch)
+    _require_rescalable(w, r, column, k)
     span = t1 - t0
-    slow, k = _slowness(w, r, _line_weight(weight),
-                        t0 + span * np.linspace(0.0, 1.0, cfg.steps + 1))
-
-    def total(values):
-        return cumulative_simpson(values, 1.0 / cfg.steps)[-1]
-
-    c = span * total(slow)
-    reach = slow / (1.0 + r * k)
-    fiber = total(reach)
-    a = span / c * total(k * reach)
-    X_r = TangentVector(np.array([float(t0)]), np.array([c / slow[0]]))
-    return BetaResult(abs(span) * fiber, X_r, a, a * c / (span * fiber), None)
+    root = np.sqrt(1.0 + r * k)
+    reach = g / root
+    fiber = weights @ reach
+    c = span * (weights @ (g * root))
+    a = span / c * (weights @ (k * reach))
+    X_r = TangentVector(np.array([float(t0)]), np.array([c / (g[0] * root[0])]))
+    rho = abs(r) * k_max / (1.0 + r * k_max)
+    return BetaResult(abs(span) * fiber, X_r, a, a * c / (span * fiber), None,
+                      resolution=(weights.size + 2.0 + rho) * EPS)
 
 
 def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
@@ -705,11 +754,22 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
         X = res.X_r.components
         mu = integrate_geodesic(conformal_metric(base_chart, w, r), res.X_r.base,
                                 X, cfg)
-        slow, _ = _slowness(w, r, weight, mu.points[:, 0])
+        k, g = _line_fields(w, weight, mu.points)
+        _require_rescalable(w, r, mu.points, k)
+        slow = g * np.sqrt(1.0 + r * k)
         return mu, float(np.max(np.abs(mu.velocities[:, 0] - X[0] * slow[0] / slow)))
 
-    return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
-                    lambda r, *_: flrw_beta(w, t0, t1, r, cfg, weight), leg,
+    batch = None
+
+    def dial(r, *_):
+        # the batch is built at the first evaluation, so that coinciding
+        # end points reach the driver's check first
+        nonlocal batch
+        if batch is None:
+            batch = _line_batch(w, t0, t1, cfg.steps, weight)
+        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=batch)
+
+    return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg, dial, leg,
                     r_max, samples)
 
 

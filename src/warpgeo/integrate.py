@@ -117,7 +117,8 @@ class Curve:
     have at least five nodes, equally spaced (to ``rtol=1e-9``,
     ``atol=1e-15``) and starting at 0, as every curve the library makes
     does; :attr:`h` is its step.  Anything else raises
-    :class:`InputError`.
+    :class:`InputError`.  The shared grid of a step count, on which the
+    library makes its curves, is known to be one and is not scanned again.
 
     Between its nodes a curve is read through one interpolant, built on
     the first read and kept (:meth:`state_at`): quintic Hermite pieces over
@@ -150,6 +151,8 @@ class Curve:
             )
         if n < 5:
             raise InputError(f"a curve needs at least five nodes, got {n}")
+        if not self.params.flags.writeable and self.params is _grid(n - 1):
+            return
         d = np.diff(self.params)
         if (self.params[0] != 0.0 or not d[0] > 0.0
                 or not np.all(np.abs(d - d[0]) <= 1e-15 + 1e-9 * d[0])):

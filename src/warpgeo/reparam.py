@@ -157,9 +157,12 @@ def reparametrize(curve: Curve, m: MonotoneMap) -> Curve:
 
 def _composed(curve: Curve, m: MonotoneMap, points, velocities) -> Curve:
     """:func:`reparametrize` given the curve's points and velocities at the
-    map's nodes; it pins the end points to the curve's own."""
+    map's nodes; it pins the end points to the curve's own.  A read-only
+    grid, the shared one of a step count, is the new curve's too; any
+    other is copied."""
     points[0], points[-1] = curve.points[0], curve.points[-1]
-    return Curve(m.grid.copy(), points, velocities * m.derivative_values[:, None])
+    grid = m.grid if not m.grid.flags.writeable else m.grid.copy()
+    return Curve(grid, points, velocities * m.derivative_values[:, None])
 
 
 def check_compatibility(x0, X0, Y0: TangentVector, a_r: float, b_r: float,

@@ -1020,6 +1020,54 @@ def test_a_non_positive_line_weight_is_a_numerical_failure():
                         wg.euclidean(1), CFG, weight=warpfn.Const(math.nan))
 
 
+def test_a_line_weight_that_overflows_is_a_numerical_error():
+    # (1 + t) 1e300 1e300 overflows at every node: the dial read it as
+    # beta = nan with numpy warnings, and the solve blamed 1 + r k <= 0 and
+    # K0.  The weight is checked finite and positive where it is read.
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    weight = "(1 + t)*1e300*1e300"
+    message = r"line weight must stay positive and finite, got inf at t = 0\.0$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            wg.flrw_beta(w, 0.0, 6.0, 0.5, FAST, weight=weight)
+        with pytest.raises(NumericalError, match=message):
+            wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.5]),
+                            wg.euclidean(1), FAST, weight=weight)
+
+
+def test_a_line_solve_reads_the_warp_once_and_stops_at_the_resolution(monkeypatch):
+    # The README's line instance at 1024 steps.  Its solve evaluates the
+    # warp on the dial's grid once, and once more along the rebuilt base
+    # leg; every evaluation reports the rounding bound of its sums, and the
+    # solve stops at the first that matches the target within it: 7
+    # evaluations, where running to the bracket width took 8.
+    grids, evaluations = [], []
+    real_values, real_dial = connect.values_along, connect.flrw_beta
+
+    def values(w, points):
+        grids.append(np.array(points))
+        return real_values(w, points)
+
+    def dial(*args, **kwargs):
+        evaluations.append(real_dial(*args, **kwargs))
+        return evaluations[-1]
+
+    monkeypatch.setattr(connect, "values_along", values)
+    monkeypatch.setattr(connect, "flrw_beta", dial)
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.5)
+    report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), wg.circle(1.0),
+                             weight="(1 + t)^2")
+    grid = 6.0 * np.linspace(0.0, 1.0, 1025)
+    assert len(grids) == 2 and sum(np.array_equal(g[:, 0], grid) for g in grids) == 1
+    assert report.iterations == len(evaluations) == 7
+    gaps = [abs(math.log(e.beta / report.target_beta)) for e in evaluations]
+    for e in evaluations:
+        assert 1027 * _num.EPS <= e.resolution <= 1028 * _num.EPS
+    assert gaps[-1] <= evaluations[-1].resolution
+    assert all(g > e.resolution for g, e in zip(gaps[:-1], evaluations))
+
+
 def test_line_base_rejects_an_empty_interval():
     one = wg.WarpField.constant(1.0, 1)
     with pytest.raises(InputError):

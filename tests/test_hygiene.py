@@ -4,7 +4,8 @@ run in one module only, only the chart module reads how a chart was
 defined, no exponent chart carries a domain predicate, no module caches by
 identity, no module compares arrays with numpy's default relative
 tolerance, the package writes CSV through one writer, no generated loop
-raises, and one driver makes every connection."""
+raises, one driver makes every connection, and the line dial evaluates no
+field at each ``r``."""
 
 import ast
 import os
@@ -302,6 +303,43 @@ def _call_sites(source: str, name: str) -> list[str]:
 
     visit(ast.parse(source), None)
     return sites
+
+
+def _line_dial_reads(source: str) -> list[str]:
+    """The batch reads on ``flrw_beta``'s path at one ``r``: the field
+    evaluations and running rules that it, a function nested in it or a
+    function of the module that it calls reaches, but for the batch it
+    builds when handed none (``_line_batch``)."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    called, todo = set(), ["flrw_beta"]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in functions and name not in called and name != "_line_batch":
+                    todo.append(name)
+                called.add(name)
+    return [name for name in ("values_along", "evaluate_many", "cumulative_simpson")
+            if name in called]
+
+
+def test_the_line_dial_reads_no_batch_per_r():
+    # an evaluation of the line dial is array arithmetic on the batch its
+    # solve built once (_line_batch): at each r only 1 + r k changes
+    assert _line_dial_reads((PACKAGE / "connect.py").read_text()) == []
+
+
+def test_the_check_sees_a_batch_read_per_r():
+    source = ("def flrw_beta(w, r, _batch=None):\n"
+              "    batch = _line_batch(w) if _batch is None else _batch\n"
+              "    def total(f):\n        return cumulative_simpson(f, h)[-1]\n"
+              "    return total(_slowness(w, r))\n"
+              "def _slowness(w, r):\n    return np.sqrt(1 + r * values_along(w, xs))\n"
+              "def _line_batch(w):\n    return warpfn.evaluate_many(w, xs)\n")
+    assert _line_dial_reads(source) == ["values_along", "cumulative_simpson"]
+    assert _line_dial_reads(source.replace("total(_slowness(w, r))", "total(batch)")) == [
+        "cumulative_simpson"]
 
 
 def test_one_driver_makes_every_connection():

@@ -828,6 +828,35 @@ def test_simpson_rules_are_exact_on_cubics():
     np.testing.assert_allclose(cumulative, t**4 / 4.0, atol=1e-15)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(steps=st.integers(3, 1025), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-300.0, 300.0), cubic=st.lists(st.floats(-8.0, 8.0),
+                                                       min_size=4, max_size=4))
+def test_total_weights_are_the_running_rules_total(steps, seed, scale, cubic):
+    # The weights give the last node of cumulative_simpson as one dot
+    # product.  The two sums of steps + 1 terms differ by roundoff only: a
+    # sample enters either with at most 33 h / 24 of absolute weight, so
+    # they differ by at most (steps + 3) eps times 1.5 h sum |f|.  Every
+    # weight is positive, and the rule integrates cubics exactly.
+    weights = _num.total_weights(steps)
+    assert weights.shape == (steps + 1,) and np.all(weights > 0.0)
+    h = 1.0 / steps
+    f = np.random.default_rng(seed).standard_normal(steps + 1) * 10.0 ** scale
+    bound = (steps + 3) * _num.EPS * 1.5 * h * np.sum(np.abs(f))
+    assert abs(weights @ f - _num.cumulative_simpson(f, h)[-1]) <= bound
+    t = np.linspace(0.0, 1.0, steps + 1)
+    c0, c1, c2, c3 = cubic
+    exact = c0 + c1 / 2.0 + c2 / 3.0 + c3 / 4.0
+    assert weights @ (c0 + t * (c1 + t * (c2 + t * c3))) == pytest.approx(
+        exact, rel=1e-13, abs=1e-13 * (1.0 + np.sum(np.abs(cubic))))
+
+
+def test_the_weights_need_three_panels():
+    assert np.array_equal(24 * 3 * _num.total_weights(3), [9.0, 27.0, 27.0, 9.0])
+    with pytest.raises(InputError, match="three panels"):
+        _num.total_weights(2)
+
+
 def test_cumulative_rule_converges_at_fourth_order():
     def worst(n):
         t = np.linspace(0.0, np.pi, n + 1)

@@ -258,6 +258,26 @@ def test_riemannize_is_the_identity_for_trivial_warp():
     assert max(geo.residuals) <= 1e-9
 
 
+def test_rebuilt_legs_share_the_grid_of_their_step_count():
+    # the legs of a rebuild stand on the read-only grid their factors share,
+    # not on copies that each curve would scan again; a leg rebuilt from a
+    # curve on its own grid gets a copy, and any grid but the shared one is
+    # still scanned, a read-only one too
+    g1, g2, one, mu, nu = _flat_pair(steps=64)
+    shared = integrate._grid(64)
+    geo = wg.riemannize(mu, nu, one, 0.0, g1, g2)
+    assert mu.params is shared and geo.gamma.params is shared
+    assert geo.tau.params is shared
+    own = _line_curve(1.0, steps=64)
+    out = wg.reparametrize(own, wg.MonotoneMap(own.params, own.params, 1.0,
+                                               derivative_values=np.ones(65)))
+    assert out.params is not own.params and out.params.flags.writeable
+    skewed = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+    skewed.flags.writeable = False
+    with pytest.raises(InputError, match="uniform grid from 0"):
+        wg.Curve(skewed, np.zeros((5, 1)), np.ones((5, 1)))
+
+
 # chart, start point, start direction; the legs stay well inside each chart
 TRIVIAL_CHARTS = {
     "euclidean1": (lambda: wg.euclidean(1), [0.3], [1.0]),

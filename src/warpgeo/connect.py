@@ -763,7 +763,7 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
 
     def dial(r, *_):
         # the batch is built at the first evaluation, so that coinciding
-        # end points reach the driver's check first
+        # end points reach the coincidence check in _connect first
         nonlocal batch
         if batch is None:
             batch = _line_batch(w, t0, t1, cfg.steps, weight)

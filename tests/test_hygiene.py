@@ -4,7 +4,7 @@ run in one module only, only the chart module reads how a chart was
 defined, no exponent chart carries a domain predicate, no module caches by
 identity, no module compares arrays with numpy's default relative
 tolerance, the package writes CSV through one writer, no generated loop
-raises, one driver makes every connection, and the line dial evaluates no
+raises, one function makes every connection, and the line dial evaluates no
 field at each ``r``."""
 
 import ast

@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__, warpfn
 from .connect import (
-    _beta_from_mu, _line_batch, beta_of_r, connect_points, flrw_beta,
+    SHOOT_TOL, _beta_from_mu, _line_dial, _shooting_dial, connect_points,
     flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, ParameterError, WarpGeoError
@@ -294,7 +294,10 @@ def run_integrate(tc: TaskConfig, out: Path) -> dict:
     return {"report": report, "summary": lines}
 
 
-def _integrate_pair(tc: TaskConfig, p: dict, where: str):
+def _integrate_pair(tc: TaskConfig, p: dict, where: str, fit: bool = False):
+    """The rescaled base leg and the fiber leg from the task's initial data;
+    with ``fit``, the fiber velocity is first rescaled so that the coupling
+    identity holds exactly."""
     w = tc.require_warp()
     g2 = tc.require_fiber()
     r = _number(p, "r", where)
@@ -304,6 +307,12 @@ def _integrate_pair(tc: TaskConfig, p: dict, where: str):
     Y0 = _vector(p, "Y0", where, dim=g2.dim)
     rescaled = conformal_metric(tc.base, w, r)
     mu = integrate_geodesic(rescaled, x0, X0, tc.cfg)
+    if fit:
+        beta = _beta_from_mu(mu, w, r, tc.base, mu.velocities[0], 0).beta
+        speed = math.sqrt(metric_eval(g2, y0, Y0, Y0))
+        if speed == 0.0:
+            raise InputError(f"{where}.Y0 must be nonzero to fit its speed")
+        Y0 = Y0 * (beta / speed)
     nu = integrate_geodesic(g2, y0, Y0, tc.cfg)
     return w, g2, r, mu, nu
 
@@ -313,16 +322,7 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
     p = tc.params
     fit = _flag(p, "fit_fiber_speed", "riemannize", default=False)
     oracle = _flag(p, "oracle_check", "riemannize", default=True)
-    w, g2, r, mu, nu = _integrate_pair(tc, p, "riemannize")
-    if fit:
-        # rescale the fiber velocity so the coupling identity holds exactly
-        beta = _beta_from_mu(mu, w, r, tc.base, mu.velocities[0], 0).beta
-        speed = math.sqrt(metric_eval(g2, nu.points[0], nu.velocities[0],
-                                      nu.velocities[0]))
-        if speed == 0.0:
-            raise InputError("riemannize.Y0 must be nonzero to fit its speed")
-        Y0 = nu.velocities[0] * (beta / speed)
-        nu = integrate_geodesic(g2, nu.points[0], Y0, tc.cfg)
+    w, g2, r, mu, nu = _integrate_pair(tc, p, "riemannize", fit)
     geo = riemannize(mu, nu, w, r, tc.base, g2, compat_tol=1e-8,
                      residual_tol=None)
     result = _write_rebuilt(geo, w, tc.base, g2, out, geo.to_dict(), [
@@ -545,23 +545,18 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
         start = lower + 1e-3 * (1.0 + abs(lower))
         ratio = ((r_max - lower) / (start - lower)) ** (1.0 / (count - 1))
         r_values = [lower + (start - lower) * ratio ** i for i in range(count)]
-    use_first_integral = tc.base.dim == 1
-    if use_first_integral:
+    if tc.base.dim == 1:
         t0 = _number(p, "x0", "beta_scan")
         t1 = _number(p, "x1", "beta_scan")
-        weight = tc.line_weight("beta_scan", ("weight", "first_integral"))
-        batch = _line_batch(w, t0, t1, tc.cfg.steps, weight)
+        dial = _line_dial(w, t0, t1, tc.cfg,
+                          tc.line_weight("beta_scan", ("weight", "first_integral")))
     else:
-        x0 = _vector(p, "x0", "beta_scan", dim=tc.base.dim)
-        x1 = _vector(p, "x1", "beta_scan", dim=tc.base.dim)
-    rows = []
-    warm = (None, None)
+        dial = _shooting_dial(tc.base, g2, w,
+                              _vector(p, "x0", "beta_scan", dim=tc.base.dim),
+                              _vector(p, "x1", "beta_scan", dim=tc.base.dim), tc.cfg)
+    rows, res = [], None
     for r in r_values:
-        if use_first_integral:
-            res = flrw_beta(w, t0, t1, r, tc.cfg, _batch=batch)
-        else:
-            res = beta_of_r(tc.base, g2, w, x0, x1, r, tc.cfg, *warm)
-            warm = res.X_r.components, res.jacobian
+        res = dial(r, res, SHOOT_TOL)
         rows.append([r, res.beta, res.a_r, res.b_r, res.iterations])
     table = np.array(rows)
     _write_csv(out / "beta.csv", "r,beta,a_r,b_r,iterations", table)

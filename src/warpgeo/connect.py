@@ -47,6 +47,11 @@ so neither a shot nor a base leg is needed.  Only ``1 + r k`` on that grid
 depends on ``r``: a solve evaluates the warp and the weight there once,
 and each evaluation is a few array operations and three dot products with
 the rule's total weights.
+Every dial is one function of this module's making, ``dial(r, warm,
+tol)``, with ``warm`` the previous evaluation (``None`` to start cold): the
+shooting dial reads its velocity and Jacobian, and the line dial builds its
+batch at its first evaluation and reads neither ``warm`` nor ``tol``.  The
+solve and the command line's ``beta-scan`` call the dials alike.
 Both connections run one driver, which differs between them only in the
 dial and in how it gets the base leg at the root: it makes the trivial
 connection of coinciding fiber points (within 1e-12 absolute), solves for
@@ -276,15 +281,28 @@ def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
     return _beta_from_mu(mu, w, r, g1, X, iters, jac, _tol)
 
 
+def _shooting_dial(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
+                   cfg: IntegratorConfig):
+    """The dial of :func:`connect_points`: ``dial(r, warm, tol)`` is
+    :func:`beta_of_r` shot to ``tol``, warm-started from the velocity and
+    shooting Jacobian of ``warm``, the previous evaluation (``None`` to
+    start cold)."""
+    def dial(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
+        warm_start = () if warm is None else (warm.X_r.components, warm.jacobian)
+        return beta_of_r(g1, g2, w, x0, x1, r, cfg, *warm_start, _tol=tol)
+    return dial
+
+
 def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
              samples: int) -> tuple[float, BetaResult, int]:
     """Solve ``beta(r) = beta0`` by a walk on a model of the dial, then a
     secant on the bracket it finds.
 
-    ``evaluate(r, v_init, jac_init, tol)`` is one dial evaluation, shot to
-    ``tol`` where it shoots; each distinct ``r`` is evaluated once,
-    warm-started from the velocity and shooting Jacobian of the previous
-    evaluation, to the tolerance of the schedule in the module docstring.
+    ``evaluate(r, warm, tol)`` is one dial evaluation (:func:`_shooting_dial`,
+    :func:`_line_dial`), shot to ``tol`` where it shoots and warm-started
+    from ``warm``, the previous evaluation (``None`` for the first); each
+    distinct ``r`` is evaluated once, to the tolerance of the schedule in
+    the module docstring.
     A loose evaluation (one whose resolution is wider than ``SHOOT_TOL``)
     with ``|f|`` within twice its resolution is evaluated again at the
     same ``r``, to ``SHOOT_TOL`` and warm-started from itself, before
@@ -322,35 +340,33 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
         raise ParameterError(r_max, lower, "r_max")
     beta0, lower, r_max = float(beta0), float(lower), float(r_max)
     memo: dict[float, BetaResult] = {}
-    warm = (None, None)
+    last = None  # the newest evaluation, which warm-starts the next
     tol_next = LOOSE_TOL  # the shooting tolerance of the next new r
 
-    def shoot(r: float, v_init, jac_init, tol: float) -> BetaResult:
-        nonlocal warm
-        hit = memo[r] = evaluate(r, v_init, jac_init, tol)
-        warm = hit.X_r.components, hit.jacobian
-        return hit
+    def shoot(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
+        nonlocal last
+        last = memo[r] = evaluate(r, warm, tol)
+        return last
 
     def tight(r: float) -> BetaResult:
         """The evaluation at ``r``, shot again if it is a loose one."""
         hit = memo[r]
         if (hit.resolution or 0.0) > SHOOT_TOL:
-            hit = shoot(r, hit.X_r.components, hit.jacobian, SHOOT_TOL)
+            hit = shoot(r, hit, SHOOT_TOL)
         return hit
 
     def log_ratio(r: float) -> float:
         beta = float(memo[r].beta)
         if math.isnan(beta):
             raise NumericalError(
-                f"the dial beta(r) is NaN at r = {r!r}: the rescaled metric "
-                f"is undefined where 1 + r k <= 0, as when k exceeds its "
-                f"declared K0")
+                f"the dial beta(r) is NaN at r = {r!r}, so the solve cannot "
+                f"compare it with its target")
         return math.log(beta / beta0)
 
     def gap(r: float) -> float:
         nonlocal tol_next
         if r not in memo:
-            hit = shoot(r, *warm, tol_next)
+            hit = shoot(r, last, tol_next)
             if abs(log_ratio(r)) <= 2.0 * (hit.resolution or 0.0):
                 tight(r)
             f = log_ratio(r)
@@ -414,6 +430,7 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
         # A raised error's traceback holds this frame, and with it the memo:
         # drop the shot leg of every evaluation as soon as the solve ends.
         memo.clear()
+        last = None
 
 
 @dataclass
@@ -458,12 +475,12 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
              samples: int) -> ShootingReport:
     """Join ``z0 = (x0, y0)`` to ``z1 = (x1, y1)``: the one connection driver.
 
-    ``dial(r, v_init, jac_init, tol)`` is one dial evaluation for
-    :func:`_solve_r`, and ``leg(r, result)`` the base leg at the root from
-    its evaluation, with the first-integral residual measured along it
-    (``None`` where there is none).  Fiber end points that coincide, within
-    1e-12 absolute in every coordinate, make the trivial connection: a
-    constant fiber leg and a ``g1``-geodesic base leg, with no dial.
+    ``dial(r, warm, tol)`` is one dial evaluation for :func:`_solve_r`, and
+    ``leg(r, result)`` the base leg at the root from its evaluation, with
+    the first-integral residual measured along it (``None`` where there is
+    none).  Fiber end points that coincide, within 1e-12 absolute in every
+    coordinate, make the trivial connection: a constant fiber leg and a
+    ``g1``-geodesic base leg, with no dial.
     Otherwise coinciding base end points raise :class:`BracketingError`;
     a fiber shoot fixes the target ``beta``, the dial is solved for ``r``
     and the pair rebuilt there, the one map build of a solve.  Either way
@@ -528,8 +545,7 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
     bracketing walk makes before it raises :class:`BracketingError`.
     """
     return _connect(g1, g2, w, z0, z1, cfg,
-                    lambda r, v_init, jac_init, tol: beta_of_r(
-                        g1, g2, w, z0[0], z1[0], r, cfg, v_init, jac_init, _tol=tol),
+                    _shooting_dial(g1, g2, w, z0[0], z1[0], cfg),
                     lambda r, res: (res.mu, None), r_max, samples)
 
 
@@ -636,26 +652,33 @@ def _line_weight(weight):
     return warpfn.parse(weight, 1) if isinstance(weight, str) else weight
 
 
+def _require_positive(what: str, values: np.ndarray, column):
+    """Raise :class:`NumericalError` naming the first row of ``column``
+    where ``values`` is not finite and positive, and the value there."""
+    bad = ~((values > 0.0) & (values < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"{what} must stay positive and finite, got {float(values[i])!r} "
+            f"at t = {float(column[i, 0])!r}")
+
+
 def _line_fields(w: WarpField, weight, column) -> tuple[np.ndarray, np.ndarray]:
     """The warp ``k`` and ``g = sqrt(f / k)`` at the rows of ``column``,
     ``f`` the parsed line weight (``None`` for the flat line), each field
     evaluated in one batch.
 
-    A row where ``f`` is not finite and positive raises
+    A row where ``k`` or ``f`` is not finite and positive raises
     :class:`NumericalError` that names the first such point and the value
     there; an overflow inside the weight is one such value, not a warning.
     """
     k = values_along(w, column)
+    _require_positive("the warp k", k, column)
     f = 1.0
     if weight is not None:
         with np.errstate(all="ignore"):
             f = warpfn.evaluate_many(weight, column)
-        bad = ~((f > 0.0) & (f < math.inf))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NumericalError(
-                f"line weight must stay positive and finite, got {float(f[i])!r} "
-                f"at t = {float(column[i, 0])!r}")
+        _require_positive("line weight", f, column)
     return k, np.sqrt(f / k)
 
 
@@ -730,6 +753,23 @@ def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
                       resolution=(weights.size + 2.0 + rho) * EPS)
 
 
+def _line_dial(w: WarpField, t0: float, t1: float, cfg: IntegratorConfig,
+               weight):
+    """The dial of :func:`flrw_connect`: ``dial(r, warm, tol)`` is
+    :func:`flrw_beta` on one batch (:func:`_line_batch`, ``weight`` parsed
+    or ``None``), and reads neither ``warm`` nor ``tol``.  The batch is
+    built at the first evaluation, so that coinciding fiber end points
+    reach the coincidence check in :func:`_connect` first."""
+    batch = None
+
+    def dial(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
+        nonlocal batch
+        if batch is None:
+            batch = _line_batch(w, t0, t1, cfg.steps, weight)
+        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=batch)
+    return dial
+
+
 def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
                  g2: MetricChart, cfg: IntegratorConfig = IntegratorConfig(),
                  *, weight=None,
@@ -759,18 +799,8 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
         slow = g * np.sqrt(1.0 + r * k)
         return mu, float(np.max(np.abs(mu.velocities[:, 0] - X[0] * slow[0] / slow)))
 
-    batch = None
-
-    def dial(r, *_):
-        # the batch is built at the first evaluation, so that coinciding
-        # end points reach the coincidence check in _connect first
-        nonlocal batch
-        if batch is None:
-            batch = _line_batch(w, t0, t1, cfg.steps, weight)
-        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=batch)
-
-    return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg, dial, leg,
-                    r_max, samples)
+    return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
+                    _line_dial(w, t0, t1, cfg, weight), leg, r_max, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +818,7 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
 
     where ``I(gamma)`` integrates ``(1+r k)/k`` along ``gamma``.  Returns
     the three numbers and the bound checks.  A node of ``gamma`` where
-    ``1 + r k <= 0`` raises :class:`NumericalError`.
+    ``k`` or ``1 + r k`` is not positive raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
     x0 = np.asarray(x0, dtype=float)

@@ -412,8 +412,9 @@ def integrate_coupled_oracle(g1: MetricChart, g2: MetricChart, w: WarpField,
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     d1, d2 = g1.dim, g2.dim
-    if p1.shape != (d1,) or p2.shape != (d2,):
-        raise InputError("initial point dimensions do not match the charts")
+    if not p1.shape == v1.shape == (d1,) or not p2.shape == v2.shape == (d2,):
+        raise InputError(f"initial data of dimension {p1.shape}/{v1.shape}, "
+                         f"{p2.shape}/{v2.shape} on charts of dimension {d1}, {d2}")
 
     state0 = np.concatenate((p1, v1, p2, v2))
     if g1.exponent is not None and g2.exponent is not None:

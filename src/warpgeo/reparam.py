@@ -88,7 +88,8 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     from the table alone (:func:`~warpgeo._num.invert_running_integral`),
     and raises :class:`NumericalError` where the table does not resolve it.
     The map's derivative needs the warp at ``mu``'s points at the map's
-    nodes.  A node where ``1 + r k <= 0`` raises :class:`NumericalError`.
+    nodes.  A node where ``k`` or ``1 + r k`` is not positive raises
+    :class:`NumericalError`.
     """
     return _base_map(mu, w, r, *_base_table(mu, r, _warp_along(mu, w, r)))[0]
 
@@ -141,7 +142,8 @@ def phi_constant_from_trace(gamma: Curve, w: WarpField, r: float) -> float:
     ``1/a = integral of (1 + r k)/k along gamma``; this recovers ``a``
     without access to the rescaled-metric curve, which is what the
     classifier needs when it starts from a mixed-signature geodesic.  A
-    node where ``1 + r k <= 0`` raises :class:`NumericalError`.
+    node where ``k`` or ``1 + r k`` is not positive raises
+    :class:`NumericalError`.
     """
     k = _warp_along(gamma, w, r)
     return 1.0 / cumulative_simpson((1.0 + r * k) / k, gamma.h)[-1]
@@ -224,8 +226,8 @@ def _leg_constants(mu: Curve, w: WarpField, r: float, k: Optional[np.ndarray] = 
     so it equals ``phi.constant`` exactly; ``b`` is the same rule over
     ``1/(1 + r k)``, divided into ``a``.  ``k`` is the warp at ``mu``'s
     nodes from :func:`_warp_along`, and ``a`` that table's last node, each
-    evaluated here when not given.  A node where ``1 + r k <= 0`` raises
-    :class:`NumericalError`.
+    evaluated here when not given.  A node where ``k`` or ``1 + r k`` is
+    not positive raises :class:`NumericalError`.
     """
     if k is None:
         k = _warp_along(mu, w, r)
@@ -234,7 +236,8 @@ def _leg_constants(mu: Curve, w: WarpField, r: float, k: Optional[np.ndarray] = 
 
 
 def _warp_along(curve: Curve, w: WarpField, r: float) -> np.ndarray:
-    """The warp at the curve's nodes, where ``1 + r k > 0`` must hold."""
+    """The warp at the curve's nodes, where ``k`` and ``1 + r k`` must be
+    positive."""
     admissible_range(w).require(r)
     k = values_along(w, curve.points)
     _require_rescalable(w, r, curve.points, k)
@@ -346,7 +349,8 @@ def norm_identity_errors(geo: RiemannianGeodesic, w: WarpField,
     and the fiber speed satisfies ``k^2 |tau'|^2 = b^2 |Y_0|^2`` (in
     particular that product is a first integral).  Returns the max-norm
     errors of both, plus the drift of the first integral itself.  A node of
-    ``gamma`` where ``1 + r k <= 0`` raises :class:`NumericalError`.
+    ``gamma`` where ``k`` or ``1 + r k`` is not positive raises
+    :class:`NumericalError`.
     """
     mu, nu = geo.base
     gamma, tau = geo.gamma, geo.tau

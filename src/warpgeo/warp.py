@@ -110,19 +110,19 @@ def values_along(w: WarpField, points: np.ndarray) -> np.ndarray:
 
 
 def _require_rescalable(w: WarpField, r: float, points, k: np.ndarray):
-    """Raise :class:`NumericalError` unless ``1 + r k > 0`` at every row of
-    ``points``, ``k`` the warp there: the rescaled metric ``(1/k + r) g1``
-    needs it, and the declared bounds promise it for every admissible
-    ``r``.  The error names the first failing point, ``k``, ``r`` and the
-    declared ``[k0, K0]``."""
-    bad = ~(1.0 + r * k > 0.0)
+    """Raise :class:`NumericalError` unless ``k > 0`` and ``1 + r k > 0`` at
+    every row of ``points``, ``k`` the warp there: the factor ``1/k + r``
+    of the rescaled metric ``(1/k + r) g1`` needs both, and the declared
+    bounds promise them for every admissible ``r``.  The error names the
+    first failing point, ``k``, ``r`` and the declared ``[k0, K0]``."""
+    bad = ~((k > 0.0) & (1.0 + r * k > 0.0))
     if bad.any():
         i = int(np.argmax(bad))
+        what = f"1 + r k = {float(1.0 + r * k[i])!r}" if k[i] > 0.0 else "the warp"
         raise NumericalError(
-            f"1 + r k = {float(1.0 + r * k[i])!r} is not positive at "
-            f"{np.asarray(points)[i].tolist()}, where k = {float(k[i])!r}, at "
-            f"r = {r!r}: the warp leaves its declared bounds "
-            f"[k0, K0] = [{w.k0!r}, {w.K0!r}]")
+            f"{what} is not positive at {np.asarray(points)[i].tolist()}, "
+            f"where k = {float(k[i])!r}, at r = {r!r}: the warp leaves its "
+            f"declared bounds [k0, K0] = [{w.k0!r}, {w.K0!r}]")
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,9 @@ def rescaled_curvature(g1: MetricChart, w: WarpField, points, r_values, frames,
     no plane, so it needs ``plane_curvature`` given.
 
     Every ``r`` is checked admissible and a frame of one vector given its
-    ``plane_curvature`` before any work, ``1 + r k > 0`` at
-    every point (:class:`NumericalError` where a warp above its declared
-    ``K0`` breaks it), and the frames orthonormal after scaling.  The
+    ``plane_curvature`` before any work, ``k > 0`` and ``1 + r k > 0`` at
+    every point (:class:`NumericalError` where a warp outside its declared
+    bounds breaks it), and the frames orthonormal after scaling.  The
     warp's jet is evaluated once per point; the rest is array expressions
     over all ``(point, r, frame)`` rows.
     Returns ``(K, ok)``.  ``K`` is ``(P, R, Q)``, the curvature of each

@@ -27,12 +27,12 @@ non-zero one for ``/`` and ``^``.  Every compiled form tests these
 conditions in the same order, and differs only in what a failed one does:
 :func:`domain_failure` returns it, the value forms raise
 :class:`~warpgeo.errors.DslEvaluationError` naming the subexpression, and a
-loop ends at the state that fails it.  Where ``math`` overflows and numpy
-would give an infinity, a scalar value form raises
+loop ends at the state that fails it; :func:`domain_failure` is the batch
+domain form on one row.  Where ``math`` overflows and numpy would give an
+infinity, a scalar value form raises
 :class:`~warpgeo.errors.FloatOverflowError` naming the expression and the
-point, and the scalar domain form answers as the batch form does on that
-one row; so does ``sin`` or ``cos`` of an infinite operand, where
-``math`` meets a domain error and numpy gives NaN.  A numeric literal too
+point; so does ``sin`` or ``cos`` of an infinite operand, where ``math``
+meets a domain error and numpy gives NaN.  A numeric literal too
 large for a float is a syntax error.
 
 Two loop forms compile classical Runge-Kutta steps on Python floats into
@@ -355,7 +355,7 @@ def format_expression(e: Expr) -> str:
 # bounded cache; interning makes that key equal across parses.
 
 (_VALUE, _GRADIENT, _HESSIAN, _ARRAY, _ARRAY_GRADIENT, _LOOP, _COUPLED_LOOP,
- _DOMAIN, _ARRAY_DOMAIN) = range(9)
+ _ARRAY_DOMAIN) = range(8)
 _ONE = "1.0"
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -415,7 +415,7 @@ class _Emitter:
 
     def __init__(self, form: int, dim: int):
         self.order = {_ARRAY: 0, _ARRAY_GRADIENT: 1, _LOOP: 1, _COUPLED_LOOP: 1,
-                      _DOMAIN: 0, _ARRAY_DOMAIN: 0}.get(form, form)
+                      _ARRAY_DOMAIN: 0}.get(form, form)
         self.array = form in (_ARRAY, _ARRAY_GRADIENT, _ARRAY_DOMAIN)
         self.loop = form in (_LOOP, _COUPLED_LOOP)
         self.dim = dim
@@ -431,7 +431,7 @@ class _Emitter:
         # a state, raising from a value form; None in a loop's stages,
         # which test nothing
         self.verdict = (None if self.loop else "return {}"
-                        if form in (_DOMAIN, _ARRAY_DOMAIN) else _RAISE)
+                        if form == _ARRAY_DOMAIN else _RAISE)
         if self.loop:
             self.finite = self.bind(FINITE_STATE, "n")
 
@@ -840,16 +840,12 @@ def domain_failure(e: Expr, point, args=()) -> Optional[str]:
     point's coordinates.  A condition reads as its subexpression's test,
     ``x2 > 0.0`` say.  These are the only domain conditions: every value
     form raises :class:`~warpgeo.errors.DslEvaluationError` exactly where
-    one fails, and a loop ends at a state where one fails.  Where an
-    operand fails in ``math`` floats (an overflow, say), the answer is that
-    of :func:`domain_failure_many` on the one row.
+    one fails, and a loop ends at a state where one fails.  The answer is
+    that of :func:`domain_failure_many` on the one row, with numpy's float
+    warnings silenced: an overflow in an operand is an infinity there.
     """
-    x = np.asarray(point, dtype=float).tolist()
-    try:
-        return _compiled(e, _DOMAIN, len(x))((*x, *args))
-    except (OverflowError, ValueError):
-        with np.errstate(all="ignore"):
-            return domain_failure_many(e, [x], args)
+    with np.errstate(all="ignore"):
+        return domain_failure_many(e, [point], args)
 
 
 def domain_failure_many(e: Expr, points, args=()) -> Optional[str]:

@@ -850,6 +850,20 @@ def test_fitted_riemannize_builds_the_base_maps_once(tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_fitted_riemannize_integrates_each_leg_once(tmp_path, monkeypatch):
+    # the fiber leg is integrated once, from the fitted velocity
+    calls = []
+    integrate = cli.integrate_geodesic
+
+    def counted(chart, p0, v0, cfg):
+        calls.append(chart.name)
+        return integrate(chart, p0, v0, cfg)
+
+    monkeypatch.setattr(cli, "integrate_geodesic", counted)
+    code, _ = run_task(tmp_path, FITTED_RIEMANNIZE, "--quiet")
+    assert code == 0 and len(calls) == 2 and calls[1] == wg.circle(1.0).name
+
+
 def test_steps_override_wins_over_the_config(tmp_path):
     code, out = run_task(tmp_path, HYPERBOLIC_INTEGRATE, "--quiet", "--steps", "64")
     assert code == 0

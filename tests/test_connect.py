@@ -445,10 +445,7 @@ def test_the_solve_stops_within_the_dials_resolution(x, y, beta0):
     resolution (solved to Brent's tolerance) within 1e-9 relative."""
     g1, g2, x1 = wg.poincare_half_plane(), wg.circle(1.0), np.array([x, y])
     lower = wg.admissible_range(README_WARP).lower
-
-    def dial(r, v_init, jac_init, tol):
-        return wg.beta_of_r(g1, g2, README_WARP, X0, x1, r, FAST, v_init, jac_init,
-                            _tol=tol)
+    dial = connect._shooting_dial(g1, g2, README_WARP, X0, x1, FAST)
 
     def unresolved(*args):
         return dataclasses.replace(dial(*args), resolution=None)
@@ -466,8 +463,8 @@ def _shooting_power_dial(s, lower, calls, e=0.0, r_jump=None):
     that tolerance its resolution, and its velocity ``[r]``.  Past
     ``r_jump`` it drops by 2 %, so that no ``r`` matches the target near
     that jump."""
-    def evaluate(r, v_init, jac_init, tol):
-        calls.append((r, tol, v_init))
+    def evaluate(r, warm, tol):
+        calls.append((r, tol, None if warm is None else warm.X_r.components))
         beta = ((r - lower) ** s + e) * math.exp(
             0.1 * tol * random.Random(r).uniform(-1, 1))
         if r_jump is not None:
@@ -971,6 +968,28 @@ def test_a_warp_above_its_declared_bound_is_a_typed_error_where_k_is_read():
                        np.tile([0.1, 0.0], (17, 1)))
         with pytest.raises(NumericalError, match=r"at \[0\.785.*, 1\.0\], where k = 2\.5"):
             reparam._leg_constants(leg, MISDECLARED, -0.44)
+
+
+def test_a_warp_that_falls_to_zero_is_a_typed_error_where_k_is_read():
+    # x1 - 2 is negative on [0, 2).  The factor 1/k + r needs k > 0 as well
+    # as 1 + r k > 0, and at r = 0.1 only the first fails: the line dial
+    # read beta = nan with a numpy warning from sqrt(f / k), and the solve
+    # blamed 1 + r k <= 0.
+    falling = wg.WarpField.from_expression("x1 - 2", 1, 1.0, 3.0)
+    cfg = wg.IntegratorConfig(steps=64)
+    message = r"the warp k must stay positive and finite, got -2\.0 at t = 0\.0$"
+    t = np.linspace(0.0, 1.0, 17)
+    leg = wg.Curve(t, t[:, None], np.ones((17, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            wg.flrw_beta(falling, 0.0, 6.0, 0.1, cfg)
+        with pytest.raises(NumericalError, match=message):
+            wg.flrw_connect(falling, 0.0, 6.0, np.zeros(1), np.array([0.5]),
+                            wg.euclidean(1), cfg)
+        with pytest.raises(NumericalError, match=r"^the warp is not positive at "
+                           r"\[0\.0\], where k = -2\.0, at r = 0\.1: "):
+            reparam._leg_constants(leg, falling, 0.1)
 
 
 def test_the_dial_bounds_check_the_warp_along_the_base_geodesic():

@@ -4,8 +4,8 @@ run in one module only, only the chart module reads how a chart was
 defined, no exponent chart carries a domain predicate, no module caches by
 identity, no module compares arrays with numpy's default relative
 tolerance, the package writes CSV through one writer, no generated loop
-raises, one function makes every connection, and the line dial evaluates no
-field at each ``r``."""
+raises, one function makes every connection, the line dial evaluates no
+field at each ``r``, and only the connect module reaches into a dial."""
 
 import ast
 import os
@@ -361,3 +361,38 @@ def test_the_check_sees_a_second_call_site():
               "def b():\n    f = lambda: reparam.riemannize(y)\n"
               "    def c():\n        riemannize(z)\n    riemannize(w)\n")
     assert _call_sites(source, "riemannize") == ["a", "b", "c", "b"]
+
+
+def _dial_internals(source: str) -> list[str]:
+    """Where a module reads ``.jacobian``, names ``_line_batch`` or passes
+    ``_batch=``: what a dial carries from one evaluation to the next."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "jacobian":
+            found.add((node.lineno, ".jacobian"))
+        elif "_line_batch" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+            found.add((node.lineno, "_line_batch"))
+        elif isinstance(node, ast.keyword) and node.arg == "_batch":
+            found.add((node.lineno, "_batch="))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_connect_module_reaches_into_a_dial(path):
+    # every dial is dial(r, warm, tol), built in connect, which alone
+    # decides what a warm start carries and how the line dial keeps its batch
+    found = _dial_internals(path.read_text())
+    if path.name == "connect.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_the_check_sees_a_reach_into_a_dial():
+    source = ("from .connect import _line_batch, flrw_beta\n"
+              "warm = res.X_r.components, res.jacobian\n"
+              "res = flrw_beta(w, t0, t1, r, cfg, _batch=connect._line_batch(w))\n")
+    assert _dial_internals(source) == [
+        "_line_batch (line 1)", ".jacobian (line 2)", "_batch= (line 3)",
+        "_line_batch (line 3)"]

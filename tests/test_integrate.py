@@ -673,6 +673,18 @@ def test_an_oracle_stage_off_the_chart_is_a_numerical_error():
     assert err.value.t_exit == 1.0 / 16.0
 
 
+def test_an_oracle_velocity_of_the_wrong_dimension_is_an_input_error():
+    # checked with the points, before the unpacking of the base block or the
+    # product with the fiber's metric can fail on it
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)
+    cfg = wg.IntegratorConfig(steps=16)
+    for g2, V0 in ((wg.circle(1.0), ([1.0, 0.5, 0.0], [0.5])),
+                   (wg.sphere(2, 1.0), ([1.0, 0.5], [0.5]))):
+        z0 = ([0.0, 1.0], [0.3] * g2.dim)
+        with pytest.raises(InputError, match="initial data of dimension"):
+            wg.integrate_coupled_oracle(wg.poincare_half_plane(), g2, w, z0, V0, cfg)
+
+
 def test_the_diagnostics_and_the_oracle_run_on_arrays(monkeypatch):
     g1, g2 = wg.poincare_half_plane(), wg.circle(1.0)
     w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.5)

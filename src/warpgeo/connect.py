@@ -43,19 +43,21 @@ line with a time-dependent warp, as in homogeneous cosmological metrics)
 evaluates the dial from the explicit first integral of the base equation
 instead: with the slowness ``S`` of that integral, the leg's speed and
 both constants are quadratures over a uniform grid on the base interval,
-so neither a shot nor a base leg is needed.  Only ``1 + r k`` on that grid
-depends on ``r``: a solve evaluates the warp and the weight there once,
-and each evaluation is a few array operations and three dot products with
-the rule's total weights.
+so no evaluation shoots.  Only ``1 + r k`` on that grid depends on ``r``:
+a solve evaluates the warp and the weight there once, and each evaluation
+is a few array operations and three dot products with the rule's total
+weights.  Nor is the base leg at the root integrated: it is the inverse of
+the running integral of ``S`` on the same grid, read from that table.
 Every dial is one function of this module's making, ``dial(r, warm,
 tol)``, with ``warm`` the previous evaluation (``None`` to start cold): the
 shooting dial reads its velocity and Jacobian, and the line dial builds its
 batch at its first evaluation and reads neither ``warm`` nor ``tol``.  The
 solve and the command line's ``beta-scan`` call the dials alike.
 Both connections run one driver, which differs between them only in the
-dial and in how it gets the base leg at the root: it makes the trivial
-connection of coinciding fiber points (within 1e-12 absolute), solves for
-``r`` with one root-find and rebuilds the pair there, and raises
+dial and in how it gets the base leg at the root (the converged shot, or
+the first integral's inverse): it makes the trivial connection of
+coinciding fiber points (within 1e-12 absolute), solves for ``r`` with
+one root-find and rebuilds the pair there, and raises
 :class:`~warpgeo.errors.ShootingError` when either rebuilt leg ends farther
 than the integrator tolerance from its requested point.
 """
@@ -71,14 +73,15 @@ import numpy as np
 
 from . import warpfn
 from ._num import (
-    BRENT_RTOL, BRENT_XTOL, EPS, SQRT_EPS, cumulative_simpson, total_weights,
+    BRENT_RTOL, BRENT_XTOL, EPS, SQRT_EPS, cumulative_simpson,
+    invert_running_integral, total_weights,
 )
 from .errors import (
     BracketingError, ChartDomainError, InputError, NumericalError,
     ParameterError, ShootingError,
 )
 from .integrate import (
-    Curve, IntegratorConfig, _curve, _geodesic_flat, coupled_residual,
+    Curve, IntegratorConfig, _curve, _geodesic_flat, _grid, coupled_residual,
     integrate_geodesic,
 )
 from .manifold import (
@@ -95,6 +98,12 @@ __all__ = [
     "partial_connect", "flrw_connect", "flrw_beta", "theta_consistency",
     "beta_bounds",
 ]
+
+# No function here integrates a geodesic through ``integrate_geodesic``,
+# but the name stays bound in this module: the benchmark's per-layer tracer
+# (``perfbench/layers.py``) wraps every cross-module binding, and its
+# smoke test checks that this one is put back.
+_BOUND_FOR_TRACING = (integrate_geodesic,)
 
 R_MAX_DEFAULT = 1e6
 R_WALK_SAMPLES = 64
@@ -443,7 +452,11 @@ class ShootingReport:
     number of distinct ``r`` at which the dial was evaluated: 0 in the
     degenerate case, which evaluates no dial.  ``endpoint_error`` is the
     larger distance of the two rebuilt legs' ends from the requested
-    points, in the degenerate case too.
+    points, in the degenerate case too.  ``first_integral_residual`` is
+    set on the line base only (:func:`flrw_connect`): the largest gap
+    between the base leg's positions and ``t0`` plus the running integral
+    of its velocities, which measures how well the leg's inversion and its
+    velocities ``c / S`` agree.
     """
 
     r: Optional[float]
@@ -476,8 +489,9 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
     """Join ``z0 = (x0, y0)`` to ``z1 = (x1, y1)``: the one connection driver.
 
     ``dial(r, warm, tol)`` is one dial evaluation for :func:`_solve_r`, and
-    ``leg(r, result)`` the base leg at the root from its evaluation, with
-    the first-integral residual measured along it (``None`` where there is
+    ``leg(r, result)`` the base leg at the root from its evaluation (the
+    shot leg, or on the line base the first integral's inverse), with the
+    first-integral residual measured along it (``None`` where there is
     none).  Fiber end points that coincide, within 1e-12 absolute in every
     coordinate, make the trivial connection: a constant fiber leg and a
     ``g1``-geodesic base leg, with no dial.
@@ -754,19 +768,22 @@ def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
 
 
 def _line_dial(w: WarpField, t0: float, t1: float, cfg: IntegratorConfig,
-               weight):
+               weight, held: Optional[list] = None):
     """The dial of :func:`flrw_connect`: ``dial(r, warm, tol)`` is
     :func:`flrw_beta` on one batch (:func:`_line_batch`, ``weight`` parsed
     or ``None``), and reads neither ``warm`` nor ``tol``.  The batch is
     built at the first evaluation, so that coinciding fiber end points
-    reach the coincidence check in :func:`_connect` first."""
-    batch = None
+    reach the coincidence check in :func:`_connect` first, and kept as the
+    one item of ``held``: a plain list, which a caller that reads the batch
+    after the solve owns and hands in.  (Kept on the dial itself, the
+    batch would sit in a reference cycle through the dial's closure, and
+    each solve's arrays would wait for the cycle collector.)"""
+    held = [] if held is None else held
 
     def dial(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
-        nonlocal batch
-        if batch is None:
-            batch = _line_batch(w, t0, t1, cfg.steps, weight)
-        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=batch)
+        if not held:
+            held.append(_line_batch(w, t0, t1, cfg.steps, weight))
+        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=held[0])
     return dial
 
 
@@ -780,27 +797,37 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
     Same contract as :func:`connect_points` for a one-dimensional base
     chart (optionally weighted, as in :func:`flrw_beta`), but each dial
     evaluation reads the explicit first integral of the base equation
-    instead of shooting.  The base leg is integrated once, at the root, as
-    a plain rescaled-metric geodesic; the report carries the residual of
-    the first integral measured along it.  ``r_max`` and ``samples`` bound
-    the solve as in :func:`connect_points`.
+    instead of shooting.  The base leg at the root is that integral's
+    inverse, not an integrated geodesic: it solves ``mu' S(mu) = c``, so
+    ``mu = t0 + span u`` with ``u`` the inverse of the slowness's running
+    integral on the dial's grid (:func:`~warpgeo._num.invert_running_integral`,
+    which raises :class:`NumericalError` where that table does not resolve
+    it), its ends pinned to ``t0`` and ``t1``, and ``mu' = c / S(mu)`` with
+    ``c = span int S``.  The report's ``first_integral_residual`` measures
+    the leg's positions against the running integral of its velocities.
+    ``r_max`` and ``samples`` bound the solve as in :func:`connect_points`.
     """
     weight = _line_weight(weight)
     base_chart = weighted_line(weight) if weight is not None else euclidean(1)
+    held: list = []  # the dial's batch, which the leg reads too
 
     def leg(r, res):
-        # the base leg as a plain rescaled-metric geodesic, and how well it
-        # honors the first integral v * slowness = const
-        X = res.X_r.components
-        mu = integrate_geodesic(conformal_metric(base_chart, w, r), res.X_r.base,
-                                X, cfg)
-        k, g = _line_fields(w, weight, mu.points)
-        _require_rescalable(w, r, mu.points, k)
+        k, g = held[0][1:3]
         slow = g * np.sqrt(1.0 + r * k)
-        return mu, float(np.max(np.abs(mu.velocities[:, 0] - X[0] * slow[0] / slow)))
+        grid = _grid(cfg.steps)
+        h = grid[1] - grid[0]
+        accum = cumulative_simpson(slow, h)
+        span = t1 - t0
+        points = t0 + span * invert_running_integral(grid, accum, slow)[0][:, None]
+        points[0], points[-1] = t0, t1
+        k, g = _line_fields(w, weight, points)
+        _require_rescalable(w, r, points, k)
+        velocities = span * accum[-1] / (g * np.sqrt(1.0 + r * k))
+        drift = points[:, 0] - t0 - cumulative_simpson(velocities, h)
+        return Curve(grid, points, velocities[:, None]), float(np.max(np.abs(drift)))
 
     return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
-                    _line_dial(w, t0, t1, cfg, weight), leg, r_max, samples)
+                    _line_dial(w, t0, t1, cfg, weight, held), leg, r_max, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -472,13 +472,14 @@ def test_a_curvature_scan_past_the_warps_declared_bound_is_a_numerical_failure(t
 
 
 def test_missed_end_point_is_a_numerical_failure(tmp_path):
+    # the README instance at 64 steps misses x1 by 2.39e-11
     doc = {
-        "task": "flrw",
-        "base_chart": {"name": "weighted_line", "weight": "(1 + t)^2"},
-        "fiber_chart": {"name": "euclidean", "dim": 1},
-        "warp": {"expression": "2 + sin(x1)", "k0": 1.0, "K0": 3.0},
-        "integrator": {"steps": 256, "tolerance": 1.0e-6},
-        "flrw": {"t0": 0.0, "t1": 6.0, "y0": [0.0], "y1": [0.9]},
+        "task": "connect",
+        "base_chart": {"name": "poincare_half_plane"},
+        "fiber_chart": {"name": "circle", "radius": 1.0},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+        "integrator": {"steps": 64, "tolerance": 1.0e-11},
+        "connect": {"x0": [0.0, 1.0], "y0": [0.0], "x1": [1.2, 0.7], "y1": [0.4]},
     }
     code, out = run_task(tmp_path, doc, "--quiet")
     assert code == 3
@@ -486,7 +487,7 @@ def test_missed_end_point_is_a_numerical_failure(tmp_path):
     with open(out / "error.json") as fh:
         payload = json.load(fh)
     assert payload["error"] == "ShootingError"
-    assert payload["residual"] == pytest.approx(1.3268e-5, rel=1e-4)
+    assert payload["residual"] == pytest.approx(2.39e-11, rel=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import warpgeo as wg
-from warpgeo import _num, cli, connect, reparam, warpfn
+from warpgeo import _num, cli, connect, integrate, reparam, warpfn
 from warpgeo.connect import BetaResult, _beta_from_mu, _restricted, _shoot
 from warpgeo.errors import (
     BracketingError, ChartDomainError, InputError, NumericalError, ParameterError,
@@ -798,8 +798,9 @@ def test_weighted_line_base_closed_form():
     # k = 1 with weight (1+t)^2 and r = 3: the slowness is 2 (1 + t), so
     # c = 8, X_r = c / S(0) = 4, a = 1/(1+r) and beta = int_0^2 (1 + t)/2 = 2.
     # The connection to y1 = 2 lands on r = 3, and its base leg, which
-    # solves mu' = c / S(mu), is mu(s) = sqrt(1 + 8 s) - 1.  That leg is an
-    # RK4 integration, off by 4e-9 at 256 steps (2.4e-10 at 512).
+    # solves mu' = c / S(mu), is mu(s) = sqrt(1 + 8 s) - 1.  That leg is
+    # the inverse of the slowness's running integral, which the rule gets
+    # exactly here.
     one = wg.WarpField.constant(1.0, 1)
     res = wg.flrw_beta(one, 0.0, 2.0, 3.0, CFG, weight="(1 + t)^2")
     np.testing.assert_allclose(res.X_r.components, [4.0], rtol=1e-12)
@@ -809,8 +810,8 @@ def test_weighted_line_base_closed_form():
                           wg.euclidean(1), CFG, weight="(1 + t)^2")
     assert rep.r == pytest.approx(3.0, abs=1e-9)
     mu = rep.geodesic.base[0]
-    assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-8)
-    assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-8)
+    assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-12)
+    assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reversing_the_line_interval_leaves_the_dial():
@@ -825,27 +826,33 @@ def test_reversing_the_line_interval_leaves_the_dial():
 
 
 def test_endpoint_error_measures_the_requested_end_points():
-    # At 512 steps the rebuilt base leg of this weighted problem stops short
-    # of t1 = 7 by a few 1e-6; the report must show that miss, not compare
-    # the leg with its own end point.
+    # The README instance at 64 steps: the rebuilt base leg, a shot leg
+    # reparametrized, ends 2.39e-11 from x1; the report must show that
+    # miss, not compare the leg with its own end point.  The line base's
+    # leg ends at t1 within roundoff, and its report measures that too.
+    rep = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
+                            (X0, np.zeros(1)), (X1, np.array([0.4])), FAST)
+    geo = rep.geodesic
+    miss = max(np.max(np.abs(geo.gamma.points[-1] - X1)),
+               abs(geo.tau.points[-1, 0] - 0.4))
+    assert rep.endpoint_error == miss
+    assert rep.endpoint_error == pytest.approx(2.39e-11, rel=0.01)
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     rep = wg.flrw_connect(w, 0.0, 7.0, np.zeros(1), np.array([0.9]), wg.euclidean(1),
-                          wg.IntegratorConfig(steps=512, tolerance=1e-5),
-                          weight="(1 + t)^2")
+                          wg.IntegratorConfig(steps=512), weight="(1 + t)^2")
     geo = rep.geodesic
     miss = max(abs(geo.gamma.points[-1, 0] - 7.0), abs(geo.tau.points[-1, 0] - 0.9))
     assert rep.endpoint_error == miss
-    assert rep.endpoint_error == pytest.approx(2.67e-6, rel=0.01)
 
 
 def test_missing_the_end_point_beyond_the_tolerance_raises():
-    # At 256 steps the rebuilt base leg of this weighted problem stops short
-    # of t1 = 6 by 1.33e-5, above the default tolerance of 1e-6.
-    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    # The README instance at 64 steps misses x1 by 2.39e-11 (previous test),
+    # above a tolerance of 1e-11.
     with pytest.raises(ShootingError) as info:
-        wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]),
-                        wg.euclidean(1), CFG, weight="(1 + t)^2")
-    assert info.value.residual == pytest.approx(1.3268e-5, rel=1e-4)
+        wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
+                          (X0, np.zeros(1)), (X1, np.array([0.4])),
+                          wg.IntegratorConfig(steps=64, tolerance=1e-11))
+    assert info.value.residual == pytest.approx(2.39e-11, rel=0.01)
     assert info.value.iterations > 0
 
 
@@ -1085,6 +1092,84 @@ def test_a_line_solve_reads_the_warp_once_and_stops_at_the_resolution(monkeypatc
         assert 1027 * _num.EPS <= e.resolution <= 1028 * _num.EPS
     assert gaps[-1] <= evaluations[-1].resolution
     assert all(g > e.resolution for g, e in zip(gaps[:-1], evaluations))
+
+
+def test_a_line_solve_integrates_only_the_fiber_shoot(monkeypatch):
+    # The base leg at the root is the first integral's inverse, so the one
+    # geodesic a line solve integrates is the fiber shoot's.
+    charts = []
+    real = integrate._geodesic_flat
+
+    def counted(chart, *args):
+        charts.append(chart)
+        return real(chart, *args)
+
+    for module in (connect, integrate):
+        monkeypatch.setattr(module, "_geodesic_flat", counted)
+    g2 = wg.euclidean(1)
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), g2, CFG)
+    assert report.iterations > 1
+    assert charts == [g2]
+
+
+@pytest.mark.parametrize("steps", [256, 512])
+def test_the_weighted_line_leg_ends_at_t1_within_roundoff(steps):
+    # The README's line instance: the inverse of the first integral ends
+    # at t1 = 6 by construction, at any step count.
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.5)
+    report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), wg.circle(1.0),
+                             wg.IntegratorConfig(steps=steps), weight="(1 + t)^2")
+    assert abs(report.geodesic.gamma.points[-1, 0] - 6.0) <= 64 * _num.EPS * 6.0
+    assert abs(report.geodesic.base[0].points[-1, 0] - 6.0) <= 64 * _num.EPS * 6.0
+
+
+def test_the_first_integral_residual_reads_the_leg_against_its_velocities():
+    # The acceptance line instance: the residual is the largest gap between
+    # the base leg's positions and the running integral of its velocities,
+    # and it falls at least 8x per doubling of the steps (about 16x: 2.1e-11
+    # at 256 steps, 8.4e-14 at 1024).
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    residuals = []
+    for steps in (256, 512, 1024):
+        report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]),
+                                 wg.euclidean(1), wg.IntegratorConfig(steps=steps))
+        mu = report.geodesic.base[0]
+        drift = mu.points[:, 0] - _num.cumulative_simpson(mu.velocities[:, 0], mu.h)
+        assert report.first_integral_residual == np.max(np.abs(drift))
+        residuals.append(report.first_integral_residual)
+    assert residuals[0] >= 8.0 * residuals[1] >= 64.0 * residuals[2] > 0.0
+
+
+def test_an_unresolved_inverse_of_the_line_leg_is_a_numerical_error():
+    # y1 = 10 puts the root next to the admissibility threshold, where
+    # 1 + r k nearly vanishes at t = pi/2: at 16 steps the slowness's table
+    # does not resolve its inverse
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    with pytest.raises(NumericalError, match="not resolved by its table"):
+        wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([10.0]), wg.euclidean(1),
+                        wg.IntegratorConfig(steps=16))
+
+
+def test_a_line_solve_leaves_nothing_for_the_cycle_collector():
+    # The dial and the base leg share the solve's one batch through a plain
+    # list that flrw_connect owns: a batch kept on the dial function, which
+    # refers to itself through its closure, would be a cycle, and every
+    # solve's arrays would wait for the collector.
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+
+    def solve():
+        wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), wg.euclidean(1), CFG)
+
+    solve()  # compiles the loops and fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        solve()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_line_base_rejects_an_empty_interval():

@@ -5,7 +5,8 @@ defined, no exponent chart carries a domain predicate, no module caches by
 identity, no module compares arrays with numpy's default relative
 tolerance, the package writes CSV through one writer, no generated loop
 raises, one function makes every connection, the line dial evaluates no
-field at each ``r``, and only the connect module reaches into a dial."""
+field at each ``r``, the line connection integrates no base leg, and only
+the connect module reaches into a dial."""
 
 import ast
 import os
@@ -361,6 +362,32 @@ def test_the_check_sees_a_second_call_site():
               "def b():\n    f = lambda: reparam.riemannize(y)\n"
               "    def c():\n        riemannize(z)\n    riemannize(w)\n")
     assert _call_sites(source, "riemannize") == ["a", "b", "c", "b"]
+
+
+def _line_leg_integrations(source: str) -> list[str]:
+    """The names of a geodesic integration on the rescaled line that
+    ``flrw_connect``, or a function nested in it, reads."""
+    function = next(node for node in ast.parse(source).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "flrw_connect")
+    read = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(function)}
+    return sorted(read & {"integrate_geodesic", "conformal_metric"})
+
+
+def test_the_line_connection_integrates_no_base_leg():
+    # the base leg at the root is the inverse of the first integral's
+    # running table, not a geodesic of the rescaled line
+    assert _line_leg_integrations((PACKAGE / "connect.py").read_text()) == []
+
+
+def test_the_check_sees_a_base_leg_integrated():
+    source = ("def flrw_connect(w, r):\n    def leg(chart):\n"
+              "        return integrate.integrate_geodesic(chart)\n"
+              "    return leg(conformal_metric(line, w, r))\n"
+              "def beta_of_r(w, r):\n    return integrate_geodesic(conformal_metric(w, r))\n")
+    assert _line_leg_integrations(source) == ["conformal_metric", "integrate_geodesic"]
+    assert _line_leg_integrations(source.replace("integrate.integrate_geodesic", "f")) == [
+        "conformal_metric"]
 
 
 def _dial_internals(source: str) -> list[str]:

@@ -46,8 +46,11 @@ both constants are quadratures over a uniform grid on the base interval,
 so no evaluation shoots.  Only ``1 + r k`` on that grid depends on ``r``:
 a solve evaluates the warp and the weight there once, and each evaluation
 is a few array operations and three dot products with the rule's total
-weights.  Nor is the base leg at the root integrated: it is the inverse of
-the running integral of ``S`` on the same grid, read from that table.
+weights.  Nor are the base legs at the root integrated: each is the inverse
+of a running integral on the same grid, read from its table, ``S``'s for
+the leg and the integrand of the dial's ``a`` for the rebuilt leg.  A fiber
+whose metric is constant is not shot either: its leg is the segment between
+its end points.
 Every dial is one function of this module's making, ``dial(r, warm,
 tol)``, with ``warm`` the previous evaluation (``None`` to start cold): the
 shooting dial reads its velocity and Jacobian, and the line dial builds its
@@ -81,11 +84,12 @@ from .errors import (
     ParameterError, ShootingError,
 )
 from .integrate import (
-    Curve, IntegratorConfig, _curve, _geodesic_flat, _grid, coupled_residual,
-    integrate_geodesic,
+    Curve, IntegratorConfig, _curve, _geodesic_flat, _grid, _segment,
+    coupled_residual, integrate_geodesic,
 )
 from .manifold import (
-    MetricChart, TangentVector, euclidean, metric_eval, weighted_line,
+    MetricChart, TangentVector, _reads_no_variable, euclidean, metric_eval,
+    weighted_line,
 )
 from .reparam import RiemannianGeodesic, _leg_constants, _warp_along, riemannize
 from .warp import (
@@ -490,28 +494,33 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
 
     ``dial(r, warm, tol)`` is one dial evaluation for :func:`_solve_r`, and
     ``leg(r, result)`` the base leg at the root from its evaluation (the
-    shot leg, or on the line base the first integral's inverse), with the
-    first-integral residual measured along it (``None`` where there is
+    shot leg, or on the line base the first integral's inverse), the
+    rebuilt base leg ready for :func:`~warpgeo.reparam.riemannize` (``None``
+    where the rebuild builds it; see ``flrw_connect``), and the
+    first-integral residual measured along the leg (``None`` where there is
     none).  Fiber end points that coincide, within 1e-12 absolute in every
     coordinate, make the trivial connection: a constant fiber leg and a
     ``g1``-geodesic base leg, with no dial.
     Otherwise coinciding base end points raise :class:`BracketingError`;
-    a fiber shoot fixes the target ``beta``, the dial is solved for ``r``
-    and the pair rebuilt there, the one map build of a solve.  Either way
-    the rebuilt legs must both end within ``cfg.tolerance`` of ``x1`` and
-    ``y1``, or :class:`ShootingError` is raised.
+    the fiber leg fixes the target ``beta``, the dial is solved for ``r``
+    and the pair rebuilt there, the one map build of a solve.  The fiber
+    leg is the segment from ``y0`` to ``y1`` (:func:`~warpgeo.integrate._segment`)
+    on a chart whose exponent reads no variable, a geodesic there, and a
+    fiber shoot on any other; the constant leg is the segment from ``y0``
+    to itself.  Either way the rebuilt legs must both end within
+    ``cfg.tolerance`` of ``x1`` and ``y1``, or :class:`ShootingError` is
+    raised.
     """
     x0, y0 = (np.asarray(p, dtype=float) for p in z0)
     x1, y1 = (np.asarray(p, dtype=float) for p in z1)
     if np.allclose(y0, y1, rtol=0.0, atol=1e-12):
         X, _, mu, _ = _shoot(g1, x0, x1, cfg)
-        n = mu.params.shape[0]
-        nu = Curve(mu.params.copy(), np.tile(y0, (n, 1)), np.zeros((n, y0.shape[0])))
+        nu = _segment(y0, y0, cfg.steps)
         geo = RiemannianGeodesic(
             r=math.nan, base=(mu, nu), gamma=mu, tau=nu, a_r=math.nan,
             b_r=math.nan,
             initial_tangents=(TangentVector(mu.points[0], mu.velocities[0]),
-                              TangentVector(y0, np.zeros_like(y0))),
+                              TangentVector(y0, nu.velocities[0])),
             residuals=coupled_residual(g1, g2, w, mu, nu),
         )
         r, X_r, beta, beta0, iterations, fi_residual = (
@@ -522,13 +531,21 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
                 "coinciding base endpoints admit no rebuilt geodesic with a "
                 "moving fiber leg: the dial is identically zero"
             )
-        V2, _, nu, _ = _shoot(g2, y0, y1, cfg)
+        # a constant metric's geodesic is the segment; a chart that does not
+        # contain y0 is left to the shoot, which reports where it fails
+        if (g2.exponent is not None and _reads_no_variable(g2.exponent)
+                and g2.contains(y0)):
+            nu = _segment(y0, y1, cfg.steps)
+        else:
+            nu = _shoot(g2, y0, y1, cfg)[2]
+        V2 = nu.velocities[0]
         beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
         r, res, iterations = _solve_r(dial, beta0, admissible_range(w).lower,
                                       r_max, samples)
         X_r, beta = res.X_r, res.beta
-        mu, fi_residual = leg(r, res)
-        geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None)
+        mu, base, fi_residual = leg(r, res)
+        geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None,
+                         _base=base)
     endpoint_error = float(max(np.max(np.abs(geo.gamma.points[-1] - x1)),
                                np.max(np.abs(geo.tau.points[-1] - y1))))
     if endpoint_error > cfg.tolerance:
@@ -560,7 +577,7 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
     """
     return _connect(g1, g2, w, z0, z1, cfg,
                     _shooting_dial(g1, g2, w, z0[0], z1[0], cfg),
-                    lambda r, res: (res.mu, None), r_max, samples)
+                    lambda r, res: (res.mu, None, None), r_max, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +822,18 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
     it), its ends pinned to ``t0`` and ``t1``, and ``mu' = c / S(mu)`` with
     ``c = span int S``.  The report's ``first_integral_residual`` measures
     the leg's positions against the running integral of its velocities.
+
+    The rebuilt base leg is read the same way, not built by the base map
+    along ``mu``: by the chain rule through ``mu' = c / S`` and the map's
+    ``a (1 + r k) / k``, its parameter runs as the running integral of
+    ``k g / sqrt(q)`` over the grid, the integrand of the dial's ``a``, so
+    ``gamma = t0 + span v`` with ``v`` that table's inverse and
+    ``gamma' = span T sqrt(q) / (k g)``, ``T`` the table's total.  The warp
+    and the weight at both legs' points are one batch, and ``gamma``'s
+    constants ``a_r`` and ``b_r`` are the dial's totals at the root.  With
+    a fiber whose metric is constant the fiber leg is a segment too
+    (:func:`_connect`), so such a solve integrates no geodesic and reads no
+    curve between its nodes.
     ``r_max`` and ``samples`` bound the solve as in :func:`connect_points`.
     """
     weight = _line_weight(weight)
@@ -813,18 +842,26 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
 
     def leg(r, res):
         k, g = held[0][1:3]
-        slow = g * np.sqrt(1.0 + r * k)
+        root = np.sqrt(1.0 + r * k)
         grid = _grid(cfg.steps)
-        h = grid[1] - grid[0]
-        accum = cumulative_simpson(slow, h)
-        span = t1 - t0
-        points = t0 + span * invert_running_integral(grid, accum, slow)[0][:, None]
-        points[0], points[-1] = t0, t1
+        h, n, span = grid[1] - grid[0], grid.size, t1 - t0
+        # mu is the inverse of the running table of the slowness g sqrt(q),
+        # gamma that of k g / sqrt(q), the integrand of the dial's a
+        totals, nodes = [], []
+        for slopes in (g * root, k * g / root):
+            accum = cumulative_simpson(slopes, h)
+            totals.append(span * accum[-1])
+            nodes.append(invert_running_integral(grid, accum, slopes)[0])
+        points = t0 + span * np.concatenate(nodes)[:, None]
+        points[[0, n]], points[[n - 1, -1]] = t0, t1
         k, g = _line_fields(w, weight, points)
         _require_rescalable(w, r, points, k)
-        velocities = span * accum[-1] / (g * np.sqrt(1.0 + r * k))
-        drift = points[:, 0] - t0 - cumulative_simpson(velocities, h)
-        return Curve(grid, points, velocities[:, None]), float(np.max(np.abs(drift)))
+        root = np.sqrt(1.0 + r * k)
+        speed = totals[0] / (g[:n] * root[:n])
+        drift = points[:n, 0] - t0 - cumulative_simpson(speed, h)
+        gamma = Curve(grid, points[n:], (totals[1] * root[n:] / (k[n:] * g[n:]))[:, None])
+        return (Curve(grid, points[:n], speed[:, None]), (gamma, k[n:], res.a_r, res.b_r),
+                float(np.max(np.abs(drift))))
 
     return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
                     _line_dial(w, t0, t1, cfg, weight, held), leg, r_max, samples)

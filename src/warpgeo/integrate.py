@@ -207,6 +207,16 @@ class Curve:
         return self.velocities[0]
 
 
+class _Segment(Curve):
+    """The straight curve ``y0 + s (y1 - y0)``, read between its nodes in
+    closed form rather than through an interpolant (:func:`_segment`)."""
+
+    def state_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        step = self.velocities[0]
+        points = self.points[0] + self._clamp(t)[..., None] * step
+        return points, np.broadcast_to(step, points.shape).copy()
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step count of the fixed-step integrator, and the largest distance
@@ -241,6 +251,19 @@ def _curve(states, dim: int) -> Curve:
     as rows or as one flat list, state after state."""
     states = np.reshape(states, (-1, 2 * dim))
     return Curve(_grid(len(states) - 1), states[:, :dim], states[:, dim:])
+
+
+def _segment(y0: np.ndarray, y1: np.ndarray, steps: int) -> Curve:
+    """The segment from ``y0`` to ``y1`` on the shared grid, its last node
+    ``y1`` exactly: a geodesic of any chart whose metric is constant (one
+    whose exponent reads no variable), and with ``y1 = y0`` the constant
+    curve, a geodesic of every chart.  It integrates nothing, and is read
+    between its nodes in closed form."""
+    grid = _grid(steps)
+    step = y1 - y0
+    points = y0 + grid[:, None] * step
+    points[-1] = y1
+    return _Segment(grid, points, np.tile(step, (steps + 1, 1)))
 
 
 def _rk4(step, state0: np.ndarray, steps: int, charts) -> np.ndarray:

@@ -192,7 +192,10 @@ class RiemannianGeodesic:
     ``base`` holds the input pair ``(mu, nu)``; ``gamma`` and ``tau`` are
     the reparametrized legs forming the actual geodesic.  ``a_r`` and
     ``b_r`` are the quadrature constants of :func:`_leg_constants` along
-    ``mu``.  The maps that produced the legs are not kept: to read one,
+    ``mu``, except on the line base (:func:`~warpgeo.connect.flrw_connect`),
+    where they are the dial's totals over its grid at the root
+    (:func:`~warpgeo.connect.flrw_beta`), the constants ``gamma`` is built
+    from.  The maps that produced the legs are not kept: to read one,
     call :func:`compute_a_and_phi` or :func:`compute_b_and_psi`.
     """
 
@@ -247,7 +250,8 @@ def _warp_along(curve: Curve, w: WarpField, r: float) -> np.ndarray:
 def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
                g1: MetricChart, g2: MetricChart, *,
                compat_tol: float = 1e-8,
-               residual_tol: Optional[float] = 1e-4) -> RiemannianGeodesic:
+               residual_tol: Optional[float] = 1e-4,
+               _base=None) -> RiemannianGeodesic:
     """Assemble the mixed-signature geodesic from a pair of factor geodesics.
 
     ``mu`` must be a geodesic of the rescaled base metric for this ``r``
@@ -259,16 +263,27 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     base map's table, which gives both constants too, and once at ``mu``'s
     points at the base map's nodes, for that map's derivative and the fiber
     map; the dense output of ``mu`` is read once, there, and that of ``nu``
-    once, at the fiber map's nodes.
+    once, at the fiber map's nodes (a segment of
+    :func:`~warpgeo.integrate._segment` reads itself in closed form).
 
     Residuals of the coupled system are always measured on the result and
     stored; if ``residual_tol`` is given they must stay below it.
+
+    (``_base`` is the private path by which
+    :func:`~warpgeo.connect.flrw_connect` hands in its rebuilt base leg
+    ready, as ``(gamma, k, a_r, b_r)`` with ``k`` the warp at ``gamma``'s
+    nodes.  The compatibility check, the fiber map and the residuals then
+    run on what it hands in: no base map is built, and neither the warp
+    along ``mu`` nor ``mu``'s dense output is read.)
     """
     if mu.steps != nu.steps:
         raise InputError("factor curves must share one grid")
-    k = _warp_along(mu, w, r)
-    table = _base_table(mu, r, k)
-    a_r, b_r = _leg_constants(mu, w, r, k, table[1][-1])
+    if _base is None:
+        k = _warp_along(mu, w, r)
+        table = _base_table(mu, r, k)
+        a_r, b_r = _leg_constants(mu, w, r, k, table[1][-1])
+    else:
+        gamma, k_at_gamma, a_r, b_r = _base
     Y0 = TangentVector(nu.points[0], nu.velocities[0])
     ok, defect = check_compatibility(
         mu.points[0], mu.velocities[0], Y0, a_r, b_r, w, r, g1, g2,
@@ -276,9 +291,10 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     )
     if not ok:
         raise CompatibilityError(defect, compat_tol)
-    phi, points, velocities, k_at_phi = _base_map(mu, w, r, *table)
-    gamma = _composed(mu, phi, points, velocities)
-    tau = reparametrize(nu, _fiber_map(gamma, k_at_phi))
+    if _base is None:
+        phi, points, velocities, k_at_gamma = _base_map(mu, w, r, *table)
+        gamma = _composed(mu, phi, points, velocities)
+    tau = reparametrize(nu, _fiber_map(gamma, k_at_gamma))
     residuals = coupled_residual(g1, g2, w, gamma, tau)
     if residual_tol is not None and max(residuals) > residual_tol:
         raise NumericalError(

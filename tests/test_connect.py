@@ -99,11 +99,12 @@ def test_the_readme_example_solves_in_few_dial_evaluations(monkeypatch):
     # 71 integrations here, and Brent's method on the walk's bracket 8 and
     # 34, its last three evaluations below the dial's resolution.  Every
     # evaluation shot to 1e-10 and central-difference Jacobians took 31.
+    # Every shot is the base's: the circle fiber's leg is a segment.
     shots = _count_calls(monkeypatch, connect, "_geodesic_flat")
     report = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
                                (X0, np.zeros(1)), (X1, np.array([0.4])))
     assert report.iterations == 5
-    assert len(shots) == 23
+    assert len(shots) == 22
     assert report.endpoint_error <= wg.IntegratorConfig().tolerance
 
 
@@ -812,6 +813,13 @@ def test_weighted_line_base_closed_form():
     mu = rep.geodesic.base[0]
     assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-12)
     assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
+    # With k constant the base map is the identity and the rebuilt leg is
+    # mu too: the inverse of the running table of k g / sqrt(q) = (1 + t)/2,
+    # with velocity 4 / sqrt(1 + 8 s).
+    gamma = rep.geodesic.gamma
+    root = np.sqrt(1.0 + 8.0 * gamma.params)
+    np.testing.assert_allclose(gamma.points[:, 0], root - 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(gamma.velocities[:, 0], 4.0 / root, rtol=1e-12)
 
 
 def test_reversing_the_line_interval_leaves_the_dial():
@@ -878,10 +886,11 @@ def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
 
 
 def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
-    # The fiber chart and the base's rescaled family each compile one
-    # float loop, whatever the number of dial evaluations.  Equal trees are
-    # one object, so nothing compiles again: not a solve on charts and a
-    # warp built afresh, nor a second CLI run of the same config.
+    # The base's rescaled family compiles one float loop, whatever the
+    # number of dial evaluations; the circle fiber's leg is a segment and
+    # compiles none.  Equal trees are one object, so nothing compiles
+    # again: not a solve on charts and a warp built afresh, nor a second
+    # CLI run of the same config.
     compiled = []
     real = warpfn._function
 
@@ -898,11 +907,10 @@ def test_a_solve_compiles_one_step_per_chart_and_warp(monkeypatch, tmp_path):
         ends = ((X0, np.zeros(1)), (X1, np.array([0.4])))
         return g1, g2, w, wg.connect_points(g1, g2, w, *ends, FAST)
 
-    g1, g2, w, report = solve()
+    g1, _, w, report = solve()
     assert report.iterations > 1
-    assert sum(emitter.loop for emitter in compiled) == 2
+    assert sum(emitter.loop for emitter in compiled) == 1
     before = len(compiled)
-    warpfn.rk4_geodesic_loop(g2.exponent, 1)
     warpfn.rk4_geodesic_loop(wg.conformal_metric(g1, w, report.r).exponent, 2)
     assert len(compiled) == before
     compiled.clear()
@@ -1025,15 +1033,18 @@ def test_a_warp_within_its_declared_bounds_never_trips_the_check(k0, spread, abo
 
 def test_a_solve_builds_the_maps_once_at_the_root(monkeypatch):
     # A dial evaluation reads the constants as quadratures; only the
-    # rebuild of the solved pair builds the maps.
-    calls = _count_calls(monkeypatch, reparam, "_base_map")
+    # rebuild of the solved pair builds the maps.  The line base's rebuilt
+    # leg is the inverse of its own table on the dial's grid, so a line
+    # solve builds its fiber map and no base map.
+    base_maps = _count_calls(monkeypatch, reparam, "_base_map")
+    fiber_maps = _count_calls(monkeypatch, reparam, "_fiber_map")
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     line = wg.euclidean(1)
     report = wg.connect_points(line, line, w, (np.zeros(1), np.zeros(1)),
                                (np.array([2.0]), np.array([0.5])), FAST)
-    assert report.iterations > 1 and len(calls) == 1
+    assert report.iterations > 1 and len(base_maps) == len(fiber_maps) == 1
     report = wg.flrw_connect(w, 0.0, 2.0, np.zeros(1), np.array([0.5]), line, CFG)
-    assert report.iterations > 1 and len(calls) == 2
+    assert report.iterations > 1 and len(base_maps) == 1 and len(fiber_maps) == 2
 
 
 def test_a_non_positive_line_weight_is_a_numerical_failure():
@@ -1064,8 +1075,8 @@ def test_a_line_weight_that_overflows_is_a_numerical_error():
 
 def test_a_line_solve_reads_the_warp_once_and_stops_at_the_resolution(monkeypatch):
     # The README's line instance at 1024 steps.  Its solve evaluates the
-    # warp on the dial's grid once, and once more along the rebuilt base
-    # leg; every evaluation reports the rounding bound of its sums, and the
+    # warp on the dial's grid once, and once more at the points of both
+    # base legs at the root; every evaluation reports the rounding bound of its sums, and the
     # solve stops at the first that matches the target within it: 7
     # evaluations, where running to the bracket width took 8.
     grids, evaluations = [], []
@@ -1094,9 +1105,11 @@ def test_a_line_solve_reads_the_warp_once_and_stops_at_the_resolution(monkeypatc
     assert all(g > e.resolution for g, e in zip(gaps[:-1], evaluations))
 
 
-def test_a_line_solve_integrates_only_the_fiber_shoot(monkeypatch):
-    # The base leg at the root is the first integral's inverse, so the one
-    # geodesic a line solve integrates is the fiber shoot's.
+def test_a_line_solve_integrates_only_a_curved_fibers_shoot(monkeypatch):
+    # The base leg at the root is the first integral's inverse, and the
+    # leg of a fiber whose metric is constant is its segment: a line solve
+    # on such a fiber integrates no geodesic, and on any other fiber only
+    # the fiber shoot's.
     charts = []
     real = integrate._geodesic_flat
 
@@ -1106,11 +1119,66 @@ def test_a_line_solve_integrates_only_the_fiber_shoot(monkeypatch):
 
     for module in (connect, integrate):
         monkeypatch.setattr(module, "_geodesic_flat", counted)
-    g2 = wg.euclidean(1)
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
-    report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), g2, CFG)
+    for g2 in (wg.euclidean(1), wg.circle(2.0)):
+        report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), g2, CFG)
+        assert report.iterations > 1
+        assert charts == []
+    g2 = wg.weighted_line("(1 + t)^2")
+    report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.5]), g2, CFG)
     assert report.iterations > 1
-    assert charts == [g2]
+    assert charts and all(chart is g2 for chart in charts)
+
+
+def test_a_line_solve_inverts_two_tables_and_reads_no_curve_between_nodes(monkeypatch):
+    # mu and the rebuilt leg gamma are each the inverse of one table on the
+    # dial's grid; nothing inverts the base map along mu, and no curve is
+    # read through its interpolant (the fiber's segment reads itself in
+    # closed form)
+    inversions = _count_calls(monkeypatch, connect, "invert_running_integral")
+    along_mu = _count_calls(monkeypatch, reparam, "invert_running_integral")
+    dense_reads = _count_calls(monkeypatch, wg.Curve, "state_at")
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.5)
+    report = wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]), wg.circle(1.0),
+                             CFG, weight="(1 + t)^2")
+    assert report.iterations > 1
+    assert len(inversions) == 2 and along_mu == [] and dense_reads == []
+
+
+def test_the_weighted_line_rebuilt_leg_converges_at_the_tables_order():
+    # The README's line instance: gamma at 256 steps lies within 1e-10 of
+    # a 1024-step solve (4.5e-11 here).  Read through the base map along
+    # mu's dense output, it was 1.45e-9 away.
+    w = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.5)
+
+    def gamma(steps):
+        return wg.flrw_connect(w, 0.0, 6.0, np.zeros(1), np.array([0.9]),
+                               wg.circle(1.0), wg.IntegratorConfig(steps=steps),
+                               weight="(1 + t)^2").geodesic.gamma
+
+    coarse, fine = gamma(256), gamma(1024)
+    assert np.max(np.abs(coarse.points - fine.points[::4])) <= 1e-10
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_a_flat_fibers_leg_is_its_segment(radius):
+    # On a chart whose metric is constant the fiber leg is the segment
+    # y0 + s (y1 - y0), no shoot: it ends at y1 exactly, and the target
+    # fiber distance is R |y1 - y0|, on the line base and when shooting.
+    y0, y1 = np.array([0.1]), np.array([0.9])
+    g2 = wg.circle(radius)
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    line = wg.flrw_connect(w, 0.0, 6.0, y0, y1, g2, CFG)
+    shot = wg.connect_points(wg.poincare_half_plane(), g2, README_WARP,
+                             (X0, y0), (X1, y1), FAST)
+    for report, steps in ((line, CFG.steps), (shot, FAST.steps)):
+        nu = report.geodesic.base[1]
+        assert np.array_equal(nu.points[-1], y1) and np.array_equal(nu.points[0], y0)
+        np.testing.assert_allclose(
+            nu.points[:, 0], 0.1 + 0.8 * np.linspace(0.0, 1.0, steps + 1),
+            rtol=0.0, atol=4 * _num.EPS)
+        assert np.array_equal(report.geodesic.tau.points[-1], y1)
+        assert report.target_beta == pytest.approx(radius * 0.8, rel=4 * _num.EPS)
 
 
 @pytest.mark.parametrize("steps", [256, 512])

@@ -400,6 +400,21 @@ def test_dense_output_is_accurate_between_nodes():
     np.testing.assert_allclose(velocities, want_v, atol=1e-13)
 
 
+def test_a_segment_reads_as_the_interpolant_of_its_nodes():
+    # the segment is read in closed form; the interpolant of the same
+    # nodes reproduces a straight line, so the two readings agree, at a
+    # scalar and at an array of parameters, and the end is y1 exactly
+    y0, y1 = np.array([0.1, 2.0]), np.array([0.9, -0.3])
+    segment = integrate._segment(y0, y1, 64)
+    assert np.array_equal(segment.points[-1], y1)
+    curve = wg.Curve(segment.params, segment.points, segment.velocities)
+    for t in (0.37, np.linspace(0.0, 1.0, 509)):
+        for got, want in zip(segment.state_at(t), curve.state_at(t)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    with pytest.raises(InputError):
+        segment.point_at(1.5)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(nodes=st.integers(5, 1025), dim=st.integers(1, 3),
        length=st.floats(0.05, 50.0), seed=st.integers(0, 2**32 - 1))

@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__, warpfn
 from .connect import (
-    SHOOT_TOL, _beta_from_mu, _line_dial, _shooting_dial, connect_points,
+    SHOOT_TOL, _beta_from_mu, _line_connection, _shooting_dial, connect_points,
     flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, ParameterError, WarpGeoError
@@ -548,8 +548,8 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
     if tc.base.dim == 1:
         t0 = _number(p, "x0", "beta_scan")
         t1 = _number(p, "x1", "beta_scan")
-        dial = _line_dial(w, t0, t1, tc.cfg,
-                          tc.line_weight("beta_scan", ("weight", "first_integral")))
+        dial = _line_connection(w, t0, t1, tc.line_weight(
+            "beta_scan", ("weight", "first_integral")), tc.cfg)[0]
     else:
         dial = _shooting_dial(tc.base, g2, w,
                               _vector(p, "x0", "beta_scan", dim=tc.base.dim),

@@ -53,16 +53,18 @@ whose metric is constant is not shot either: its leg is the segment between
 its end points.
 Every dial is one function of this module's making, ``dial(r, warm,
 tol)``, with ``warm`` the previous evaluation (``None`` to start cold): the
-shooting dial reads its velocity and Jacobian, and the line dial builds its
-batch at its first evaluation and reads neither ``warm`` nor ``tol``.  The
-solve and the command line's ``beta-scan`` call the dials alike.
-Both connections run one driver, which differs between them only in the
-dial and in how it gets the base leg at the root (the converged shot, or
-the first integral's inverse): it makes the trivial connection of
-coinciding fiber points (within 1e-12 absolute), solves for ``r`` with
-one root-find and rebuilds the pair there, and raises
-:class:`~warpgeo.errors.ShootingError` when either rebuilt leg ends farther
-than the integrator tolerance from its requested point.
+shooting dial reads its velocity and Jacobian, and the line dial reads
+neither ``warm`` nor ``tol``.  The solve and the command line's
+``beta-scan`` call the dials alike.
+Both connections run one driver, which differs between them only in its
+``kind``, a builder called once per solve that returns the dial and how it
+gets the base legs at the root (the converged shot, or the first
+integral's inverses, which share the line dial's batch): it makes the
+trivial connection of coinciding fiber points (within 1e-12 absolute),
+which builds neither, solves for ``r`` with one root-find and rebuilds the
+pair there, and raises :class:`~warpgeo.errors.ShootingError` when either
+rebuilt leg ends farther than the integrator tolerance from its requested
+point.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ from .manifold import (
     MetricChart, TangentVector, _reads_no_variable, euclidean, metric_eval,
     weighted_line,
 )
-from .reparam import RiemannianGeodesic, _leg_constants, _warp_along, riemannize
+from .reparam import RiemannianGeodesic, _leg_constants, phi_constant_from_trace, riemannize
 from .warp import (
     WarpField, _require_rescalable, admissible_range, conformal_metric,
     values_along,
@@ -312,10 +314,10 @@ def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
     secant on the bracket it finds.
 
     ``evaluate(r, warm, tol)`` is one dial evaluation (:func:`_shooting_dial`,
-    :func:`_line_dial`), shot to ``tol`` where it shoots and warm-started
-    from ``warm``, the previous evaluation (``None`` for the first); each
-    distinct ``r`` is evaluated once, to the tolerance of the schedule in
-    the module docstring.
+    or the dial of :func:`_line_connection`), shot to ``tol`` where it
+    shoots and warm-started from ``warm``, the previous evaluation
+    (``None`` for the first); each distinct ``r`` is evaluated once, to the
+    tolerance of the schedule in the module docstring.
     A loose evaluation (one whose resolution is wider than ``SHOOT_TOL``)
     with ``|f|`` within twice its resolution is evaluated again at the
     same ``r``, to ``SHOOT_TOL`` and warm-started from itself, before
@@ -488,26 +490,28 @@ class ShootingReport:
 
 
 def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
-             cfg: IntegratorConfig, dial, leg, r_max: float,
+             cfg: IntegratorConfig, kind, r_max: float,
              samples: int) -> ShootingReport:
     """Join ``z0 = (x0, y0)`` to ``z1 = (x1, y1)``: the one connection driver.
 
-    ``dial(r, warm, tol)`` is one dial evaluation for :func:`_solve_r`, and
-    ``leg(r, result)`` the base leg at the root from its evaluation (the
-    shot leg, or on the line base the first integral's inverse), the
-    rebuilt base leg ready for :func:`~warpgeo.reparam.riemannize` (``None``
-    where the rebuild builds it; see ``flrw_connect``), and the
-    first-integral residual measured along the leg (``None`` where there is
-    none).  Fiber end points that coincide, within 1e-12 absolute in every
-    coordinate, make the trivial connection: a constant fiber leg and a
-    ``g1``-geodesic base leg, with no dial.
+    ``kind(cfg)`` builds the connection's two parts at ``cfg``'s step
+    count, ``(dial, legs)``.  ``dial(r, warm, tol)`` is one dial evaluation
+    for :func:`_solve_r`.  ``legs(r, result)`` reads, from the root's
+    evaluation, the base leg at the root (the shot leg, or on the line base
+    the first integral's inverse), the rebuilt base leg ready for
+    :func:`~warpgeo.reparam.riemannize` (``None`` where the rebuild builds
+    it; see :func:`_line_connection`), and the first-integral residual
+    measured along the leg (``None`` where there is none).  Fiber end
+    points that coincide, within 1e-12 absolute in every coordinate, make
+    the trivial connection: a constant fiber leg and a ``g1``-geodesic base
+    leg, with no call of ``kind`` and so no dial.
     Otherwise coinciding base end points raise :class:`BracketingError`;
-    the fiber leg fixes the target ``beta``, the dial is solved for ``r``
-    and the pair rebuilt there, the one map build of a solve.  The fiber
-    leg is the segment from ``y0`` to ``y1`` (:func:`~warpgeo.integrate._segment`)
-    on a chart whose exponent reads no variable, a geodesic there, and a
-    fiber shoot on any other; the constant leg is the segment from ``y0``
-    to itself.  Either way the rebuilt legs must both end within
+    the fiber leg fixes the target ``beta``, ``kind`` is called once, the
+    dial is solved for ``r`` and the pair rebuilt there, the one map build
+    of a solve.  The fiber leg is the segment from ``y0`` to ``y1``
+    (:func:`~warpgeo.integrate._segment`) on a chart whose exponent reads
+    no variable, a geodesic there, and a fiber shoot on any other; the
+    constant leg is the segment from ``y0`` to itself.  Either way the rebuilt legs must both end within
     ``cfg.tolerance`` of ``x1`` and ``y1``, or :class:`ShootingError` is
     raised.
     """
@@ -518,10 +522,7 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
         nu = _segment(y0, y0, cfg.steps)
         geo = RiemannianGeodesic(
             r=math.nan, base=(mu, nu), gamma=mu, tau=nu, a_r=math.nan,
-            b_r=math.nan,
-            initial_tangents=(TangentVector(mu.points[0], mu.velocities[0]),
-                              TangentVector(y0, nu.velocities[0])),
-            residuals=coupled_residual(g1, g2, w, mu, nu),
+            b_r=math.nan, residuals=coupled_residual(g1, g2, w, mu, nu),
         )
         r, X_r, beta, beta0, iterations, fi_residual = (
             None, TangentVector(mu.points[0], X), 0.0, 0.0, 0, None)
@@ -540,10 +541,11 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
             nu = _shoot(g2, y0, y1, cfg)[2]
         V2 = nu.velocities[0]
         beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
+        dial, legs = kind(cfg)
         r, res, iterations = _solve_r(dial, beta0, admissible_range(w).lower,
                                       r_max, samples)
         X_r, beta = res.X_r, res.beta
-        mu, base, fi_residual = leg(r, res)
+        mu, base, fi_residual = legs(r, res)
         geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None,
                          _base=base)
     endpoint_error = float(max(np.max(np.abs(geo.gamma.points[-1] - x1)),
@@ -575,9 +577,9 @@ def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
     threshold; ``samples`` is the largest number of dial evaluations its
     bracketing walk makes before it raises :class:`BracketingError`.
     """
-    return _connect(g1, g2, w, z0, z1, cfg,
-                    _shooting_dial(g1, g2, w, z0[0], z1[0], cfg),
-                    lambda r, res: (res.mu, None, None), r_max, samples)
+    return _connect(g1, g2, w, z0, z1, cfg, lambda cfg: (
+        _shooting_dial(g1, g2, w, z0[0], z1[0], cfg),
+        lambda r, res: (res.mu, None, None)), r_max, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -784,64 +786,24 @@ def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
                       resolution=(weights.size + 2.0 + rho) * EPS)
 
 
-def _line_dial(w: WarpField, t0: float, t1: float, cfg: IntegratorConfig,
-               weight, held: Optional[list] = None):
-    """The dial of :func:`flrw_connect`: ``dial(r, warm, tol)`` is
-    :func:`flrw_beta` on one batch (:func:`_line_batch`, ``weight`` parsed
-    or ``None``), and reads neither ``warm`` nor ``tol``.  The batch is
-    built at the first evaluation, so that coinciding fiber end points
-    reach the coincidence check in :func:`_connect` first, and kept as the
-    one item of ``held``: a plain list, which a caller that reads the batch
-    after the solve owns and hands in.  (Kept on the dial itself, the
-    batch would sit in a reference cycle through the dial's closure, and
-    each solve's arrays would wait for the cycle collector.)"""
-    held = [] if held is None else held
+def _line_connection(w: WarpField, t0: float, t1: float, weight,
+                     cfg: IntegratorConfig):
+    """The two parts of :func:`flrw_connect`'s connection, ``(dial, legs)``
+    (see :func:`_connect`), on one batch (:func:`_line_batch`, ``weight``
+    parsed or ``None``) built here, at ``cfg``'s step count.
+
+    ``dial(r, warm, tol)`` is :func:`flrw_beta` on the batch and reads
+    neither ``warm`` nor ``tol``.  ``legs(r, res)`` reads the base leg at
+    the root, and the rebuilt one, as the inverses of two running tables
+    on the batch's grid, as :func:`flrw_connect` describes, with the warp
+    and the weight at both legs' points one more batch."""
+    batch = _line_batch(w, t0, t1, cfg.steps, weight)
 
     def dial(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
-        if not held:
-            held.append(_line_batch(w, t0, t1, cfg.steps, weight))
-        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=held[0])
-    return dial
+        return flrw_beta(w, t0, t1, r, cfg, weight, _batch=batch)
 
-
-def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
-                 g2: MetricChart, cfg: IntegratorConfig = IntegratorConfig(),
-                 *, weight=None,
-                 r_max: float = R_MAX_DEFAULT,
-                 samples: int = R_WALK_SAMPLES) -> ShootingReport:
-    """Boundary connection on a line base, using the first integral.
-
-    Same contract as :func:`connect_points` for a one-dimensional base
-    chart (optionally weighted, as in :func:`flrw_beta`), but each dial
-    evaluation reads the explicit first integral of the base equation
-    instead of shooting.  The base leg at the root is that integral's
-    inverse, not an integrated geodesic: it solves ``mu' S(mu) = c``, so
-    ``mu = t0 + span u`` with ``u`` the inverse of the slowness's running
-    integral on the dial's grid (:func:`~warpgeo._num.invert_running_integral`,
-    which raises :class:`NumericalError` where that table does not resolve
-    it), its ends pinned to ``t0`` and ``t1``, and ``mu' = c / S(mu)`` with
-    ``c = span int S``.  The report's ``first_integral_residual`` measures
-    the leg's positions against the running integral of its velocities.
-
-    The rebuilt base leg is read the same way, not built by the base map
-    along ``mu``: by the chain rule through ``mu' = c / S`` and the map's
-    ``a (1 + r k) / k``, its parameter runs as the running integral of
-    ``k g / sqrt(q)`` over the grid, the integrand of the dial's ``a``, so
-    ``gamma = t0 + span v`` with ``v`` that table's inverse and
-    ``gamma' = span T sqrt(q) / (k g)``, ``T`` the table's total.  The warp
-    and the weight at both legs' points are one batch, and ``gamma``'s
-    constants ``a_r`` and ``b_r`` are the dial's totals at the root.  With
-    a fiber whose metric is constant the fiber leg is a segment too
-    (:func:`_connect`), so such a solve integrates no geodesic and reads no
-    curve between its nodes.
-    ``r_max`` and ``samples`` bound the solve as in :func:`connect_points`.
-    """
-    weight = _line_weight(weight)
-    base_chart = weighted_line(weight) if weight is not None else euclidean(1)
-    held: list = []  # the dial's batch, which the leg reads too
-
-    def leg(r, res):
-        k, g = held[0][1:3]
+    def legs(r, res):
+        k, g = batch[1:3]
         root = np.sqrt(1.0 + r * k)
         grid = _grid(cfg.steps)
         h, n, span = grid[1] - grid[0], grid.size, t1 - t0
@@ -862,9 +824,48 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
         gamma = Curve(grid, points[n:], (totals[1] * root[n:] / (k[n:] * g[n:]))[:, None])
         return (Curve(grid, points[:n], speed[:, None]), (gamma, k[n:], res.a_r, res.b_r),
                 float(np.max(np.abs(drift))))
+    return dial, legs
 
+
+def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
+                 g2: MetricChart, cfg: IntegratorConfig = IntegratorConfig(),
+                 *, weight=None,
+                 r_max: float = R_MAX_DEFAULT,
+                 samples: int = R_WALK_SAMPLES) -> ShootingReport:
+    """Boundary connection on a line base, using the first integral.
+
+    Same contract as :func:`connect_points` for a one-dimensional base
+    chart (optionally weighted, as in :func:`flrw_beta`), but each dial
+    evaluation reads the explicit first integral of the base equation
+    instead of shooting, and the dial and the legs at the root share one
+    batch (:func:`_line_connection`).  The base leg at the root is that
+    integral's inverse, not an integrated geodesic: it solves
+    ``mu' S(mu) = c``, so ``mu = t0 + span u`` with ``u`` the inverse of
+    the slowness's running integral on the dial's grid
+    (:func:`~warpgeo._num.invert_running_integral`, which raises
+    :class:`NumericalError` where that table does not resolve it), its ends
+    pinned to ``t0`` and ``t1``, and ``mu' = c / S(mu)`` with
+    ``c = span int S``.  The report's ``first_integral_residual`` measures
+    the leg's positions against the running integral of its velocities.
+
+    The rebuilt base leg is read the same way, not built by the base map
+    along ``mu``: by the chain rule through ``mu' = c / S`` and the map's
+    ``a (1 + r k) / k``, its parameter runs as the running integral of
+    ``k g / sqrt(q)`` over the grid, the integrand of the dial's ``a``, so
+    ``gamma = t0 + span v`` with ``v`` that table's inverse and
+    ``gamma' = span T sqrt(q) / (k g)``, ``T`` the table's total.  The warp
+    and the weight at both legs' points are one batch, and ``gamma``'s
+    constants ``a_r`` and ``b_r`` are the dial's totals at the root.  With
+    a fiber whose metric is constant the fiber leg is a segment too
+    (:func:`_connect`), so such a solve integrates no geodesic and reads no
+    curve between its nodes.  Coinciding fiber end points make the trivial
+    connection before the batch is built.
+    ``r_max`` and ``samples`` bound the solve as in :func:`connect_points`.
+    """
+    weight = _line_weight(weight)
+    base_chart = weighted_line(weight) if weight is not None else euclidean(1)
     return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
-                    _line_dial(w, t0, t1, cfg, weight, held), leg, r_max, samples)
+                    lambda cfg: _line_connection(w, t0, t1, weight, cfg), r_max, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -880,18 +881,18 @@ def beta_bounds(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
 
         |X|^2 a_r / b_r^2  <=  beta(r)^2  <=  |X|^2 (a_r^2/b_r^2) I(gamma)
 
-    where ``I(gamma)`` integrates ``(1+r k)/k`` along ``gamma``.  Returns
+    where ``I(gamma)`` integrates ``(1+r k)/k`` along ``gamma``, the
+    reciprocal of :func:`~warpgeo.reparam.phi_constant_from_trace`.  Returns
     the three numbers and the bound checks.  A node of ``gamma`` where
     ``k`` or ``1 + r k`` is not positive raises :class:`NumericalError`.
     """
     admissible_range(w).require(r)
     x0 = np.asarray(x0, dtype=float)
     X, _, gamma, _ = _shoot(g1, x0, x1, cfg)
-    k = _warp_along(gamma, w, r)
+    upper_integral = 1.0 / phi_constant_from_trace(gamma, w, r)
     q = metric_eval(g1, x0, X, X)
     res = beta_of_r(g1, g2, w, x0, x1, r, cfg)
     a, b = res.a_r, res.b_r
-    upper_integral = cumulative_simpson((1.0 + r * k) / k, gamma.h)[-1]
     lower = q * a / (b * b)
     upper = q * (a * a) / (b * b) * upper_integral
     beta2 = res.beta ** 2

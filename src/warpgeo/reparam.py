@@ -190,13 +190,14 @@ class RiemannianGeodesic:
     """A mixed-signature geodesic rebuilt from rescaled-factor legs.
 
     ``base`` holds the input pair ``(mu, nu)``; ``gamma`` and ``tau`` are
-    the reparametrized legs forming the actual geodesic.  ``a_r`` and
-    ``b_r`` are the quadrature constants of :func:`_leg_constants` along
-    ``mu``, except on the line base (:func:`~warpgeo.connect.flrw_connect`),
-    where they are the dial's totals over its grid at the root
-    (:func:`~warpgeo.connect.flrw_beta`), the constants ``gamma`` is built
-    from.  The maps that produced the legs are not kept: to read one,
-    call :func:`compute_a_and_phi` or :func:`compute_b_and_psi`.
+    the reparametrized legs forming the actual geodesic, and
+    :attr:`initial_tangents` their tangents at their first nodes.  ``a_r``
+    and ``b_r`` come from the dial at ``r``: the quadratures of
+    :func:`_leg_constants` along ``mu``, or on the line base
+    (:func:`~warpgeo.connect.flrw_connect`) the dial's totals over its grid
+    at the root (:func:`~warpgeo.connect.flrw_beta`).  The maps that
+    produced the legs are not kept: to read one, call
+    :func:`compute_a_and_phi` or :func:`compute_b_and_psi`.
     """
 
     r: float
@@ -205,8 +206,13 @@ class RiemannianGeodesic:
     tau: Curve
     a_r: float
     b_r: float
-    initial_tangents: tuple[TangentVector, TangentVector]
     residuals: tuple[float, float]
+
+    @property
+    def initial_tangents(self) -> tuple[TangentVector, TangentVector]:
+        """The tangents of ``gamma`` and ``tau`` at their first nodes."""
+        return (TangentVector(self.gamma.points[0], self.gamma.velocities[0]),
+                TangentVector(self.tau.points[0], self.tau.velocities[0]))
 
     def to_dict(self) -> dict:
         Xt, Yt = self.initial_tangents
@@ -300,14 +306,8 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
         raise NumericalError(
             f"coupled-system residuals {residuals} exceed {residual_tol:g}"
         )
-    tangents = (
-        TangentVector(gamma.points[0], gamma.velocities[0]),
-        TangentVector(tau.points[0], tau.velocities[0]),
-    )
-    return RiemannianGeodesic(
-        r=r, base=(mu, nu), gamma=gamma, tau=tau, a_r=a_r, b_r=b_r,
-        initial_tangents=tangents, residuals=residuals,
-    )
+    return RiemannianGeodesic(r=r, base=(mu, nu), gamma=gamma, tau=tau, a_r=a_r,
+                              b_r=b_r, residuals=residuals)
 
 
 def tangent_transform(X_r, Y_r: TangentVector, x0, a_r: float, b_r: float,

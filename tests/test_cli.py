@@ -519,6 +519,18 @@ def test_beta_scan_reads_the_line_from_the_base_chart(tmp_path, base, chart):
         assert beta == pytest.approx(shot.beta, rel=1e-8)
 
 
+def test_beta_scan_on_a_line_with_coinciding_end_points_is_an_input_error(tmp_path):
+    doc = dict(LINE_PRODUCT, task="beta-scan", base_chart={"name": "euclidean", "dim": 1},
+               beta_scan={"r_values": [0.5, 2.0], "x0": 2.0, "x1": 2.0})
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 2
+    assert not (out / "report.json").exists()
+    with open(out / "error.json") as fh:
+        payload = json.load(fh)
+    assert payload["error"] == "InputError"
+    assert "base endpoints coincide" in payload["message"]
+
+
 @pytest.mark.parametrize("base", [CIRCLE, WEIGHTED], ids=["circle", "weighted_line"])
 def test_flrw_reads_the_line_from_the_base_chart(tmp_path, base):
     doc = dict(LINE_PRODUCT, task="flrw", base_chart=base, integrator={"steps": 512},

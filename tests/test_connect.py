@@ -1007,6 +1007,31 @@ def test_a_warp_that_falls_to_zero_is_a_typed_error_where_k_is_read():
             reparam._leg_constants(leg, falling, 0.1)
 
 
+def test_a_line_connection_builds_its_batch_only_past_the_coincidence_check(monkeypatch):
+    # x1 - 2 is negative on [0, 2): the line dial's batch raises on it, but
+    # coinciding fiber end points make the trivial connection first, and
+    # build no batch at all
+    falling = wg.WarpField.from_expression("x1 - 2", 1, 1.0, 3.0)
+    cfg = wg.IntegratorConfig(steps=64)
+    batches = []
+    real = connect._line_batch
+
+    def counted(*args):
+        batches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(connect, "_line_batch", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = wg.flrw_connect(falling, 0.0, 6.0, np.array([0.5]), np.array([0.5]),
+                                 wg.euclidean(1), cfg)
+        assert report.r is None and batches == []
+        with pytest.raises(NumericalError, match="the warp k must stay positive"):
+            wg.flrw_connect(falling, 0.0, 6.0, np.array([0.5]), np.array([0.9]),
+                            wg.euclidean(1), cfg)
+    assert len(batches) == 1
+
+
 def test_the_dial_bounds_check_the_warp_along_the_base_geodesic():
     # k reaches 2.5 where K0 = 2.2 is declared: at r = -0.44, admissible by
     # the declaration, 1 + r k < 0 from k = 2.27, which the base geodesic
@@ -1220,9 +1245,8 @@ def test_an_unresolved_inverse_of_the_line_leg_is_a_numerical_error():
 
 
 def test_a_line_solve_leaves_nothing_for_the_cycle_collector():
-    # The dial and the base leg share the solve's one batch through a plain
-    # list that flrw_connect owns: a batch kept on the dial function, which
-    # refers to itself through its closure, would be a cycle, and every
+    # The dial and the legs close over the solve's one batch, and neither
+    # refers to itself: a closure that did would be a cycle, and every
     # solve's arrays would wait for the collector.
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
 
@@ -1244,6 +1268,10 @@ def test_line_base_rejects_an_empty_interval():
     one = wg.WarpField.constant(1.0, 1)
     with pytest.raises(InputError):
         wg.flrw_beta(one, 1.0, 1.0, 0.0, CFG)
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    with pytest.raises(InputError, match="^base endpoints coincide; the first "
+                       "integral degenerates$"):
+        wg.flrw_beta(w, 2.0, 2.0, 0.5)
     g2 = wg.euclidean(1)
     with pytest.raises(BracketingError):
         wg.flrw_connect(one, 1.0, 1.0, np.zeros(1), np.ones(1), g2, CFG)

@@ -366,9 +366,10 @@ def test_the_check_sees_a_second_call_site():
 
 def _line_leg_integrations(source: str) -> list[str]:
     """The names of a geodesic integration on the rescaled line that
-    ``flrw_connect``, or a function nested in it, reads."""
+    ``_line_connection``, which builds the line legs, or a function nested
+    in it, reads."""
     function = next(node for node in ast.parse(source).body
-                    if isinstance(node, ast.FunctionDef) and node.name == "flrw_connect")
+                    if isinstance(node, ast.FunctionDef) and node.name == "_line_connection")
     read = {getattr(node, "id", None) or getattr(node, "attr", None)
             for node in ast.walk(function)}
     return sorted(read & {"integrate_geodesic", "conformal_metric"})
@@ -381,7 +382,7 @@ def test_the_line_connection_integrates_no_base_leg():
 
 
 def test_the_check_sees_a_base_leg_integrated():
-    source = ("def flrw_connect(w, r):\n    def leg(chart):\n"
+    source = ("def _line_connection(w, r):\n    def leg(chart):\n"
               "        return integrate.integrate_geodesic(chart)\n"
               "    return leg(conformal_metric(line, w, r))\n"
               "def beta_of_r(w, r):\n    return integrate_geodesic(conformal_metric(w, r))\n")
@@ -408,7 +409,8 @@ def _dial_internals(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_connect_module_reaches_into_a_dial(path):
     # every dial is dial(r, warm, tol), built in connect, which alone
-    # decides what a warm start carries and how the line dial keeps its batch
+    # decides what a warm start carries and which batch the line dial and
+    # its legs share
     found = _dial_internals(path.read_text())
     if path.name == "connect.py":
         assert found

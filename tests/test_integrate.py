@@ -607,10 +607,7 @@ def test_batched_diagnostics_match_pointwise_references(base, fiber, cb, cf, r, 
     want = _pointwise_residual(g1, g2, w, gamma, tau)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     geo = wg.RiemannianGeodesic(
-        r=r, base=(mu, nu), gamma=gamma, tau=tau, a_r=a, b_r=b,
-        initial_tangents=(wg.TangentVector(gamma.points[0], gamma.velocities[0]),
-                          wg.TangentVector(tau.points[0], tau.velocities[0])),
-        residuals=got)
+        r=r, base=(mu, nu), gamma=gamma, tau=tau, a_r=a, b_r=b, residuals=got)
     got = wg.norm_identity_errors(geo, w, g1, g2)
     want = _pointwise_norm_identities(geo, w, g1, g2)
     for key in want:

@@ -22,13 +22,11 @@ from .manifold import (
 from .warp import (
     WarpField, WarpParameterRange, admissible_range, conformal_metric,
     covariant_hessian, equivalence_bounds, negativity_check,
-    rescaled_curvature, sectional_curvature_conformal, value_and_grad,
-    values_along,
+    rescaled_curvature, sectional_curvature_conformal, values_along,
 )
 from .integrate import (
     Curve, IntegratorConfig, coupled_residual, curve_from_csv, curve_to_csv,
-    geodesic_residual, integrate_coupled_oracle, integrate_geodesic,
-    integrate_product_geodesic, speed_drift,
+    geodesic_residual, integrate_coupled_oracle, integrate_geodesic, speed_drift,
 )
 from .reparam import (
     MonotoneMap, RiemannianGeodesic, check_compatibility, classify_riemannian,

@@ -25,7 +25,9 @@ from .errors import InputError, NumericalError
 EPS = sys.float_info.epsilon
 SQRT_EPS = float(np.sqrt(EPS))
 # The bracket width ``BRENT_XTOL + BRENT_RTOL |r|`` at which a solve for
-# ``r`` on a dial that reports no resolution stops (scipy's brentq defaults).
+# ``r`` on a dial that reports no resolution stops.  The refinement is the
+# Anderson-Bjorck secant; the values, and so the names, are the defaults of
+# scipy's ``brentq``.
 BRENT_XTOL, BRENT_RTOL = 1e-12, 4.0 * EPS
 # The largest error estimate a node of :func:`invert_running_integral` may
 # carry, as a fraction of the grid step.  The estimate of a rebuilt leg

@@ -23,8 +23,8 @@ import yaml
 
 from . import __version__, warpfn
 from .connect import (
-    SHOOT_TOL, _beta_from_mu, _line_connection, _shooting_dial, connect_points,
-    flrw_connect, partial_connect, theta_consistency,
+    R_MAX_DEFAULT, R_WALK_SAMPLES, SHOOT_TOL, _beta_from_mu, _line_connection,
+    _shooting_dial, connect_points, flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, ParameterError, WarpGeoError
 from .integrate import (
@@ -97,17 +97,14 @@ def _flag(section: dict, key: str, where: str, default: bool) -> bool:
     return raw
 
 
-def _vector(section, key, where, dim=None, required=True, default=None):
-    raw = _get(section, key, where, required, default)
-    if raw is None:
-        return None
+def _vector(section, key, where, dim):
     try:
-        vec = np.asarray(raw, dtype=float)
+        vec = np.asarray(_get(section, key, where), dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}.{key} must be a list of numbers: {exc}") from None
     if vec.ndim != 1:
         raise InputError(f"{where}.{key} must be a flat list of numbers")
-    if dim is not None and vec.shape[0] != dim:
+    if vec.shape[0] != dim:
         raise InputError(f"{where}.{key} must have {dim} entries, got {vec.shape[0]}")
     if not np.isfinite(vec).all():
         raise InputError(f"{where}.{key} must be finite, got {vec.tolist()}")
@@ -375,12 +372,10 @@ def run_connect(tc: TaskConfig, out: Path) -> dict:
           _vector(p, "y0", "connect", dim=g2.dim))
     z1 = (_vector(p, "x1", "connect", dim=tc.base.dim),
           _vector(p, "y1", "connect", dim=g2.dim))
-    kwargs = {}
-    if "r_max" in p:
-        kwargs["r_max"] = _number(p, "r_max", "connect")
-    if "samples" in p:
-        kwargs["samples"] = _count(p, "samples", "connect", default=None, least=2)
-    rep = connect_points(tc.base, g2, w, z0, z1, tc.cfg, **kwargs)
+    rep = connect_points(
+        tc.base, g2, w, z0, z1, tc.cfg,
+        r_max=_number(p, "r_max", "connect", required=False, default=R_MAX_DEFAULT),
+        samples=_count(p, "samples", "connect", default=R_WALK_SAMPLES, least=2))
     return _finish_connection(rep, w, tc.base, g2, out)
 
 
@@ -539,7 +534,7 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
         r_values = _numbers(p, "r_values", "beta_scan")
     else:
         count = _count(p, "samples", "beta_scan", default=64, least=2)
-        r_max = _number(p, "r_max", "beta_scan", default=1e6, required=False)
+        r_max = _number(p, "r_max", "beta_scan", required=False, default=R_MAX_DEFAULT)
         if not r_max > lower:
             raise ParameterError(r_max, lower, "beta_scan.r_max")
         start = lower + 1e-3 * (1.0 + abs(lower))

@@ -227,10 +227,9 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
 
 
 def shoot_boundary(chart: MetricChart, x0, x1,
-                   cfg: IntegratorConfig = IntegratorConfig(),
-                   v_init=None, tol: float = SHOOT_TOL) -> TangentVector:
+                   cfg: IntegratorConfig = IntegratorConfig()) -> TangentVector:
     """Initial velocity whose chart geodesic reaches ``x1`` at parameter 1."""
-    v, _, _, _ = _shoot(chart, x0, x1, cfg, v_init=v_init, tol=tol)
+    v, _, _, _ = _shoot(chart, x0, x1, cfg)
     return TangentVector(np.asarray(x0, dtype=float), v)
 
 
@@ -632,9 +631,10 @@ def partial_connect(mu_nu: tuple[Curve, Curve], alpha: float, w: WarpField,
     return beta, 0.0 - beta  # +0.0, not -0.0, at alpha = 0
 
 
-def _self_intersection_check(curve: Curve, samples: int = 192):
-    """Reject traces that revisit themselves (coarse pairwise scan)."""
-    idx = np.linspace(0, curve.steps, samples, dtype=int)
+def _self_intersection_check(curve: Curve):
+    """Reject traces that revisit themselves (coarse pairwise scan of 192
+    nodes)."""
+    idx = np.linspace(0, curve.steps, 192, dtype=int)
     pts = curve.points[idx]
     t = curve.params[idx]
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -671,8 +671,8 @@ def theta_consistency(mu: Curve, nu: Curve, w: WarpField, r: float,
         "beta_displayed": beta_disp,
         "beta_compat": beta_compat,
         "relative_gap": gap,
-        "point_displayed": np.asarray(nu.point_at(beta_disp), dtype=float),
-        "point_compat": np.asarray(nu.point_at(beta_compat), dtype=float),
+        "point_displayed": nu.state_at(beta_disp)[0],
+        "point_compat": nu.state_at(beta_compat)[0],
     }
 
 

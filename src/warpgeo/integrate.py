@@ -60,8 +60,7 @@ from .manifold import (
 from .warp import WarpField
 
 __all__ = [
-    "Curve", "IntegratorConfig", "integrate_geodesic",
-    "integrate_product_geodesic", "integrate_coupled_oracle",
+    "Curve", "IntegratorConfig", "integrate_geodesic", "integrate_coupled_oracle",
     "coupled_residual", "speed_drift", "curve_to_csv", "curve_from_csv",
 ]
 
@@ -185,26 +184,16 @@ class Curve:
         """Interpolated position and velocity; ``t`` may be a scalar or an
         array.  Both are read from the curve's one interpolant at once."""
         if self._interpolant is None:
-            d1 = np.hstack((self.velocities, derivative_on_grid(self.velocities, self.h)))
+            acc = derivative_on_grid(self.velocities, self.h)
             self._interpolant = _hermite_quintic(
-                self.params, np.hstack((self.points, self.velocities)), d1,
-                derivative_on_grid(d1, self.h))
+                self.params, np.hstack((self.points, self.velocities)),
+                np.hstack((self.velocities, acc)),
+                np.hstack((acc, derivative_on_grid(acc, self.h))))
         states = self._interpolant(self._clamp(t))
         return states[..., :self.dim], states[..., self.dim:]
 
-    def point_at(self, t) -> np.ndarray:
-        """Interpolated position; ``t`` may be a scalar or an array."""
-        return self.state_at(t)[0]
-
-    def velocity_at(self, t) -> np.ndarray:
-        """Interpolated velocity; ``t`` may be a scalar or an array."""
-        return self.state_at(t)[1]
-
     def endpoint(self) -> np.ndarray:
         return self.points[-1]
-
-    def initial_velocity(self) -> np.ndarray:
-        return self.velocities[0]
 
 
 class _Segment(Curve):
@@ -369,20 +358,6 @@ def integrate_geodesic(chart: MetricChart, p0, v0,
                        cfg: IntegratorConfig = IntegratorConfig()) -> Curve:
     """Geodesic of the chart's metric from ``(p0, v0)``, over ``[0, 1]``."""
     return _curve(_geodesic_flat(chart, p0, v0, cfg.steps), chart.dim)
-
-
-def integrate_product_geodesic(g1: MetricChart, g2: MetricChart, z0, V0,
-                               cfg: IntegratorConfig = IntegratorConfig()
-                               ) -> tuple[Curve, Curve]:
-    """Independent geodesics of the two factors from a product initial state.
-
-    ``z0 = (p1, p2)`` and ``V0 = (v1, v2)`` as pairs of coordinate arrays.
-    """
-    (p1, p2), (v1, v2) = z0, V0
-    return (
-        integrate_geodesic(g1, p1, v1, cfg),
-        integrate_geodesic(g2, p2, v2, cfg),
-    )
 
 
 def _contract(G: np.ndarray, v: np.ndarray) -> np.ndarray:

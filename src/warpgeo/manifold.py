@@ -289,14 +289,14 @@ def riemann_tensor(chart: MetricChart, p) -> np.ndarray:
     return R
 
 
-def _require_orthonormal(g, frames, tol=1e-8):
-    """Raise :class:`InputError` unless every frame is orthonormal to ``tol``.
+def _require_orthonormal(g, frames):
+    """Raise :class:`InputError` unless every frame is orthonormal to 1e-8.
 
     ``frames`` is ``(..., m, d)``, ``m`` vectors per frame, and ``g`` the
     metrics ``(..., d, d)``, broadcast against the frames' leading axes.
     """
     gram = frames @ g @ np.swapaxes(frames, -1, -2)
-    near = np.abs(gram - np.eye(frames.shape[-2])) <= tol
+    near = np.abs(gram - np.eye(frames.shape[-2])) <= 1e-8
     if not near.all():
         G = gram[~near.all(axis=(-2, -1))][0].tolist()
         if len(G) == 1:

@@ -15,7 +15,8 @@ The constants alone need no map: changing variables along ``mu`` gives
 ``a = int_0^1 k/(1 + r k)(mu)`` and ``1/b = (1/a) int_0^1 1/(1 + r k)(mu)``,
 two quadratures over ``mu``'s nodes (:func:`_leg_constants`).  Those are the
 constants of every rebuilt leg; the maps are built only to reparametrize it,
-and are read at the grid nodes only.
+and are read at the grid nodes only.  One builder, :func:`_base_leg`, makes
+the base map, the rebuilt base leg and both constants from one table.
 
 The module also hosts the compatibility condition coupling the two initial
 tangents, the tangent-vector transformation between the two descriptions,
@@ -89,30 +90,32 @@ def compute_a_and_phi(mu: Curve, w: WarpField, r: float) -> MonotoneMap:
     and raises :class:`NumericalError` where the table does not resolve it.
     The map's derivative needs the warp at ``mu``'s points at the map's
     nodes.  A node where ``k`` or ``1 + r k`` is not positive raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  The map is the first part of
+    :func:`_base_leg`.
     """
-    return _base_map(mu, w, r, *_base_table(mu, r, _warp_along(mu, w, r)))[0]
+    return _base_leg(mu, w, r)[0]
 
 
-def _base_table(mu: Curve, r: float, k: np.ndarray):
-    """The integrand ``k/(1 + r k)`` at ``mu``'s nodes, from the warp ``k``
-    there, and its running integral: the base map's inverse, whose last
-    node is the constant ``a``."""
+def _base_leg(mu: Curve, w: WarpField, r: float):
+    """The rebuilt base leg along ``mu``: ``(phi, gamma, k, a, b)``.
+
+    ``phi`` is the map of :func:`compute_a_and_phi`, ``gamma`` is ``mu``
+    composed with it, ``k`` the warp at ``gamma``'s nodes and ``(a, b)``
+    the constants of :func:`_leg_constants`.  The warp is read once along
+    ``mu``'s nodes, for the running table of ``k/(1 + r k)``, whose last
+    node is ``a``, and once at ``mu``'s points at the map's nodes, where
+    ``mu``'s dense output is read once; the table is inverted once.
+    """
+    k = _warp_along(mu, w, r)
     integrand = k / (1.0 + r * k)
-    return integrand, cumulative_simpson(integrand, mu.h)
-
-
-def _base_map(mu: Curve, w: WarpField, r: float, integrand, accum):
-    """The map of :func:`compute_a_and_phi` from its table
-    (:func:`_base_table`), with the points and velocities of ``mu`` at the
-    map's nodes and the warp there: ``mu``'s dense output and the warp are
-    read once each."""
+    accum = cumulative_simpson(integrand, mu.h)
     a = accum[-1]
     values = invert_running_integral(mu.params, accum, integrand)[0]
     points, velocities = mu.state_at(values)
-    k_at_phi = values_along(w, points)
-    phi = MonotoneMap(mu.params, values, a, a * (1.0 + r * k_at_phi) / k_at_phi)
-    return phi, points, velocities, k_at_phi
+    k_at_gamma = values_along(w, points)
+    phi = MonotoneMap(mu.params, values, a, a * (1.0 + r * k_at_gamma) / k_at_gamma)
+    b = a / cumulative_simpson(1.0 / (1.0 + r * k), mu.h)[-1]
+    return phi, _composed(mu, phi, points, velocities), k_at_gamma, a, b
 
 
 def compute_b_and_psi(gamma: Curve, w: WarpField) -> MonotoneMap:
@@ -227,20 +230,16 @@ class RiemannianGeodesic:
         }
 
 
-def _leg_constants(mu: Curve, w: WarpField, r: float, k: Optional[np.ndarray] = None,
-                   a: Optional[float] = None) -> tuple[float, float]:
+def _leg_constants(mu: Curve, w: WarpField, r: float) -> tuple[float, float]:
     """The constants ``(a, b)`` of the maps along ``mu``, without the maps.
 
-    ``a`` is the last node of the base map's table (:func:`_base_table`),
-    so it equals ``phi.constant`` exactly; ``b`` is the same rule over
-    ``1/(1 + r k)``, divided into ``a``.  ``k`` is the warp at ``mu``'s
-    nodes from :func:`_warp_along`, and ``a`` that table's last node, each
-    evaluated here when not given.  A node where ``k`` or ``1 + r k`` is
-    not positive raises :class:`NumericalError`.
+    ``a`` is the last node of the base map's running table
+    (:func:`_base_leg`), so it equals ``phi.constant`` exactly; ``b`` is
+    the same rule over ``1/(1 + r k)``, divided into ``a``.  A node where
+    ``k`` or ``1 + r k`` is not positive raises :class:`NumericalError`.
     """
-    if k is None:
-        k = _warp_along(mu, w, r)
-    a = _base_table(mu, r, k)[1][-1] if a is None else a
+    k = _warp_along(mu, w, r)
+    a = cumulative_simpson(k / (1.0 + r * k), mu.h)[-1]
     return a, a / cumulative_simpson(1.0 / (1.0 + r * k), mu.h)[-1]
 
 
@@ -263,14 +262,17 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     ``mu`` must be a geodesic of the rescaled base metric for this ``r``
     and ``nu`` a geodesic of the fiber; their initial tangents must pass
     the compatibility check under the constants of :func:`_leg_constants`.
-    The base map is computed from ``mu``, the fiber map from the already
-    reparametrized base leg, matching the defining relation of the fiber
-    equation.  The warp is evaluated once along ``mu``'s nodes, for the
-    base map's table, which gives both constants too, and once at ``mu``'s
-    points at the base map's nodes, for that map's derivative and the fiber
-    map; the dense output of ``mu`` is read once, there, and that of ``nu``
-    once, at the fiber map's nodes (a segment of
-    :func:`~warpgeo.integrate._segment` reads itself in closed form).
+    The base leg and both constants come from ``mu`` in one
+    :func:`_base_leg`, the fiber map from that reparametrized base leg,
+    matching the defining relation of the fiber equation: the warp at
+    ``gamma``'s nodes that the base map's derivative needs serves the
+    fiber map too.  The dense output of ``nu`` is read once, at the fiber
+    map's nodes (a segment of :func:`~warpgeo.integrate._segment` reads
+    itself in closed form).
+
+    The base leg is built before the compatibility check, so an input
+    whose base-map table cannot be inverted raises that inversion's
+    :class:`NumericalError` even when its tangents are also incompatible.
 
     Residuals of the coupled system are always measured on the result and
     stored; if ``residual_tol`` is given they must stay below it.
@@ -284,12 +286,7 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     """
     if mu.steps != nu.steps:
         raise InputError("factor curves must share one grid")
-    if _base is None:
-        k = _warp_along(mu, w, r)
-        table = _base_table(mu, r, k)
-        a_r, b_r = _leg_constants(mu, w, r, k, table[1][-1])
-    else:
-        gamma, k_at_gamma, a_r, b_r = _base
+    gamma, k_at_gamma, a_r, b_r = _base_leg(mu, w, r)[1:] if _base is None else _base
     Y0 = TangentVector(nu.points[0], nu.velocities[0])
     ok, defect = check_compatibility(
         mu.points[0], mu.velocities[0], Y0, a_r, b_r, w, r, g1, g2,
@@ -297,9 +294,6 @@ def riemannize(mu: Curve, nu: Curve, w: WarpField, r: float,
     )
     if not ok:
         raise CompatibilityError(defect, compat_tol)
-    if _base is None:
-        phi, points, velocities, k_at_gamma = _base_map(mu, w, r, *table)
-        gamma = _composed(mu, phi, points, velocities)
     tau = reparametrize(nu, _fiber_map(gamma, k_at_gamma))
     residuals = coupled_residual(g1, g2, w, gamma, tau)
     if residual_tol is not None and max(residuals) > residual_tol:

@@ -39,7 +39,7 @@ from .manifold import (
 __all__ = [
     "WarpField", "WarpParameterRange", "admissible_range", "conformal_metric",
     "equivalence_bounds", "covariant_hessian", "rescaled_curvature",
-    "sectional_curvature_conformal", "negativity_check", "value_and_grad", "values_along",
+    "sectional_curvature_conformal", "negativity_check", "values_along",
 ]
 
 
@@ -47,14 +47,15 @@ __all__ = [
 class WarpField:
     """A positive scalar field given by a parsed ``warpfn`` expression.
 
-    ``value_at`` maps a point to ``k(p)``; ``differential_at`` to the
-    coordinate differential ``dk`` (a covector); ``hessian_at`` to the
-    coordinate second-derivative matrix (the covariant Hessian is
-    assembled against a chart by :func:`covariant_hessian`).  All three are
-    exact forward-mode evaluations of ``expr``.  ``k0`` and ``K0`` are the
-    declared infimum and supremum of ``k`` over the chart; ``K0 = inf``
-    declares an unbounded field.  Bounds are the caller's promise and are
-    not enforced; :meth:`check_bounds` is the spot check a caller may run.
+    ``value_at`` maps a point to ``k(p)``; the differential and the
+    coordinate second derivatives are the exact forward-mode ``warpfn``
+    forms of ``expr`` (:func:`~warpgeo.warpfn.value_and_gradient`,
+    :func:`~warpgeo.warpfn.eval2`, and their batches), and the covariant
+    Hessian is assembled against a chart by :func:`covariant_hessian`.
+    ``k0`` and ``K0`` are the declared infimum and supremum of ``k`` over
+    the chart; ``K0 = inf`` declares an unbounded field.  Bounds are the
+    caller's promise and are not enforced; :meth:`check_bounds` is the spot
+    check a caller may run.
     """
 
     expr: warpfn.Expr
@@ -83,25 +84,15 @@ class WarpField:
     def value_at(self, p) -> float:
         return warpfn.evaluate(self.expr, p)
 
-    def differential_at(self, p) -> np.ndarray:
-        return warpfn.value_and_gradient(self.expr, p)[1]
-
-    def hessian_at(self, p) -> np.ndarray:
-        return warpfn.eval2(self.expr, p)[2]
-
-    def check_bounds(self, points, tol: float = 1e-9):
-        """Verify the declared bounds on a sample of points."""
+    def check_bounds(self, points):
+        """Verify the declared bounds, to 1e-9, on a sample of points."""
         for p in points:
             v = self.value_at(np.asarray(p, dtype=float))
-            if v < self.k0 - tol or v > self.K0 + tol:
+            if v < self.k0 - 1e-9 or v > self.K0 + 1e-9:
                 raise InputError(
                     f"warp value {v} at {np.asarray(p)} violates declared "
                     f"bounds [{self.k0}, {self.K0}]"
                 )
-
-
-def value_and_grad(w: WarpField, p: np.ndarray) -> tuple[float, np.ndarray]:
-    return warpfn.value_and_gradient(w.expr, p)
 
 
 def values_along(w: WarpField, points: np.ndarray) -> np.ndarray:
@@ -190,7 +181,7 @@ def conformal_metric(g1: MetricChart, w: WarpField, r: float) -> MetricChart:
         return (1.0 / w.value_at(p) + r) * _metric(g1, p)
 
     def gamma(p):
-        v, dk = value_and_grad(w, p)
+        v, dk = warpfn.value_and_gradient(w.expr, p)
         u = -dk / (v * (1.0 + r * v))
         g = _metric(g1, p)
         return christoffel(g1, p) + 0.5 * (

@@ -490,6 +490,28 @@ def test_missed_end_point_is_a_numerical_failure(tmp_path):
     assert payload["residual"] == pytest.approx(2.39e-11, rel=0.01)
 
 
+@pytest.mark.parametrize("key, value, said", [
+    ("samples", 2, "after 2 dial evaluations"),
+    ("r_max", 0.01, "up to r = 0.01"),
+])
+def test_connect_hands_its_bracketing_controls_to_the_solve(tmp_path, key, value, said):
+    # the README instance at 64 steps brackets its root with neither bound
+    doc = {
+        "task": "connect",
+        "base_chart": {"name": "poincare_half_plane"},
+        "fiber_chart": {"name": "circle", "radius": 1.0},
+        "warp": {"expression": "2 + 0.5*sin(2*x1)", "k0": 1.5, "K0": 2.5},
+        "integrator": {"steps": 64},
+        "connect": {"x0": [0.0, 1.0], "y0": [0.0], "x1": [1.2, 0.7], "y1": [0.4],
+                    key: value},
+    }
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    with open(out / "error.json") as fh:
+        error = json.load(fh)
+    assert error["error"] == "BracketingError" and said in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # a line base is described by base_chart alone
 
@@ -852,13 +874,13 @@ def test_every_csv_is_the_savetxt_of_its_read_back(tmp_path, task):
 def test_fitted_riemannize_builds_the_base_maps_once(tmp_path, monkeypatch):
     doc = FITTED_RIEMANNIZE
     calls = []
-    build = reparam._base_map
+    build = reparam._base_leg
 
     def counted(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(reparam, "_base_map", counted)
+    monkeypatch.setattr(reparam, "_base_leg", counted)
     code, _ = run_task(tmp_path, doc, "--quiet")
     assert code == 0 and len(calls) == 1
 

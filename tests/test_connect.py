@@ -659,7 +659,7 @@ def test_fiber_dial_map_for_trivial_warp_is_uniform():
         for t in (0.25, 0.6, 1.0):
             np.testing.assert_allclose(
                 wg.theta_consistency(mu, nu, one, r, t)["point_displayed"],
-                nu.point_at(t), atol=1e-9,
+                nu.state_at(t)[0], atol=1e-9,
             )
 
 
@@ -811,8 +811,8 @@ def test_weighted_line_base_closed_form():
                           wg.euclidean(1), CFG, weight="(1 + t)^2")
     assert rep.r == pytest.approx(3.0, abs=1e-9)
     mu = rep.geodesic.base[0]
-    assert mu.point_at(0.5)[0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-12)
-    assert mu.point_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
+    assert mu.state_at(0.5)[0][0] == pytest.approx(np.sqrt(5.0) - 1.0, abs=1e-12)
+    assert mu.state_at(1.0)[0][0] == pytest.approx(2.0, abs=1e-12)
     # With k constant the base map is the identity and the rebuilt leg is
     # mu too: the inverse of the running table of k g / sqrt(q) = (1 + t)/2,
     # with velocity 4 / sqrt(1 + 8 s).
@@ -1061,7 +1061,7 @@ def test_a_solve_builds_the_maps_once_at_the_root(monkeypatch):
     # rebuild of the solved pair builds the maps.  The line base's rebuilt
     # leg is the inverse of its own table on the dial's grid, so a line
     # solve builds its fiber map and no base map.
-    base_maps = _count_calls(monkeypatch, reparam, "_base_map")
+    base_maps = _count_calls(monkeypatch, reparam, "_base_leg")
     fiber_maps = _count_calls(monkeypatch, reparam, "_fiber_map")
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     line = wg.euclidean(1)

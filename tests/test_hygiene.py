@@ -5,8 +5,9 @@ defined, no exponent chart carries a domain predicate, no module caches by
 identity, no module compares arrays with numpy's default relative
 tolerance, the package writes CSV through one writer, no generated loop
 raises, one function makes every connection, the line dial evaluates no
-field at each ``r``, the line connection integrates no base leg, and only
-the connect module reaches into a dial."""
+field at each ``r``, the line connection integrates no base leg, only
+the connect module reaches into a dial, and no module defines or exports
+a retired wrapper."""
 
 import ast
 import os
@@ -425,3 +426,43 @@ def test_the_check_sees_a_reach_into_a_dial():
     assert _dial_internals(source) == [
         "_line_batch (line 1)", ".jacobian (line 2)", "_batch= (line 3)",
         "_line_batch (line 3)"]
+
+
+RETIRED = {"point_at", "velocity_at", "initial_velocity", "integrate_product_geodesic",
+           "value_and_grad", "differential_at", "hessian_at", "_base_table", "_base_map"}
+
+
+def _retired_names(source: str) -> list[str]:
+    """Where a module defines, imports or lists in ``__all__`` a name of
+    ``RETIRED``: wrappers of one call, or never called, and the two halves
+    of the base-leg builder."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if names == ["__all__"]:
+                names = [e.value for e in node.value.elts]
+        else:
+            continue
+        found.update((node.lineno, name) for name in names if name in RETIRED)
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_defines_or_exports_a_retired_name(path):
+    assert _retired_names(path.read_text()) == []
+
+
+def test_the_check_sees_a_retired_name():
+    source = ("from .warp import value_and_grad\n"
+              "__all__ = ['Curve', 'integrate_product_geodesic']\n"
+              "class Curve:\n    def point_at(self, t):\n        return t\n"
+              "_base_map = None\n"
+              "d = {'initial_velocity': 0}\n")
+    assert _retired_names(source) == [
+        "value_and_grad (line 1)", "integrate_product_geodesic (line 2)",
+        "point_at (line 4)", "_base_map (line 6)"]

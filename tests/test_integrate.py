@@ -381,8 +381,9 @@ def test_dense_output_reproduces_the_nodes():
     )
     for i in (0, 1, 31, 64):
         t = curve.params[i]
-        np.testing.assert_allclose(curve.point_at(t), curve.points[i], atol=1e-13)
-        np.testing.assert_allclose(curve.velocity_at(t), curve.velocities[i], atol=1e-12)
+        point, velocity = curve.state_at(t)
+        np.testing.assert_allclose(point, curve.points[i], atol=1e-13)
+        np.testing.assert_allclose(velocity, curve.velocities[i], atol=1e-12)
 
 
 def test_dense_output_is_accurate_between_nodes():
@@ -391,12 +392,12 @@ def test_dense_output_is_accurate_between_nodes():
         chart, np.array([0.0, 1.0]), np.array([1.0, 0.0]), wg.IntegratorConfig(steps=1024)
     )
     t = np.linspace(0.0, 1.0, 509)  # deliberately incommensurate with the grid
-    points = np.array([curve.point_at(s) for s in t])
+    points = np.array([curve.state_at(s)[0] for s in t])
     np.testing.assert_allclose(points, _hyperbolic_closed_form(t), atol=1e-13)
     want_v = np.column_stack([
         1.0 / np.cosh(t) ** 2, -np.tanh(t) / np.cosh(t)
     ])
-    velocities = np.array([curve.velocity_at(s) for s in t])
+    velocities = np.array([curve.state_at(s)[1] for s in t])
     np.testing.assert_allclose(velocities, want_v, atol=1e-13)
 
 
@@ -412,7 +413,7 @@ def test_a_segment_reads_as_the_interpolant_of_its_nodes():
         for got, want in zip(segment.state_at(t), curve.state_at(t)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
     with pytest.raises(InputError):
-        segment.point_at(1.5)
+        segment.state_at(1.5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -455,7 +456,8 @@ def test_coupled_system_decouples_for_constant_warp():
     z0 = (np.array([0.0, 1.0]), np.array([0.3]))
     V0 = (np.array([1.0, 0.2]), np.array([0.8]))
     base, fiber = wg.integrate_coupled_oracle(g1, g2, w, z0, V0, cfg)
-    base_ref, fiber_ref = wg.integrate_product_geodesic(g1, g2, z0, V0, cfg)
+    base_ref = wg.integrate_geodesic(g1, z0[0], V0[0], cfg)
+    fiber_ref = wg.integrate_geodesic(g2, z0[1], V0[1], cfg)
     np.testing.assert_allclose(base.points, base_ref.points, atol=1e-13)
     np.testing.assert_allclose(fiber.points, fiber_ref.points, atol=1e-13)
 
@@ -762,9 +764,9 @@ def test_curve_evaluation_outside_the_parameter_range_fails():
     t = np.linspace(0, 1, 17)
     curve = wg.Curve(t, t[:, None], np.ones((17, 1)))
     with pytest.raises(InputError):
-        curve.point_at(1.5)
+        curve.state_at(1.5)
     with pytest.raises(InputError):
-        curve.point_at(-0.1)
+        curve.state_at(-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_base_map_satisfies_its_derivative_relation():
     phi = wg.compute_a_and_phi(mu, w, r)
     h = phi.grid[1] - phi.grid[0]
     slope = _num.derivative_on_grid(phi.values, h)
-    k = wg.values_along(w, np.atleast_2d(mu.point_at(phi.values)))
+    k = wg.values_along(w, np.atleast_2d(mu.state_at(phi.values)[0]))
     want = phi.constant * (1.0 + r * k) / k
     assert np.max(np.abs(slope - want)) <= 1e-6
     np.testing.assert_allclose(phi.derivative_values, want, rtol=1e-9)

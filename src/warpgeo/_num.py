@@ -7,11 +7,13 @@ on each side are one small stencil matrix applied to the first or last
 five samples, and the one monotone inversion: the inverse of a running
 integral known only at the nodes of a table, found by Newton steps on the
 table's quintic Hermite interpolant and refused where the table does not
-resolve it (:func:`invert_running_integral`).  The inversion writes its pieces in
-powers of the fraction of a step, differentiates them once per table and
-evaluates both by Horner's rule.  Nothing here calls back into a
-function: every kernel reads plain arrays on uniform grids and is
-deterministic, which keeps the higher-level outputs byte-reproducible.
+resolve it (:func:`invert_running_integral`).  The inversion finds each
+node's piece once, from the table's values, gathers that piece's quintic
+in powers of the fraction of a step, and runs Newton on the fraction,
+evaluating the quintic and its derivative by Horner's rule.  Nothing here
+calls back into a function: every kernel reads plain arrays on uniform
+grids and is deterministic, which keeps the higher-level outputs
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -126,14 +128,16 @@ def invert_running_integral(grid: np.ndarray, accum: np.ndarray,
     Hermite interpolant (de Boor, *A Practical Guide to Splines*, 1978):
     values ``accum``, first derivatives ``slopes`` and second derivatives
     ``slopes`` differenced on the grid (:func:`derivative_on_grid`), so
-    nothing but the table is read and nothing is called back.  Newton
-    steps on it start from the inverse of the table's linear interpolant
-    and stop after a step that moves no node by more than ``sqrt(eps) h``,
-    since quadratic convergence puts the next move below roundoff, or after
-    eight steps.  Every move is capped at just under half the gap to
-    either neighbour, which keeps the nodes strictly ordered next to a pole
-    of ``F'``, where the linear first guess can be off by more than a node
-    spacing.
+    nothing but the table is read and nothing is called back.  The
+    interpolant takes the table's values at the nodes, so the piece ``i``
+    with ``accum[i] <= F(1) * grid_j < accum[i + 1]`` holds a root for node
+    ``j``; it is found once, by one search of ``accum``.  Newton steps on
+    the fraction of the step start from the inverse of the table's linear
+    interpolant on that piece, are kept within it, and stop after a step
+    that moves no node by more than ``sqrt(eps)`` of a step, since
+    quadratic convergence puts the next move below roundoff, or after
+    eight steps.  So no node leaves the piece of its goal, even next to a
+    pole of ``F'``.
 
     A node's error estimate is the miss of the table's cubic Hermite
     interpolant (values and slopes only) at the node, divided by the slope:
@@ -154,34 +158,35 @@ def invert_running_integral(grid: np.ndarray, accum: np.ndarray,
     d0, d1 = h * slopes[:-1], h * slopes[1:]
     bend = 0.5 * h * h * derivative_on_grid(slopes, h)
     b0, db = bend[:-1], np.diff(bend)
-    # every piece in powers of the fraction of its step, one row per power
-    # holding the quintic, which matches value, slope and bend at both its
-    # nodes, its derivative, and the cubic, which matches value and slope
-    p, q = rise - d0 - b0, d1 - d0 - 2.0 * b0
-    pieces = np.zeros((6, 3, rise.size))
-    pieces[:, 0] = (accum[:-1], d0, b0, 10.0 * p - 4.0 * q + db,
-                    -15.0 * p + 7.0 * q - 2.0 * db, 6.0 * p - 3.0 * q + db)
-    pieces[:5, 1] = np.arange(1.0, 6.0)[:, None] * pieces[1:, 0]
-    pieces[:4, 2] = accum[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise
-    u = np.interp(grid, accum / accum[-1], grid)
+    # the piece i of each interior node, accum[i] <= goal < accum[i + 1],
+    # and the quintic on it in powers of the fraction of its step, which
+    # matches value, slope and bend at both its nodes, with its derivative
     goal = accum[-1] * grid[1:-1]
+    i = np.searchsorted(accum[1:-1], goal, side="right")
+    p, q = rise - d0 - b0, d1 - d0 - 2.0 * b0
+    quintic = np.array((accum[:-1], d0, b0, 10.0 * p - 4.0 * q + db,
+                        -15.0 * p + 7.0 * q - 2.0 * db, 6.0 * p - 3.0 * q + db))[:, i]
+    derivative = np.arange(1.0, 6.0)[:, None] * quintic[1:]
+    rise, d0, d1 = rise[i], d0[i], d1[i]
+    s = (goal - quintic[0]) / rise
     move = np.inf
     for moves in range(9):
-        # the quintic's value and slope (per step) and the cubic's value on
-        # the piece each interior node lies on, by Horner's rule
-        i = np.searchsorted(grid[1:-1], u[1:-1], side="right")
-        s, c = (u[1:-1] - grid[i]) / h, pieces[..., i]
-        at = c[-1]
-        for row in c[-2::-1]:
-            at = at * s + row
-        value, slope, cubic = at
-        if moves == 8 or np.max(np.abs(move), initial=0.0) <= SQRT_EPS * h:
+        # the quintic's value and slope (per step) at s, by Horner's rule
+        value, slope = quintic[5], derivative[4]
+        for row in quintic[4::-1]:
+            value = value * s + row
+        for row in derivative[3::-1]:
+            slope = slope * s + row
+        if moves == 8 or np.max(np.abs(move), initial=0.0) <= SQRT_EPS:
             break
-        gaps = np.diff(u)
-        move = np.clip(np.divide(h * (goal - value), slope, out=np.zeros_like(slope),
-                                 where=slope > 0.0),
-                       -0.45 * gaps[:-1], 0.45 * gaps[1:])
-        u[1:-1] += move
+        step = np.clip(s + np.divide(goal - value, slope, out=np.zeros_like(slope),
+                                     where=slope > 0.0), 0.0, 1.0)
+        move, s = step - s, step
+    # the cubic, which matches value and slope at both nodes of the piece
+    cubic = quintic[0] + s * (d0 + s * (3.0 * rise - 2.0 * d0 - d1
+                                        + s * (d0 + d1 - 2.0 * rise)))
+    u = grid.copy()
+    u[1:-1] = grid[i] + h * s
     miss = h * (np.abs(cubic - goal) + np.abs(value - goal))
     estimate = np.max(np.divide(miss, slope, out=np.where(miss == 0.0, 0.0, np.inf),
                                 where=slope > 0.0), initial=0.0)

@@ -981,23 +981,32 @@ def test_a_nan_integrand_fails_the_inversion():
         _num.invert_running_integral(grid, accum, slopes)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(a=st.floats(-0.89, 0.89), b=st.floats(0.0, 12.0),
-       c=st.floats(0.0, 2.0 * np.pi), panels=st.integers(16, 128))
-def test_inversion_error_is_within_its_estimate_and_falls_at_fourth_order(a, b, c,
-                                                                         panels):
-    # Exact tables of F(x) = x + a (cos c - cos(b x + c))/b, the running
-    # integral of 1 + a sin(b x + c), leave only the interpolation error.
-    # The estimate must bound it (safety factor 1, plus roundoff), and a
-    # step four times finer must cut it at least 4^4-fold down to roundoff:
-    # fourth order at least, over two halvings, because the first halving
-    # of the coarsest tables (b h near 0.5) is not yet asymptotic.
+def _sine_integral(a, b, c):
+    """``f(x) = 1 + a sin(b x + c)`` and its running integral ``F(x) = x +
+    a (cos c - cos(b x + c))/b``, the cosines' difference written as a
+    product, which keeps small ``b`` exact."""
     def f(x):
         return 1.0 + a * np.sin(b * x + c)
 
-    def F(x):  # the cosines' difference as a product, which keeps small b exact
+    def F(x):
         return x + a * x * np.sin(0.5 * b * x + c) * np.sinc(0.5 * b * x / np.pi)
+    return f, F
 
+
+SINE_TABLES = dict(a=st.floats(-0.89, 0.89), b=st.floats(0.0, 12.0),
+                   c=st.floats(0.0, 2.0 * np.pi), panels=st.integers(16, 128))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**SINE_TABLES)
+def test_inversion_error_is_within_its_estimate_and_falls_at_fourth_order(a, b, c,
+                                                                         panels):
+    # Exact tables of F leave only the interpolation error.  The estimate
+    # must bound it (safety factor 1, plus roundoff), and a step four times
+    # finer must cut it at least 4^4-fold down to roundoff: fourth order at
+    # least, over two halvings, because the first halving of the coarsest
+    # tables (b h near 0.5) is not yet asymptotic.
+    f, F = _sine_integral(a, b, c)
     errors = []
     for n in (panels, 4 * panels):
         grid = np.linspace(0.0, 1.0, n + 1)
@@ -1012,6 +1021,33 @@ def test_inversion_error_is_within_its_estimate_and_falls_at_fourth_order(a, b, 
         errors.append(np.max(np.abs(u[1:-1] - 0.5 * (lo + hi))))
         assert errors[-1] <= estimate + 1e-14
     assert errors[1] <= errors[0] / 256.0 + 1e-14
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**SINE_TABLES)
+def test_each_node_solves_the_quintic_on_the_piece_that_brackets_its_goal(a, b, c,
+                                                                         panels):
+    # The quintic Hermite interpolant takes the table's values at the grid
+    # nodes, so the piece whose values bracket a node's goal holds a root
+    # of it.  Every interior node lies on that piece and agrees with a
+    # bisection on scipy's quintic there, up to the rounding of the values
+    # it solves for: a few ulps of F(1), over the slope.
+    f, F = _sine_integral(a, b, c)
+    for n in (panels, 4 * panels):
+        grid = np.linspace(0.0, 1.0, n + 1)
+        accum, slopes = F(grid), f(grid)
+        u = _num.invert_running_integral(grid, accum, slopes)[0][1:-1]
+        goal = accum[-1] * grid[1:-1]
+        i = np.searchsorted(accum, goal, side="right") - 1
+        assert np.all(grid[i] <= u) and np.all(u <= grid[i + 1])
+        quintic = _quintic_hermite(grid, accum, slopes)
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = quintic(mid) < goal
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        root = 0.5 * (lo + hi)
+        assert np.all(np.abs(u - root) * quintic(root, 1) <= 8.0 * _num.EPS * accum[-1])
 
 
 def test_a_table_that_does_not_resolve_the_inverse_is_refused():

@@ -7,6 +7,8 @@ numerical failures; in both failure cases the error payload is written to
 ``error.json`` in the output directory when that directory is writable.
 A run clears the opposite outcome's status files, so ``report.json`` and
 ``error.json`` never coexist and the directory reflects the latest run.
+A task writes its artifacts after its last check, so a task that fails
+writes none.
 """
 
 from __future__ import annotations
@@ -275,13 +277,13 @@ def run_integrate(tc: TaskConfig, out: Path) -> dict:
     point = _vector(p, "point", "integrate", dim=chart.dim)
     velocity = _vector(p, "velocity", "integrate", dim=chart.dim)
     curve = integrate_geodesic(chart, point, velocity, tc.cfg)
-    curve_to_csv(curve, out / "curve.csv")
     report = {
         "chart": chart.name,
         "endpoint": curve.endpoint().tolist(),
         "geodesic_residual": geodesic_residual(chart, curve),
         "speed_drift": speed_drift(chart, curve),
     }
+    curve_to_csv(curve, out / "curve.csv")
     lines = [
         f"integrated {chart.name} geodesic, {tc.cfg.steps} steps",
         f"endpoint: {curve.endpoint()}",
@@ -322,7 +324,7 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
     w, g2, r, mu, nu = _integrate_pair(tc, p, "riemannize", fit)
     geo = riemannize(mu, nu, w, r, tc.base, g2, compat_tol=1e-8,
                      residual_tol=None)
-    result = _write_rebuilt(geo, w, tc.base, g2, out, geo.to_dict(), [
+    result = _rebuilt_result(geo, w, tc.base, g2, geo.to_dict(), [
         f"rebuilt geodesic at r={r:g}: a={geo.a_r:.12g} b={geo.b_r:.12g}"])
     if oracle:
         Xt, Yt = geo.initial_tangents
@@ -336,17 +338,14 @@ def run_riemannize(tc: TaskConfig, out: Path) -> dict:
         )
         result["summary"].append(
             f"deviation from directly integrated system: {deviation:.3e}")
+    _write_rebuilt(geo, out)
     return result
 
 
-def _write_rebuilt(geo, w, g1, g2, out: Path, report: dict, lines: list) -> dict:
-    """Write the four legs of a rebuilt geodesic as CSVs, add its norm
-    identities to ``report`` (``None`` for a geodesic without an ``r``, the
-    trivial connection) and its residuals to the summary ``lines``; the
-    task's result."""
-    for name, curve in zip(("mu", "nu", "gamma", "tau"),
-                           (*geo.base, geo.gamma, geo.tau)):
-        curve_to_csv(curve, out / f"{name}.csv")
+def _rebuilt_result(geo, w, g1, g2, report: dict, lines: list) -> dict:
+    """Add a rebuilt geodesic's norm identities to ``report`` (``None`` for
+    a geodesic without an ``r``, the trivial connection) and its residuals
+    to the summary ``lines``; the task's result."""
     report["norm_identities"] = (
         None if math.isnan(geo.r) else norm_identity_errors(geo, w, g1, g2))
     lines.append(
@@ -354,8 +353,16 @@ def _write_rebuilt(geo, w, g1, g2, out: Path, report: dict, lines: list) -> dict
     return {"report": report, "summary": lines}
 
 
-def _finish_connection(rep, w, g1, g2, out: Path) -> dict:
-    return _write_rebuilt(rep.geodesic, w, g1, g2, out, rep.to_dict(), [
+def _write_rebuilt(geo, out: Path):
+    """Write the four legs of a rebuilt geodesic as CSVs: the last step of
+    a task, after every check that can fail."""
+    for name, curve in zip(("mu", "nu", "gamma", "tau"),
+                           (*geo.base, geo.gamma, geo.tau)):
+        curve_to_csv(curve, out / f"{name}.csv")
+
+
+def _connection_result(rep, w, g1, g2) -> dict:
+    return _rebuilt_result(rep.geodesic, w, g1, g2, rep.to_dict(), [
         f"connection found: r={rep.r}",
         f"beta={rep.beta:.12g} (target {rep.target_beta:.12g})",
         f"endpoint error {rep.endpoint_error:.3e}, "
@@ -376,7 +383,9 @@ def run_connect(tc: TaskConfig, out: Path) -> dict:
         tc.base, g2, w, z0, z1, tc.cfg,
         r_max=_number(p, "r_max", "connect", required=False, default=R_MAX_DEFAULT),
         samples=_count(p, "samples", "connect", default=R_WALK_SAMPLES, least=2))
-    return _finish_connection(rep, w, tc.base, g2, out)
+    result = _connection_result(rep, w, tc.base, g2)
+    _write_rebuilt(rep.geodesic, out)
+    return result
 
 
 @task("flrw")
@@ -391,7 +400,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
     cross_check = _flag(p, "cross_check", "flrw", default=False)
     weight = tc.line_weight("flrw", ("weight",))
     rep = flrw_connect(w, t0, t1, y0, y1, g2, tc.cfg, weight=weight)
-    result = _finish_connection(rep, w, tc.base, g2, out)
+    result = _connection_result(rep, w, tc.base, g2)
     # the trivial connection of coinciding fiber points has no residual and no r
     if rep.first_integral_residual is not None:
         result["summary"].append(
@@ -407,6 +416,7 @@ def run_flrw(tc: TaskConfig, out: Path) -> dict:
                 f"general-path cross check: r={general.r:.12g} "
                 f"(difference {abs(general.r - rep.r):.3e})"
             )
+    _write_rebuilt(rep.geodesic, out)
     return result
 
 
@@ -583,18 +593,21 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
+# Built once: every call of main parses with it, and none changes it.
+_PARSER = argparse.ArgumentParser(
+    prog="warpgeo",
+    description="Rebuild and connect geodesics of warped product metrics.",
+)
+_PARSER.add_argument("--config", required=True, help="YAML task description")
+_PARSER.add_argument("--out", default="out", help="output directory (default: out)")
+_PARSER.add_argument("--steps", type=int, default=None,
+                     help="override the integrator step count")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the summary")
+_PARSER.add_argument("--version", action="version", version=f"warpgeo {__version__}")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="warpgeo",
-        description="Rebuild and connect geodesics of warped product metrics.",
-    )
-    ap.add_argument("--config", required=True, help="YAML task description")
-    ap.add_argument("--out", default="out", help="output directory (default: out)")
-    ap.add_argument("--steps", type=int, default=None,
-                    help="override the integrator step count")
-    ap.add_argument("--quiet", action="store_true", help="suppress the summary")
-    ap.add_argument("--version", action="version", version=f"warpgeo {__version__}")
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -466,38 +466,63 @@ def speed_drift(chart: MetricChart, curve: Curve) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
+@lru_cache(maxsize=64)
+def _grid_text(steps: int) -> tuple[str, ...]:
+    """The ``%.17g`` text of every node of :func:`_grid`, a CSV column."""
+    return tuple(["%.17g" % x for x in _grid(steps).tolist()])
+
+
 def _write_csv(path, header: str, table):
     """Write the rows of ``table`` under the line ``header``, each value as
     ``%.17g``, comma-separated: byte for byte what numpy's row-by-row text
     writer gives with that format and no comment prefix.
 
-    A column formats each distinct value once, keyed by its bits so that
-    ``-0.0`` and ``0.0`` stay apart, unless most of its values are
-    distinct; the rows are streamed to the file."""
-    table = np.asarray(table, dtype=float)
-    columns = []
-    for j, column in enumerate(table.T):
-        fmt = "%.17g\n" if j == table.shape[1] - 1 else "%.17g,"
-        values = column.tolist()
+    ``table`` is a 2-D array of rows, or the list of its columns, where a
+    column may also be given as the tuple of its values' text.  A column
+    formats each distinct value once, keyed by its bits so that ``-0.0``
+    and ``0.0`` stay apart, unless most of its values are distinct.  The
+    file is built as one string by one ``%`` of a row format repeated once
+    per row, and written at once, so its text is held in memory once."""
+    if not isinstance(table, list):
+        table = list(np.asarray(table, dtype=float).T)
+    n = len(table[0])
+    cells = np.empty((n, len(table)), dtype=object)
+    formats = []
+    for j, column in enumerate(table):
+        if isinstance(column, tuple):
+            formats.append("%s")
+            cells[:, j] = column
+            continue
+        # A set, not numpy's sort, whose first call maps about 0.4 MB of
+        # sort code into the process.
         bits = column.view(np.int64).tolist()
-        distinct = dict(zip(bits, values))
-        if 2 * len(distinct) > len(values):
-            columns.append([fmt % x for x in values])
+        distinct = set(bits)
+        if 2 * len(distinct) > n:
+            formats.append("%.17g")
+            cells[:, j] = column
         else:
-            text = {b: fmt % x for b, x in distinct.items()}
-            columns.append([text[b] for b in bits])
+            distinct = list(distinct)
+            values = np.array(distinct, dtype=np.int64).view(float).tolist()
+            text = dict(zip(distinct, ["%.17g" % x for x in values]))
+            formats.append("%s")
+            cells[:, j] = list(map(text.__getitem__, bits))
+    rows = (",".join(formats) + "\n") * n
     with open(path, "w") as f:
-        f.write(header + "\n")
-        f.writelines(map("".join, zip(*columns)))
+        f.write(header + "\n" + rows % tuple(cells.ravel().tolist()))
 
 
 def curve_to_csv(curve: Curve, path):
-    """Write a curve as CSV: parameter, coordinates, velocities."""
+    """Write a curve as CSV: parameter, coordinates, velocities.  A curve
+    on the shared grid of its step count reads that grid's text from one
+    memo (:func:`_grid_text`)."""
     d = curve.dim
     header = ",".join(
         ["t"] + [f"x{i + 1}" for i in range(d)] + [f"v{i + 1}" for i in range(d)]
     )
-    _write_csv(path, header, np.column_stack([curve.params, curve.points, curve.velocities]))
+    t = curve.params
+    if not t.flags.writeable and t is _grid(curve.steps):
+        t = _grid_text(curve.steps)
+    _write_csv(path, header, [t, *curve.points.T, *curve.velocities.T])
 
 
 def curve_from_csv(path) -> Curve:

@@ -12,6 +12,7 @@ import yaml
 import warpgeo as wg
 from warpgeo import __version__, cli, reparam
 from warpgeo.cli import main
+from warpgeo.errors import ChartDomainError
 from warpgeo.manifold import metrics_at
 
 
@@ -899,12 +900,53 @@ def test_fitted_riemannize_integrates_each_leg_once(tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 2 and calls[1] == wg.circle(1.0).name
 
 
+def _domain_exit(*args, **kwargs):
+    raise ChartDomainError("euclidean2", 0.5, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("step", ["integrate_coupled_oracle", "norm_identity_errors"])
+def test_a_riemannize_that_fails_after_its_rebuild_writes_no_csv(tmp_path, monkeypatch,
+                                                                 step):
+    # every check runs before the first leg is written, so a failure in the
+    # oracle or the norm identities leaves error.json alone in a fresh out dir
+    monkeypatch.setattr(cli, step, _domain_exit)
+    code, out = run_task(tmp_path, FITTED_RIEMANNIZE, "--quiet")
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_a_flrw_whose_cross_check_fails_writes_no_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "connect_points", _domain_exit)
+    doc = dict(TRIVIAL_PRODUCT, task="flrw", flrw={
+        "t0": 0.0, "t1": 2.0, "y0": [0.0], "y1": [1.0], "cross_check": True,
+    })
+    code, out = run_task(tmp_path, doc, "--quiet")
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_steps_override_wins_over_the_config(tmp_path):
     code, out = run_task(tmp_path, HYPERBOLIC_INTEGRATE, "--quiet", "--steps", "64")
     assert code == 0
     assert "64 steps" in (out / "summary.txt").read_text()
     with open(out / "curve.csv") as fh:
         assert sum(1 for _ in fh) == 66  # header + 65 nodes
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once; a flag given to one call is not seen by the next
+    assert run_task(tmp_path, HYPERBOLIC_INTEGRATE, "--quiet", "--steps", "64")[0] == 0
+    assert capsys.readouterr().out == ""
+    code, out = run_task(tmp_path, HYPERBOLIC_INTEGRATE, out_name="again")
+    assert code == 0 and "256 steps" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: warpgeo [-h] --config CONFIG")
 
 
 def test_version_flag(capsys):

@@ -416,10 +416,7 @@ def test_a_segment_reads_as_the_interpolant_of_its_nodes():
         segment.state_at(1.5)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(nodes=st.integers(5, 1025), dim=st.integers(1, 3),
-       length=st.floats(0.05, 50.0), seed=st.integers(0, 2**32 - 1))
-def test_dense_output_agrees_with_scipy_bernstein_polynomials(nodes, dim, length, seed):
+def _check_dense_output(nodes, dim, length, seed, build=integrate._hermite_quintic):
     rng = np.random.default_rng(seed)
     params = np.linspace(0.0, length, nodes)
     values, d1, d2 = (rng.normal(size=(nodes, dim)) for _ in range(3))
@@ -432,16 +429,49 @@ def test_dense_output_agrees_with_scipy_bernstein_polynomials(nodes, dim, length
         values[1:] - 0.2 * d1[1:] * h,
         values[1:],
     ]), params)
-    dense = integrate._hermite_quintic(params, values, d1, d2)
-    scale = np.max(np.abs(reference(params)))
+    dense = build(params, values, d1, d2)
+    # Both evaluators sum the same exact polynomial sum_k B_k(s) c_k at the
+    # same s = (t - left) / (right - left), in u = eps / 2 roundings:
+    # - a coefficient is at most three products and two sums of its terms,
+    #   so it is off by at most 5u times S, the largest sum of its terms'
+    #   magnitudes |p| + 0.4 |v| + 0.05 |a|;
+    # - a basis value C s^k (1 - s)^(5-k) is two powers and two products,
+    #   off by at most 11u of itself (5u from 1 - s raised to 5, 2u per
+    #   power, u per product);
+    # - the six products and their five sums add at most 6u of
+    #   sum_k B_k |c_k|.
+    # The B_k are non-negative and sum to 1, so each evaluator is within
+    # (5 + 11 + 6) u S of the exact value, and the two within 44u S = 22 eps S.
+    hmax = np.max(h)
+    scale = np.max(np.abs(values) + 0.4 * np.abs(d1) * hmax + 0.05 * np.abs(d2) * hmax * hmax)
+    bound = 22.0 * np.finfo(float).eps * scale
     t = np.concatenate((rng.uniform(0.0, length, 64), params))
     got, want = dense(t), reference(t)
     assert got.shape == want.shape == (t.size, dim)
-    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    assert np.max(np.abs(got - want)) <= bound
     for x in (0.0, length, params[nodes // 2], float(t[0])):
         got, want = dense(x), reference(x)
         assert got.shape == want.shape == (dim,)
-        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(nodes=5, dim=1, length=21.0, seed=0)  # missed a bound of 1e-15 max|value|
+@given(nodes=st.integers(5, 1025), dim=st.integers(1, 3),
+       length=st.floats(0.05, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_dense_output_agrees_with_scipy_bernstein_polynomials(nodes, dim, length, seed):
+    _check_dense_output(nodes, dim, length, seed)
+
+
+def test_the_dense_output_bound_sees_a_relative_error_of_1e_13():
+    def perturbed(*args):
+        dense = integrate._hermite_quintic(*args)
+        return lambda t: dense(t) * (1.0 + 1e-13)
+
+    for case in ((5, 1, 21.0, 0), (257, 2, 1.0, 7), (1025, 3, 50.0, 3)):
+        _check_dense_output(*case)
+        with pytest.raises(AssertionError):
+            _check_dense_output(*case, build=perturbed)
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +870,30 @@ def test_the_property_sees_a_writer_that_merges_signed_zeros(tmp_path):
     # keyed by value, -0.0 finds the text of 0.0; keyed by bits, each its own
     with pytest.raises(AssertionError):
         _check_writer_against_savetxt(_writer_keyed_by_value, tmp_path)
+
+
+@pytest.mark.parametrize("steps", [4, 256])
+def test_a_curve_on_the_shared_grid_writes_the_bytes_of_any_other_grid(tmp_path, steps):
+    # the shared grid's column is read from its memo, a copy of that grid
+    # is formatted; both are the bytes of savetxt
+    rng = np.random.default_rng(steps)
+    points, velocities = rng.normal(size=(2, steps + 1, 2))
+    velocities[:, 1] = np.where(np.arange(steps + 1) % 3, 0.0, -0.0)
+    grid = integrate._grid(steps)
+    table = np.column_stack([grid, points, velocities])
+    np.savetxt(tmp_path / "want.csv", table, fmt="%.17g", delimiter=",",
+               header="t,x1,x2,v1,v2", comments="")
+    memo = integrate._grid_text.cache_info()
+    wg.curve_to_csv(wg.Curve(grid, points, velocities), tmp_path / "shared.csv")
+    assert sum(integrate._grid_text.cache_info()[:2]) == sum(memo[:2]) + 1
+    copy = wg.Curve(grid.copy(), points, velocities)
+    assert copy.params.flags.writeable
+    memo = integrate._grid_text.cache_info()
+    wg.curve_to_csv(copy, tmp_path / "copy.csv")
+    assert integrate._grid_text.cache_info()[:2] == memo[:2]
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "shared.csv").read_bytes() == want
+    assert (tmp_path / "copy.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

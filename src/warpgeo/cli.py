@@ -25,7 +25,7 @@ import yaml
 
 from . import __version__, warpfn
 from .connect import (
-    R_MAX_DEFAULT, R_WALK_SAMPLES, SHOOT_TOL, _beta_from_mu, _line_connection,
+    MAX_NEWTON_STEPS, R_MAX_DEFAULT, _beta_from_mu, _line_connection,
     _shooting_dial, connect_points, flrw_connect, partial_connect, theta_consistency,
 )
 from .errors import InputError, NumericalError, ParameterError, WarpGeoError
@@ -366,7 +366,7 @@ def _connection_result(rep, w, g1, g2) -> dict:
         f"connection found: r={rep.r}",
         f"beta={rep.beta:.12g} (target {rep.target_beta:.12g})",
         f"endpoint error {rep.endpoint_error:.3e}, "
-        f"{rep.iterations or 'no'} dial evaluations",
+        f"{rep.iterations or 'no'} Newton steps",
     ])
 
 
@@ -382,7 +382,7 @@ def run_connect(tc: TaskConfig, out: Path) -> dict:
     rep = connect_points(
         tc.base, g2, w, z0, z1, tc.cfg,
         r_max=_number(p, "r_max", "connect", required=False, default=R_MAX_DEFAULT),
-        samples=_count(p, "samples", "connect", default=R_WALK_SAMPLES, least=2))
+        samples=_count(p, "samples", "connect", default=MAX_NEWTON_STEPS, least=2))
     result = _connection_result(rep, w, tc.base, g2)
     _write_rebuilt(rep.geodesic, out)
     return result
@@ -561,7 +561,7 @@ def run_beta_scan(tc: TaskConfig, out: Path) -> dict:
                               _vector(p, "x1", "beta_scan", dim=tc.base.dim), tc.cfg)
     rows, res = [], None
     for r in r_values:
-        res = dial(r, res, SHOOT_TOL)
+        res = dial(r, res)
         rows.append([r, res.beta, res.a_r, res.b_r, res.iterations])
     table = np.array(rows)
     _write_csv(out / "beta.csv", "r,beta,a_r,b_r,iterations", table)

@@ -1,70 +1,53 @@
 """Joining boundary points with mixed-signature geodesics.
 
-The workhorse is the scalar dial ``beta(r)``: for each admissible ``r``,
-shoot a rescaled-metric geodesic between the base endpoints, take the two
-reparametrization constants as quadratures along it, and read off the
-fiber distance the rebuilt geodesic would traverse.  No dial evaluation
-builds a map: the maps are built once, when the solved pair is rebuilt at
-the root.  ``beta`` blows up at the admissibility threshold and decays to
-zero for large ``r``, nearly as a power of ``r`` minus the threshold, so
-matching it against the actual fiber distance is a scalar root-find: a
-secant walk on that power law in log-log coordinates, then an
-Anderson-Bjorck secant in the same coordinates on the bracket it finds.
-The solve stops once the dial matches its target within the resolution
-the evaluation reports: the shooting tolerance, when it shoots, since the
-shooting dial is noisy at about a tenth of that, and on the line base the
-rounding bound of its sums, about ``(steps + 3) eps``.  Evaluations past
-it would only chase the noise.  Every built-in dial reports one; the stop
-once the bracket is no wider than ``1e-12 + 4 eps |r|`` stays, as the
-guard for a dial whose noise exceeds what it reports.
+The paper's Riemannian geodesic of the warped product is, up to a
+reparametrization, a geodesic of the rescaled metric ``(1/k + r) g1`` for
+one ``r``, paired with a fiber geodesic.  The scalar dial ``beta(r)`` reads
+the fiber distance the rebuilt geodesic from one ``r`` would cover: shoot a
+rescaled-metric geodesic between the base end points and take the ratio of
+its two reparametrization constants, ``a / b = int 1/(1 + r k)``, as one
+quadrature along its states.  ``beta`` blows up at the admissibility
+threshold ``lower`` and decays to zero for large ``r``, nearly as a power
+of ``r - lower``.
 
-Far from the root only the sign and rough size of ``f = log(beta /
-beta0)`` steer the next step, so the solve asks each new evaluation for a
-shooting tolerance that fits how far the last one was from the root (an
-inexact Newton method in the sense of Dembo, Eisenstat & Steihaug, *SIAM
-J. Numer. Anal.* 19, 1982): ``LOOSE_TOL`` for the first, then
-``min(LOOSE_TOL, LOOSE_SCALE f^2)`` for the last ``f`` while ``|f|`` is at
-least ``NEAR_ROOT``, and ``SHOOT_TOL`` for every one after ``|f|`` first
-falls below it, since a noisy ``f`` would spoil the secant's last steps.
-A loose evaluation is never the answer: one that lands within twice its
-tolerance of the target is shot again to ``SHOOT_TOL`` at the same ``r``,
-warm-started from itself, and every stop returns a ``SHOOT_TOL``
-evaluation.
+A connection solves for ``r`` and the shot together: one damped
+quasi-Newton iteration on ``z = (v, u)``, ``v`` the initial velocity of the
+rescaled base shot and ``u = log(r - lower)``, drives the residual
+``(x(1) - x1, log(beta / beta0))`` to zero, each shot reading ``beta`` from
+its own states (:func:`_solve`; Stoer & Bulirsch, *Introduction to
+Numerical Analysis*, section 7.3, on unknown parameters as extra unknowns
+of a shoot).  Its Jacobian starts from forward differences and takes
+Broyden updates (Dennis & Schnabel, *Numerical Methods for Unconstrained
+Optimization*, section 5.4); shooting a single chart, :func:`_shoot`, runs
+the same iteration on ``v`` alone.  Each trial shot reads only its states
+from the geodesic's flat list; the curve is built once, from the root's
+shot, and so are the maps, when the solved pair is rebuilt there.
 
-Shooting itself is a damped quasi-Newton iteration on the endpoint map
-with Broyden updates, its velocity and Jacobian warm-started across ``r``;
-forward differences from the gap already in hand build the Jacobian only
-to start cold or to refresh a stale one (``d`` shots; Dennis & Schnabel,
-*Numerical Methods for Unconstrained Optimization*, section 5.4).  Each
-trial shot reads only the end state from the geodesic's flat list of
-states; the array of states and the curve are built once, from the
-converged shot.  The translation-invariant base case (the real
-line with a time-dependent warp, as in homogeneous cosmological metrics)
-evaluates the dial from the explicit first integral of the base equation
-instead: with the slowness ``S`` of that integral, the leg's speed and
-both constants are quadratures over a uniform grid on the base interval,
-so no evaluation shoots.  Only ``1 + r k`` on that grid depends on ``r``:
-a solve evaluates the warp and the weight there once, and each evaluation
-is a few array operations and three dot products with the rule's total
-weights.  Nor are the base legs at the root integrated: each is the inverse
-of a running integral on the same grid, read from its table, ``S``'s for
-the leg and the integrand of the dial's ``a`` for the rebuilt leg.  A fiber
-whose metric is constant is not shot either: its leg is the segment between
-its end points.
-Every dial is one function of this module's making, ``dial(r, warm,
-tol)``, with ``warm`` the previous evaluation (``None`` to start cold): the
-shooting dial reads its velocity and Jacobian, and the line dial reads
-neither ``warm`` nor ``tol``.  The solve and the command line's
-``beta-scan`` call the dials alike.
+The translation-invariant base case (the real line with a time-dependent
+warp, as in homogeneous cosmological metrics) evaluates the dial from the
+explicit first integral of the base equation instead: with the slowness
+``S`` of that integral, the leg's speed and both constants are quadratures
+over a uniform grid on the base interval, so no evaluation shoots.  Only
+``1 + r k`` on that grid depends on ``r``: a solve evaluates the warp and
+the weight there once, and each evaluation is a few array operations and
+three dot products with the rule's total weights.  Its solve is the same
+iteration with no velocity unknowns, its Jacobian seeded with the closed
+form of ``d beta / d r``, one more dot product.  Nor are the base legs at
+the root integrated: each is the inverse of a running integral on the same
+grid, read from its table, ``S``'s for the leg and the integrand of the
+dial's ``a`` for the rebuilt leg.  A fiber whose metric is constant is not
+shot either: its leg is the segment between its end points.
+Both dials stay callable one ``r`` at a time, ``dial(r, warm)`` with
+``warm`` the previous evaluation (``None`` to start cold), for the command
+line's ``beta-scan``.
 Both connections run one driver, which differs between them only in its
-``kind``, a builder called once per solve that returns the dial and how it
-gets the base legs at the root (the converged shot, or the first
-integral's inverses, which share the line dial's batch): it makes the
-trivial connection of coinciding fiber points (within 1e-12 absolute),
-which builds neither, solves for ``r`` with one root-find and rebuilds the
-pair there, and raises :class:`~warpgeo.errors.ShootingError` when either
-rebuilt leg ends farther than the integrator tolerance from its requested
-point.
+``kind``, a builder called once per solve that returns what the solve
+evaluates and how it gets the base legs at the root (the root's shot, or
+the first integral's inverses, which share the line dial's batch): it makes
+the trivial connection of coinciding fiber points (within 1e-12 absolute),
+which builds neither, solves for ``r`` and rebuilds the pair there, and
+raises :class:`~warpgeo.errors.ShootingError` when either rebuilt leg ends
+farther than the integrator tolerance from its requested point.
 """
 
 from __future__ import annotations
@@ -73,6 +56,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -90,7 +74,7 @@ from .integrate import (
     coupled_residual, integrate_geodesic,
 )
 from .manifold import (
-    MetricChart, TangentVector, _reads_no_variable, euclidean, metric_eval,
+    MetricChart, TangentVector, _metric, _reads_no_variable, euclidean, metric_eval,
     weighted_line,
 )
 from .reparam import RiemannianGeodesic, _leg_constants, phi_constant_from_trace, riemannize
@@ -112,14 +96,10 @@ __all__ = [
 _BOUND_FOR_TRACING = (integrate_geodesic,)
 
 R_MAX_DEFAULT = 1e6
-R_WALK_SAMPLES = 64
+MAX_NEWTON_STEPS = 64
 SHOOT_TOL = 1e-10
-# The shooting tolerance of a dial evaluation far from the root: LOOSE_TOL
-# for a solve's first, then min(LOOSE_TOL, LOOSE_SCALE f^2) for the last
-# f = log(beta / beta0) until |f| first falls below NEAR_ROOT.
-LOOSE_TOL = 1e-4
-LOOSE_SCALE = 1e-3
-NEAR_ROOT = 1e-3
+# The largest move of u = log(r - lower) in one Newton step of a solve.
+MAX_LOG_MOVE = math.log(16.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +107,10 @@ NEAR_ROOT = 1e-3
 
 
 def _fd_jacobian(shot, v: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of the endpoint gap, ``gap`` at ``v``:
-    ``d`` shots, each with step ``sqrt(eps) max(1, |v|_inf)``."""
-    d = v.shape[0]
+    """Forward-difference Jacobian of a shot's residual, ``gap`` at the
+    unknowns ``v``: one shot per unknown, each with step ``sqrt(eps) max(1,
+    |v|_inf)``."""
+    d = len(v)
     h = SQRT_EPS * max(1.0, float(np.max(np.abs(v))))
     jac = np.empty((d, d))
     for j in range(d):
@@ -139,37 +120,39 @@ def _fd_jacobian(shot, v: np.ndarray, gap: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _line_search(shot, v, step, best):
-    """Halve the step until the gap shrinks below ``best``, down to ``1/128``.
+def _line_search(shot, v, step, best, parts=slice(None)):
+    """Halve the step until the residual shrinks below ``best``, down to
+    ``1/128``: the largest of its components, or of its ``parts``.
 
     A trial that leaves the chart counts as no decrease.  Returns the
-    accepted ``(velocity, states, gap, residual)``, or ``None``.
+    accepted ``(unknowns, states, residual, size)``, the unknowns as a list,
+    or ``None``.
     """
     for halvings in range(8):
-        trial = v + 0.5 ** halvings * step
+        trial = [a + 0.5 ** halvings * b for a, b in zip(v, step)]
         try:
             states, gap = shot(trial)
         except ChartDomainError:
             continue
-        res = float(np.max(np.abs(gap)))
+        # every state of a shot is finite, and so is every residual
+        res = max(map(abs, gap[parts]), default=0.0)
         if res < best:
             return trial, states, gap, res
     return None
 
 
 def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
-           v_init=None, jac_init=None, tol: float = SHOOT_TOL,
-           max_iter: int = 60):
+           v_init=None, jac_init=None, max_iter: int = 60):
     """Damped quasi-Newton on the endpoint map, with Broyden updates.
 
-    The shoot ends once every coordinate of the end point is within ``tol``
-    of ``x1``.  The Jacobian starts from ``jac_init`` (a neighbouring
-    solve's, say) or, without one, from forward differences at the current
-    velocity, and takes a rank-one secant update after every accepted step.
-    A step that a reused or updated Jacobian cannot make (a singular matrix,
-    or no decrease at any length down to ``1/128`` of the step) is retried
-    from a fresh finite-difference Jacobian; only a failure with that one
-    raises :class:`ShootingError`.
+    The shoot ends once every coordinate of the end point is within
+    ``SHOOT_TOL`` of ``x1``.  The Jacobian starts from ``jac_init`` (a
+    neighbouring solve's, say) or, without one, from forward differences at
+    the current velocity, and takes a rank-one secant update after every
+    accepted step.  A step that a reused or updated Jacobian cannot make (a
+    singular matrix, or no decrease at any length down to ``1/128`` of the
+    step) is retried from a fresh finite-difference Jacobian; only a failure
+    with that one raises :class:`ShootingError`.
 
     Each shot reads only the end state from the flat list of states of
     :func:`~warpgeo.integrate._geodesic_flat`.  Returns ``(velocity,
@@ -191,7 +174,7 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
     flat, gap = shot(v)
     best = float(np.max(np.abs(gap)))
     for it in range(1, max_iter + 1):
-        if best <= tol:
+        if best <= SHOOT_TOL:
             return v, jac, _curve(flat, d), it - 1
         while True:
             fresh = jac is None
@@ -217,8 +200,8 @@ def _shoot(chart: MetricChart, x0, x1, cfg: IntegratorConfig,
         trial, flat, trial_gap, trial_res = accepted
         s = trial - v
         jac = jac + np.outer(trial_gap - gap - jac @ s, s) / float(s @ s)
-        v, gap, best = trial, trial_gap, trial_res
-    if best <= tol:
+        v, gap, best = np.array(trial), trial_gap, trial_res
+    if best <= SHOOT_TOL:
         return v, jac, _curve(flat, d), max_iter
     raise ShootingError(
         f"shooting failed to converge on {chart.name}; residual {best:.3e}",
@@ -247,11 +230,10 @@ class BetaResult:
     nothing) and ``jacobian`` the shooting Jacobian at ``X_r`` (``None``
     when no shooting step was taken), for warm-starting a neighbouring
     ``r``.  ``resolution`` is the relative error in ``beta`` below which
-    the evaluation cannot resolve it: the tolerance the leg was shot to, or
-    on the line base the bound on the rounding of its sums
-    (:func:`flrw_beta`).  A solve for ``r`` stops once ``beta`` matches its
-    target that closely.  ``None`` says the dial reports no resolution;
-    no built-in dial does that.
+    the evaluation cannot resolve it: the tolerance the leg was shot to,
+    ``SHOOT_TOL``, or on the line base the bound on the rounding of its
+    sums (:func:`flrw_beta`).  A connection's solve stops once ``beta``
+    matches its target within the resolution of its evaluation there.
     """
 
     beta: float
@@ -264,187 +246,204 @@ class BetaResult:
     resolution: Optional[float] = None
 
 
+def _leg_beta(w: WarpField, r: float, points: np.ndarray, q: float,
+              weights: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The dial's value read from the points of a rescaled leg, the ratio
+    ``a / b`` of its constants, and the warp ``k`` at its points.
+
+    ``beta = (a / b) sqrt((1 + r k0) q / k0)``, with ``k0`` the warp at the
+    leg's start and ``q`` the base metric's square of its initial velocity.
+    ``a / b = int 1/(1 + r k)`` is one dot product with the rule's total
+    ``weights`` (:func:`~warpgeo._num.total_weights`).  A point where ``k``
+    or ``1 + r k`` is not positive raises :class:`NumericalError`.
+    """
+    k = values_along(w, points)
+    _require_rescalable(w, r, points, k)
+    ratio = float(weights @ (1.0 / (1.0 + r * k)))
+    return ratio * math.sqrt((1.0 + r * k[0]) / k[0] * q), ratio, k
+
+
 def _beta_from_mu(mu: Curve, w: WarpField, r: float, g1: MetricChart,
                   X: np.ndarray, iterations: int, jacobian=None,
                   resolution=None) -> BetaResult:
-    a, b = _leg_constants(mu, w, r)
-    x0 = mu.points[0]
-    k0x = w.value_at(x0)
-    q = metric_eval(g1, x0, X, X)
-    beta = (a / b) * math.sqrt((1.0 + r * k0x) / k0x * q)
-    return BetaResult(beta, TangentVector(x0, X), a, b, mu, iterations, jacobian,
-                      resolution)
+    weights, x0 = total_weights(mu.steps), mu.points[0]
+    beta, ratio, k = _leg_beta(w, r, mu.points, metric_eval(g1, x0, X, X), weights)
+    a = float(weights @ (k / (1.0 + r * k)))
+    return BetaResult(beta, TangentVector(x0, X), a, a / ratio, mu, iterations,
+                      jacobian, resolution)
 
 
 def beta_of_r(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
               r: float, cfg: IntegratorConfig = IntegratorConfig(),
-              v_init=None, jac_init=None, *, _tol: float = SHOOT_TOL) -> BetaResult:
+              v_init=None, jac_init=None) -> BetaResult:
     """Evaluate the dial at one ``r`` by shooting between the base points.
 
     The result carries ``beta``, ``X_r``, the constants ``a_r``, ``b_r``,
     the shot leg and the shooting Jacobian, but no map.  Its resolution is
     the shooting tolerance, ``SHOOT_TOL``, about ten times the dial's noise.
     ``v_init``/``jac_init`` warm-start the shooting, typically from the
-    result at a neighbouring ``r``.  (``_tol`` is the private path by which
-    a solve for ``r`` shoots an evaluation far from its root more loosely;
-    the resolution then reports it.)
+    result at a neighbouring ``r``.
     """
     chart = conformal_metric(g1, w, r)
-    X, jac, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init,
-                               jac_init=jac_init, tol=_tol)
-    return _beta_from_mu(mu, w, r, g1, X, iters, jac, _tol)
+    X, jac, mu, iters = _shoot(chart, x0, x1, cfg, v_init=v_init, jac_init=jac_init)
+    return _beta_from_mu(mu, w, r, g1, X, iters, jac, SHOOT_TOL)
 
 
 def _shooting_dial(g1: MetricChart, g2: MetricChart, w: WarpField, x0, x1,
                    cfg: IntegratorConfig):
-    """The dial of :func:`connect_points`: ``dial(r, warm, tol)`` is
-    :func:`beta_of_r` shot to ``tol``, warm-started from the velocity and
-    shooting Jacobian of ``warm``, the previous evaluation (``None`` to
-    start cold)."""
-    def dial(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
+    """The dial of :func:`connect_points` one ``r`` at a time, as the
+    command line's ``beta-scan`` reads it: ``dial(r, warm)`` is
+    :func:`beta_of_r`, warm-started from the velocity and shooting Jacobian
+    of ``warm``, the previous evaluation (``None`` to start cold)."""
+    def dial(r: float, warm: Optional[BetaResult]) -> BetaResult:
         warm_start = () if warm is None else (warm.X_r.components, warm.jacobian)
-        return beta_of_r(g1, g2, w, x0, x1, r, cfg, *warm_start, _tol=tol)
+        return beta_of_r(g1, g2, w, x0, x1, r, cfg, *warm_start)
     return dial
 
 
-def _solve_r(evaluate, beta0: float, lower: float, r_max: float,
-             samples: int) -> tuple[float, BetaResult, int]:
-    """Solve ``beta(r) = beta0`` by a walk on a model of the dial, then a
-    secant on the bracket it finds.
+def _shooting_connection(g1: MetricChart, w: WarpField, x0, x1, cfg: IntegratorConfig):
+    """The parts of :func:`connect_points`'s solve, ``(evaluate, v, None,
+    legs)`` (see :func:`_connect`).
 
-    ``evaluate(r, warm, tol)`` is one dial evaluation (:func:`_shooting_dial`,
-    or the dial of :func:`_line_connection`), shot to ``tol`` where it
-    shoots and warm-started from ``warm``, the previous evaluation
-    (``None`` for the first); each distinct ``r`` is evaluated once, to the
-    tolerance of the schedule in the module docstring.
-    A loose evaluation (one whose resolution is wider than ``SHOOT_TOL``)
-    with ``|f|`` within twice its resolution is evaluated again at the
-    same ``r``, to ``SHOOT_TOL`` and warm-started from itself, before
-    the stop test.  Returns the root, its dial evaluation and the number of
-    distinct ``r`` evaluated; a stop on a loose evaluation shoots it again
-    in the same way, so the evaluation returned is never a loose one.
+    ``evaluate(v, r)`` shoots the rescaled base metric from ``x0`` with
+    velocity ``v`` and reads ``beta`` from the shot's own states
+    (:func:`_leg_beta`), with ``g1`` at ``x0`` and the rule's total weights
+    read once here; its resolution is ``SHOOT_TOL``.  The start is
+    ``v = x1 - x0``.  ``legs`` makes the root's states the shot leg, the one
+    curve a solve builds from its shots."""
+    x0, x1 = (np.asarray(p, dtype=float) for p in (x0, x1))
+    d = x0.size
+    g_x0, weights = _metric(g1, x0), total_weights(cfg.steps)
 
-    The model: against ``u = log(r - lower)``, ``f = log(beta / beta0)`` is
-    nearly a line of slope about ``-1/2``.  The walk starts a moderate
-    distance above the threshold, where the rescaled metric is still well
-    conditioned, and steps to the zero of that line: on slope ``-1/2``
-    first, then on the secant of its last two points, kept negative and no
-    steeper than ``-4``, each step at most a factor of 16 in ``r - lower``
-    and within ``[lower + 1e-12 (1 + |lower|), r_max]``.  A sign change ends
-    the walk, and the Anderson-Bjorck secant (*BIT* 13, 1973) on ``(u, f)``
-    refines that bracket: each point lies at least ``tol / 2`` inside it,
-    ``tol = BRENT_XTOL + BRENT_RTOL |r|``, and after three points in a row
-    that do not halve ``|f|`` the next one bisects the bracket in ``u``.
+    def evaluate(v: np.ndarray, r: float):
+        flat = _geodesic_flat(conformal_metric(g1, w, r), x0, v, cfg.steps)
+        states = np.reshape(flat, (-1, 2 * d))
+        beta = _leg_beta(w, r, states[:, :d], float(v @ g_x0 @ v), weights)[0]
+        return states[-1, :d] - x1, beta, SHOOT_TOL, flat
 
-    The solve ends at the first ``r`` whose ``|f|`` is within the relative
-    resolution its evaluation reports (:attr:`BetaResult.resolution`): the
-    shooting tolerance, or the line dial's rounding bound.  It also ends at
-    the walk's last ``r`` when the walk's next step would be shorter than
-    ``tol / 2``, and at the end of the bracket with the smaller ``|f|``
-    once the bracket is no wider than ``tol``.  Every built-in dial reports
-    a resolution, so these two stops are the guard for a dial whose noise
-    exceeds what it reports, and the only stops on a dial that reports
-    none.  A walk that meets either end of its
-    range, or makes ``samples`` evaluations, without a sign change raises
-    :class:`BracketingError`.  Every ``r`` handed to ``evaluate`` is a
-    Python float, and a dial value that is not a number, in the walk or in
-    the refinement, raises :class:`NumericalError`.
+    return evaluate, x1 - x0, None, lambda r, v, flat: (
+        _curve(flat, d), TangentVector(x0, v), None, None)
+
+
+def _solve(evaluate, v: np.ndarray, beta0: float, lower: float, r_max: float,
+           samples: int, slope=None):
+    """Solve a connection for its shot and its ``r`` at once.
+
+    The unknowns are ``z = (v, u)``: the ``d`` components of ``v`` (none on
+    the line base) and ``u = log(r - lower)``.  ``evaluate(v, r)``, with
+    ``r`` a Python float, is one shot; it returns ``(gap, beta,
+    resolution, kept)``: the shot's miss of its end point, the dial's value
+    read from the shot, the relative error in ``beta`` below which the
+    evaluation cannot resolve it, and what the caller reads at the root.
+    The residual is ``F = (gap, f)``, ``f = log(beta / beta0)``; a ``beta``
+    that is not a number raises :class:`NumericalError`.
+
+    The iteration is :func:`_shoot`'s, on ``F``.  It starts from ``v`` and
+    ``r = lower + 0.25 (1 + |lower|)``, at most ``r_max``.  Forward
+    differences build the first Jacobian (``d + 1`` shots), unless
+    ``slope(r)``, the closed form of ``d beta / d r`` of a solve with no
+    velocity unknowns, seeds it; every accepted step updates it by rank
+    one, and a step that the line search cannot make refreshes it; only a
+    failure with a fresh one raises :class:`ShootingError`.  The Newton
+    step comes by blocks: ``du`` from ``f`` along shots that meet ``x1``,
+    where ``f`` falls with ``u``, and ``dv`` from the gap's rows for that
+    ``du``.  ``du`` is at most ``MAX_LOG_MOVE``, and ``u`` stays within
+    ``[log(1e-12 (1 + |lower|)), log(r_max - lower)]``: a step that would
+    leave that range is shortened to its end, where a ``u`` within ``1e-9``
+    is shot, so at an end one that would carry ``u`` past it holds ``u``
+    there.  The line search halves a step down to ``1/128`` of it, an
+    off-chart trial counting as no decrease, until ``max |F|`` falls; a
+    step whose ``du`` was cut short need only bring ``max |gap|`` down, or
+    keep it within ``SHOOT_TOL``.
+
+    The solve ends, with ``max |gap| <= SHOOT_TOL``, once ``|f|`` is within
+    the resolution, or once the Newton step would move ``r`` within the
+    range by at most half of ``BRENT_XTOL + BRENT_RTOL |r|``, plus the
+    ``eps |u| (r - lower)`` to which ``u`` carries ``r``: the guard for a
+    dial that ``r`` cannot resolve so finely, next to the threshold, say.
+    Returns ``(v, r, beta, kept, steps)``, ``steps`` the Newton steps taken.
+    With ``u`` at an end where ``f``, the shot converged, still points past
+    it, the target is out of reach, and :class:`BracketingError` says so; so
+    it does after ``samples`` steps without a root.
     """
     if not r_max > lower:
         raise ParameterError(r_max, lower, "r_max")
     beta0, lower, r_max = float(beta0), float(lower), float(r_max)
-    memo: dict[float, BetaResult] = {}
-    last = None  # the newest evaluation, which warm-starts the next
-    tol_next = LOOSE_TOL  # the shooting tolerance of the next new r
+    d = v.size
+    lo, hi = math.log(1e-12 * (1.0 + abs(lower))), math.log(r_max - lower)
 
-    def shoot(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
-        nonlocal last
-        last = memo[r] = evaluate(r, warm, tol)
-        return last
-
-    def tight(r: float) -> BetaResult:
-        """The evaluation at ``r``, shot again if it is a loose one."""
-        hit = memo[r]
-        if (hit.resolution or 0.0) > SHOOT_TOL:
-            hit = shoot(r, hit, SHOOT_TOL)
-        return hit
-
-    def log_ratio(r: float) -> float:
-        beta = float(memo[r].beta)
+    def shot(z):
+        # a u within 1e-9 of an end of its range, which a step shortened to
+        # that end reaches up to rounding, is shot at that end, and the upper
+        # end is r_max itself; a difference quotient's step is wider
+        z[d] = lo if abs(z[d] - lo) < 1e-9 else hi if abs(z[d] - hi) < 1e-9 else z[d]
+        r = r_max if z[d] == hi else lower + math.exp(z[d])
+        gap, beta, resolution, kept = evaluate(np.array(z[:d]), r)
         if math.isnan(beta):
-            raise NumericalError(
-                f"the dial beta(r) is NaN at r = {r!r}, so the solve cannot "
-                f"compare it with its target")
-        return math.log(beta / beta0)
+            raise NumericalError(f"the dial beta(r) is NaN at r = {r!r}: no step can use it")
+        f = math.log(beta / beta0) if beta > 0.0 else -math.inf
+        return (r, beta, resolution, kept), [*gap.tolist(), f]
 
-    def gap(r: float) -> float:
-        nonlocal tol_next
-        if r not in memo:
-            hit = shoot(r, last, tol_next)
-            if abs(log_ratio(r)) <= 2.0 * (hit.resolution or 0.0):
-                tight(r)
-            f = log_ratio(r)
-            if tol_next > SHOOT_TOL:
-                tol_next = (SHOOT_TOL if abs(f) < NEAR_ROOT
-                            else min(LOOSE_TOL, LOOSE_SCALE * f * f))
-        return log_ratio(r)
-
-    def resolved(r: float, f: float) -> bool:
-        return abs(f) <= (memo[r].resolution or 0.0)
-
-    try:
-        floor = lower + 1e-12 * (1.0 + abs(lower))
-        r = min(lower + 0.25 * (1.0 + abs(lower)), r_max)
-        f, slope, reach, walked = gap(r), -0.5, math.log(16.0), 1
+    # z, the residual F and the Jacobian's rows are lists of floats: with d
+    # at most a few, Python arithmetic on them costs less than numpy's calls
+    z = [*v.tolist(), math.log(min(lower + 0.25 * (1.0 + abs(lower)), r_max) - lower)]
+    (r, beta, resolution, kept), F = shot(z)
+    jac = None if slope is None else [[slope(r) * (r - lower) / beta]]
+    for steps in range(samples + 1):
+        gap, f, u = max(map(abs, F[:d]), default=0.0), F[d], z[d]
+        if gap <= SHOOT_TOL and abs(f) <= resolution:
+            return np.array(z[:d]), r, beta, kept, steps
+        past = gap <= SHOOT_TOL and (f < 0.0 and u <= lo or f > 0.0 and u >= hi)
+        if past or steps == samples:
+            at = f"r = {r:.6g}" + ((" next to the admissibility threshold" if f < 0.0 else "")
+                                   if past else f" after {steps} Newton steps")
+            raise BracketingError(
+                f"target fiber distance {beta0:.6g} not reached even at {at}" if f < 0.0
+                else f"no sign change: beta stayed above {beta0:.6g} up to {at}")
         while True:
-            aim = lower + (r - lower) * math.exp(max(-reach, min(reach, -f / slope)))
-            if resolved(r, f) or (
-                    abs(aim - r) <= (BRENT_XTOL + BRENT_RTOL * abs(r)) / 2.0
-                    and floor <= aim <= r_max):
-                return r, tight(r), len(memo)
-            nxt = min(max(aim, floor), r_max)
-            if nxt == r or walked >= samples:
-                at = f"r = {r:.6g}" + (
-                    f" after {walked} dial evaluations" if nxt != r
-                    else " next to the admissibility threshold" if f < 0.0 else "")
-                raise BracketingError(
-                    f"target fiber distance {beta0:.6g} not reached even at {at}"
-                    if f < 0.0 else
-                    f"no sign change: beta stayed above {beta0:.6g} up to {at}")
-            f_nxt, walked = gap(nxt), walked + 1
-            if (f_nxt <= 0.0) != (f <= 0.0):
+            fresh = jac is None
+            if fresh:
+                jac = _fd_jacobian(shot, np.array(z), np.array(F)).tolist()
+            *rows, c = jac
+            # The Newton step by blocks: the gap's rows give dv for any du,
+            # dv = -x0 - du x1, and f's row with them du along shots that
+            # meet x1, where f falls with u (the dial decreases): du =
+            # -(f - c x0) / slope, with a slope that a noisy difference or
+            # update turned positive, or zero, taken negative.
+            try:
+                x = np.linalg.solve([row[:d] for row in rows], [
+                    [g, row[d]] for g, row in zip(F, rows)]).tolist() if d else []
+            except np.linalg.LinAlgError as exc:
+                if fresh:
+                    raise ShootingError(f"singular Jacobian in the solve for r: {exc}",
+                                        max(gap, abs(f)), steps + 1) from exc
+                jac = None
+                continue
+            cx0, cx1 = sum(map(mul, c, (b[0] for b in x))), sum(map(mul, c, (b[1] for b in x)))
+            du = (f - cx0) / max(abs(c[d] - cx1), 1e-300)
+            if (gap <= SHOOT_TOL and lo <= u + du <= hi and abs(lower + math.exp(u + du) - r)
+                    <= (BRENT_XTOL + BRENT_RTOL * abs(r)) / 2.0 + EPS * abs(u) * (r - lower)):
+                return np.array(z[:d]), r, beta, kept, steps
+            move = min(max(du, -MAX_LOG_MOVE, lo - u), MAX_LOG_MOVE, hi - u)
+            step = [-a - move * b for a, b in x] + [move]
+            # A step whose du is cut short cannot bring f to 0, and the shot
+            # it converges may move f away from it: it only has to bring the
+            # shot closer, or keep it within SHOOT_TOL.
+            best, parts = ((max(gap, abs(f)), slice(None)) if move == du
+                           else (max(gap, SHOOT_TOL), slice(0, d)))
+            accepted = _line_search(shot, z, step, best, parts)
+            if accepted is not None:
                 break
-            slope = max(-4.0, min(-1e-300, (f_nxt - f) / math.log(
-                (nxt - lower) / (r - lower))))
-            r, f = nxt, f_nxt
-        # Anderson-Bjorck on (u, f): b is the newest point; when a point
-        # lands on b's side, the other end's f is scaled down so that the
-        # next secant moves toward it.
-        a, fa, b, fb, stalled = r, f, nxt, f_nxt, 0
-        while not resolved(b, fb):
-            lo, hi = min(a, b), max(a, b)
-            tol = BRENT_XTOL + BRENT_RTOL * abs(b)
-            if hi - lo <= tol:
-                b = min((a, b), key=lambda end: abs(gap(end)))
-                break
-            ua, ub = math.log(a - lower), math.log(b - lower)
-            x = lower + math.exp(ub - fb * (ub - ua) / (fb - fa))
-            if stalled == 3 or not lo <= x <= hi:
-                x, stalled = lower + math.sqrt((lo - lower) * (hi - lower)), 0
-            x = min(max(x, lo + tol / 2.0), hi - tol / 2.0)
-            fx = gap(x)
-            stalled = 0 if abs(fx) <= 0.5 * abs(fb) else stalled + 1
-            if (fx <= 0.0) != (fb <= 0.0):
-                a, fa = b, fb
-            else:
-                fa *= 1.0 - fx / fb if abs(fx) < abs(fb) else 0.5
-            b, fb = x, fx
-        return b, tight(b), len(memo)
-    finally:
-        # A raised error's traceback holds this frame, and with it the memo:
-        # drop the shot leg of every evaluation as soon as the solve ends.
-        memo.clear()
-        last = None
+            if fresh:
+                raise ShootingError(f"the solve for r stalled at residual {best:.3e}",
+                                    best, steps + 1)
+            jac = None
+        trial, (r, beta, resolution, kept), trial_F, _ = accepted
+        s = [a - b for a, b in zip(trial, z)]
+        for row, a, b in zip(jac, F, trial_F):
+            scale = (b - a - sum(map(mul, row, s))) / sum(map(mul, s, s))
+            row[:] = [p + scale * q for p, q in zip(row, s)]
+        z, F = trial, trial_F
 
 
 @dataclass
@@ -454,8 +453,8 @@ class ShootingReport:
     ``r`` is ``None`` for the degenerate case of coinciding fiber
     endpoints (within 1e-12 absolute), where the fiber leg is constant and
     the base leg is a plain base-metric geodesic.  ``iterations`` is the
-    number of distinct ``r`` at which the dial was evaluated: 0 in the
-    degenerate case, which evaluates no dial.  ``endpoint_error`` is the
+    number of Newton steps of the solve for ``r`` (:func:`_solve`): 0 in the
+    degenerate case, which solves nothing.  ``endpoint_error`` is the
     larger distance of the two rebuilt legs' ends from the requested
     points, in the degenerate case too.  ``first_integral_residual`` is
     set on the line base only (:func:`flrw_connect`): the largest gap
@@ -493,26 +492,26 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
              samples: int) -> ShootingReport:
     """Join ``z0 = (x0, y0)`` to ``z1 = (x1, y1)``: the one connection driver.
 
-    ``kind(cfg)`` builds the connection's two parts at ``cfg``'s step
-    count, ``(dial, legs)``.  ``dial(r, warm, tol)`` is one dial evaluation
-    for :func:`_solve_r`.  ``legs(r, result)`` reads, from the root's
-    evaluation, the base leg at the root (the shot leg, or on the line base
-    the first integral's inverse), the rebuilt base leg ready for
-    :func:`~warpgeo.reparam.riemannize` (``None`` where the rebuild builds
-    it; see :func:`_line_connection`), and the first-integral residual
-    measured along the leg (``None`` where there is none).  Fiber end
-    points that coincide, within 1e-12 absolute in every coordinate, make
-    the trivial connection: a constant fiber leg and a ``g1``-geodesic base
-    leg, with no call of ``kind`` and so no dial.
-    Otherwise coinciding base end points raise :class:`BracketingError`;
-    the fiber leg fixes the target ``beta``, ``kind`` is called once, the
-    dial is solved for ``r`` and the pair rebuilt there, the one map build
-    of a solve.  The fiber leg is the segment from ``y0`` to ``y1``
-    (:func:`~warpgeo.integrate._segment`) on a chart whose exponent reads
-    no variable, a geodesic there, and a fiber shoot on any other; the
-    constant leg is the segment from ``y0`` to itself.  Either way the rebuilt legs must both end within
-    ``cfg.tolerance`` of ``x1`` and ``y1``, or :class:`ShootingError` is
-    raised.
+    ``kind(cfg)`` builds the connection's parts at ``cfg``'s step count,
+    ``(evaluate, v, slope, legs)``: the first three are what :func:`_solve`
+    takes.  ``legs(r, v, kept)`` reads, from the root's unknowns and what
+    its evaluation kept, the base leg at the root (the shot leg, or on the
+    line base the first integral's inverse), its initial velocity, the
+    rebuilt base leg ready for :func:`~warpgeo.reparam.riemannize`
+    (``None`` where the rebuild builds it; see :func:`_line_connection`),
+    and the first-integral residual measured along the leg (``None`` where
+    there is none).  Fiber end points that coincide, within 1e-12 absolute
+    in every coordinate, make the trivial connection: a constant fiber leg
+    and a ``g1``-geodesic base leg, with no call of ``kind`` and so no
+    solve.  Otherwise coinciding base end points raise
+    :class:`BracketingError`; the fiber leg fixes the target ``beta``,
+    ``kind`` is called once, the solve finds ``r`` and the pair is rebuilt
+    there, the one map build of a solve.  The fiber leg is the segment from
+    ``y0`` to ``y1`` (:func:`~warpgeo.integrate._segment`) on a chart whose
+    exponent reads no variable, a geodesic there, and a fiber shoot on any
+    other; the constant leg is the segment from ``y0`` to itself.  Either
+    way the rebuilt legs must both end within ``cfg.tolerance`` of ``x1``
+    and ``y1``, or :class:`ShootingError` is raised.
     """
     x0, y0 = (np.asarray(p, dtype=float) for p in z0)
     x1, y1 = (np.asarray(p, dtype=float) for p in z1)
@@ -540,11 +539,10 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
             nu = _shoot(g2, y0, y1, cfg)[2]
         V2 = nu.velocities[0]
         beta0 = math.sqrt(metric_eval(g2, y0, V2, V2))
-        dial, legs = kind(cfg)
-        r, res, iterations = _solve_r(dial, beta0, admissible_range(w).lower,
-                                      r_max, samples)
-        X_r, beta = res.X_r, res.beta
-        mu, base, fi_residual = legs(r, res)
+        evaluate, v, slope, legs = kind(cfg)
+        v, r, beta, kept, iterations = _solve(
+            evaluate, v, beta0, admissible_range(w).lower, r_max, samples, slope)
+        mu, X_r, base, fi_residual = legs(r, v, kept)
         geo = riemannize(mu, nu, w, r, g1, g2, compat_tol=1e-6, residual_tol=None,
                          _base=base)
     endpoint_error = float(max(np.max(np.abs(geo.gamma.points[-1] - x1)),
@@ -565,20 +563,20 @@ def _connect(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
 def connect_points(g1: MetricChart, g2: MetricChart, w: WarpField, z0, z1,
                    cfg: IntegratorConfig = IntegratorConfig(), *,
                    r_max: float = R_MAX_DEFAULT,
-                   samples: int = R_WALK_SAMPLES) -> ShootingReport:
+                   samples: int = MAX_NEWTON_STEPS) -> ShootingReport:
     """Join two points of the product by a rebuilt mixed-signature geodesic.
 
     ``z0 = (x0, y0)`` and ``z1 = (x1, y1)``.  The fiber endpoints fix the
-    target distance (via a fiber shoot); the rescaling parameter is then
-    solved from ``beta(r) = target``, and the matched pair of factor
-    geodesics is reparametrized into the final geodesic.  The solve looks
-    for the root in ``(lower, r_max]``, ``lower`` the admissibility
-    threshold; ``samples`` is the largest number of dial evaluations its
-    bracketing walk makes before it raises :class:`BracketingError`.
+    target distance (via a fiber shoot); the rescaling parameter and the
+    rescaled base shot are then solved together from ``beta(r) = target``
+    (:func:`_solve`), and the matched pair of factor geodesics is
+    reparametrized into the final geodesic.  The solve looks for the root
+    in ``(lower, r_max]``, ``lower`` the admissibility threshold; ``samples``
+    is the largest number of Newton steps it takes before it raises
+    :class:`BracketingError`.
     """
-    return _connect(g1, g2, w, z0, z1, cfg, lambda cfg: (
-        _shooting_dial(g1, g2, w, z0[0], z1[0], cfg),
-        lambda r, res: (res.mu, None, None)), r_max, samples)
+    return _connect(g1, g2, w, z0, z1, cfg, lambda cfg: _shooting_connection(
+        g1, w, z0[0], z1[0], cfg), r_max, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +771,12 @@ def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
     column, k, g, k_max, weights = (
         _line_batch(w, t0, t1, cfg.steps, _line_weight(weight)) if _batch is None
         else _batch)
-    _require_rescalable(w, r, column, k)
+    # k is positive at every node (the batch checks it), so 1 + r k is
+    # least where k is largest: one comparison stands for the check at
+    # every node, which runs, to name the first failing node, only if it
+    # fails
+    if not 1.0 + r * k_max > 0.0:
+        _require_rescalable(w, r, column, k)
     span = t1 - t0
     root = np.sqrt(1.0 + r * k)
     reach = g / root
@@ -788,21 +791,33 @@ def flrw_beta(w: WarpField, t0: float, t1: float, r: float,
 
 def _line_connection(w: WarpField, t0: float, t1: float, weight,
                      cfg: IntegratorConfig):
-    """The two parts of :func:`flrw_connect`'s connection, ``(dial, legs)``
-    (see :func:`_connect`), on one batch (:func:`_line_batch`, ``weight``
-    parsed or ``None``) built here, at ``cfg``'s step count.
+    """:func:`flrw_connect`'s dial and the parts of its solve, ``(dial,
+    (evaluate, v, slope, legs))`` (see :func:`_connect`), on one batch
+    (:func:`_line_batch`, ``weight`` parsed or ``None``) built here, at
+    ``cfg``'s step count.
 
-    ``dial(r, warm, tol)`` is :func:`flrw_beta` on the batch and reads
-    neither ``warm`` nor ``tol``.  ``legs(r, res)`` reads the base leg at
-    the root, and the rebuilt one, as the inverses of two running tables
-    on the batch's grid, as :func:`flrw_connect` describes, with the warp
-    and the weight at both legs' points one more batch."""
+    ``dial(r, warm)`` is :func:`flrw_beta` on the batch and does not read
+    ``warm``.  ``evaluate`` is the dial with no velocity unknowns, so ``v``
+    is empty, and ``slope(r)`` is ``d beta / d r = -|span| / 2 int g k (1 +
+    r k)^(-3/2)``, one dot product with the batch's total weights.
+    ``legs(r, v, res)`` reads the base leg at the root, and the rebuilt one,
+    as the inverses of two running tables on the batch's grid, as
+    :func:`flrw_connect` describes, with the warp and the weight at both
+    legs' points one more batch."""
     batch = _line_batch(w, t0, t1, cfg.steps, weight)
 
-    def dial(r: float, warm: Optional[BetaResult], tol: float) -> BetaResult:
+    def dial(r: float, warm: Optional[BetaResult]) -> BetaResult:
         return flrw_beta(w, t0, t1, r, cfg, weight, _batch=batch)
 
-    def legs(r, res):
+    def evaluate(v: np.ndarray, r: float):
+        res = dial(r, None)
+        return v, res.beta, res.resolution, res  # v is empty, and so is the gap
+
+    def slope(r: float) -> float:
+        k, g, weights = batch[1], batch[2], batch[4]
+        return -0.5 * abs(t1 - t0) * float(weights @ (g * k / (1.0 + r * k) ** 1.5))
+
+    def legs(r, v, res):
         k, g = batch[1:3]
         root = np.sqrt(1.0 + r * k)
         grid = _grid(cfg.steps)
@@ -822,23 +837,24 @@ def _line_connection(w: WarpField, t0: float, t1: float, weight,
         speed = totals[0] / (g[:n] * root[:n])
         drift = points[:n, 0] - t0 - cumulative_simpson(speed, h)
         gamma = Curve(grid, points[n:], (totals[1] * root[n:] / (k[n:] * g[n:]))[:, None])
-        return (Curve(grid, points[:n], speed[:, None]), (gamma, k[n:], res.a_r, res.b_r),
-                float(np.max(np.abs(drift))))
-    return dial, legs
+        return (Curve(grid, points[:n], speed[:, None]), res.X_r,
+                (gamma, k[n:], res.a_r, res.b_r), float(np.max(np.abs(drift))))
+    return dial, (evaluate, np.empty(0), slope, legs)
 
 
 def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
                  g2: MetricChart, cfg: IntegratorConfig = IntegratorConfig(),
                  *, weight=None,
                  r_max: float = R_MAX_DEFAULT,
-                 samples: int = R_WALK_SAMPLES) -> ShootingReport:
+                 samples: int = MAX_NEWTON_STEPS) -> ShootingReport:
     """Boundary connection on a line base, using the first integral.
 
     Same contract as :func:`connect_points` for a one-dimensional base
     chart (optionally weighted, as in :func:`flrw_beta`), but each dial
     evaluation reads the explicit first integral of the base equation
-    instead of shooting, and the dial and the legs at the root share one
-    batch (:func:`_line_connection`).  The base leg at the root is that
+    instead of shooting, so the solve has no velocity unknowns, and the
+    dial and the legs at the root share one batch
+    (:func:`_line_connection`).  The base leg at the root is that
     integral's inverse, not an integrated geodesic: it solves
     ``mu' S(mu) = c``, so ``mu = t0 + span u`` with ``u`` the inverse of
     the slowness's running integral on the dial's grid
@@ -865,7 +881,7 @@ def flrw_connect(w: WarpField, t0: float, t1: float, y0, y1,
     weight = _line_weight(weight)
     base_chart = weighted_line(weight) if weight is not None else euclidean(1)
     return _connect(base_chart, g2, w, ([t0], y0), ([t1], y1), cfg,
-                    lambda cfg: _line_connection(w, t0, t1, weight, cfg), r_max, samples)
+                    lambda cfg: _line_connection(w, t0, t1, weight, cfg)[1], r_max, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,9 @@ class ShootingError(NumericalError):
 
 
 class BracketingError(NumericalError):
-    """No sign change found while scanning for a root."""
+    """No rebuilt geodesic was found for the target fiber distance: it lies
+    past an end of the range the solve for ``r`` searches, the solve ran out
+    of Newton steps, or the base end points coincide."""
 
 
 class DslError(InputError):

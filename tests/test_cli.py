@@ -105,7 +105,7 @@ def test_a_connection_with_coinciding_fiber_end_points_evaluates_no_dial(tmp_pat
     assert code == 0
     report = report_of(out)
     assert report["r"] is None and report["iterations"] == 0
-    assert ", no dial evaluations\n" in (out / "summary.txt").read_text()
+    assert ", no Newton steps\n" in (out / "summary.txt").read_text()
 
 
 def test_a_connection_of_nearby_fiber_end_points_is_no_trivial_success(tmp_path):
@@ -473,7 +473,7 @@ def test_a_curvature_scan_past_the_warps_declared_bound_is_a_numerical_failure(t
 
 
 def test_missed_end_point_is_a_numerical_failure(tmp_path):
-    # the README instance at 64 steps misses x1 by 2.39e-11
+    # the README instance at 64 steps misses x1 by 1.36e-11
     doc = {
         "task": "connect",
         "base_chart": {"name": "poincare_half_plane"},
@@ -488,15 +488,15 @@ def test_missed_end_point_is_a_numerical_failure(tmp_path):
     with open(out / "error.json") as fh:
         payload = json.load(fh)
     assert payload["error"] == "ShootingError"
-    assert payload["residual"] == pytest.approx(2.39e-11, rel=0.01)
+    assert payload["residual"] == pytest.approx(1.357e-11, rel=0.01)
 
 
 @pytest.mark.parametrize("key, value, said", [
-    ("samples", 2, "after 2 dial evaluations"),
+    ("samples", 2, "after 2 Newton steps"),
     ("r_max", 0.01, "up to r = 0.01"),
 ])
 def test_connect_hands_its_bracketing_controls_to_the_solve(tmp_path, key, value, said):
-    # the README instance at 64 steps brackets its root with neither bound
+    # the README instance at 64 steps solves for its root with neither bound
     doc = {
         "task": "connect",
         "base_chart": {"name": "poincare_half_plane"},

@@ -1,15 +1,13 @@
 """Boundary connection: shooting, the fiber-distance dial, line-base solver."""
 
-import dataclasses
 import gc
 import json
 import math
-import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import warpgeo as wg
 from warpgeo import _num, cli, connect, integrate, reparam, warpfn
@@ -95,16 +93,14 @@ def test_a_warm_started_dial_reuses_the_neighbouring_jacobian(monkeypatch):
 
 def test_the_readme_example_solves_in_few_dial_evaluations(monkeypatch):
     # The README example at its default 1024 steps.  The counts repeat
-    # exactly; a geometric walk to the bracket took 16 dial evaluations and
-    # 71 integrations here, and Brent's method on the walk's bracket 8 and
-    # 34, its last three evaluations below the dial's resolution.  Every
-    # evaluation shot to 1e-10 and central-difference Jacobians took 31.
-    # Every shot is the base's: the circle fiber's leg is a segment.
+    # exactly.  Solving for r and the shot together takes 10 Newton steps
+    # and 15 shots, 3 of them the forward-difference start.  Every shot is
+    # the base's: the circle fiber's leg is a segment.
     shots = _count_calls(monkeypatch, connect, "_geodesic_flat")
     report = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
                                (X0, np.zeros(1)), (X1, np.array([0.4])))
-    assert report.iterations == 5
-    assert len(shots) == 22
+    assert report.iterations == 10
+    assert len(shots) == 15
     assert report.endpoint_error <= wg.IntegratorConfig().tolerance
 
 
@@ -351,89 +347,108 @@ def _misdeclared_sine():
     return wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 1, 1.5, 2.2)
 
 
+def _dial_only(beta, seen):
+    """``evaluate`` of a solve with no velocity unknowns on the dial
+    ``beta(r)``, resolved to 4 eps, recording each ``r`` it is handed."""
+    def evaluate(v, r):
+        seen.append(r)
+        return v, beta(r), 4.0 * _num.EPS, None
+    return evaluate
+
+
 def test_a_nan_dial_value_in_the_walk_is_a_numerical_error():
-    # The walk toward the threshold meets beta = NaN at r = -0.4318, which
-    # a bare comparison would read as "above target".  (A warp above its
-    # declared K0, which made this NaN on the line base, is now named where
-    # k is read; the dial here is a stand-in with the same walk.)
-    def evaluate(r, *_):
-        beta = math.nan if r < -0.43 else 1.0 / (r + 0.5)
-        return BetaResult(beta, wg.TangentVector(np.zeros(1), np.ones(1)),
-                          1.0, 1.0, None)
+    # The solve's first step toward the threshold, cut to a factor of 16
+    # in r - lower, meets beta = NaN at r = -0.4318, which a bare
+    # comparison would read as "above target".  (A warp above its declared
+    # K0, which made this NaN on the line base, is now named where k is
+    # read; the dial here is a stand-in with the same first step.)
+    def beta(r):
+        return math.nan if r < -0.43 else 1.0 / (r + 0.5)
 
     lower = wg.admissible_range(_misdeclared_sine()).lower
     with pytest.raises(NumericalError, match=r"NaN at r = -0\.4318"):
-        connect._solve_r(evaluate, 40.0, lower, 1e6, 64)
+        connect._solve(_dial_only(beta, []), np.empty(0), 40.0, lower, 1e6, 64)
 
 
 def test_a_nan_dial_value_in_the_refinement_is_a_numerical_error():
+    # The NaN lies within 1e-3 of the root, where the secant steps land.
     seen = []
 
-    def evaluate(r, *_):
-        seen.append(r)
-        beta = math.nan if abs(r - 0.5) < 1e-3 else 2.0 - r
-        return BetaResult(beta, wg.TangentVector(np.zeros(1), np.ones(1)),
-                          1.0, 1.0, None)
+    def beta(r):
+        return math.nan if abs(r - 0.5) < 1e-3 else 2.0 - r
 
-    with pytest.raises(NumericalError, match=r"NaN at r = 0\.49908"):
-        connect._solve_r(evaluate, 1.5, -1.0, 10.0, 64)
-    # the walk bracketed the root, [0.389, 0.640], without a NaN
+    with pytest.raises(NumericalError, match=r"NaN at r = 0\.49959"):
+        connect._solve(_dial_only(beta, seen), np.empty(0), 1.5, -1.0, 10.0, 64)
+    # the steps before it met no NaN
     assert all(abs(r - 0.5) >= 1e-3 for r in seen[:-1])
 
 
 def _power_dial(c, s, e, lower, seen):
-    """The dial ``c (r - lower)^s + e``, recording each ``r`` it is handed."""
-    def evaluate(r, *_):
-        seen.append(r)
-        return BetaResult(c * (r - lower) ** s + e,
-                          wg.TangentVector(np.zeros(1), np.ones(1)), 1.0, 1.0, None)
-    return evaluate
+    """``evaluate`` on the dial ``c (r - lower)^s + e``, recording each
+    ``r`` it is handed."""
+    return _dial_only(lambda r: c * (r - lower) ** s + e, seen)
 
 
-def test_the_walk_raises_after_samples_dial_evaluations(monkeypatch):
+def test_the_solve_raises_after_samples_newton_steps(monkeypatch):
     seen = []
     dial = _power_dial(1.0, -0.5, 0.0, -1.0, seen)
     for beta0, message in ((1e-3, "stayed above"), (1e3, "not reached")):
         seen.clear()
-        with pytest.raises(BracketingError, match=f"{message}.* after 2 dial evaluations"):
-            connect._solve_r(dial, beta0, -1.0, 1e6, 2)
-        assert len(seen) == 2
-    # the same cap through the public call, on a reachable target
-    calls = _count_calls(monkeypatch, connect, "beta_of_r")
+        with pytest.raises(BracketingError, match=f"{message}.* after 2 Newton steps"):
+            connect._solve(dial, np.empty(0), beta0, -1.0, 1e6, 2)
+        # the start, its forward difference and one shot per step
+        assert len(seen) == 4
+    # the same cap through the public call, on a reachable target: the
+    # start, two forward differences and one shot per step
+    shots = _count_calls(monkeypatch, connect, "_geodesic_flat")
     line = wg.euclidean(1)
-    with pytest.raises(BracketingError, match="stayed above"):
+    with pytest.raises(BracketingError, match="stayed above.* after 2 Newton steps"):
         wg.connect_points(line, line, wg.WarpField.constant(1.0, 1),
                           (np.zeros(1), np.zeros(1)), (np.ones(1), np.array([0.05])),
                           FAST, samples=2)
-    assert len(calls) == 2
+    assert len(shots) == 5
+
+
+def test_a_dial_flat_in_r_walks_to_the_end_of_its_range():
+    # A zero slope, here from forward differences, is taken negative: the
+    # solve steps toward the target, a factor of 16 in r - lower at a time,
+    # and ends at the end of its range with the matching bracketing error.
+    for beta0, message in ((1.0, "stayed above 1 up to r = 1e\\+06"),
+                           (3.0, "not reached even at .* threshold")):
+        seen = []
+        with pytest.raises(BracketingError, match=message):
+            connect._solve(_dial_only(lambda r: 2.0, seen), np.empty(0), beta0, 0.0, 1e6, 64)
+        assert len(seen) == len(set(seen)) < 20
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+@example(c=1.0, s=-2.0, e=0.0, lower=0.0, case="reached", offset=6.0, margin=1.0)  # r = r_max
+@example(c=1.0, s=-3.0, e=0.0, lower=0.0, case="reached", offset=4.0, margin=1.0)
 @given(c=st.floats(0.1, 10.0), s=st.floats(-3.0, -0.05),
        e=st.just(0.0) | st.floats(0.0, 10.0), lower=st.floats(-1.0, 0.0),
        case=st.sampled_from(["reached", "above", "below"]),
        offset=st.floats(-10.0, 6.0), margin=st.floats(1e-3, 10.0))
 def test_the_root_find_solves_every_decreasing_power_dial(c, s, e, lower, case,
                                                            offset, margin):
-    """On ``c (r - lower)^s + e``: the root to Brent's tolerance (widened
-    by the rounding of the dial where it is flat) where the target is in
-    reach, the matching bracketing error where it is not, and every ``r``
-    handed over once, as a Python float."""
+    """On ``c (r - lower)^s + e``, solved with no velocity unknowns: the
+    root to Brent's tolerance (widened by the rounding of the dial where it
+    is flat) where the target is in reach, the matching bracketing error
+    where it is not, and every ``r`` handed over once, as a Python float."""
     seen, r_max = [], 1e6
     dial = _power_dial(c, s, e, lower, seen)
     floor = lower + 1e-12 * (1.0 + abs(lower))
     if case == "reached":
         r_true = lower + 10.0 ** offset
         beta0 = c * (r_true - lower) ** s + e
-        root, res, evaluations = connect._solve_r(dial, beta0, lower, r_max, 64)
+        _, root, beta, _, steps = connect._solve(dial, np.empty(0), beta0, lower, r_max, 64)
         flat = 16.0 * np.finfo(float).eps * beta0 / (-s * c * (r_true - lower) ** (s - 1.0))
         assert abs(root - r_true) <= _num.BRENT_XTOL + _num.BRENT_RTOL * abs(r_true) + flat
-        assert res.beta == c * (root - lower) ** s + e and evaluations == len(seen)
+        assert beta == c * (root - lower) ** s + e and steps < len(seen)
     else:
         end, message = (floor, "not reached") if case == "above" else (r_max, "stayed above")
         beta0 = (c * (end - lower) ** s + e) * (1.0 + margin) ** (1 if case == "above" else -1)
         with pytest.raises(BracketingError, match=message):
-            connect._solve_r(dial, beta0, lower, r_max, 64)
+            connect._solve(dial, np.empty(0), beta0, lower, r_max, 64)
     assert len(set(seen)) == len(seen)
     assert all(type(r) is float for r in seen)
 
@@ -441,107 +456,85 @@ def test_the_root_find_solves_every_decreasing_power_dial(c, s, e, lower, case,
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(x=st.floats(1.0, 1.4), y=st.floats(0.6, 0.8), beta0=st.floats(0.3, 0.5))
 def test_the_solve_stops_within_the_dials_resolution(x, y, beta0):
-    """On README-like instances: the root matches its target within the
-    resolution the dial reports, and the root of the same dial reporting no
-    resolution (solved to Brent's tolerance) within 1e-9 relative."""
-    g1, g2, x1 = wg.poincare_half_plane(), wg.circle(1.0), np.array([x, y])
+    """On README-like instances: the root's shot ends within ``SHOOT_TOL``
+    of ``x1``, and its ``beta`` matches the target within ``SHOOT_TOL``,
+    the resolution of the shooting dial, which it reports."""
+    x1 = np.array([x, y])
     lower = wg.admissible_range(README_WARP).lower
-    dial = connect._shooting_dial(g1, g2, README_WARP, X0, x1, FAST)
-
-    def unresolved(*args):
-        return dataclasses.replace(dial(*args), resolution=None)
-
-    root, res, _ = connect._solve_r(dial, beta0, lower, 1e6, 64)
-    assert res.resolution == connect.SHOOT_TOL
-    assert abs(math.log(res.beta / beta0)) <= res.resolution
-    fine, _, _ = connect._solve_r(unresolved, beta0, lower, 1e6, 64)
-    assert abs(root - fine) <= 1e-9 * abs(fine)
+    evaluate, v, slope, _ = connect._shooting_connection(
+        wg.poincare_half_plane(), README_WARP, X0, x1, FAST)
+    assert slope is None and evaluate(v, 1.0)[2] == connect.SHOOT_TOL
+    _, root, beta, flat, _ = connect._solve(evaluate, v, beta0, lower, 1e6, 64)
+    assert abs(math.log(beta / beta0)) <= connect.SHOOT_TOL
+    assert np.max(np.abs(np.array(flat[-4:-2]) - x1)) <= connect.SHOOT_TOL
 
 
-def _shooting_power_dial(s, lower, calls, e=0.0, r_jump=None):
-    """The dial ``(r - lower)^s + e`` as a shooting dial reports it: off by
-    a relative error of up to a tenth of the tolerance it is asked for,
-    that tolerance its resolution, and its velocity ``[r]``.  Past
-    ``r_jump`` it drops by 2 %, so that no ``r`` matches the target near
-    that jump."""
-    def evaluate(r, warm, tol):
-        calls.append((r, tol, None if warm is None else warm.X_r.components))
-        beta = ((r - lower) ** s + e) * math.exp(
-            0.1 * tol * random.Random(r).uniform(-1, 1))
-        if r_jump is not None:
-            beta *= 1.01 if r < r_jump else 0.99
-        return BetaResult(beta, wg.TangentVector(np.zeros(1), np.array([r])),
-                          1.0, 1.0, None, jacobian=np.eye(1), resolution=tol)
-    return evaluate
+def _brent_root(dial, beta0, lower):
+    """The root of ``log(dial(r) / beta0)`` by scipy's ``brentq`` on the
+    bracket that a geometric scan in ``r - lower`` from ``0.25 (1 + |lower|)``
+    finds, to ``1e-14`` absolute and ``4 eps`` relative."""
+    from scipy.optimize import brentq
+
+    def f(r):
+        return math.log(dial(r) / beta0)
+
+    a = lower + 0.25 * (1.0 + abs(lower))
+    b = a
+    while (f(a) > 0.0) == (f(b) > 0.0):
+        a, b = (b, lower + 16.0 * (b - lower)) if f(b) > 0.0 else (lower + (a - lower) / 16.0, a)
+    return brentq(f, a, b, xtol=1e-14, rtol=4.0 * _num.EPS)
 
 
-def _redone(calls) -> list:
-    """The calls that evaluate an ``r`` again, each checked to be a
-    ``SHOOT_TOL`` shot warm-started from the loose evaluation before it."""
-    first = {}
-    again = []
-    for call in calls:
-        if call[0] in first:
-            again.append((first[call[0]], call))
-        first.setdefault(call[0], call)
-    for (r, tol, _), (_, tol_again, v_init) in again:
-        assert tol > connect.SHOOT_TOL == tol_again and v_init.tolist() == [r]
-    return again
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(base=st.sampled_from(["half_plane", "flat"]), x=st.floats(1.0, 1.4),
+       y=st.floats(0.5, 0.9), beta0=st.floats(0.3, 0.5))
+def test_the_joint_root_matches_a_brent_root_of_the_shooting_dial(base, x, y, beta0):
+    """The root of the joint solve for ``r`` and the shot lies within
+    ``1e-9 (r - lower)`` of Brent's root of :func:`beta_of_r`, whose every
+    evaluation shoots to ``SHOOT_TOL``."""
+    g1, g2 = {"half_plane": wg.poincare_half_plane(), "flat": wg.euclidean(2)}[base], wg.circle(1.0)
+    text = {"half_plane": "2 + 0.5*sin(2*x1)", "flat": "2 + 0.5*sin(2*x1)*cos(2*x2)"}[base]
+    w = wg.WarpField.from_expression(text, 2, 1.5, 2.5)
+    x0 = X0 if base == "half_plane" else np.zeros(2)
+    x1 = np.array([x, y])
+    report = wg.connect_points(g1, g2, w, (x0, np.zeros(1)), (x1, np.array([beta0])), FAST)
+    lower = wg.admissible_range(w).lower
+    ref = _brent_root(lambda r: wg.beta_of_r(g1, g2, w, x0, x1, r, FAST).beta, beta0, lower)
+    assert abs(report.r - ref) <= 1e-9 * (ref - lower)
 
 
-@pytest.mark.parametrize("s, e, redone", [
-    (-0.5, 0.0, 1), (-2.0, 0.0, 1), (-0.5, 0.5, 0), (-2.0, 0.5, 0),
-])
-def test_a_solve_shoots_far_from_its_root_loosely_and_returns_a_tight_root(s, e,
-                                                                           redone):
-    # The resolution stop.  On a pure power law the walk's secant lands a
-    # loose evaluation within twice its tolerance of the target, and that
-    # r is shot again; with an offset, |f| falls below 1e-3 first, and
-    # every later evaluation is tight from the start.
-    calls = []
-    root, res, evaluations = connect._solve_r(
-        _shooting_power_dial(s, -1.0, calls, e), 2.0 ** s + e, -1.0, 1e6, 64)
-    assert res.resolution == connect.SHOOT_TOL
-    assert abs(math.log(res.beta / (2.0 ** s + e))) <= connect.SHOOT_TOL
-    assert abs(root - 1.0) <= 1e-9
-    assert calls[0][1] == connect.LOOSE_TOL
-    assert evaluations == len({r for r, _, _ in calls})
-    assert len(calls) == evaluations + len(_redone(calls)) == evaluations + redone
-    tight = [i for i, (_, tol, _) in enumerate(calls) if tol == connect.SHOOT_TOL]
-    assert tight == list(range(tight[0], len(calls)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(t1=st.floats(2.0, 7.0), y1=st.floats(0.3, 1.2),
+       weight=st.sampled_from([None, "(1 + t)^2"]))
+def test_the_joint_root_matches_a_brent_root_of_the_line_dial(t1, y1, weight):
+    """On the line base the solve has no velocity unknowns: its root lies
+    within ``1e-9 (r - lower)`` of Brent's root of :func:`flrw_beta`."""
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    report = wg.flrw_connect(w, 0.0, t1, np.zeros(1), np.array([y1]), wg.euclidean(1),
+                             CFG, weight=weight)
+    lower = wg.admissible_range(w).lower
+    ref = _brent_root(lambda r: wg.flrw_beta(w, 0.0, t1, r, CFG, weight).beta, y1, lower)
+    assert abs(report.r - ref) <= 1e-9 * (ref - lower)
 
 
-def test_a_walk_that_stops_on_a_loose_evaluation_shoots_it_again():
-    # The walk's r halves by a factor of 16 toward a root at 0.9 of its
-    # tenth r, 3.3e-12 above the threshold: there the next step is shorter
-    # than half the bracket tolerance while |f| is still 0.05.
-    calls, r_true = [], 0.9 * 0.25 / 16.0 ** 9
-    root, res, evaluations = connect._solve_r(
-        _shooting_power_dial(-0.5, 0.0, calls), r_true ** -0.5, 0.0, 1e6, 64)
-    assert evaluations == 10 and len(calls) == 11
-    assert _redone(calls) and calls[-1][0] == root
-    assert res.resolution == connect.SHOOT_TOL
-    assert abs(math.log(res.beta * r_true ** 0.5)) > 0.05
-    assert abs(root - r_true) <= _num.BRENT_XTOL
-
-
-def test_a_bracket_that_closes_on_loose_evaluations_returns_a_tight_end():
-    # No r is within 1e-3 of the target across the jump, so the bracket
-    # closes on loose evaluations and its better end is shot again.
-    calls = []
-    root, res, evaluations = connect._solve_r(
-        _shooting_power_dial(-0.5, -1.0, calls, r_jump=1.0), 1.0 / math.sqrt(2.0),
-        -1.0, 1e6, 64)
-    assert abs(root - 1.0) <= _num.BRENT_XTOL + _num.BRENT_RTOL
-    assert res.resolution == connect.SHOOT_TOL and calls[-1][0] == root
-    assert all(tol > connect.SHOOT_TOL for _, tol, _ in calls[:-1])
-    assert len(_redone(calls)) == 1 and evaluations == len(calls) - 1
+@pytest.mark.parametrize("weight", [None, "(1 + t)^2"])
+def test_the_line_dials_slope_matches_a_difference_quotient(weight):
+    # d beta / d r, which seeds the line solve's Jacobian, against the
+    # central difference quotient of the dial, next to the threshold too
+    w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
+    lower = wg.admissible_range(w).lower
+    dial, (_, _, slope, _) = connect._line_connection(
+        w, 0.0, 6.0, connect._line_weight(weight), CFG)
+    for r in (lower + 1e-3, lower + 0.1, 0.0, 0.5, 3.0, 100.0):
+        h = 1e-5 * (r - lower)
+        quotient = (dial(r + h, None).beta - dial(r - h, None).beta) / (2.0 * h)
+        assert slope(r) == pytest.approx(quotient, rel=1e-6)
 
 
 def test_every_r_handed_to_the_dial_is_a_python_float(monkeypatch):
     # numpy scalars would run the generated step in numpy-scalar arithmetic
     seen = []
-    for name, r_index in (("beta_of_r", 5), ("flrw_beta", 3)):
+    for name, r_index in (("conformal_metric", 2), ("flrw_beta", 3)):
         real = getattr(connect, name)
 
         def spy(*args, real=real, r_index=r_index, **kwargs):
@@ -835,7 +828,7 @@ def test_reversing_the_line_interval_leaves_the_dial():
 
 def test_endpoint_error_measures_the_requested_end_points():
     # The README instance at 64 steps: the rebuilt base leg, a shot leg
-    # reparametrized, ends 2.39e-11 from x1; the report must show that
+    # reparametrized, ends 1.36e-11 from x1; the report must show that
     # miss, not compare the leg with its own end point.  The line base's
     # leg ends at t1 within roundoff, and its report measures that too.
     rep = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
@@ -844,7 +837,7 @@ def test_endpoint_error_measures_the_requested_end_points():
     miss = max(np.max(np.abs(geo.gamma.points[-1] - X1)),
                abs(geo.tau.points[-1, 0] - 0.4))
     assert rep.endpoint_error == miss
-    assert rep.endpoint_error == pytest.approx(2.39e-11, rel=0.01)
+    assert rep.endpoint_error == pytest.approx(1.357e-11, rel=0.01)
     w = wg.WarpField.from_expression("2 + sin(x1)", 1, 1.0, 3.0)
     rep = wg.flrw_connect(w, 0.0, 7.0, np.zeros(1), np.array([0.9]), wg.euclidean(1),
                           wg.IntegratorConfig(steps=512), weight="(1 + t)^2")
@@ -854,19 +847,19 @@ def test_endpoint_error_measures_the_requested_end_points():
 
 
 def test_missing_the_end_point_beyond_the_tolerance_raises():
-    # The README instance at 64 steps misses x1 by 2.39e-11 (previous test),
+    # The README instance at 64 steps misses x1 by 1.36e-11 (previous test),
     # above a tolerance of 1e-11.
     with pytest.raises(ShootingError) as info:
         wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), README_WARP,
                           (X0, np.zeros(1)), (X1, np.array([0.4])),
                           wg.IntegratorConfig(steps=64, tolerance=1e-11))
-    assert info.value.residual == pytest.approx(2.39e-11, rel=0.01)
+    assert info.value.residual == pytest.approx(1.357e-11, rel=0.01)
     assert info.value.iterations > 0
 
 
 def test_a_solve_leaves_no_dial_evaluation_for_the_cycle_collector():
-    # The dial memo holds the shot leg of every evaluation; nothing of it
-    # may be left for a full GC once a solve has returned.
+    # A line solve keeps the dial evaluation of its newest step; nothing of
+    # it may be left for a full GC once a solve has returned.
     def held():
         return sum(isinstance(o, BetaResult) for o in gc.get_objects())
 
@@ -958,15 +951,24 @@ MISDECLARED = wg.WarpField.from_expression("2 + 0.5*sin(2*x1)", 2, 1.5, 2.2)
 
 
 def test_a_warp_above_its_declared_bound_ends_a_solve_by_name():
-    # k reaches 2.5, K0 = 2.2 is declared: the walk reaches r near
-    # -1/2.2, where a shot meets 1/k + r <= 0
+    # k is 2.5 at x0, on the line x1 = pi/4, where K0 = 1.1 is declared:
+    # the solve starts at r = -1/1.1 + 0.25 (1 + 1/1.1) = -0.432, below
+    # -1/2.5, so its first shot meets 1/k + r <= 0 where it starts
+    far_below = wg.WarpField(MISDECLARED.expr, 1.0, 1.1)
     factor = warpfn.Binary("+", warpfn.Binary("/", warpfn.Const(1.0),
                                               MISDECLARED.expr), warpfn.Var(2))
     with pytest.raises(ChartDomainError) as err:
-        wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), MISDECLARED,
-                          (X0, np.zeros(1)), (X1, np.array([3.0])), FAST)
+        wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), far_below,
+                          (np.array([math.pi / 4, 1.0]), np.zeros(1)),
+                          (X1, np.array([3.0])), FAST)
     assert err.value.condition == f"{factor} > 0.0"
     assert str(factor) in str(err.value)
+    # With K0 = 2.2 declared the solve starts above -1/2.5, and it counts a
+    # trial shot that leaves the chart as no decrease: it finds the root
+    # above -1/2.5, where every shot of the rescaled metric is defined.
+    report = wg.connect_points(wg.poincare_half_plane(), wg.circle(1.0), MISDECLARED,
+                               (X0, np.zeros(1)), (X1, np.array([3.0])), FAST)
+    assert -0.4 < report.r < -0.37
 
 
 def test_a_warp_above_its_declared_bound_is_a_typed_error_where_k_is_read():
@@ -1101,9 +1103,9 @@ def test_a_line_weight_that_overflows_is_a_numerical_error():
 def test_a_line_solve_reads_the_warp_once_and_stops_at_the_resolution(monkeypatch):
     # The README's line instance at 1024 steps.  Its solve evaluates the
     # warp on the dial's grid once, and once more at the points of both
-    # base legs at the root; every evaluation reports the rounding bound of its sums, and the
-    # solve stops at the first that matches the target within it: 7
-    # evaluations, where running to the bracket width took 8.
+    # base legs at the root; every evaluation reports the rounding bound of
+    # its sums, and the solve stops at the first that matches the target
+    # within it: 7 evaluations in 6 Newton steps from the closed-form slope.
     grids, evaluations = [], []
     real_values, real_dial = connect.values_along, connect.flrw_beta
 
@@ -1122,7 +1124,7 @@ def test_a_line_solve_reads_the_warp_once_and_stops_at_the_resolution(monkeypatc
                              weight="(1 + t)^2")
     grid = 6.0 * np.linspace(0.0, 1.0, 1025)
     assert len(grids) == 2 and sum(np.array_equal(g[:, 0], grid) for g in grids) == 1
-    assert report.iterations == len(evaluations) == 7
+    assert report.iterations + 1 == len(evaluations) == 7
     gaps = [abs(math.log(e.beta / report.target_beta)) for e in evaluations]
     for e in evaluations:
         assert 1027 * _num.EPS <= e.resolution <= 1028 * _num.EPS

@@ -348,7 +348,7 @@ def test_one_driver_makes_every_connection():
     # connect_points and flrw_connect differ only in their dial and base
     # leg: one function solves for r, rebuilds the pair and reports
     source = (PACKAGE / "connect.py").read_text()
-    for name in ("_solve_r", "riemannize", "ShootingReport"):
+    for name in ("_solve", "riemannize", "ShootingReport"):
         assert _call_sites(source, name) == ["_connect"], name
     for gone in ("_trivial_connection", "_assemble_report", "_within_tolerance"):
         assert gone not in source
@@ -409,7 +409,7 @@ def _dial_internals(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_connect_module_reaches_into_a_dial(path):
-    # every dial is dial(r, warm, tol), built in connect, which alone
+    # every dial is dial(r, warm), built in connect, which alone
     # decides what a warm start carries and which batch the line dial and
     # its legs share
     found = _dial_internals(path.read_text())
@@ -429,13 +429,15 @@ def test_the_check_sees_a_reach_into_a_dial():
 
 
 RETIRED = {"point_at", "velocity_at", "initial_velocity", "integrate_product_geodesic",
-           "value_and_grad", "differential_at", "hessian_at", "_base_table", "_base_map"}
+           "value_and_grad", "differential_at", "hessian_at", "_base_table", "_base_map",
+           "_solve_r", "LOOSE_TOL", "LOOSE_SCALE", "NEAR_ROOT", "R_WALK_SAMPLES"}
 
 
 def _retired_names(source: str) -> list[str]:
     """Where a module defines, imports or lists in ``__all__`` a name of
-    ``RETIRED``: wrappers of one call, or never called, and the two halves
-    of the base-leg builder."""
+    ``RETIRED``: wrappers of one call, or never called, the two halves of
+    the base-leg builder, and the nested solve for ``r`` with its
+    loose-tolerance schedule."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
